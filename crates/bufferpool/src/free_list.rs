@@ -45,30 +45,14 @@ fn unpack(word: u64) -> (u32, u32) {
     ((word >> 32) as u32, word as u32)
 }
 
-/// The stripe heads, padded one-per-cache-line by default. Dense
-/// layout packs eight heads into one 64-byte line, so every CAS on one
-/// stripe invalidates the line under the seven neighbours — false
-/// sharing that serializes exactly the cross-shard traffic the striping
-/// exists to spread. The dense variant is kept (hidden) so the scaling
-/// bench can measure the before/after.
-enum Heads {
-    Padded(Vec<CachePadded<AtomicU64>>),
-    Dense(Vec<AtomicU64>),
-}
-
-impl Heads {
-    fn at(&self, i: usize) -> &AtomicU64 {
-        match self {
-            Heads::Padded(v) => &v[i],
-            Heads::Dense(v) => &v[i],
-        }
-    }
-}
-
 /// Lock-free striped free list with work stealing and a cold stack.
 pub struct StripedFreeList {
     /// One Treiber head per stripe; head `stripes` is the cold stack.
-    heads: Heads,
+    /// Each head owns a cache line: packed densely, eight heads share a
+    /// 64-byte line and every CAS on one stripe invalidates it under the
+    /// seven neighbours — false sharing that serializes exactly the
+    /// cross-shard traffic the striping exists to spread.
+    heads: Vec<CachePadded<AtomicU64>>,
     /// Per-frame successor link (index into itself, `NIL` at the end).
     next: Vec<AtomicU32>,
     /// Regular stripe count (excluding the cold stack).
@@ -86,32 +70,10 @@ impl StripedFreeList {
     /// with every frame initially free (frame `f` starts on stripe
     /// `f % stripes`).
     pub fn new(frames: usize, stripes: usize) -> Self {
-        Self::build(frames, stripes, true)
-    }
-
-    /// The pre-padding dense head layout, for before/after measurement
-    /// only (`miss_scaling`'s free-list section). Not for production
-    /// use: adjacent stripe heads false-share.
-    #[doc(hidden)]
-    pub fn new_dense(frames: usize, stripes: usize) -> Self {
-        Self::build(frames, stripes, false)
-    }
-
-    fn build(frames: usize, stripes: usize, padded: bool) -> Self {
         assert!(stripes >= 1, "need at least one stripe");
-        let heads = if padded {
-            Heads::Padded(
-                (0..=stripes)
-                    .map(|_| CachePadded::new(AtomicU64::new(pack(0, NIL))))
-                    .collect(),
-            )
-        } else {
-            Heads::Dense(
-                (0..=stripes)
-                    .map(|_| AtomicU64::new(pack(0, NIL)))
-                    .collect(),
-            )
-        };
+        let heads = (0..=stripes)
+            .map(|_| CachePadded::new(AtomicU64::new(pack(0, NIL))))
+            .collect();
         let list = StripedFreeList {
             heads,
             next: (0..frames).map(|_| AtomicU32::new(NIL)).collect(),
@@ -125,12 +87,6 @@ impl StripedFreeList {
             list.push(f as usize % stripes, f);
         }
         list
-    }
-
-    /// Whether the stripe heads are cache-line padded (false only for
-    /// the hidden dense baseline).
-    pub fn padded(&self) -> bool {
-        matches!(self.heads, Heads::Padded(_))
     }
 
     /// Regular stripe count (the cold stack is extra).
@@ -180,7 +136,7 @@ impl StripedFreeList {
     }
 
     fn push_stack(&self, stack: usize, frame: u32) {
-        let head = self.heads.at(stack);
+        let head = &self.heads[stack];
         loop {
             let old = head.load(Ordering::Acquire);
             let (tag, idx) = unpack(old);
@@ -205,7 +161,7 @@ impl StripedFreeList {
     }
 
     fn pop_stack(&self, stack: usize) -> Option<u32> {
-        let head = self.heads.at(stack);
+        let head = &self.heads[stack];
         loop {
             let old = head.load(Ordering::Acquire);
             let (tag, idx) = unpack(old);
@@ -333,28 +289,9 @@ mod tests {
     }
 
     #[test]
-    fn padded_is_the_default_and_dense_behaves_identically() {
-        assert!(StripedFreeList::new(8, 4).padded());
-        let fl = StripedFreeList::new_dense(16, 4);
-        assert!(!fl.padded());
-        let mut seen = HashSet::new();
-        for _ in 0..16 {
-            assert!(seen.insert(fl.pop(0).expect("frame available")));
-        }
-        assert!(fl.pop(0).is_none());
-        for &f in &seen {
-            fl.push(f as usize, f);
-        }
-        assert_eq!(fl.len(), 16);
-    }
-
-    #[test]
     fn padded_heads_live_on_distinct_cache_lines() {
         let fl = StripedFreeList::new(8, 8);
-        let Heads::Padded(heads) = &fl.heads else {
-            panic!("default layout must be padded");
-        };
-        for pair in heads.windows(2) {
+        for pair in fl.heads.windows(2) {
             let a = &pair[0] as *const _ as usize;
             let b = &pair[1] as *const _ as usize;
             assert!(b - a >= 64, "stripe heads share a cache line");

@@ -35,7 +35,7 @@ pub mod swap;
 pub mod wal;
 
 pub use bgwriter::BgWriter;
-pub use desc::{BufferDesc, DescState, MutexDesc, PinAttempt, UnpinOutcome};
+pub use desc::{BufferDesc, DescState, PinAttempt, UnpinOutcome};
 pub use free_list::StripedFreeList;
 pub use managers::{
     ClockManager, CoarseManager, ManagerHandle, ReplacementManager, WrappedManager,

@@ -8,10 +8,6 @@ pub enum Combining {
     /// block in `Lock()` when the queue is full.
     #[default]
     Off,
-    /// Publish to the handle's slot only when the queue is *full* — the
-    /// PR 4 behavior: publication replaces the unavoidable blocking
-    /// `Lock()`, nothing else.
-    Overflow,
     /// Full flat combining: *any* contended threshold crossing publishes
     /// and returns, and every lock holder drains all pending slots per
     /// critical section. The lock is acquired by whoever wins it; the
@@ -29,7 +25,6 @@ impl Combining {
     pub fn name(self) -> &'static str {
         match self {
             Combining::Off => "off",
-            Combining::Overflow => "overflow",
             Combining::Flat => "flat",
         }
     }
@@ -50,10 +45,9 @@ impl std::str::FromStr for Combining {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "off" | "false" | "none" => Ok(Combining::Off),
-            "overflow" => Ok(Combining::Overflow),
             "flat" | "true" | "on" => Ok(Combining::Flat),
             other => Err(format!(
-                "unknown combining mode {other:?} (expected off|overflow|flat)"
+                "unknown combining mode {other:?} (expected off|flat)"
             )),
         }
     }
@@ -154,10 +148,7 @@ impl WrapperConfig {
         self
     }
 
-    /// Enable or disable combining commit. `true` selects full flat
-    /// combining (the strongest mode); use
-    /// [`with_combining_mode`](Self::with_combining_mode) for the
-    /// overflow-only variant.
+    /// Enable or disable combining commit (`true` selects flat combining).
     pub fn with_combining(self, on: bool) -> Self {
         self.with_combining_mode(if on { Combining::Flat } else { Combining::Off })
     }
@@ -237,8 +228,6 @@ mod tests {
             Combining::Flat,
             "bool opt-in means full flat combining"
         );
-        let c = WrapperConfig::default().with_combining_mode(Combining::Overflow);
-        assert_eq!(c.combining, Combining::Overflow);
         c.validate();
     }
 
@@ -247,14 +236,14 @@ mod tests {
         for (s, want) in [
             ("off", Combining::Off),
             ("false", Combining::Off),
-            ("overflow", Combining::Overflow),
             ("flat", Combining::Flat),
             ("true", Combining::Flat),
         ] {
             assert_eq!(s.parse::<Combining>().unwrap(), want);
         }
         assert!("sideways".parse::<Combining>().is_err());
-        assert_eq!(Combining::Overflow.to_string(), "overflow");
+        assert!("overflow".parse::<Combining>().is_err());
+        assert_eq!(Combining::Flat.to_string(), "flat");
     }
 
     #[test]

@@ -272,16 +272,16 @@ impl<P: ReplacementPolicy> BpWrapper<P> {
                 None => {
                     // Flat combining: *any* contended threshold crossing
                     // publishes and returns — the lock holder retires the
-                    // batch. Overflow mode keeps the paper's behavior of
-                    // accumulating until the queue is full.
-                    if self.config.combining == Combining::Flat && self.try_publish(queue, slot) {
+                    // batch. (With combining off there is no board and
+                    // `try_publish` fails without side effects.)
+                    if self.try_publish(queue, slot) {
                         return;
                     }
                     if queue.is_full() {
-                        // The paper blocks in Lock() here; both combining
-                        // modes try one last publication first (flat
-                        // retries because the slot may have been drained
-                        // since the threshold attempt).
+                        // The paper blocks in Lock() here; flat combining
+                        // retries the publication first because the slot
+                        // may have been drained since the threshold
+                        // attempt.
                         if self.try_publish(queue, slot) {
                             return;
                         }
@@ -927,28 +927,6 @@ mod tests {
         // Reclaim-before-commit: the published [0,1] lands before [2,3].
         assert_eq!(w.counters().reclaimed.get(), 1);
         w.with_locked(|p| assert_eq!(p.eviction_order(), vec![0, 1, 2, 3]));
-    }
-
-    #[test]
-    fn overflow_mode_only_publishes_on_full_queue() {
-        let w = warmed(
-            4,
-            WrapperConfig::default()
-                .with_queue_size(4)
-                .with_batch_threshold(2)
-                .with_combining_mode(Combining::Overflow),
-        );
-        let held = w.lock_for_test();
-        let mut h = w.handle();
-        h.record_hit(0, 0);
-        h.record_hit(1, 1); // threshold, lock busy, queue not full: defer
-        assert_eq!(h.queued(), 2, "overflow mode must keep accumulating");
-        assert_eq!(w.counters().published.get(), 0);
-        h.record_hit(2, 2);
-        h.record_hit(3, 3); // queue full: publish instead of blocking
-        assert_eq!(h.queued(), 0);
-        assert_eq!(w.counters().published.get(), 1);
-        drop(held);
     }
 
     #[test]

@@ -485,41 +485,10 @@ impl crate::Histogram {
     }
 }
 
-impl crate::LockSnapshot {
-    /// Render this snapshot as a JSON object: the six raw counters plus
-    /// the derived mean batch size (`accesses_per_acquisition`).
-    pub fn to_json(&self) -> String {
-        let mut o = JsonObject::new();
-        o.field_u64("acquisitions", self.acquisitions)
-            .field_u64("contentions", self.contentions)
-            .field_u64("trylock_failures", self.trylock_failures)
-            .field_u64("wait_ns", self.wait_ns)
-            .field_u64("hold_ns", self.hold_ns)
-            .field_u64("accesses_covered", self.accesses_covered)
-            .field_f64("accesses_per_acquisition", self.accesses_per_acquisition());
-        o.finish()
-    }
-}
-
-impl crate::LockShardSummary {
-    /// Render as a JSON object: shard count, summed counters, and the
-    /// hottest shard's cumulative wait.
-    pub fn to_json(&self) -> String {
-        let mut o = JsonObject::new();
-        o.field_u64("shards", self.shards as u64)
-            .field_u64("total_acquisitions", self.total_acquisitions)
-            .field_u64("total_contentions", self.total_contentions)
-            .field_u64("total_wait_ns", self.total_wait_ns)
-            .field_u64("total_hold_ns", self.total_hold_ns)
-            .field_u64("max_wait_ns", self.max_wait_ns);
-        o.finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Histogram, LockSnapshot};
+    use crate::Histogram;
 
     #[test]
     fn escapes_control_and_quote_characters() {
@@ -597,24 +566,5 @@ mod tests {
         let v = JsonValue::parse(&Histogram::new().to_json()).unwrap();
         assert_eq!(v.get("count").unwrap().as_u64(), Some(0));
         assert_eq!(v.get("p99").unwrap().as_u64(), Some(0));
-    }
-
-    #[test]
-    fn lock_snapshot_json_round_trips() {
-        let snap = LockSnapshot {
-            acquisitions: 10,
-            contentions: 2,
-            trylock_failures: 3,
-            wait_ns: 400,
-            hold_ns: 600,
-            accesses_covered: 320,
-        };
-        let v = JsonValue::parse(&snap.to_json()).unwrap();
-        assert_eq!(v.get("acquisitions").unwrap().as_u64(), Some(10));
-        assert_eq!(v.get("contentions").unwrap().as_u64(), Some(2));
-        assert_eq!(
-            v.get("accesses_per_acquisition").unwrap().as_f64(),
-            Some(32.0)
-        );
     }
 }

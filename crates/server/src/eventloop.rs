@@ -8,10 +8,11 @@
 //! thousands of mostly-idle connections means tens of thousands of
 //! stacks and a scheduler meltdown long before BP-Wrapper's lock-free
 //! batching becomes the bottleneck. Here, socket I/O is owned by a
-//! single loop thread; decoded requests still flow through the same
-//! admission queue to the same worker pool (each worker holding its
-//! long-lived `PoolSession`), so overload policy and every replacement
-//! scheme behave identically in both modes.
+//! single loop thread; complete frames go through the same
+//! [`crate::engine`] — `route`, admission queue, workers, `write_reply`
+//! — as the threaded frontend's, so overload policy and every
+//! replacement scheme behave identically in both modes. This file holds
+//! socket state only.
 //!
 //! ## Per-connection state machine
 //!
@@ -43,7 +44,7 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, Read};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -51,12 +52,8 @@ use std::time::{Duration, Instant};
 use bpw_evl::{Epoll, Interest, Ready, WakeFd, WriteBuf};
 
 use crate::backpressure::{AdmissionQueue, Offered};
-use crate::metrics::{OpKind, Stage};
+use crate::engine::{self, Job, ReplyTo, Routed, Shared, Ticket};
 use crate::protocol::{FrameDecoder, Request, Response};
-use crate::server::{
-    metrics_text, next_conn_id, next_request_id, op_kind, stats_json, Job, ReplyTo, RequestCtx,
-    Shared,
-};
 
 const TOK_LISTENER: u64 = 0;
 const TOK_WAKE: u64 = 1;
@@ -118,16 +115,15 @@ struct Conn {
     next_to_send: u64,
     /// Completed responses waiting for their turn (reorder buffer).
     pending: BTreeMap<u64, Response>,
-    /// Admission time, op kind, and request ctx of data requests, by
-    /// seq — consumed when the response is written (metrics + reply
-    /// trace + flight capture).
-    meta: HashMap<u64, (OpKind, Instant, RequestCtx)>,
+    /// Tickets of data requests, by seq — redeemed when the response
+    /// is written.
+    tickets: HashMap<u64, Ticket>,
     /// Data requests handed to workers and not yet completed.
     inflight: usize,
     /// Decoded data requests a full admission queue handed back. Each
-    /// keeps its original admission time and ctx across re-offers, so
-    /// deadlines and queue-wait attribution measure true staleness.
-    stalled: VecDeque<(u64, Request, Instant, RequestCtx)>,
+    /// keeps its original ticket across re-offers, so deadlines and
+    /// queue-wait attribution measure true staleness.
+    stalled: VecDeque<(u64, Request, Ticket)>,
     /// Peer closed its write half; serve what was received, then close.
     peer_eof: bool,
     /// Fatal frame/decode error: the seq of the final (ERR) response.
@@ -141,13 +137,13 @@ impl Conn {
     fn new(stream: TcpStream) -> Conn {
         Conn {
             stream,
-            id: next_conn_id(),
+            id: engine::next_conn_id(),
             decoder: FrameDecoder::new(),
             wbuf: WriteBuf::new(),
             next_seq: 0,
             next_to_send: 0,
             pending: BTreeMap::new(),
-            meta: HashMap::new(),
+            tickets: HashMap::new(),
             inflight: 0,
             stalled: VecDeque::new(),
             peer_eof: false,
@@ -295,8 +291,18 @@ pub(crate) fn run(
             );
         }
 
-        if el.shared.stop.load(Ordering::SeqCst) && el.listener.is_none() && el.conns.is_empty() {
-            break;
+        if stop {
+            // Shutdown must not wait on idle clients: end the read half
+            // of every connection with nothing left to answer. Its next
+            // read drains whatever the kernel had already queued (those
+            // requests are still served) and then reports EOF, which
+            // closes the connection through the usual path.
+            for conn in el.conns.values().filter(|c| c.drained()) {
+                let _ = conn.stream.shutdown(Shutdown::Read);
+            }
+            if el.listener.is_none() && el.conns.is_empty() {
+                break;
+            }
         }
     }
 }
@@ -378,9 +384,8 @@ impl EventLoop {
         self.dispatch_frames(token);
     }
 
-    /// Decode buffered bytes into requests until the decoder runs dry,
-    /// a fatal frame error poisons the stream, or flow control says
-    /// stop handing out work.
+    /// Route buffered frames until the decoder runs dry or a fatal
+    /// frame error poisons the stream.
     fn dispatch_frames(&mut self, token: u64) {
         loop {
             let Some(conn) = self.conns.get_mut(&token) else {
@@ -389,116 +394,40 @@ impl EventLoop {
             if conn.close_after.is_some() {
                 return;
             }
-            match conn.decoder.next_frame() {
+            let routed = match conn.decoder.next_frame() {
                 Ok(None) => return,
-                Ok(Some(body)) => {
-                    // The request clock starts the moment its frame is
-                    // complete — NOT at the epoll wakeup, which may
-                    // have delivered a whole pipeline burst whose later
-                    // frames would otherwise inherit the first frame's
-                    // wait and inflate every reply span downstream.
-                    let admitted = Instant::now();
-                    let seq = conn.next_seq;
-                    conn.next_seq += 1;
-                    match Request::decode(&body) {
-                        Ok(req) => {
-                            let decode_ns = admitted.elapsed().as_nanos() as u64;
-                            self.dispatch_request(token, seq, req, admitted, decode_ns)
-                        }
-                        Err(e) => {
-                            // Same contract as the threaded frontend:
-                            // answer ERR, then drop the connection —
-                            // after every earlier response has gone out
-                            // in order.
-                            self.shared.metrics.errors.incr();
-                            conn.pending.insert(seq, Response::Err(e.to_string()));
-                            conn.close_after = Some(seq);
-                            return;
-                        }
-                    }
+                Ok(Some(body)) => engine::route(&self.shared, conn.id, &body),
+                Err(e) => Routed::Fatal(engine::protocol_error(&self.shared, &e)),
+            };
+            let seq = conn.next_seq;
+            conn.next_seq += 1;
+            match routed {
+                Routed::Reply(resp) => {
+                    conn.pending.insert(seq, resp);
                 }
-                Err(e) => {
-                    self.shared.metrics.errors.incr();
-                    let seq = conn.next_seq;
-                    conn.next_seq += 1;
-                    conn.pending.insert(seq, Response::Err(e.to_string()));
+                Routed::Fatal(resp) => {
+                    // Same contract as the threaded frontend: answer
+                    // ERR, then drop the connection — after every
+                    // earlier response has gone out in order.
+                    conn.pending.insert(seq, resp);
                     conn.close_after = Some(seq);
                     return;
                 }
+                Routed::Work(req, ticket) if conn.stalled.is_empty() => {
+                    self.offer(token, seq, req, ticket)
+                }
+                // Order guarantee: nothing may overtake an
+                // already-stalled request on its way into the queue.
+                Routed::Work(req, ticket) => conn.stalled.push_back((seq, req, ticket)),
             }
-        }
-    }
-
-    /// Route one decoded request: control inline, data to the workers.
-    /// `admitted` is the frame-decode-complete instant from
-    /// `dispatch_frames`; `decode_ns` is what `Request::decode` cost.
-    fn dispatch_request(
-        &mut self,
-        token: u64,
-        seq: u64,
-        req: Request,
-        admitted: Instant,
-        decode_ns: u64,
-    ) {
-        let resp = match &req {
-            Request::Stats => Some(Response::Ok(stats_json(&self.shared).into_bytes())),
-            Request::Metrics => Some(Response::Ok(metrics_text(&self.shared).into_bytes())),
-            Request::Exemplars => Some(Response::Ok(
-                bpw_trace::flight::exemplars_json().into_bytes(),
-            )),
-            Request::Shutdown => {
-                // Flag first: a client that has seen the OK must observe
-                // `stop_requested()` as true. The listener itself is
-                // closed by the main loop on its next pass.
-                self.shared.stop.store(true, Ordering::SeqCst);
-                Some(Response::Ok(Vec::new()))
-            }
-            _ => None,
-        };
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        if let Some(resp) = resp {
-            conn.pending.insert(seq, resp);
-            return;
-        }
-        let ctx = RequestCtx {
-            id: next_request_id(),
-            conn: conn.id,
-            opcode: req.opcode(),
-        };
-        if let Some(kind) = op_kind(&req) {
-            self.shared
-                .metrics
-                .record_stage(kind, Stage::Decode, decode_ns);
-        }
-        if conn.stalled.is_empty() {
-            self.offer(token, seq, req, admitted, ctx);
-        } else {
-            // Order guarantee: nothing may overtake an already-stalled
-            // request on its way into the queue.
-            conn.stalled.push_back((seq, req, admitted, ctx));
         }
     }
 
     /// Offer a data request to the admission queue (non-blocking).
-    fn offer(&mut self, token: u64, seq: u64, req: Request, admitted: Instant, ctx: RequestCtx) {
-        let kind = match &req {
-            Request::Get { .. } => OpKind::Get,
-            Request::Put { .. } => OpKind::Put,
-            Request::Scan { .. } => OpKind::Scan,
-            _ => unreachable!("control requests are dispatched inline"),
-        };
-        // Attribute the enqueue event, then detach: the loop thread is
-        // about to work on other requests, and its wakeup spans must
-        // stay unowned.
-        bpw_trace::set_current_request(ctx.id);
-        bpw_trace::instant(bpw_trace::EventKind::ServerEnqueue, req.opcode() as u64);
-        bpw_trace::set_current_request(0);
+    fn offer(&mut self, token: u64, seq: u64, req: Request, ticket: Ticket) {
         let job = Job {
             req,
-            admitted,
-            ctx,
+            ticket,
             reply: ReplyTo::Loop {
                 completions: Arc::clone(&self.completions),
                 token,
@@ -508,29 +437,27 @@ impl EventLoop {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        match self.admission.offer_at(job, admitted) {
+        let refusal = match self.admission.offer_at(job, ticket.admitted) {
             Offered::Queued => {
                 conn.inflight += 1;
-                conn.meta.insert(seq, (kind, admitted, ctx));
                 self.shared
                     .metrics
                     .pipeline_depth
                     .record(conn.inflight as u64);
-            }
-            Offered::Shed => {
-                // Counted at reply-write via `meta`, exactly like a
-                // threaded connection counting its BUSY.
-                conn.meta.insert(seq, (kind, admitted, ctx));
-                conn.pending.insert(seq, Response::Busy);
+                None
             }
             Offered::Full(job) => {
-                conn.stalled.push_back((seq, job.req, admitted, ctx));
+                conn.stalled.push_back((seq, job.req, ticket));
+                return;
             }
-            Offered::Closed => {
-                conn.meta.insert(seq, (kind, admitted, ctx));
-                conn.pending
-                    .insert(seq, Response::Err("server is shutting down".into()));
-            }
+            Offered::Shed => Some(Response::Busy),
+            Offered::Closed => Some(Response::Err("server is shutting down".into())),
+        };
+        // Refusals are accounted when their reply is written, exactly
+        // like a threaded connection counting its BUSY.
+        conn.tickets.insert(seq, ticket);
+        if let Some(resp) = refusal {
+            conn.pending.insert(seq, resp);
         }
     }
 
@@ -541,11 +468,11 @@ impl EventLoop {
         // Re-offer stalled requests in arrival order; stop at the first
         // that still finds the queue full.
         while let Some(conn) = self.conns.get_mut(&token) {
-            let Some((seq, req, admitted, ctx)) = conn.stalled.pop_front() else {
+            let Some((seq, req, ticket)) = conn.stalled.pop_front() else {
                 break;
             };
             let before = conn.stalled.len();
-            self.offer(token, seq, req, admitted, ctx);
+            self.offer(token, seq, req, ticket);
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
             };
@@ -564,53 +491,22 @@ impl EventLoop {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        // Release the reorder buffer strictly in sequence order.
+        // Release the reorder buffer strictly in sequence order. The
+        // sink is serialization into the coalesced write buffer; the
+        // socket write itself is shared by every reply in the flush
+        // below and can't be attributed per request (the threaded
+        // frontend measures the actual write).
         while let Some(resp) = conn.pending.remove(&conn.next_to_send) {
             let seq = conn.next_to_send;
             conn.next_to_send += 1;
-            // Reply-flush here is serialization into the coalesced
-            // write buffer; the socket write itself is shared by every
-            // reply in the flush below and can't be attributed per
-            // request (the threaded frontend measures the actual write).
-            let flush_t0 = Instant::now();
-            let mut frame = Vec::with_capacity(5);
-            let body = resp.encode();
-            frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-            frame.extend_from_slice(&body);
-            conn.wbuf.push(&frame);
-            let flush_ns = flush_t0.elapsed().as_nanos() as u64;
-            if let Some((kind, admitted, ctx)) = conn.meta.remove(&seq) {
-                let status: u8 = match &resp {
-                    Response::Ok(_) => 0,
-                    Response::Busy => 1,
-                    Response::Dropped => 2,
-                    Response::Err(_) => 3,
-                    Response::IoError(_) => 4,
-                };
-                let total_ns = admitted.elapsed().as_nanos() as u64;
-                let m = &self.shared.metrics;
-                m.record_stage(kind, Stage::ReplyFlush, flush_ns);
-                // Reply span first, then capture: the flight snapshot
-                // must see the completed chain.
-                bpw_trace::set_current_request(ctx.id);
-                bpw_trace::span_backdated(
-                    bpw_trace::EventKind::ServerReply,
-                    total_ns,
-                    status as u64,
-                );
-                if bpw_trace::flight::should_capture(total_ns, status) {
-                    m.record_slo_violation(kind);
-                    bpw_trace::flight::capture(ctx.id, ctx.conn, ctx.opcode, status, total_ns);
-                }
-                bpw_trace::set_current_request(0);
-                match resp {
-                    Response::Ok(_) => m.record_ok(kind, admitted),
-                    Response::Busy => m.busy.incr(),
-                    Response::Dropped => m.dropped.incr(),
-                    Response::Err(_) => m.errors.incr(),
-                    Response::IoError(_) => m.io_errors.incr(),
-                }
-            }
+            let wbuf = &mut conn.wbuf;
+            let written =
+                engine::write_reply(&self.shared, conn.tickets.remove(&seq), &resp, |body| {
+                    wbuf.push(&(body.len() as u32).to_le_bytes());
+                    wbuf.push(body);
+                    Ok(())
+                });
+            debug_assert!(written.is_ok(), "the write buffer cannot fail");
             if conn.close_after == Some(seq) {
                 break;
             }
@@ -632,7 +528,10 @@ impl EventLoop {
         let err_done = conn
             .close_after
             .is_some_and(|s| conn.next_to_send > s && conn.wbuf.is_empty());
-        let eof_done = conn.peer_eof && conn.decoder.buffered() == 0 && conn.drained();
+        // After EOF a torn trailing frame can never complete (every
+        // whole frame was routed by `dispatch_frames` above), so only
+        // unanswered work keeps the connection open.
+        let eof_done = conn.peer_eof && conn.drained();
         if err_done || eof_done {
             self.close(token);
             return;

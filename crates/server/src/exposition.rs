@@ -1,0 +1,612 @@
+//! The metric table: every number the server exports, enumerated once.
+//!
+//! [`walk`] visits one [`Row`] per metric — JSON key path, Prometheus
+//! name and labels, help text, kind (the [`Value`] variant), and the
+//! value as read for this scrape. Two renderers consume the same walk:
+//! [`stats_json`] (the `STATS` reply) nests rows by their key path,
+//! [`metrics_text`] (the `METRICS` reply) groups them by series name.
+//! Adding a metric is one `row(..)` line.
+//!
+//! Three asymmetries are part of the table, not of the renderers:
+//! string-valued rows have no Prometheus series (`prom` is empty); the
+//! two per-instance breakdowns whose label set grows with the
+//! deployment (miss-lock shards, trace rings) have no JSON path — STATS
+//! carries their aggregates (`miss_locks.*`, `trace.dropped_events`)
+//! and stays O(1) in pool size; and an expert's EWMA is a ratio in JSON
+//! but parts-per-million in its (older) Prometheus series.
+
+use std::collections::HashMap;
+use std::sync::atomic::Ordering;
+use std::sync::OnceLock;
+use std::time::{Duration, Instant};
+
+use bpw_core::CombiningSnapshot;
+use bpw_metrics::json::{escape_str_into, write_f64_into};
+use bpw_metrics::{Histogram, LockShardSummary, LockSnapshot};
+use bpw_replacement::AdvisorSnapshot;
+use bpw_trace::PromWriter;
+
+use crate::engine::Shared;
+use crate::metrics::{OpKind, Stage};
+use crate::server::DynPool;
+
+/// How long a published [`PoolSide`] is served before a scrape
+/// re-aggregates. Short enough that monitoring stays fresh; long enough
+/// that a scrape storm (many Prometheus pollers, dashboards) costs the
+/// data path one walk per interval instead of one per scrape.
+pub(crate) const STATS_TTL: Duration = Duration::from_millis(10);
+
+/// Monotone nanoseconds since the first call (the clock handed to the
+/// snapshot cache; `Instant` itself cannot live in an atomic).
+fn scrape_clock_ns() -> u64 {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
+}
+
+/// What one row's value is, which is also its Prometheus `TYPE`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Value<'a> {
+    /// Monotone count.
+    Counter(u64),
+    /// Point-in-time integer.
+    Gauge(u64),
+    /// Point-in-time ratio.
+    Ratio(f64),
+    /// A ratio whose Prometheus series is in parts per million.
+    Ppm(f64),
+    /// JSON `true`/`false`, Prometheus `1`/`0`.
+    Flag(bool),
+    /// A latency/size distribution.
+    Hist(&'a Histogram),
+    /// JSON-only string (`None` renders `null`).
+    Text(Option<&'a str>),
+}
+
+/// One exported metric.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Row<'a> {
+    /// JSON key path from the STATS root, `""`-padded. A segment ending
+    /// in `[]` is an array whose element `idx` holds the rest of the
+    /// path. All empty: no JSON rendering.
+    pub(crate) json: [&'static str; 3],
+    pub(crate) idx: usize,
+    /// Prometheus series name; empty for JSON-only rows.
+    pub(crate) prom: &'static str,
+    /// Prometheus labels, `("", "")`-padded.
+    pub(crate) labels: [(&'static str, &'a str); 2],
+    pub(crate) help: &'static str,
+    pub(crate) value: Value<'a>,
+}
+
+impl<'a> Row<'a> {
+    fn new(
+        json: &[&'static str],
+        prom: &'static str,
+        labels: &[(&'static str, &'a str)],
+        help: &'static str,
+        value: Value<'a>,
+    ) -> Self {
+        let mut row = Row {
+            json: [""; 3],
+            idx: 0,
+            prom,
+            labels: [("", ""); 2],
+            help,
+            value,
+        };
+        row.json[..json.len()].copy_from_slice(json);
+        row.labels[..labels.len()].copy_from_slice(labels);
+        row
+    }
+
+    /// The non-empty JSON path segments.
+    pub(crate) fn json_path(&self) -> &[&'static str] {
+        let len = self.json.iter().take_while(|s| !s.is_empty()).count();
+        &self.json[..len]
+    }
+
+    /// The labels in use.
+    pub(crate) fn label_pairs(&self) -> &[(&'static str, &'a str)] {
+        let len = self.labels.iter().take_while(|l| !l.0.is_empty()).count();
+        &self.labels[..len]
+    }
+}
+
+/// A buffer-pool counter read through the seqlock cache:
+/// `(STATS key, METRICS series, help, where it is read)`.
+type PoolCounter = (
+    &'static str,
+    &'static str,
+    &'static str,
+    fn(&DynPool) -> u64,
+);
+
+#[rustfmt::skip] // one row per line
+const POOL_COUNTERS: [PoolCounter; 10] = [
+    ("pool_hits",                 "bpw_pool_hits_total",                 "Fetches served from the buffer.",                                   |p| p.stats().hits.load(Ordering::Relaxed)),
+    ("pool_misses",               "bpw_pool_misses_total",               "Fetches that read storage.",                                        |p| p.stats().misses.load(Ordering::Relaxed)),
+    ("pool_writebacks",           "bpw_pool_writebacks_total",           "Dirty victims written back.",                                       |p| p.stats().writebacks.load(Ordering::Relaxed)),
+    ("pool_io_retries",           "bpw_pool_io_retries_total",           "Storage operations retried after a transient fault.",               |p| p.stats().io_retries.load(Ordering::Relaxed)),
+    ("pool_io_errors",            "bpw_pool_io_errors_total",            "Storage operations failed after exhausting retries.",               |p| p.stats().io_errors.load(Ordering::Relaxed)),
+    ("free_list_steals",          "bpw_free_list_steals_total",          "Free-list pops served by stealing from another stripe.",            |p| p.free_list_steals()),
+    ("free_list_cold_pushes",     "bpw_free_list_cold_pushes_total",     "Frames parked on the free list's cold stack by frame repair.",      |p| p.free_list_cold_pushes()),
+    ("pin_cas_retries",           "bpw_pin_cas_retries_total",           "Fast-path pin CAS retries (packed-header contention signal).",      |p| p.stats().pin_cas_retries.load(Ordering::Relaxed)),
+    ("pin_underflows",            "bpw_pin_underflow_total",             "Unpins that found the pin count at zero (saturated, not wrapped).", |p| p.stats().pin_underflows.load(Ordering::Relaxed)),
+    ("page_table_fallback_reads", "bpw_page_table_fallback_reads_total", "Page-table lookups that fell back to the locked path.",             |p| p.page_table_fallback_reads()),
+];
+
+/// Every pool-side scalar a scrape needs, aggregated once and published
+/// through a seqlock ([`bpw_metrics::SnapshotCache`]) so concurrent
+/// scrapes read a *consistent* point-in-time view without touching the
+/// data path's counters. `Copy` is what makes the seqlock publication
+/// race-safe — a torn copy is discarded, never dropped.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct PoolSide {
+    /// One value per [`POOL_COUNTERS`] row, in table order.
+    counters: [u64; POOL_COUNTERS.len()],
+    hit_ratio: f64,
+    /// Replacement-manager lock behaviour.
+    lock: LockSnapshot,
+    /// Sum over the pool's per-shard miss locks.
+    miss_lock: LockSnapshot,
+    /// Shard-aware miss-lock summary.
+    miss_locks: LockShardSummary,
+    /// Combining-commit counters (wrapped managers only).
+    combining: Option<CombiningSnapshot>,
+    /// Admission-queue depth high-water mark.
+    peak_queue_depth: u64,
+}
+
+impl PoolSide {
+    /// The current snapshot, at most [`STATS_TTL`] stale; the uncached
+    /// walk runs under the seqlock when it is older.
+    fn of(shared: &Shared) -> PoolSide {
+        shared
+            .stats_cache
+            .get(scrape_clock_ns(), STATS_TTL.as_nanos() as u64, || {
+                let pool = &*shared.pool;
+                PoolSide {
+                    counters: POOL_COUNTERS.map(|(_, _, _, read)| read(pool)),
+                    hit_ratio: pool.stats().hit_ratio(),
+                    lock: pool.manager().lock_snapshot(),
+                    miss_lock: pool.miss_lock_snapshot(),
+                    miss_locks: pool.miss_lock_summary(),
+                    combining: pool.manager().combining_snapshot(),
+                    peak_queue_depth: shared.depth.get(),
+                }
+            })
+    }
+}
+
+/// Values a scrape reads once, up front, so rows can borrow them.
+pub(crate) struct Scrape {
+    pool: PoolSide,
+    /// `(shard label, snapshot)` per miss-lock shard (METRICS only).
+    shards: Vec<(String, LockSnapshot)>,
+    /// `(tid label, events dropped)` per trace ring (METRICS only).
+    rings: Vec<(String, u64)>,
+    /// Advisor view and the live manager's name (`--adaptive` only).
+    advisor: Option<(AdvisorSnapshot, String)>,
+}
+
+impl Scrape {
+    /// `breakdowns` also reads the per-shard and per-ring series, which
+    /// only METRICS renders.
+    pub(crate) fn gather(shared: &Shared, breakdowns: bool) -> Scrape {
+        let mut shards = Vec::new();
+        let mut rings = Vec::new();
+        if breakdowns {
+            let snaps = shared.pool.miss_lock_shard_snapshots();
+            shards.extend(
+                snaps
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, s)| (i.to_string(), s)),
+            );
+            let drops = bpw_trace::ring_drops();
+            rings.extend(drops.into_iter().map(|(tid, d)| (tid.to_string(), d)));
+        }
+        Scrape {
+            pool: PoolSide::of(shared),
+            shards,
+            rings,
+            advisor: shared.adaptive.as_deref().map(|state| {
+                let snap = state.advisor.lock().expect("advisor lock").snapshot();
+                (snap, state.swap.current_name())
+            }),
+        }
+    }
+}
+
+/// Visit every exported metric once, in STATS order. Each `row(..)` is
+/// `(STATS path, METRICS series, labels, help, value)`.
+#[rustfmt::skip] // one row per line
+pub(crate) fn walk<'a>(shared: &'a Shared, scrape: &'a Scrape, visit: &mut dyn FnMut(Row<'a>)) {
+    use Value::{Counter, Flag, Gauge, Hist, Ppm, Ratio, Text};
+    let m = &*shared.metrics;
+    let pool = &scrape.pool;
+    let mut row = |json: &[&'static str], prom, labels: &[(&'static str, &'a str)], help, value| {
+        visit(Row::new(json, prom, labels, help, value))
+    };
+
+    const REQUESTS: &str = "Requests by reply status.";
+    row(&["ok"],               "bpw_requests_total",          &[("status", "ok")],       REQUESTS, Counter(m.ok.get()));
+    row(&["busy"],             "bpw_requests_total",          &[("status", "busy")],     REQUESTS, Counter(m.busy.get()));
+    row(&["dropped"],          "bpw_requests_total",          &[("status", "dropped")],  REQUESTS, Counter(m.dropped.get()));
+    row(&["errors"],           "bpw_requests_total",          &[("status", "error")],    REQUESTS, Counter(m.errors.get()));
+    row(&["io_errors"],        "bpw_requests_total",          &[("status", "io_error")], REQUESTS, Counter(m.io_errors.get()));
+    row(&["connections_open"], "bpw_connections_open",        &[], "Client connections currently open.",                                  Gauge(m.connections_open.get()));
+    row(&["connections_peak"], "bpw_connections_peak",        &[], "Open-connection high-water mark.",                                    Gauge(m.connections_open.peak()));
+    row(&["epoll_wakeups"],    "bpw_epoll_wakeups_total",     &[], "Event-loop wakeups (epoll_wait returns with work).",                  Counter(m.epoll_wakeups.get()));
+    row(&["short_writes"],     "bpw_short_writes_total",      &[], "Nonblocking writes that accepted only part of the buffer.",           Counter(m.short_writes.get()));
+    row(&["pipeline_depth"],   "bpw_pipeline_depth",          &[], "In-flight pipelined requests per connection, observed at admission.", Hist(&m.pipeline_depth));
+    row(&["ready_per_wakeup"], "bpw_ready_events_per_wakeup", &[], "Ready fds delivered per epoll wakeup.",                               Hist(&m.ready_per_wakeup));
+    row(&["peak_queue_depth"], "bpw_queue_depth_peak",        &[], "Admission-queue depth high-water mark.",                              Gauge(pool.peak_queue_depth));
+    row(&["get_ns"],           "bpw_get_latency_ns",          &[], "End-to-end GET latency.",                                             Hist(&m.get_ns));
+    row(&["put_ns"],           "bpw_put_latency_ns",          &[], "End-to-end PUT latency.",                                             Hist(&m.put_ns));
+    row(&["scan_ns"],          "bpw_scan_latency_ns",         &[], "End-to-end SCAN latency.",                                            Hist(&m.scan_ns));
+    row(&["queue_wait_ns"],    "bpw_queue_wait_ns",           &[], "Time queued before a worker picked the request up.",                  Hist(&m.queue_wait_ns));
+    for (&(key, name, help, _), value) in POOL_COUNTERS.iter().zip(pool.counters) {
+        row(&[key], name, &[], help, Counter(value));
+    }
+    row(&["pool_hit_ratio"],   "bpw_pool_hit_ratio",          &[], "Hits over fetches since start (0 when idle).",                        Ratio(pool.hit_ratio));
+
+    for (key, label, l) in [("replacement_lock", "replacement", &pool.lock), ("miss_lock", "miss", &pool.miss_lock)] {
+        let lock = &[("lock", label)];
+        row(&[key, "acquisitions"],             "bpw_lock_acquisitions_total",       lock, "Successful lock acquisitions.",                             Counter(l.acquisitions));
+        row(&[key, "contentions"],              "bpw_lock_contentions_total",        lock, "Blocked acquisitions (the paper's contention events).",     Counter(l.contentions));
+        row(&[key, "trylock_failures"],         "bpw_lock_trylock_failures_total",   lock, "Non-blocking try-lock attempts that failed.",               Counter(l.trylock_failures));
+        row(&[key, "wait_ns"],                  "bpw_lock_wait_ns_total",            lock, "Nanoseconds spent waiting for the lock.",                   Counter(l.wait_ns));
+        row(&[key, "hold_ns"],                  "bpw_lock_hold_ns_total",            lock, "Nanoseconds the lock was held.",                            Counter(l.hold_ns));
+        row(&[key, "accesses_covered"],         "bpw_lock_accesses_covered_total",   lock, "Page accesses whose bookkeeping the lock protected.",       Counter(l.accesses_covered));
+        row(&[key, "accesses_per_acquisition"], "bpw_lock_accesses_per_acquisition", lock, "Mean accesses committed per acquisition (the batch size).", Ratio(l.accesses_per_acquisition()));
+    }
+    let s = &pool.miss_locks;
+    row(&["miss_locks", "shards"],             "bpw_miss_lock_shards",             &[], "Miss-path partition width (shard locks).",              Gauge(s.shards as u64));
+    row(&["miss_locks", "total_acquisitions"], "bpw_miss_locks_acquisitions_total", &[], "Miss-lock acquisitions summed over shards.",            Counter(s.total_acquisitions));
+    row(&["miss_locks", "total_contentions"],  "bpw_miss_locks_contentions_total",  &[], "Blocked miss-lock acquisitions summed over shards.",    Counter(s.total_contentions));
+    row(&["miss_locks", "total_wait_ns"],      "bpw_miss_locks_wait_ns_total",      &[], "Nanoseconds waited on miss locks, summed over shards.", Counter(s.total_wait_ns));
+    row(&["miss_locks", "total_hold_ns"],      "bpw_miss_locks_hold_ns_total",      &[], "Nanoseconds miss locks were held, summed over shards.", Counter(s.total_hold_ns));
+    row(&["miss_locks", "max_wait_ns"],        "bpw_miss_locks_max_wait_ns",        &[], "Cumulative wait of the hottest miss-lock shard.",       Gauge(s.max_wait_ns));
+    // Per-shard series: where on the partition the miss path's
+    // remaining serialization concentrates.
+    for (shard, s) in &scrape.shards {
+        row(&[], "bpw_miss_shard_acquisitions_total", &[("shard", shard)], "Miss-path lock acquisitions by page-table shard.", Counter(s.acquisitions));
+        row(&[], "bpw_miss_shard_wait_ns_total",      &[("shard", shard)], "Nanoseconds waited on each shard's miss lock.",    Counter(s.wait_ns));
+    }
+
+    for (op, stage) in OpKind::ALL.into_iter().flat_map(|op| Stage::ALL.map(|stage| (op, stage))) {
+        row(&["stages", op.name(), stage.name()], "bpw_stage_latency_ns", &[("op", op.name()), ("stage", stage.name())],
+            "Request latency attributed to one pipeline stage, per opcode.", Hist(m.stages(op).get(stage)));
+    }
+    for op in OpKind::ALL {
+        row(&["slo_violations", op.name()], "bpw_slo_violations_total", &[("op", op.name())],
+            "Requests that exceeded --slo-us or ended ERR_IO, per opcode.", Counter(m.slo_violations[op.index()].get()));
+    }
+
+    row(&["trace", "enabled"],         "bpw_trace_enabled",              &[], "1 when event tracing is recording.",                       Flag(bpw_trace::enabled()));
+    row(&["trace", "dropped_events"],  "bpw_trace_dropped_events_total", &[], "Trace events lost to ring overflow.",                      Counter(bpw_trace::dropped()));
+    row(&["trace", "threads"],         "bpw_trace_threads",              &[], "Threads that have recorded at least one trace event.",     Gauge(bpw_trace::thread_count() as u64));
+    row(&["trace", "buffered_events"], "bpw_trace_buffered_events",      &[], "Trace events currently buffered in the rings.",            Gauge(bpw_trace::buffered() as u64));
+    // Per-ring drop counters: which recording thread is losing events.
+    for (tid, dropped) in &scrape.rings {
+        row(&[], "bpw_trace_ring_dropped_events_total", &[("tid", tid)], "Trace events lost to ring overflow, per recording thread.", Counter(*dropped));
+    }
+    row(&["flight", "slo_ns"],         "bpw_flight_slo_ns",              &[], "Armed flight-recorder SLO in nanoseconds (0 = disarmed).", Gauge(bpw_trace::flight::slo_ns()));
+    row(&["flight", "captured_total"], "bpw_exemplars_captured_total",   &[], "Slow or ERR_IO requests captured by the flight recorder.", Counter(bpw_trace::flight::captured_total()));
+    row(&["flight", "buffered"],       "bpw_exemplars_buffered",         &[], "Exemplars currently held by the flight recorder.",         Gauge(bpw_trace::flight::exemplars().len() as u64));
+
+    // Flat-combining commit-path counters (wrapped managers only).
+    if let Some(c) = &pool.combining {
+        const BATCHES: &str = "Publication-slot batch events on the combining commit path.";
+        row(&["combining", "mode"],               "",                            &[], "", Text(Some(c.mode.name())));
+        row(&["combining", "published"],          "bpw_combining_batches_total", &[("event", "published")],        BATCHES, Counter(c.published));
+        row(&["combining", "publish_fallbacks"],  "bpw_combining_batches_total", &[("event", "publish_fallback")], BATCHES, Counter(c.publish_fallbacks));
+        row(&["combining", "reclaimed"],          "bpw_combining_batches_total", &[("event", "reclaimed")],        BATCHES, Counter(c.reclaimed));
+        row(&["combining", "combined_batches"],   "bpw_combining_batches_total", &[("event", "combined")],         BATCHES, Counter(c.combined_batches));
+        row(&["combining", "combined_entries"],   "bpw_combining_entries_total", &[], "Accesses applied from other threads' combined batches.",          Counter(c.combined_entries));
+        row(&["combining", "combine_passes"],     "bpw_combining_passes_total",  &[], "Drain passes executed by combining critical sections.",           Counter(c.combine_passes));
+        row(&["combining", "combine_depth_last"], "bpw_combining_depth_last",    &[], "Batches drained in the most recent combining critical section.",  Gauge(c.combine_depth_last));
+        row(&["combining", "combine_depth_peak"], "bpw_combining_depth_peak",    &[], "Most batches ever drained in one combining critical section.",    Gauge(c.combine_depth_peak));
+    }
+
+    // Adaptive-replacement state (`--adaptive` servers only).
+    if let (Some((a, live_manager)), Some(state)) = (&scrape.advisor, &shared.adaptive) {
+        row(&["advisor", "incumbent"],         "",                                    &[], "", Text(Some(a.incumbent.name())));
+        row(&["advisor", "leader"],            "",                                    &[], "", Text(a.leader.map(|l| l.name())));
+        row(&["advisor", "lead_streak"],       "bpw_advisor_lead_streak",             &[], "Consecutive windows the leading challenger has held its lead.", Gauge(a.lead_streak as u64));
+        row(&["advisor", "samples"],           "bpw_advisor_samples_total",           &[], "Sampled accesses scored by the shadow caches.",                 Counter(a.samples));
+        row(&["advisor", "windows"],           "bpw_advisor_windows_total",           &[], "Scoring windows closed by the advisor.",                        Counter(a.windows));
+        row(&["advisor", "adoptions"],         "bpw_advisor_adoptions_total",         &[], "Challenger policies adopted (hot-swapped in).",                 Counter(a.adoptions));
+        row(&["advisor", "swaps"],             "bpw_advisor_swaps_total",             &[], "Manager hot-swaps completed.",                                  Counter(state.swap.swaps()));
+        row(&["advisor", "migrations"],        "bpw_advisor_migrations_total",        &[], "Lazy handle migrations after swaps.",                           Counter(state.swap.migrations()));
+        row(&["advisor", "pages_transferred"], "bpw_advisor_pages_transferred_total", &[], "Resident pages carried across swaps via export/import.",        Counter(state.swap.pages_transferred()));
+        row(&["advisor", "advice_recovered"],  "bpw_advisor_advice_recovered_total",  &[], "Published accesses drained off retired managers' boards.",      Counter(state.swap.advice_recovered()));
+        row(&["advisor", "tap_pushed"],        "bpw_advisor_tap_pushed_total",        &[], "Accesses the fetch path offered to the sample tap.",            Counter(state.tap.pushed()));
+        row(&["advisor", "tap_dropped"],       "bpw_advisor_tap_dropped_total",       &[], "Samples overwritten before the advisor drained them.",          Counter(state.tap.dropped()));
+        row(&["advisor", "live_manager"],      "",                                    &[], "", Text(Some(live_manager)));
+        for (idx, e) in a.experts.iter().enumerate() {
+            let policy = &[("policy", e.policy.name())];
+            let mut expert = |leaf, prom, labels: &[(&'static str, &'a str)], help, value| {
+                visit(Row { idx, ..Row::new(&["advisor", "experts[]", leaf], prom, labels, help, value) })
+            };
+            expert("policy",             "",                                      &[],    "", Text(Some(e.policy.name())));
+            expert("ewma",               "bpw_advisor_expert_ewma_ppm",           policy, "Each expert's EWMA shadow hit ratio, parts per million.", Ppm(e.ewma));
+            expert("lifetime_hit_ratio", "bpw_advisor_expert_lifetime_hit_ratio", policy, "Each expert's shadow hit ratio since start.",             Ratio(e.lifetime_hit_ratio));
+        }
+    }
+}
+
+/// Nests rows by JSON path: rows sharing a parent must be visited
+/// consecutively (the table is written in STATS order, so they are).
+struct JsonTree {
+    out: String,
+    /// Open containers below the root: `(name, element index, closer)`.
+    /// An array `name[]` is two entries — the array, then its element.
+    open: Vec<(&'static str, Option<usize>, char)>,
+    want: Vec<(&'static str, Option<usize>, char)>,
+    need_comma: bool,
+}
+
+impl JsonTree {
+    fn new() -> JsonTree {
+        JsonTree {
+            out: String::from("{"),
+            open: Vec::new(),
+            want: Vec::new(),
+            need_comma: false,
+        }
+    }
+
+    fn comma(&mut self) {
+        if self.need_comma {
+            self.out.push(',');
+        }
+    }
+
+    fn close_to(&mut self, depth: usize) {
+        while self.open.len() > depth {
+            let (_, _, closer) = self.open.pop().expect("open container");
+            self.out.push(closer);
+            self.need_comma = true;
+        }
+    }
+
+    fn row(&mut self, row: &Row<'_>) {
+        let Some((leaf, parents)) = row.json_path().split_last() else {
+            return;
+        };
+        self.want.clear();
+        for seg in parents {
+            match seg.strip_suffix("[]") {
+                Some(name) => {
+                    self.want.push((name, None, ']'));
+                    self.want.push((name, Some(row.idx), '}'));
+                }
+                None => self.want.push((seg, None, '}')),
+            }
+        }
+        let common = self
+            .open
+            .iter()
+            .zip(&self.want)
+            .take_while(|(a, b)| a == b)
+            .count();
+        self.close_to(common);
+        for i in common..self.want.len() {
+            let entry = self.want[i];
+            self.comma();
+            if entry.1.is_none() {
+                escape_str_into(&mut self.out, entry.0);
+                self.out.push(':');
+            }
+            self.out.push(if entry.2 == ']' { '[' } else { '{' });
+            self.need_comma = false;
+            self.open.push(entry);
+        }
+        self.comma();
+        escape_str_into(&mut self.out, leaf);
+        self.out.push(':');
+        match row.value {
+            Value::Counter(v) | Value::Gauge(v) => self.out.push_str(&v.to_string()),
+            Value::Ratio(v) | Value::Ppm(v) => write_f64_into(&mut self.out, v),
+            Value::Flag(v) => self.out.push_str(if v { "true" } else { "false" }),
+            Value::Hist(h) => self.out.push_str(&h.to_json()),
+            Value::Text(Some(s)) => escape_str_into(&mut self.out, s),
+            Value::Text(None) => self.out.push_str("null"),
+        }
+        self.need_comma = true;
+    }
+
+    fn finish(mut self) -> String {
+        self.close_to(0);
+        self.out.push('}');
+        self.out
+    }
+}
+
+/// Groups rows by series name, so each family gets one `HELP`/`TYPE`
+/// header and contiguous samples whatever order the table visits in.
+#[derive(Default)]
+struct PromFamilies {
+    families: Vec<PromWriter>,
+    by_name: HashMap<&'static str, usize>,
+}
+
+impl PromFamilies {
+    fn row(&mut self, row: &Row<'_>) {
+        if row.prom.is_empty() {
+            return;
+        }
+        let kind = match row.value {
+            Value::Counter(_) => "counter",
+            Value::Hist(_) => "histogram",
+            _ => "gauge",
+        };
+        let families = &mut self.families;
+        let at = *self.by_name.entry(row.prom).or_insert_with(|| {
+            let mut w = PromWriter::new();
+            w.header(row.prom, row.help, kind);
+            families.push(w);
+            families.len() - 1
+        });
+        let w = &mut families[at];
+        let labels = row.label_pairs();
+        match row.value {
+            Value::Counter(v) | Value::Gauge(v) => w.sample(row.prom, labels, v),
+            Value::Ratio(v) => w.sample_f64(row.prom, labels, v),
+            Value::Ppm(v) => w.sample(row.prom, labels, (v * 1e6) as u64),
+            Value::Flag(v) => w.sample(row.prom, labels, v as u64),
+            Value::Hist(h) => w.histogram(row.prom, labels, h),
+            Value::Text(_) => unreachable!("string rows name no series"),
+        };
+    }
+
+    fn finish(self) -> String {
+        self.families.into_iter().map(PromWriter::finish).collect()
+    }
+}
+
+/// The STATS reply: every row with a JSON path, nested.
+pub(crate) fn stats_json(shared: &Shared) -> String {
+    let scrape = Scrape::gather(shared, false);
+    let mut tree = JsonTree::new();
+    walk(shared, &scrape, &mut |row| tree.row(&row));
+    tree.finish()
+}
+
+/// The METRICS reply: every row with a series name, Prometheus-style.
+pub(crate) fn metrics_text(shared: &Shared) -> String {
+    let scrape = Scrape::gather(shared, true);
+    let mut families = PromFamilies::default();
+    walk(shared, &scrape, &mut |row| families.row(&row));
+    families.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{FrontendMode, Server, ServerConfig};
+    use bpw_metrics::JsonValue;
+
+    /// The two breakdown families that have no JSON path.
+    const PROM_ONLY: [&str; 3] = [
+        "bpw_miss_shard_acquisitions_total",
+        "bpw_miss_shard_wait_ns_total",
+        "bpw_trace_ring_dropped_events_total",
+    ];
+
+    fn json_at<'v>(root: &'v JsonValue, row: &Row<'_>) -> Option<&'v JsonValue> {
+        row.json_path()
+            .iter()
+            .try_fold(root, |v, seg| match seg.strip_suffix("[]") {
+                Some(name) => match v.get(name)? {
+                    JsonValue::Arr(items) => items.get(row.idx),
+                    _ => None,
+                },
+                None => v.get(seg),
+            })
+    }
+
+    fn series(row: &Row<'_>, suffix: &str) -> String {
+        let mut w = PromWriter::new();
+        w.sample(&format!("{}{suffix}", row.prom), row.label_pairs(), "");
+        w.finish().trim_end().to_string() + " "
+    }
+
+    #[test]
+    fn every_row_renders_in_each_exposition_it_names() {
+        let server = Server::start(ServerConfig {
+            workers: 1,
+            frames: 32,
+            page_size: 64,
+            pages: 128,
+            manager: "wrapped-2q".into(),
+            combining: bpw_core::Combining::Flat,
+            adaptive: true,
+            mode: FrontendMode::EventLoop,
+            ..ServerConfig::default()
+        })
+        .expect("start");
+        let shared = server.shared();
+        // Touch the pool and one histogram so values are not all zero.
+        drop(shared.pool.session().fetch(3).expect("instant disk"));
+        shared.metrics.record_ok(OpKind::Get, 1_500);
+
+        let stats = stats_json(shared);
+        let json = JsonValue::parse(&stats).expect("STATS parses");
+        let metrics = metrics_text(shared);
+        let samples = bpw_trace::validate_exposition(&metrics).expect("METRICS validates");
+
+        let scrape = Scrape::gather(shared, true);
+        let mut rows = 0;
+        let mut sampled = 0;
+        walk(shared, &scrape, &mut |row| {
+            rows += 1;
+            let name = row.json_path().join(".");
+            let string_valued = matches!(row.value, Value::Text(_));
+            assert_eq!(
+                row.prom.is_empty(),
+                string_valued,
+                "{name}: exactly the string-valued rows are JSON-only"
+            );
+            assert_eq!(
+                row.json_path().is_empty(),
+                PROM_ONLY.contains(&row.prom),
+                "{}: only the per-instance breakdowns are METRICS-only",
+                row.prom
+            );
+            if !row.json_path().is_empty() {
+                let v = json_at(&json, &row).unwrap_or_else(|| panic!("STATS lacks {name}"));
+                match row.value {
+                    Value::Text(Some(s)) => assert_eq!(v.as_str(), Some(s), "{name}"),
+                    Value::Text(None) => assert_eq!(*v, JsonValue::Null, "{name}"),
+                    Value::Flag(_) => assert!(matches!(v, JsonValue::Bool(_)), "{name}"),
+                    Value::Hist(_) => assert!(v.get("p999").is_some(), "{name}"),
+                    _ => assert!(v.as_f64().is_some(), "{name} must be a number: {v:?}"),
+                }
+            }
+            if !row.prom.is_empty() {
+                let needle = match row.value {
+                    Value::Hist(_) => series(&row, "_count"),
+                    _ => series(&row, ""),
+                };
+                let hits = metrics.lines().filter(|l| l.starts_with(&needle)).count();
+                assert_eq!(hits, 1, "METRICS must carry {needle:?} exactly once");
+                assert_eq!(
+                    metrics.matches(&format!("# TYPE {} ", row.prom)).count(),
+                    1,
+                    "{} needs exactly one TYPE header",
+                    row.prom
+                );
+                sampled += 1;
+            }
+        });
+        assert!(rows > 100, "the table lost rows: {rows}");
+        assert!(samples >= sampled, "{samples} samples for {sampled} series");
+        server.join();
+    }
+
+    #[test]
+    fn json_tree_nests_objects_and_arrays() {
+        let mut tree = JsonTree::new();
+        let row = |json: &[&'static str], idx, value| Row {
+            idx,
+            ..Row::new(json, "", &[], "", value)
+        };
+        for row in [
+            row(&["a"], 0, Value::Counter(1)),
+            row(&["b", "c"], 0, Value::Flag(true)),
+            row(&["b", "d[]", "e"], 0, Value::Gauge(2)),
+            row(&["b", "d[]", "f"], 0, Value::Text(None)),
+            row(&["b", "d[]", "e"], 1, Value::Ratio(0.5)),
+            row(&["g", "h", "i"], 0, Value::Text(Some("x\"y"))),
+        ] {
+            tree.row(&row);
+        }
+        assert_eq!(
+            tree.finish(),
+            r#"{"a":1,"b":{"c":true,"d":[{"e":2,"f":null},{"e":0.5}]},"g":{"h":{"i":"x\"y"}}}"#
+        );
+    }
+}

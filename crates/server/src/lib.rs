@@ -1,10 +1,13 @@
 //! # bpw-server
 //!
 //! A concurrent page-service frontend over the BP-Wrapper buffer pool:
-//! a length-prefixed TCP protocol ([`protocol`]), a fixed worker pool
-//! fed through an admission-controlled queue ([`backpressure`],
-//! [`server`]), a blocking [`client`], a workload-driven load generator
-//! ([`loadgen`]), and end-to-end latency observability ([`metrics`]).
+//! a length-prefixed TCP protocol ([`protocol`]), two socket frontends
+//! ([`server`]'s thread-per-connection driver and a readiness event
+//! loop) over one request engine and a fixed worker pool fed through an
+//! admission-controlled queue ([`backpressure`]), a blocking
+//! [`client`], a workload-driven load generator ([`loadgen`]), and
+//! end-to-end latency observability ([`metrics`]) exported through one
+//! metric table as `STATS` JSON and `METRICS` text.
 //!
 //! The paper's claim is about lock contention *inside* the buffer
 //! manager; this crate puts a realistic service in front of it so the
@@ -29,7 +32,9 @@
 
 pub mod backpressure;
 pub mod client;
+mod engine;
 mod eventloop;
+mod exposition;
 pub mod loadgen;
 pub mod metrics;
 pub mod poll;
@@ -40,7 +45,7 @@ pub use backpressure::{AdmissionPolicy, AdmissionQueue, Admitted, Popped, WorkQu
 pub use bpw_bufferpool::{FaultPlan, FaultyDisk};
 pub use client::Client;
 pub use loadgen::{LoadConfig, LoadMode, LoadReport};
-pub use metrics::{OpKind, PoolCounters, ServerMetrics};
+pub use metrics::{OpKind, ServerMetrics};
 pub use poll::{poll_until, wait_for};
 pub use protocol::{Request, Response, MAX_FRAME};
 pub use server::{build_manager, build_manager_with, DynPool, FrontendMode, Server, ServerConfig};

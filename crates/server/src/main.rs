@@ -1,11 +1,11 @@
 //! `bpw-server` binary: run the page service, drive one with load, or
-//! run the built-in coarse-vs-BP-Wrapper comparison.
+//! run one of the two built-in self-checks.
 //!
 //! ```text
 //! bpw-server serve   [--addr H:P] [--mode threaded|eventloop] [--workers N]
 //!                    [--queue N] [--policy P] [--max-pipeline N]
 //!                    [--frames N] [--page-size B] [--pages N] [--manager SPEC]
-//!                    [--combining off|overflow|flat] [--miss-shards N] [--slo-us U]
+//!                    [--combining off|flat] [--miss-shards N] [--slo-us U]
 //!                    [--adaptive true]
 //!                    [--faulty true] [--fault-seed S] [--fail-reads-ppm N]
 //!                    [--fail-writes-ppm N] [--spike-ppm N] [--spike-us U]
@@ -14,12 +14,8 @@
 //!                    [--pipeline N]
 //!                    [--workload zipf|dbt1|dbt2|scan] [--zipf-pages N]
 //!                    [--theta F] [--seed S]
-//! bpw-server bench   [--out FILE] [--requests N] [--connections LIST]
-//!                    [--fe-connections LIST] [--pipeline N] [--quick true]
 //! bpw-server smoke   [--out FILE] [--faulty true]
 //! bpw-server chaos   [--out FILE] [--requests N] [--fault-seed S]
-//! bpw-server stages  [--out FILE] [--requests N] [--slo-us U]
-//!                    [--mode threaded|eventloop]
 //! ```
 //!
 //! `serve --slo-us U` arms the tail-latency flight recorder: tracing
@@ -27,11 +23,6 @@
 //! `ERR_IO`) is captured as an exemplar — its span chain, pulled from
 //! the per-thread trace rings — fetchable via the `EXEMPLARS` opcode
 //! as Chrome-trace JSON.
-//!
-//! `stages` is the stage-breakdown experiment: a `--slo-us`-armed
-//! server under Zipf load, reporting where each opcode's latency goes
-//! (decode, queue wait, pin/hit, miss I/O, batch commit, reply flush)
-//! as per-stage p50/p99/p999 rows in `results/stage_latency.jsonl`.
 //!
 //! `smoke` is the CI self-test: it starts an in-process server, checks
 //! STATS and METRICS payloads, runs a traced workload, and validates
@@ -42,13 +33,16 @@
 //! `chaos` is the degraded-mode experiment: the same load at increasing
 //! storage fault rates, recording throughput, error mix, and the pool's
 //! retry/repair counters to a JSON-lines artifact.
+//!
+//! Throughput, per-stage latency and scrape cost are measured from
+//! outside by `perfbench/` (see `perfbench/README.md`).
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::time::Duration;
 
 use bpw_metrics::JsonObject;
-use bpw_server::{loadgen, FaultPlan, FrontendMode, LoadConfig, LoadMode, Server, ServerConfig};
+use bpw_server::{loadgen, FaultPlan, LoadConfig, LoadMode, Server, ServerConfig};
 use bpw_workloads::{Workload, WorkloadKind, ZipfWorkload};
 
 fn main() {
@@ -58,13 +52,11 @@ fn main() {
     let result = match cmd.as_str() {
         "serve" => cmd_serve(&flags),
         "loadgen" => cmd_loadgen(&flags),
-        "bench" => cmd_bench(&flags),
         "smoke" => cmd_smoke(&flags),
         "chaos" => cmd_chaos(&flags),
-        "stages" => cmd_stages(&flags),
         _ => {
             eprintln!(
-                "usage: bpw-server <serve|loadgen|bench|smoke|chaos|stages> [flags]  (see --help in src/main.rs)"
+                "usage: bpw-server <serve|loadgen|smoke|chaos> [flags]  (see the header of src/main.rs)"
             );
             std::process::exit(2);
         }
@@ -238,209 +230,6 @@ fn cmd_loadgen(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// The headline end-to-end comparison: the same load through the same
-/// server, differing only in the replacement manager's synchronization
-/// scheme — and, in a second section, differing only in the frontend's
-/// concurrency model (thread-per-connection vs readiness event loop).
-/// Writes a JSON-lines artifact and prints a table.
-///
-/// `--quick true` runs only the frontend comparison at 16 connections
-/// and fails unless the event loop at least matches the threaded
-/// frontend's throughput — the CI regression gate for the loop.
-fn cmd_bench(flags: &HashMap<String, String>) -> Result<(), String> {
-    let out = flags
-        .get("out")
-        .cloned()
-        .unwrap_or_else(|| "results/server_bench.jsonl".into());
-    let quick: bool = get(flags, "quick", false)?;
-    let requests: u64 = get(flags, "requests", if quick { 6_000 } else { 20_000 })?;
-    let conn_list = flags
-        .get("connections")
-        .cloned()
-        .unwrap_or_else(|| "1,2,4,8".into());
-    let workers: usize = get(flags, "workers", 4)?;
-    let connections: Vec<usize> = conn_list
-        .split(',')
-        .map(|s| {
-            s.trim()
-                .parse()
-                .map_err(|e| format!("--connections {s:?}: {e}"))
-        })
-        .collect::<Result<_, String>>()?;
-
-    let workload = ZipfWorkload::new(16_384, 0.86, 8);
-    let mut lines = Vec::new();
-    if !quick {
-        println!(
-            "{:<12} {:>5} {:>10} {:>10} {:>10} {:>12} {:>10}",
-            "manager", "conns", "req/s", "p99_us", "p999_us", "contention/M", "lock/M"
-        );
-        for manager in ["coarse-2q", "wrapped-2q"] {
-            for &conns in &connections {
-                let server = Server::start(ServerConfig {
-                    workers,
-                    frames: 4096,
-                    page_size: 256,
-                    pages: 16_384,
-                    manager: manager.into(),
-                    ..ServerConfig::default()
-                })
-                .map_err(|e| e.to_string())?;
-                let report = loadgen::run(
-                    server.addr(),
-                    &workload,
-                    &LoadConfig {
-                        connections: conns,
-                        requests_per_conn: requests / conns.max(1) as u64,
-                        write_fraction: 0.1,
-                        ..LoadConfig::default()
-                    },
-                );
-                let stats = server.pool().stats();
-                let accesses = stats.hits.load(std::sync::atomic::Ordering::Relaxed)
-                    + stats.misses.load(std::sync::atomic::Ordering::Relaxed);
-                let lock = server.pool().manager().lock_snapshot();
-                let cpm = lock.contentions_per_million(accesses);
-                // On a 1-core host contention events are rare for every
-                // scheme; acquisitions per access expose the amortization.
-                let apm = if accesses == 0 {
-                    0.0
-                } else {
-                    lock.acquisitions as f64 * 1e6 / accesses as f64
-                };
-                println!(
-                    "{:<12} {:>5} {:>10.0} {:>10} {:>10} {:>12.1} {:>10.0}",
-                    manager,
-                    conns,
-                    report.throughput(),
-                    report.latency_ns.quantile(0.99) / 1_000,
-                    report.latency_ns.quantile(0.999) / 1_000,
-                    cpm,
-                    apm
-                );
-                let mut o = JsonObject::new();
-                o.field_str("manager", manager)
-                    .field_u64("connections", conns as u64)
-                    .field_u64("workers", workers as u64)
-                    .field_f64("contentions_per_million", cpm)
-                    .field_u64("lock_acquisitions", lock.acquisitions)
-                    .field_f64("lock_acquisitions_per_million", apm)
-                    .field_u64("pool_accesses", accesses)
-                    .field_raw("load", &report.to_json());
-                lines.push(o.finish());
-                server.join();
-            }
-        }
-    }
-
-    // Frontend crossover: the same manager and load, threaded vs event
-    // loop, with pipelined clients at climbing connection counts. The
-    // threaded frontend pays a thread (stack + context switches) per
-    // connection; the loop pays one epoll registration — so the gap
-    // should widen with connections.
-    let fe_conn_list = flags.get("fe-connections").cloned().unwrap_or_else(|| {
-        if quick {
-            "16".into()
-        } else {
-            "4,16,64".into()
-        }
-    });
-    let fe_connections: Vec<usize> = fe_conn_list
-        .split(',')
-        .map(|s| {
-            s.trim()
-                .parse()
-                .map_err(|e| format!("--fe-connections {s:?}: {e}"))
-        })
-        .collect::<Result<_, String>>()?;
-    let pipeline: usize = get(flags, "pipeline", 8)?;
-    println!(
-        "{:<10} {:>5} {:>10} {:>10} {:>10} {:>9} {:>12}",
-        "frontend", "conns", "req/s", "p99_us", "p999_us", "wakeups", "ready/wakeup"
-    );
-    let mut fe_throughput: HashMap<(String, usize), f64> = HashMap::new();
-    for mode in [FrontendMode::Threaded, FrontendMode::EventLoop] {
-        for &conns in &fe_connections {
-            let server = Server::start(ServerConfig {
-                workers,
-                frames: 4096,
-                page_size: 256,
-                pages: 16_384,
-                manager: "wrapped-2q".into(),
-                mode,
-                ..ServerConfig::default()
-            })
-            .map_err(|e| e.to_string())?;
-            let report = loadgen::run(
-                server.addr(),
-                &workload,
-                &LoadConfig {
-                    connections: conns,
-                    requests_per_conn: (requests / conns.max(1) as u64).max(pipeline as u64),
-                    write_fraction: 0.1,
-                    pipeline,
-                    ..LoadConfig::default()
-                },
-            );
-            let m = server.metrics();
-            let wakeups = m.epoll_wakeups.get();
-            let ready_mean = m.ready_per_wakeup.mean();
-            println!(
-                "{:<10} {:>5} {:>10.0} {:>10} {:>10} {:>9} {:>12.2}",
-                mode.to_string(),
-                conns,
-                report.throughput(),
-                report.latency_ns.quantile(0.99) / 1_000,
-                report.latency_ns.quantile(0.999) / 1_000,
-                wakeups,
-                ready_mean
-            );
-            let mut o = JsonObject::new();
-            o.field_str("frontend", &mode.to_string())
-                .field_str("manager", "wrapped-2q")
-                .field_u64("connections", conns as u64)
-                .field_u64("workers", workers as u64)
-                .field_u64("pipeline", pipeline as u64)
-                .field_u64("epoll_wakeups", wakeups)
-                .field_f64("ready_per_wakeup_mean", ready_mean)
-                .field_u64("short_writes", m.short_writes.get())
-                .field_u64("connections_peak", m.connections_open.peak())
-                .field_raw("pipeline_depth", &m.pipeline_depth.to_json())
-                .field_raw("load", &report.to_json());
-            lines.push(o.finish());
-            fe_throughput.insert((mode.to_string(), conns), report.throughput());
-            server.join();
-        }
-    }
-    let top = *fe_connections.iter().max().unwrap_or(&0);
-    let threaded = fe_throughput
-        .get(&("threaded".to_string(), top))
-        .copied()
-        .unwrap_or(0.0);
-    let evl = fe_throughput
-        .get(&("eventloop".to_string(), top))
-        .copied()
-        .unwrap_or(0.0);
-    println!(
-        "frontend crossover at {top} connections: eventloop {evl:.0} req/s vs threaded {threaded:.0} req/s ({:+.1}%)",
-        if threaded > 0.0 { (evl / threaded - 1.0) * 100.0 } else { 0.0 }
-    );
-    if quick && evl < threaded {
-        return Err(format!(
-            "event-loop frontend regressed below threaded at {top} connections: {evl:.0} < {threaded:.0} req/s"
-        ));
-    }
-
-    if let Some(dir) = std::path::Path::new(&out).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).map_err(|e| format!("mkdir {}: {e}", dir.display()))?;
-        }
-    }
-    std::fs::write(&out, lines.join("\n") + "\n").map_err(|e| format!("write {out}: {e}"))?;
-    println!("wrote {} rows to {out}", lines.len());
-    Ok(())
-}
-
 /// Degraded-mode experiment: the same Zipf load at increasing storage
 /// fault rates. Records throughput, the OK/ERR_IO mix, retry/repair
 /// counters, and the frame-accounting invariant to a JSON-lines
@@ -534,133 +323,6 @@ fn cmd_chaos(flags: &HashMap<String, String>) -> Result<(), String> {
         drop(client); // close the socket so join() can reap its connection thread
         server.join();
     }
-    if let Some(dir) = std::path::Path::new(&out).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).map_err(|e| format!("mkdir {}: {e}", dir.display()))?;
-        }
-    }
-    std::fs::write(&out, lines.join("\n") + "\n").map_err(|e| format!("write {out}: {e}"))?;
-    println!("wrote {} rows to {out}", lines.len());
-    Ok(())
-}
-
-/// Stage-breakdown experiment: one `--slo-us`-armed server under Zipf
-/// load, then per-opcode, per-stage latency quantiles out of STATS into
-/// a JSON-lines artifact (`results/stage_latency.jsonl`) — where does a
-/// GET's time actually go, and how much of the tail is queueing versus
-/// miss I/O.
-fn cmd_stages(flags: &HashMap<String, String>) -> Result<(), String> {
-    use bpw_metrics::JsonValue;
-
-    let out = flags
-        .get("out")
-        .cloned()
-        .unwrap_or_else(|| "results/stage_latency.jsonl".into());
-    let requests: u64 = get(flags, "requests", 8_000)?;
-    let slo_us: u64 = get(flags, "slo-us", 500)?;
-    let mode: FrontendMode = get(flags, "mode", FrontendMode::Threaded)?;
-    let server = Server::start(ServerConfig {
-        workers: 4,
-        frames: 1024,
-        page_size: 256,
-        pages: 16_384,
-        mode,
-        slo_us: Some(slo_us),
-        ..ServerConfig::default()
-    })
-    .map_err(|e| e.to_string())?;
-    let workload = ZipfWorkload::new(16_384, 0.86, 8);
-    let report = loadgen::run(
-        server.addr(),
-        &workload,
-        &LoadConfig {
-            connections: 4,
-            requests_per_conn: requests / 4,
-            write_fraction: 0.1,
-            ..LoadConfig::default()
-        },
-    );
-    if report.ok == 0 {
-        return Err("stage run completed no requests".into());
-    }
-    let mut client = bpw_server::Client::connect(server.addr()).map_err(|e| e.to_string())?;
-    let stats = client.stats().map_err(|e| e.to_string())?;
-    let v = JsonValue::parse(&stats).map_err(|e| format!("STATS invalid: {e}"))?;
-    let stages = v.get("stages").ok_or("STATS lacks a stages sub-object")?;
-    let slo = v
-        .get("slo_violations")
-        .ok_or("STATS lacks slo_violations")?;
-    let exemplars = client.exemplars().map_err(|e| e.to_string())?;
-    let ev = JsonValue::parse(&exemplars).map_err(|e| format!("EXEMPLARS invalid: {e}"))?;
-    let captured = ev
-        .get("otherData")
-        .and_then(|o| o.get("captured_total"))
-        .and_then(JsonValue::as_u64)
-        .unwrap_or(0);
-
-    let mut lines = Vec::new();
-    println!(
-        "{:<5} {:<13} {:>8} {:>10} {:>10} {:>10}",
-        "op", "stage", "count", "p50_ns", "p99_ns", "p999_ns"
-    );
-    for op in ["get", "put", "scan"] {
-        let per_op = stages
-            .get(op)
-            .ok_or_else(|| format!("stages lacks {op:?}"))?;
-        for stage in [
-            "decode",
-            "queue_wait",
-            "pin_hit",
-            "miss_io",
-            "batch_commit",
-            "reply_flush",
-        ] {
-            let h = per_op
-                .get(stage)
-                .ok_or_else(|| format!("stages.{op} lacks {stage:?}"))?;
-            let q = |key: &str| h.get(key).and_then(JsonValue::as_u64).unwrap_or(0);
-            let count = q("count");
-            if count > 0 {
-                println!(
-                    "{:<5} {:<13} {:>8} {:>10} {:>10} {:>10}",
-                    op,
-                    stage,
-                    count,
-                    q("p50"),
-                    q("p99"),
-                    q("p999")
-                );
-            }
-            let mut o = JsonObject::new();
-            o.field_str("op", op)
-                .field_str("stage", stage)
-                .field_u64("count", count)
-                .field_u64("p50_ns", q("p50"))
-                .field_u64("p99_ns", q("p99"))
-                .field_u64("p999_ns", q("p999"))
-                .field_u64("max_ns", q("max"))
-                .field_u64("slo_us", slo_us)
-                .field_str("frontend", &mode.to_string())
-                .field_u64(
-                    "slo_violations",
-                    slo.get(op).and_then(JsonValue::as_u64).unwrap_or(0),
-                )
-                .field_u64("exemplars_captured", captured);
-            lines.push(o.finish());
-        }
-    }
-    println!(
-        "slo {slo_us}us: {} violations, {captured} exemplars captured",
-        v.get("slo_violations")
-            .map(|s| ["get", "put", "scan"]
-                .iter()
-                .filter_map(|op| s.get(op).and_then(JsonValue::as_u64))
-                .sum::<u64>())
-            .unwrap_or(0)
-    );
-    client.shutdown().map_err(|e| e.to_string())?;
-    drop(client);
-    server.join();
     if let Some(dir) = std::path::Path::new(&out).parent() {
         if !dir.as_os_str().is_empty() {
             std::fs::create_dir_all(dir).map_err(|e| format!("mkdir {}: {e}", dir.display()))?;

@@ -206,30 +206,29 @@ impl Request {
 }
 
 impl Response {
+    /// The reply's status byte (also the first byte of
+    /// [`encode`](Self::encode)'s output).
+    pub fn status(&self) -> u8 {
+        match self {
+            Response::Ok(_) => ST_OK,
+            Response::Busy => ST_BUSY,
+            Response::Dropped => ST_DROPPED,
+            Response::Err(_) => ST_ERR,
+            Response::IoError(_) => ST_IO_ERR,
+        }
+    }
+
     /// Serialize the body (no frame header).
     pub fn encode(&self) -> Vec<u8> {
-        match self {
-            Response::Ok(payload) => {
-                let mut b = Vec::with_capacity(1 + payload.len());
-                b.push(ST_OK);
-                b.extend_from_slice(payload);
-                b
-            }
-            Response::Busy => vec![ST_BUSY],
-            Response::Dropped => vec![ST_DROPPED],
-            Response::Err(msg) => {
-                let mut b = Vec::with_capacity(1 + msg.len());
-                b.push(ST_ERR);
-                b.extend_from_slice(msg.as_bytes());
-                b
-            }
-            Response::IoError(msg) => {
-                let mut b = Vec::with_capacity(1 + msg.len());
-                b.push(ST_IO_ERR);
-                b.extend_from_slice(msg.as_bytes());
-                b
-            }
-        }
+        let payload: &[u8] = match self {
+            Response::Ok(payload) => payload,
+            Response::Busy | Response::Dropped => &[],
+            Response::Err(msg) | Response::IoError(msg) => msg.as_bytes(),
+        };
+        let mut b = Vec::with_capacity(1 + payload.len());
+        b.push(self.status());
+        b.extend_from_slice(payload);
+        b
     }
 
     /// Parse a body produced by [`encode`](Self::encode).
@@ -449,6 +448,7 @@ mod tests {
             Response::IoError("injected read fault on page 7".into()),
         ];
         for resp in cases {
+            assert_eq!(resp.encode()[0], resp.status());
             assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
         }
     }

@@ -1,39 +1,35 @@
-//! The page service: acceptor, connection threads, and a fixed worker
-//! pool over one shared [`BufferPool`].
+//! The page service: configuration, start-up and shutdown of a worker
+//! pool over one shared [`BufferPool`], and the threaded frontend.
 //!
-//! Connection threads do protocol work only (read, decode, enqueue,
-//! await reply, write); every page access happens on a worker that owns
-//! a long-lived [`PoolSession`] — the per-thread state BP-Wrapper's
-//! batching needs to amortize the replacement lock. Between the two
-//! sits the admission queue (see [`crate::backpressure`]), which is
-//! where overload policy is applied.
-//!
-//! `STATS`, `METRICS`, and `SHUTDOWN` are served on the connection
-//! thread itself, bypassing the queue: observability and control must
-//! keep working when the data path is saturated.
+//! Everything a request goes through between "frame complete" and
+//! "reply accounted" is [`crate::engine`]'s; a frontend only moves
+//! bytes. The threaded driver here is an acceptor plus one blocking
+//! thread per connection (read a frame, submit, await the reply, write
+//! it); the readiness loop in [`crate::eventloop`] is the other. Between
+//! frontends and workers sits the admission queue (see
+//! [`crate::backpressure`]), where overload policy is applied.
 
-use std::io::{self, BufReader, BufWriter, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufReader, BufWriter};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bpw_bufferpool::{
-    BufferPool, ClockManager, CoarseManager, FaultPlan, FaultyDisk, PoolSession,
-    ReplacementManager, SimDisk, Storage, SwapManager, WrappedManager,
+    BufferPool, ClockManager, CoarseManager, FaultPlan, FaultyDisk, ReplacementManager, SimDisk,
+    Storage, SwapManager, WrappedManager,
 };
 use bpw_core::{Combining, WrapperConfig};
-use bpw_metrics::JsonObject;
 use bpw_replacement::{Advisor, AdvisorConfig, PolicyKind, SampleTap};
-use crossbeam::channel::{self, Sender};
+use crossbeam::channel;
 
-use crate::backpressure::{
-    admission_queue, AdmissionPolicy, AdmissionQueue, Admitted, Popped, WorkQueue,
-};
+use crate::backpressure::{admission_queue, AdmissionPolicy, AdmissionQueue, Admitted};
+use crate::engine::{self, Job, ReplyTo, Routed, Shared};
 use crate::eventloop::{self, Completions};
-use crate::metrics::{OpKind, PoolCounters, ServerMetrics, Stage, StatsSnapshot};
-use crate::protocol::{self, fnv1a, Request, Response};
+use crate::exposition;
+use crate::metrics::ServerMetrics;
+use crate::protocol::{self, Response};
 
 /// Which concurrency model serves client sockets.
 ///
@@ -96,10 +92,9 @@ pub struct ServerConfig {
     /// Manager spec, e.g. `"wrapped-2q"` (see [`build_manager`]).
     pub manager: String,
     /// Combining commit mode for `wrapped-*` managers
-    /// (`--combining off|overflow|flat`): `overflow` publishes only
-    /// when a queue fills against a busy lock; `flat` publishes on any
-    /// contended threshold crossing and lock holders drain every
-    /// pending slot. Off by default (paper-faithful baseline).
+    /// (`--combining off|flat`): `flat` publishes on any contended
+    /// threshold crossing and lock holders drain every pending slot.
+    /// Off by default (paper-faithful baseline).
     pub combining: Combining,
     /// Override the miss-path partition width (`Some(1)` restores the
     /// seed's single global miss lock; `None` keeps the default of one
@@ -149,32 +144,6 @@ impl Default for ServerConfig {
     }
 }
 
-/// Request-scoped identity, minted at admission and carried with the
-/// job so every layer (queue, worker, pool, commit, reply) can stamp
-/// its trace events and stage samples with the owning request.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RequestCtx {
-    /// Process-unique request id (never 0 — 0 means "unattributed").
-    pub(crate) id: u64,
-    /// The owning connection's id.
-    pub(crate) conn: u64,
-    /// The request's opcode byte.
-    pub(crate) opcode: u8,
-}
-
-static NEXT_REQUEST_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
-static NEXT_CONN_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
-
-/// Mint a process-unique request id (monotonic, starts at 1).
-pub(crate) fn next_request_id() -> u64 {
-    NEXT_REQUEST_ID.fetch_add(1, Ordering::Relaxed)
-}
-
-/// Mint a process-unique connection id (monotonic, starts at 1).
-pub(crate) fn next_conn_id() -> u64 {
-    NEXT_CONN_ID.fetch_add(1, Ordering::Relaxed)
-}
-
 /// Build a replacement manager from a spec string:
 ///
 /// * `clock` — PostgreSQL-style CLOCK with lock-free hits
@@ -211,45 +180,6 @@ pub fn build_manager_with(
     ))
 }
 
-/// One queued request: the decoded message, when it was admitted, and
-/// where the reply goes.
-pub(crate) struct Job {
-    pub(crate) req: Request,
-    pub(crate) admitted: Instant,
-    pub(crate) ctx: RequestCtx,
-    pub(crate) reply: ReplyTo,
-}
-
-/// Where a worker delivers a finished [`Response`]: a blocked
-/// connection thread (threaded frontend) or the event loop's completion
-/// queue, tagged with the connection token and pipeline sequence number
-/// so the loop can put it back in request order.
-pub(crate) enum ReplyTo {
-    Channel(Sender<Response>),
-    Loop {
-        completions: Arc<Completions>,
-        token: u64,
-        seq: u64,
-    },
-}
-
-impl ReplyTo {
-    pub(crate) fn send(self, resp: Response) {
-        match self {
-            ReplyTo::Channel(tx) => {
-                // The receiver may have given up (connection died); the
-                // work is simply discarded.
-                let _ = tx.send(resp);
-            }
-            ReplyTo::Loop {
-                completions,
-                token,
-                seq,
-            } => completions.push(token, seq, resp),
-        }
-    }
-}
-
 /// Adaptive-replacement state shared between the advisor thread and the
 /// STATS/METRICS renderers.
 pub(crate) struct AdaptiveShared {
@@ -261,75 +191,6 @@ pub(crate) struct AdaptiveShared {
     pub(crate) advisor: Mutex<Advisor>,
     /// The lossy sampled-access ring the fetch path feeds.
     pub(crate) tap: Arc<SampleTap>,
-}
-
-/// Shared state every thread of the server sees. Deliberately does NOT
-/// hold the admission queue's sender side: workers carry this struct,
-/// and a worker owning a sender to its own queue would keep the channel
-/// connected forever and deadlock shutdown.
-pub(crate) struct Shared {
-    pub(crate) pool: Arc<DynPool>,
-    pub(crate) metrics: Arc<ServerMetrics>,
-    pub(crate) stop: Arc<AtomicBool>,
-    pub(crate) pages: u64,
-    /// Queue-depth high-water mark (mirrors the admission queue's gauge).
-    pub(crate) depth: Arc<bpw_metrics::MaxGauge>,
-    /// Seqlock-cached pool-side aggregation for STATS/METRICS: one
-    /// scrape per [`STATS_TTL`] pays the counter walk; the rest read
-    /// the published snapshot without touching data-path cache lines.
-    pub(crate) stats_cache: bpw_metrics::SnapshotCache<StatsSnapshot>,
-    /// Present when the config enabled `--adaptive`.
-    pub(crate) adaptive: Option<Arc<AdaptiveShared>>,
-}
-
-/// How long a published [`StatsSnapshot`] is served before a scrape
-/// re-aggregates. Short enough that monitoring stays fresh; long enough
-/// that a scrape storm (many Prometheus pollers, dashboards) costs the
-/// data path one walk per interval instead of one per scrape.
-pub(crate) const STATS_TTL: Duration = Duration::from_millis(10);
-
-/// Monotone nanoseconds since the first call (the clock handed to the
-/// snapshot cache; `Instant` itself cannot live in an atomic).
-pub(crate) fn scrape_clock_ns() -> u64 {
-    use std::sync::OnceLock;
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
-}
-
-impl Shared {
-    /// The current pool-side scalar snapshot, at most [`STATS_TTL`]
-    /// stale, aggregating under the seqlock when it is older.
-    pub(crate) fn stats_snapshot(&self) -> StatsSnapshot {
-        self.stats_cache
-            .get(scrape_clock_ns(), STATS_TTL.as_nanos() as u64, || {
-                self.aggregate_stats()
-            })
-    }
-
-    /// The uncached aggregation walk: every pool/lock scalar a scrape
-    /// renders. This is the work the seqlock cache amortizes.
-    pub(crate) fn aggregate_stats(&self) -> StatsSnapshot {
-        let stats = self.pool.stats();
-        StatsSnapshot {
-            pool: PoolCounters {
-                hits: stats.hits.load(Ordering::Relaxed),
-                misses: stats.misses.load(Ordering::Relaxed),
-                writebacks: stats.writebacks.load(Ordering::Relaxed),
-                io_retries: stats.io_retries.load(Ordering::Relaxed),
-                io_errors: stats.io_errors.load(Ordering::Relaxed),
-                free_list_steals: self.pool.free_list_steals(),
-                free_list_cold_pushes: self.pool.free_list_cold_pushes(),
-                pin_cas_retries: stats.pin_cas_retries.load(Ordering::Relaxed),
-                pin_underflows: stats.pin_underflows.load(Ordering::Relaxed),
-                page_table_fallback_reads: self.pool.page_table_fallback_reads(),
-            },
-            lock: self.pool.manager().lock_snapshot(),
-            miss_lock: self.pool.miss_lock_snapshot(),
-            miss_locks: self.pool.miss_lock_summary(),
-            combining: self.pool.manager().combining_snapshot(),
-            peak_queue_depth: self.depth.get(),
-        }
-    }
 }
 
 /// A running page service. Dropping without [`join`](Self::join) leaks
@@ -346,7 +207,9 @@ pub struct Server {
     admission: Option<AdmissionQueue<Job>>,
     acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    /// Threaded frontend only: live connection threads, each with a
+    /// clone of its socket so [`join`](Self::join) can end its reads.
+    conns: Arc<Mutex<Vec<Conn>>>,
     /// Ring-trim janitor (present when `slo_us` armed the flight
     /// recorder): the trace rings drop-and-count on overflow, so a
     /// steady-state server would stop capturing NEW events once they
@@ -500,7 +363,7 @@ impl Server {
                 let work = work.clone();
                 thread::Builder::new()
                     .name(format!("bpw-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, &work))
+                    .spawn(move || engine::worker_loop(&shared, &work))
                     .expect("spawn worker")
             })
             .collect();
@@ -508,7 +371,7 @@ impl Server {
 
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        let conns: Arc<Mutex<Vec<Conn>>> = Arc::new(Mutex::new(Vec::new()));
         let acceptor = match config.mode {
             FrontendMode::Threaded => {
                 let shared = Arc::clone(&shared);
@@ -576,12 +439,17 @@ impl Server {
 
     /// Render the same JSON a `STATS` request returns.
     pub fn stats_json(&self) -> String {
-        stats_json(&self.shared)
+        exposition::stats_json(&self.shared)
     }
 
     /// Render the same text a `METRICS` request returns.
     pub fn metrics_text(&self) -> String {
-        metrics_text(&self.shared)
+        exposition::metrics_text(&self.shared)
+    }
+
+    #[cfg(test)]
+    pub(crate) fn shared(&self) -> &Shared {
+        &self.shared
     }
 
     /// Has a stop been requested (via [`stop`](Self::stop) or a client
@@ -597,23 +465,35 @@ impl Server {
         }
     }
 
-    /// Ask the server to stop accepting new connections.
+    /// Ask the server to stop accepting new connections: flag the stop
+    /// and poke the (possibly blocked) acceptor awake with a throwaway
+    /// connection.
     pub fn stop(&self) {
-        request_stop(&self.shared.stop, self.addr);
+        self.shared.stop.store(true, Ordering::SeqCst);
+        if let Ok(s) = TcpStream::connect_timeout(&self.addr, Duration::from_millis(200)) {
+            drop(s);
+        }
     }
 
-    /// Stop accepting, wait for live connections to finish, drain the
-    /// queue, and join every thread.
+    /// Stop accepting, answer everything already received, close the
+    /// connections, drain the queue, and join every thread. An idle
+    /// client does not hold this up: both frontends end their reads once
+    /// a stop is requested (the event loop does so itself).
     pub fn join(mut self) {
         self.stop();
         if let Some(a) = self.acceptor.take() {
             let _ = a.join();
         }
-        // Connection threads exit when their client closes; each drops
-        // its admission-queue clone on the way out.
+        // Ending a socket's read half turns a blocked `read_frame` into
+        // EOF, while bytes the kernel already queued are still read and
+        // answered first. Each connection thread drops its
+        // admission-queue clone on the way out.
         let conns = std::mem::take(&mut *self.conns.lock().expect("conns lock"));
-        for c in conns {
-            let _ = c.join();
+        for conn in &conns {
+            let _ = conn.stream.shutdown(Shutdown::Read);
+        }
+        for conn in conns {
+            let _ = conn.thread.join();
         }
         // Dropping the last sender disconnects the channel; workers
         // drain whatever is queued and exit.
@@ -637,37 +517,44 @@ impl Server {
     }
 }
 
-/// Flag a stop and poke the acceptor awake with a throwaway connection.
-pub(crate) fn request_stop(stop: &AtomicBool, addr: SocketAddr) {
-    stop.store(true, Ordering::SeqCst);
-    if let Ok(s) = TcpStream::connect_timeout(&addr, Duration::from_millis(200)) {
-        drop(s);
-    }
+/// One threaded-frontend connection: its thread and a socket clone.
+struct Conn {
+    stream: TcpStream,
+    thread: JoinHandle<()>,
 }
 
 fn accept_loop(
     listener: &TcpListener,
     shared: &Arc<Shared>,
     admission: &AdmissionQueue<Job>,
-    conns: &Arc<Mutex<Vec<JoinHandle<()>>>>,
+    conns: &Mutex<Vec<Conn>>,
 ) {
     for stream in listener.incoming() {
         if shared.stop.load(Ordering::SeqCst) {
             break;
         }
         let Ok(stream) = stream else { continue };
+        let Ok(clone) = stream.try_clone() else {
+            continue;
+        };
         let shared = Arc::clone(shared);
         let admission = admission.clone();
-        let addr = listener.local_addr().expect("listener addr");
-        let handle = thread::Builder::new()
+        let thread = thread::Builder::new()
             .name("bpw-conn".into())
             .spawn(move || {
                 shared.metrics.connections_open.incr();
-                let _ = serve_connection(stream, &shared, &admission, addr);
+                let _ = serve_connection(stream, &shared, &admission);
                 shared.metrics.connections_open.decr();
             })
             .expect("spawn connection thread");
-        conns.lock().expect("conns lock").push(handle);
+        let mut conns = conns.lock().expect("conns lock");
+        // Reap finished connections so neither the handles nor their
+        // socket clones (open fds) accumulate with connection churn.
+        conns.retain(|c| !c.thread.is_finished());
+        conns.push(Conn {
+            stream: clone,
+            thread,
+        });
     }
 }
 
@@ -676,605 +563,40 @@ fn serve_connection(
     stream: TcpStream,
     shared: &Shared,
     admission: &AdmissionQueue<Job>,
-    addr: SocketAddr,
 ) -> io::Result<()> {
     stream.set_nodelay(true).ok();
-    let conn_id = next_conn_id();
+    let conn_id = engine::next_conn_id();
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
     let mut buf = Vec::new();
     while protocol::read_frame(&mut reader, &mut buf)? {
-        // The request clock starts when its frame is fully read — queue
-        // wait and every later stage are measured against this instant.
-        let admitted = Instant::now();
-        let req = match Request::decode(&buf) {
-            Ok(req) => req,
-            Err(e) => {
-                shared.metrics.errors.incr();
-                protocol::write_frame(&mut writer, &Response::Err(e.to_string()).encode())?;
-                break; // framing is suspect; drop the connection
+        let (ticket, resp, fatal) = match engine::route(shared, conn_id, &buf) {
+            Routed::Reply(resp) => (None, resp, false),
+            Routed::Fatal(resp) => (None, resp, true),
+            Routed::Work(req, ticket) => {
+                let (reply_tx, reply_rx) = channel::bounded(1);
+                let resp = match admission.submit(Job {
+                    req,
+                    ticket,
+                    reply: ReplyTo::Channel(reply_tx),
+                }) {
+                    Admitted::Queued => reply_rx.recv().unwrap_or_else(|_| {
+                        Response::Err("server shut down before replying".into())
+                    }),
+                    Admitted::Shed => Response::Busy,
+                    Admitted::Closed => Response::Err("server is shutting down".into()),
+                };
+                (Some(ticket), resp, false)
             }
         };
-        let decode_ns = admitted.elapsed().as_nanos() as u64;
-        match req {
-            Request::Stats => {
-                let resp = Response::Ok(stats_json(shared).into_bytes());
-                protocol::write_frame(&mut writer, &resp.encode())?;
-                continue;
-            }
-            Request::Metrics => {
-                let resp = Response::Ok(metrics_text(shared).into_bytes());
-                protocol::write_frame(&mut writer, &resp.encode())?;
-                continue;
-            }
-            Request::Exemplars => {
-                let resp = Response::Ok(bpw_trace::flight::exemplars_json().into_bytes());
-                protocol::write_frame(&mut writer, &resp.encode())?;
-                continue;
-            }
-            Request::Shutdown => {
-                // Flag the stop before acknowledging: a client that has
-                // seen the OK must observe `stop_requested()` as true.
-                request_stop(&shared.stop, addr);
-                protocol::write_frame(&mut writer, &Response::Ok(Vec::new()).encode())?;
-                writer.flush()?;
-                continue;
-            }
-            _ => {}
-        }
-        let kind = match &req {
-            Request::Get { .. } => OpKind::Get,
-            Request::Put { .. } => OpKind::Put,
-            Request::Scan { .. } => OpKind::Scan,
-            _ => unreachable!("handled above"),
-        };
-        let ctx = RequestCtx {
-            id: next_request_id(),
-            conn: conn_id,
-            opcode: req.opcode(),
-        };
-        shared.metrics.record_stage(kind, Stage::Decode, decode_ns);
-        // Everything this thread records from here to the reply belongs
-        // to this request; the worker stamps its own thread separately.
-        bpw_trace::set_current_request(ctx.id);
-        bpw_trace::instant(bpw_trace::EventKind::ServerEnqueue, req.opcode() as u64);
-        let (reply_tx, reply_rx) = channel::bounded(1);
-        let resp = match admission.submit(Job {
-            req,
-            admitted,
-            ctx,
-            reply: ReplyTo::Channel(reply_tx),
-        }) {
-            Admitted::Queued => reply_rx
-                .recv()
-                .unwrap_or_else(|_| Response::Err("server shut down before replying".into())),
-            Admitted::Shed => Response::Busy,
-            Admitted::Closed => Response::Err("server is shutting down".into()),
-        };
-        let flush_t0 = Instant::now();
-        protocol::write_frame(&mut writer, &resp.encode())?;
-        shared.metrics.record_stage(
-            kind,
-            Stage::ReplyFlush,
-            flush_t0.elapsed().as_nanos() as u64,
-        );
-        let status: u8 = match &resp {
-            Response::Ok(_) => 0,
-            Response::Busy => 1,
-            Response::Dropped => 2,
-            Response::Err(_) => 3,
-            Response::IoError(_) => 4,
-        };
-        let total_ns = admitted.elapsed().as_nanos() as u64;
-        // The reply span must land in the ring BEFORE a flight capture
-        // snapshots it, or the exemplar's chain ends at the worker.
-        bpw_trace::span_backdated(bpw_trace::EventKind::ServerReply, total_ns, status as u64);
-        if bpw_trace::flight::should_capture(total_ns, status) {
-            shared.metrics.record_slo_violation(kind);
-            bpw_trace::flight::capture(ctx.id, ctx.conn, ctx.opcode, status, total_ns);
-        }
-        bpw_trace::set_current_request(0);
-        match resp {
-            Response::Ok(_) => shared.metrics.record_ok(kind, admitted),
-            Response::Busy => shared.metrics.busy.incr(),
-            Response::Dropped => shared.metrics.dropped.incr(),
-            Response::Err(_) => shared.metrics.errors.incr(),
-            Response::IoError(_) => shared.metrics.io_errors.incr(),
+        engine::write_reply(shared, ticket, &resp, |body| {
+            protocol::write_frame(&mut writer, body)
+        })?;
+        if fatal {
+            break;
         }
     }
     Ok(())
-}
-
-fn worker_loop(shared: &Shared, work: &WorkQueue<Job>) {
-    let mut session = shared.pool.session();
-    loop {
-        match work.pop(Duration::from_millis(50)) {
-            Popped::Item(job) => {
-                bpw_trace::set_current_request(job.ctx.id);
-                let waited_ns = job.admitted.elapsed().as_nanos() as u64;
-                shared.metrics.queue_wait_ns.record(waited_ns);
-                bpw_trace::span_backdated(
-                    bpw_trace::EventKind::ServerDequeue,
-                    waited_ns,
-                    job.req.opcode() as u64,
-                );
-                let kind = op_kind(&job.req);
-                if let Some(kind) = kind {
-                    shared
-                        .metrics
-                        .record_stage(kind, Stage::QueueWait, waited_ns);
-                }
-                // Fresh stage scratch for this request (an idle-timeout
-                // flush may have left commit time behind on this thread).
-                bpw_trace::stage::reset();
-                let span = bpw_trace::span_start();
-                let exec_t0 = Instant::now();
-                let resp = execute(&mut session, shared, &job.req);
-                let exec_ns = exec_t0.elapsed().as_nanos() as u64;
-                bpw_trace::span_end(
-                    bpw_trace::EventKind::PinOrMiss,
-                    span,
-                    job.req.opcode() as u64,
-                );
-                if let Some(kind) = kind {
-                    let scratch = bpw_trace::stage::take();
-                    // Whatever execute() spent beyond attributed miss
-                    // I/O and batch commits is the hit path's own cost.
-                    let pin_hit =
-                        exec_ns.saturating_sub(scratch.miss_io_ns + scratch.batch_commit_ns);
-                    shared.metrics.record_stage(kind, Stage::PinHit, pin_hit);
-                    if scratch.miss_io_ns > 0 {
-                        shared
-                            .metrics
-                            .record_stage(kind, Stage::MissIo, scratch.miss_io_ns);
-                    }
-                    if scratch.batch_commit_ns > 0 {
-                        shared.metrics.record_stage(
-                            kind,
-                            Stage::BatchCommit,
-                            scratch.batch_commit_ns,
-                        );
-                    }
-                }
-                job.reply.send(resp);
-                bpw_trace::set_current_request(0);
-            }
-            Popped::Expired(job) => {
-                job.reply.send(Response::Dropped);
-            }
-            Popped::Timeout => {
-                // Idle: commit any deferred BP-Wrapper bookkeeping so the
-                // replacement algorithm doesn't go stale between bursts.
-                session.flush();
-            }
-            Popped::Disconnected => break,
-        }
-    }
-}
-
-/// The latency bucket a queued request belongs to (`None` for control
-/// requests, which never reach the queue).
-pub(crate) fn op_kind(req: &Request) -> Option<OpKind> {
-    match req {
-        Request::Get { .. } => Some(OpKind::Get),
-        Request::Put { .. } => Some(OpKind::Put),
-        Request::Scan { .. } => Some(OpKind::Scan),
-        _ => None,
-    }
-}
-
-/// Run one data request against the pool.
-fn execute(
-    session: &mut PoolSession<'_, Box<dyn ReplacementManager>>,
-    shared: &Shared,
-    req: &Request,
-) -> Response {
-    let page_size = shared.pool.page_size();
-    match req {
-        Request::Get { page } => {
-            if *page >= shared.pages {
-                return Response::Err(format!("page {page} outside 0..{}", shared.pages));
-            }
-            match session.fetch(*page) {
-                Ok(pinned) => Response::Ok(pinned.read(|data| data.to_vec())),
-                Err(e) => Response::IoError(e.to_string()),
-            }
-        }
-        Request::Put { page, data } => {
-            if *page >= shared.pages {
-                return Response::Err(format!("page {page} outside 0..{}", shared.pages));
-            }
-            if data.len() > page_size {
-                return Response::Err(format!(
-                    "PUT of {} bytes exceeds the {page_size}-byte page",
-                    data.len()
-                ));
-            }
-            match session.fetch(*page) {
-                Ok(pinned) => {
-                    pinned.write(|dst| dst[..data.len()].copy_from_slice(data));
-                    Response::Ok(Vec::new())
-                }
-                Err(e) => Response::IoError(e.to_string()),
-            }
-        }
-        Request::Scan { start, len } => {
-            let end = match start.checked_add(*len as u64) {
-                Some(end) if end <= shared.pages => end,
-                _ => {
-                    return Response::Err(format!("SCAN {start}+{len} outside 0..{}", shared.pages))
-                }
-            };
-            let mut checksum = 0u64;
-            for page in *start..end {
-                match session.fetch(page) {
-                    Ok(pinned) => checksum = pinned.read(|data| fnv1a(checksum, data)),
-                    Err(e) => return Response::IoError(e.to_string()),
-                }
-            }
-            let mut payload = Vec::with_capacity(12);
-            payload.extend_from_slice(&len.to_le_bytes());
-            payload.extend_from_slice(&checksum.to_le_bytes());
-            Response::Ok(payload)
-        }
-        Request::Stats | Request::Shutdown | Request::Metrics | Request::Exemplars => {
-            Response::Err("control requests are not executed by workers".into())
-        }
-    }
-}
-
-/// Render the ADVISOR sub-object for STATS: expert scores, swap/
-/// migration counters, and tap health.
-pub(crate) fn advisor_json(state: &AdaptiveShared) -> String {
-    let snap = state.advisor.lock().expect("advisor lock").snapshot();
-    let mut experts = String::from("[");
-    for (i, e) in snap.experts.iter().enumerate() {
-        if i > 0 {
-            experts.push(',');
-        }
-        let mut eo = JsonObject::new();
-        eo.field_str("policy", e.policy.name())
-            .field_f64("ewma", e.ewma)
-            .field_f64("lifetime_hit_ratio", e.lifetime_hit_ratio);
-        experts.push_str(&eo.finish());
-    }
-    experts.push(']');
-    let mut o = JsonObject::new();
-    o.field_str("incumbent", snap.incumbent.name());
-    match snap.leader {
-        Some(l) => o.field_str("leader", l.name()),
-        None => o.field_raw("leader", "null"),
-    };
-    o.field_u64("lead_streak", snap.lead_streak as u64)
-        .field_u64("samples", snap.samples)
-        .field_u64("windows", snap.windows)
-        .field_u64("adoptions", snap.adoptions)
-        .field_u64("swaps", state.swap.swaps())
-        .field_u64("migrations", state.swap.migrations())
-        .field_u64("pages_transferred", state.swap.pages_transferred())
-        .field_u64("advice_recovered", state.swap.advice_recovered())
-        .field_u64("tap_pushed", state.tap.pushed())
-        .field_u64("tap_dropped", state.tap.dropped())
-        .field_str("live_manager", &state.swap.current_name())
-        .field_raw("experts", &experts);
-    o.finish()
-}
-
-pub(crate) fn stats_json(shared: &Shared) -> String {
-    let advisor = shared.adaptive.as_deref().map(advisor_json);
-    shared
-        .metrics
-        .to_json_with(&shared.stats_snapshot(), advisor.as_deref())
-}
-
-/// Prometheus-style text exposition: the METRICS reply. Same sources
-/// as `stats_json` (pool-side scalars through the same seqlock-cached
-/// snapshot), plus the trace collector's own health counters.
-pub(crate) fn metrics_text(shared: &Shared) -> String {
-    let m = &shared.metrics;
-    let snap = shared.stats_snapshot();
-    let pool = &snap.pool;
-    let mut w = bpw_trace::PromWriter::new();
-    w.labeled_counter(
-        "bpw_requests_total",
-        "Requests by reply status.",
-        "status",
-        &[
-            ("ok", m.ok.get()),
-            ("busy", m.busy.get()),
-            ("dropped", m.dropped.get()),
-            ("error", m.errors.get()),
-            ("io_error", m.io_errors.get()),
-        ],
-    )
-    .gauge(
-        "bpw_queue_depth_peak",
-        "Admission-queue depth high-water mark.",
-        snap.peak_queue_depth as f64,
-    )
-    .histogram("bpw_get_latency_ns", "End-to-end GET latency.", &m.get_ns)
-    .histogram("bpw_put_latency_ns", "End-to-end PUT latency.", &m.put_ns)
-    .histogram(
-        "bpw_scan_latency_ns",
-        "End-to-end SCAN latency.",
-        &m.scan_ns,
-    )
-    .histogram(
-        "bpw_queue_wait_ns",
-        "Time queued before a worker picked the request up.",
-        &m.queue_wait_ns,
-    )
-    .gauge(
-        "bpw_connections_open",
-        "Client connections currently open.",
-        m.connections_open.get() as f64,
-    )
-    .gauge(
-        "bpw_connections_peak",
-        "Open-connection high-water mark.",
-        m.connections_open.peak() as f64,
-    )
-    .counter(
-        "bpw_epoll_wakeups_total",
-        "Event-loop wakeups (epoll_wait returns with work).",
-        m.epoll_wakeups.get(),
-    )
-    .counter(
-        "bpw_short_writes_total",
-        "Nonblocking writes that accepted only part of the buffer.",
-        m.short_writes.get(),
-    )
-    .histogram(
-        "bpw_pipeline_depth",
-        "In-flight pipelined requests per connection, observed at admission.",
-        &m.pipeline_depth,
-    )
-    .histogram(
-        "bpw_ready_events_per_wakeup",
-        "Ready fds delivered per epoll wakeup.",
-        &m.ready_per_wakeup,
-    )
-    .counter(
-        "bpw_pool_hits_total",
-        "Fetches served from the buffer.",
-        pool.hits,
-    )
-    .counter(
-        "bpw_pool_misses_total",
-        "Fetches that read storage.",
-        pool.misses,
-    )
-    .counter(
-        "bpw_pool_writebacks_total",
-        "Dirty victims written back.",
-        pool.writebacks,
-    )
-    .counter(
-        "bpw_pool_io_retries_total",
-        "Storage operations retried after a transient fault.",
-        pool.io_retries,
-    )
-    .counter(
-        "bpw_pool_io_errors_total",
-        "Storage operations failed after exhausting retries.",
-        pool.io_errors,
-    )
-    .counter(
-        "bpw_pin_cas_retries_total",
-        "Fast-path pin CAS retries (packed-header contention signal).",
-        pool.pin_cas_retries,
-    )
-    .counter(
-        "bpw_pin_underflow_total",
-        "Unpins that found the pin count at zero (saturated, not wrapped).",
-        pool.pin_underflows,
-    )
-    .counter(
-        "bpw_page_table_fallback_reads_total",
-        "Page-table lookups that fell back to the locked path.",
-        pool.page_table_fallback_reads,
-    )
-    .lock_snapshot("bpw_lock", "replacement", &snap.lock)
-    .lock_snapshot("bpw_lock", "miss", &snap.miss_lock);
-    // Per-shard miss-lock series: where on the partition the miss path's
-    // remaining serialization concentrates.
-    let shard_snaps = shared.pool.miss_lock_shard_snapshots();
-    let labels: Vec<String> = (0..shard_snaps.len()).map(|i| i.to_string()).collect();
-    let acq: Vec<(&str, u64)> = labels
-        .iter()
-        .zip(&shard_snaps)
-        .map(|(l, s)| (l.as_str(), s.acquisitions))
-        .collect();
-    let wait: Vec<(&str, u64)> = labels
-        .iter()
-        .zip(&shard_snaps)
-        .map(|(l, s)| (l.as_str(), s.wait_ns))
-        .collect();
-    w.labeled_counter(
-        "bpw_miss_shard_acquisitions_total",
-        "Miss-path lock acquisitions by page-table shard.",
-        "shard",
-        &acq,
-    )
-    .labeled_counter(
-        "bpw_miss_shard_wait_ns_total",
-        "Nanoseconds waited on each shard's miss lock.",
-        "shard",
-        &wait,
-    )
-    .gauge(
-        "bpw_miss_lock_shards",
-        "Miss-path partition width (shard locks).",
-        shard_snaps.len() as f64,
-    )
-    .counter(
-        "bpw_free_list_steals_total",
-        "Free-list pops served by stealing from another stripe.",
-        pool.free_list_steals,
-    )
-    .counter(
-        "bpw_free_list_cold_pushes_total",
-        "Frames parked on the free list's cold stack by frame repair.",
-        pool.free_list_cold_pushes,
-    )
-    .gauge(
-        "bpw_trace_enabled",
-        "1 when event tracing is recording.",
-        bpw_trace::enabled() as u64 as f64,
-    )
-    .counter(
-        "bpw_trace_dropped_events_total",
-        "Trace events lost to ring overflow.",
-        bpw_trace::dropped(),
-    )
-    .gauge(
-        "bpw_trace_threads",
-        "Threads that have recorded at least one trace event.",
-        bpw_trace::thread_count() as f64,
-    );
-    // Per-opcode stage attribution: one histogram metric, op × stage
-    // labeled series.
-    let mut stage_cells: Vec<([(&str, &str); 2], &bpw_metrics::Histogram)> = Vec::new();
-    for kind in OpKind::ALL {
-        for stage in Stage::ALL {
-            stage_cells.push((
-                [("op", kind.name()), ("stage", stage.name())],
-                m.stages(kind).get(stage),
-            ));
-        }
-    }
-    let stage_series: Vec<(&[(&str, &str)], &bpw_metrics::Histogram)> =
-        stage_cells.iter().map(|(l, h)| (&l[..], *h)).collect();
-    w.labeled_histograms(
-        "bpw_stage_latency_ns",
-        "Request latency attributed to one pipeline stage, per opcode.",
-        &stage_series,
-    );
-    let slo_series: Vec<(&str, u64)> = OpKind::ALL
-        .iter()
-        .map(|k| (k.name(), m.slo_violations[k.index()].get()))
-        .collect();
-    w.labeled_counter(
-        "bpw_slo_violations_total",
-        "Requests that exceeded --slo-us or ended ERR_IO, per opcode.",
-        "op",
-        &slo_series,
-    );
-    // Per-ring drop counters: which recording thread is losing events.
-    let drops = bpw_trace::ring_drops();
-    let tid_labels: Vec<String> = drops.iter().map(|(tid, _)| tid.to_string()).collect();
-    let drop_series: Vec<(&str, u64)> = tid_labels
-        .iter()
-        .zip(&drops)
-        .map(|(l, (_, d))| (l.as_str(), *d))
-        .collect();
-    w.labeled_counter(
-        "bpw_trace_ring_dropped_events_total",
-        "Trace events lost to ring overflow, per recording thread.",
-        "tid",
-        &drop_series,
-    )
-    .counter(
-        "bpw_exemplars_captured_total",
-        "Slow or ERR_IO requests captured by the flight recorder.",
-        bpw_trace::flight::captured_total(),
-    )
-    .gauge(
-        "bpw_flight_slo_ns",
-        "Armed flight-recorder SLO in nanoseconds (0 = disarmed).",
-        bpw_trace::flight::slo_ns() as f64,
-    );
-    // Flat-combining commit-path counters (wrapped managers only).
-    if let Some(c) = snap.combining {
-        w.labeled_counter(
-            "bpw_combining_batches_total",
-            "Publication-slot batch events on the combining commit path.",
-            "event",
-            &[
-                ("published", c.published),
-                ("publish_fallback", c.publish_fallbacks),
-                ("reclaimed", c.reclaimed),
-                ("combined", c.combined_batches),
-            ],
-        )
-        .counter(
-            "bpw_combining_entries_total",
-            "Accesses applied from other threads' combined batches.",
-            c.combined_entries,
-        )
-        .counter(
-            "bpw_combining_passes_total",
-            "Drain passes executed by combining critical sections.",
-            c.combine_passes,
-        )
-        .gauge(
-            "bpw_combining_depth_last",
-            "Batches drained in the most recent combining critical section.",
-            c.combine_depth_last as f64,
-        )
-        .gauge(
-            "bpw_combining_depth_peak",
-            "Most batches ever drained in one combining critical section.",
-            c.combine_depth_peak as f64,
-        );
-    }
-    // Adaptive-replacement series (`--adaptive` servers only).
-    if let Some(state) = shared.adaptive.as_deref() {
-        let snap = state.advisor.lock().expect("advisor lock").snapshot();
-        w.counter(
-            "bpw_advisor_samples_total",
-            "Sampled accesses scored by the shadow caches.",
-            snap.samples,
-        )
-        .counter(
-            "bpw_advisor_windows_total",
-            "Scoring windows closed by the advisor.",
-            snap.windows,
-        )
-        .counter(
-            "bpw_advisor_adoptions_total",
-            "Challenger policies adopted (hot-swapped in).",
-            snap.adoptions,
-        )
-        .counter(
-            "bpw_advisor_swaps_total",
-            "Manager hot-swaps completed.",
-            state.swap.swaps(),
-        )
-        .counter(
-            "bpw_advisor_migrations_total",
-            "Lazy handle migrations after swaps.",
-            state.swap.migrations(),
-        )
-        .counter(
-            "bpw_advisor_pages_transferred_total",
-            "Resident pages carried across swaps via export/import.",
-            state.swap.pages_transferred(),
-        )
-        .counter(
-            "bpw_advisor_advice_recovered_total",
-            "Published accesses drained off retired managers' boards.",
-            state.swap.advice_recovered(),
-        )
-        .counter(
-            "bpw_advisor_tap_dropped_total",
-            "Samples overwritten before the advisor drained them.",
-            state.tap.dropped(),
-        );
-        let names: Vec<&str> = snap.experts.iter().map(|e| e.policy.name()).collect();
-        let ewma_ppm: Vec<(&str, u64)> = names
-            .iter()
-            .zip(&snap.experts)
-            .map(|(n, e)| (*n, (e.ewma * 1e6) as u64))
-            .collect();
-        w.labeled_counter(
-            "bpw_advisor_expert_ewma_ppm",
-            "Each expert's EWMA shadow hit ratio, parts per million.",
-            "policy",
-            &ewma_ppm,
-        );
-    }
-    w.finish()
 }
 
 #[cfg(test)]

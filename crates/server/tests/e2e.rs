@@ -832,6 +832,80 @@ fn mid_request_disconnect_leaks_nothing(mode: FrontendMode) {
     server.join();
 }
 
+/// Run `server.join()` on a helper thread and fail if it has not
+/// returned within a generous deadline.
+fn join_within_deadline(server: Server, why: &str) {
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let joiner = std::thread::spawn(move || {
+        server.join();
+        let _ = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(10))
+        .unwrap_or_else(|_| panic!("join() hung: {why}"));
+    joiner.join().expect("joiner thread");
+}
+
+/// `join()` must not wait on a client that is connected but silent: the
+/// server ends the connection itself and the client sees EOF.
+fn join_does_not_wait_for_an_idle_client(mode: FrontendMode) {
+    use std::io::Read as _;
+
+    let server = test_server(AdmissionPolicy::Block, "wrapped-2q", 64, mode);
+    let mut idle =
+        std::net::TcpStream::connect_timeout(&server.addr(), Duration::from_secs(5)).unwrap();
+    let metrics = server.metrics().clone();
+    bpw_server::wait_for(Duration::from_secs(5), "idle client accepted", || {
+        metrics.connections_open.get() == 1
+    });
+    join_within_deadline(server, "an idle connection was open");
+    idle.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    assert_eq!(idle.read(&mut [0u8; 1]).expect("EOF, not a timeout"), 0);
+    assert_eq!(metrics.connections_open.get(), 0);
+}
+
+/// Shutdown answers everything already received: a pipelined burst
+/// written before `join()` gets all its replies, in order, then EOF.
+fn join_answers_a_pipelined_burst_first(mode: FrontendMode) {
+    const BURST: u64 = 64;
+    let server = test_server(AdmissionPolicy::Block, "wrapped-2q", 128, mode);
+    let mut stream =
+        std::net::TcpStream::connect_timeout(&server.addr(), Duration::from_secs(5)).unwrap();
+    let metrics = server.metrics().clone();
+    bpw_server::wait_for(Duration::from_secs(5), "client accepted", || {
+        metrics.connections_open.get() == 1
+    });
+    let mut wire = Vec::new();
+    for page in 0..BURST {
+        bpw_server::protocol::write_frame(&mut wire, &Request::Get { page }.encode()).unwrap();
+    }
+    stream.write_all(&wire).expect("burst");
+    join_within_deadline(server, "a pipelined burst was in flight");
+
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut reader = std::io::BufReader::new(stream);
+    let mut buf = Vec::new();
+    for page in 0..BURST {
+        assert!(
+            bpw_server::protocol::read_frame(&mut reader, &mut buf).expect("reply frame"),
+            "connection closed before reply {page} of {BURST}"
+        );
+        match Response::decode(&buf).expect("decode") {
+            Response::Ok(bytes) => {
+                assert_eq!(u64::from_le_bytes(bytes[..8].try_into().unwrap()), page)
+            }
+            other => panic!("GET {page} answered {other:?} during shutdown"),
+        }
+    }
+    assert!(
+        !bpw_server::protocol::read_frame(&mut reader, &mut buf).expect("clean EOF"),
+        "nothing follows the last reply"
+    );
+    assert_eq!(metrics.ok.get(), BURST);
+}
+
 /// Dimension check promised by the workload contract: every generated
 /// page id stays inside the universe the server was configured with.
 #[test]
@@ -879,4 +953,6 @@ both_frontends!(
     pipelined_responses_arrive_in_request_order,
     slowloris_client_cannot_stall_others,
     mid_request_disconnect_leaks_nothing,
+    join_does_not_wait_for_an_idle_client,
+    join_answers_a_pipelined_burst_first,
 );

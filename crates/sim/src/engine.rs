@@ -29,10 +29,10 @@ pub struct SystemSpec {
     pub queue_size: u32,
     /// Batch threshold `T`.
     pub batch_threshold: u32,
-    /// Combining commit mode (batching systems): `Overflow` publishes a
-    /// full queue instead of blocking; `Flat` publishes on any contended
-    /// threshold crossing, and lock holders drain every pending slot
-    /// (bounded passes) before releasing.
+    /// Combining commit mode (batching systems): `Flat` publishes on
+    /// any contended threshold crossing (and a full queue) instead of
+    /// blocking, and lock holders drain every pending slot (bounded
+    /// passes) before releasing.
     pub combining: Combining,
 }
 
@@ -656,9 +656,7 @@ impl Sim {
                     } else {
                         self.repl.tally.trylock_failures += 1;
                         self.trylock_pressure += 1;
-                        if self.p.system.combining == Combining::Flat {
-                            self.try_publish(th, fill as u64);
-                        }
+                        self.try_publish(th, fill as u64);
                         // Failure costs a few ns, folded into the next
                         // access's compute; continue without the lock.
                         self.advance_access(th, true);
@@ -917,9 +915,8 @@ mod tests {
     fn combining_unblocks_small_queues_at_scale() {
         // 32 cpus with small queues: plain batching collapses on the
         // blocking Lock() at queue-full; a publication slot turns each
-        // of those blocks into a handoff. Flat combining additionally
-        // publishes at every contended threshold crossing, so it
-        // publishes far more often and never trails overflow.
+        // of those blocks into a handoff, and flat combining also
+        // publishes at every contended threshold crossing.
         let run = |mode| {
             let spec = SystemSpec::with_batching(SystemKind::BatchingPrefetching, 8, 4)
                 .with_combining(mode);
@@ -933,28 +930,15 @@ mod tests {
             simulate(p)
         };
         let off = run(Combining::Off);
-        let over = run(Combining::Overflow);
         let flat = run(Combining::Flat);
         assert!(off.contentions > 0, "baseline must actually block");
         assert_eq!(off.publishes, 0);
-        assert!(over.publishes > 0 && over.combined_batches > 0);
+        assert!(flat.publishes > 0 && flat.combined_batches > 0);
         assert!(
-            over.throughput_tps > 1.5 * off.throughput_tps,
-            "overflow publication must relieve the queue-full collapse:              {} vs {}",
-            over.throughput_tps,
-            off.throughput_tps
-        );
-        assert!(
-            flat.publishes > over.publishes,
-            "flat must publish on threshold crossings, not just full              queues: {} vs {}",
-            flat.publishes,
-            over.publishes
-        );
-        assert!(
-            flat.throughput_tps >= over.throughput_tps,
-            "flat combining must not trail overflow: {} vs {}",
+            flat.throughput_tps > 1.5 * off.throughput_tps,
+            "publication must relieve the queue-full collapse: {} vs {}",
             flat.throughput_tps,
-            over.throughput_tps
+            off.throughput_tps
         );
         assert!(
             flat.contentions_per_million * 10.0 < off.contentions_per_million,

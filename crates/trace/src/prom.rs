@@ -2,13 +2,14 @@
 //!
 //! A hand-rolled writer for the text format scrapers understand:
 //! `# HELP` / `# TYPE` comments followed by `name{labels} value`
-//! samples. Covers the three shapes this workspace produces — plain
-//! counters/gauges, [`Histogram`]s (rendered with cumulative
-//! per-bucket counts), and [`LockSnapshot`]s (one labeled sample per
-//! lock counter).
+//! samples. The caller walks its own metric table and drives three
+//! primitives: [`PromWriter::header`] opens a family,
+//! [`PromWriter::sample`] / [`PromWriter::sample_f64`] emit scalar
+//! series, and [`PromWriter::histogram`] emits one [`Histogram`] series
+//! (cumulative per-bucket counts, `_sum`, `_count`).
 
-use bpw_metrics::{Histogram, LockSnapshot};
-use std::fmt::Write as _;
+use bpw_metrics::Histogram;
+use std::fmt::{Display, Write as _};
 
 /// Incremental builder for one exposition payload.
 #[derive(Debug, Default)]
@@ -36,164 +37,73 @@ impl PromWriter {
         Self::default()
     }
 
-    fn header(&mut self, name: &str, help: &str, kind: &str) {
+    /// Open a metric family: its `# HELP` and `# TYPE` lines (`kind` is
+    /// `counter`, `gauge`, or `histogram`). Emit once per name, before
+    /// the family's samples.
+    pub fn header(&mut self, name: &str, help: &str, kind: &str) -> &mut Self {
         debug_assert!(valid_name(name), "invalid metric name {name:?}");
         let _ = writeln!(self.buf, "# HELP {name} {help}");
         let _ = writeln!(self.buf, "# TYPE {name} {kind}");
+        self
     }
 
-    fn sample(&mut self, name: &str, labels: &[(&str, &str)], value: &str) {
+    /// One `name{labels} value` sample line.
+    pub fn sample(
+        &mut self,
+        name: &str,
+        labels: &[(&str, &str)],
+        value: impl Display,
+    ) -> &mut Self {
+        self.sample_with(name, labels, None, value)
+    }
+
+    /// [`sample`](Self::sample) with an optional trailing label (the
+    /// histogram buckets' `le`).
+    fn sample_with(
+        &mut self,
+        name: &str,
+        labels: &[(&str, &str)],
+        last: Option<(&str, &str)>,
+        value: impl Display,
+    ) -> &mut Self {
         self.buf.push_str(name);
-        if !labels.is_empty() {
-            self.buf.push('{');
-            for (i, (k, v)) in labels.iter().enumerate() {
-                if i > 0 {
-                    self.buf.push(',');
-                }
-                let _ = write!(self.buf, "{k}=\"{}\"", escape_label_value(v));
-            }
+        let mut sep = '{';
+        for (k, v) in labels.iter().copied().chain(last) {
+            let _ = write!(self.buf, "{sep}{k}=\"{}\"", escape_label_value(v));
+            sep = ',';
+        }
+        if sep == ',' {
             self.buf.push('}');
         }
         let _ = writeln!(self.buf, " {value}");
-    }
-
-    /// A monotonically increasing counter.
-    pub fn counter(&mut self, name: &str, help: &str, value: u64) -> &mut Self {
-        self.header(name, help, "counter");
-        self.sample(name, &[], &value.to_string());
         self
     }
 
-    /// One counter metric with several labeled series (e.g. the same
-    /// counter for each lock). Emits one header and one sample per
-    /// `(label_value, value)` pair under `label_key`.
-    pub fn labeled_counter(
-        &mut self,
-        name: &str,
-        help: &str,
-        label_key: &str,
-        series: &[(&str, u64)],
-    ) -> &mut Self {
-        self.header(name, help, "counter");
-        for (label, value) in series {
-            self.sample(name, &[(label_key, label)], &value.to_string());
-        }
-        self
-    }
-
-    /// A point-in-time gauge.
-    pub fn gauge(&mut self, name: &str, help: &str, value: f64) -> &mut Self {
-        self.header(name, help, "gauge");
-        let rendered = if value.is_finite() {
-            format!("{value}")
+    /// A float sample; non-finite values render as `NaN`.
+    pub fn sample_f64(&mut self, name: &str, labels: &[(&str, &str)], value: f64) -> &mut Self {
+        if value.is_finite() {
+            self.sample(name, labels, value)
         } else {
-            "NaN".to_string()
-        };
-        self.sample(name, &[], &rendered);
-        self
+            self.sample(name, labels, "NaN")
+        }
     }
 
-    /// A [`Histogram`] with cumulative `_bucket{le="..."}` samples
+    /// One [`Histogram`] series: cumulative `_bucket{le="..."}` samples
     /// (only occupied buckets, plus the mandatory `+Inf`), `_sum`, and
-    /// `_count`.
-    pub fn histogram(&mut self, name: &str, help: &str, h: &Histogram) -> &mut Self {
-        self.header(name, help, "histogram");
+    /// `_count`, with `labels` ahead of the `le` bucket label.
+    pub fn histogram(&mut self, name: &str, labels: &[(&str, &str)], h: &Histogram) -> &mut Self {
+        let bucket = format!("{name}_bucket");
         let mut cumulative = 0u64;
         for (_, ceil, count) in h.buckets() {
             if count == 0 {
                 continue;
             }
             cumulative += count;
-            self.sample(
-                &format!("{name}_bucket"),
-                &[("le", &ceil.to_string())],
-                &cumulative.to_string(),
-            );
+            self.sample_with(&bucket, labels, Some(("le", &ceil.to_string())), cumulative);
         }
-        self.sample(
-            &format!("{name}_bucket"),
-            &[("le", "+Inf")],
-            &h.count().to_string(),
-        );
-        self.sample(&format!("{name}_sum"), &[], &h.sum().to_string());
-        self.sample(&format!("{name}_count"), &[], &h.count().to_string());
-        self
-    }
-
-    /// One histogram metric with several labeled series (e.g. the same
-    /// per-stage latency histogram for each opcode). Emits one header,
-    /// then cumulative `_bucket` samples, `_sum`, and `_count` per
-    /// series, with that series' labels ahead of the `le` bucket label.
-    pub fn labeled_histograms(
-        &mut self,
-        name: &str,
-        help: &str,
-        series: &[(&[(&str, &str)], &Histogram)],
-    ) -> &mut Self {
-        self.header(name, help, "histogram");
-        for (labels, h) in series {
-            let mut cumulative = 0u64;
-            for (_, ceil, count) in h.buckets() {
-                if count == 0 {
-                    continue;
-                }
-                cumulative += count;
-                let ceil = ceil.to_string();
-                let mut with_le = labels.to_vec();
-                with_le.push(("le", ceil.as_str()));
-                self.sample(&format!("{name}_bucket"), &with_le, &cumulative.to_string());
-            }
-            let mut with_le = labels.to_vec();
-            with_le.push(("le", "+Inf"));
-            self.sample(&format!("{name}_bucket"), &with_le, &h.count().to_string());
-            self.sample(&format!("{name}_sum"), labels, &h.sum().to_string());
-            self.sample(&format!("{name}_count"), labels, &h.count().to_string());
-        }
-        self
-    }
-
-    /// A [`LockSnapshot`] as six labeled counters under a shared
-    /// `lock="<label>"` series. Call once per lock with the same
-    /// `prefix` to build multi-lock output; headers repeat per call,
-    /// which scrapers tolerate and humans can diff.
-    pub fn lock_snapshot(&mut self, prefix: &str, label: &str, snap: &LockSnapshot) -> &mut Self {
-        let fields: [(&str, &str, u64); 6] = [
-            (
-                "acquisitions_total",
-                "Successful lock acquisitions.",
-                snap.acquisitions,
-            ),
-            (
-                "contentions_total",
-                "Blocked acquisitions (the paper's contention events).",
-                snap.contentions,
-            ),
-            (
-                "trylock_failures_total",
-                "Non-blocking try-lock attempts that failed.",
-                snap.trylock_failures,
-            ),
-            (
-                "wait_ns_total",
-                "Nanoseconds spent waiting for the lock.",
-                snap.wait_ns,
-            ),
-            (
-                "hold_ns_total",
-                "Nanoseconds the lock was held.",
-                snap.hold_ns,
-            ),
-            (
-                "accesses_covered_total",
-                "Page accesses whose bookkeeping the lock protected.",
-                snap.accesses_covered,
-            ),
-        ];
-        for (suffix, help, value) in fields {
-            let name = format!("{prefix}_{suffix}");
-            self.header(&name, help, "counter");
-            self.sample(&name, &[("lock", label)], &value.to_string());
-        }
+        self.sample_with(&bucket, labels, Some(("le", "+Inf")), h.count());
+        self.sample(&format!("{name}_sum"), labels, h.sum());
+        self.sample(&format!("{name}_count"), labels, h.count());
         self
     }
 
@@ -234,13 +144,17 @@ mod tests {
     #[test]
     fn counters_and_gauges_render() {
         let mut w = PromWriter::new();
-        w.counter("bpw_requests_total", "Requests served.", 42)
-            .gauge("bpw_hit_ratio", "Pool hit ratio.", 0.9375);
+        w.header("bpw_requests_total", "Requests served.", "counter")
+            .sample("bpw_requests_total", &[], 42u64)
+            .header("bpw_hit_ratio", "Pool hit ratio.", "gauge")
+            .sample_f64("bpw_hit_ratio", &[], 0.9375)
+            .sample_f64("bpw_hit_ratio", &[("pool", "b")], f64::NAN);
         let text = w.finish();
         assert!(text.contains("# TYPE bpw_requests_total counter"));
         assert!(text.contains("bpw_requests_total 42"));
         assert!(text.contains("bpw_hit_ratio 0.9375"));
-        assert_eq!(validate_exposition(&text), Ok(2));
+        assert!(text.contains("bpw_hit_ratio{pool=\"b\"} NaN"));
+        assert_eq!(validate_exposition(&text), Ok(3));
     }
 
     #[test]
@@ -250,7 +164,8 @@ mod tests {
             h.record(v);
         }
         let mut w = PromWriter::new();
-        w.histogram("bpw_latency_ns", "Latency.", &h);
+        w.header("bpw_latency_ns", "Latency.", "histogram")
+            .histogram("bpw_latency_ns", &[], &h);
         let text = w.finish();
         // Bucket 1 holds {1,1}; bucket [2,3] holds {2,3}; [64,127] holds {100}.
         assert!(text.contains("bpw_latency_ns_bucket{le=\"1\"} 2"));
@@ -263,21 +178,24 @@ mod tests {
     }
 
     #[test]
-    fn labeled_histogram_series_share_one_metric() {
+    fn labeled_histogram_series_share_one_family() {
         let slow = Histogram::new();
         slow.record(100);
         let fast = Histogram::new();
         fast.record(1);
         fast.record(2);
         let mut w = PromWriter::new();
-        w.labeled_histograms(
-            "bpw_stage_ns",
-            "Per-stage latency.",
-            &[
-                (&[("op", "get"), ("stage", "miss_io")], &slow),
-                (&[("op", "put"), ("stage", "pin_hit")], &fast),
-            ],
-        );
+        w.header("bpw_stage_ns", "Per-stage latency.", "histogram")
+            .histogram(
+                "bpw_stage_ns",
+                &[("op", "get"), ("stage", "miss_io")],
+                &slow,
+            )
+            .histogram(
+                "bpw_stage_ns",
+                &[("op", "put"), ("stage", "pin_hit")],
+                &fast,
+            );
         let text = w.finish();
         assert_eq!(text.matches("# TYPE bpw_stage_ns histogram").count(), 1);
         assert!(text.contains("bpw_stage_ns_bucket{op=\"get\",stage=\"miss_io\",le=\"127\"} 1"));
@@ -288,27 +206,10 @@ mod tests {
     }
 
     #[test]
-    fn lock_snapshot_series_are_labeled() {
-        let snap = LockSnapshot {
-            acquisitions: 10,
-            contentions: 2,
-            trylock_failures: 3,
-            wait_ns: 400,
-            hold_ns: 600,
-            accesses_covered: 320,
-        };
-        let mut w = PromWriter::new();
-        w.lock_snapshot("bpw_lock", "replacement", &snap);
-        let text = w.finish();
-        assert!(text.contains("bpw_lock_acquisitions_total{lock=\"replacement\"} 10"));
-        assert!(text.contains("bpw_lock_accesses_covered_total{lock=\"replacement\"} 320"));
-        assert_eq!(validate_exposition(&text), Ok(6));
-    }
-
-    #[test]
     fn label_values_are_escaped() {
         let mut w = PromWriter::new();
-        w.labeled_counter("bpw_x_total", "X.", "who", &[("a\"b\\c", 1)]);
+        w.header("bpw_x_total", "X.", "counter")
+            .sample("bpw_x_total", &[("who", "a\"b\\c")], 1u64);
         let text = w.finish();
         assert!(text.contains("bpw_x_total{who=\"a\\\"b\\\\c\"} 1"));
         assert_eq!(validate_exposition(&text), Ok(1));
