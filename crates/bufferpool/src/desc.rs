@@ -114,10 +114,9 @@ pub enum UnpinOutcome {
 
 /// A buffer descriptor: packed atomic header + latch-protected tag/lsn.
 ///
-/// Deliberately *not* cache-line padded at the type level: the pool
-/// stores descriptors as `CachePadded<BufferDesc>` so each frame's
-/// header CAS traffic owns its line, while the `hit_scaling` benchmark
-/// can build dense arrays to measure exactly what the padding buys.
+/// Not cache-line padded at the type level: the pool stores descriptors
+/// as `CachePadded<BufferDesc>` so each frame's header CAS traffic owns
+/// its line.
 #[derive(Debug, Default)]
 pub struct BufferDesc {
     header: AtomicU64,

@@ -123,8 +123,7 @@ impl PoolStats {
 pub struct BufferPool<M: ReplacementManager> {
     table: PageTable,
     /// One descriptor per frame, each on its own cache line: the pin
-    /// CAS traffic of hot frames must not false-share with neighbours
-    /// (the `hit_scaling` bench A/Bs padded vs dense to quantify this).
+    /// CAS traffic of hot frames must not false-share with neighbours.
     descs: Vec<CachePadded<BufferDesc>>,
     data: Vec<Mutex<Box<[u8]>>>,
     free: StripedFreeList,

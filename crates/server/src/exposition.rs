@@ -16,6 +16,7 @@
 //! but parts-per-million in its (older) Prometheus series.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::sync::atomic::Ordering;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -408,7 +409,9 @@ impl JsonTree {
         escape_str_into(&mut self.out, leaf);
         self.out.push(':');
         match row.value {
-            Value::Counter(v) | Value::Gauge(v) => self.out.push_str(&v.to_string()),
+            Value::Counter(v) | Value::Gauge(v) => {
+                let _ = write!(self.out, "{v}");
+            }
             Value::Ratio(v) | Value::Ppm(v) => write_f64_into(&mut self.out, v),
             Value::Flag(v) => self.out.push_str(if v { "true" } else { "false" }),
             Value::Hist(h) => self.out.push_str(&h.to_json()),

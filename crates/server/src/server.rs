@@ -543,7 +543,10 @@ fn accept_loop(
             .name("bpw-conn".into())
             .spawn(move || {
                 shared.metrics.connections_open.incr();
-                let _ = serve_connection(stream, &shared, &admission);
+                let _ = serve_connection(&stream, &shared, &admission);
+                // The acceptor's clone keeps the fd alive until it is
+                // reaped; the peer must see the close now.
+                let _ = stream.shutdown(Shutdown::Both);
                 shared.metrics.connections_open.decr();
             })
             .expect("spawn connection thread");
@@ -560,13 +563,13 @@ fn accept_loop(
 
 /// One client connection: strict request/reply in order.
 fn serve_connection(
-    stream: TcpStream,
+    stream: &TcpStream,
     shared: &Shared,
     admission: &AdmissionQueue<Job>,
 ) -> io::Result<()> {
     stream.set_nodelay(true).ok();
     let conn_id = engine::next_conn_id();
-    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut reader = BufReader::new(stream);
     let mut writer = BufWriter::new(stream);
     let mut buf = Vec::new();
     while protocol::read_frame(&mut reader, &mut buf)? {

@@ -261,6 +261,44 @@ fn out_of_range_requests_error_cleanly(mode: FrontendMode) {
     server.join();
 }
 
+/// A body that does not decode is answered `ERR` and the server closes
+/// that connection (framing is suspect) — promptly, and only that one.
+fn malformed_body_gets_err_then_close(mode: FrontendMode) {
+    let server = test_server(AdmissionPolicy::Block, "wrapped-2q", 64, mode);
+    let mut bystander = Client::connect(server.addr()).expect("connect");
+    let mut stream =
+        std::net::TcpStream::connect_timeout(&server.addr(), Duration::from_secs(5)).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    // A valid GET, then an unknown opcode, then a GET that must never
+    // be answered.
+    let mut wire = Vec::new();
+    for body in [
+        Request::Get { page: 1 }.encode(),
+        vec![0xFF],
+        Request::Get { page: 2 }.encode(),
+    ] {
+        bpw_server::protocol::write_frame(&mut wire, &body).unwrap();
+    }
+    stream.write_all(&wire).expect("send");
+    let mut reader = std::io::BufReader::new(stream);
+    let mut buf = Vec::new();
+    assert!(bpw_server::protocol::read_frame(&mut reader, &mut buf).unwrap());
+    assert!(matches!(Response::decode(&buf).unwrap(), Response::Ok(_)));
+    assert!(bpw_server::protocol::read_frame(&mut reader, &mut buf).unwrap());
+    assert!(matches!(Response::decode(&buf).unwrap(), Response::Err(_)));
+    assert!(
+        !bpw_server::protocol::read_frame(&mut reader, &mut buf).expect("EOF, not a timeout"),
+        "the connection must be closed after the ERR"
+    );
+    assert!(matches!(bystander.get(3).unwrap(), Response::Ok(_)));
+    assert_eq!(server.metrics().errors.get(), 1);
+    assert_eq!(server.metrics().ok.get(), 2);
+    drop(bystander);
+    server.join();
+}
+
 /// The load generator against a live server: closed-loop requests are
 /// all answered under block, and the report's accounting adds up.
 fn loadgen_closed_loop_round_trips(mode: FrontendMode) {
@@ -943,6 +981,7 @@ both_frontends!(
     shed_policy_answers_ok_or_busy,
     scan_checksum_matches_individual_gets,
     out_of_range_requests_error_cleanly,
+    malformed_body_gets_err_then_close,
     loadgen_closed_loop_round_trips,
     loadgen_open_loop_sends_full_schedule,
     client_shutdown_request_stops_accepting,
