@@ -134,6 +134,11 @@ pub(crate) enum Routed {
     Work(Request, Ticket),
 }
 
+/// The reply to a data request that found the admission queue closed.
+pub(crate) fn shutting_down() -> Response {
+    Response::Err("server is shutting down".into())
+}
+
 /// Count a protocol violation and build its `ERR` reply.
 pub(crate) fn protocol_error(shared: &Shared, e: &ProtocolError) -> Response {
     shared.metrics.errors.incr();

@@ -451,7 +451,7 @@ impl EventLoop {
                 return;
             }
             Offered::Shed => Some(Response::Busy),
-            Offered::Closed => Some(Response::Err("server is shutting down".into())),
+            Offered::Closed => Some(engine::shutting_down()),
         };
         // Refusals are accounted when their reply is written, exactly
         // like a threaded connection counting its BUSY.

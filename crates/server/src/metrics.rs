@@ -175,19 +175,14 @@ impl ServerMetrics {
         Arc::new(Self::default())
     }
 
-    /// The end-to-end latency histogram for `kind`.
-    pub fn latency(&self, kind: OpKind) -> &Histogram {
-        match kind {
-            OpKind::Get => &self.get_ns,
-            OpKind::Put => &self.put_ns,
-            OpKind::Scan => &self.scan_ns,
-        }
-    }
-
     /// Record a request of `kind` answered `OK` after `ns` nanoseconds
     /// (admission to reply written).
     pub fn record_ok(&self, kind: OpKind, ns: u64) {
-        self.latency(kind).record(ns);
+        match kind {
+            OpKind::Get => self.get_ns.record(ns),
+            OpKind::Put => self.put_ns.record(ns),
+            OpKind::Scan => self.scan_ns.record(ns),
+        }
         self.ok.incr();
     }
 

@@ -587,7 +587,7 @@ fn serve_connection(
                         Response::Err("server shut down before replying".into())
                     }),
                     Admitted::Shed => Response::Busy,
-                    Admitted::Closed => Response::Err("server is shutting down".into()),
+                    Admitted::Closed => engine::shutting_down(),
                 };
                 (Some(ticket), resp, false)
             }
