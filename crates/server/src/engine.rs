@@ -465,7 +465,7 @@ mod tests {
             assert_eq!((ticket.ctx.conn, ticket.ctx.opcode), (7, req.opcode()));
             assert!(ticket.ctx.id > last_id, "request ids are minted in order");
             last_id = ticket.ctx.id;
-            assert_eq!(shared.metrics.stages(kind).get(Stage::Decode).count(), 1);
+            assert_eq!(shared.metrics.stage(kind, Stage::Decode).count(), 1);
         }
         assert_eq!(
             shared.metrics.total(),
@@ -510,7 +510,7 @@ mod tests {
             }
         }
         assert_eq!(m.get_ns.count(), 1, "only OK replies record latency");
-        assert_eq!(m.stages(OpKind::Get).get(Stage::ReplyFlush).count(), 5);
+        assert_eq!(m.stage(OpKind::Get, Stage::ReplyFlush).count(), 5);
     }
 
     #[test]
@@ -565,11 +565,7 @@ mod tests {
         );
         assert!(matches!(call(Request::Get { page: 64 }), Response::Err(_)));
         assert_eq!(
-            shared
-                .metrics
-                .stages(OpKind::Get)
-                .get(Stage::QueueWait)
-                .count(),
+            shared.metrics.stage(OpKind::Get, Stage::QueueWait).count(),
             2
         );
         drop(admission);

@@ -278,7 +278,7 @@ pub(crate) fn walk<'a>(shared: &'a Shared, scrape: &'a Scrape, visit: &mut dyn F
 
     for (op, stage) in OpKind::ALL.into_iter().flat_map(|op| Stage::ALL.map(|stage| (op, stage))) {
         row(&["stages", op.name(), stage.name()], "bpw_stage_latency_ns", &[("op", op.name()), ("stage", stage.name())],
-            "Request latency attributed to one pipeline stage, per opcode.", Hist(m.stages(op).get(stage)));
+            "Request latency attributed to one pipeline stage, per opcode.", Hist(m.stage(op, stage)));
     }
     for op in OpKind::ALL {
         row(&["slo_violations", op.name()], "bpw_slo_violations_total", &[("op", op.name())],

@@ -104,24 +104,6 @@ impl Stage {
     }
 }
 
-/// Per-stage latency histograms for one opcode.
-#[derive(Debug, Default)]
-pub struct StageSet {
-    hists: [Histogram; 6],
-}
-
-impl StageSet {
-    /// Record `ns` into `stage`'s histogram.
-    pub fn record(&self, stage: Stage, ns: u64) {
-        self.hists[stage as usize].record(ns);
-    }
-
-    /// The histogram for one stage.
-    pub fn get(&self, stage: Stage) -> &Histogram {
-        &self.hists[stage as usize]
-    }
-}
-
 /// Shared server-side counters and latency histograms.
 ///
 /// All fields are lock-free atomics; cloning the [`Arc`] wrapper is the
@@ -162,8 +144,8 @@ pub struct ServerMetrics {
     /// one is a stall a blocking connection thread would have eaten.
     pub short_writes: Counter,
     /// Per-opcode, per-stage latency attribution (indexed by
-    /// [`OpKind::index`]).
-    pub stages: [StageSet; 3],
+    /// [`OpKind::index`], then by [`Stage`] in pipeline order).
+    pub stages: [[Histogram; 6]; 3],
     /// Requests whose end-to-end latency exceeded `--slo-us` (or ended
     /// `ERR_IO`), per opcode — the SLO burn rate numerators.
     pub slo_violations: [Counter; 3],
@@ -186,24 +168,19 @@ impl ServerMetrics {
         self.ok.incr();
     }
 
-    /// The per-stage histograms for `kind`.
-    pub fn stages(&self, kind: OpKind) -> &StageSet {
-        &self.stages[kind.index()]
+    /// The latency histogram of one stage of one opcode.
+    pub fn stage(&self, kind: OpKind, stage: Stage) -> &Histogram {
+        &self.stages[kind.index()][stage as usize]
     }
 
     /// Record one stage sample for `kind`.
     pub fn record_stage(&self, kind: OpKind, stage: Stage, ns: u64) {
-        self.stages[kind.index()].record(stage, ns);
+        self.stage(kind, stage).record(ns);
     }
 
     /// Count one SLO violation for `kind`.
     pub fn record_slo_violation(&self, kind: OpKind) {
         self.slo_violations[kind.index()].incr();
-    }
-
-    /// Total SLO violations across opcodes.
-    pub fn slo_violations_total(&self) -> u64 {
-        self.slo_violations.iter().map(Counter::get).sum()
     }
 
     /// Total requests that received any reply.

@@ -266,11 +266,7 @@ fn out_of_range_requests_error_cleanly(mode: FrontendMode) {
 fn malformed_body_gets_err_then_close(mode: FrontendMode) {
     let server = test_server(AdmissionPolicy::Block, "wrapped-2q", 64, mode);
     let mut bystander = Client::connect(server.addr()).expect("connect");
-    let mut stream =
-        std::net::TcpStream::connect_timeout(&server.addr(), Duration::from_secs(5)).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .unwrap();
+    let mut stream = raw_stream(&server);
     // A valid GET, then an unknown opcode, then a GET that must never
     // be answered.
     let mut wire = Vec::new();
@@ -873,6 +869,16 @@ fn mid_request_disconnect_leaks_nothing(mode: FrontendMode) {
     server.join();
 }
 
+/// A raw client socket whose reads fail loudly instead of hanging.
+fn raw_stream(server: &Server) -> std::net::TcpStream {
+    let stream =
+        std::net::TcpStream::connect_timeout(&server.addr(), Duration::from_secs(5)).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    stream
+}
+
 /// Run `server.join()` on a helper thread and fail if it has not
 /// returned within a generous deadline.
 fn join_within_deadline(server: Server, why: &str) {
@@ -893,14 +899,12 @@ fn join_does_not_wait_for_an_idle_client(mode: FrontendMode) {
     use std::io::Read as _;
 
     let server = test_server(AdmissionPolicy::Block, "wrapped-2q", 64, mode);
-    let mut idle =
-        std::net::TcpStream::connect_timeout(&server.addr(), Duration::from_secs(5)).unwrap();
+    let mut idle = raw_stream(&server);
     let metrics = server.metrics().clone();
     bpw_server::wait_for(Duration::from_secs(5), "idle client accepted", || {
         metrics.connections_open.get() == 1
     });
     join_within_deadline(server, "an idle connection was open");
-    idle.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     assert_eq!(idle.read(&mut [0u8; 1]).expect("EOF, not a timeout"), 0);
     assert_eq!(metrics.connections_open.get(), 0);
 }
@@ -910,8 +914,7 @@ fn join_does_not_wait_for_an_idle_client(mode: FrontendMode) {
 fn join_answers_a_pipelined_burst_first(mode: FrontendMode) {
     const BURST: u64 = 64;
     let server = test_server(AdmissionPolicy::Block, "wrapped-2q", 128, mode);
-    let mut stream =
-        std::net::TcpStream::connect_timeout(&server.addr(), Duration::from_secs(5)).unwrap();
+    let mut stream = raw_stream(&server);
     let metrics = server.metrics().clone();
     bpw_server::wait_for(Duration::from_secs(5), "client accepted", || {
         metrics.connections_open.get() == 1
@@ -923,9 +926,6 @@ fn join_answers_a_pipelined_burst_first(mode: FrontendMode) {
     stream.write_all(&wire).expect("burst");
     join_within_deadline(server, "a pipelined burst was in flight");
 
-    stream
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .unwrap();
     let mut reader = std::io::BufReader::new(stream);
     let mut buf = Vec::new();
     for page in 0..BURST {
