@@ -118,7 +118,11 @@ fn block_policy_100k_zipf_requests_zero_loss_and_correct_contents(mode: Frontend
         CLIENTS as u64 * REQUESTS_PER_CLIENT
     );
 
-    // STATS parses and shows the traffic with non-zero tail latency.
+    // STATS parses and shows the traffic with non-zero tail latency
+    // (once the connection threads have counted their last replies).
+    bpw_server::poll_until(Duration::from_secs(5), || {
+        server.metrics().ok.get() == CLIENTS as u64 * REQUESTS_PER_CLIENT
+    });
     let mut client = Client::connect(addr).expect("connect for stats");
     let stats = client.stats().expect("stats");
     let v = JsonValue::parse(&stats).expect("STATS reply must be valid JSON");
@@ -541,6 +545,11 @@ fn combining_server_serves_correct_data(mode: FrontendMode) {
             });
         }
     });
+    // A reply is counted just after it is written, so the last client
+    // can be back here before its connection thread has accounted it.
+    bpw_server::poll_until(Duration::from_secs(5), || {
+        server.metrics().ok.get() == 4 * 2_000
+    });
     let stats = server.stats_json();
     let v = JsonValue::parse(&stats).expect("STATS JSON");
     assert!(
@@ -882,14 +891,11 @@ fn raw_stream(server: &Server) -> std::net::TcpStream {
 /// Run `server.join()` on a helper thread and fail if it has not
 /// returned within a generous deadline.
 fn join_within_deadline(server: Server, why: &str) {
-    let (done_tx, done_rx) = std::sync::mpsc::channel();
-    let joiner = std::thread::spawn(move || {
-        server.join();
-        let _ = done_tx.send(());
-    });
-    done_rx
-        .recv_timeout(Duration::from_secs(10))
-        .unwrap_or_else(|_| panic!("join() hung: {why}"));
+    let joiner = std::thread::spawn(move || server.join());
+    assert!(
+        bpw_server::poll_until(Duration::from_secs(10), || joiner.is_finished()),
+        "join() hung: {why}"
+    );
     joiner.join().expect("joiner thread");
 }
 
