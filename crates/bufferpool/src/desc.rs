@@ -114,9 +114,9 @@ pub enum UnpinOutcome {
 
 /// A buffer descriptor: packed atomic header + latch-protected tag/lsn.
 ///
-/// Not cache-line padded at the type level: the pool stores descriptors
-/// as `CachePadded<BufferDesc>` so each frame's header CAS traffic owns
-/// its line.
+/// Not cache-line padded at the type level: the pool pads the
+/// descriptor together with its frame's content latch, so everything a
+/// hit writes for one page is one line.
 #[derive(Debug, Default)]
 pub struct BufferDesc {
     header: AtomicU64,

@@ -11,7 +11,7 @@
 //! * [`WrappedManager`] — any policy behind BP-Wrapper (`pgBat`,
 //!   `pgBatPre`, and every configuration in between).
 
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
 use bpw_core::{BpWrapper, CombiningSnapshot, InstrumentedLock, WrapperConfig};
@@ -271,7 +271,6 @@ struct ClockCore {
 pub struct ClockManager {
     referenced: Vec<AtomicU8>,
     lock: InstrumentedLock<ClockCore>,
-    hits: AtomicUsize,
 }
 
 impl ClockManager {
@@ -288,7 +287,6 @@ impl ClockManager {
                 },
                 Arc::new(LockStats::new()),
             ),
-            hits: AtomicUsize::new(0),
         }
     }
 
@@ -350,7 +348,6 @@ impl<'m> ManagerHandle for ClockHandle<'m> {
     fn on_hit(&mut self, _page: PageId, frame: FrameId) {
         // The whole point of pgClock: no latch, one relaxed store.
         self.mgr.referenced[frame as usize].store(1, Ordering::Relaxed);
-        self.mgr.hits.fetch_add(1, Ordering::Relaxed);
     }
 
     fn on_miss(

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bpw_core::{CachePadded, InstrumentedLock};
-use bpw_metrics::{LockShardSummary, LockSnapshot, LockStats};
+use bpw_metrics::{LockShardSummary, LockSnapshot, LockStats, StripedCounter};
 use bpw_replacement::{FrameId, MissOutcome, PageId, SampleTap};
 use parking_lot::Mutex;
 
@@ -47,13 +47,17 @@ impl InvalidateOutcome {
     }
 }
 
-/// Aggregate pool statistics.
+/// Aggregate pool statistics. `hits` and `misses` are bumped once per
+/// fetch, so they are striped per thread; the rest move only on the
+/// miss and fault paths. The striped cells give the struct a cache-line
+/// alignment, so none of these writes invalidate the line holding the
+/// pool's read-mostly fields.
 #[derive(Debug, Default)]
 pub struct PoolStats {
     /// Fetches satisfied from the buffer.
-    pub hits: AtomicU64,
+    pub hits: StripedCounter,
     /// Fetches that read from storage.
-    pub misses: AtomicU64,
+    pub misses: StripedCounter,
     /// Dirty victims written back.
     pub writebacks: AtomicU64,
     /// Storage operations retried after a transient fault.
@@ -119,13 +123,22 @@ impl PoolStats {
     }
 }
 
+/// One buffer frame: its descriptor and the latch guarding its bytes.
+/// Together they fill less than one cache line, so a hit's pin → latch →
+/// unlatch → unpin dirties exactly one line, and that line holds nothing
+/// of a neighbouring frame.
+struct Frame {
+    desc: BufferDesc,
+    data: Mutex<Box<[u8]>>,
+}
+
+const _: () = assert!(std::mem::size_of::<CachePadded<Frame>>() == 64);
+const _: () = assert!(std::mem::align_of::<PoolStats>() >= 64);
+
 /// A DBMS-style buffer pool generic over its replacement manager.
 pub struct BufferPool<M: ReplacementManager> {
     table: PageTable,
-    /// One descriptor per frame, each on its own cache line: the pin
-    /// CAS traffic of hot frames must not false-share with neighbours.
-    descs: Vec<CachePadded<BufferDesc>>,
-    data: Vec<Mutex<Box<[u8]>>>,
+    frames: Vec<CachePadded<Frame>>,
     free: StripedFreeList,
     /// Serialize victim selection + table rebinding (not the I/O), one
     /// lock per page-table shard: misses on pages in different shards
@@ -155,11 +168,13 @@ impl<M: ReplacementManager> BufferPool<M> {
         let shards = table.shards();
         BufferPool {
             table,
-            descs: (0..frames)
-                .map(|_| CachePadded::new(BufferDesc::new()))
-                .collect(),
-            data: (0..frames)
-                .map(|_| Mutex::new(vec![0u8; page_size].into_boxed_slice()))
+            frames: (0..frames)
+                .map(|_| {
+                    CachePadded::new(Frame {
+                        desc: BufferDesc::new(),
+                        data: Mutex::new(vec![0u8; page_size].into_boxed_slice()),
+                    })
+                })
                 .collect(),
             free: StripedFreeList::new(frames, shards),
             miss_locks: Self::build_miss_locks(shards),
@@ -281,7 +296,7 @@ impl<M: ReplacementManager> BufferPool<M> {
 
     /// Number of frames.
     pub fn frames(&self) -> usize {
-        self.descs.len()
+        self.frames.len()
     }
 
     /// Page size in bytes.
@@ -384,7 +399,7 @@ impl<M: ReplacementManager> BufferPool<M> {
         };
         bpw_dst::yield_point();
         {
-            let mut s = self.descs[frame as usize].lock();
+            let mut s = self.desc(frame).lock();
             if s.pins > 0 || s.io_in_progress || !(s.valid && s.tag == page) {
                 return InvalidateOutcome::Busy;
             }
@@ -397,14 +412,16 @@ impl<M: ReplacementManager> BufferPool<M> {
         InvalidateOutcome::Invalidated
     }
 
-    /// Frame `f`'s descriptor (crate-internal: background writer).
+    /// Frame `f`'s descriptor.
+    #[inline]
     pub(crate) fn desc(&self, f: FrameId) -> &BufferDesc {
-        &self.descs[f as usize]
+        &self.frames[f as usize].desc
     }
 
-    /// Lock frame `f`'s content (crate-internal: background writer).
+    /// Lock frame `f`'s content.
+    #[inline]
     pub(crate) fn data_lock(&self, f: FrameId) -> parking_lot::MutexGuard<'_, Box<[u8]>> {
-        self.data[f as usize].lock()
+        self.frames[f as usize].data.lock()
     }
 
     /// Crash recovery: redo every durable WAL record into `storage`
@@ -467,7 +484,7 @@ impl<M: ReplacementManager> BufferPool<M> {
     fn repair_failed_frame(&self, page: PageId, frame: FrameId) {
         let _g = self.miss_locks[self.miss_shard(page)].lock();
         {
-            let mut s = self.descs[frame as usize].lock();
+            let mut s = self.desc(frame).lock();
             debug_assert!(s.io_in_progress, "repair of a frame not in I/O");
             debug_assert_eq!(s.tag, page, "repair of a re-tagged frame");
             debug_assert_eq!(s.pins, 1, "only the failed fetch may hold a pin");
@@ -488,7 +505,10 @@ impl<M: ReplacementManager> BufferPool<M> {
 
     /// Number of valid resident pages (O(frames); tests).
     pub fn resident_count(&self) -> usize {
-        self.descs.iter().filter(|d| d.snapshot().valid).count()
+        self.frames
+            .iter()
+            .filter(|f| f.desc.snapshot().valid)
+            .count()
     }
 
     /// Frames currently on the free list (never used or freed by
@@ -544,7 +564,7 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
             bpw_dst::yield_point();
             if let Some(frame) = self.pool.table.get(page) {
                 bpw_dst::yield_point();
-                let attempt = self.pool.descs[frame as usize].try_pin(page);
+                let attempt = self.pool.desc(frame).try_pin(page);
                 if attempt.retries > 0 {
                     // Off the common path: only contended pins pay this
                     // shared RMW (an unconditional fetch_add here would
@@ -556,7 +576,7 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
                 }
                 if attempt.pinned {
                     bpw_trace::instant(bpw_trace::EventKind::HitPin, page);
-                    self.pool.stats.hits.fetch_add(1, Ordering::Relaxed);
+                    self.pool.stats.hits.incr();
                     self.handle.on_hit(page, frame);
                     bpw_dst::record(|| bpw_dst::Op::FetchDone {
                         page,
@@ -601,9 +621,8 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
         // Victim filter: pinned or in-I/O frames are rejected; the
         // accepted frame is atomically invalidated under its latch so no
         // new pin can slip in after selection.
-        let descs = &pool.descs;
         let outcome = self.handle.on_miss(page, free, &mut |f| {
-            let mut s = descs[f as usize].lock();
+            let mut s = pool.desc(f).lock();
             if s.pins == 0 && !s.io_in_progress && s.valid {
                 s.valid = false;
                 true
@@ -626,7 +645,7 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
         };
         // Claim the frame for the new page, marked in-I/O.
         let (was_dirty, victim_lsn) = {
-            let mut s = pool.descs[frame as usize].lock();
+            let mut s = pool.desc(frame).lock();
             debug_assert_eq!(s.pins, 0, "evicted frame had pins");
             let was_dirty = s.dirty && victim.is_some();
             let victim_lsn = s.lsn;
@@ -645,7 +664,13 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
         bpw_dst::record(|| bpw_dst::Op::Pin { page, pins: 1 });
         if let Some(v) = victim {
             bpw_trace::instant(bpw_trace::EventKind::Eviction, v);
-            pool.table.remove(v);
+            // A dirty victim stays mapped to this (now unpinnable) frame
+            // until its bytes are durable: a re-fetch of `v` then spins
+            // on the mapping like a same-page fetcher during I/O instead
+            // of reading the stale copy from storage.
+            if !was_dirty {
+                pool.table.remove(v);
+            }
         }
         pool.table.insert(page, frame);
         // I/O happens outside the miss lock: other misses proceed.
@@ -662,17 +687,23 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
         let io_t0 = std::time::Instant::now();
         let io_span = bpw_trace::span_start();
         let io_result = (|| -> io::Result<()> {
-            let mut data = pool.data[frame as usize].lock();
+            let mut data = pool.data_lock(frame);
             if was_dirty {
                 let v = victim.expect("dirty implies eviction");
-                pool.io_with_retries(v, || {
+                let written = pool.io_with_retries(v, || {
                     // WAL-before-data: the log covering this page must
                     // be durable before its new version reaches storage.
                     if let (Some(wal), true) = (&pool.wal, victim_lsn > 0) {
                         wal.commit(victim_lsn)?;
                     }
                     pool.storage.write_page(v, &data)
-                })?;
+                });
+                bpw_dst::yield_point();
+                // Only now may a fetch of `v` go to storage. Nobody can
+                // have rebound `v` meanwhile: a miss on `v` backs off
+                // while any mapping for it exists.
+                pool.table.remove(v);
+                written?;
                 pool.stats.writebacks.fetch_add(1, Ordering::Relaxed);
             }
             let buf = &mut **data;
@@ -687,10 +718,10 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
             return Err(e);
         }
         bpw_dst::yield_point();
-        pool.descs[frame as usize].lock().io_in_progress = false;
+        pool.desc(frame).lock().io_in_progress = false;
         // Count the miss only now that it has completed: a retry after
         // NoEvictableFrame or an I/O failure must not count twice.
-        pool.stats.misses.fetch_add(1, Ordering::Relaxed);
+        pool.stats.misses.incr();
         bpw_trace::span_end(bpw_trace::EventKind::MissIo, io_span, page);
         bpw_trace::stage::add_miss_io(io_t0.elapsed().as_nanos() as u64);
         bpw_dst::record(|| bpw_dst::Op::FetchDone {
@@ -734,7 +765,7 @@ impl<'p, M: ReplacementManager> PinnedPage<'p, M> {
 
     /// Read the page contents.
     pub fn read<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
-        let data = self.pool.data[self.frame as usize].lock();
+        let data = self.pool.data_lock(self.frame);
         f(&data)
     }
 
@@ -743,9 +774,9 @@ impl<'p, M: ReplacementManager> PinnedPage<'p, M> {
     /// frame's recovery LSN advances (flushed lazily at transaction
     /// commit or forced by write-back).
     pub fn write<R>(&self, f: impl FnOnce(&mut [u8]) -> R) -> R {
-        let mut data = self.pool.data[self.frame as usize].lock();
+        let mut data = self.pool.data_lock(self.frame);
         let r = f(&mut data);
-        let mut s = self.pool.descs[self.frame as usize].lock();
+        let mut s = self.pool.desc(self.frame).lock();
         s.dirty = true;
         if let Some(wal) = &self.pool.wal {
             // Physical redo record: page id + after-image, so the log is
@@ -772,7 +803,7 @@ impl<'p, M: ReplacementManager> std::fmt::Debug for PinnedPage<'p, M> {
 impl<'p, M: ReplacementManager> Drop for PinnedPage<'p, M> {
     fn drop(&mut self) {
         bpw_dst::yield_point();
-        if self.pool.descs[self.frame as usize].unpin() == UnpinOutcome::Underflow {
+        if self.pool.desc(self.frame).unpin() == UnpinOutcome::Underflow {
             self.pool
                 .stats
                 .pin_underflows
@@ -921,6 +952,47 @@ mod tests {
     }
 
     #[test]
+    fn fetch_counts_are_exact_while_sessions_are_live() {
+        // The per-access counters are striped per thread, not buffered
+        // per session: with every session still open (queues unflushed)
+        // a reader already sees every completed fetch.
+        let frames = 16;
+        let pool: BufferPool<WrappedManager<Lirs>> = BufferPool::new(
+            frames,
+            64,
+            WrappedManager::new(Lirs::new(frames), WrapperConfig::default()),
+            Arc::new(SimDisk::instant()),
+        );
+        let (threads, per_thread) = (4u64, 500u64);
+        let fetched = std::sync::Barrier::new(threads as usize + 1);
+        let checked = std::sync::Barrier::new(threads as usize + 1);
+        std::thread::scope(|sc| {
+            for _ in 0..threads {
+                sc.spawn(|| {
+                    let mut s = pool.session();
+                    for i in 0..per_thread {
+                        drop(s.fetch(i % 8).unwrap());
+                    }
+                    fetched.wait();
+                    checked.wait();
+                });
+            }
+            fetched.wait();
+            let st = pool.stats();
+            assert_eq!(
+                st.hits.load(Ordering::Relaxed) + st.misses.load(Ordering::Relaxed),
+                threads * per_thread
+            );
+            assert_eq!(st.misses.load(Ordering::Relaxed), 8);
+            assert_eq!(
+                pool.manager().wrapper().counters().accesses.get(),
+                threads * per_thread
+            );
+            checked.wait();
+        });
+    }
+
+    #[test]
     fn clock_pool_concurrent_correctness() {
         let frames = 16;
         let pool = BufferPool::new(
@@ -959,7 +1031,7 @@ mod tests {
         for q in 10..20u64 {
             drop(s.fetch(q).unwrap());
         }
-        assert!(pool.table.get(1).is_none() || pool.descs.len() == 2);
+        assert!(pool.table.get(1).is_none() || pool.frames() == 2);
         let p = s.fetch(1).unwrap();
         p.read(|data| assert_eq!(data[20], 0xC4, "write lost through eviction"));
     }
@@ -1315,7 +1387,7 @@ mod tests {
             s.fetch(bad).expect_err("broken page must error");
         }
         let touched = (0..frames)
-            .filter(|&f| pool.descs[f].snapshot().tag == bad)
+            .filter(|&f| pool.desc(f as FrameId).snapshot().tag == bad)
             .count();
         assert!(
             touched >= 2,

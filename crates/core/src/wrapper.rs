@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 
-use bpw_metrics::{Counter, Gauge, LockStats};
+use bpw_metrics::{Counter, Gauge, LockStats, StripedCounter};
 use bpw_replacement::{FrameId, MissOutcome, PageId, ReplacementPolicy};
 
 use crate::combining::{PublicationBoard, SlotId};
@@ -68,7 +68,10 @@ pub struct CombiningSnapshot {
 #[derive(Debug, Default)]
 pub struct WrapperCounters {
     /// Page accesses recorded through any handle (hits + misses).
-    pub accesses: Counter,
+    /// Striped: this is the one wrapper counter bumped per access rather
+    /// than per batch, and a hit must not write a line other threads
+    /// write.
+    pub accesses: StripedCounter,
     /// Queued entries applied to the policy at commit time.
     pub committed: Counter,
     /// Queued entries skipped at commit because the frame no longer held

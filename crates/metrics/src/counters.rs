@@ -6,7 +6,9 @@
 //! `CachePadded`), and all updates are `Relaxed` — we only ever read
 //! aggregates after a run quiesces.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::fmt;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use crossbeam::utils::CachePadded;
 
@@ -44,6 +46,70 @@ impl Counter {
     /// Reset to zero, returning the previous value.
     pub fn take(&self) -> u64 {
         self.value.swap(0, Ordering::Relaxed)
+    }
+}
+
+/// Cells per [`StripedCounter`]. Threads take cells round-robin at their
+/// first add; threads that land on the same cell stay exact and only pay
+/// for sharing the line.
+const STRIPES: usize = 16;
+
+static NEXT_STRIPE: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// The calling thread's cell index in every [`StripedCounter`].
+    static STRIPE: Cell<usize> = const { Cell::new(usize::MAX) };
+}
+
+#[inline]
+fn stripe() -> usize {
+    STRIPE.with(|s| {
+        if s.get() == usize::MAX {
+            s.set(NEXT_STRIPE.fetch_add(1, Ordering::Relaxed) % STRIPES);
+        }
+        s.get()
+    })
+}
+
+/// An event counter for per-access hot paths: each thread adds to its
+/// own cache-line-padded cell, readers sum the cells. A [`Counter`]
+/// bumped on every access from every thread is itself the write-shared
+/// hot spot the paper removes; this keeps the add on a line no other
+/// running thread writes. Nothing is buffered, so the sum is exact as
+/// soon as an `add` returns.
+#[derive(Default)]
+pub struct StripedCounter {
+    cells: [CachePadded<AtomicU64>; STRIPES],
+}
+
+impl StripedCounter {
+    /// Add one.
+    #[inline]
+    pub fn incr(&self) {
+        self.add(1);
+    }
+
+    /// Add `n`.
+    #[inline]
+    pub fn add(&self, n: u64) {
+        self.cells[stripe()].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Current value.
+    pub fn get(&self) -> u64 {
+        self.load(Ordering::Relaxed)
+    }
+
+    /// Current value, each cell loaded with `order` (the `AtomicU64`
+    /// spelling, so a striped field reads like a plain atomic one).
+    pub fn load(&self, order: Ordering) -> u64 {
+        self.cells.iter().map(|c| c.load(order)).sum()
+    }
+}
+
+impl fmt::Debug for StripedCounter {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("StripedCounter").field(&self.get()).finish()
     }
 }
 
@@ -162,6 +228,29 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(c.get(), 40_000);
+    }
+
+    #[test]
+    fn striped_counter_is_exact_under_concurrent_adders() {
+        // More adders than cells, so some cells are shared: the sum
+        // must still be exact, and exact for each adder the moment its
+        // own add returns (no per-thread buffering).
+        let c = StripedCounter::default();
+        let threads = STRIPES as u64 + 3;
+        std::thread::scope(|sc| {
+            for _ in 0..threads {
+                sc.spawn(|| {
+                    for _ in 0..5_000 {
+                        let before = c.get();
+                        c.incr();
+                        c.add(2);
+                        assert!(c.get() >= before + 3, "own adds must be visible");
+                    }
+                });
+            }
+        });
+        assert_eq!(c.get(), threads * 5_000 * 3);
+        assert_eq!(c.load(Ordering::Acquire), c.get());
     }
 
     #[test]

@@ -11,7 +11,7 @@ pub mod json;
 pub mod lock_stats;
 pub mod seqlock;
 
-pub use counters::{Counter, Gauge, MaxGauge};
+pub use counters::{Counter, Gauge, MaxGauge, StripedCounter};
 pub use histogram::Histogram;
 pub use json::{JsonError, JsonObject, JsonValue};
 pub use lock_stats::{LockShardSummary, LockSnapshot, LockStats};
