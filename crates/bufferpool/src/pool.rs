@@ -517,8 +517,9 @@ impl<M: ReplacementManager> BufferPool<M> {
         self.free.len()
     }
 
-    /// Check that no two pages map to the same frame and every mapped
-    /// frame's descriptor agrees with the mapping (O(table); tests).
+    /// Check that no two pages map to the same frame (O(table); tests).
+    /// Only valid while no miss is in flight: during a dirty victim's
+    /// write-back the victim and its successor both map to the frame.
     pub fn check_mapping_invariants(&self) {
         let mut owner = vec![None::<PageId>; self.frames()];
         self.table.for_each(|page, frame| {
