@@ -546,18 +546,7 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
     /// the claimed frame has been fully repaired (unpinned, unmapped,
     /// returned to the free list) and the fetch may simply be retried.
     pub fn fetch(&mut self, page: PageId) -> io::Result<PinnedPage<'p, M>> {
-        // Advisor tap: 1-in-N sampling with a session-local countdown.
-        // No tap (the default) is one branch; with a tap the off-sample
-        // cost is the decrement, and the on-sample cost is a couple of
-        // relaxed atomics into a lossy ring — never a lock, so the
-        // lock-free-hit census is unaffected either way.
-        if let Some(tap) = self.pool.tap.as_deref() {
-            self.sample_countdown -= 1;
-            if self.sample_countdown == 0 {
-                self.sample_countdown = tap.period();
-                tap.push(page);
-            }
-        }
+        self.sample(page);
         loop {
             // Fast path: concurrent hash lookup + pin. The yield between
             // lookup and pin is where eviction/invalidation can rebind
@@ -565,30 +554,8 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
             bpw_dst::yield_point();
             if let Some(frame) = self.pool.table.get(page) {
                 bpw_dst::yield_point();
-                let attempt = self.pool.desc(frame).try_pin(page);
-                if attempt.retries > 0 {
-                    // Off the common path: only contended pins pay this
-                    // shared RMW (an unconditional fetch_add here would
-                    // reintroduce per-hit cache-line traffic).
-                    self.pool
-                        .stats
-                        .pin_cas_retries
-                        .fetch_add(u64::from(attempt.retries), Ordering::Relaxed);
-                }
-                if attempt.pinned {
-                    bpw_trace::instant(bpw_trace::EventKind::HitPin, page);
-                    self.pool.stats.hits.incr();
-                    self.handle.on_hit(page, frame);
-                    bpw_dst::record(|| bpw_dst::Op::FetchDone {
-                        page,
-                        frame,
-                        hit: true,
-                    });
-                    return Ok(PinnedPage {
-                        pool: self.pool,
-                        frame,
-                        page,
-                    });
+                if let Some(pinned) = self.pin_hit(page, frame) {
+                    return Ok(pinned);
                 }
                 // Mapping present but unpinnable: I/O in progress or a
                 // stale mapping mid-eviction. Yield and retry. (A failed
@@ -602,6 +569,70 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
             }
             bpw_dst::yield_now();
         }
+    }
+
+    /// Pin `page` only if it is resident right now: one page-table
+    /// lookup and one pin attempt — never the miss lock, never storage,
+    /// never a wait on a frame that is mid-I/O or mid-eviction. For a
+    /// caller that must not block (an event loop) and has somewhere else
+    /// to send a miss. `Some` is exactly [`fetch`](Self::fetch)'s hit;
+    /// `None` counts nothing, so a fallback `fetch` of the same page
+    /// counts the access once.
+    pub fn fetch_resident(&mut self, page: PageId) -> Option<PinnedPage<'p, M>> {
+        bpw_dst::yield_point();
+        let frame = self.pool.table.get(page)?;
+        bpw_dst::yield_point();
+        let pinned = self.pin_hit(page, frame)?;
+        self.sample(page);
+        Some(pinned)
+    }
+
+    /// Advisor tap: 1-in-N sampling with a session-local countdown.
+    /// No tap (the default) is one branch; with a tap the off-sample
+    /// cost is the decrement, and the on-sample cost is a couple of
+    /// relaxed atomics into a lossy ring — never a lock, so the
+    /// lock-free-hit census is unaffected either way.
+    #[inline]
+    fn sample(&mut self, page: PageId) {
+        if let Some(tap) = self.pool.tap.as_deref() {
+            self.sample_countdown -= 1;
+            if self.sample_countdown == 0 {
+                self.sample_countdown = tap.period();
+                tap.push(page);
+            }
+        }
+    }
+
+    /// The hit: pin `frame` if it still holds `page`, and account it
+    /// (striped counter, replacement advice, dst record).
+    #[inline]
+    fn pin_hit(&mut self, page: PageId, frame: FrameId) -> Option<PinnedPage<'p, M>> {
+        let attempt = self.pool.desc(frame).try_pin(page);
+        if attempt.retries > 0 {
+            // Off the common path: only contended pins pay this
+            // shared RMW (an unconditional fetch_add here would
+            // reintroduce per-hit cache-line traffic).
+            self.pool
+                .stats
+                .pin_cas_retries
+                .fetch_add(u64::from(attempt.retries), Ordering::Relaxed);
+        }
+        if !attempt.pinned {
+            return None;
+        }
+        bpw_trace::instant(bpw_trace::EventKind::HitPin, page);
+        self.pool.stats.hits.incr();
+        self.handle.on_hit(page, frame);
+        bpw_dst::record(|| bpw_dst::Op::FetchDone {
+            page,
+            frame,
+            hit: true,
+        });
+        Some(PinnedPage {
+            pool: self.pool,
+            frame,
+            page,
+        })
     }
 
     /// Slow path. Returns `Ok(None)` when the state changed underfoot
@@ -1445,5 +1476,61 @@ mod tests {
             }
         }
         assert!((pool.stats().hit_ratio() - 0.75).abs() < 1e-9);
+    }
+
+    fn counts<M: ReplacementManager>(pool: &BufferPool<M>) -> (u64, u64) {
+        let st = pool.stats();
+        (
+            st.hits.load(Ordering::Relaxed),
+            st.misses.load(Ordering::Relaxed),
+        )
+    }
+
+    #[test]
+    fn fetch_resident_pins_only_resident_pages_and_counts_each_access_once() {
+        let pool = pool_2q(4);
+        let mut s = pool.session();
+        assert!(s.fetch_resident(7).is_none(), "a cold page is not pinned");
+        assert_eq!(counts(&pool), (0, 0), "None counts nothing");
+        assert_eq!(pool.storage().reads(), 0, "and reads nothing");
+        drop(s.fetch(7).unwrap());
+        assert_eq!(counts(&pool), (0, 1), "the fallback fetch is the one miss");
+
+        let p = s.fetch_resident(7).expect("resident now");
+        assert_eq!(p.page(), 7);
+        p.read(|d| assert_eq!(u64::from_le_bytes(d[..8].try_into().unwrap()), 7));
+        drop(p);
+        assert_eq!(counts(&pool), (1, 1), "Some is one hit");
+        assert_eq!(pool.storage().reads(), 1);
+
+        // Callers that fall back to `fetch` on None — evictions included
+        // (9 pages through 4 frames) — keep hits + misses exact.
+        let mut accesses = 2;
+        for page in [7u64, 8, 7, 9, 8, 10, 11, 12, 7, 13, 9] {
+            match s.fetch_resident(page) {
+                Some(p) => drop(p),
+                None => drop(s.fetch(page).unwrap()),
+            }
+            accesses += 1;
+            let (hits, misses) = counts(&pool);
+            assert_eq!(hits + misses, accesses);
+        }
+        assert_eq!(pool.free_frames() + pool.resident_count(), pool.frames());
+    }
+
+    #[test]
+    fn fetch_resident_does_not_wait_for_a_frame_in_io() {
+        let pool = pool_2q(4);
+        let mut s = pool.session();
+        drop(s.fetch(5).unwrap());
+        // What a miss in flight looks like to everyone else: the page is
+        // mapped, its frame marked in-I/O. A `fetch` would spin on it.
+        let frame = pool.table.get(5).expect("resident");
+        pool.desc(frame).lock().io_in_progress = true;
+        assert!(s.fetch_resident(5).is_none());
+        assert_eq!(counts(&pool), (0, 1), "None counts nothing");
+        pool.desc(frame).lock().io_in_progress = false;
+        assert!(s.fetch_resident(5).is_some());
+        assert_eq!(counts(&pool), (1, 1));
     }
 }

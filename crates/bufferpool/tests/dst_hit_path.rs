@@ -9,7 +9,8 @@
 //! holds a different page. The CI-verified mutant
 //! `dst_mutation = "no_version_check"` removes exactly that
 //! re-verification — this suite is what catches it, via the wrong-bytes
-//! read assertions below.
+//! read assertions below: at the descriptor level, and through
+//! `PoolSession::fetch_resident` racing an eviction of the page it pins.
 //!
 //! Unlike `dst_miss_storm`, tasks here deliberately *share* pages (so
 //! `check_commit_order` does not apply) — shared hot pages are what
@@ -260,9 +261,14 @@ fn dst_pin_version_validation_blocks_tag_slippage() {
 /// full retag lands inside A's tag-read → CAS window; the read
 /// assertions then distinguish the real pin (version-checked CAS: the
 /// pin fails and A refetches) from the mutant (pin lands on page 2's
-/// bytes).
-fn run_refill_race(seed: u64, pct: bool) -> (RunOutcome, Arc<Pool>) {
+/// bytes). With `resident_first`, A goes through `fetch_resident` — the
+/// entry point a non-blocking caller uses — and falls back to `fetch`
+/// on `None`, as the server's frontends do.
+/// Returns the run, the pool, and how many of A's accesses
+/// `fetch_resident` pinned.
+fn run_refill_race(seed: u64, pct: bool, resident_first: bool) -> (RunOutcome, Arc<Pool>, u64) {
     let pool = make_pool(1);
+    let in_place = Arc::new(std::sync::atomic::AtomicU64::new(0));
     let mut sim = if pct {
         Sim::new(seed).with_pct(3)
     } else {
@@ -270,10 +276,22 @@ fn run_refill_race(seed: u64, pct: bool) -> (RunOutcome, Arc<Pool>) {
     };
     {
         let pool = Arc::clone(&pool);
+        let in_place = Arc::clone(&in_place);
         sim.spawn(move || {
             let mut s = pool.session();
-            for _ in 0..12 {
-                let p = s.fetch(1).unwrap();
+            for _ in 0..REFILL_FETCHES {
+                let resident = if resident_first {
+                    s.fetch_resident(1)
+                } else {
+                    None
+                };
+                let p = match resident {
+                    Some(p) => {
+                        in_place.fetch_add(1, Ordering::Relaxed);
+                        p
+                    }
+                    None => s.fetch(1).unwrap(),
+                };
                 p.read(|d| assert_page_bytes(d, 1));
                 drop(p);
             }
@@ -283,7 +301,7 @@ fn run_refill_race(seed: u64, pct: bool) -> (RunOutcome, Arc<Pool>) {
         let pool = Arc::clone(&pool);
         sim.spawn(move || {
             let mut s = pool.session();
-            for _ in 0..6 {
+            for _ in 0..REFILL_FETCHES / 2 {
                 pool.invalidate(1);
                 let p = s.fetch(2).unwrap();
                 p.read(|d| assert_page_bytes(d, 2));
@@ -293,20 +311,111 @@ fn run_refill_race(seed: u64, pct: bool) -> (RunOutcome, Arc<Pool>) {
             }
         });
     }
-    (sim.run(), pool)
+    let out = sim.run();
+    (out, pool, in_place.load(Ordering::Relaxed))
 }
+
+const REFILL_FETCHES: u64 = 12;
 
 #[test]
 fn dst_pin_validation_survives_invalidate_refill_races() {
-    for (i, seed) in bpw_dst::seed_corpus(0x9E7A6, 32).iter().enumerate() {
-        let (out, pool) = run_refill_race(*seed, i % 2 == 1);
+    const SEEDS: u64 = 32;
+    let mut in_place = 0;
+    for resident_first in [false, true] {
+        for (i, seed) in bpw_dst::seed_corpus(0x9E7A6, SEEDS).iter().enumerate() {
+            let (out, pool, pinned) = run_refill_race(*seed, i % 2 == 1, resident_first);
+            in_place += pinned;
+            out.check(|o| {
+                let pr = check_pin_balance(&o.history, true);
+                assert_eq!(pr.pins, pr.unpins);
+                assert_eq!(pool.free_frames() + pool.resident_count(), 1);
+                pool.check_mapping_invariants();
+                // A `fetch_resident` that came back `None` counted
+                // nothing: every access is one hit or one miss.
+                let st = pool.stats();
+                assert_eq!(
+                    st.hits.load(Ordering::Relaxed) + st.misses.load(Ordering::Relaxed),
+                    REFILL_FETCHES + REFILL_FETCHES / 2
+                );
+            });
+        }
+    }
+    assert!(
+        in_place > 0 && in_place < SEEDS * REFILL_FETCHES,
+        "fetch_resident must both pin and give up across the corpus, pinned {in_place}"
+    );
+}
+
+// --- targeted race: fetch_resident vs eviction of the page it pins ----------
+
+const EVICTION_ROUNDS: u64 = 120;
+
+/// One frame again, but the retag is a plain eviction and the pinner
+/// comes in through `fetch_resident`. Task B alternates `fetch(1)` /
+/// `fetch(2)`, each evicting the other; task A asks `fetch_resident(1)`
+/// and checks the bytes whenever it gets a pin. Both `yield_now` after
+/// every operation, so under PCT they take strict turns — except at a
+/// change point, which parks A wherever it stands. Enough change points
+/// (depth 64 over a run a few thousand steps long) put one between A's
+/// tag read and its CAS while page 1 is resident; B's next turn is then
+/// exactly one whole eviction, and A resumes against a valid frame that
+/// holds page 2. The version-checked CAS fails there and A reports
+/// `None`; the `no_version_check` mutant pins, and the byte assertion
+/// fires — this test alone fails under the mutant.
+fn run_resident_vs_eviction(seed: u64) -> (RunOutcome, Arc<Pool>, u64) {
+    let pool = make_pool(1);
+    let in_place = Arc::new(std::sync::atomic::AtomicU64::new(0));
+    let mut sim = Sim::new(seed).with_pct(64);
+    {
+        let pool = Arc::clone(&pool);
+        let in_place = Arc::clone(&in_place);
+        sim.spawn(move || {
+            let mut s = pool.session();
+            for _ in 0..EVICTION_ROUNDS {
+                if let Some(p) = s.fetch_resident(1) {
+                    in_place.fetch_add(1, Ordering::Relaxed);
+                    p.read(|d| assert_page_bytes(d, 1));
+                }
+                bpw_dst::yield_now();
+            }
+        });
+    }
+    {
+        let pool = Arc::clone(&pool);
+        sim.spawn(move || {
+            let mut s = pool.session();
+            for round in 0..EVICTION_ROUNDS {
+                drop(s.fetch(1 + round % 2).unwrap());
+                bpw_dst::yield_now();
+            }
+        });
+    }
+    let out = sim.run();
+    (out, pool, in_place.load(Ordering::Relaxed))
+}
+
+#[test]
+fn dst_fetch_resident_never_pins_an_evicted_page() {
+    let mut in_place = 0;
+    for seed in bpw_dst::seed_corpus(0xE71C7, 8) {
+        let (out, pool, pinned) = run_resident_vs_eviction(seed);
+        in_place += pinned;
         out.check(|o| {
             let pr = check_pin_balance(&o.history, true);
             assert_eq!(pr.pins, pr.unpins);
             assert_eq!(pool.free_frames() + pool.resident_count(), 1);
             pool.check_mapping_invariants();
+            // Only B misses, once per round (each fetch evicts the
+            // other page); A's `None`s count nothing.
+            let st = pool.stats();
+            assert_eq!(st.misses.load(Ordering::Relaxed), EVICTION_ROUNDS);
+            assert_eq!(st.hits.load(Ordering::Relaxed), pinned);
         });
     }
+    assert!(
+        in_place > 0 && in_place < 8 * EVICTION_ROUNDS,
+        "fetch_resident must both pin and give up, pinned {in_place}"
+    );
 }
 
 // --- determinism -----------------------------------------------------------

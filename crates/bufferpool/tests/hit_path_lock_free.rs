@@ -90,6 +90,74 @@ fn cache_hit_takes_zero_lock_acquisitions() {
 }
 
 #[test]
+fn fetch_resident_takes_zero_lock_acquisitions_hit_or_not() {
+    // The entry point a frontend thread answers GETs through: resident
+    // pages pin exactly like `fetch`'s hit, and a page that is not
+    // there costs one optimistic lookup — not the miss lock a `fetch`
+    // of it would take.
+    let pool = wrapped_pool();
+    let mut session = pool.session();
+    for page in 0..8u64 {
+        drop(session.fetch(page).expect("instant disk"));
+    }
+    let stats = pool.stats();
+    let counted = || {
+        let relaxed = std::sync::atomic::Ordering::Relaxed;
+        (stats.hits.load(relaxed), stats.misses.load(relaxed))
+    };
+    let before = counted();
+
+    let base = parking_lot::thread_acquisitions();
+    for i in 0..HITS {
+        drop(session.fetch_resident(i % 8).expect("resident page"));
+        assert!(session.fetch_resident(1_000 + i).is_none());
+    }
+    let taken = parking_lot::thread_acquisitions() - base;
+
+    assert_eq!(
+        taken, 0,
+        "{HITS} resident and {HITS} absent fetch_resident calls took {taken} locks"
+    );
+    assert_eq!(
+        counted(),
+        (before.0 + HITS, before.1),
+        "every resident call is one hit; an absent one counts nothing"
+    );
+    assert_eq!(pool.page_table_fallback_reads(), 0);
+}
+
+#[test]
+fn fetch_resident_at_the_default_threshold_locks_once_per_batch() {
+    // Same window with the shipped configuration: the only lock left
+    // is the batch commit's `try_lock`, once per 32 recorded hits.
+    let cfg = WrapperConfig::default();
+    let pool = BufferPool::new(
+        FRAMES,
+        128,
+        WrappedManager::new(TwoQ::new(FRAMES), cfg),
+        Arc::new(SimDisk::instant()),
+    );
+    let mut session = pool.session();
+    for page in 0..8u64 {
+        drop(session.fetch(page).expect("instant disk"));
+    }
+    session.flush();
+
+    let base = parking_lot::thread_acquisitions();
+    for i in 0..HITS {
+        drop(session.fetch_resident(i % 8).expect("resident page"));
+        assert!(session.fetch_resident(1_000 + i).is_none());
+    }
+    let taken = parking_lot::thread_acquisitions() - base;
+    assert_eq!(
+        taken,
+        HITS / cfg.batch_threshold as u64,
+        "one commit per {} hits and nothing else",
+        cfg.batch_threshold
+    );
+}
+
+#[test]
 fn concurrent_hits_still_take_zero_locks() {
     // Same proof under real contention: 8 threads hammering the same
     // hot pages. Pins may need CAS retries (that's the lock-free

@@ -235,6 +235,11 @@ impl<T> AdmissionQueue<T> {
 }
 
 impl<T> WorkQueue<T> {
+    /// Is nothing queued right now?
+    pub fn is_empty(&self) -> bool {
+        self.rx.is_empty()
+    }
+
     /// Wait up to `timeout` for a request, classifying it against the
     /// deadline policy.
     pub fn pop(&self, timeout: Duration) -> Popped<T> {

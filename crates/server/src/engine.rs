@@ -3,6 +3,7 @@
 //!
 //! ```text
 //! frame ─▶ route ─┬─▶ Reply / Fatal ───────────────────────▶ write_reply
+//!                 ├─▶ Resident(pin, ticket) ──────────▶ Resident::reply
 //!                 └─▶ Work(req, ticket) ─▶ admission queue ─▶ worker_loop
 //!                                  execute ─▶ ReplyTo::send ─▶ write_reply
 //!                                                  └▶ Ticket::complete
@@ -10,26 +11,39 @@
 //!
 //! A frontend (the threaded driver in [`crate::server`], the readiness
 //! loop in [`crate::eventloop`]) owns sockets and admission *blocking*
-//! strategy only: it hands complete frame bodies to [`route`], submits
-//! or offers the resulting [`Job`], and passes each response through
-//! [`write_reply`] with a sink that puts the bytes on its transport.
+//! strategy only: it hands complete frame bodies and its thread's pool
+//! session to [`route`], submits or offers the resulting [`Job`], and
+//! passes each response through [`write_reply`] (or
+//! [`Resident::reply`]) with the writer that is its transport.
 //! Decoding, control opcodes, request identity, stage attribution,
 //! trace events, flight capture and per-status counters live here.
+//!
+//! BP-Wrapper's rule is that a hit touches nothing shared and only a
+//! miss pays for synchronisation. `route` applies it to the request
+//! path: a GET whose page is resident is pinned on the frontend thread
+//! and answered from the frame, and never sees the admission queue, a
+//! worker or the completion queue. Whatever is not resident — and every
+//! PUT and SCAN — queues for a worker.
 
-use std::io;
+use std::io::{self, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bpw_bufferpool::{PoolSession, ReplacementManager};
+use bpw_bufferpool::{PinnedPage, PoolSession, ReplacementManager};
 use crossbeam::channel::Sender;
 
 use crate::backpressure::{Popped, WorkQueue};
 use crate::eventloop::Completions;
 use crate::exposition::{self, PoolSide};
 use crate::metrics::{OpKind, ServerMetrics, Stage};
-use crate::protocol::{fnv1a, ProtocolError, Request, Response};
+use crate::protocol::{self, fnv1a, ProtocolError, Request, Response};
 use crate::server::{AdaptiveShared, DynPool};
+
+/// A thread's session against the server's pool: workers execute
+/// queued requests through one, frontend threads pin resident pages
+/// through one.
+pub(crate) type Session<'p> = PoolSession<'p, Box<dyn ReplacementManager>>;
 
 /// Shared state every thread of the server sees. Deliberately does NOT
 /// hold the admission queue's sender side: workers carry this struct,
@@ -122,7 +136,7 @@ impl ReplyTo {
 }
 
 /// What [`route`] made of one frame body.
-pub(crate) enum Routed {
+pub(crate) enum Routed<'p> {
     /// A control opcode, answered inline: write this reply (in order)
     /// and carry on. Control requests bypass the queue — observability
     /// and shutdown must keep working when the data path is saturated.
@@ -132,6 +146,18 @@ pub(crate) enum Routed {
     Fatal(Response),
     /// A data request for the admission queue.
     Work(Request, Ticket),
+    /// A GET whose page was resident: already pinned, to be answered by
+    /// the calling thread before it does anything else.
+    Resident(Resident<'p>),
+}
+
+/// A pinned page and the ticket of the GET that asked for it. The pin
+/// must not be kept: [`reply`](Self::reply) when the reply is next on
+/// the connection, [`into_response`](Self::into_response) when it is
+/// not.
+pub(crate) struct Resident<'p> {
+    page: PinnedPage<'p, Box<dyn ReplacementManager>>,
+    ticket: Ticket,
 }
 
 /// The reply to a data request that found the admission queue closed.
@@ -148,7 +174,18 @@ pub(crate) fn protocol_error(shared: &Shared, e: &ProtocolError) -> Response {
 /// Decode one complete frame body and decide where it goes. The
 /// request clock starts here, the moment the frame is whole — not at an
 /// epoll wakeup that may have delivered a whole pipeline burst.
-pub(crate) fn route(shared: &Shared, conn: u64, body: &[u8]) -> Routed {
+///
+/// `session` is the calling thread's. `in_place` is the frontend's
+/// word that nothing this connection sent earlier is still queued — a
+/// GET answered here would otherwise overtake it (ordering is socket
+/// state, so the frontend knows it and the engine does not).
+pub(crate) fn route<'p>(
+    shared: &Shared,
+    session: &mut Session<'p>,
+    conn: u64,
+    body: &[u8],
+    in_place: bool,
+) -> Routed<'p> {
     let admitted = Instant::now();
     let req = match Request::decode(body) {
         Ok(req) => req,
@@ -163,20 +200,97 @@ pub(crate) fn route(shared: &Shared, conn: u64, body: &[u8]) -> Routed {
         conn,
         opcode: req.opcode(),
     };
+    let ticket = Ticket {
+        kind,
+        admitted,
+        ctx,
+    };
     shared.metrics.record_stage(kind, Stage::Decode, decode_ns);
-    // Attribute the enqueue event, then detach: the calling thread may
-    // go on to other requests, and its own spans must stay unowned.
+    // Attribute this thread's events to the request, then detach: the
+    // calling thread goes on to other requests, and its own spans must
+    // stay unowned.
     bpw_trace::set_current_request(ctx.id);
-    bpw_trace::instant(bpw_trace::EventKind::ServerEnqueue, ctx.opcode as u64);
+    let resident = match req {
+        Request::Get { page } if page < shared.pages && in_place => {
+            pin_resident(shared, session, page, ticket)
+        }
+        _ => None,
+    };
+    let routed = match resident {
+        Some(hit) => Routed::Resident(hit),
+        None => {
+            // The hits this thread answered are still in its BP-Wrapper
+            // queue. Commit them before a worker can run this request:
+            // the policy then picks victims knowing every access the
+            // connection made before it, in the order it made them.
+            session.flush();
+            bpw_trace::instant(bpw_trace::EventKind::ServerEnqueue, ctx.opcode as u64);
+            Routed::Work(req, ticket)
+        }
+    };
     bpw_trace::set_current_request(0);
-    Routed::Work(
-        req,
-        Ticket {
-            kind,
-            admitted,
-            ctx,
-        },
-    )
+    routed
+}
+
+/// The hit half of [`worker_loop`]'s execute step, on the calling
+/// thread: pin `page` if it is resident and attribute the time. A page
+/// that is not there costs one lookup and leaves no sample — the worker
+/// that fetches it accounts the whole access.
+fn pin_resident<'p>(
+    shared: &Shared,
+    session: &mut Session<'p>,
+    page: u64,
+    ticket: Ticket,
+) -> Option<Resident<'p>> {
+    // Fresh stage scratch (an idle flush may have left commit time
+    // behind on this thread).
+    bpw_trace::stage::reset();
+    let span = bpw_trace::span_start();
+    let pin_t0 = Instant::now();
+    let pinned = session.fetch_resident(page)?;
+    let pin_ns = pin_t0.elapsed().as_nanos() as u64;
+    bpw_trace::span_end(
+        bpw_trace::EventKind::PinOrMiss,
+        span,
+        ticket.ctx.opcode as u64,
+    );
+    let m = &shared.metrics;
+    let commit_ns = bpw_trace::stage::take().batch_commit_ns;
+    m.record_stage(ticket.kind, Stage::PinHit, pin_ns.saturating_sub(commit_ns));
+    if commit_ns > 0 {
+        m.record_stage(ticket.kind, Stage::BatchCommit, commit_ns);
+    }
+    m.inline_hits.incr();
+    Some(Resident {
+        page: pinned,
+        ticket,
+    })
+}
+
+impl Resident<'_> {
+    /// Write `[ST_OK] + frame bytes` straight from the frame into `w`,
+    /// release the pin, flush, and account the reply like any other.
+    /// The content latch is held for the copy only: `w` must buffer a
+    /// whole reply frame without touching its socket, so that a slow
+    /// reader never holds a page's latch.
+    pub(crate) fn reply(self, shared: &Shared, w: &mut impl Write) -> io::Result<()> {
+        let Resident { page, ticket } = self;
+        let flush_t0 = Instant::now();
+        page.read(|data| protocol::write_response_unflushed(w, protocol::ST_OK, data))?;
+        drop(page);
+        w.flush()?;
+        let flush_ns = flush_t0.elapsed().as_nanos() as u64;
+        ticket.complete(&shared.metrics, protocol::ST_OK, flush_ns);
+        Ok(())
+    }
+
+    /// Copy the page out and release the pin, for a reply that has to
+    /// wait its turn behind earlier ones: [`write_reply`] takes it from
+    /// here.
+    pub(crate) fn into_response(self) -> (Ticket, Response) {
+        let bytes = self.page.read(|data| data.to_vec());
+        (self.ticket, Response::Ok(bytes))
+    }
 }
 
 /// Answer a control opcode on the calling (frontend) thread.
@@ -200,13 +314,12 @@ fn control(shared: &Shared, req: &Request) -> Response {
 impl Ticket {
     /// Account one reply that has just been handed to the transport,
     /// `flush_ns` after its serialization started.
-    pub(crate) fn complete(self, m: &ServerMetrics, resp: &Response, flush_ns: u64) {
+    pub(crate) fn complete(self, m: &ServerMetrics, status: u8, flush_ns: u64) {
         let Ticket {
             kind,
             admitted,
             ctx,
         } = self;
-        let status = resp.status();
         let total_ns = admitted.elapsed().as_nanos() as u64;
         m.record_stage(kind, Stage::ReplyFlush, flush_ns);
         // The reply span must land in the ring BEFORE a flight capture
@@ -218,33 +331,34 @@ impl Ticket {
             bpw_trace::flight::capture(ctx.id, ctx.conn, ctx.opcode, status, total_ns);
         }
         bpw_trace::set_current_request(0);
-        match resp {
-            Response::Ok(_) => m.record_ok(kind, total_ns),
-            Response::Busy => m.busy.incr(),
-            Response::Dropped => m.dropped.incr(),
-            Response::Err(_) => m.errors.incr(),
-            Response::IoError(_) => m.io_errors.incr(),
+        match status {
+            protocol::ST_OK => m.record_ok(kind, total_ns),
+            protocol::ST_BUSY => m.busy.incr(),
+            protocol::ST_DROPPED => m.dropped.incr(),
+            protocol::ST_ERR => m.errors.incr(),
+            protocol::ST_IO_ERR => m.io_errors.incr(),
+            other => unreachable!("no response carries status {other:#04x}"),
         }
     }
 }
 
-/// Serialize `resp` and hand the frame body to the frontend's `sink`
-/// (which adds the length prefix on its transport), then — for data
-/// requests, which carry a ticket — account the reply. A sink error
-/// leaves the request unaccounted: nothing was answered.
+/// Write `resp` as one frame into the frontend's transport `w` and
+/// flush it, then — for data requests, which carry a ticket — account
+/// the reply. A write error leaves the request unaccounted: nothing was
+/// answered.
 pub(crate) fn write_reply(
     shared: &Shared,
     ticket: Option<Ticket>,
     resp: &Response,
-    sink: impl FnOnce(&[u8]) -> io::Result<()>,
+    w: &mut impl Write,
 ) -> io::Result<()> {
-    let Some(ticket) = ticket else {
-        return sink(&resp.encode());
-    };
     let flush_t0 = Instant::now();
-    sink(&resp.encode())?;
-    let flush_ns = flush_t0.elapsed().as_nanos() as u64;
-    ticket.complete(&shared.metrics, resp, flush_ns);
+    protocol::write_response_unflushed(w, resp.status(), resp.payload())?;
+    w.flush()?;
+    if let Some(ticket) = ticket {
+        let flush_ns = flush_t0.elapsed().as_nanos() as u64;
+        ticket.complete(&shared.metrics, resp.status(), flush_ns);
+    }
     Ok(())
 }
 
@@ -278,6 +392,15 @@ pub(crate) fn worker_loop(shared: &Shared, work: &WorkQueue<Job>) {
                 let span = bpw_trace::span_start();
                 let exec_t0 = Instant::now();
                 let resp = execute(&mut session, shared, &job.req);
+                if work.is_empty() {
+                    // About to go idle: commit this thread's deferred
+                    // hits before the reply lets the connection's next
+                    // GET be answered by its frontend thread. Between
+                    // them the two threads then show the policy one
+                    // connection's accesses in the order it made them,
+                    // whichever thread happened to serve each.
+                    session.flush();
+                }
                 let exec_ns = exec_t0.elapsed().as_nanos() as u64;
                 bpw_trace::span_end(bpw_trace::EventKind::PinOrMiss, span, ctx.opcode as u64);
                 let scratch = bpw_trace::stage::take();
@@ -312,11 +435,7 @@ pub(crate) fn worker_loop(shared: &Shared, work: &WorkQueue<Job>) {
 }
 
 /// Run one data request against the pool.
-fn execute(
-    session: &mut PoolSession<'_, Box<dyn ReplacementManager>>,
-    shared: &Shared,
-    req: &Request,
-) -> Response {
+fn execute(session: &mut Session<'_>, shared: &Shared, req: &Request) -> Response {
     let page_size = shared.pool.page_size();
     match req {
         Request::Get { page } => {
@@ -392,7 +511,35 @@ mod tests {
         }
     }
 
-    fn ok_text(routed: Routed) -> String {
+    /// Route `req` as a frontend whose connection has nothing queued.
+    fn route_req<'p>(shared: &Shared, session: &mut Session<'p>, req: &Request) -> Routed<'p> {
+        route(shared, session, 1, &req.encode(), true)
+    }
+
+    /// Route a GET of a page that is not resident and take its ticket.
+    fn cold_get_ticket(shared: &Shared, session: &mut Session<'_>, page: u64) -> Ticket {
+        match route_req(shared, session, &Request::Get { page }) {
+            Routed::Work(Request::Get { .. }, ticket) => ticket,
+            _ => panic!("a cold GET is work for the queue"),
+        }
+    }
+
+    fn pool_counts(shared: &Shared) -> (u64, u64) {
+        let st = shared.pool.stats();
+        (
+            st.hits.load(Ordering::Relaxed),
+            st.misses.load(Ordering::Relaxed),
+        )
+    }
+
+    /// The frame `resp` travels in.
+    fn framed(resp: &Response) -> Vec<u8> {
+        let mut wire = Vec::new();
+        protocol::write_frame_unflushed(&mut wire, &resp.encode()).expect("Vec cannot fail");
+        wire
+    }
+
+    fn ok_text(routed: Routed<'_>) -> String {
         match routed {
             Routed::Reply(Response::Ok(bytes)) => String::from_utf8(bytes).expect("UTF-8"),
             _ => panic!("control opcodes are answered inline with OK"),
@@ -402,21 +549,22 @@ mod tests {
     #[test]
     fn control_opcodes_are_answered_inline_and_uncounted() {
         let shared = shared();
-        let stats = ok_text(route(&shared, 1, &Request::Stats.encode()));
+        let session = &mut shared.pool.session();
+        let stats = ok_text(route_req(&shared, session, &Request::Stats));
         assert!(JsonValue::parse(&stats)
             .expect("STATS JSON")
             .get("ok")
             .is_some());
-        let metrics = ok_text(route(&shared, 1, &Request::Metrics.encode()));
+        let metrics = ok_text(route_req(&shared, session, &Request::Metrics));
         assert!(bpw_trace::validate_exposition(&metrics).expect("exposition") > 20);
-        let exemplars = ok_text(route(&shared, 1, &Request::Exemplars.encode()));
+        let exemplars = ok_text(route_req(&shared, session, &Request::Exemplars));
         assert!(JsonValue::parse(&exemplars)
             .expect("EXEMPLARS JSON")
             .get("traceEvents")
             .is_some());
 
         assert!(!shared.stop.load(Ordering::SeqCst));
-        assert_eq!(ok_text(route(&shared, 1, &Request::Shutdown.encode())), "");
+        assert_eq!(ok_text(route_req(&shared, session, &Request::Shutdown)), "");
         assert!(
             shared.stop.load(Ordering::SeqCst),
             "SHUTDOWN flags the stop before its OK"
@@ -431,9 +579,10 @@ mod tests {
     #[test]
     fn malformed_body_is_fatal_and_counted_once() {
         let shared = shared();
+        let session = &mut shared.pool.session();
         for body in [&[0xFFu8][..], &[0x01, 1, 2], &[0x04, 9]] {
             let before = shared.metrics.errors.get();
-            match route(&shared, 1, body) {
+            match route(&shared, session, 1, body, true) {
                 Routed::Fatal(resp @ Response::Err(_)) => assert_eq!(resp.status(), 3),
                 _ => panic!("{body:?} must be answered ERR and close the connection"),
             }
@@ -445,6 +594,7 @@ mod tests {
     #[test]
     fn data_requests_get_a_ticket_and_a_decode_sample() {
         let shared = shared();
+        let session = &mut shared.pool.session();
         let mut last_id = 0;
         for (req, kind) in [
             (Request::Get { page: 3 }, OpKind::Get),
@@ -457,7 +607,8 @@ mod tests {
             ),
             (Request::Scan { start: 0, len: 4 }, OpKind::Scan),
         ] {
-            let Routed::Work(routed, ticket) = route(&shared, 7, &req.encode()) else {
+            let Routed::Work(routed, ticket) = route(&shared, session, 7, &req.encode(), true)
+            else {
                 panic!("{req:?} must be routed to the workers");
             };
             assert_eq!(routed, req);
@@ -475,8 +626,114 @@ mod tests {
     }
 
     #[test]
+    fn a_resident_get_is_answered_in_place_and_counted_once() {
+        let shared = shared();
+        let m = &shared.metrics;
+        let session = &mut shared.pool.session();
+        let mut stamp = vec![0xC3u8; 64];
+        stamp[..8].copy_from_slice(&9u64.to_le_bytes());
+        session
+            .fetch(9)
+            .expect("instant disk")
+            .write(|d| d.copy_from_slice(&stamp));
+        let pool_before = pool_counts(&shared);
+
+        let Routed::Resident(hit) = route_req(&shared, session, &Request::Get { page: 9 }) else {
+            panic!("a GET of a resident page is pinned by the routing thread");
+        };
+        assert_eq!(m.total(), 0, "nothing is counted before its reply");
+        let mut wire = Vec::new();
+        hit.reply(&shared, &mut wire).expect("Vec cannot fail");
+
+        assert_eq!(wire, framed(&Response::Ok(stamp)), "frame bytes, as is");
+        assert_eq!(
+            (m.ok.get(), m.total()),
+            (1, 1),
+            "exactly one status counter"
+        );
+        assert_eq!((m.inline_hits.get(), m.get_ns.count()), (1, 1));
+        for (stage, samples) in [
+            (Stage::Decode, 1),
+            (Stage::QueueWait, 0),
+            (Stage::PinHit, 1),
+            (Stage::MissIo, 0),
+            (Stage::ReplyFlush, 1),
+        ] {
+            assert_eq!(m.stage(OpKind::Get, stage).count(), samples, "{stage:?}");
+        }
+        assert_eq!(m.queue_wait_ns.count(), 0, "it never queued");
+        assert_eq!(
+            pool_counts(&shared),
+            (pool_before.0 + 1, pool_before.1),
+            "one hit"
+        );
+        assert!(
+            shared.pool.invalidate(9).is_invalidated(),
+            "the pin is released once the reply is written"
+        );
+    }
+
+    #[test]
+    fn a_resident_get_that_must_wait_its_turn_is_copied_out_unpinned() {
+        let shared = shared();
+        let session = &mut shared.pool.session();
+        drop(session.fetch(4).expect("instant disk"));
+        let Routed::Resident(hit) = route_req(&shared, session, &Request::Get { page: 4 }) else {
+            panic!("page 4 is resident");
+        };
+        let (ticket, resp) = hit.into_response();
+        assert!(
+            shared.pool.invalidate(4).is_invalidated(),
+            "no pin is held while the reply waits"
+        );
+        let mut wire = Vec::new();
+        write_reply(&shared, Some(ticket), &resp, &mut wire).expect("Vec cannot fail");
+        assert_eq!(wire, framed(&resp));
+        assert!(matches!(resp, Response::Ok(ref bytes) if bytes[..8] == 4u64.to_le_bytes()));
+        let m = &shared.metrics;
+        assert_eq!((m.ok.get(), m.total(), m.inline_hits.get()), (1, 1, 1));
+    }
+
+    #[test]
+    fn a_get_that_is_not_resident_or_not_allowed_is_work_and_touches_no_counter() {
+        let shared = shared();
+        let session = &mut shared.pool.session();
+        // Cold: the lookup fails and counts nothing — the worker's
+        // fetch is the one miss, not a miss and a failed hit.
+        let ticket = cold_get_ticket(&shared, session, 5);
+        assert_eq!(pool_counts(&shared), (0, 0));
+        assert_eq!(shared.metrics.inline_hits.get(), 0);
+        assert_eq!(
+            shared.metrics.stage(OpKind::Get, Stage::PinHit).count(),
+            0,
+            "the worker accounts the whole access"
+        );
+        let resp = execute(session, &shared, &Request::Get { page: 5 });
+        assert!(matches!(resp, Response::Ok(_)));
+        assert_eq!(pool_counts(&shared), (0, 1));
+        write_reply(&shared, Some(ticket), &resp, &mut Vec::new()).expect("Vec cannot fail");
+
+        // Resident now, but the frontend says earlier requests of the
+        // connection are still queued: the pool is not even asked.
+        let behind = route(
+            &shared,
+            session,
+            1,
+            &Request::Get { page: 5 }.encode(),
+            false,
+        );
+        assert!(matches!(behind, Routed::Work(Request::Get { page: 5 }, _)));
+        assert_eq!(pool_counts(&shared), (0, 1));
+        // Out of range: left to the worker's ERR, never looked up.
+        let beyond = route_req(&shared, session, &Request::Get { page: 64 });
+        assert!(matches!(beyond, Routed::Work(..)));
+        assert_eq!(shared.metrics.inline_hits.get(), 0);
+    }
+
+    #[test]
     fn each_response_variant_bumps_exactly_one_status_counter() {
         let shared = shared();
+        let session = &mut shared.pool.session();
         let m = &shared.metrics;
         let counters = [&m.ok, &m.busy, &m.dropped, &m.errors, &m.io_errors];
         let cases = [
@@ -489,18 +746,11 @@ mod tests {
         for (i, resp) in cases.iter().enumerate() {
             assert_eq!(resp.status(), resp.encode()[0]);
             assert_eq!(resp.status() as usize, i, "status bytes index the counters");
-            let Routed::Work(_, ticket) = route(&shared, 1, &Request::Get { page: 0 }.encode())
-            else {
-                panic!("GET is a data request");
-            };
+            let ticket = cold_get_ticket(&shared, session, 0);
             let before: Vec<u64> = counters.iter().map(|c| c.get()).collect();
             let mut wire = Vec::new();
-            write_reply(&shared, Some(ticket), resp, |body| {
-                wire.extend_from_slice(body);
-                Ok(())
-            })
-            .expect("sink cannot fail");
-            assert_eq!(wire, resp.encode(), "the sink sees the encoded body");
+            write_reply(&shared, Some(ticket), resp, &mut wire).expect("Vec cannot fail");
+            assert_eq!(wire, framed(resp), "the transport sees the encoded frame");
             for (j, c) in counters.iter().enumerate() {
                 assert_eq!(
                     c.get() - before[j],
@@ -513,17 +763,36 @@ mod tests {
         assert_eq!(m.stage(OpKind::Get, Stage::ReplyFlush).count(), 5);
     }
 
+    /// A transport whose peer is gone.
+    struct Broken;
+
+    impl Write for Broken {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(io::Error::new(io::ErrorKind::BrokenPipe, "peer gone"))
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
     #[test]
     fn a_failed_sink_leaves_the_request_unaccounted() {
         let shared = shared();
-        let Routed::Work(_, ticket) = route(&shared, 1, &Request::Get { page: 0 }.encode()) else {
-            panic!("GET is a data request");
+        let session = &mut shared.pool.session();
+        let ticket = cold_get_ticket(&shared, session, 0);
+        assert!(write_reply(&shared, Some(ticket), &Response::Busy, &mut Broken).is_err());
+
+        drop(session.fetch(1).expect("instant disk"));
+        let Routed::Resident(hit) = route_req(&shared, session, &Request::Get { page: 1 }) else {
+            panic!("page 1 is resident");
         };
-        let err = write_reply(&shared, Some(ticket), &Response::Busy, |_| {
-            Err(io::Error::new(io::ErrorKind::BrokenPipe, "peer gone"))
-        });
-        assert!(err.is_err());
+        assert!(hit.reply(&shared, &mut Broken).is_err());
         assert_eq!(shared.metrics.total(), 0);
+        assert!(
+            shared.pool.invalidate(1).is_invalidated(),
+            "a reply that could not be written still releases its pin"
+        );
     }
 
     #[test]
@@ -534,9 +803,10 @@ mod tests {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || worker_loop(&shared, &work))
         };
-        let call = |req: Request| {
-            let Routed::Work(req, ticket) = route(&shared, 1, &req.encode()) else {
-                panic!("data request expected");
+        let session = &mut shared.pool.session();
+        let mut call = |req: Request| {
+            let Routed::Work(req, ticket) = route_req(&shared, session, &req) else {
+                panic!("a request for the queue expected");
             };
             let (tx, rx) = crossbeam::channel::bounded(1);
             let job = Job {
@@ -556,18 +826,25 @@ mod tests {
             }),
             Response::Ok(Vec::new())
         );
-        match call(Request::Get { page: 5 }) {
-            Response::Ok(bytes) => assert_eq!(bytes[..16], data[..]),
-            other => panic!("GET answered {other:?}"),
-        }
         assert!(
             matches!(call(Request::Scan { start: 0, len: 8 }), Response::Ok(p) if p.len() == 12)
         );
+        match call(Request::Get { page: 20 }) {
+            Response::Ok(bytes) => assert_eq!(bytes[..8], 20u64.to_le_bytes()),
+            other => panic!("GET answered {other:?}"),
+        }
         assert!(matches!(call(Request::Get { page: 64 }), Response::Err(_)));
         assert_eq!(
             shared.metrics.stage(OpKind::Get, Stage::QueueWait).count(),
             2
         );
+        // What the worker wrote and loaded is resident for the frontend.
+        let Routed::Resident(hit) = route_req(&shared, session, &Request::Get { page: 5 }) else {
+            panic!("the PUT left page 5 resident");
+        };
+        let mut wire = Vec::new();
+        hit.reply(&shared, &mut wire).expect("Vec cannot fail");
+        assert_eq!(wire[5..21], data[..]);
         drop(admission);
         worker.join().expect("worker exits when the queue closes");
     }

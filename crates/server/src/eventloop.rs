@@ -14,6 +14,24 @@
 //! replacement scheme behave identically in both modes. This file holds
 //! socket state only.
 //!
+//! ## Resident GETs are answered here
+//!
+//! The loop owns a pool session. `route` pins a GET's page with it when
+//! the page is resident, and the loop answers on the spot, under three
+//! rules. **The loop never blocks**: all it does for such a GET is the
+//! lookup-and-pin, one page copy under the content latch, and
+//! BP-Wrapper's own bounded batch commit. **A pin never outlives the
+//! call that took it**: a reply that is next in sequence is written
+//! from the frame into the connection's write buffer; one that is not
+//! is copied out into the reorder buffer; either way the page is
+//! unpinned before the loop looks at the next frame, let alone returns
+//! to `epoll_wait`. **Nothing overtakes**: a GET is answered here only
+//! while its connection has nothing queued and nothing stalled; behind
+//! an unfinished request it queues like everything else. A pipelined
+//! PUT-then-GET therefore reads its own write exactly as it does through
+//! one worker, and one connection's requests reach the pool in the order
+//! it sent them whichever thread serves each.
+//!
 //! ## Per-connection state machine
 //!
 //! Bytes arrive in arbitrary fragments and are fed to an incremental
@@ -28,7 +46,7 @@
 //!
 //! ## Flow control without blocking
 //!
-//! The loop thread must never wait on anything. Three valves:
+//! The loop thread must never wait on anything. Four valves:
 //!
 //! * **Pipeline cap** — at most `max_pipeline` requests in flight per
 //!   connection; past that the connection's read interest is dropped
@@ -41,9 +59,14 @@
 //! * **Write buffer** — responses coalesce into one [`WriteBuf`] per
 //!   connection, flushed once per wakeup; a short write registers write
 //!   interest instead of spinning.
+//! * **Unread replies** — a client that sends without reading fills its
+//!   write buffer. Past one pipeline's worth of replies
+//!   (`max_pipeline × (page_size + 5)` bytes) the loop stops reading the
+//!   socket, routing its buffered frames and re-offering its stalled
+//!   requests, until a flush brings the buffer back under the mark.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::io::{self, Read};
+use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
@@ -52,8 +75,8 @@ use std::time::{Duration, Instant};
 use bpw_evl::{Epoll, Interest, Ready, WakeFd, WriteBuf};
 
 use crate::backpressure::{AdmissionQueue, Offered};
-use crate::engine::{self, Job, ReplyTo, Routed, Shared, Ticket};
-use crate::protocol::{FrameDecoder, Request, Response};
+use crate::engine::{self, Job, ReplyTo, Routed, Session, Shared, Ticket};
+use crate::protocol::{FrameDecoder, Request, Response, RESPONSE_HEAD};
 
 const TOK_LISTENER: u64 = 0;
 const TOK_WAKE: u64 = 1;
@@ -98,6 +121,22 @@ impl Completions {
 
     fn drain(&self) -> Vec<(u64, u64, Response)> {
         std::mem::take(&mut *self.queue.lock().expect("completions lock"))
+    }
+}
+
+/// A connection's coalesced write buffer as the engine's transport: a
+/// write appends, and flushing is the loop's once-per-wakeup job, not
+/// a reply's.
+struct Coalesced<'a>(&'a mut WriteBuf);
+
+impl Write for Coalesced<'_> {
+    fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+        self.0.push(bytes);
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
     }
 }
 
@@ -160,25 +199,44 @@ impl Conn {
             && self.wbuf.is_empty()
     }
 
+    /// The client is not reading: more replies wait in the write buffer
+    /// than one full pipeline produces.
+    fn backlogged(&self, high_water: usize) -> bool {
+        self.wbuf.pending() > high_water
+    }
+
     /// Should the loop keep reading from this socket?
-    fn wants_read(&self, max_pipeline: usize) -> bool {
+    fn wants_read(&self, max_pipeline: usize, high_water: usize) -> bool {
         !self.peer_eof
             && self.close_after.is_none()
             && self.stalled.is_empty()
             && self.inflight < max_pipeline
+            && !self.backlogged(high_water)
+    }
+
+    /// May a GET be answered on the spot? Only when nothing of this
+    /// connection is queued or stalled: what it sent earlier has then
+    /// taken effect, so it reads its own writes, and its requests reach
+    /// the pool in the order it sent them.
+    fn may_answer_in_place(&self) -> bool {
+        self.inflight == 0 && self.stalled.is_empty()
     }
 }
 
 /// Everything the loop owns; lives on the loop thread's stack.
-struct EventLoop {
+struct EventLoop<'a> {
     epoll: Epoll,
     listener: Option<TcpListener>,
     conns: HashMap<u64, Conn>,
     next_token: u64,
-    shared: Arc<Shared>,
+    shared: &'a Shared,
+    /// This thread's pool session: resident GETs are pinned through it.
+    session: Session<'a>,
     admission: AdmissionQueue<Job>,
     completions: Arc<Completions>,
     max_pipeline: usize,
+    /// Unread reply bytes past which a connection is backlogged.
+    high_water: usize,
 }
 
 /// Run the loop until a stop is requested *and* every connection has
@@ -203,10 +261,12 @@ pub(crate) fn run(
         listener: Some(listener),
         conns: HashMap::new(),
         next_token: FIRST_CONN_TOKEN,
-        shared,
+        shared: &shared,
+        session: shared.pool.session(),
         admission,
         completions,
         max_pipeline,
+        high_water: max_pipeline * (shared.pool.page_size() + RESPONSE_HEAD),
     };
 
     let mut ready_buf: Vec<Ready> = Vec::new();
@@ -221,6 +281,11 @@ pub(crate) fn run(
             Err(e) => panic!("epoll_wait failed: {e}"),
         }
         let woke = Instant::now();
+        if ready_buf.is_empty() {
+            // Idle: commit deferred BP-Wrapper bookkeeping, as a worker
+            // does when its pop times out.
+            el.session.flush();
+        }
         let stop = el.shared.stop.load(Ordering::SeqCst);
         if stop {
             if let Some(l) = el.listener.take() {
@@ -307,7 +372,7 @@ pub(crate) fn run(
     }
 }
 
-impl EventLoop {
+impl EventLoop<'_> {
     /// Accept until the backlog is dry. During shutdown the listener is
     /// gone, so `stop` here only covers the race where a connect landed
     /// in the backlog just before the flag flipped: accept and drop.
@@ -358,7 +423,7 @@ impl EventLoop {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        if !conn.wants_read(self.max_pipeline) {
+        if !conn.wants_read(self.max_pipeline, self.high_water) {
             return;
         }
         for _ in 0..MAX_READS_PER_WAKEUP {
@@ -384,20 +449,25 @@ impl EventLoop {
         self.dispatch_frames(token);
     }
 
-    /// Route buffered frames until the decoder runs dry or a fatal
-    /// frame error poisons the stream.
+    /// Route buffered frames until the decoder runs dry, a fatal frame
+    /// error poisons the stream, or the connection's unread replies
+    /// reach the high-water mark (the rest stay in the decoder until a
+    /// flush makes room).
     fn dispatch_frames(&mut self, token: u64) {
         loop {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
             };
-            if conn.close_after.is_some() {
+            if conn.close_after.is_some() || conn.backlogged(self.high_water) {
                 return;
             }
             let routed = match conn.decoder.next_frame() {
                 Ok(None) => return,
-                Ok(Some(body)) => engine::route(&self.shared, conn.id, &body),
-                Err(e) => Routed::Fatal(engine::protocol_error(&self.shared, &e)),
+                Ok(Some(body)) => {
+                    let in_place = conn.may_answer_in_place();
+                    engine::route(self.shared, &mut self.session, conn.id, &body, in_place)
+                }
+                Err(e) => Routed::Fatal(engine::protocol_error(self.shared, &e)),
             };
             let seq = conn.next_seq;
             conn.next_seq += 1;
@@ -412,6 +482,19 @@ impl EventLoop {
                     conn.pending.insert(seq, resp);
                     conn.close_after = Some(seq);
                     return;
+                }
+                Routed::Resident(hit) if seq == conn.next_to_send => {
+                    // Next on the wire: frame to write buffer, one copy.
+                    conn.next_to_send += 1;
+                    let written = hit.reply(self.shared, &mut Coalesced(&mut conn.wbuf));
+                    debug_assert!(written.is_ok(), "the write buffer cannot fail");
+                }
+                Routed::Resident(hit) => {
+                    // Earlier replies are still owed: copy out now, so
+                    // the pin is gone before the next frame is looked at.
+                    let (ticket, resp) = hit.into_response();
+                    conn.tickets.insert(seq, ticket);
+                    conn.pending.insert(seq, resp);
                 }
                 Routed::Work(req, ticket) if conn.stalled.is_empty() => {
                     self.offer(token, seq, req, ticket)
@@ -461,13 +544,16 @@ impl EventLoop {
         }
     }
 
-    /// Post-event work for one connection: retry stalled offers, move
-    /// in-order responses to the write buffer, flush, re-arm interest,
-    /// and close if finished.
-    fn service(&mut self, token: u64) {
+    /// Take in what the connection has waiting, oldest first: stalled
+    /// requests back to the admission queue, then frames still in the
+    /// decoder. Both stop at the unread-reply high-water mark.
+    fn admit(&mut self, token: u64) {
         // Re-offer stalled requests in arrival order; stop at the first
         // that still finds the queue full.
         while let Some(conn) = self.conns.get_mut(&token) {
+            if conn.backlogged(self.high_water) {
+                return;
+            }
             let Some((seq, req, ticket)) = conn.stalled.pop_front() else {
                 break;
             };
@@ -484,41 +570,53 @@ impl EventLoop {
                 break;
             }
         }
-        // A drained stall buffer may have unblocked decoded-but-parked
-        // frames sitting in the decoder.
         self.dispatch_frames(token);
+    }
 
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        // Release the reorder buffer strictly in sequence order. The
-        // sink is serialization into the coalesced write buffer; the
-        // socket write itself is shared by every reply in the flush
-        // below and can't be attributed per request (the threaded
-        // frontend measures the actual write).
-        while let Some(resp) = conn.pending.remove(&conn.next_to_send) {
-            let seq = conn.next_to_send;
-            conn.next_to_send += 1;
-            let wbuf = &mut conn.wbuf;
-            let written =
-                engine::write_reply(&self.shared, conn.tickets.remove(&seq), &resp, |body| {
-                    wbuf.push(&(body.len() as u32).to_le_bytes());
-                    wbuf.push(body);
-                    Ok(())
-                });
-            debug_assert!(written.is_ok(), "the write buffer cannot fail");
-            if conn.close_after == Some(seq) {
-                break;
-            }
-        }
-        // One coalesced flush per wakeup.
-        match conn.wbuf.flush(&mut conn.stream) {
-            Ok(progress) => {
-                self.shared.metrics.short_writes.add(progress.short_writes);
-            }
-            Err(_) => {
-                self.close(token);
+    /// Post-event work for one connection: retry stalled offers, move
+    /// in-order responses to the write buffer, flush, re-arm interest,
+    /// and close if finished.
+    fn service(&mut self, token: u64) {
+        loop {
+            self.admit(token);
+            let Some(conn) = self.conns.get_mut(&token) else {
                 return;
+            };
+            // Release the reorder buffer strictly in sequence order.
+            // The transport is the coalesced write buffer; the socket
+            // write itself is shared by every reply in the flush below
+            // and can't be attributed per request (the threaded
+            // frontend measures the actual write).
+            while let Some(resp) = conn.pending.remove(&conn.next_to_send) {
+                let seq = conn.next_to_send;
+                conn.next_to_send += 1;
+                let written = engine::write_reply(
+                    self.shared,
+                    conn.tickets.remove(&seq),
+                    &resp,
+                    &mut Coalesced(&mut conn.wbuf),
+                );
+                debug_assert!(written.is_ok(), "the write buffer cannot fail");
+                if conn.close_after == Some(seq) {
+                    break;
+                }
+            }
+            // One coalesced flush per pass.
+            let was_backlogged = conn.backlogged(self.high_water);
+            match conn.wbuf.flush(&mut conn.stream) {
+                Ok(progress) => {
+                    self.shared.metrics.short_writes.add(progress.short_writes);
+                }
+                Err(_) => {
+                    self.close(token);
+                    return;
+                }
+            }
+            // Requests held back behind a full write buffer have no
+            // event of their own: if this flush made room, admit them
+            // now or nothing ever will.
+            if !was_backlogged || conn.backlogged(self.high_water) {
+                break;
             }
         }
 
@@ -537,7 +635,10 @@ impl EventLoop {
             return;
         }
         // Re-arm epoll interest to match what this connection needs.
-        let want = (conn.wants_read(self.max_pipeline), !conn.wbuf.is_empty());
+        let want = (
+            conn.wants_read(self.max_pipeline, self.high_water),
+            !conn.wbuf.is_empty(),
+        );
         if want != conn.registered {
             let interest = match want {
                 (true, true) => Interest::READ_WRITE,

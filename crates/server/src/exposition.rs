@@ -236,6 +236,7 @@ pub(crate) fn walk<'a>(shared: &'a Shared, scrape: &'a Scrape, visit: &mut dyn F
     row(&["dropped"],          "bpw_requests_total",          &[("status", "dropped")],  REQUESTS, Counter(m.dropped.get()));
     row(&["errors"],           "bpw_requests_total",          &[("status", "error")],    REQUESTS, Counter(m.errors.get()));
     row(&["io_errors"],        "bpw_requests_total",          &[("status", "io_error")], REQUESTS, Counter(m.io_errors.get()));
+    row(&["inline_hits"],      "bpw_inline_hits_total",       &[], "Requests answered on a frontend thread (GETs of resident pages).",   Counter(m.inline_hits.get()));
     row(&["connections_open"], "bpw_connections_open",        &[], "Client connections currently open.",                                  Gauge(m.connections_open.get()));
     row(&["connections_peak"], "bpw_connections_peak",        &[], "Open-connection high-water mark.",                                    Gauge(m.connections_open.peak()));
     row(&["epoll_wakeups"],    "bpw_epoll_wakeups_total",     &[], "Event-loop wakeups (epoll_wait returns with work).",                  Counter(m.epoll_wakeups.get()));

@@ -128,6 +128,9 @@ pub struct ServerMetrics {
     pub errors: Counter,
     /// Requests answered `ERR_IO` (storage failed after retries).
     pub io_errors: Counter,
+    /// Requests answered on the frontend thread that decoded them —
+    /// GETs of resident pages, which never enter the admission queue.
+    pub inline_hits: Counter,
     /// Client connections currently open (both frontends track this;
     /// the peak is the fan-in high-water mark).
     pub connections_open: Gauge,

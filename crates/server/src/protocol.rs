@@ -110,11 +110,11 @@ const OP_SHUTDOWN: u8 = 0x05;
 const OP_METRICS: u8 = 0x06;
 const OP_EXEMPLARS: u8 = 0x07;
 
-const ST_OK: u8 = 0x00;
-const ST_BUSY: u8 = 0x01;
-const ST_DROPPED: u8 = 0x02;
-const ST_ERR: u8 = 0x03;
-const ST_IO_ERR: u8 = 0x04;
+pub(crate) const ST_OK: u8 = 0x00;
+pub(crate) const ST_BUSY: u8 = 0x01;
+pub(crate) const ST_DROPPED: u8 = 0x02;
+pub(crate) const ST_ERR: u8 = 0x03;
+pub(crate) const ST_IO_ERR: u8 = 0x04;
 
 impl Request {
     /// Serialize the body (no frame header).
@@ -218,13 +218,18 @@ impl Response {
         }
     }
 
-    /// Serialize the body (no frame header).
-    pub fn encode(&self) -> Vec<u8> {
-        let payload: &[u8] = match self {
+    /// The bytes after the status byte.
+    pub fn payload(&self) -> &[u8] {
+        match self {
             Response::Ok(payload) => payload,
             Response::Busy | Response::Dropped => &[],
             Response::Err(msg) | Response::IoError(msg) => msg.as_bytes(),
-        };
+        }
+    }
+
+    /// Serialize the body (no frame header).
+    pub fn encode(&self) -> Vec<u8> {
+        let payload = self.payload();
         let mut b = Vec::with_capacity(1 + payload.len());
         b.push(self.status());
         b.extend_from_slice(payload);
@@ -288,6 +293,27 @@ pub fn write_frame_unflushed(w: &mut impl Write, body: &[u8]) -> io::Result<()> 
     debug_assert!(body.len() <= MAX_FRAME);
     w.write_all(&(body.len() as u32).to_le_bytes())?;
     w.write_all(body)
+}
+
+/// Bytes a response frame carries besides its payload: the length
+/// prefix and the status byte.
+pub(crate) const RESPONSE_HEAD: usize = 5;
+
+/// Write one response frame from its parts — header, status byte,
+/// payload — without assembling the body first and without flushing:
+/// the server's replies go from where the payload lives (a `Response`,
+/// a pinned frame) to the transport's buffer in one copy.
+pub(crate) fn write_response_unflushed(
+    w: &mut impl Write,
+    status: u8,
+    payload: &[u8],
+) -> io::Result<()> {
+    debug_assert!(payload.len() < MAX_FRAME);
+    let mut head = [0u8; RESPONSE_HEAD];
+    head[..4].copy_from_slice(&(1 + payload.len() as u32).to_le_bytes());
+    head[4] = status;
+    w.write_all(&head)?;
+    w.write_all(payload)
 }
 
 /// Read one frame body into `buf`. Returns `Ok(false)` on clean EOF at

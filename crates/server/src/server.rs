@@ -569,11 +569,23 @@ fn serve_connection(
 ) -> io::Result<()> {
     stream.set_nodelay(true).ok();
     let conn_id = engine::next_conn_id();
+    // This thread's pool session: resident GETs are answered right here.
+    let mut session = shared.pool.session();
     let mut reader = BufReader::new(stream);
-    let mut writer = BufWriter::new(stream);
+    // Room for one whole page reply, so that copying a resident page out
+    // of its frame never reaches the socket while the frame is latched.
+    let reply_frame = shared.pool.page_size() + protocol::RESPONSE_HEAD;
+    let mut writer = BufWriter::with_capacity(reply_frame.max(8 << 10), stream);
     let mut buf = Vec::new();
     while protocol::read_frame(&mut reader, &mut buf)? {
-        let (ticket, resp, fatal) = match engine::route(shared, conn_id, &buf) {
+        // Strict request/reply: nothing of this connection is queued
+        // while a frame is being routed, so any resident GET may be
+        // answered in place.
+        let (ticket, resp, fatal) = match engine::route(shared, &mut session, conn_id, &buf, true) {
+            Routed::Resident(hit) => {
+                hit.reply(shared, &mut writer)?;
+                continue;
+            }
             Routed::Reply(resp) => (None, resp, false),
             Routed::Fatal(resp) => (None, resp, true),
             Routed::Work(req, ticket) => {
@@ -592,9 +604,7 @@ fn serve_connection(
                 (Some(ticket), resp, false)
             }
         };
-        engine::write_reply(shared, ticket, &resp, |body| {
-            protocol::write_frame(&mut writer, body)
-        })?;
+        engine::write_reply(shared, ticket, &resp, &mut writer)?;
         if fatal {
             break;
         }

@@ -561,8 +561,19 @@ fn combining_server_serves_correct_data(mode: FrontendMode) {
     server.join();
 }
 
-/// With tracing enabled, a served request leaves enqueue/dequeue/reply
-/// events in the collector — and, under the event loop, wakeup spans.
+/// The event kinds each request id owns among `events`.
+fn chains_by_request(events: &[bpw_trace::TraceEvent]) -> HashMap<u64, Vec<bpw_trace::EventKind>> {
+    let mut chains: HashMap<u64, Vec<_>> = HashMap::new();
+    for e in events.iter().filter(|e| e.req != 0) {
+        chains.entry(e.req).or_default().push(e.kind);
+    }
+    chains
+}
+
+/// With tracing enabled, a cold GET leaves the whole queued chain under
+/// one request id — enqueue, dequeue, pin-or-miss, reply — and a warm
+/// GET the short one: pin-or-miss and reply, nothing of the queue. Under
+/// the event loop there are wakeup spans too.
 fn traced_requests_leave_server_events(mode: FrontendMode) {
     use bpw_trace::EventKind;
 
@@ -575,22 +586,44 @@ fn traced_requests_leave_server_events(mode: FrontendMode) {
         assert!(matches!(client.get(page).unwrap(), Response::Ok(_)));
     }
     bpw_trace::set_enabled(false);
-    let events = bpw_trace::drain();
-    let mut want = vec![
+    let cold = bpw_trace::drain();
+    let queued = [
         EventKind::ServerEnqueue,
         EventKind::ServerDequeue,
+        EventKind::PinOrMiss,
         EventKind::ServerReply,
     ];
+    assert!(
+        chains_by_request(&cold)
+            .values()
+            .any(|chain| queued.iter().all(|kind| chain.contains(kind))),
+        "no request id owns enqueue, dequeue, pin-or-miss and reply among {} events",
+        cold.len()
+    );
     if mode == FrontendMode::EventLoop {
-        want.push(EventKind::EpollWakeup);
+        assert!(cold.iter().any(|e| e.kind == EventKind::EpollWakeup));
     }
-    for kind in want {
-        assert!(
-            events.iter().any(|e| e.kind == kind),
-            "no {kind:?} event among {} drained",
-            events.len()
-        );
-    }
+
+    // Page 0 is resident now: its GET never sees the queue.
+    bpw_trace::set_enabled(true);
+    assert!(matches!(client.get(0).unwrap(), Response::Ok(_)));
+    // The threaded driver accounts a reply after it is on the wire.
+    bpw_server::wait_for(Duration::from_secs(5), "the warm GET is accounted", || {
+        server.metrics().ok.get() == 33
+    });
+    bpw_trace::set_enabled(false);
+    let warm = bpw_trace::drain();
+    assert!(
+        chains_by_request(&warm).values().any(|chain| {
+            chain.contains(&EventKind::PinOrMiss)
+                && chain.contains(&EventKind::ServerReply)
+                && !chain.contains(&EventKind::ServerEnqueue)
+                && !chain.contains(&EventKind::ServerDequeue)
+        }),
+        "no request id owns just pin-or-miss and reply among {} events",
+        warm.len()
+    );
+    assert_eq!(server.metrics().inline_hits.get(), 1);
     drop(client);
     server.join();
 }
@@ -599,7 +632,8 @@ fn traced_requests_leave_server_events(mode: FrontendMode) {
 /// treats every request as a violation; `EXEMPLARS` must return valid
 /// Chrome-trace JSON in which at least one captured request id owns the
 /// full causal chain — queue wait (`server_dequeue`), `pin_or_miss`,
-/// and `server_reply` — and STATS must burn the matching SLO counters.
+/// and `server_reply` — another the short chain of a GET answered in
+/// place, and STATS must burn the matching SLO counters.
 fn flight_recorder_captures_slow_request_span_chains(mode: FrontendMode) {
     let _gate = TRACE_GATE.lock().unwrap();
     bpw_trace::clear();
@@ -618,7 +652,8 @@ fn flight_recorder_captures_slow_request_span_chains(mode: FrontendMode) {
     })
     .expect("server start");
     let mut client = Client::connect(server.addr()).expect("connect");
-    for page in 0..32u64 {
+    // 32 cold GETs, then one of a page that is resident by then.
+    for page in (0..32u64).chain([0]) {
         assert!(matches!(client.get(page).unwrap(), Response::Ok(_)));
     }
 
@@ -656,6 +691,17 @@ fn flight_recorder_captures_slow_request_span_chains(mode: FrontendMode) {
                 .all(|want| names.iter().any(|n| n == want))
         }),
         "no request id owns the full queue-wait + pin-or-miss + reply chain: {chains:?}"
+    );
+    // The warm GET was answered by its frontend thread: its exemplar is
+    // pin-or-miss and reply, with no queue wait in between.
+    assert!(
+        chains.values().any(|names| {
+            ["pin_or_miss", "server_reply"]
+                .iter()
+                .all(|want| names.iter().any(|n| n == want))
+                && !names.iter().any(|n| n == "server_dequeue")
+        }),
+        "no request id owns the short pin-or-miss + reply chain: {chains:?}"
     );
     let index = v
         .get("otherData")
@@ -953,6 +999,238 @@ fn join_answers_a_pipelined_burst_first(mode: FrontendMode) {
     assert_eq!(metrics.ok.get(), BURST);
 }
 
+/// One request frame as it goes on the wire.
+fn frame(req: &Request) -> Vec<u8> {
+    let mut wire = Vec::new();
+    bpw_server::protocol::write_frame(&mut wire, &req.encode()).unwrap();
+    wire
+}
+
+/// Invalidate every page: a pinned one would answer `Busy`, and
+/// afterwards every frame must be back on the free list.
+fn assert_nothing_pinned(pool: &bpw_server::DynPool, pages: u64) {
+    for page in 0..pages {
+        assert!(
+            !pool.invalidate(page).is_retryable(),
+            "page {page} is still pinned or in I/O"
+        );
+    }
+    assert_eq!(pool.free_frames(), pool.frames());
+}
+
+/// Replies answered in place and never read: the client vanishes, then a
+/// second one sends SHUTDOWN behind its burst and vanishes too. Neither
+/// may leave a frame pinned — a pin lives only for the copy out of the
+/// frame, never as long as the bytes wait for the socket.
+fn unread_in_place_replies_leave_nothing_pinned(mode: FrontendMode) {
+    const PAGES: u64 = 32;
+    const BURST: u64 = 4_000;
+    let server = Server::start(ServerConfig {
+        workers: 2,
+        frames: PAGES as usize,
+        page_size: 4096,
+        pages: PAGES,
+        mode,
+        ..ServerConfig::default()
+    })
+    .expect("server start");
+    let pool = server.pool().clone();
+    let metrics = server.metrics().clone();
+    let burst: Vec<u8> = (0..BURST)
+        .flat_map(|i| frame(&Request::Get { page: i % PAGES }))
+        .collect();
+
+    for shutdown in [false, true] {
+        let mut warm = Client::connect(server.addr()).expect("connect");
+        for page in 0..PAGES {
+            assert!(matches!(warm.get(page).unwrap(), Response::Ok(_)));
+        }
+        drop(warm);
+        let answered = metrics.inline_hits.get();
+        let mut stream = raw_stream(&server);
+        stream.write_all(&burst).expect("burst");
+        if shutdown {
+            stream
+                .write_all(&frame(&Request::Shutdown))
+                .expect("SHUTDOWN");
+        }
+        // 16 MB of replies against a client that reads none of them:
+        // some are written and stuck in socket buffers, the rest not
+        // even produced.
+        bpw_server::wait_for(Duration::from_secs(10), "replies in flight", || {
+            metrics.inline_hits.get() >= answered + 64
+        });
+        drop(stream);
+        bpw_server::wait_for(Duration::from_secs(10), "connection reaped", || {
+            metrics.connections_open.get() == 0
+        });
+        if !shutdown {
+            assert_nothing_pinned(&pool, PAGES);
+        }
+    }
+    join_within_deadline(server, "a client left without reading its replies");
+    assert_eq!(pool.free_frames() + pool.resident_count(), pool.frames());
+    assert_nothing_pinned(&pool, PAGES);
+}
+
+/// The event loop stops taking requests from a client that does not
+/// read its replies: 10 000 pipelined GETs of resident 4 KiB pages are
+/// 41 MB of replies, and all the server may hold of them is one
+/// pipeline's worth in its write buffer plus whatever the kernel's
+/// socket buffers take. Once the client reads, every reply arrives, in
+/// order.
+#[test]
+fn eventloop_bounds_a_connections_unread_replies() {
+    const GETS: u64 = 10_000;
+    const HOT: u64 = 16;
+    let server = Server::start(ServerConfig {
+        workers: 1,
+        frames: 64,
+        page_size: 4096,
+        pages: 64,
+        mode: FrontendMode::EventLoop,
+        ..ServerConfig::default()
+    })
+    .expect("server start");
+    let metrics = server.metrics().clone();
+    let mut warm = Client::connect(server.addr()).expect("connect");
+    for page in 0..HOT {
+        assert!(matches!(warm.get(page).unwrap(), Response::Ok(_)));
+    }
+    drop(warm);
+
+    let stream = raw_stream(&server);
+    let writer = {
+        let mut stream = stream.try_clone().expect("clone");
+        std::thread::spawn(move || {
+            let wire: Vec<u8> = (0..GETS)
+                .flat_map(|i| frame(&Request::Get { page: i % HOT }))
+                .collect();
+            // May block until the reader below makes the server read on.
+            stream.write_all(&wire).expect("pipelined GETs");
+        })
+    };
+    // Let the server answer until it stops by itself.
+    let mut answered = metrics.ok.get();
+    bpw_server::wait_for(Duration::from_secs(20), "replies level off", || {
+        std::thread::sleep(Duration::from_millis(200));
+        let before = std::mem::replace(&mut answered, metrics.ok.get());
+        answered > HOT && answered == before
+    });
+    assert!(
+        answered - HOT < GETS / 2,
+        "{} of {GETS} replies produced for a client that has read none",
+        answered - HOT
+    );
+
+    let mut reader = std::io::BufReader::new(stream);
+    let mut buf = Vec::new();
+    for i in 0..GETS {
+        assert!(
+            bpw_server::protocol::read_frame(&mut reader, &mut buf).expect("reply frame"),
+            "connection closed before reply {i} of {GETS}"
+        );
+        match Response::decode(&buf).expect("decode") {
+            Response::Ok(bytes) => {
+                assert_eq!(bytes.len(), 4096);
+                assert_eq!(
+                    u64::from_le_bytes(bytes[..8].try_into().unwrap()),
+                    i % HOT,
+                    "reply {i} out of order"
+                );
+            }
+            other => panic!("GET {i} answered {other:?}"),
+        }
+    }
+    writer.join().expect("writer");
+    assert_eq!(metrics.ok.get(), HOT + GETS);
+    drop(reader);
+    server.join();
+}
+
+/// Pipelined read-your-writes on one connection: with page `x` resident,
+/// the loop could answer `GET x` from the frame at once — so it must not
+/// while a `PUT x` sent before it has yet to take effect. Two ways the
+/// PUT can be pending: queued behind this connection's own cold, slow
+/// `GET y` (every storage access takes 30 ms here), or stalled outside a
+/// queue that another connection has filled.
+#[test]
+fn eventloop_get_never_overtakes_a_put_sent_before_it() {
+    const X: u64 = 3;
+    let page_of = |fill: u8| {
+        let mut data = vec![fill; PAGE_SIZE];
+        data[..8].copy_from_slice(&X.to_le_bytes());
+        data
+    };
+    for stalled_behind_another_connection in [false, true] {
+        let server = Server::start(ServerConfig {
+            workers: 1,
+            queue_capacity: 1,
+            policy: AdmissionPolicy::Block,
+            frames: 16,
+            page_size: PAGE_SIZE,
+            pages: 64,
+            mode: FrontendMode::EventLoop,
+            fault_plan: Some(bpw_server::FaultPlan {
+                spike_ppm: 1_000_000,
+                spike: Duration::from_millis(60),
+                ..Default::default()
+            }),
+            ..ServerConfig::default()
+        })
+        .expect("server start");
+        let metrics = server.metrics().clone();
+        let mut client = Client::connect(server.addr()).expect("connect");
+        assert!(matches!(
+            client.put(X, page_of(0xA1)).unwrap(),
+            Response::Ok(_)
+        ));
+        assert_eq!(client.get(X).unwrap(), Response::Ok(page_of(0xA1)));
+        assert_eq!(metrics.inline_hits.get(), 1, "x is resident");
+
+        let put_then_get = [
+            Request::Put {
+                page: X,
+                data: page_of(0xB2),
+            },
+            Request::Get { page: X },
+        ];
+        let replies = if stalled_behind_another_connection {
+            // One cold GET keeps the worker busy for 60 ms, a second
+            // fills the one queue slot meanwhile.
+            let mut other = raw_stream(&server);
+            let popped = metrics.queue_wait_ns.count();
+            other
+                .write_all(&frame(&Request::Get { page: 40 }))
+                .expect("cold GET");
+            bpw_server::wait_for(Duration::from_secs(5), "the worker took it", || {
+                metrics.queue_wait_ns.count() > popped
+            });
+            let admitted = metrics.pipeline_depth.count();
+            other
+                .write_all(&frame(&Request::Get { page: 41 }))
+                .expect("cold GET");
+            bpw_server::wait_for(Duration::from_secs(5), "the queue is full", || {
+                metrics.pipeline_depth.count() > admitted
+            });
+            client.call_pipelined(&put_then_get)
+        } else {
+            let mut batch = vec![Request::Get { page: 40 }];
+            batch.extend(put_then_get);
+            client.call_pipelined(&batch)
+        }
+        .expect("pipelined batch");
+        assert_eq!(
+            replies.last(),
+            Some(&Response::Ok(page_of(0xB2))),
+            "GET x overtook the PUT x sent before it \
+             (stalled behind another connection: {stalled_behind_another_connection})"
+        );
+        drop(client);
+        server.join();
+    }
+}
+
 /// Dimension check promised by the workload contract: every generated
 /// page id stays inside the universe the server was configured with.
 #[test]
@@ -1003,4 +1281,5 @@ both_frontends!(
     mid_request_disconnect_leaks_nothing,
     join_does_not_wait_for_an_idle_client,
     join_answers_a_pipelined_burst_first,
+    unread_in_place_replies_leave_nothing_pinned,
 );
