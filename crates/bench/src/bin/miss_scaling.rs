@@ -6,8 +6,8 @@
 //!   queue-full, `flat` publishes on any contended threshold crossing
 //!   and drains whole slates.
 //! * **miss path** (miss-heavy, working set = 4x pool): coarse (one
-//!   global miss lock, the seed design) vs sharded (one miss lock +
-//!   free-list stripe per page-table shard).
+//!   global miss lock, the seed design) vs sharded (one miss lock per
+//!   page-table shard, up to 16 free-list stripes).
 //!
 //! Three row kinds land in `results/miss_path_scaling.jsonl`:
 //!

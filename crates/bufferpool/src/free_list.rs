@@ -2,12 +2,13 @@
 //!
 //! The seed pool kept free frames in one `Mutex<Vec<FrameId>>` — a
 //! single point of serialization on every miss and every frame repair,
-//! defeating the per-shard miss locks. This replaces it with one
-//! Treiber stack per page-table shard plus a *cold* stack:
+//! defeating the per-shard miss locks. This replaces it with a few
+//! Treiber stacks (stripes) plus a *cold* stack:
 //!
-//! * `pop(home)` tries the caller's home stripe first, then steals from
-//!   the other stripes, and drains the cold stack only when everything
-//!   else is empty.
+//! * `pop(home)` answers `None` after one load when nothing is linked —
+//!   the state a full pool's list is always in. Otherwise it tries the
+//!   caller's home stripe first, then steals from the other stripes,
+//!   and drains the cold stack only when everything else is empty.
 //! * `push(home, f)` returns a frame to its shard's stripe (eviction,
 //!   invalidation).
 //! * `push_cold(f)` parks a frame at the coldest point of the rotation
@@ -22,20 +23,27 @@
 //! `next` links live in one atomic array — a frame is on at most one
 //! stack at a time, so its link is owned by whichever stack holds it.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 
-// Head words and next links go through the dst shims: under the dst
-// harness every load/CAS on them is a schedule point, so the window
-// between reading a head and CASing it — where ABA lives — is
-// explorable. In normal builds the shims are the bare std atomics.
+// Head words, next links and the count go through the dst shims: under
+// the dst harness every load/CAS on them is a schedule point, so the
+// window between reading a head and CASing it — where ABA lives — and
+// the windows between a count update and its CAS are explorable. In
+// normal builds the shims are the bare std atomics.
 use bpw_core::CachePadded;
-use bpw_dst::shim::{AtomicU32, AtomicU64};
+use bpw_dst::shim::{AtomicU32, AtomicU64, AtomicUsize};
 use bpw_replacement::FrameId;
 
 use std::sync::atomic::AtomicU64 as StdAtomicU64;
 
 /// Empty-stack sentinel in the index half of a head word.
 const NIL: u32 = u32::MAX;
+
+/// The most stripes a pool gives its list. Stripes spread concurrent
+/// pushes and pops, so they follow threads (the same 16 as
+/// `StripedCounter`), not frames: a nearly-empty list is scanned in at
+/// most 17 head loads however large the pool.
+pub const MAX_STRIPES: usize = 16;
 
 fn pack(tag: u32, idx: u32) -> u64 {
     ((tag as u64) << 32) | idx as u64
@@ -57,7 +65,11 @@ pub struct StripedFreeList {
     next: Vec<AtomicU32>,
     /// Regular stripe count (excluding the cold stack).
     stripes: usize,
-    /// Frames currently on any stack (exact when quiescent).
+    /// An upper bound on the frames linked on any stack, exact when
+    /// quiescent: a push adds one *before* its CAS links the frame, a
+    /// pop takes one off *after* its CAS unlinks it. Zero therefore
+    /// means nothing is linked, and `pop` answers `None` on it without
+    /// looking at a head.
     count: AtomicUsize,
     /// Pops satisfied by a stripe other than the caller's home.
     steals: StdAtomicU64,
@@ -94,7 +106,8 @@ impl StripedFreeList {
         self.stripes
     }
 
-    /// Frames currently free. Exact only when no pops/pushes race it.
+    /// Frames currently free: exact when no pops/pushes race it, never
+    /// less than the frames linked while they do.
     pub fn len(&self) -> usize {
         self.count.load(Ordering::Acquire)
     }
@@ -137,6 +150,7 @@ impl StripedFreeList {
 
     fn push_stack(&self, stack: usize, frame: u32) {
         let head = &self.heads[stack];
+        self.count.fetch_add(1, Ordering::AcqRel);
         loop {
             let old = head.load(Ordering::Acquire);
             let (tag, idx) = unpack(old);
@@ -150,7 +164,6 @@ impl StripedFreeList {
                 )
                 .is_ok()
             {
-                self.count.fetch_add(1, Ordering::AcqRel);
                 bpw_dst::record(|| bpw_dst::Op::FreePush {
                     frame,
                     cold: stack == self.stripes,
@@ -181,8 +194,8 @@ impl StripedFreeList {
                 )
                 .is_ok()
             {
-                self.count.fetch_sub(1, Ordering::AcqRel);
                 bpw_dst::record(|| bpw_dst::Op::FreePop { frame: idx });
+                self.count.fetch_sub(1, Ordering::AcqRel);
                 return Some(idx);
             }
         }
@@ -202,9 +215,13 @@ impl StripedFreeList {
 
     /// Take a free frame, preferring the caller's `home` stripe, then
     /// stealing round-robin from the other stripes, then draining the
-    /// cold stack. Returns `None` only when every stack was observed
-    /// empty.
+    /// cold stack. Returns `None` when nothing is linked (one load) or
+    /// every stack was observed empty.
     pub fn pop(&self, home: usize) -> Option<FrameId> {
+        if self.count.load(Ordering::Acquire) == 0 {
+            bpw_dst::record(|| bpw_dst::Op::FreePopEmpty);
+            return None;
+        }
         let home = home % self.stripes;
         if let Some(f) = self.pop_stack(home) {
             return Some(f);
@@ -222,6 +239,7 @@ impl StripedFreeList {
             bpw_trace::instant(bpw_trace::EventKind::FreeListSteal, self.stripes as u64);
             return Some(f);
         }
+        bpw_dst::record(|| bpw_dst::Op::FreePopEmpty);
         None
     }
 }
@@ -271,6 +289,26 @@ mod tests {
         let f = fl.pop(2).unwrap();
         assert!(f % 4 != 2);
         assert_eq!(fl.steals(), 1);
+    }
+
+    #[test]
+    fn one_frame_on_a_far_stripe_is_found_from_any_home() {
+        let stripes = MAX_STRIPES;
+        for home in 0..stripes {
+            let fl = StripedFreeList::new(stripes, stripes);
+            while fl.pop(home).is_some() {}
+            assert_eq!(fl.len(), 0);
+            for h in 0..stripes {
+                assert!(fl.pop(h).is_none(), "a drained list answers None");
+            }
+            let steals = fl.steals();
+            let far = (home + stripes - 1) % stripes;
+            fl.push(far, 3);
+            assert_eq!(fl.len(), 1);
+            assert_eq!(fl.pop(home), Some(3));
+            assert_eq!(fl.steals() - steals, u64::from(far != home));
+            assert!(fl.pop(home).is_none());
+        }
     }
 
     #[test]
@@ -332,6 +370,10 @@ mod tests {
                             assert_eq!(was, 0, "frame {f} popped while owned");
                             local.push(f);
                         }
+                        // Counted before it is linked, uncounted after it
+                        // is unlinked: a racing reader never sees the
+                        // count wrap below zero.
+                        assert!(fl.len() <= frames, "count ran below the frames linked");
                         if (i % 3 == 0 || fl.is_empty()) && !local.is_empty() {
                             let f = local.swap_remove(i % local.len());
                             claimed[f as usize].store(0, Ordering::Release);
@@ -355,5 +397,6 @@ mod tests {
             assert!(seen.insert(f), "duplicate frame {f}");
         }
         assert_eq!(seen.len(), frames);
+        assert_eq!(fl.len(), 0, "count is exact once the churn has stopped");
     }
 }

@@ -14,7 +14,7 @@ use bpw_replacement::{FrameId, MissOutcome, PageId, SampleTap};
 use parking_lot::Mutex;
 
 use crate::desc::{BufferDesc, UnpinOutcome};
-use crate::free_list::StripedFreeList;
+use crate::free_list::{StripedFreeList, MAX_STRIPES};
 use crate::managers::{ManagerHandle, ReplacementManager};
 use crate::page_table::PageTable;
 use crate::storage::Storage;
@@ -161,7 +161,8 @@ pub struct BufferPool<M: ReplacementManager> {
 
 impl<M: ReplacementManager> BufferPool<M> {
     /// Build a pool of `frames` frames of `page_size` bytes each, with
-    /// one miss lock and one free-list stripe per page-table shard.
+    /// one miss lock per page-table shard and as many free-list stripes,
+    /// up to [`MAX_STRIPES`].
     pub fn new(frames: usize, page_size: usize, manager: M, storage: Arc<dyn Storage>) -> Self {
         assert!(frames >= 1);
         let table = PageTable::new(frames / 4);
@@ -176,7 +177,7 @@ impl<M: ReplacementManager> BufferPool<M> {
                     })
                 })
                 .collect(),
-            free: StripedFreeList::new(frames, shards),
+            free: StripedFreeList::new(frames, shards.min(MAX_STRIPES)),
             miss_locks: Self::build_miss_locks(shards),
             manager,
             storage,
@@ -249,7 +250,7 @@ impl<M: ReplacementManager> BufferPool<M> {
         );
         let n = shards.min(self.table.shards());
         self.miss_locks = Self::build_miss_locks(n);
-        self.free = StripedFreeList::new(self.frames(), n);
+        self.free = StripedFreeList::new(self.frames(), n.min(MAX_STRIPES));
         self
     }
 
@@ -421,7 +422,18 @@ impl<M: ReplacementManager> BufferPool<M> {
     /// Lock frame `f`'s content.
     #[inline]
     pub(crate) fn data_lock(&self, f: FrameId) -> parking_lot::MutexGuard<'_, Box<[u8]>> {
-        self.frames[f as usize].data.lock()
+        let data = &self.frames[f as usize].data;
+        // `PinnedPage::write` takes the descriptor latch — a yield point
+        // — under this lock, so under the dst harness two tasks pinning
+        // one page meet here: spin with a voluntary yield, never block
+        // the OS thread that holds the scheduler token.
+        while bpw_dst::in_task() {
+            if let Some(guard) = data.try_lock() {
+                return guard;
+            }
+            bpw_dst::yield_now();
+        }
+        data.lock()
     }
 
     /// Crash recovery: redo every durable WAL record into `storage`
@@ -699,8 +711,11 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
             // A dirty victim stays mapped to this (now unpinnable) frame
             // until its bytes are durable: a re-fetch of `v` then spins
             // on the mapping like a same-page fetcher during I/O instead
-            // of reading the stale copy from storage.
-            if !was_dirty {
+            // of reading the stale copy from storage. (The
+            // `dst_mutation = "early_unmap"` mutant reinstates the old
+            // order — unmap here, write back after the lock is gone —
+            // which the dst read-your-writes checker must catch.)
+            if !was_dirty || cfg!(dst_mutation = "early_unmap") {
                 pool.table.remove(v);
             }
         }
@@ -734,7 +749,9 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
                 // Only now may a fetch of `v` go to storage. Nobody can
                 // have rebound `v` meanwhile: a miss on `v` backs off
                 // while any mapping for it exists.
-                pool.table.remove(v);
+                if !cfg!(dst_mutation = "early_unmap") {
+                    pool.table.remove(v);
+                }
                 written?;
                 pool.stats.writebacks.fetch_add(1, Ordering::Relaxed);
             }
@@ -1452,9 +1469,23 @@ mod tests {
     }
 
     #[test]
+    fn free_list_stripes_follow_threads_not_frames() {
+        // One miss lock per table shard, but a miss on a full pool must
+        // not pay for a free-list head per shard.
+        let pool = pool_2q(2048);
+        assert!(pool.miss_lock_shards() > MAX_STRIPES);
+        assert_eq!(pool.free.stripes(), MAX_STRIPES);
+        let pool = pool.with_miss_shards(64);
+        assert_eq!(pool.miss_lock_shards(), 64);
+        assert_eq!(pool.free.stripes(), MAX_STRIPES);
+        assert_eq!(pool_2q(16).free.stripes(), pool_2q(16).miss_lock_shards());
+    }
+
+    #[test]
     fn coarse_baseline_single_shard() {
         let pool = pool_2q(8).with_miss_shards(1);
         assert_eq!(pool.miss_lock_shards(), 1);
+        assert_eq!(pool.free.stripes(), 1);
         let mut s = pool.session();
         for p in 0..32u64 {
             drop(s.fetch(p).unwrap());

@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use bpw_replacement::PageId;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 
 /// A page-granular storage device.
 pub trait Storage: Send + Sync {
@@ -39,11 +39,13 @@ pub trait Storage: Send + Sync {
 /// Deterministic simulated disk: unwritten pages read back as a pure
 /// function of the page id (verifiable), written pages are retained and
 /// read back exactly (write-back durability), and each access spins for
-/// a configurable latency to model device time.
+/// a configurable latency to model device time. Reads copy under a
+/// shared lock, so they run concurrently; a write holds it exclusively
+/// for its copy, so no read sees a torn page.
 pub struct SimDisk {
     read_latency: Duration,
     write_latency: Duration,
-    written: Mutex<HashMap<PageId, Box<[u8]>>>,
+    written: RwLock<HashMap<PageId, Box<[u8]>>>,
     reads: AtomicU64,
     writes: AtomicU64,
 }
@@ -54,7 +56,7 @@ impl SimDisk {
         SimDisk {
             read_latency,
             write_latency,
-            written: Mutex::new(HashMap::new()),
+            written: RwLock::new(HashMap::new()),
             reads: AtomicU64::new(0),
             writes: AtomicU64::new(0),
         }
@@ -62,7 +64,7 @@ impl SimDisk {
 
     /// Number of distinct pages that have been written.
     pub fn written_pages(&self) -> usize {
-        self.written.lock().len()
+        self.written.read().len()
     }
 
     /// A latency-free disk (pure function of page id), for tests and
@@ -96,7 +98,7 @@ impl SimDisk {
 impl Storage for SimDisk {
     fn read_page(&self, page: PageId, buf: &mut [u8]) -> io::Result<()> {
         Self::spin_for(self.read_latency);
-        if let Some(stored) = self.written.lock().get(&page) {
+        if let Some(stored) = self.written.read().get(&page) {
             let n = stored.len().min(buf.len());
             buf[..n].copy_from_slice(&stored[..n]);
             // A stored page shorter than the frame must not leave the
@@ -114,9 +116,14 @@ impl Storage for SimDisk {
 
     fn write_page(&self, page: PageId, buf: &[u8]) -> io::Result<()> {
         Self::spin_for(self.write_latency);
-        self.written
-            .lock()
-            .insert(page, buf.to_vec().into_boxed_slice());
+        let mut written = self.written.write();
+        match written.get_mut(&page) {
+            // A write-back of a page stored before: no allocation, no free.
+            Some(stored) if stored.len() == buf.len() => stored.copy_from_slice(buf),
+            _ => {
+                written.insert(page, buf.into());
+            }
+        }
         self.writes.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -421,6 +428,56 @@ mod tests {
             "tail must be zero-filled, not stale victim bytes: {:?}",
             &buf[16..]
         );
+    }
+
+    #[test]
+    fn overwrite_keeps_one_copy_and_a_new_length_replaces_it() {
+        let d = SimDisk::instant();
+        d.write_page(9, &[0x11; 64]).unwrap();
+        d.write_page(9, &[0x22; 64]).unwrap();
+        assert_eq!(d.written_pages(), 1, "an overwrite stores no second page");
+        assert_eq!(d.writes(), 2);
+        let mut buf = vec![0xA5u8; 64];
+        d.read_page(9, &mut buf).unwrap();
+        assert_eq!(buf, [0x22; 64]);
+        // Shorter, then longer than the frame: the stored copy is
+        // replaced, not patched.
+        d.write_page(9, &[0x33; 16]).unwrap();
+        d.read_page(9, &mut buf).unwrap();
+        assert_eq!(buf[..16], [0x33; 16]);
+        assert!(buf[16..].iter().all(|&b| b == 0), "stale tail: {buf:?}");
+        d.write_page(9, &[0x44; 96]).unwrap();
+        d.read_page(9, &mut buf).unwrap();
+        assert_eq!(buf, [0x44; 64]);
+        assert_eq!(d.written_pages(), 1);
+    }
+
+    #[test]
+    fn readers_racing_an_overwriting_writer_never_see_a_torn_page() {
+        // The in-place overwrite happens under the write lock: a read is
+        // all of one fill or all of the other.
+        let d = SimDisk::instant();
+        d.write_page(5, &[0xAA; 4096]).unwrap();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|sc| {
+            for _ in 0..2 {
+                sc.spawn(|| {
+                    let mut buf = vec![0u8; 4096];
+                    while !done.load(Ordering::Acquire) {
+                        d.read_page(5, &mut buf).unwrap();
+                        let fill = buf[0];
+                        assert!(fill == 0xAA || fill == 0x55, "unknown fill {fill:#x}");
+                        assert!(buf.iter().all(|&b| b == fill), "torn page");
+                    }
+                });
+            }
+            for i in 0..4000u32 {
+                let fill = if i % 2 == 0 { 0x55 } else { 0xAA };
+                d.write_page(5, &[fill; 4096]).unwrap();
+            }
+            done.store(true, Ordering::Release);
+        });
+        assert_eq!(d.written_pages(), 1);
     }
 
     #[test]

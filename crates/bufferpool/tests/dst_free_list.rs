@@ -97,6 +97,30 @@ fn dst_free_list_churn_conserves_frames() {
 }
 
 #[test]
+fn dst_free_list_none_is_never_wrong() {
+    // Three tasks over two frames: the list is empty most of the time,
+    // so pops keep landing on either side of a push's count bump and
+    // CAS, and of a pop's CAS and count drop. `check_free_list` holds
+    // every `None` against the history: a frame whose push had returned
+    // before the pop began, and that nobody took since, was linked all
+    // along — the count may run ahead of the frames linked, never
+    // behind.
+    let mut empty = 0;
+    for (i, seed) in bpw_dst::seed_corpus(0xE3917, 40).iter().enumerate() {
+        let frames = 2;
+        let (out, fl) = run_churn(*seed, i % 4 == 2, frames, 2, 3);
+        out.expect_clean();
+        out.check(|o| {
+            let report = check_free_list(&o.history, frames as u32, true);
+            assert_eq!(report.free_at_end, frames as u32);
+            assert_eq!(fl.len(), frames, "count is exact at quiescence");
+            empty += report.empty_pops;
+        });
+    }
+    assert!(empty > 0, "corpus never found the list empty; vacuous");
+}
+
+#[test]
 fn dst_free_list_aba_adversary() {
     // The targeted ABA shape on one stripe: a slow popper reads the
     // head and its `next` link, gets suspended in that window, while a

@@ -397,7 +397,9 @@ fn run_resident_vs_eviction(seed: u64) -> (RunOutcome, Arc<Pool>, u64) {
 #[test]
 fn dst_fetch_resident_never_pins_an_evicted_page() {
     let mut in_place = 0;
-    for seed in bpw_dst::seed_corpus(0xE71C7, 8) {
+    // About one seed in ten lands a change point in the window.
+    let seeds = bpw_dst::seed_corpus(0xE71C7, 32);
+    for &seed in &seeds {
         let (out, pool, pinned) = run_resident_vs_eviction(seed);
         in_place += pinned;
         out.check(|o| {
@@ -413,7 +415,7 @@ fn dst_fetch_resident_never_pins_an_evicted_page() {
         });
     }
     assert!(
-        in_place > 0 && in_place < 8 * EVICTION_ROUNDS,
+        in_place > 0 && in_place < seeds.len() as u64 * EVICTION_ROUNDS,
         "fetch_resident must both pin and give up, pinned {in_place}"
     );
 }

@@ -125,7 +125,9 @@ impl<T> InstrumentedLock<T> {
         LockGuard {
             guard: Some(guard),
             stats: &self.stats,
-            acquired_at: Instant::now(),
+            // Not a third clock read, and not one inside the critical
+            // section: the wait ended when the hold began.
+            acquired_at: wait_start + waited,
             accesses: 0,
         }
     }

@@ -197,27 +197,48 @@ pub fn check_pin_balance(events: &[Event], expect_drained: bool) -> PinReport {
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct FreeListReport {
     pub pops: u64,
+    /// Pops that answered `None`.
+    pub empty_pops: u64,
     pub pushes: u64,
     pub cold_pushes: u64,
     pub free_at_end: u32,
 }
 
 /// Checker (b): the striped free list never double-allocates a frame
-/// and never loses one, across home-stripe, steal, and cold paths.
+/// and never loses one, across home-stripe, steal, and cold paths, and
+/// a pop never answers `None` past a frame that was linked the whole
+/// time the pop ran — the list's count is an upper bound on the frames
+/// linked, so its zero is exact.
 ///
 /// `initially_free` is the set of frames sitting on the free list when
 /// recording started (for a fresh pool: all frames). Replays every
 /// push/pop in linearization order against a reference set.
 pub fn check_free_list(events: &[Event], frames: u32, initially_free: bool) -> FreeListReport {
     let mut free = vec![initially_free; frames as usize];
-    let mut report = FreeListReport {
-        pops: 0,
-        pushes: 0,
-        cold_pushes: 0,
-        free_at_end: 0,
-    };
-    for ev in events {
+    // 1-based index of the push that linked each free frame (0: before
+    // recording started), and of each task's latest event.
+    let mut linked_at = vec![0usize; frames as usize];
+    let mut last_event: HashMap<usize, usize> = HashMap::new();
+    let mut report = FreeListReport::default();
+    for (i, ev) in events.iter().enumerate() {
         match ev.op {
+            Op::FreePopEmpty => {
+                // The pop began after its task's previous event. A
+                // frame whose push was recorded by then (recording is
+                // the last thing a push does, so it had returned) and
+                // that nobody popped since was linked throughout.
+                let began = last_event.get(&ev.task).copied().unwrap_or(0);
+                if let Some(f) = (0..frames as usize).find(|&f| free[f] && linked_at[f] <= began) {
+                    panic!(
+                        "pop answered None past a linked frame: task {} began \
+                         its pop after event {began}, frame {f} was linked at \
+                         event {} and is still on the list (count dropped \
+                         below the frames linked?)",
+                        ev.task, linked_at[f]
+                    );
+                }
+                report.empty_pops += 1;
+            }
             Op::FreePop { frame } => {
                 let slot = free.get_mut(frame as usize).unwrap_or_else(|| {
                     panic!("pop of out-of-range frame {frame} (frames={frames})")
@@ -242,6 +263,7 @@ pub fn check_free_list(events: &[Event], frames: u32, initially_free: bool) -> F
                     ev.task
                 );
                 *slot = true;
+                linked_at[frame as usize] = i + 1;
                 report.pushes += 1;
                 if cold {
                     report.cold_pushes += 1;
@@ -249,6 +271,7 @@ pub fn check_free_list(events: &[Event], frames: u32, initially_free: bool) -> F
             }
             _ => {}
         }
+        last_event.insert(ev.task, i + 1);
     }
     report.free_at_end = free.iter().filter(|&&f| f).count() as u32;
     report
@@ -370,6 +393,82 @@ pub fn check_hit_conservation(events: &[Event]) -> ConservationReport {
          retired manager's publication board? first: {:?}",
         outstanding.iter().find(|(_, &v)| v > 0).map(|(k, _)| *k)
     );
+    report
+}
+
+/// Summary returned by [`check_read_your_writes`].
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct ReadYourWritesReport {
+    pub writes: u64,
+    pub reads: u64,
+    /// Evictions of a page written since it was loaded.
+    pub dirty_evictions: u64,
+    /// Reads of a page whose latest write had been evicted.
+    pub reads_through_eviction: u64,
+}
+
+/// Checker (g): a page reads back its latest write whether or not it
+/// stayed resident in between. Every `PageRead` must carry the stamp of
+/// the latest `PageWrite` of its page earlier in the history — in
+/// particular after that write's frame was evicted dirty (`MissApply`
+/// naming the page as victim), where the bytes must come back from
+/// storage. Both events are recorded under the frame's content lock, so
+/// the history orders them as the accesses happened. Reads of a page
+/// nobody has written yet are not checked: what storage held is the
+/// test's business.
+pub fn check_read_your_writes(events: &[Event]) -> ReadYourWritesReport {
+    #[derive(Default)]
+    struct Page {
+        stamp: Option<u64>,
+        dirty: bool,
+        evicted_dirty: bool,
+    }
+    let mut pages: HashMap<u64, Page> = HashMap::new();
+    let mut report = ReadYourWritesReport::default();
+    for ev in events {
+        match ev.op {
+            Op::PageWrite { page, stamp } => {
+                let p = pages.entry(page).or_default();
+                p.stamp = Some(stamp);
+                p.dirty = true;
+                p.evicted_dirty = false;
+                report.writes += 1;
+            }
+            Op::MissApply {
+                victim: Some(v), ..
+            } => {
+                let p = pages.entry(v).or_default();
+                if p.dirty {
+                    p.dirty = false;
+                    p.evicted_dirty = true;
+                    report.dirty_evictions += 1;
+                }
+            }
+            Op::PageRead { page, stamp } => {
+                let p = pages.entry(page).or_default();
+                report.reads += 1;
+                let Some(written) = p.stamp else { continue };
+                assert_eq!(
+                    stamp,
+                    written,
+                    "lost write: task {} read stamp {stamp} from page {page} \
+                     after stamp {written} was written{}",
+                    ev.task,
+                    if p.evicted_dirty {
+                        " and its frame evicted dirty — the fetch went to \
+                         storage before the write-back got there"
+                    } else {
+                        ""
+                    }
+                );
+                if p.evicted_dirty {
+                    p.evicted_dirty = false;
+                    report.reads_through_eviction += 1;
+                }
+            }
+            _ => {}
+        }
+    }
     report
 }
 
@@ -575,6 +674,78 @@ mod tests {
             ev(1, Op::FreePop { frame: 0 }),
         ];
         check_free_list(&events, 2, true);
+    }
+
+    fn push(frame: u32) -> Op {
+        Op::FreePush { frame, cold: false }
+    }
+
+    #[test]
+    fn free_list_accepts_none_from_a_drained_or_racing_list() {
+        let drained = vec![ev(0, Op::FreePop { frame: 0 }), ev(1, Op::FreePopEmpty)];
+        assert_eq!(check_free_list(&drained, 1, true).empty_pops, 1);
+        // Task 1's pop began some time after its own event 1; the push is
+        // event 2 and may have landed behind the pop's back.
+        let racing = vec![
+            ev(1, Op::FreePop { frame: 0 }),
+            ev(0, push(0)),
+            ev(1, Op::FreePopEmpty),
+        ];
+        assert_eq!(check_free_list(&racing, 1, true).empty_pops, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "past a linked frame")]
+    fn free_list_rejects_none_past_a_frame_linked_throughout() {
+        let events = vec![
+            ev(0, Op::FreePop { frame: 0 }),
+            ev(0, push(0)),
+            ev(1, Op::FreePop { frame: 1 }),
+            // Frame 0 went back before task 1's previous event and
+            // nobody has taken it since.
+            ev(1, Op::FreePopEmpty),
+        ];
+        check_free_list(&events, 2, true);
+    }
+
+    fn evict(victim: u64) -> Op {
+        Op::MissApply {
+            page: 99,
+            free: None,
+            frame: Some(0),
+            victim: Some(victim),
+        }
+    }
+
+    #[test]
+    fn read_your_writes_accepts_reads_of_the_latest_write() {
+        let events = vec![
+            ev(1, Op::PageRead { page: 1, stamp: 77 }), // nothing written yet
+            ev(0, Op::PageWrite { page: 1, stamp: 1 }),
+            ev(1, Op::PageRead { page: 1, stamp: 1 }),
+            ev(0, evict(1)),
+            ev(0, evict(1)), // reloaded clean and evicted again
+            ev(1, Op::PageRead { page: 1, stamp: 1 }),
+            ev(0, Op::PageWrite { page: 1, stamp: 2 }),
+            ev(1, Op::PageRead { page: 1, stamp: 2 }),
+        ];
+        let report = check_read_your_writes(&events);
+        assert_eq!(report.writes, 2);
+        assert_eq!(report.reads, 4);
+        assert_eq!(report.dirty_evictions, 1);
+        assert_eq!(report.reads_through_eviction, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "lost write")]
+    fn read_your_writes_rejects_a_stale_read_after_eviction() {
+        let events = vec![
+            ev(0, Op::PageWrite { page: 1, stamp: 1 }),
+            ev(0, Op::PageWrite { page: 1, stamp: 2 }),
+            ev(0, evict(1)),
+            ev(1, Op::PageRead { page: 1, stamp: 1 }),
+        ];
+        check_read_your_writes(&events);
     }
 
     #[test]

@@ -51,6 +51,9 @@ pub enum Op {
     /// A frame was popped (allocated) from the striped free list, via
     /// the home stripe, a steal, or the cold stack.
     FreePop { frame: u32 },
+    /// A free-list pop answered `None`: it read a zero count, or found
+    /// every stack empty.
+    FreePopEmpty,
     /// A pool fetch completed.
     FetchDone { page: u64, frame: u32, hit: bool },
     /// A pool invalidation completed with the given outcome
@@ -63,6 +66,13 @@ pub enum Op {
     /// A lock-free unpin landed. `pins` is the count *after* the
     /// decrement; `page` the descriptor's tag at release time.
     Unpin { page: u64, pins: u32 },
+    /// A test wrote `stamp` into a pinned page. Recorded by the test
+    /// inside `PinnedPage::write`'s closure — under the frame's content
+    /// lock, with no yield point between the bytes and the record.
+    PageWrite { page: u64, stamp: u64 },
+    /// A test read `stamp` out of a pinned page; recorded inside
+    /// `PinnedPage::read`'s closure, like [`Op::PageWrite`].
+    PageRead { page: u64, stamp: u64 },
     /// Manager hot-swap: a successor manager became the live generation
     /// (recorded by the swap coordinator *before* the generation counter
     /// publishes it, so no `MgrEnter` of this generation can precede it).

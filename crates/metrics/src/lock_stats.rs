@@ -63,7 +63,11 @@ impl LockStats {
         if contended {
             self.contentions.incr();
         }
-        self.wait_ns.add(wait.as_nanos() as u64);
+        // Uncontended acquisitions wait zero: skip the RMW on a line
+        // of its own.
+        if !wait.is_zero() {
+            self.wait_ns.add(wait.as_nanos() as u64);
+        }
     }
 
     /// Record a failed try-lock.
