@@ -19,7 +19,6 @@ fn bench_commit(c: &mut Criterion) {
         let cfg = WrapperConfig {
             queue_size: batch,
             batch_threshold: batch, // commit exactly at `batch`
-            batching: true,
             prefetching: true,
             combining: bpw_core::Combining::Off,
         };

@@ -6,7 +6,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use bpw_core::{BpWrapper, ClockHitPath, WrapperConfig};
+use bpw_bench::ClockHitPath;
+use bpw_core::{BpWrapper, WrapperConfig};
 use bpw_replacement::{ReplacementPolicy, TwoQ};
 
 const FRAMES: usize = 4096;

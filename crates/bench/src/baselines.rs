@@ -12,10 +12,9 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
+use bpw_core::InstrumentedLock;
 use bpw_metrics::LockStats;
 use bpw_replacement::{CacheSim, PageId, ReplacementPolicy, SimStats};
-
-use crate::lock::InstrumentedLock;
 
 /// The lock-free hit path of CLOCK: per-frame reference bits set with a
 /// relaxed atomic store. Models what PostgreSQL 8.x does on a buffer hit

@@ -19,15 +19,18 @@
 //! * **private queues (BP-Wrapper)** — each stream's hits commit as a
 //!   contiguous block, so the detector sees the scans, marks them, and
 //!   later cold churn evicts scan pages instead of the hot set;
-//! * **shared queue** — the commit order is the interleaved recording
-//!   order: runs are chopped to length 1, nothing is marked, and churn
-//!   evicts the (older) hot set. The queue also takes a latch per access;
+//! * **shared queue** — one handle that every stream records through,
+//!   behind a latch: the commit order is the interleaved recording
+//!   order, so runs are chopped to length 1, nothing is marked, and churn
+//!   evicts the (older) hot set. The latch is taken on every access;
 //! * **lock per access** — same scrambled order, one lock per access.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use bpw_bench::{fmt, Table};
-use bpw_core::{ArcAccessHandle, BpWrapper, SharedQueueWrapper, WrapperConfig};
+use bpw_core::{ArcAccessHandle, BpWrapper, InstrumentedLock, WrapperConfig};
+use bpw_metrics::LockStats;
 use bpw_replacement::{FrameId, MissOutcome, PageId, SeqLru};
 
 const FRAMES: usize = 2048;
@@ -44,17 +47,19 @@ trait Recorder {
     fn stats(&mut self) -> (u64, u64, u64); // (runs, policy acqs, latch acqs)
 }
 
+/// A SEQ-LRU of `FRAMES` frames behind a wrapper configured as `cfg`.
+fn wrapped(cfg: WrapperConfig) -> Arc<BpWrapper<SeqLru>> {
+    Arc::new(BpWrapper::new(SeqLru::new(FRAMES), cfg))
+}
+
 struct PrivateQueues {
-    wrapper: std::sync::Arc<BpWrapper<SeqLru>>,
+    wrapper: Arc<BpWrapper<SeqLru>>,
     handles: Vec<ArcAccessHandle<SeqLru>>,
 }
 
 impl PrivateQueues {
     fn new() -> Self {
-        let wrapper = std::sync::Arc::new(BpWrapper::new(
-            SeqLru::new(FRAMES),
-            WrapperConfig::default(),
-        ));
+        let wrapper = wrapped(WrapperConfig::default());
         let handles = (0..STREAMS).map(|_| wrapper.handle_arc()).collect();
         PrivateQueues { wrapper, handles }
     }
@@ -81,39 +86,49 @@ impl Recorder for PrivateQueues {
     }
 }
 
-struct SharedQueue(SharedQueueWrapper<SeqLru>);
+/// The design §III-A rejects: one queue for all streams, which is one
+/// handle that nobody can touch without its latch.
+struct SharedQueue {
+    wrapper: Arc<BpWrapper<SeqLru>>,
+    handle: InstrumentedLock<ArcAccessHandle<SeqLru>>,
+}
+
+impl SharedQueue {
+    fn new() -> Self {
+        let wrapper = wrapped(WrapperConfig::default());
+        let handle = InstrumentedLock::new(wrapper.handle_arc(), Arc::new(LockStats::new()));
+        SharedQueue { wrapper, handle }
+    }
+}
 
 impl Recorder for SharedQueue {
     fn hit(&mut self, _stream: usize, page: PageId, frame: FrameId) {
-        self.0.record_hit(page, frame);
+        self.handle.lock().record_hit(page, frame);
     }
     fn miss(&mut self, page: PageId, free: Option<FrameId>) -> MissOutcome {
-        self.0.record_miss(page, free, &mut |_| true)
+        self.handle.lock().record_miss(page, free, &mut |_| true)
     }
     fn flush(&mut self) {
-        self.0.flush();
+        self.handle.lock().flush();
     }
     fn stats(&mut self) -> (u64, u64, u64) {
-        let runs = self.0.with_locked(|p| p.detected_runs());
+        let runs = self.wrapper.with_locked(|p| p.detected_runs());
         (
             runs,
-            self.0.policy_lock_stats().snapshot().acquisitions,
-            self.0.queue_lock_stats().snapshot().acquisitions,
+            self.wrapper.lock_stats().snapshot().acquisitions,
+            self.handle.stats().snapshot().acquisitions,
         )
     }
 }
 
 struct LockPerAccess {
-    wrapper: std::sync::Arc<BpWrapper<SeqLru>>,
+    wrapper: Arc<BpWrapper<SeqLru>>,
     handle: ArcAccessHandle<SeqLru>,
 }
 
 impl LockPerAccess {
     fn new() -> Self {
-        let wrapper = std::sync::Arc::new(BpWrapper::new(
-            SeqLru::new(FRAMES),
-            WrapperConfig::lock_per_access(),
-        ));
+        let wrapper = wrapped(WrapperConfig::lock_per_access());
         let handle = wrapper.handle_arc();
         LockPerAccess { wrapper, handle }
     }
@@ -217,6 +232,39 @@ fn hot_ids() -> Vec<PageId> {
     (0..HOT_PAGES).map(|i| i * 97 + 13).collect()
 }
 
+/// One row of the table.
+struct Row {
+    design: &'static str,
+    runs: u64,
+    survival: f64,
+    policy_acqs: u64,
+    latch_acqs: u64,
+}
+
+fn run_designs() -> Vec<Row> {
+    let recs: Vec<(&'static str, Box<dyn Recorder>)> = vec![
+        (
+            "private queues (BP-Wrapper)",
+            Box::new(PrivateQueues::new()),
+        ),
+        ("shared queue", Box::new(SharedQueue::new())),
+        ("lock per access", Box::new(LockPerAccess::new())),
+    ];
+    recs.into_iter()
+        .map(|(design, mut rec)| {
+            let survival = Experiment::new().run(rec.as_mut());
+            let (runs, policy_acqs, latch_acqs) = rec.stats();
+            Row {
+                design,
+                runs,
+                survival,
+                policy_acqs,
+                latch_acqs,
+            }
+        })
+        .collect()
+}
+
 fn main() {
     let mut t = Table::new(
         "Queue-design ablation: SEQ-LRU, 4 interleaved streams re-scanning warm tables",
@@ -228,30 +276,13 @@ fn main() {
             "queue_latch_acqs",
         ],
     );
-    let mut recs: Vec<(&str, Box<dyn Recorder>)> = vec![
-        (
-            "private queues (BP-Wrapper)",
-            Box::new(PrivateQueues::new()),
-        ),
-        (
-            "shared queue",
-            Box::new(SharedQueue(SharedQueueWrapper::new(
-                SeqLru::new(FRAMES),
-                64,
-                32,
-            ))),
-        ),
-        ("lock per access", Box::new(LockPerAccess::new())),
-    ];
-    for (name, rec) in &mut recs {
-        let survival = Experiment::new().run(rec.as_mut());
-        let (runs, policy_acqs, latch_acqs) = rec.stats();
+    for r in run_designs() {
         t.row(vec![
-            (*name).to_owned(),
-            runs.to_string(),
-            fmt(survival),
-            policy_acqs.to_string(),
-            latch_acqs.to_string(),
+            r.design.to_owned(),
+            r.runs.to_string(),
+            fmt(r.survival),
+            r.policy_acqs.to_string(),
+            r.latch_acqs.to_string(),
         ]);
     }
     t.print();
@@ -263,4 +294,30 @@ fn main() {
          destroy the ordering: no runs detected, hot set evicted, and the shared\n\
          queue pays a latch acquisition on every recorded access on top."
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn private_queues_keep_order_and_the_latched_handle_does_not() {
+        let rows = run_designs();
+        let [private, shared, per_access] = rows.as_slice() else {
+            panic!("three designs");
+        };
+        assert!(private.runs >= 90, "private: {} runs", private.runs);
+        assert_eq!(private.survival, 1.0, "private queues keep the hot set");
+        assert_eq!(private.latch_acqs, 0);
+
+        assert!(shared.runs <= 10, "shared: {} runs", shared.runs);
+        assert_eq!(shared.survival, 0.0, "the shared queue loses the hot set");
+        // Same batching, so the same policy-lock count as private queues;
+        // what it adds is the latch, once per recorded access.
+        assert_eq!(shared.policy_acqs, private.policy_acqs);
+        assert_eq!(shared.latch_acqs, per_access.policy_acqs);
+
+        assert!(per_access.runs <= 10);
+        assert!(per_access.policy_acqs > 2 * private.policy_acqs);
+    }
 }

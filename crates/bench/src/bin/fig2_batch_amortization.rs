@@ -69,7 +69,6 @@ fn real_threads() {
             WrapperConfig {
                 queue_size: batch,
                 batch_threshold: (batch / 2).max(1),
-                batching: true,
                 prefetching: true,
                 combining: bpw_core::Combining::Off,
             }

@@ -10,8 +10,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use bpw_bench::{fmt, Table};
-use bpw_core::{BpWrapper, ClockHitPath, SystemKind, WrapperConfig};
+use bpw_bench::{fmt, ClockHitPath, Table};
+use bpw_core::{BpWrapper, SystemKind, WrapperConfig};
 use bpw_replacement::{ReplacementPolicy, TwoQ};
 
 const FRAMES: usize = 8192;

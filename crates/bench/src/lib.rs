@@ -135,4 +135,7 @@ mod tests {
     }
 }
 
+pub mod baselines;
 pub mod scaling;
+
+pub use baselines::{ClockHitPath, PartitionedCache};

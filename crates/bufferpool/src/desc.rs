@@ -27,7 +27,7 @@
 //!   `bpw_pin_underflow_total` counter instead of silently wrapping the
 //!   pin count into the flag bits.
 //! * **Slow paths** (miss fill, invalidate, eviction's victim filter,
-//!   bgwriter, frame repair) acquire the `LK` bit via CAS —
+//!   frame repair) acquire the `LK` bit via CAS —
 //!   [`BufferDesc::lock`] — mutate an unpacked [`DescState`] copy, and
 //!   publish it on guard drop with `version + 1` in a single release
 //!   store. While `LK` is held, `try_pin` fails (callers retry through

@@ -24,7 +24,6 @@
 //! page.read(|bytes| assert_eq!(bytes.len(), 8192));
 //! ```
 
-pub mod bgwriter;
 pub mod desc;
 pub mod free_list;
 pub mod managers;
@@ -34,7 +33,6 @@ pub mod storage;
 pub mod swap;
 pub mod wal;
 
-pub use bgwriter::BgWriter;
 pub use desc::{BufferDesc, DescState, PinAttempt, UnpinOutcome};
 pub use free_list::StripedFreeList;
 pub use managers::{

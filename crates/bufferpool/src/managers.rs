@@ -417,7 +417,10 @@ impl<P: ReplacementPolicy> ReplacementManager for WrappedManager<P> {
         let c = self.wrapper.config();
         format!(
             "bp-wrapper(batch={}, prefetch={}, S={}, T={})",
-            c.batching, c.prefetching, c.queue_size, c.batch_threshold
+            c.batching(),
+            c.prefetching,
+            c.queue_size,
+            c.batch_threshold
         )
     }
 

@@ -15,7 +15,7 @@
 //! into one atomic word: `PageId` is a full `u64`, so a packed entry
 //! would cap the page space at ~2^24; the seqlock keeps both fields
 //! full-width *and* makes the whole probe sequence consistent, not just
-//! one slot. (DESIGN.md §17 has the full argument.)
+//! one slot. (DESIGN.md §15 has the full argument.)
 //!
 //! Fixed-capacity slots ([`SLOT_CAP`] per shard, ~4× the expected load
 //! at the pool's default shards = frames/4 sizing) with an overflow

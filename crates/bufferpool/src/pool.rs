@@ -237,9 +237,10 @@ impl<M: ReplacementManager> BufferPool<M> {
     }
 
     /// Override the miss-path partition width (builder style; call
-    /// before the first fetch). `1` restores the seed's single global
-    /// miss lock + free list — the coarse baseline the scaling
-    /// benchmark compares against. Values above the page-table shard
+    /// before the first fetch). `1` is a single global miss lock + free
+    /// list: frames are then handed out in one ascending order, which
+    /// `tests/proptest_pool.rs` needs to compare the pool against
+    /// `CacheSim` step by step. Values above the page-table shard
     /// count are clamped to it (extra locks could never be indexed).
     pub fn with_miss_shards(mut self, shards: usize) -> Self {
         assert!(shards >= 1, "need at least one miss shard");

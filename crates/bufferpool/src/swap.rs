@@ -4,7 +4,7 @@
 //! capability: atomically replacing it with a successor while worker
 //! threads keep hitting the pool, without adding a single lock
 //! acquisition to the steady-state hit path. The protocol (DESIGN.md
-//! §18) is a generation-stamped epoch scheme:
+//! §16) is a generation-stamped epoch scheme:
 //!
 //! * Every per-thread [`SwapHandle`] owns a cache-padded epoch **cell**.
 //!   Before touching the inner manager it *enters*: publish

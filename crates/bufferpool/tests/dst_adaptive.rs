@@ -1,5 +1,5 @@
 //! Deterministic-simulation coverage for replacement-manager hot-swap
-//! (DESIGN.md §18): swaps race pinned pages, misses, invalidations, and
+//! (DESIGN.md §16): swaps race pinned pages, misses, invalidations, and
 //! combining drains, and under every schedule the swap epoch must be
 //! well-formed (no access applied to a retired manager), residency must
 //! be conserved (`free + resident == frames`), and every recorded hit

@@ -60,17 +60,15 @@ impl std::str::FromStr for Combining {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WrapperConfig {
     /// `S` — capacity of each thread's private FIFO queue. When the queue
-    /// is full a blocking `Lock()` is unavoidable.
+    /// is full a blocking `Lock()` is unavoidable, so `S = 1` is one
+    /// lock acquisition per access: the paper's `pgQ` baseline with
+    /// prefetching off, `pgPre` with it on.
     pub queue_size: usize,
     /// `T` — number of queued accesses that triggers a non-blocking
     /// `TryLock()` commit attempt. Must satisfy `1 <= T <= S`; the paper
     /// shows `T = S/2` works well and `T = S` (no try-lock headroom)
     /// hurts (§IV-E, Table III).
     pub batch_threshold: usize,
-    /// Enable the batching technique. With batching disabled the wrapper
-    /// degenerates to one lock acquisition per access (the paper's `pgQ`
-    /// baseline when prefetching is also off, or `pgPre` with it on).
-    pub batching: bool,
     /// Enable the prefetching technique: read the lock word and the
     /// policy metadata of queued accesses into the processor cache
     /// immediately before requesting the lock (§III-B).
@@ -89,7 +87,6 @@ impl Default for WrapperConfig {
         WrapperConfig {
             queue_size: 64,
             batch_threshold: 32,
-            batching: true,
             prefetching: true,
             combining: Combining::Off,
         }
@@ -102,7 +99,6 @@ impl WrapperConfig {
         WrapperConfig {
             queue_size: 1,
             batch_threshold: 1,
-            batching: false,
             prefetching: false,
             combining: Combining::Off,
         }
@@ -119,11 +115,8 @@ impl WrapperConfig {
     /// The paper's `pgPre`: prefetching only.
     pub fn prefetching_only() -> Self {
         WrapperConfig {
-            queue_size: 1,
-            batch_threshold: 1,
-            batching: false,
             prefetching: true,
-            combining: Combining::Off,
+            ..Self::lock_per_access()
         }
     }
 
@@ -159,6 +152,12 @@ impl WrapperConfig {
         self
     }
 
+    /// Is the batching technique in effect? A queue of one has nothing
+    /// to batch: every access commits under its own blocking `Lock()`.
+    pub fn batching(&self) -> bool {
+        self.queue_size > 1
+    }
+
     /// Validate the parameter combination, panicking if inconsistent.
     pub fn validate(&self) {
         assert!(self.queue_size >= 1, "queue size must be at least 1");
@@ -168,16 +167,6 @@ impl WrapperConfig {
             self.batch_threshold,
             self.queue_size
         );
-        if !self.batching {
-            assert_eq!(
-                self.queue_size, 1,
-                "non-batching configurations must use queue size 1"
-            );
-            assert!(
-                !self.combining.is_enabled(),
-                "combining commit requires batching (there is no batch to publish)"
-            );
-        }
     }
 }
 
@@ -190,7 +179,7 @@ mod tests {
         let c = WrapperConfig::default();
         assert_eq!(c.queue_size, 64);
         assert_eq!(c.batch_threshold, 32);
-        assert!(c.batching);
+        assert!(c.batching());
         assert!(c.prefetching);
         c.validate();
     }
@@ -205,7 +194,9 @@ mod tests {
         ] {
             c.validate();
         }
-        assert!(!WrapperConfig::lock_per_access().batching);
+        assert!(!WrapperConfig::lock_per_access().batching());
+        assert!(!WrapperConfig::prefetching_only().batching());
+        assert!(WrapperConfig::batching_only().batching());
         assert!(!WrapperConfig::batching_only().prefetching);
         assert!(WrapperConfig::prefetching_only().prefetching);
     }
@@ -244,14 +235,6 @@ mod tests {
         assert!("sideways".parse::<Combining>().is_err());
         assert!("overflow".parse::<Combining>().is_err());
         assert_eq!(Combining::Flat.to_string(), "flat");
-    }
-
-    #[test]
-    #[should_panic(expected = "combining commit requires batching")]
-    fn combining_without_batching_panics() {
-        WrapperConfig::lock_per_access()
-            .with_combining(true)
-            .validate();
     }
 
     #[test]

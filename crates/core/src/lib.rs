@@ -49,27 +49,21 @@
 //! println!("contentions/M: {:.1}", wrapper.contentions_per_million());
 //! ```
 
-pub mod adaptive;
-pub mod baselines;
 pub mod combining;
 pub mod config;
 pub mod lock;
 pub mod pad;
 pub mod prefetch;
 pub mod queue;
-pub mod shared_queue;
 pub mod wrapped_cache;
 pub mod wrapper;
 
-pub use adaptive::{AdaptiveConfig, AdaptiveHandle};
-pub use baselines::{ClockHitPath, PartitionedCache};
 pub use combining::{PublicationBoard, SlotId, TakenBatch};
 pub use config::{Combining, WrapperConfig};
 pub use lock::{InstrumentedLock, LockGuard};
 pub use pad::CachePadded;
 pub use prefetch::{prefetch_line, prefetch_span, Prefetcher};
 pub use queue::{AccessEntry, AccessQueue};
-pub use shared_queue::SharedQueueWrapper;
 pub use wrapped_cache::WrappedCache;
 pub use wrapper::{
     AccessHandle, ArcAccessHandle, BpWrapper, CombiningSnapshot, WrapperCounters,
@@ -142,13 +136,13 @@ mod tests {
         assert_eq!(SystemKind::Clock.name(), "pgClock");
         assert!(SystemKind::Clock.wrapper_config().is_none());
         let full = SystemKind::BatchingPrefetching.wrapper_config().unwrap();
-        assert!(full.batching && full.prefetching);
+        assert!(full.batching() && full.prefetching);
         let bat = SystemKind::Batching.wrapper_config().unwrap();
-        assert!(bat.batching && !bat.prefetching);
+        assert!(bat.batching() && !bat.prefetching);
         let pre = SystemKind::Prefetching.wrapper_config().unwrap();
-        assert!(!pre.batching && pre.prefetching);
+        assert!(!pre.batching() && pre.prefetching);
         let lpa = SystemKind::LockPerAccess.wrapper_config().unwrap();
-        assert!(!lpa.batching && !lpa.prefetching);
+        assert!(!lpa.batching() && !lpa.prefetching);
         for k in SystemKind::ALL {
             if let Some(c) = k.wrapper_config() {
                 c.validate();

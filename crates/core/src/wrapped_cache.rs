@@ -160,7 +160,6 @@ mod tests {
             let cfg = WrapperConfig {
                 queue_size: s,
                 batch_threshold: (s / 2).max(1),
-                batching: true,
                 prefetching: s % 2 == 0, // exercise both prefetch settings
                 combining: crate::Combining::Off,
             };

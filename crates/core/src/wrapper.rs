@@ -15,6 +15,8 @@
 //! The policy is wrapped, not changed: any [`ReplacementPolicy`] gains an
 //! (almost) lock-contention-free hit path.
 
+use std::marker::PhantomData;
+use std::ops::Deref;
 use std::sync::Arc;
 
 use bpw_metrics::{Counter, Gauge, LockStats, StripedCounter};
@@ -177,21 +179,13 @@ impl<P: ReplacementPolicy> BpWrapper<P> {
 
     /// Create a per-thread access handle with its own private FIFO queue.
     pub fn handle(&self) -> AccessHandle<'_, P> {
-        AccessHandle {
-            slot: self.board.as_ref().and_then(PublicationBoard::register),
-            wrapper: self,
-            queue: AccessQueue::new(self.config.queue_size),
-        }
+        AccessHandle::new(self)
     }
 
     /// Like [`handle`](Self::handle) but owning an `Arc` to the wrapper,
     /// for threads that outlive a borrow scope.
-    pub fn handle_arc(self: &std::sync::Arc<Self>) -> ArcAccessHandle<P> {
-        ArcAccessHandle {
-            slot: self.board.as_ref().and_then(PublicationBoard::register),
-            wrapper: std::sync::Arc::clone(self),
-            queue: AccessQueue::new(self.config.queue_size),
-        }
+    pub fn handle_arc(self: &Arc<Self>) -> ArcAccessHandle<P> {
+        AccessHandle::new(Arc::clone(self))
     }
 
     /// The paper's contention metric: blocked lock acquisitions per
@@ -230,74 +224,6 @@ impl<P: ReplacementPolicy> BpWrapper<P> {
         out
     }
 
-    /// Quietly enqueue already-recorded accesses into a caller-owned
-    /// queue: no access counter increment and no `RecordHit` history op
-    /// (each entry was recorded exactly once by its original thread —
-    /// the eventual commit supplies the matching `CommitHit`). Flushes
-    /// whenever the queue fills so arbitrarily large transfers fit.
-    fn absorb_into_queue(
-        &self,
-        queue: &mut AccessQueue,
-        slot: Option<SlotId>,
-        entries: &[(PageId, FrameId)],
-    ) {
-        for &(page, frame) in entries {
-            if queue.is_full() {
-                self.flush_queue(queue, slot);
-            }
-            queue.push(page, frame);
-        }
-    }
-
-    /// The hit path of the paper's pseudo-code, against a caller-owned
-    /// private queue.
-    fn hit_with_queue(
-        &self,
-        queue: &mut AccessQueue,
-        slot: Option<SlotId>,
-        page: PageId,
-        frame: FrameId,
-    ) {
-        bpw_dst::yield_point();
-        self.counters.accesses.incr();
-        queue.push(page, frame);
-        bpw_dst::record(|| bpw_dst::Op::RecordHit { page, frame });
-        if !self.config.batching || queue.len() >= self.config.batch_threshold {
-            self.prefetcher.prefetch_for_commit(queue.entries());
-            if !self.config.batching {
-                // Lock-per-access baseline: a blocking Lock() every time.
-                let mut guard = self.lock.lock();
-                self.commit_locked(&mut guard, queue, slot);
-                return;
-            }
-            match self.lock.try_lock() {
-                Some(mut guard) => self.commit_locked(&mut guard, queue, slot),
-                None => {
-                    // Flat combining: *any* contended threshold crossing
-                    // publishes and returns — the lock holder retires the
-                    // batch. (With combining off there is no board and
-                    // `try_publish` fails without side effects.)
-                    if self.try_publish(queue, slot) {
-                        return;
-                    }
-                    if queue.is_full() {
-                        // The paper blocks in Lock() here; flat combining
-                        // retries the publication first because the slot
-                        // may have been drained since the threshold
-                        // attempt.
-                        if self.try_publish(queue, slot) {
-                            return;
-                        }
-                        let mut guard = self.lock.lock();
-                        self.commit_locked(&mut guard, queue, slot);
-                    }
-                    // Otherwise: keep accumulating; try again at the next
-                    // threshold crossing (i.e. the next access).
-                }
-            }
-        }
-    }
-
     /// Combining publish path: hand the queue's storage to this handle's
     /// publication slot instead of blocking. Returns `true` when the
     /// batch was published (the queue is then empty, backed by the
@@ -321,81 +247,10 @@ impl<P: ReplacementPolicy> BpWrapper<P> {
         }
     }
 
-    /// The miss path of the paper's pseudo-code: lock, commit queued
-    /// hits in order, then run the policy's miss logic.
-    fn miss_with_queue(
-        &self,
-        queue: &mut AccessQueue,
-        slot: Option<SlotId>,
-        page: PageId,
-        free: Option<FrameId>,
-        evictable: &mut dyn FnMut(FrameId) -> bool,
-    ) -> MissOutcome {
-        bpw_dst::yield_point();
-        self.counters.accesses.incr();
-        self.prefetcher.prefetch_for_commit(queue.entries());
-        let mut guard = self.lock.lock();
-        self.commit_locked(&mut guard, queue, slot);
-        let out = guard.record_miss(page, free, evictable);
-        bpw_dst::record(|| bpw_dst::Op::MissApply {
-            page,
-            free,
-            frame: out.frame(),
-            victim: out.victim(),
-        });
-        guard.cover_accesses(1);
-        out
-    }
-
-    /// Non-blocking commit attempt against a caller-owned queue
-    /// (used by [`AdaptiveHandle`](crate::adaptive::AdaptiveHandle)).
-    /// `Err(())` means the lock was busy; the queue is untouched.
-    pub(crate) fn try_commit(&self, queue: &mut AccessQueue) -> Result<(), ()> {
-        self.prefetcher.prefetch_for_commit(queue.entries());
-        match self.lock.try_lock() {
-            Some(mut guard) => {
-                self.commit_locked(&mut guard, queue, None);
-                Ok(())
-            }
-            None => Err(()),
-        }
-    }
-
-    /// Blocking commit of a caller-owned queue.
-    pub(crate) fn blocking_commit(&self, queue: &mut AccessQueue) {
-        self.flush_queue(queue, None);
-    }
-
-    /// Miss path against a caller-owned queue.
-    pub(crate) fn miss_commit(
-        &self,
-        queue: &mut AccessQueue,
-        page: PageId,
-        free: Option<FrameId>,
-        evictable: &mut dyn FnMut(FrameId) -> bool,
-    ) -> MissOutcome {
-        self.miss_with_queue(queue, None, page, free, evictable)
-    }
-
     /// Hold the policy lock directly (tests: simulate a busy lock).
     #[cfg(test)]
     pub(crate) fn lock_for_test(&self) -> LockGuard<'_, P> {
         self.lock.lock()
-    }
-
-    /// Force-commit a queue's accesses (blocking). Also reclaims and
-    /// applies this handle's published-but-undrained batch, if any.
-    fn flush_queue(&self, queue: &mut AccessQueue, slot: Option<SlotId>) {
-        let pending = match (self.board.as_ref(), slot) {
-            (Some(board), Some(slot)) => board.is_published(slot),
-            _ => false,
-        };
-        if queue.is_empty() && !pending {
-            return;
-        }
-        self.prefetcher.prefetch_for_commit(queue.entries());
-        let mut guard = self.lock.lock();
-        self.commit_locked(&mut guard, queue, slot);
     }
 
     /// One critical section's worth of commit work: first this thread's
@@ -430,29 +285,8 @@ impl<P: ReplacementPolicy> BpWrapper<P> {
                 }
             }
         }
-        let n = queue.len() as u64;
-        let span = bpw_trace::span_start();
-        let mut applied = 0u64;
-        for entry in queue.drain() {
-            let hit = guard.page_at(entry.frame) == Some(entry.page);
-            if hit {
-                guard.record_hit(entry.frame);
-                applied += 1;
-            }
-            bpw_dst::record(|| bpw_dst::Op::CommitHit {
-                page: entry.page,
-                frame: entry.frame,
-                applied: hit,
-            });
-        }
-        guard.cover_accesses(n);
-        self.counters.committed.add(applied);
-        self.counters.stale_skipped.add(n - applied);
-        self.counters.batches.incr();
-        // Staged: the commit's duration is also credited to the calling
-        // thread's batch-commit stage scratch, so the server can
-        // attribute it to the owning request.
-        bpw_trace::span_end_staged(bpw_trace::EventKind::BatchCommit, span, n);
+        self.apply_batch(guard, queue.entries());
+        queue.clear();
         #[cfg(dst_mutation = "combining")]
         if let Some(batch) = deferred {
             self.apply_batch(guard, &batch);
@@ -462,8 +296,9 @@ impl<P: ReplacementPolicy> BpWrapper<P> {
         }
     }
 
-    /// Apply one published batch (same stale-skip rule as a queue
-    /// commit).
+    /// The commit loop: apply one batch of recorded hits — a thread's
+    /// own queue or a published batch — skipping entries whose frame no
+    /// longer holds the recorded page.
     fn apply_batch(&self, guard: &mut LockGuard<'_, P>, entries: &[AccessEntry]) {
         let n = entries.len() as u64;
         let span = bpw_trace::span_start();
@@ -484,6 +319,9 @@ impl<P: ReplacementPolicy> BpWrapper<P> {
         self.counters.committed.add(applied);
         self.counters.stale_skipped.add(n - applied);
         self.counters.batches.incr();
+        // Staged: the commit's duration is also credited to the calling
+        // thread's batch-commit stage scratch, so the server can
+        // attribute it to the owning request.
         bpw_trace::span_end_staged(bpw_trace::EventKind::BatchCommit, span, n);
     }
 
@@ -538,19 +376,78 @@ impl<P: ReplacementPolicy> BpWrapper<P> {
 
 /// A thread's private interface to a [`BpWrapper`]: records hits into the
 /// thread's FIFO queue and commits them in batches per the paper's
-/// pseudo-code.
-pub struct AccessHandle<'w, P: ReplacementPolicy> {
-    wrapper: &'w BpWrapper<P>,
+/// pseudo-code. `W` is how the handle holds the wrapper: a borrow
+/// ([`BpWrapper::handle`]) or an `Arc` ([`BpWrapper::handle_arc`]).
+pub struct AccessHandle<
+    'w,
+    P: ReplacementPolicy,
+    W: Deref<Target = BpWrapper<P>> = &'w BpWrapper<P>,
+> {
+    wrapper: W,
     queue: AccessQueue,
     slot: Option<SlotId>,
+    /// `'w` and `P` reach the fields only through `W`.
+    _holds: PhantomData<fn() -> (&'w (), P)>,
 }
 
-impl<'w, P: ReplacementPolicy> AccessHandle<'w, P> {
+/// An [`AccessHandle`] that owns an `Arc` to the wrapper, so it can move
+/// into long-lived threads or self-contained drivers.
+pub type ArcAccessHandle<P> = AccessHandle<'static, P, Arc<BpWrapper<P>>>;
+
+impl<'w, P: ReplacementPolicy, W: Deref<Target = BpWrapper<P>>> AccessHandle<'w, P, W> {
+    fn new(wrapper: W) -> Self {
+        AccessHandle {
+            slot: wrapper.board.as_ref().and_then(PublicationBoard::register),
+            queue: AccessQueue::new(wrapper.config.queue_size),
+            wrapper,
+            _holds: PhantomData,
+        }
+    }
+
     /// Record a buffer **hit** on `page` residing in `frame`
     /// (`replacement_for_page_hit` in the paper).
     pub fn record_hit(&mut self, page: PageId, frame: FrameId) {
-        self.wrapper
-            .hit_with_queue(&mut self.queue, self.slot, page, frame);
+        let w = &*self.wrapper;
+        bpw_dst::yield_point();
+        w.counters.accesses.incr();
+        self.queue.push(page, frame);
+        bpw_dst::record(|| bpw_dst::Op::RecordHit { page, frame });
+        if self.queue.len() < w.config.batch_threshold {
+            return;
+        }
+        w.prefetcher.prefetch_for_commit(self.queue.entries());
+        let acquired = if w.config.batching() {
+            w.lock.try_lock()
+        } else {
+            // S = 1, the lock-per-access baseline: a blocking Lock()
+            // every time.
+            Some(w.lock.lock())
+        };
+        match acquired {
+            Some(mut guard) => w.commit_locked(&mut guard, &mut self.queue, self.slot),
+            None => {
+                // Flat combining: *any* contended threshold crossing
+                // publishes and returns — the lock holder retires the
+                // batch. (With combining off there is no board and
+                // `try_publish` fails without side effects.)
+                if w.try_publish(&mut self.queue, self.slot) {
+                    return;
+                }
+                if self.queue.is_full() {
+                    // The paper blocks in Lock() here; flat combining
+                    // retries the publication first because the slot
+                    // may have been drained since the threshold
+                    // attempt.
+                    if w.try_publish(&mut self.queue, self.slot) {
+                        return;
+                    }
+                    let mut guard = w.lock.lock();
+                    w.commit_locked(&mut guard, &mut self.queue, self.slot);
+                }
+                // Otherwise: keep accumulating; try again at the next
+                // threshold crossing (i.e. the next access).
+            }
+        }
     }
 
     /// Record a buffer **miss** on `page`
@@ -563,14 +460,38 @@ impl<'w, P: ReplacementPolicy> AccessHandle<'w, P> {
         free: Option<FrameId>,
         evictable: &mut dyn FnMut(FrameId) -> bool,
     ) -> MissOutcome {
-        self.wrapper
-            .miss_with_queue(&mut self.queue, self.slot, page, free, evictable)
+        let w = &*self.wrapper;
+        bpw_dst::yield_point();
+        w.counters.accesses.incr();
+        w.prefetcher.prefetch_for_commit(self.queue.entries());
+        let mut guard = w.lock.lock();
+        w.commit_locked(&mut guard, &mut self.queue, self.slot);
+        let out = guard.record_miss(page, free, evictable);
+        bpw_dst::record(|| bpw_dst::Op::MissApply {
+            page,
+            free,
+            frame: out.frame(),
+            victim: out.victim(),
+        });
+        guard.cover_accesses(1);
+        out
     }
 
-    /// Force-commit any queued accesses (blocking). Call when a thread
-    /// finishes its work so no history is lost.
+    /// Force-commit any queued accesses (blocking), and reclaim and
+    /// apply this handle's published-but-undrained batch, if any. Call
+    /// when a thread finishes its work so no history is lost.
     pub fn flush(&mut self) {
-        self.wrapper.flush_queue(&mut self.queue, self.slot);
+        let w = &*self.wrapper;
+        let pending = match (w.board.as_ref(), self.slot) {
+            (Some(board), Some(slot)) => board.is_published(slot),
+            _ => false,
+        };
+        if self.queue.is_empty() && !pending {
+            return;
+        }
+        w.prefetcher.prefetch_for_commit(self.queue.entries());
+        let mut guard = w.lock.lock();
+        w.commit_locked(&mut guard, &mut self.queue, self.slot);
     }
 
     /// Number of accesses currently waiting in this thread's queue.
@@ -593,21 +514,28 @@ impl<'w, P: ReplacementPolicy> AccessHandle<'w, P> {
     }
 
     /// Manager hot-swap: quietly adopt accesses recorded against a
-    /// predecessor manager (no counter increment, no `RecordHit` op —
-    /// they were already recorded once). They commit with this
-    /// wrapper's next batch.
+    /// predecessor manager: no access counter increment and no
+    /// `RecordHit` history op (each entry was recorded exactly once by
+    /// its original thread — the eventual commit supplies the matching
+    /// `CommitHit`). Flushes whenever the queue fills so arbitrarily
+    /// large transfers fit; the rest commits with this wrapper's next
+    /// batch.
     pub fn absorb(&mut self, entries: &[(PageId, FrameId)]) {
-        self.wrapper
-            .absorb_into_queue(&mut self.queue, self.slot, entries);
+        for &(page, frame) in entries {
+            if self.queue.is_full() {
+                self.flush();
+            }
+            self.queue.push(page, frame);
+        }
     }
 
-    /// The wrapper this handle feeds.
-    pub fn wrapper(&self) -> &'w BpWrapper<P> {
-        self.wrapper
+    /// The wrapper this handle feeds, as the handle holds it.
+    pub fn wrapper(&self) -> &W {
+        &self.wrapper
     }
 }
 
-impl<'w, P: ReplacementPolicy> Drop for AccessHandle<'w, P> {
+impl<'w, P: ReplacementPolicy, W: Deref<Target = BpWrapper<P>>> Drop for AccessHandle<'w, P, W> {
     fn drop(&mut self) {
         // Never lose recorded history: commit leftovers on teardown.
         // Flushing also reclaims any published batch, so the slot is
@@ -616,76 +544,11 @@ impl<'w, P: ReplacementPolicy> Drop for AccessHandle<'w, P> {
         // committing the orphan here rather than leaking it to the
         // slot's next owner.
         self.flush();
-        if let (Some(board), Some(slot)) = (self.wrapper.board.as_ref(), self.slot.take()) {
+        let w = &*self.wrapper;
+        if let (Some(board), Some(slot)) = (w.board.as_ref(), self.slot.take()) {
             if let Some(orphan) = board.release(slot) {
-                let mut guard = self.wrapper.lock.lock();
-                self.wrapper.apply_batch(&mut guard, &orphan);
-            }
-        }
-    }
-}
-
-/// Owning counterpart of [`AccessHandle`]: holds an `Arc` to the wrapper,
-/// so it can move into long-lived threads or self-contained drivers.
-pub struct ArcAccessHandle<P: ReplacementPolicy> {
-    wrapper: std::sync::Arc<BpWrapper<P>>,
-    queue: AccessQueue,
-    slot: Option<SlotId>,
-}
-
-impl<P: ReplacementPolicy> ArcAccessHandle<P> {
-    /// See [`AccessHandle::record_hit`].
-    pub fn record_hit(&mut self, page: PageId, frame: FrameId) {
-        self.wrapper
-            .hit_with_queue(&mut self.queue, self.slot, page, frame);
-    }
-
-    /// See [`AccessHandle::record_miss`].
-    pub fn record_miss(
-        &mut self,
-        page: PageId,
-        free: Option<FrameId>,
-        evictable: &mut dyn FnMut(FrameId) -> bool,
-    ) -> MissOutcome {
-        self.wrapper
-            .miss_with_queue(&mut self.queue, self.slot, page, free, evictable)
-    }
-
-    /// See [`AccessHandle::flush`].
-    pub fn flush(&mut self) {
-        self.wrapper.flush_queue(&mut self.queue, self.slot);
-    }
-
-    /// Number of accesses currently waiting in this thread's queue.
-    pub fn queued(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// See [`AccessHandle::take_for_swap`].
-    pub fn take_for_swap(&mut self) -> Vec<(PageId, FrameId)> {
-        self.slot = None;
-        self.queue.drain().map(|e| (e.page, e.frame)).collect()
-    }
-
-    /// See [`AccessHandle::absorb`].
-    pub fn absorb(&mut self, entries: &[(PageId, FrameId)]) {
-        self.wrapper
-            .absorb_into_queue(&mut self.queue, self.slot, entries);
-    }
-
-    /// The wrapper this handle feeds.
-    pub fn wrapper(&self) -> &std::sync::Arc<BpWrapper<P>> {
-        &self.wrapper
-    }
-}
-
-impl<P: ReplacementPolicy> Drop for ArcAccessHandle<P> {
-    fn drop(&mut self) {
-        self.flush();
-        if let (Some(board), Some(slot)) = (self.wrapper.board.as_ref(), self.slot.take()) {
-            if let Some(orphan) = board.release(slot) {
-                let mut guard = self.wrapper.lock.lock();
-                self.wrapper.apply_batch(&mut guard, &orphan);
+                let mut guard = w.lock.lock();
+                w.apply_batch(&mut guard, &orphan);
             }
         }
     }
@@ -788,13 +651,30 @@ mod tests {
 
     #[test]
     fn lock_per_access_config_locks_every_hit() {
-        let w = warmed(4, WrapperConfig::lock_per_access());
-        let base = w.lock_stats().snapshot().acquisitions;
-        let mut h = w.handle();
-        for i in 0..10u64 {
-            h.record_hit(i % 4, (i % 4) as u32);
+        // For every preset: S = 1 takes the lock once per hit (with or
+        // without a publication board), S >= 2 does not.
+        for cfg in [
+            WrapperConfig::lock_per_access(),
+            WrapperConfig::prefetching_only(),
+            WrapperConfig::lock_per_access().with_combining(true),
+            WrapperConfig::batching_only(),
+            WrapperConfig::batching_and_prefetching(),
+        ] {
+            let w = warmed(4, cfg);
+            let base = w.lock_stats().snapshot().acquisitions;
+            let mut h = w.handle();
+            for i in 0..10u64 {
+                h.record_hit(i % 4, (i % 4) as u32);
+                let locked = w.lock_stats().snapshot().acquisitions - base;
+                if cfg.queue_size == 1 {
+                    assert_eq!(h.queued(), 0, "{cfg:?}: committed before returning");
+                    assert_eq!(locked, i + 1, "{cfg:?}");
+                } else {
+                    assert_eq!(locked, 0, "{cfg:?}: below the threshold");
+                }
+            }
+            assert_eq!(w.lock_stats().snapshot().trylock_failures, 0, "{cfg:?}");
         }
-        assert_eq!(w.lock_stats().snapshot().acquisitions, base + 10);
     }
 
     #[test]

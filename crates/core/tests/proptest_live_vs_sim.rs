@@ -32,7 +32,6 @@ proptest! {
         let cfg = WrapperConfig {
             queue_size,
             batch_threshold: threshold,
-            batching: true,
             prefetching: false,
             combining: Combining::Off,
         };

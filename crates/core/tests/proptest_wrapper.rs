@@ -31,7 +31,6 @@ proptest! {
         let cfg = WrapperConfig {
             queue_size,
             batch_threshold: threshold,
-            batching: true,
             prefetching,
             combining: bpw_core::Combining::Off,
         };
@@ -76,7 +75,6 @@ proptest! {
         let cfg = WrapperConfig {
             queue_size,
             batch_threshold: threshold,
-            batching: true,
             prefetching: false,
             combining: bpw_core::Combining::Off,
         };
@@ -100,54 +98,6 @@ proptest! {
             "expected >= {} accesses/lock, got {per_acq}",
             threshold
         );
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// The adaptive-threshold extension preserves the same observational
-    /// equivalence as the fixed-threshold wrapper: for any trace, an
-    /// AdaptiveHandle-driven cache makes identical hit/miss decisions to
-    /// the bare policy.
-    #[test]
-    fn adaptive_handle_equals_bare(
-        kind in any_policy(),
-        frames in 2usize..20,
-        trace in prop::collection::vec(0u64..48, 1..400),
-    ) {
-        use bpw_core::{AdaptiveConfig, AdaptiveHandle, BpWrapper};
-        use bpw_replacement::MissOutcome;
-        use std::collections::HashMap;
-
-        let mut bare = CacheSim::new(kind.build(frames));
-        let wrapper = BpWrapper::new(kind.build(frames), WrapperConfig::default());
-        let mut handle = AdaptiveHandle::with_config(
-            &wrapper,
-            AdaptiveConfig { min_threshold: 2, initial_threshold: 8, ..Default::default() },
-        );
-        let mut map: HashMap<u64, u32> = HashMap::new();
-        let mut free: Vec<u32> = (0..frames as u32).rev().collect();
-        for &p in &trace {
-            let bare_hit = bare.access(p);
-            let wrapped_hit = if let Some(&f) = map.get(&p) {
-                handle.record_hit(p, f);
-                true
-            } else {
-                match handle.record_miss(p, free.pop(), &mut |_| true) {
-                    MissOutcome::AdmittedFree(f) => {
-                        map.insert(p, f);
-                    }
-                    MissOutcome::Evicted { frame, victim } => {
-                        map.remove(&victim);
-                        map.insert(p, frame);
-                    }
-                    MissOutcome::NoEvictableFrame => unreachable!(),
-                }
-                false
-            };
-            prop_assert_eq!(bare_hit, wrapped_hit, "{} diverged on page {}", kind, p);
-        }
     }
 }
 

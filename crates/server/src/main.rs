@@ -5,7 +5,7 @@
 //! bpw-server serve   [--addr H:P] [--mode threaded|eventloop] [--workers N]
 //!                    [--queue N] [--policy P] [--max-pipeline N]
 //!                    [--frames N] [--page-size B] [--pages N] [--manager SPEC]
-//!                    [--combining off|flat] [--miss-shards N] [--slo-us U]
+//!                    [--combining off|flat] [--slo-us U]
 //!                    [--adaptive true]
 //!                    [--faulty true] [--fault-seed S] [--fail-reads-ppm N]
 //!                    [--fail-writes-ppm N] [--spike-ppm N] [--spike-us U]
@@ -149,10 +149,6 @@ fn server_config(flags: &HashMap<String, String>) -> Result<ServerConfig, String
         pages: get(flags, "pages", d.pages)?,
         manager: flags.get("manager").cloned().unwrap_or(d.manager),
         combining: get(flags, "combining", d.combining)?,
-        miss_shards: match flags.get("miss-shards") {
-            Some(v) => Some(v.parse().map_err(|e| format!("--miss-shards {v:?}: {e}"))?),
-            None => None,
-        },
         fault_plan: fault_plan(flags)?,
         mode: get(flags, "mode", d.mode)?,
         max_pipeline: get(flags, "max-pipeline", d.max_pipeline)?,

@@ -96,10 +96,6 @@ pub struct ServerConfig {
     /// threshold crossing and lock holders drain every pending slot.
     /// Off by default (paper-faithful baseline).
     pub combining: Combining,
-    /// Override the miss-path partition width (`Some(1)` restores the
-    /// seed's single global miss lock; `None` keeps the default of one
-    /// lock per page-table shard).
-    pub miss_shards: Option<usize>,
     /// When set, the simulated disk is wrapped in a [`FaultyDisk`]
     /// driven by this plan (chaos testing; see
     /// [`Server::faulty_disk`]).
@@ -134,7 +130,6 @@ impl Default for ServerConfig {
             pages: 1 << 20,
             manager: "wrapped-2q".into(),
             combining: Combining::Off,
-            miss_shards: None,
             fault_plan: None,
             mode: FrontendMode::Threaded,
             max_pipeline: 64,
@@ -281,9 +276,6 @@ impl Server {
             None => Arc::new(SimDisk::instant()),
         };
         let mut pool = BufferPool::new(config.frames, config.page_size, manager, storage);
-        if let Some(shards) = config.miss_shards {
-            pool = pool.with_miss_shards(shards);
-        }
         if let Some(state) = &adaptive {
             pool = pool.with_sample_tap(Arc::clone(&state.tap));
         }

@@ -26,8 +26,6 @@ pub enum EventKind {
     MissIo,
     /// A WAL group-commit leader's physical flush. Arg: bytes flushed.
     WalFlush,
-    /// One background-writer sweep. Arg: frames cleaned.
-    BgwriterPass,
     /// A request entered the server's admission queue. Instant.
     /// Arg: request opcode (1 GET, 2 PUT, 3 SCAN).
     ServerEnqueue,
@@ -71,14 +69,13 @@ pub enum EventKind {
 
 impl EventKind {
     /// Every kind, in declaration order.
-    pub const ALL: [EventKind; 18] = [
+    pub const ALL: [EventKind; 17] = [
         EventKind::LockWait,
         EventKind::LockHold,
         EventKind::BatchCommit,
         EventKind::Eviction,
         EventKind::MissIo,
         EventKind::WalFlush,
-        EventKind::BgwriterPass,
         EventKind::ServerEnqueue,
         EventKind::ServerDequeue,
         EventKind::ServerReply,
@@ -101,7 +98,6 @@ impl EventKind {
             EventKind::Eviction => "eviction",
             EventKind::MissIo => "miss_io",
             EventKind::WalFlush => "wal_flush",
-            EventKind::BgwriterPass => "bgwriter_pass",
             EventKind::ServerEnqueue => "server_enqueue",
             EventKind::ServerDequeue => "server_dequeue",
             EventKind::ServerReply => "server_reply",
@@ -126,7 +122,6 @@ impl EventKind {
             EventKind::Eviction => "victim_page",
             EventKind::MissIo => "page",
             EventKind::WalFlush => "bytes",
-            EventKind::BgwriterPass => "cleaned",
             EventKind::ServerEnqueue => "opcode",
             EventKind::ServerDequeue => "opcode",
             EventKind::ServerReply => "status",

@@ -4,7 +4,8 @@
 //! distributed-lock alternative from §V-A *does* hurt, which is why the
 //! paper rejects it.
 
-use bpw_core::{Combining, PartitionedCache, WrappedCache, WrapperConfig};
+use bpw_bench::PartitionedCache;
+use bpw_core::{Combining, WrappedCache, WrapperConfig};
 use bpw_replacement::{CacheSim, PolicyKind};
 use bpw_workloads::{Trace, WorkloadKind};
 
