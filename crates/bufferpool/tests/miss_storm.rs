@@ -9,7 +9,10 @@
 //! * `free_frames + resident_count == frames` — no frame leaked between
 //!   the striped free list and the table;
 //! * no two pages map to the same frame — shard-local rebinding never
-//!   produced a duplicate mapping.
+//!   produced a duplicate mapping;
+//! * with writes, no write is lost — every page carries a counter each
+//!   write increments, and the counters read back through the pool sum
+//!   to the writes made (ROADMAP item 0's 100-seed gate).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -34,20 +37,31 @@ fn skewed_page(x: &mut u64, universe: u64) -> u64 {
     }
 }
 
+/// The write counter's bytes in a page body (after the page id).
+const COUNTER: std::ops::Range<usize> = 8..16;
+
+fn counter(d: &[u8]) -> u64 {
+    u64::from_le_bytes(d[COUNTER].try_into().unwrap())
+}
+
 fn storm<M: bpw_bufferpool::ReplacementManager + Sync>(
     pool: &BufferPool<M>,
     threads: u64,
     per_thread: u64,
     universe: u64,
+    seed: u64,
+    write_percent: u64,
 ) {
     let completed = AtomicU64::new(0);
+    let writes = AtomicU64::new(0);
     std::thread::scope(|sc| {
         for t in 0..threads {
             let pool = &pool;
             let completed = &completed;
+            let writes = &writes;
             sc.spawn(move || {
                 let mut s = pool.session();
-                let mut x = 0x9E3779B9u64.wrapping_mul(t + 1);
+                let mut x = seed.wrapping_mul(t + 1);
                 for i in 0..per_thread {
                     let page = if i % 3 == 0 {
                         // Uniform component.
@@ -64,11 +78,19 @@ fn storm<M: bpw_bufferpool::ReplacementManager + Sync>(
                             "wrong bytes under miss storm"
                         );
                     });
+                    if (x >> 40) % 100 < write_percent {
+                        p.write(|d| {
+                            let n = counter(d).wrapping_add(1);
+                            d[COUNTER].copy_from_slice(&n.to_le_bytes());
+                        });
+                        writes.fetch_add(1, Ordering::Relaxed);
+                    }
                     drop(p);
                     completed.fetch_add(1, Ordering::Relaxed);
-                    if i % 97 == 0 {
+                    if write_percent == 0 && i % 97 == 0 {
                         // Sprinkle invalidations into the storm: they take
-                        // the same shard locks and free-list stripes.
+                        // the same shard locks and free-list stripes. (Not
+                        // with writes: invalidate discards dirty bytes.)
                         pool.invalidate(page.wrapping_add(1) % universe);
                     }
                 }
@@ -92,6 +114,26 @@ fn storm<M: bpw_bufferpool::ReplacementManager + Sync>(
         st.misses.load(Ordering::Relaxed) > st.hits.load(Ordering::Relaxed) / 4,
         "working set did not overwhelm the pool; test is vacuous"
     );
+    if write_percent > 0 {
+        assert!(
+            st.writebacks.load(Ordering::Relaxed) > 0,
+            "seed {seed:#x}: no dirty eviction; the lost-write check is vacuous"
+        );
+        // A page never written back holds its fill byte in every counter
+        // byte; what the storm added is the difference.
+        let mut s = pool.session();
+        let found: u64 = (0..universe)
+            .map(|page| {
+                let fresh = u64::from_le_bytes([SimDisk::fill_byte(page); 8]);
+                s.fetch(page).unwrap().read(counter).wrapping_sub(fresh)
+            })
+            .sum();
+        assert_eq!(
+            found,
+            writes.load(Ordering::Relaxed),
+            "seed {seed:#x}: lost writes"
+        );
+    }
 }
 
 #[test]
@@ -104,7 +146,7 @@ fn miss_storm_wrapped_pool_invariants_hold() {
         Arc::new(SimDisk::instant()),
     );
     // Working set 16x the pool.
-    storm(&pool, 8, 4000, 1024);
+    storm(&pool, 8, 4000, 1024, 0x9E3779B9, 0);
     let summary = pool.miss_lock_summary();
     assert!(summary.shards > 1);
     assert!(
@@ -133,8 +175,25 @@ fn miss_storm_coarse_single_shard_invariants_hold() {
         Arc::new(SimDisk::instant()),
     )
     .with_miss_shards(1);
-    storm(&pool, 4, 3000, 512);
+    storm(&pool, 4, 3000, 512, 0x9E3779B9, 0);
     assert_eq!(pool.miss_lock_shards(), 1);
+}
+
+#[test]
+fn miss_storm_loses_no_write_over_100_seeds() {
+    // ROADMAP item 0's gate, in the `pool_miss_rw` manager: 64 frames,
+    // 512 pages, 2 threads, half the accesses writes, 100 seeds.
+    for k in 1..=100u64 {
+        let frames = 64;
+        let pool: BufferPool<WrappedManager<TwoQ>> = BufferPool::new(
+            frames,
+            64,
+            WrappedManager::new(TwoQ::new(frames), WrapperConfig::default()),
+            Arc::new(SimDisk::instant()),
+        );
+        let seed = k.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        storm(&pool, 2, 4000, 512, seed, 50);
+    }
 }
 
 #[test]
