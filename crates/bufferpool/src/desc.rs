@@ -35,9 +35,9 @@
 //!   a few loads/stores, never across I/O), so the guard's write-back
 //!   cannot clobber a concurrent pin-count change.
 //!
-//! `tag` and `lsn` live outside the header as plain atomics written
-//! only under the `LK` latch; readers validate them against the header
-//! version seqlock-style ([`BufferDesc::snapshot`]).
+//! `tag` lives outside the header as a plain atomic written only under
+//! the `LK` latch; readers validate it against the header version
+//! seqlock-style ([`BufferDesc::snapshot`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -68,8 +68,8 @@ const VERSION_SHIFT: u32 = 22;
 const MAX_PIN_RETRIES: u32 = 16;
 
 /// Mutable state of one buffer frame — the unpacked view of the header
-/// plus the latch-protected `tag`/`lsn` fields. Slow paths mutate a
-/// copy through [`DescGuard`]; it is also the snapshot type.
+/// plus the latch-protected `tag`. Slow paths mutate a copy through
+/// [`DescGuard`]; it is also the snapshot type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DescState {
     /// The page currently (or last) cached in this frame.
@@ -83,10 +83,6 @@ pub struct DescState {
     /// Number of threads currently using the frame (an unpinned frame is
     /// the only eviction candidate).
     pub pins: u32,
-    /// LSN of the latest WAL record covering this frame's contents
-    /// (write-ahead rule: must be durable before the page is written
-    /// back). Zero when clean or WAL-less.
-    pub lsn: u64,
 }
 
 /// Outcome of a fast-path pin attempt: whether it pinned, and how many
@@ -112,7 +108,7 @@ pub enum UnpinOutcome {
     Underflow,
 }
 
-/// A buffer descriptor: packed atomic header + latch-protected tag/lsn.
+/// A buffer descriptor: packed atomic header + latch-protected tag.
 ///
 /// Not cache-line padded at the type level: the pool pads the
 /// descriptor together with its frame's content latch, so everything a
@@ -121,7 +117,6 @@ pub enum UnpinOutcome {
 pub struct BufferDesc {
     header: AtomicU64,
     tag: AtomicU64,
-    lsn: AtomicU64,
 }
 
 #[inline(always)]
@@ -140,14 +135,13 @@ fn pack(s: &DescState, version: u64) -> u64 {
 }
 
 #[inline(always)]
-fn unpack(h: u64, tag: u64, lsn: u64) -> DescState {
+fn unpack(h: u64, tag: u64) -> DescState {
     DescState {
         tag,
         valid: h & VALID != 0,
         dirty: h & DIRTY != 0,
         io_in_progress: h & IO != 0,
         pins: pins_of(h) as u32,
-        lsn,
     }
 }
 
@@ -300,11 +294,7 @@ impl BufferDesc {
         {
             return None;
         }
-        let state = unpack(
-            h,
-            self.tag.load(Ordering::Relaxed),
-            self.lsn.load(Ordering::Relaxed),
-        );
+        let state = unpack(h, self.tag.load(Ordering::Relaxed));
         Some(DescGuard {
             desc: self,
             entry: state,
@@ -315,7 +305,7 @@ impl BufferDesc {
 
     /// Snapshot the state (tests, stats, invariant checks): a
     /// seqlock-style read validated against the header version, so the
-    /// tag/lsn fields are consistent with the flags.
+    /// tag is consistent with the flags.
     pub fn snapshot(&self) -> DescState {
         loop {
             bpw_dst::yield_point();
@@ -326,13 +316,12 @@ impl BufferDesc {
                 continue;
             }
             let tag = self.tag.load(Ordering::Acquire);
-            let lsn = self.lsn.load(Ordering::Acquire);
             let h2 = self.header.load(Ordering::Acquire);
-            // Same version and no latch on both reads: tag/lsn belong to
-            // h1's version. Pin-count-only movement between h1 and h2 is
-            // fine — report h2's count (it never changes tag/lsn).
+            // Same version and no latch on both reads: the tag belongs
+            // to h1's version. Pin-count-only movement between h1 and h2
+            // is fine — report h2's count (it never changes the tag).
             if h1 >> VERSION_SHIFT == h2 >> VERSION_SHIFT && h2 & LOCKED == 0 {
-                return unpack(h2, tag, lsn);
+                return unpack(h2, tag);
             }
         }
     }
@@ -344,7 +333,7 @@ impl BufferDesc {
 }
 
 /// RAII slow-path latch guard: derefs to a [`DescState`] copy; writes
-/// it back (tag/lsn first, then the packed header with `version + 1`,
+/// it back (tag first, then the packed header with `version + 1`,
 /// one release store) when dropped. Read-only critical sections skip
 /// the version bump so they cannot fail concurrent optimistic pins.
 pub struct DescGuard<'a> {
@@ -381,7 +370,6 @@ impl Drop for DescGuard<'_> {
             return;
         }
         self.desc.tag.store(self.state.tag, Ordering::Relaxed);
-        self.desc.lsn.store(self.state.lsn, Ordering::Relaxed);
         self.desc.header.store(
             pack(&self.state, self.version.wrapping_add(1)),
             Ordering::Release,
@@ -550,13 +538,21 @@ mod tests {
                 for i in 0..10_000u64 {
                     let mut s = d.lock();
                     s.tag = i;
-                    s.lsn = i * 2;
                     s.valid = i % 2 == 0;
+                    s.dirty = i % 2 == 1;
                 }
             });
             for _ in 0..10_000 {
                 let s = d.snapshot();
-                assert_eq!(s.lsn, s.tag * 2, "snapshot tore tag against lsn");
+                // The header and the tag are two atomics: only the
+                // version check ties a header's flags to its tag.
+                assert_eq!(
+                    s.dirty,
+                    s.tag % 2 == 1,
+                    "snapshot tore tag vs dirty: tag {} dirty {}",
+                    s.tag,
+                    s.dirty
+                );
                 // A fresh descriptor is `tag 0, invalid`; the writer's
                 // first publication is `tag 0, valid`. Only tag 0 may be
                 // seen with either flag.

@@ -31,7 +31,6 @@ pub mod page_table;
 pub mod pool;
 pub mod storage;
 pub mod swap;
-pub mod wal;
 
 pub use desc::{BufferDesc, DescState, PinAttempt, UnpinOutcome};
 pub use free_list::StripedFreeList;
@@ -42,4 +41,3 @@ pub use page_table::PageTable;
 pub use pool::{BufferPool, InvalidateOutcome, PinnedPage, PoolSession, PoolStats, RetryPolicy};
 pub use storage::{FaultPlan, FaultyDisk, SimDisk, Storage};
 pub use swap::{SwapManager, SwapReport};
-pub use wal::{Lsn, Wal};

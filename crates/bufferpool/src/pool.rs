@@ -19,7 +19,6 @@ use crate::managers::{ManagerHandle, ReplacementManager};
 use crate::page_table::PageTable;
 use crate::storage::Storage;
 use crate::swap::SwapReport;
-use crate::wal::Wal;
 
 /// Why [`BufferPool::invalidate`] did or did not drop a page.
 /// `NotResident` is permanent (until someone re-fetches the page);
@@ -133,6 +132,7 @@ struct Frame {
 }
 
 const _: () = assert!(std::mem::size_of::<CachePadded<Frame>>() == 64);
+const _: () = assert!(std::mem::size_of::<BufferDesc>() == 16);
 const _: () = assert!(std::mem::align_of::<PoolStats>() >= 64);
 
 /// A DBMS-style buffer pool generic over its replacement manager.
@@ -150,7 +150,6 @@ pub struct BufferPool<M: ReplacementManager> {
     miss_locks: Vec<InstrumentedLock<()>>,
     manager: M,
     storage: Arc<dyn Storage>,
-    wal: Option<Arc<Wal>>,
     stats: PoolStats,
     page_size: usize,
     retry: RetryPolicy,
@@ -181,7 +180,6 @@ impl<M: ReplacementManager> BufferPool<M> {
             miss_locks: Self::build_miss_locks(shards),
             manager,
             storage,
-            wal: None,
             stats: PoolStats::default(),
             page_size,
             retry: RetryPolicy::default(),
@@ -270,30 +268,6 @@ impl<M: ReplacementManager> BufferPool<M> {
     /// The storage retry policy in effect.
     pub fn retry_policy(&self) -> RetryPolicy {
         self.retry
-    }
-
-    /// Attach a write-ahead log: page writes append records and dirty
-    /// write-backs wait for durability (WAL-before-data).
-    pub fn with_wal(mut self, wal: Arc<Wal>) -> Self {
-        self.wal = Some(wal);
-        self
-    }
-
-    /// The attached WAL, if any.
-    pub fn wal(&self) -> Option<&Arc<Wal>> {
-        self.wal.as_ref()
-    }
-
-    /// Commit everything logged so far (transaction boundary): group
-    /// commit makes the log durable up to the current append point.
-    /// An `Err` means the log device failed after retries; nothing was
-    /// lost (the records stay buffered) and the commit may be retried.
-    pub fn commit_transaction(&self) -> io::Result<()> {
-        let Some(wal) = &self.wal else {
-            return Ok(());
-        };
-        let lsn = wal.append_lsn();
-        self.io_with_retries(0, || wal.commit(lsn))
     }
 
     /// Number of frames.
@@ -437,28 +411,6 @@ impl<M: ReplacementManager> BufferPool<M> {
         data.lock()
     }
 
-    /// Crash recovery: redo every durable WAL record into `storage`
-    /// (later records overwrite earlier ones, so the final state is the
-    /// last committed version of each page). Run against a *fresh* pool's
-    /// storage after a crash that lost dirty buffers. Returns the first
-    /// storage error, if any (recovery should be restarted on a healthy
-    /// device; redo is idempotent).
-    pub fn replay_wal_into_storage(wal: &Wal, storage: &dyn Storage) -> io::Result<()> {
-        let mut first_err = None;
-        wal.replay(|payload| {
-            if first_err.is_none() && payload.len() >= 8 {
-                let page = PageId::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
-                if let Err(e) = storage.write_page(page, &payload[8..]) {
-                    first_err = Some(e);
-                }
-            }
-        });
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
     /// Run `op` with bounded retries and exponential backoff per the
     /// pool's [`RetryPolicy`]. Emits an `IoRetry` trace event per retry
     /// and an `IoError` (plus the `io_errors` counter) on exhaustion.
@@ -505,7 +457,6 @@ impl<M: ReplacementManager> BufferPool<M> {
             s.dirty = false;
             s.io_in_progress = false;
             s.pins = 0; // the caller gets an error, not a guard
-            s.lsn = 0;
         }
         bpw_dst::record(|| bpw_dst::Op::Unpin { page, pins: 0 });
         self.table.remove(page);
@@ -556,8 +507,9 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
     /// Fetch `page`, pinning it in the buffer. Blocks on storage I/O for
     /// a miss. Returns a guard that unpins on drop, or the storage error
     /// once the miss path has exhausted its retry budget — in which case
-    /// the claimed frame has been fully repaired (unpinned, unmapped,
-    /// returned to the free list) and the fetch may simply be retried.
+    /// the claimed frame has been repaired (back on the free list after a
+    /// failed read, back with its dirty victim after a failed
+    /// write-back) and the fetch may simply be retried.
     pub fn fetch(&mut self, page: PageId) -> io::Result<PinnedPage<'p, M>> {
         self.sample(page);
         loop {
@@ -689,22 +641,16 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
             }
         };
         // Claim the frame for the new page, marked in-I/O.
-        let (was_dirty, victim_lsn) = {
+        let was_dirty = {
             let mut s = pool.desc(frame).lock();
             debug_assert_eq!(s.pins, 0, "evicted frame had pins");
             let was_dirty = s.dirty && victim.is_some();
-            let victim_lsn = s.lsn;
             s.tag = page;
             s.valid = true;
             s.dirty = false;
             s.io_in_progress = true;
             s.pins = 1; // pinned for the caller
-            s.lsn = 0;
-            if was_dirty {
-                (was_dirty, victim_lsn)
-            } else {
-                (was_dirty, 0)
-            }
+            was_dirty
         };
         bpw_dst::record(|| bpw_dst::Op::Pin { page, pins: 1 });
         if let Some(v) = victim {
@@ -713,9 +659,9 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
             // until its bytes are durable: a re-fetch of `v` then spins
             // on the mapping like a same-page fetcher during I/O instead
             // of reading the stale copy from storage. (The
-            // `dst_mutation = "early_unmap"` mutant reinstates the old
-            // order — unmap here, write back after the lock is gone —
-            // which the dst read-your-writes checker must catch.)
+            // `dst_mutation = "early_unmap"` mutant unmaps here and
+            // writes back after the lock is gone, which the dst
+            // read-your-writes checker must catch.)
             if !was_dirty || cfg!(dst_mutation = "early_unmap") {
                 pool.table.remove(v);
             }
@@ -733,35 +679,29 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
         // request's latency to disk time, and two clock reads are noise
         // next to a storage round trip. The `MissIo` span reuses them.
         let io_t0 = std::time::Instant::now();
-        let io_result = (|| -> io::Result<()> {
-            let mut data = pool.data_lock(frame);
-            if was_dirty {
-                let v = victim.expect("dirty implies eviction");
-                let written = pool.io_with_retries(v, || {
-                    // WAL-before-data: the log covering this page must
-                    // be durable before its new version reaches storage.
-                    if let (Some(wal), true) = (&pool.wal, victim_lsn > 0) {
-                        wal.commit(victim_lsn)?;
-                    }
-                    pool.storage.write_page(v, &data)
-                });
-                bpw_dst::yield_point();
-                // Only now may a fetch of `v` go to storage. Nobody can
-                // have rebound `v` meanwhile: a miss on `v` backs off
-                // while any mapping for it exists.
-                if !cfg!(dst_mutation = "early_unmap") {
-                    pool.table.remove(v);
-                }
-                written?;
-                pool.stats.writebacks.fetch_add(1, Ordering::Relaxed);
+        let mut data = pool.data_lock(frame);
+        if was_dirty {
+            let v = victim.expect("dirty implies eviction");
+            let written = pool.io_with_retries(v, || pool.storage.write_page(v, &data));
+            bpw_dst::yield_point();
+            if let Err(e) = written {
+                drop(data);
+                bpw_trace::stage::add_miss_io(io_t0.elapsed().as_nanos() as u64);
+                self.keep_victim(page, v, frame);
+                return Err(e);
             }
-            let buf = &mut **data;
-            pool.io_with_retries(page, || pool.storage.read_page(page, &mut *buf))
-        })();
-        if let Err(e) = io_result {
-            // The dirty victim's latest bytes may be lost here (its
-            // committed WAL records still cover it when a log is
-            // attached); what must never happen is a wedged frame.
+            // Only now may a fetch of `v` go to storage. Nobody can have
+            // rebound `v` meanwhile: a miss on `v` backs off while any
+            // mapping for it exists.
+            if !cfg!(dst_mutation = "early_unmap") {
+                pool.table.remove(v);
+            }
+            pool.stats.writebacks.fetch_add(1, Ordering::Relaxed);
+        }
+        let buf = &mut **data;
+        let read = pool.io_with_retries(page, || pool.storage.read_page(page, &mut *buf));
+        drop(data);
+        if let Err(e) = read {
             bpw_trace::stage::add_miss_io(io_t0.elapsed().as_nanos() as u64);
             pool.repair_failed_frame(page, frame);
             return Err(e);
@@ -780,6 +720,29 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
             hit: false,
         });
         Ok(Some(PinnedPage { pool, frame, page }))
+    }
+
+    /// Undo a miss whose dirty victim `v` could not be written back:
+    /// `v` is still mapped to `frame` and its bytes are still there, so
+    /// hand the frame back to it — dirty, to be written at its next
+    /// eviction — and forget `page`'s claim. The replacement state is
+    /// rebuilt the way a free-frame miss builds it.
+    fn keep_victim(&mut self, page: PageId, v: PageId, frame: FrameId) {
+        let pool = self.pool;
+        let _g = pool.miss_locks[pool.miss_shard(page)].lock();
+        pool.table.remove(page);
+        pool.manager.invalidate(frame);
+        let readmitted = self.handle.on_miss(v, Some(frame), &mut |_| false);
+        debug_assert_eq!(readmitted, MissOutcome::AdmittedFree(frame));
+        {
+            let mut s = pool.desc(frame).lock();
+            debug_assert!(s.valid && s.io_in_progress && s.tag == page && s.pins == 1);
+            s.tag = v;
+            s.dirty = true;
+            s.io_in_progress = false;
+            s.pins = 0; // the caller gets an error, not a guard
+        }
+        bpw_dst::record(|| bpw_dst::Op::Unpin { page, pins: 0 });
     }
 
     /// Commit any deferred replacement bookkeeping (BP-Wrapper queue).
@@ -819,24 +782,11 @@ impl<'p, M: ReplacementManager> PinnedPage<'p, M> {
         f(&data)
     }
 
-    /// Mutate the page contents and mark the page dirty. With a WAL
-    /// attached, a record describing the write is appended and the
-    /// frame's recovery LSN advances (flushed lazily at transaction
-    /// commit or forced by write-back).
+    /// Mutate the page contents and mark the page dirty.
     pub fn write<R>(&self, f: impl FnOnce(&mut [u8]) -> R) -> R {
         let mut data = self.pool.data_lock(self.frame);
         let r = f(&mut data);
-        let mut s = self.pool.desc(self.frame).lock();
-        s.dirty = true;
-        if let Some(wal) = &self.pool.wal {
-            // Physical redo record: page id + after-image, so the log is
-            // replayable (a production system would log byte diffs).
-            let mut rec = Vec::with_capacity(8 + data.len());
-            rec.extend_from_slice(&self.page.to_le_bytes());
-            rec.extend_from_slice(&data);
-            let lsn = wal.append(&rec);
-            s.lsn = s.lsn.max(lsn);
-        }
+        self.pool.desc(self.frame).lock().dirty = true;
         r
     }
 }
@@ -1087,111 +1037,6 @@ mod tests {
     }
 
     #[test]
-    fn wal_before_data_enforced() {
-        let wal = Arc::new(crate::wal::Wal::instant());
-        let pool = BufferPool::new(
-            2,
-            128,
-            CoarseManager::new(TwoQ::new(2)),
-            Arc::new(SimDisk::instant()),
-        )
-        .with_wal(Arc::clone(&wal));
-        let mut s = pool.session();
-        let p = s.fetch(1).unwrap();
-        p.write(|data| data[9] = 0x55);
-        drop(p);
-        let logged = wal.append_lsn();
-        assert!(logged > 0, "write must append a WAL record");
-        assert_eq!(wal.flushed_lsn(), 0, "nothing committed yet");
-        // Evict page 1: the write-back must first force the WAL.
-        for q in [2u64, 3, 4] {
-            drop(s.fetch(q).unwrap());
-        }
-        assert!(pool.storage().writes() >= 1, "dirty page written back");
-        assert!(
-            wal.flushed_lsn() >= logged,
-            "WAL must be durable before the data page ({} < {logged})",
-            wal.flushed_lsn()
-        );
-    }
-
-    #[test]
-    fn crash_recovery_replays_committed_writes() {
-        let wal = Arc::new(crate::wal::Wal::instant());
-        let storage: Arc<SimDisk> = Arc::new(SimDisk::instant());
-        {
-            // Session 1: write two pages, commit, then "crash" (drop the
-            // pool with its dirty buffers never written back).
-            let pool = BufferPool::new(
-                8,
-                64,
-                CoarseManager::new(TwoQ::new(8)),
-                Arc::clone(&storage) as Arc<dyn crate::storage::Storage>,
-            )
-            .with_wal(Arc::clone(&wal));
-            let mut s = pool.session();
-            let p = s.fetch(5).unwrap();
-            p.write(|data| data[16] = 0xAA);
-            drop(p);
-            let p = s.fetch(6).unwrap();
-            p.write(|data| data[17] = 0xBB);
-            drop(p);
-            pool.commit_transaction().unwrap();
-            // Uncommitted write: must NOT survive the crash.
-            let p = s.fetch(7).unwrap();
-            p.write(|data| data[18] = 0xCC);
-            drop(p);
-        } // crash: dirty pages lost
-        assert_eq!(
-            storage.writes(),
-            0,
-            "nothing reached storage before the crash"
-        );
-
-        // Recovery: redo the durable log into storage.
-        BufferPool::<CoarseManager<TwoQ>>::replay_wal_into_storage(&wal, &*storage).unwrap();
-
-        // Session 2: a fresh pool over the same storage sees the
-        // committed writes and not the uncommitted one.
-        let pool = BufferPool::new(
-            8,
-            64,
-            CoarseManager::new(TwoQ::new(8)),
-            Arc::clone(&storage) as Arc<dyn crate::storage::Storage>,
-        );
-        let mut s = pool.session();
-        s.fetch(5)
-            .unwrap()
-            .read(|d| assert_eq!(d[16], 0xAA, "committed write lost"));
-        s.fetch(6)
-            .unwrap()
-            .read(|d| assert_eq!(d[17], 0xBB, "committed write lost"));
-        s.fetch(7)
-            .unwrap()
-            .read(|d| assert_ne!(d[18], 0xCC, "uncommitted write must not survive"));
-    }
-
-    #[test]
-    fn commit_transaction_flushes_wal() {
-        let wal = Arc::new(crate::wal::Wal::instant());
-        let pool = BufferPool::new(
-            4,
-            128,
-            CoarseManager::new(TwoQ::new(4)),
-            Arc::new(SimDisk::instant()),
-        )
-        .with_wal(Arc::clone(&wal));
-        let mut s = pool.session();
-        let p = s.fetch(7).unwrap();
-        p.write(|data| data[10] = 1);
-        p.write(|data| data[11] = 2);
-        drop(p);
-        pool.commit_transaction().unwrap();
-        assert_eq!(wal.flushed_lsn(), wal.append_lsn());
-        assert_eq!(wal.flushes.get(), 1, "one group flush for the txn");
-    }
-
-    #[test]
     fn all_frames_pinned_misses_not_double_counted() {
         // Regression for the miss double-count: with every frame pinned
         // the miss path retries (NoEvictableFrame); each retry must NOT
@@ -1298,8 +1143,8 @@ mod tests {
     #[test]
     fn failed_writeback_surfaces_but_repairs() {
         // Dirty victim whose write-back fails persistently: the fetch
-        // that tried to evict it errors, the claimed frame is repaired,
-        // and the pool's frame accounting stays intact.
+        // that tried to evict it errors, the victim keeps its frame and
+        // its write, and the pool's frame accounting stays intact.
         let disk = Arc::new(crate::storage::FaultyDisk::new(
             Arc::new(SimDisk::instant()),
             crate::storage::FaultPlan::default(),
@@ -1319,10 +1164,16 @@ mod tests {
         let err = s.fetch(2).expect_err("write-back failure must surface");
         assert_eq!(err.kind(), io::ErrorKind::Other);
         assert_eq!(pool.free_frames() + pool.resident_count(), 1);
+        s.fetch(1).unwrap().read(|d| assert_eq!(d[9], 0xEE));
+        assert_eq!(counts(&pool), (1, 1), "page 1 stayed resident");
         disk.clear_faults();
-        // Both pages reachable again once the device heals.
+        // Both pages reachable again once the device heals, and page 1's
+        // write reaches storage when page 2 evicts it.
         drop(s.fetch(2).unwrap());
-        drop(s.fetch(1).unwrap());
+        s.fetch(1)
+            .unwrap()
+            .read(|d| assert_eq!(d[9], 0xEE, "failed write-back lost the victim's write"));
+        assert_eq!(pool.stats().writebacks.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -1368,29 +1219,6 @@ mod tests {
             8,
             "no frame may be wedged or leaked"
         );
-    }
-
-    #[test]
-    fn commit_transaction_surfaces_log_fault() {
-        let wal = Arc::new(crate::wal::Wal::instant());
-        let pool = BufferPool::new(
-            2,
-            128,
-            CoarseManager::new(TwoQ::new(2)),
-            Arc::new(SimDisk::instant()),
-        )
-        .with_wal(Arc::clone(&wal))
-        .with_retry_policy(RetryPolicy::none());
-        let mut s = pool.session();
-        let p = s.fetch(1).unwrap();
-        p.write(|d| d[10] = 7);
-        drop(p);
-        wal.fail_next_flushes(1);
-        assert!(pool.commit_transaction().is_err());
-        assert_eq!(pool.stats().io_errors.load(Ordering::Relaxed), 1);
-        // Nothing lost: retry commits the same records.
-        pool.commit_transaction().unwrap();
-        assert_eq!(wal.flushed_lsn(), wal.append_lsn());
     }
 
     #[test]

@@ -24,8 +24,6 @@ pub enum EventKind {
     /// Miss-path storage I/O (write-back of the dirty victim, if any,
     /// plus the read of the requested page). Arg: page id read.
     MissIo,
-    /// A WAL group-commit leader's physical flush. Arg: bytes flushed.
-    WalFlush,
     /// A request entered the server's admission queue. Instant.
     /// Arg: request opcode (1 GET, 2 PUT, 3 SCAN).
     ServerEnqueue,
@@ -69,13 +67,12 @@ pub enum EventKind {
 
 impl EventKind {
     /// Every kind, in declaration order.
-    pub const ALL: [EventKind; 17] = [
+    pub const ALL: [EventKind; 16] = [
         EventKind::LockWait,
         EventKind::LockHold,
         EventKind::BatchCommit,
         EventKind::Eviction,
         EventKind::MissIo,
-        EventKind::WalFlush,
         EventKind::ServerEnqueue,
         EventKind::ServerDequeue,
         EventKind::ServerReply,
@@ -97,7 +94,6 @@ impl EventKind {
             EventKind::BatchCommit => "batch_commit",
             EventKind::Eviction => "eviction",
             EventKind::MissIo => "miss_io",
-            EventKind::WalFlush => "wal_flush",
             EventKind::ServerEnqueue => "server_enqueue",
             EventKind::ServerDequeue => "server_dequeue",
             EventKind::ServerReply => "server_reply",
@@ -121,7 +117,6 @@ impl EventKind {
             EventKind::BatchCommit => "queue_len",
             EventKind::Eviction => "victim_page",
             EventKind::MissIo => "page",
-            EventKind::WalFlush => "bytes",
             EventKind::ServerEnqueue => "opcode",
             EventKind::ServerDequeue => "opcode",
             EventKind::ServerReply => "status",

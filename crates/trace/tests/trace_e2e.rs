@@ -92,7 +92,7 @@ fn drained_stream_exports_to_valid_chrome_json() {
     let _g = FLAG.lock().unwrap();
     bpw_trace::set_enabled(true);
     let t = bpw_trace::span_start();
-    bpw_trace::span_end(EventKind::WalFlush, t, 0xFACE0003);
+    bpw_trace::span_end(EventKind::MissIo, t, 0xFACE0003);
     bpw_trace::set_enabled(false);
 
     let events = my_events(0xFACE0003);
@@ -102,9 +102,9 @@ fn drained_stream_exports_to_valid_chrome_json() {
         panic!("traceEvents must be an array");
     };
     assert_eq!(items.len(), 1);
-    assert_eq!(items[0].get("name").unwrap().as_str(), Some("wal_flush"));
+    assert_eq!(items[0].get("name").unwrap().as_str(), Some("miss_io"));
     assert_eq!(
-        items[0].get("args").unwrap().get("bytes").unwrap().as_u64(),
+        items[0].get("args").unwrap().get("page").unwrap().as_u64(),
         Some(0xFACE0003)
     );
 }
