@@ -25,12 +25,22 @@ pub trait ManagerHandle {
     /// A pinned page was found in `frame`.
     fn on_hit(&mut self, page: PageId, frame: FrameId);
 
-    /// `page` missed; choose (and record) a frame for it.
-    fn on_miss(
+    /// `page` was read into `frame`, a frame the manager does not track
+    /// (popped from the free list or from the session's stash of frames
+    /// evicted ahead): record its admission. A wrapped handle queues it
+    /// like a hit; the others record it under the lock at once.
+    fn on_admit(&mut self, page: PageId, frame: FrameId);
+
+    /// `page` missed on a full pool: choose a victim among the frames
+    /// `evictable` accepts, and admit `page` in its place. A handle may
+    /// evict ahead of need under the same lock acquisition, pushing each
+    /// extra `(frame, victim)` onto `extra`; those frames are the
+    /// caller's, to fill through [`on_admit`](Self::on_admit).
+    fn on_evict(
         &mut self,
         page: PageId,
-        free: Option<FrameId>,
         evictable: &mut dyn FnMut(FrameId) -> bool,
+        extra: &mut Vec<(FrameId, PageId)>,
     ) -> MissOutcome;
 
     /// Commit any deferred bookkeeping (end of a thread's run).
@@ -63,7 +73,8 @@ pub trait ReplacementManager: Send + Sync {
     /// Per-thread access handle.
     fn handle(&self) -> Box<dyn ManagerHandle + '_>;
 
-    /// Forget `frame` entirely (invalidation path; rare, takes the lock).
+    /// Forget `frame` entirely (invalidation path; rare, takes the lock),
+    /// including any admission into it a handle still has queued.
     fn invalidate(&self, frame: FrameId);
 
     /// Lock statistics for the replacement lock.
@@ -74,6 +85,12 @@ pub trait ReplacementManager: Send + Sync {
     /// combining machinery at all.
     fn combining_snapshot(&self) -> Option<CombiningSnapshot> {
         None
+    }
+
+    /// Queued admissions dropped at commit because their frame was
+    /// invalidated meanwhile (0 for managers that admit at once).
+    fn stale_admissions(&self) -> u64 {
+        0
     }
 
     /// Manager hot-swap: the resident `(frame, page)` set this manager
@@ -130,6 +147,10 @@ impl<M: ReplacementManager + ?Sized> ReplacementManager for Box<M> {
         (**self).combining_snapshot()
     }
 
+    fn stale_admissions(&self) -> u64 {
+        (**self).stale_admissions()
+    }
+
     fn export_state(&self) -> Vec<(FrameId, PageId)> {
         (**self).export_state()
     }
@@ -168,6 +189,10 @@ impl<M: ReplacementManager> ReplacementManager for Arc<M> {
 
     fn combining_snapshot(&self) -> Option<CombiningSnapshot> {
         (**self).combining_snapshot()
+    }
+
+    fn stale_admissions(&self) -> u64 {
+        (**self).stale_admissions()
     }
 
     fn export_state(&self) -> Vec<(FrameId, PageId)> {
@@ -244,14 +269,21 @@ impl<'m, P: ReplacementPolicy> ManagerHandle for CoarseHandle<'m, P> {
         g.cover_accesses(1);
     }
 
-    fn on_miss(
+    fn on_admit(&mut self, page: PageId, frame: FrameId) {
+        let mut g = self.mgr.lock.lock();
+        let out = g.record_miss(page, Some(frame), &mut |_| true);
+        debug_assert_eq!(out, MissOutcome::AdmittedFree(frame));
+        g.cover_accesses(1);
+    }
+
+    fn on_evict(
         &mut self,
         page: PageId,
-        free: Option<FrameId>,
         evictable: &mut dyn FnMut(FrameId) -> bool,
+        _extra: &mut Vec<(FrameId, PageId)>,
     ) -> MissOutcome {
         let mut g = self.mgr.lock.lock();
-        let out = g.record_miss(page, free, evictable);
+        let out = g.record_miss(page, None, evictable);
         g.cover_accesses(1);
         out
     }
@@ -350,22 +382,26 @@ impl<'m> ManagerHandle for ClockHandle<'m> {
         self.mgr.referenced[frame as usize].store(1, Ordering::Relaxed);
     }
 
-    fn on_miss(
+    fn on_admit(&mut self, page: PageId, frame: FrameId) {
+        let f = frame as usize;
+        let mut g = self.mgr.lock.lock();
+        g.cover_accesses(1);
+        debug_assert!(!g.present[f], "admission into occupied frame {frame}");
+        g.page_of[f] = page;
+        g.present[f] = true;
+        g.resident += 1;
+        self.mgr.referenced[f].store(1, Ordering::Relaxed);
+    }
+
+    fn on_evict(
         &mut self,
         page: PageId,
-        free: Option<FrameId>,
         evictable: &mut dyn FnMut(FrameId) -> bool,
+        _extra: &mut Vec<(FrameId, PageId)>,
     ) -> MissOutcome {
         let n = self.mgr.frames();
         let mut g = self.mgr.lock.lock();
         g.cover_accesses(1);
-        if let Some(f) = free {
-            g.page_of[f as usize] = page;
-            g.present[f as usize] = true;
-            g.resident += 1;
-            self.mgr.referenced[f as usize].store(1, Ordering::Relaxed);
-            return MissOutcome::AdmittedFree(f);
-        }
         let mut steps = 0;
         while steps < 3 * n {
             let f = g.hand;
@@ -431,9 +467,7 @@ impl<P: ReplacementPolicy> ReplacementManager for WrappedManager<P> {
     }
 
     fn invalidate(&self, frame: FrameId) {
-        self.wrapper.with_locked(|p| {
-            p.remove(frame);
-        });
+        self.wrapper.invalidate(frame);
     }
 
     fn lock_snapshot(&self) -> LockSnapshot {
@@ -442,6 +476,10 @@ impl<P: ReplacementPolicy> ReplacementManager for WrappedManager<P> {
 
     fn combining_snapshot(&self) -> Option<CombiningSnapshot> {
         Some(self.wrapper.combining_snapshot())
+    }
+
+    fn stale_admissions(&self) -> u64 {
+        self.wrapper.counters().stale_admissions.get()
     }
 
     fn export_state(&self) -> Vec<(FrameId, PageId)> {
@@ -475,13 +513,17 @@ impl<'m, P: ReplacementPolicy> ManagerHandle for WrappedHandle<'m, P> {
         self.handle.record_hit(page, frame);
     }
 
-    fn on_miss(
+    fn on_admit(&mut self, page: PageId, frame: FrameId) {
+        self.handle.record_admit(page, frame);
+    }
+
+    fn on_evict(
         &mut self,
         page: PageId,
-        free: Option<FrameId>,
         evictable: &mut dyn FnMut(FrameId) -> bool,
+        extra: &mut Vec<(FrameId, PageId)>,
     ) -> MissOutcome {
-        self.handle.record_miss(page, free, evictable)
+        self.handle.record_miss_ahead(page, evictable, extra)
     }
 
     fn flush(&mut self) {
@@ -507,7 +549,7 @@ mod tests {
         let m = CoarseManager::new(TwoQ::new(4));
         let mut h = m.handle();
         for i in 0..4u64 {
-            h.on_miss(i, Some(i as u32), &mut |_| true);
+            h.on_admit(i, i as u32);
         }
         h.on_hit(0, 0);
         h.on_hit(1, 1);
@@ -522,14 +564,14 @@ mod tests {
         let m = ClockManager::new(4);
         let mut h = m.handle();
         for i in 0..4u64 {
-            h.on_miss(i, Some(i as u32), &mut |_| true);
+            h.on_admit(i, i as u32);
         }
         let before = m.lock_snapshot().acquisitions;
         for _ in 0..100 {
             h.on_hit(0, 0);
         }
         assert_eq!(m.lock_snapshot().acquisitions, before, "hits must not lock");
-        let out = h.on_miss(10, None, &mut |_| true);
+        let out = h.on_evict(10, &mut |_| true, &mut Vec::new());
         assert!(out.victim().is_some());
     }
 
@@ -538,11 +580,11 @@ mod tests {
         let m = ClockManager::new(3);
         let mut h = m.handle();
         for i in 1..=3u64 {
-            h.on_miss(i, Some((i - 1) as u32), &mut |_| true);
+            h.on_admit(i, (i - 1) as u32);
         }
         // All ref bits set by admission; this miss clears them, evicts
         // frame 0 and leaves the hand at frame 1.
-        let out = h.on_miss(10, None, &mut |_| true);
+        let out = h.on_evict(10, &mut |_| true, &mut Vec::new());
         assert_eq!(
             out,
             MissOutcome::Evicted {
@@ -553,7 +595,7 @@ mod tests {
         // Protect frame 1 (page 2): the next sweep must skip it and take
         // frame 2 (page 3) instead.
         h.on_hit(2, 1);
-        let out = h.on_miss(11, None, &mut |_| true);
+        let out = h.on_evict(11, &mut |_| true, &mut Vec::new());
         assert_eq!(
             out,
             MissOutcome::Evicted {
@@ -567,10 +609,10 @@ mod tests {
     fn clock_invalidate_and_refill() {
         let m = ClockManager::new(2);
         let mut h = m.handle();
-        h.on_miss(1, Some(0), &mut |_| true);
+        h.on_admit(1, 0);
         m.invalidate(0);
-        let out = h.on_miss(2, Some(0), &mut |_| true);
-        assert_eq!(out, MissOutcome::AdmittedFree(0));
+        h.on_admit(2, 0);
+        assert_eq!(m.export_state(), [(0, 2)]);
     }
 
     #[test]
@@ -578,18 +620,39 @@ mod tests {
         let m = WrappedManager::new(TwoQ::new(8), WrapperConfig::default());
         let mut h = m.handle();
         for i in 0..8u64 {
-            h.on_miss(i, Some(i as u32), &mut |_| true);
+            h.on_admit(i, i as u32);
         }
         let before = m.lock_snapshot().acquisitions;
         for k in 0..16u64 {
             h.on_hit(k % 8, (k % 8) as u32);
         }
-        // 16 hits with T=32: still queued, no lock taken.
+        // 8 admissions and 16 hits with T=32: still queued, no lock
+        // taken.
         assert_eq!(m.lock_snapshot().acquisitions, before);
         h.flush();
         assert!(m.lock_snapshot().acquisitions > before);
         drop(h);
-        assert_eq!(m.wrapper().counters().committed.get(), 16);
+        assert_eq!(m.wrapper().counters().committed.get(), 8 + 16);
+    }
+
+    #[test]
+    fn eviction_ahead_leaves_the_policy_half_the_pool() {
+        let m = WrappedManager::new(TwoQ::new(4), WrapperConfig::default());
+        let mut h = m.handle();
+        for i in 0..4u64 {
+            h.on_admit(i, i as u32);
+        }
+        let mut extra = Vec::new();
+        assert!(h
+            .on_evict(100, &mut |_| true, &mut extra)
+            .victim()
+            .is_some());
+        assert_eq!(
+            extra.len(),
+            2,
+            "stops once the policy tracks half the frames"
+        );
+        assert_eq!(m.export_state().len(), 2);
     }
 
     #[test]

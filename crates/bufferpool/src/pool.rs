@@ -151,6 +151,9 @@ pub struct BufferPool<M: ReplacementManager> {
     manager: M,
     storage: Arc<dyn Storage>,
     stats: PoolStats,
+    /// Frames held in sessions' stashes: evicted ahead of need, not yet
+    /// refilled. A gauge, striped because a miss moves it.
+    stashed: StripedCounter,
     page_size: usize,
     retry: RetryPolicy,
     /// Sampled-access tap feeding the adaptive-replacement advisor.
@@ -181,6 +184,7 @@ impl<M: ReplacementManager> BufferPool<M> {
             manager,
             storage,
             stats: PoolStats::default(),
+            stashed: StripedCounter::default(),
             page_size,
             retry: RetryPolicy::default(),
             tap: None,
@@ -346,6 +350,8 @@ impl<M: ReplacementManager> BufferPool<M> {
             pool: self,
             handle: self.manager.handle(),
             sample_countdown: self.tap.as_ref().map_or(0, |t| t.period()),
+            stash: Vec::new(),
+            evicted: Vec::new(),
         }
     }
 
@@ -481,9 +487,19 @@ impl<M: ReplacementManager> BufferPool<M> {
         self.free.len()
     }
 
-    /// Check that no two pages map to the same frame (O(table); tests).
-    /// Only valid while no miss is in flight: during a dirty victim's
-    /// write-back the victim and its successor both map to the frame.
+    /// Frames sessions hold evicted ahead of need, to fill on their next
+    /// misses. Between fetches, `free_frames() + stashed_frames() +
+    /// resident_count() == frames()`.
+    pub fn stashed_frames(&self) -> usize {
+        self.stashed.get() as usize
+    }
+
+    /// Check that no two pages map to the same frame, and that the
+    /// replacement manager tracks exactly the resident pages, each in
+    /// the frame the page table maps it to (O(table); tests). Only valid
+    /// while no miss is in flight — during a dirty victim's write-back
+    /// the victim and its successor both map to the frame — and once
+    /// every session has flushed its queued admissions.
     pub fn check_mapping_invariants(&self) {
         let mut owner = vec![None::<PageId>; self.frames()];
         self.table.for_each(|page, frame| {
@@ -491,6 +507,25 @@ impl<M: ReplacementManager> BufferPool<M> {
                 panic!("frame {frame} mapped by both page {prev} and page {page}");
             }
         });
+        let mut tracked = self.manager.export_state();
+        tracked.sort_unstable();
+        let resident: Vec<(FrameId, PageId)> = (0..self.frames() as FrameId)
+            .filter_map(|f| {
+                let s = self.desc(f).snapshot();
+                s.valid.then_some((f, s.tag))
+            })
+            .collect();
+        assert_eq!(
+            tracked, resident,
+            "the replacement manager disagrees with the pool about what is resident where"
+        );
+        for &(frame, page) in &resident {
+            assert_eq!(
+                owner[frame as usize],
+                Some(page),
+                "resident page {page} in frame {frame} is not mapped there"
+            );
+        }
     }
 }
 
@@ -501,6 +536,13 @@ pub struct PoolSession<'p, M: ReplacementManager> {
     /// 1-in-N sampling countdown for the advisor tap — session-local so
     /// the common fetch pays no shared read-modify-write for it.
     sample_countdown: u64,
+    /// Frames this session evicted ahead of need: invalid, unmapped,
+    /// tracked by no manager. Its next misses fill them before touching
+    /// the free list or the replacement lock; drop returns the rest to
+    /// the free list.
+    stash: Vec<FrameId>,
+    /// Scratch for the victims one `on_evict` took ahead of need.
+    evicted: Vec<(FrameId, PageId)>,
 }
 
 impl<'p, M: ReplacementManager> PoolSession<'p, M> {
@@ -614,32 +656,40 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
             return Ok(None); // retry via the hit path
         }
         guard.cover_accesses(1);
-        let free = pool.free.pop(shard);
-        // Victim filter: pinned or in-I/O frames are rejected; the
-        // accepted frame is atomically invalidated under its latch so no
-        // new pin can slip in after selection.
-        let outcome = self.handle.on_miss(page, free, &mut |f| {
-            let mut s = pool.desc(f).lock();
-            if s.pins == 0 && !s.io_in_progress && s.valid {
-                s.valid = false;
-                true
-            } else {
-                false
-            }
-        });
-        let (frame, victim) = match outcome {
-            MissOutcome::AdmittedFree(f) => (f, None),
-            MissOutcome::Evicted { frame, victim } => (frame, Some(victim)),
-            MissOutcome::NoEvictableFrame => {
-                // Everything pinned: put the free frame back (none was
-                // consumed — on_miss only returns NoEvictableFrame when
-                // free was None) and let the caller retry. No miss is
+        // A frame no manager tracks — this session's stash first, then
+        // the free list — is admitted once its read succeeds. Only when
+        // there is none does the manager evict.
+        let stashed = self.stash.pop();
+        let popped = stashed.or_else(|| pool.free.pop(shard));
+        let (frame, victim) = match popped {
+            Some(f) => (f, None),
+            // Victim filter: pinned or in-I/O frames are rejected; each
+            // accepted frame is atomically invalidated under its latch
+            // so no new pin can slip in after selection.
+            None => match self.handle.on_evict(
+                page,
+                &mut |f| {
+                    let mut s = pool.desc(f).lock();
+                    if s.pins == 0 && !s.io_in_progress && s.valid {
+                        s.valid = false;
+                        true
+                    } else {
+                        false
+                    }
+                },
+                &mut self.evicted,
+            ) {
+                MissOutcome::Evicted { frame, victim } => (frame, Some(victim)),
+                MissOutcome::AdmittedFree(_) => unreachable!("on_evict has no free frame"),
+                // Everything pinned: let the caller retry. No miss is
                 // counted: the logical miss has not completed, and a
                 // retry would otherwise double-count it.
-                debug_assert!(free.is_none());
-                return Ok(None);
-            }
+                MissOutcome::NoEvictableFrame => return Ok(None),
+            },
         };
+        if stashed.is_some() {
+            pool.stashed.sub(1);
+        }
         // Claim the frame for the new page, marked in-I/O.
         let was_dirty = {
             let mut s = pool.desc(frame).lock();
@@ -674,6 +724,7 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
         // same page spin on the unpinnable mapping and invalidate must
         // report Busy.
         bpw_dst::yield_point();
+        self.stash_evicted();
         // Miss I/O is timed unconditionally (not just when tracing is
         // on): the stage scratch is how the server attributes a
         // request's latency to disk time, and two clock reads are noise
@@ -707,6 +758,16 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
             return Err(e);
         }
         bpw_dst::yield_point();
+        if victim.is_none() {
+            self.handle.on_admit(page, frame);
+            if stashed.is_none() {
+                // A free-list frame is admitted now, not queued: a
+                // session that then idles must not keep frames from
+                // every other session's victim search. Frames it
+                // evicted ahead are few (k − 1) and its own.
+                self.handle.flush();
+            }
+        }
         pool.desc(frame).lock().io_in_progress = false;
         // Count the miss only now that it has completed: a retry after
         // NoEvictableFrame or an I/O failure must not count twice.
@@ -722,18 +783,49 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
         Ok(Some(PinnedPage { pool, frame, page }))
     }
 
+    /// Settle the victims the last `on_evict` took ahead of need, and
+    /// stash their frames. The filter left each invalid; a clean one is
+    /// unmapped now, a dirty one stays mapped — so a re-fetch waits —
+    /// until its write-back returns. A write-back that fails leaves the
+    /// victim in its frame, dirty, re-admitted.
+    fn stash_evicted(&mut self) {
+        let pool = self.pool;
+        while let Some((frame, v)) = self.evicted.pop() {
+            bpw_trace::instant(bpw_trace::EventKind::Eviction, v);
+            if pool.desc(frame).lock().dirty {
+                let data = pool.data_lock(frame);
+                let written = pool.io_with_retries(v, || pool.storage.write_page(v, &data));
+                drop(data);
+                bpw_dst::yield_point();
+                if written.is_err() {
+                    // Admit before revalidating: until the descriptor is
+                    // valid again, invalidate answers Busy and cannot
+                    // free the frame under the admission.
+                    self.handle.on_admit(v, frame);
+                    pool.desc(frame).lock().valid = true;
+                    continue;
+                }
+                pool.desc(frame).lock().dirty = false;
+                pool.stats.writebacks.fetch_add(1, Ordering::Relaxed);
+            }
+            pool.table.remove(v);
+            self.stash.push(frame);
+            pool.stashed.add(1);
+        }
+    }
+
     /// Undo a miss whose dirty victim `v` could not be written back:
     /// `v` is still mapped to `frame` and its bytes are still there, so
     /// hand the frame back to it — dirty, to be written at its next
     /// eviction — and forget `page`'s claim. The replacement state is
-    /// rebuilt the way a free-frame miss builds it.
+    /// rebuilt the way a free-frame miss builds it: `page` forgotten,
+    /// `v` admitted.
     fn keep_victim(&mut self, page: PageId, v: PageId, frame: FrameId) {
         let pool = self.pool;
         let _g = pool.miss_locks[pool.miss_shard(page)].lock();
         pool.table.remove(page);
         pool.manager.invalidate(frame);
-        let readmitted = self.handle.on_miss(v, Some(frame), &mut |_| false);
-        debug_assert_eq!(readmitted, MissOutcome::AdmittedFree(frame));
+        self.handle.on_admit(v, frame);
         {
             let mut s = pool.desc(frame).lock();
             debug_assert!(s.valid && s.io_in_progress && s.tag == page && s.pins == 1);
@@ -745,7 +837,11 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
         bpw_dst::record(|| bpw_dst::Op::Unpin { page, pins: 0 });
     }
 
-    /// Commit any deferred replacement bookkeeping (BP-Wrapper queue).
+    /// Commit any deferred replacement bookkeeping (BP-Wrapper queue,
+    /// queued admissions included). The frames this session evicted
+    /// ahead stay stashed for its next misses — a server worker flushes
+    /// each time it goes idle — and return to the free list when the
+    /// session is dropped.
     pub fn flush(&mut self) {
         self.handle.flush();
     }
@@ -754,6 +850,16 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
 impl<'p, M: ReplacementManager> Drop for PoolSession<'p, M> {
     fn drop(&mut self) {
         self.handle.flush();
+        // The `dst_mutation = "stash_leak"` mutant forgets the stash here:
+        // its frames then belong to nobody, which the dst miss storm's
+        // frame accounting must catch.
+        if cfg!(dst_mutation = "stash_leak") {
+            return;
+        }
+        self.pool.stashed.sub(self.stash.len() as u64);
+        for frame in self.stash.drain(..) {
+            self.pool.free.push(frame as usize, frame);
+        }
     }
 }
 
@@ -1282,15 +1388,7 @@ mod tests {
         // thread. Only the second has enough misses per shard (~100) for
         // the even-spread bound; the first's hottest of 16 shards takes
         // 9 of 64.
-        let mut x = 0x2545_F491_4F6C_DD1Du64;
-        let uniform: Vec<u64> = (0..60_000)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                x % 16_384
-            })
-            .collect();
+        let uniform = uniform_trace(60_000, 16_384);
         let cold: Vec<u64> = (0..64).collect();
         for (frames, trace, even) in [(16, &cold, false), (2048, &uniform, true)] {
             for one_lock in [false, true] {
@@ -1333,6 +1431,71 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A seeded uniform trace of `len` accesses over `universe` pages.
+    fn uniform_trace(len: usize, universe: u64) -> Vec<u64> {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x % universe
+            })
+            .collect()
+    }
+
+    #[test]
+    fn miss_path_lock_census_with_eviction_ahead() {
+        // The `pool_miss_rw` shape on one thread: wrapped 2Q over 2 048
+        // frames, uniform over 16 384 pages. A full pool's misses take
+        // the replacement lock once per k; everything else commits at T.
+        let frames = 2048;
+        let cfg = WrapperConfig::default();
+        let (k, t) = (cfg.evict_batch() as u64, cfg.batch_threshold as u64);
+        let pool = BufferPool::new(
+            frames,
+            64,
+            WrappedManager::new(TwoQ::new(frames), cfg),
+            Arc::new(SimDisk::instant()),
+        );
+        let trace = uniform_trace(100_000, 16_384);
+        let mut s = pool.session();
+        for &p in &trace {
+            drop(s.fetch(p).unwrap());
+            assert_eq!(
+                pool.free_frames() + pool.stashed_frames() + pool.resident_count(),
+                frames
+            );
+        }
+        let (hits, misses) = counts(&pool);
+        let acqs = pool.manager().lock_snapshot().acquisitions;
+        assert!(
+            acqs <= misses.div_ceil(k) + (hits + misses).div_ceil(t),
+            "{acqs} replacement-lock acquisitions for {misses} misses in {} accesses",
+            hits + misses
+        );
+        assert_eq!(pool.miss_lock_snapshot().acquisitions, misses);
+        assert!(
+            pool.stashed_frames() > 0,
+            "nothing was evicted ahead; vacuous"
+        );
+        let mut sim = bpw_replacement::CacheSim::new(TwoQ::new(frames));
+        let reference = sim.run(trace.iter().copied()).hit_ratio();
+        let measured = pool.stats().hit_ratio();
+        assert!(
+            (measured - reference).abs() <= 0.002,
+            "hit ratio {measured:.4} against CacheSim's {reference:.4}"
+        );
+        drop(s);
+        assert_eq!(
+            pool.stashed_frames(),
+            0,
+            "a dropped session returns its stash"
+        );
+        assert_eq!(pool.free_frames() + pool.resident_count(), frames);
+        pool.check_mapping_invariants();
     }
 
     #[test]

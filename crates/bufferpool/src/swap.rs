@@ -27,10 +27,15 @@
 //!
 //! Residency safety is the *caller's* job:
 //! [`BufferPool::swap_manager`](crate::BufferPool::swap_manager) holds
-//! every miss-shard lock across the swap, freezing all residency
-//! mutations (misses, invalidations, frame repair), so
-//! `export_state`/`import_state` transfer an immutable resident set.
+//! every miss-shard lock across the swap, freezing every residency
+//! mutation but one (misses, invalidations, frame repair), so
+//! `export_state`/`import_state` transfer a resident set that can only
+//! grow: a page's admission comes after its read, outside the miss
+//! locks. A [`SwapHandle`] commits each admission before returning, and
+//! the swap carries over whatever reached the old manager after the
+//! export once quiescence proves no admission is still in flight.
 
+use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -185,6 +190,19 @@ impl SwapManager {
                 std::thread::yield_now();
             }
         }
+        // An admission lands after its page's read, outside the pool's
+        // miss locks, so one may have reached the old manager after its
+        // state was exported. Quiescence means none is still running:
+        // carry the late ones over. (Nothing leaves the old resident set
+        // meanwhile — evictions and invalidations hold miss locks.)
+        let exported: HashSet<(FrameId, PageId)> = state.iter().copied().collect();
+        let late: Vec<_> = old
+            .mgr
+            .export_state()
+            .into_iter()
+            .filter(|e| !exported.contains(e))
+            .collect();
+        new_slot.mgr.import_state(&late);
         bpw_dst::record(|| bpw_dst::Op::SwapRetire { gen: old.gen });
 
         // Retire: the old board's published batches have exactly one
@@ -207,14 +225,14 @@ impl SwapManager {
 
         self.swaps.fetch_add(1, Ordering::Relaxed);
         self.pages_transferred
-            .fetch_add(state.len() as u64, Ordering::Relaxed);
+            .fetch_add((state.len() + late.len()) as u64, Ordering::Relaxed);
         self.advice_recovered
             .fetch_add(recovered as u64, Ordering::Relaxed);
         SwapReport {
             from,
             to,
             generation: new_gen,
-            pages_transferred: state.len(),
+            pages_transferred: state.len() + late.len(),
             advice_recovered: recovered,
         }
     }
@@ -355,14 +373,23 @@ impl ManagerHandle for SwapHandle<'_> {
         self.exit();
     }
 
-    fn on_miss(
+    /// Commits before returning, so no admission is ever queued when a
+    /// swap comes: queued entries migrate as hits.
+    fn on_admit(&mut self, page: PageId, frame: FrameId) {
+        self.enter_current();
+        self.inner.on_admit(page, frame);
+        self.inner.flush();
+        self.exit();
+    }
+
+    fn on_evict(
         &mut self,
         page: PageId,
-        free: Option<FrameId>,
         evictable: &mut dyn FnMut(FrameId) -> bool,
+        extra: &mut Vec<(FrameId, PageId)>,
     ) -> MissOutcome {
         self.enter_current();
-        let out = self.inner.on_miss(page, free, evictable);
+        let out = self.inner.on_evict(page, evictable, extra);
         self.exit();
         out
     }
@@ -406,11 +433,13 @@ struct NoopHandle;
 impl ManagerHandle for NoopHandle {
     fn on_hit(&mut self, _page: PageId, _frame: FrameId) {}
 
-    fn on_miss(
+    fn on_admit(&mut self, _page: PageId, _frame: FrameId) {}
+
+    fn on_evict(
         &mut self,
         _page: PageId,
-        _free: Option<FrameId>,
         _evictable: &mut dyn FnMut(FrameId) -> bool,
+        _extra: &mut Vec<(FrameId, PageId)>,
     ) -> MissOutcome {
         MissOutcome::NoEvictableFrame
     }
@@ -436,7 +465,7 @@ mod tests {
         {
             let mut h = mgr.handle();
             for i in 0..4u64 {
-                h.on_miss(i, Some(i as u32), &mut |_| true);
+                h.on_admit(i, i as u32);
             }
             h.flush();
         }
@@ -450,7 +479,7 @@ mod tests {
         // The successor sees the inherited working set: a miss must
         // evict (no free frame claimed twice).
         let mut h = mgr.handle();
-        let out = h.on_miss(10, None, &mut |_| true);
+        let out = h.on_evict(10, &mut |_| true, &mut Vec::new());
         assert!(
             out.victim().is_some(),
             "successor must own the resident set"
@@ -464,7 +493,7 @@ mod tests {
         let mgr = SwapManager::new(Box::new(Arc::clone(&inner)));
         let mut h = mgr.handle();
         for i in 0..4u64 {
-            h.on_miss(i, Some(i as u32), &mut |_| true);
+            h.on_admit(i, i as u32);
         }
         // Queue advice, swap underneath the handle, then keep using it.
         h.on_hit(0, 0);
@@ -491,7 +520,7 @@ mod tests {
         {
             let mut h = mgr.handle();
             for i in 0..64u64 {
-                h.on_miss(i, Some(i as u32), &mut |_| true);
+                h.on_admit(i, i as u32);
             }
             h.flush();
         }

@@ -192,7 +192,7 @@ fn dst_swap_drain_recovers_published_advice() {
         sim.spawn(move || {
             let mut h = mgr.handle();
             for i in 0..4u64 {
-                h.on_miss(i, Some(i as u32), &mut |_| true);
+                h.on_admit(i, i as u32);
             }
             // Fill the queue to threshold while *holding* the wrapper
             // lock, so the commit attempt's try-lock fails and the batch

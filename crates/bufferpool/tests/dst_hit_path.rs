@@ -319,10 +319,11 @@ const REFILL_FETCHES: u64 = 12;
 
 #[test]
 fn dst_pin_validation_survives_invalidate_refill_races() {
-    const SEEDS: u64 = 32;
+    // `DST_SEEDS` (the soak) overrides the corpus size.
+    let seeds = bpw_dst::seed_corpus(0x9E7A6, 32);
     let mut in_place = 0;
     for resident_first in [false, true] {
-        for (i, seed) in bpw_dst::seed_corpus(0x9E7A6, SEEDS).iter().enumerate() {
+        for (i, seed) in seeds.iter().enumerate() {
             let (out, pool, pinned) = run_refill_race(*seed, i % 2 == 1, resident_first);
             in_place += pinned;
             out.check(|o| {
@@ -341,7 +342,7 @@ fn dst_pin_validation_survives_invalidate_refill_races() {
         }
     }
     assert!(
-        in_place > 0 && in_place < SEEDS * REFILL_FETCHES,
+        in_place > 0 && in_place < seeds.len() as u64 * REFILL_FETCHES,
         "fetch_resident must both pin and give up across the corpus, pinned {in_place}"
     );
 }

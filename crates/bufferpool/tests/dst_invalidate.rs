@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use bpw_bufferpool::{BufferPool, InvalidateOutcome, SimDisk, WrappedManager};
+use bpw_bufferpool::{BufferPool, InvalidateOutcome, ReplacementManager, SimDisk, WrappedManager};
 use bpw_core::WrapperConfig;
 use bpw_dst::check::check_free_list;
 use bpw_dst::{Op, Sim};
@@ -125,6 +125,77 @@ fn dst_invalidate_retry_loop_converges_under_pin_races() {
     assert!(
         invalidated_seen > 0,
         "no schedule ever invalidated; vacuous"
+    );
+}
+
+/// Invalidate racing a *queued admission*: the admitter fills a
+/// four-frame pool, misses once more so it evicts a frame ahead (k = 2
+/// at S = 16), and reads `PAGE` into that stashed frame — its admission
+/// now waits in the FIFO (T = 16). The invalidator drops `PAGE` as soon
+/// as it can and refills the freed frame with another page. Whichever
+/// commit lands first, at quiescence the policy must hold exactly what
+/// the pool holds, frame for frame. The `dst_mutation = "stale_admit"`
+/// mutant skips the admission-generation check and binds `PAGE` into a
+/// frame the pool has freed or refilled.
+#[test]
+fn dst_invalidate_makes_a_queued_admission_stale() {
+    const PAGE: u64 = 20;
+    const ADMIT_FRAMES: usize = 4;
+    let mut stale = 0u64;
+    for (i, seed) in bpw_dst::seed_corpus(0x57A1E, 40).iter().enumerate() {
+        let pool = Arc::new(BufferPool::new(
+            ADMIT_FRAMES,
+            64,
+            WrappedManager::new(
+                Lru::new(ADMIT_FRAMES),
+                WrapperConfig::default()
+                    .with_queue_size(16)
+                    .with_batch_threshold(16),
+            ),
+            Arc::new(SimDisk::instant()),
+        ));
+        let mut sim = if i % 4 == 1 {
+            Sim::new(*seed).with_pct(2)
+        } else {
+            Sim::new(*seed)
+        };
+        {
+            let pool = Arc::clone(&pool);
+            sim.spawn(move || {
+                let mut s = pool.session();
+                for page in 10..15 {
+                    drop(s.fetch(page).unwrap());
+                }
+                drop(s.fetch(PAGE).unwrap());
+                for _ in 0..4 {
+                    bpw_dst::yield_now();
+                }
+                s.flush();
+            });
+        }
+        {
+            let pool = Arc::clone(&pool);
+            sim.spawn(move || {
+                while pool.invalidate(PAGE) != InvalidateOutcome::Invalidated {
+                    bpw_dst::yield_now();
+                }
+                for _ in 0..2 {
+                    bpw_dst::yield_now();
+                }
+                drop(pool.session().fetch(PAGE + 1).unwrap());
+            });
+        }
+        let out = sim.run();
+        out.expect_clean();
+        out.check(|_| {
+            assert_eq!(pool.free_frames() + pool.resident_count(), ADMIT_FRAMES);
+            pool.check_mapping_invariants();
+        });
+        stale += pool.manager().stale_admissions();
+    }
+    assert!(
+        stale > 0,
+        "no schedule invalidated a page with its admission queued; vacuous"
     );
 }
 

@@ -5,7 +5,8 @@
 //! schedule points chosen by the seeded scheduler instead of by OS
 //! timing. Each task fetches a disjoint page range (a precondition of
 //! the commit-order checker) and sprinkles invalidations of its own
-//! pages into the storm.
+//! pages into the storm. A queue of 16 makes each eviction take one
+//! victim ahead (k = 2), so sessions stash frames and queue admissions.
 
 #![cfg(feature = "dst")]
 
@@ -32,7 +33,7 @@ fn make_pool() -> Arc<Pool> {
         WrappedManager::new(
             Lru::new(FRAMES),
             WrapperConfig::default()
-                .with_queue_size(4)
+                .with_queue_size(16)
                 .with_batch_threshold(2)
                 .with_combining(true),
         ),
@@ -98,9 +99,13 @@ fn check_storm(out: &RunOutcome, pool: &Pool) {
             st.misses.load(Ordering::Relaxed),
             done.iter().filter(|h| !**h).count() as u64
         );
-        // Structure: no frame leaked between free list and table, no
-        // duplicate mappings, and the recorded free-list history is
-        // conservation-clean and agrees with the live count.
+        // Structure: no frame leaked between free list, stashes and
+        // table (every session has ended, so every stash is back on the
+        // free list — the `stash_leak` mutant's drop forgets it), no
+        // duplicate mappings, the policy holds what the pool holds, and
+        // the recorded free-list history is conservation-clean and
+        // agrees with the live count.
+        assert_eq!(pool.stashed_frames(), 0);
         assert_eq!(pool.free_frames() + pool.resident_count(), FRAMES);
         pool.check_mapping_invariants();
         let fr = check_free_list(&o.history, FRAMES as u32, true);
@@ -116,14 +121,24 @@ fn check_storm(out: &RunOutcome, pool: &Pool) {
 #[test]
 fn dst_miss_storm_invariants_hold_under_all_schedules() {
     let mut misses = 0;
+    let mut evicted_ahead = 0;
     for (i, seed) in bpw_dst::seed_corpus(0x3155, 32).iter().enumerate() {
         let (out, pool) = run_storm(*seed, i % 4 == 3);
         check_storm(&out, &pool);
         misses += pool.stats().misses.load(Ordering::Relaxed);
+        evicted_ahead += out
+            .history
+            .iter()
+            .filter(|e| matches!(e.op, Op::EvictAhead { .. }))
+            .count();
     }
     assert!(
         misses > 0,
         "storm never missed; the miss path was not under test"
+    );
+    assert!(
+        evicted_ahead > 0,
+        "no miss evicted ahead; the stash was not under test"
     );
 }
 

@@ -311,10 +311,7 @@ mod tests {
     use super::*;
 
     fn entry(page: u64) -> AccessEntry {
-        AccessEntry {
-            page,
-            frame: page as u32,
-        }
+        AccessEntry::hit(page, page as u32)
     }
 
     fn batch(pages: &[u64]) -> Vec<AccessEntry> {

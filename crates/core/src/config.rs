@@ -158,6 +158,16 @@ impl WrapperConfig {
         self.queue_size > 1
     }
 
+    /// `k` — victims a miss on a full pool evicts per replacement-lock
+    /// acquisition: its own plus `k − 1` ahead of need, whose frames
+    /// the next misses fill with admissions queued like hits. Derived
+    /// from `S`, never set: 8 at the paper's `S = 64`, and 1 — a miss
+    /// evicts only its own victim — at `S = 1` (`pgQ`, `pgPre`) and for
+    /// any queue under 16.
+    pub fn evict_batch(&self) -> usize {
+        (self.queue_size / 8).max(1)
+    }
+
     /// Validate the parameter combination, panicking if inconsistent.
     pub fn validate(&self) {
         assert!(self.queue_size >= 1, "queue size must be at least 1");
@@ -199,6 +209,16 @@ mod tests {
         assert!(WrapperConfig::batching_only().batching());
         assert!(!WrapperConfig::batching_only().prefetching);
         assert!(WrapperConfig::prefetching_only().prefetching);
+    }
+
+    #[test]
+    fn evict_batch_follows_queue_size() {
+        assert_eq!(WrapperConfig::default().evict_batch(), 8);
+        assert_eq!(WrapperConfig::lock_per_access().evict_batch(), 1);
+        assert_eq!(WrapperConfig::prefetching_only().evict_batch(), 1);
+        for (s, k) in [(2, 1), (15, 1), (16, 2), (128, 16)] {
+            assert_eq!(WrapperConfig::default().with_queue_size(s).evict_batch(), k);
+        }
     }
 
     #[test]

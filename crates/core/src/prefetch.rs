@@ -47,25 +47,38 @@ pub fn prefetch_span(addr: usize, len: usize) {
     }
 }
 
+/// Headers are warmed up to this many bytes, so a huge policy struct
+/// does not turn the hint into a scan.
+const MAX_HEADER: usize = 256;
+
 /// Precomputed prefetch targets for one wrapped policy.
 #[derive(Debug, Clone, Copy)]
 pub struct Prefetcher {
-    /// Address of the policy struct behind the lock (header: list heads,
-    /// counters) — and, with `parking_lot`, adjacent to the lock word.
-    policy_addr: usize,
-    /// Bytes of policy header to warm.
-    header_len: usize,
+    enabled: bool,
+    /// Bytes of the value behind the lock to warm — with `parking_lot`,
+    /// adjacent to the lock word. Its address moves with the wrapper,
+    /// so each commit passes it in.
+    inline_len: usize,
+    /// The policy's header (list heads, counters) when it lives behind a
+    /// pointer — a boxed policy's heap struct, which never moves.
+    header: Option<(usize, usize)>,
     /// Per-frame metadata region, if the policy exposes one.
     region: Option<NodeRegion>,
 }
 
 impl Prefetcher {
-    /// Build a prefetcher for a policy living at `policy_addr` with
+    /// Build a prefetcher for a locked value of `inline_len` bytes whose
+    /// header may live elsewhere (`header`, as `(address, bytes)`), with
     /// an optional per-frame [`NodeRegion`].
-    pub fn new(policy_addr: usize, header_len: usize, region: Option<NodeRegion>) -> Self {
+    pub fn new(
+        inline_len: usize,
+        header: Option<(usize, usize)>,
+        region: Option<NodeRegion>,
+    ) -> Self {
         Prefetcher {
-            policy_addr,
-            header_len,
+            enabled: true,
+            inline_len: inline_len.min(MAX_HEADER),
+            header: header.map(|(addr, len)| (addr, len.min(MAX_HEADER))),
             region,
         }
     }
@@ -73,18 +86,30 @@ impl Prefetcher {
     /// A prefetcher that does nothing (prefetching disabled).
     pub fn disabled() -> Self {
         Prefetcher {
-            policy_addr: 0,
-            header_len: 0,
+            enabled: false,
+            inline_len: 0,
+            header: None,
             region: None,
         }
     }
 
-    /// Warm the cache for a commit of `entries`: the lock/policy header
-    /// plus each entry's node metadata.
+    /// The out-of-line header span warmed before each commit, if any.
+    #[cfg(test)]
+    pub(crate) fn header(&self) -> Option<(usize, usize)> {
+        self.header
+    }
+
+    /// Warm the cache for a commit of `entries`: the lock word and the
+    /// value beside it at `lock_data` (the lock's current data address),
+    /// the policy header, and each entry's node metadata.
     #[inline]
-    pub fn prefetch_for_commit(&self, entries: &[AccessEntry]) {
-        if self.policy_addr != 0 {
-            prefetch_span(self.policy_addr, self.header_len);
+    pub fn prefetch_for_commit(&self, lock_data: usize, entries: &[AccessEntry]) {
+        if !self.enabled {
+            return;
+        }
+        prefetch_span(lock_data, self.inline_len);
+        if let Some((addr, len)) = self.header {
+            prefetch_span(addr, len);
         }
         if let Some(region) = self.region {
             for e in entries {
@@ -119,25 +144,20 @@ mod tests {
             count: nodes.len(),
         };
         let header = vec![0u8; 256];
-        let p = Prefetcher::new(header.as_ptr() as usize, 256, Some(region));
+        let p = Prefetcher::new(64, Some((header.as_ptr() as usize, 256)), Some(region));
         let entries = [
-            AccessEntry { page: 1, frame: 0 },
-            AccessEntry {
-                page: 2,
-                frame: 127,
-            },
-            AccessEntry {
-                page: 3,
-                frame: 9999,
-            }, // out of range: skipped
+            AccessEntry::hit(1, 0),
+            AccessEntry::hit(2, 127),
+            AccessEntry::hit(3, 9999), // out of range: skipped
         ];
-        p.prefetch_for_commit(&entries); // must not fault
+        p.prefetch_for_commit(nodes.as_ptr() as usize, &entries); // must not fault
     }
 
     #[test]
     fn disabled_prefetcher_is_noop() {
         let p = Prefetcher::disabled();
-        p.prefetch_for_commit(&[AccessEntry { page: 1, frame: 0 }]);
+        assert_eq!(p.header(), None);
+        p.prefetch_for_commit(0, &[AccessEntry::hit(1, 0)]);
     }
 
     #[test]

@@ -8,16 +8,60 @@
 //! us, a frame id and a page id. The page id is compared against the
 //! frame's current occupant at commit time so accesses to pages that were
 //! evicted or invalidated in the meantime are skipped.
+//!
+//! A miss that found a frame its session had evicted ahead queues the
+//! new page's *admission* here too, in the padding beside the frame id:
+//! it commits in FIFO order with the hits around it.
 
 use bpw_replacement::{FrameId, PageId};
 
-/// One recorded page access.
+/// Marks an entry as an admission; the other 31 bits are the frame's
+/// admission generation when it was queued.
+const ADMIT: u32 = 1 << 31;
+
+/// One recorded page access: a hit, or the admission of a page read
+/// into a frame no policy tracks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessEntry {
-    /// The page that was hit (the `BufferTag`).
+    /// The page that was hit or admitted (the `BufferTag`).
     pub page: PageId,
     /// The frame it occupied at access time (the `BufferDesc` pointer).
     pub frame: FrameId,
+    /// 0 for a hit; `ADMIT | generation` for an admission.
+    admit: u32,
+}
+
+impl AccessEntry {
+    /// A hit on `page` in `frame`.
+    pub fn hit(page: PageId, frame: FrameId) -> Self {
+        AccessEntry {
+            page,
+            frame,
+            admit: 0,
+        }
+    }
+
+    /// The admission of `page` into `frame`, queued while the frame's
+    /// admission generation was `generation` (only its low 31 bits are
+    /// kept; an admission would have to stay queued across 2^31
+    /// invalidations of its frame to be mistaken for a fresh one).
+    pub fn admit(page: PageId, frame: FrameId, generation: u32) -> Self {
+        AccessEntry {
+            page,
+            frame,
+            admit: ADMIT | generation,
+        }
+    }
+
+    /// Is this an admission rather than a hit?
+    pub fn is_admission(&self) -> bool {
+        self.admit & ADMIT != 0
+    }
+
+    /// Is this an admission queued under `generation`?
+    pub fn admission_is_current(&self, generation: u32) -> bool {
+        self.admit == ADMIT | generation
+    }
 }
 
 /// A fixed-capacity FIFO of recorded accesses, owned by one thread.
@@ -62,12 +106,12 @@ impl AccessQueue {
     /// Record an access. Panics if full — callers must commit first
     /// (the paper's pseudo-code guarantees this by committing whenever
     /// `Tail >= S`).
-    pub fn push(&mut self, page: PageId, frame: FrameId) {
+    pub fn push(&mut self, entry: AccessEntry) {
         assert!(
             !self.is_full(),
             "access queue overflow: commit before pushing"
         );
-        self.entries.push(AccessEntry { page, frame });
+        self.entries.push(entry);
     }
 
     /// The recorded accesses in FIFO order.
@@ -102,9 +146,9 @@ mod tests {
     #[test]
     fn fifo_order_preserved() {
         let mut q = AccessQueue::new(4);
-        q.push(10, 0);
-        q.push(20, 1);
-        q.push(30, 2);
+        q.push(AccessEntry::hit(10, 0));
+        q.push(AccessEntry::hit(20, 1));
+        q.push(AccessEntry::hit(30, 2));
         let order: Vec<PageId> = q.drain().map(|e| e.page).collect();
         assert_eq!(order, vec![10, 20, 30]);
         assert!(q.is_empty());
@@ -114,8 +158,8 @@ mod tests {
     fn capacity_tracking() {
         let mut q = AccessQueue::new(2);
         assert!(!q.is_full());
-        q.push(1, 0);
-        q.push(2, 1);
+        q.push(AccessEntry::hit(1, 0));
+        q.push(AccessEntry::hit(2, 1));
         assert!(q.is_full());
         assert_eq!(q.len(), 2);
         q.clear();
@@ -124,17 +168,29 @@ mod tests {
     }
 
     #[test]
+    fn admissions_carry_their_generation() {
+        let a = AccessEntry::admit(5, 2, 7);
+        assert!(a.is_admission());
+        assert!(a.admission_is_current(7));
+        assert!(!a.admission_is_current(8));
+        // Only the low 31 bits are kept, on both sides.
+        assert!(AccessEntry::admit(5, 2, u32::MAX).admission_is_current(u32::MAX));
+        assert_eq!((a.page, a.frame), (5, 2));
+    }
+
+    #[test]
     #[should_panic(expected = "overflow")]
     fn overflow_panics() {
         let mut q = AccessQueue::new(1);
-        q.push(1, 0);
-        q.push(2, 1);
+        q.push(AccessEntry::hit(1, 0));
+        q.push(AccessEntry::hit(2, 1));
     }
 
     #[test]
     fn entries_view() {
         let mut q = AccessQueue::new(3);
-        q.push(5, 2);
-        assert_eq!(q.entries(), &[AccessEntry { page: 5, frame: 2 }]);
+        q.push(AccessEntry::hit(5, 2));
+        assert_eq!(q.entries(), &[AccessEntry::hit(5, 2)]);
+        assert!(!q.entries()[0].is_admission());
     }
 }

@@ -14,9 +14,16 @@
 //!
 //! The policy is wrapped, not changed: any [`ReplacementPolicy`] gains an
 //! (almost) lock-contention-free hit path.
+//!
+//! A miss can batch too ([`AccessHandle::record_miss_ahead`]): under the
+//! one acquisition it evicts up to `k − 1` more victims than it needs
+//! ([`WrapperConfig::evict_batch`]), and the misses that fill those
+//! frames queue their admissions in the FIFO like hits
+//! ([`AccessHandle::record_admit`]).
 
 use std::marker::PhantomData;
 use std::ops::Deref;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use bpw_metrics::{Counter, Gauge, LockStats, StripedCounter};
@@ -79,6 +86,10 @@ pub struct WrapperCounters {
     /// Queued entries skipped at commit because the frame no longer held
     /// the recorded page (eviction/invalidation raced the delayed commit).
     pub stale_skipped: Counter,
+    /// Queued admissions dropped at commit because their frame was
+    /// invalidated after they were queued. Striped like `accesses`: the
+    /// commit that counts one may run on any thread.
+    pub stale_admissions: StripedCounter,
     /// Commit rounds (batches) executed.
     pub batches: Counter,
     /// Contended commits turned into publications instead of blocking
@@ -112,6 +123,13 @@ pub struct BpWrapper<P: ReplacementPolicy> {
     prefetcher: Prefetcher,
     counters: WrapperCounters,
     board: Option<PublicationBoard>,
+    /// Per-frame admission generation: [`invalidate`](Self::invalidate)
+    /// bumps it under the lock, each queued admission carries the value
+    /// it was queued under, and a commit admits only if the two agree —
+    /// so an admission queued before its frame was invalidated (and
+    /// perhaps reused) is dropped instead of binding a page the pool no
+    /// longer holds there.
+    admit_gens: Box<[AtomicU32]>,
 }
 
 impl<P: ReplacementPolicy> BpWrapper<P> {
@@ -119,12 +137,19 @@ impl<P: ReplacementPolicy> BpWrapper<P> {
     pub fn new(policy: P, config: WrapperConfig) -> Self {
         config.validate();
         let region = policy.node_region();
+        // A policy that is its own header moves with the wrapper, so its
+        // address is taken at each commit; one behind a pointer (a boxed
+        // policy) reports the heap struct, which stays put.
+        let (header, header_len) = policy.header_span();
+        let behind_pointer = header != &policy as *const P as usize;
+        let admit_gens = (0..policy.frames()).map(|_| AtomicU32::new(0)).collect();
         let lock = InstrumentedLock::new(policy, Arc::new(LockStats::new()));
         let prefetcher = if config.prefetching {
-            // Warm the policy header (list heads, counters) — bounded so
-            // huge policy structs don't turn the hint into a scan.
-            let header = std::mem::size_of::<P>().min(256);
-            Prefetcher::new(lock.data_addr(), header, region)
+            Prefetcher::new(
+                std::mem::size_of::<P>(),
+                behind_pointer.then_some((header, header_len)),
+                region,
+            )
         } else {
             Prefetcher::disabled()
         };
@@ -137,6 +162,7 @@ impl<P: ReplacementPolicy> BpWrapper<P> {
                 .combining
                 .is_enabled()
                 .then(|| PublicationBoard::new(COMBINING_SLOTS, config.queue_size)),
+            admit_gens,
         }
     }
 
@@ -196,11 +222,27 @@ impl<P: ReplacementPolicy> BpWrapper<P> {
             .contentions_per_million(self.counters.accesses.get())
     }
 
-    /// Run `f` with the policy locked (for invalidation, inspection,
-    /// warm-up). Counts as an ordinary acquisition.
+    /// Run `f` with the policy locked (for inspection, warm-up). Counts
+    /// as an ordinary acquisition.
     pub fn with_locked<R>(&self, f: impl FnOnce(&mut P) -> R) -> R {
         let mut guard = self.lock.lock();
         f(&mut guard)
+    }
+
+    /// Forget `frame` (the pool dropped or repaired its page), and make
+    /// any admission into it still queued somewhere stale. Returns the
+    /// page the policy held there, if any.
+    pub fn invalidate(&self, frame: FrameId) -> Option<PageId> {
+        let mut guard = self.lock.lock();
+        self.admit_gens[frame as usize].fetch_add(1, Ordering::Relaxed);
+        guard.remove(frame)
+    }
+
+    /// Warm the lock and the policy for a commit of `entries`.
+    #[inline]
+    fn prefetch(&self, entries: &[AccessEntry]) {
+        self.prefetcher
+            .prefetch_for_commit(self.lock.data_addr(), entries);
     }
 
     /// Drain every published-but-undrained batch off the publication
@@ -296,28 +338,61 @@ impl<P: ReplacementPolicy> BpWrapper<P> {
         }
     }
 
-    /// The commit loop: apply one batch of recorded hits — a thread's
-    /// own queue or a published batch — skipping entries whose frame no
-    /// longer holds the recorded page.
+    /// The commit loop: apply one batch of recorded accesses — a
+    /// thread's own queue or a published batch — in order. A hit is
+    /// skipped when its frame no longer holds the recorded page; an
+    /// admission when its frame is tracked already or was invalidated
+    /// since it was queued.
     fn apply_batch(&self, guard: &mut LockGuard<'_, P>, entries: &[AccessEntry]) {
         let n = entries.len() as u64;
         let span = bpw_trace::span_start();
-        let mut applied = 0u64;
+        let (mut applied, mut stale_admissions) = (0u64, 0u64);
         for entry in entries {
-            let hit = guard.page_at(entry.frame) == Some(entry.page);
+            let (page, frame) = (entry.page, entry.frame);
+            if entry.is_admission() {
+                // The `dst_mutation = "stale_admit"` mutant trusts an
+                // untracked frame without the generation check: an
+                // admission queued before its frame was invalidated then
+                // binds a page the pool no longer holds there, which the
+                // dst policy-agrees-with-pool check must catch.
+                let current = cfg!(dst_mutation = "stale_admit")
+                    || entry.admission_is_current(
+                        self.admit_gens[frame as usize].load(Ordering::Relaxed),
+                    );
+                let fresh = current && guard.page_at(frame).is_none();
+                if fresh {
+                    guard.record_miss(page, Some(frame), &mut |_| true);
+                    applied += 1;
+                } else {
+                    stale_admissions += 1;
+                }
+                bpw_dst::record(|| bpw_dst::Op::MissApply {
+                    page,
+                    free: Some(frame),
+                    frame: fresh.then_some(frame),
+                    victim: None,
+                });
+                continue;
+            }
+            let hit = guard.page_at(frame) == Some(page);
             if hit {
-                guard.record_hit(entry.frame);
+                guard.record_hit(frame);
                 applied += 1;
             }
             bpw_dst::record(|| bpw_dst::Op::CommitHit {
-                page: entry.page,
-                frame: entry.frame,
+                page,
+                frame,
                 applied: hit,
             });
         }
         guard.cover_accesses(n);
         self.counters.committed.add(applied);
-        self.counters.stale_skipped.add(n - applied);
+        self.counters
+            .stale_skipped
+            .add(n - applied - stale_admissions);
+        if stale_admissions > 0 {
+            self.counters.stale_admissions.add(stale_admissions);
+        }
         self.counters.batches.incr();
         // Staged: the commit's duration is also credited to the calling
         // thread's batch-commit stage scratch, so the server can
@@ -407,15 +482,36 @@ impl<'w, P: ReplacementPolicy, W: Deref<Target = BpWrapper<P>>> AccessHandle<'w,
     /// Record a buffer **hit** on `page` residing in `frame`
     /// (`replacement_for_page_hit` in the paper).
     pub fn record_hit(&mut self, page: PageId, frame: FrameId) {
-        let w = &*self.wrapper;
         bpw_dst::yield_point();
-        w.counters.accesses.incr();
-        self.queue.push(page, frame);
+        self.wrapper.counters.accesses.incr();
+        self.queue.push(AccessEntry::hit(page, frame));
         bpw_dst::record(|| bpw_dst::Op::RecordHit { page, frame });
+        self.commit_at_threshold();
+    }
+
+    /// Record that `page` was read into `frame`, a frame no policy
+    /// tracks — one this thread evicted ahead
+    /// ([`record_miss_ahead`](Self::record_miss_ahead)) or one freed by
+    /// invalidation. The admission is one access, queued and committed
+    /// like a hit, so it takes no lock of its own; it commits as
+    /// `record_miss(page, Some(frame), ..)` unless the frame was
+    /// [invalidated](BpWrapper::invalidate) meanwhile.
+    pub fn record_admit(&mut self, page: PageId, frame: FrameId) {
+        bpw_dst::yield_point();
+        let w = &*self.wrapper;
+        w.counters.accesses.incr();
+        let generation = w.admit_gens[frame as usize].load(Ordering::Relaxed);
+        self.queue.push(AccessEntry::admit(page, frame, generation));
+        self.commit_at_threshold();
+    }
+
+    /// The paper's threshold logic, run after every recorded access.
+    fn commit_at_threshold(&mut self) {
+        let w = &*self.wrapper;
         if self.queue.len() < w.config.batch_threshold {
             return;
         }
-        w.prefetcher.prefetch_for_commit(self.queue.entries());
+        w.prefetch(self.queue.entries());
         let acquired = if w.config.batching() {
             w.lock.try_lock()
         } else {
@@ -452,18 +548,46 @@ impl<'w, P: ReplacementPolicy, W: Deref<Target = BpWrapper<P>>> AccessHandle<'w,
 
     /// Record a buffer **miss** on `page`
     /// (`replacement_for_page_miss`): takes the lock, commits any queued
-    /// hits first (preserving this thread's access order), then runs the
-    /// policy's miss path.
+    /// accesses first (preserving this thread's access order), then runs
+    /// the policy's miss path.
     pub fn record_miss(
         &mut self,
         page: PageId,
         free: Option<FrameId>,
         evictable: &mut dyn FnMut(FrameId) -> bool,
     ) -> MissOutcome {
+        self.miss(page, free, evictable, None)
+    }
+
+    /// [`record_miss`](Self::record_miss) with no free frame, evicting
+    /// ahead of need: under the same acquisition, after the miss has
+    /// its victim, evict up to `k − 1` more
+    /// ([`WrapperConfig::evict_batch`]) into `ahead` as `(frame, page)`
+    /// pairs. Their frames are the caller's to fill through
+    /// [`record_admit`](Self::record_admit). Eviction ahead stops once
+    /// the policy tracks half its frames or fewer, so the frames parked
+    /// this way can never starve another miss of a victim in a small
+    /// pool.
+    pub fn record_miss_ahead(
+        &mut self,
+        page: PageId,
+        evictable: &mut dyn FnMut(FrameId) -> bool,
+        ahead: &mut Vec<(FrameId, PageId)>,
+    ) -> MissOutcome {
+        self.miss(page, None, evictable, Some(ahead))
+    }
+
+    fn miss(
+        &mut self,
+        page: PageId,
+        free: Option<FrameId>,
+        evictable: &mut dyn FnMut(FrameId) -> bool,
+        ahead: Option<&mut Vec<(FrameId, PageId)>>,
+    ) -> MissOutcome {
         let w = &*self.wrapper;
         bpw_dst::yield_point();
         w.counters.accesses.incr();
-        w.prefetcher.prefetch_for_commit(self.queue.entries());
+        w.prefetch(self.queue.entries());
         let mut guard = w.lock.lock();
         w.commit_locked(&mut guard, &mut self.queue, self.slot);
         let out = guard.record_miss(page, free, evictable);
@@ -474,6 +598,19 @@ impl<'w, P: ReplacementPolicy, W: Deref<Target = BpWrapper<P>>> AccessHandle<'w,
             victim: out.victim(),
         });
         guard.cover_accesses(1);
+        let Some(ahead) = ahead.filter(|_| out.frame().is_some()) else {
+            return out;
+        };
+        for _ in 1..w.config.evict_batch() {
+            if guard.resident_count() * 2 <= guard.frames() {
+                break;
+            }
+            let Some((frame, victim)) = guard.evict(evictable) else {
+                break;
+            };
+            bpw_dst::record(|| bpw_dst::Op::EvictAhead { frame, victim });
+            ahead.push((frame, victim));
+        }
         out
     }
 
@@ -489,7 +626,7 @@ impl<'w, P: ReplacementPolicy, W: Deref<Target = BpWrapper<P>>> AccessHandle<'w,
         if self.queue.is_empty() && !pending {
             return;
         }
-        w.prefetcher.prefetch_for_commit(self.queue.entries());
+        w.prefetch(self.queue.entries());
         let mut guard = w.lock.lock();
         w.commit_locked(&mut guard, &mut self.queue, self.slot);
     }
@@ -502,8 +639,10 @@ impl<'w, P: ReplacementPolicy, W: Deref<Target = BpWrapper<P>>> AccessHandle<'w,
     /// Manager hot-swap: surrender this handle's queued accesses and
     /// abandon its publication slot, *without* committing anything into
     /// the (retiring) wrapper. The returned entries must be re-queued
-    /// into the successor via [`AccessHandle::absorb`]. Any batch this
-    /// handle already published stays on the board — the swap
+    /// into the successor via [`AccessHandle::absorb`]; they travel as
+    /// hits, so a handle that may be swapped must not leave admissions
+    /// queued (a swappable pool commits each one as it records it). Any
+    /// batch this handle already published stays on the board — the swap
     /// coordinator retires the whole board with
     /// [`BpWrapper::drain_published`]; touching it here would race that
     /// drain. The leaked slot is harmless: the board retires with the
@@ -525,7 +664,7 @@ impl<'w, P: ReplacementPolicy, W: Deref<Target = BpWrapper<P>>> AccessHandle<'w,
             if self.queue.is_full() {
                 self.flush();
             }
-            self.queue.push(page, frame);
+            self.queue.push(AccessEntry::hit(page, frame));
         }
     }
 
@@ -647,6 +786,147 @@ mod tests {
         h.flush();
         assert_eq!(w.counters().stale_skipped.get(), 1);
         assert_eq!(w.counters().committed.get(), 0);
+    }
+
+    /// Pages 0..3 in frames 0..3 of a 4-frame LRU; frame 3 untracked.
+    fn three_of_four(cfg: WrapperConfig) -> BpWrapper<Lru> {
+        let w = BpWrapper::new(Lru::new(4), cfg);
+        w.with_locked(|p| {
+            for i in 0..3u64 {
+                p.record_miss(i, Some(i as u32), &mut |_| true);
+            }
+        });
+        w
+    }
+
+    #[test]
+    fn admit_then_hit_in_one_fifo_commits_in_that_order() {
+        let w = three_of_four(
+            WrapperConfig::default()
+                .with_queue_size(8)
+                .with_batch_threshold(8),
+        );
+        let base = w.lock_stats().snapshot().acquisitions;
+        let mut h = w.handle();
+        h.record_admit(30, 3);
+        h.record_hit(30, 3); // stale unless the admission lands first
+        h.record_hit(0, 0);
+        assert_eq!(h.queued(), 3);
+        assert_eq!(
+            w.lock_stats().snapshot().acquisitions,
+            base,
+            "queued, not locked"
+        );
+        h.flush();
+        assert_eq!(w.counters().accesses.get(), 3, "an admission is one access");
+        assert_eq!(w.counters().committed.get(), 3);
+        assert_eq!(w.counters().stale_skipped.get(), 0);
+        w.with_locked(|p| {
+            assert_eq!(p.page_at(3), Some(30));
+            assert_eq!(p.eviction_order(), vec![1, 2, 3, 0]);
+        });
+    }
+
+    #[test]
+    fn admit_queued_before_invalidate_is_stale_and_the_reused_frame_binds_anew() {
+        let cfg = WrapperConfig::default()
+            .with_queue_size(8)
+            .with_batch_threshold(8);
+        let w = three_of_four(cfg);
+        let mut a = w.handle();
+        a.record_admit(30, 3);
+        // The pool drops page 30 before the admission commits, and
+        // another thread reuses the frame for page 40.
+        assert_eq!(w.invalidate(3), None, "not yet tracked");
+        let mut b = w.handle();
+        b.record_admit(40, 3);
+        a.flush();
+        assert_eq!(w.counters().stale_admissions.get(), 1);
+        assert_eq!(w.with_locked(|p| p.page_at(3)), None);
+        b.flush();
+        assert_eq!(w.counters().stale_admissions.get(), 1);
+        assert_eq!(w.with_locked(|p| p.page_at(3)), Some(40));
+        w.with_locked(|p| p.check_invariants());
+    }
+
+    #[test]
+    fn a_published_batch_applies_its_admissions_in_program_order() {
+        let w = BpWrapper::new(
+            Lru::new(4),
+            WrapperConfig::default()
+                .with_queue_size(4)
+                .with_batch_threshold(4)
+                .with_combining_mode(Combining::Flat),
+        );
+        w.with_locked(|p| {
+            for i in 0..2u64 {
+                p.record_miss(i, Some(i as u32), &mut |_| true);
+            }
+        });
+        let held = w.lock_for_test();
+        let mut h = w.handle();
+        h.record_admit(20, 2);
+        h.record_hit(20, 2);
+        h.record_admit(30, 3);
+        h.record_hit(0, 0); // threshold, lock busy: publish all four
+        assert_eq!(h.queued(), 0);
+        assert_eq!(w.counters().published.get(), 1);
+        drop(held);
+        let mut combiner = w.handle();
+        for _ in 0..4 {
+            combiner.record_hit(1, 1); // commits, then combines h's batch
+        }
+        assert_eq!(w.counters().combined_batches.get(), 1);
+        assert_eq!(w.counters().committed.get(), 8);
+        assert_eq!(w.counters().stale_skipped.get(), 0);
+        assert_eq!(w.counters().stale_admissions.get(), 0);
+        w.with_locked(|p| {
+            assert_eq!((p.page_at(2), p.page_at(3)), (Some(20), Some(30)));
+            assert_eq!(p.eviction_order(), vec![1, 2, 3, 0]);
+        });
+    }
+
+    #[test]
+    fn miss_ahead_evicts_k_victims_under_one_acquisition() {
+        let w = warmed(16, WrapperConfig::default()); // k = 8
+        let base = w.lock_stats().snapshot().acquisitions;
+        let mut h = w.handle();
+        let mut ahead = Vec::new();
+        let out = h.record_miss_ahead(100, &mut |_| true, &mut ahead);
+        assert_eq!(out.victim(), Some(0));
+        let victims: Vec<PageId> = ahead.iter().map(|&(_, v)| v).collect();
+        assert_eq!(
+            victims,
+            [1, 2, 3, 4, 5, 6, 7],
+            "in the order misses would evict"
+        );
+        assert_eq!(w.lock_stats().snapshot().acquisitions, base + 1);
+        for &(frame, _) in &ahead {
+            h.record_admit(200 + u64::from(frame), frame);
+        }
+        assert_eq!(w.lock_stats().snapshot().acquisitions, base + 1);
+        h.flush();
+        w.with_locked(|p| {
+            assert_eq!(p.resident_count(), 16);
+            p.check_invariants();
+        });
+    }
+
+    #[test]
+    fn prefetcher_warms_a_boxed_policy_where_it_lives() {
+        use bpw_replacement::TwoQ;
+        let policy: Box<dyn ReplacementPolicy> = Box::new(TwoQ::new(64));
+        let inner = &*policy as *const dyn ReplacementPolicy as *const u8 as usize;
+        let w = BpWrapper::new(policy, WrapperConfig::default());
+        assert_eq!(
+            w.prefetcher.header(),
+            Some((inner, std::mem::size_of::<TwoQ>().min(256))),
+            "the boxed TwoQ, not the fat pointer beside the lock word"
+        );
+        // A policy held by value is its own header and moves with the
+        // wrapper: it is warmed at the lock's address, taken per commit.
+        let by_value = BpWrapper::new(TwoQ::new(64), WrapperConfig::default());
+        assert_eq!(by_value.prefetcher.header(), None);
     }
 
     #[test]

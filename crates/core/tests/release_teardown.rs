@@ -24,12 +24,7 @@ use bpw_replacement::{Lru, ReplacementPolicy};
 fn release_returns_pending_batch_and_recycles_clean() {
     let board = PublicationBoard::new(2, 8);
     let slot = board.register().expect("slot");
-    let mut batch: Vec<AccessEntry> = (0..5)
-        .map(|i| AccessEntry {
-            page: i,
-            frame: i as u32,
-        })
-        .collect();
+    let mut batch: Vec<AccessEntry> = (0..5).map(|i| AccessEntry::hit(i, i as u32)).collect();
     assert!(board.publish(slot, &mut batch));
     assert!(batch.is_empty(), "publish must take the entries");
 
@@ -43,7 +38,7 @@ fn release_returns_pending_batch_and_recycles_clean() {
     // The recycled slot must be empty and fully usable by a new owner.
     let slot2 = board.register().expect("recycled slot");
     assert!(!board.is_published(slot2));
-    let mut fresh: Vec<AccessEntry> = vec![AccessEntry { page: 9, frame: 9 }];
+    let mut fresh: Vec<AccessEntry> = vec![AccessEntry::hit(9, 9)];
     assert!(board.publish(slot2, &mut fresh));
     let taken = board.take(slot2).expect("fresh owner's batch");
     assert_eq!(taken.len(), 1);

@@ -411,11 +411,11 @@ pub struct ReadYourWritesReport {
 /// stayed resident in between. Every `PageRead` must carry the stamp of
 /// the latest `PageWrite` of its page earlier in the history — in
 /// particular after that write's frame was evicted dirty (`MissApply`
-/// naming the page as victim), where the bytes must come back from
-/// storage. Both events are recorded under the frame's content lock, so
-/// the history orders them as the accesses happened. Reads of a page
-/// nobody has written yet are not checked: what storage held is the
-/// test's business.
+/// or `EvictAhead` naming the page as victim), where the bytes must
+/// come back from storage. Both events are recorded under the frame's
+/// content lock, so the history orders them as the accesses happened.
+/// Reads of a page nobody has written yet are not checked: what storage
+/// held is the test's business.
 pub fn check_read_your_writes(events: &[Event]) -> ReadYourWritesReport {
     #[derive(Default)]
     struct Page {
@@ -436,7 +436,8 @@ pub fn check_read_your_writes(events: &[Event]) -> ReadYourWritesReport {
             }
             Op::MissApply {
                 victim: Some(v), ..
-            } => {
+            }
+            | Op::EvictAhead { victim: v, .. } => {
                 let p = pages.entry(v).or_default();
                 if p.dirty {
                     p.dirty = false;

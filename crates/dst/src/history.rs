@@ -37,14 +37,18 @@ pub enum Op {
     /// draining as long as publishers keep feeding it.
     CombineDrain { passes: u32, batches: u32 },
     /// A miss was applied to the policy under the lock. `frame` is the
-    /// admitted frame (None when no frame was evictable), `victim` the
-    /// evicted page if the admission displaced one.
+    /// admitted frame (None when no frame was evictable, or when a
+    /// queued admission into `free` was found stale at commit),
+    /// `victim` the evicted page if the admission displaced one.
     MissApply {
         page: u64,
         free: Option<u32>,
         frame: Option<u32>,
         victim: Option<u64>,
     },
+    /// A miss evicted `victim` from `frame` ahead of need, under the
+    /// same lock acquisition, leaving the frame to its session's stash.
+    EvictAhead { frame: u32, victim: u64 },
     /// A frame was pushed onto the striped free list (`cold` = onto the
     /// cold stack rather than a per-thread stripe).
     FreePush { frame: u32, cold: bool },

@@ -86,7 +86,21 @@ impl StripedCounter {
     /// Add one.
     #[inline]
     pub fn incr(&self) {
-        self.cells[stripe()].fetch_add(1, Ordering::Relaxed);
+        self.add(1);
+    }
+
+    /// Add `n`.
+    #[inline]
+    pub fn add(&self, n: u64) {
+        self.cells[stripe()].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Subtract `n`, for a population count (a gauge). The thread that
+    /// subtracts need not own the cell that was added to, so one cell
+    /// may wrap below zero; the cells' wrapping sum is still exact.
+    #[inline]
+    pub fn sub(&self, n: u64) {
+        self.cells[stripe()].fetch_sub(n, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -97,7 +111,9 @@ impl StripedCounter {
     /// Current value, each cell loaded with `order` (the `AtomicU64`
     /// spelling, so a striped field reads like a plain atomic one).
     pub fn load(&self, order: Ordering) -> u64 {
-        self.cells.iter().map(|c| c.load(order)).sum()
+        self.cells
+            .iter()
+            .fold(0u64, |sum, c| sum.wrapping_add(c.load(order)))
     }
 }
 
@@ -244,6 +260,20 @@ mod tests {
         });
         assert_eq!(c.get(), threads * 5_000);
         assert_eq!(c.load(Ordering::Acquire), c.get());
+    }
+
+    #[test]
+    fn striped_counter_counts_a_population_across_threads() {
+        // Frames go in on one thread and come out on another: the
+        // second thread's cell wraps below zero, the sum does not.
+        let c = StripedCounter::default();
+        std::thread::scope(|sc| {
+            sc.spawn(|| c.add(7)).join().unwrap();
+            sc.spawn(|| c.sub(5)).join().unwrap();
+        });
+        assert_eq!(c.get(), 2);
+        c.sub(2);
+        assert_eq!(c.get(), 0);
     }
 
     #[test]

@@ -203,6 +203,9 @@ impl ReplacementPolicy for Box<dyn ReplacementPolicy> {
     ) -> MissOutcome {
         (**self).record_miss(page, free, evictable)
     }
+    fn evict(&mut self, evictable: &mut dyn FnMut(FrameId) -> bool) -> Option<(FrameId, PageId)> {
+        (**self).evict(evictable)
+    }
     fn remove(&mut self, frame: FrameId) -> Option<PageId> {
         (**self).remove(frame)
     }
@@ -217,6 +220,9 @@ impl ReplacementPolicy for Box<dyn ReplacementPolicy> {
     }
     fn node_region(&self) -> Option<NodeRegion> {
         (**self).node_region()
+    }
+    fn header_span(&self) -> (usize, usize) {
+        (**self).header_span()
     }
 }
 

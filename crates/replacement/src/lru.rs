@@ -70,6 +70,12 @@ impl ReplacementPolicy for Lru {
         MissOutcome::Evicted { frame, victim }
     }
 
+    fn evict(&mut self, evictable: &mut dyn FnMut(FrameId) -> bool) -> Option<(FrameId, PageId)> {
+        let frame = self.list.iter_rev(&self.arena).find(|&f| evictable(f))?;
+        self.list.remove(&mut self.arena, frame);
+        Some((frame, self.table.unbind(frame)))
+    }
+
     fn remove(&mut self, frame: FrameId) -> Option<PageId> {
         if !self.table.is_present(frame) {
             return None;
@@ -138,6 +144,20 @@ mod tests {
         // Frame 0 (page 10, LRU) is pinned: next-oldest 20 goes.
         let out = lru.record_miss(40, None, &mut |f| f != 0);
         assert_eq!(out.victim(), Some(20));
+    }
+
+    #[test]
+    fn evict_takes_the_victim_a_miss_would_and_admits_nothing() {
+        let mut lru = Lru::new(3);
+        fill(&mut lru, &[10, 20, 30]);
+        assert_eq!(lru.evict(&mut |f| f != 0), Some((1, 20)));
+        assert_eq!(lru.page_at(1), None);
+        assert_eq!(lru.resident_count(), 2);
+        assert_eq!(lru.evict(&mut |_| false), None);
+        // The untracked frame is a free frame to the next miss.
+        let out = lru.record_miss(40, Some(1), &mut |_| true);
+        assert_eq!(out, MissOutcome::AdmittedFree(1));
+        lru.check_invariants();
     }
 
     #[test]

@@ -118,6 +118,17 @@ pub trait ReplacementPolicy: Send {
         evictable: &mut dyn FnMut(FrameId) -> bool,
     ) -> MissOutcome;
 
+    /// Evict one page ahead of need, admitting nothing: take the first
+    /// candidate `evictable` accepts, in the order a miss would, forget
+    /// it, and leave its frame untracked for a later
+    /// [`record_miss`](Self::record_miss) with that frame as `free`.
+    /// `None` means no candidate was accepted — or, the default, that
+    /// the policy does not evict ahead, so every eviction happens inside
+    /// `record_miss`.
+    fn evict(&mut self, _evictable: &mut dyn FnMut(FrameId) -> bool) -> Option<(FrameId, PageId)> {
+        None
+    }
+
     /// Forget the page in `frame` (explicit invalidation, e.g. table drop).
     /// Returns the page that was resident there, if any.
     fn remove(&mut self, frame: FrameId) -> Option<PageId>;
@@ -141,6 +152,18 @@ pub trait ReplacementPolicy: Send {
     /// if the policy can expose one. See [`NodeRegion`].
     fn node_region(&self) -> Option<NodeRegion> {
         None
+    }
+
+    /// The policy's header — list heads, counters — as `(address,
+    /// bytes)`, for prefetching before the lock is requested. The
+    /// default is the policy value itself; a policy held behind a
+    /// pointer (`Box<dyn ReplacementPolicy>`) forwards, so the span is
+    /// the heap struct's rather than the pointer's.
+    fn header_span(&self) -> (usize, usize) {
+        (
+            self as *const Self as *const u8 as usize,
+            std::mem::size_of_val(self),
+        )
     }
 }
 

@@ -168,6 +168,10 @@ impl ReplacementPolicy for TwoQ {
         outcome
     }
 
+    fn evict(&mut self, evictable: &mut dyn FnMut(FrameId) -> bool) -> Option<(FrameId, PageId)> {
+        self.reclaim(evictable)
+    }
+
     fn remove(&mut self, frame: FrameId) -> Option<PageId> {
         if !self.table.is_present(frame) {
             return None;
@@ -253,6 +257,26 @@ mod tests {
         assert!(!q.in_a1out(1));
         assert_eq!(q.am_len(), 1);
         q.check_invariants();
+    }
+
+    #[test]
+    fn evict_follows_reclaim_order_and_remembers_a1in_victims() {
+        let mut ahead = TwoQ::new(4); // kin = 1
+        let mut sim = TwoQ::new(4);
+        for (i, p) in (0..4).zip([1, 2, 3, 4]) {
+            admit(&mut ahead, p, i as FrameId);
+            admit(&mut sim, p, i as FrameId);
+        }
+        // The victim `evict` takes is the one a miss would have taken.
+        let want = miss_full(&mut sim, 5).victim();
+        let (frame, victim) = ahead.evict(&mut |_| true).expect("a victim");
+        assert_eq!(Some(victim), want);
+        assert_eq!(ahead.page_at(frame), None);
+        assert!(ahead.in_a1out(victim), "A1in victims become ghosts");
+        assert_eq!(ahead.resident_count(), 3);
+        ahead.check_invariants();
+        admit(&mut ahead, 5, frame);
+        ahead.check_invariants();
     }
 
     #[test]

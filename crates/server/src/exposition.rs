@@ -154,6 +154,10 @@ pub(crate) struct PoolSide {
     miss_locks: LockShardSummary,
     /// Combining-commit counters (wrapped managers only).
     combining: Option<CombiningSnapshot>,
+    /// Frames sessions hold evicted ahead of need.
+    stashed_frames: u64,
+    /// Queued admissions dropped because their frame was invalidated.
+    stale_admissions: u64,
     /// Admission-queue depth high-water mark.
     peak_queue_depth: u64,
 }
@@ -173,6 +177,8 @@ impl PoolSide {
                     miss_lock: pool.miss_lock_snapshot(),
                     miss_locks: pool.miss_lock_summary(),
                     combining: pool.manager().combining_snapshot(),
+                    stashed_frames: pool.stashed_frames() as u64,
+                    stale_admissions: pool.manager().stale_admissions(),
                     peak_queue_depth: shared.depth.get(),
                 }
             })
@@ -252,6 +258,8 @@ pub(crate) fn walk<'a>(shared: &'a Shared, scrape: &'a Scrape, visit: &mut dyn F
         row(&[key], name, &[], help, Counter(value));
     }
     row(&["pool_hit_ratio"],   "bpw_pool_hit_ratio",          &[], "Hits over fetches since start (0 when idle).",                        Ratio(pool.hit_ratio));
+    row(&["pool_stashed_frames"], "bpw_pool_stashed_frames",  &[], "Frames evicted ahead of need, held in sessions' stashes.",            Gauge(pool.stashed_frames));
+    row(&["stale_admissions"], "bpw_wrapper_stale_admissions_total", &[], "Queued admissions dropped at commit: their frame was invalidated meanwhile.", Counter(pool.stale_admissions));
 
     for (key, label, l) in [("replacement_lock", "replacement", &pool.lock), ("miss_lock", "miss", &pool.miss_lock)] {
         let lock = &[("lock", label)];

@@ -274,7 +274,8 @@ fn cmd_chaos(flags: &HashMap<String, String>) -> Result<(), String> {
         let retries = stats.io_retries.load(ord);
         let hard_errors = stats.io_errors.load(ord);
         let frames = server.pool().frames();
-        let accounted = server.pool().free_frames() + server.pool().resident_count();
+        let pool = server.pool();
+        let accounted = pool.free_frames() + pool.stashed_frames() + pool.resident_count();
         if accounted != frames {
             return Err(format!(
                 "fault_ppm {fault_ppm}: frame accounting broken ({accounted} of {frames})"
@@ -427,7 +428,8 @@ fn cmd_smoke(flags: &HashMap<String, String>) -> Result<(), String> {
             return Err("faulty smoke injected no retried faults".into());
         }
         let frames = server.pool().frames();
-        let accounted = server.pool().free_frames() + server.pool().resident_count();
+        let pool = server.pool();
+        let accounted = pool.free_frames() + pool.stashed_frames() + pool.resident_count();
         if accounted != frames {
             return Err(format!(
                 "frame accounting broken after faults: {accounted} of {frames}"

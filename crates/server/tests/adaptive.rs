@@ -91,7 +91,9 @@ fn adaptive_stats_and_swaps_under_traffic(mode: FrontendMode) {
 
     // Pool conservation after everything: no frame lost to a swap.
     assert_eq!(
-        server.pool().free_frames() + server.pool().resident_count(),
+        server.pool().free_frames()
+            + server.pool().stashed_frames()
+            + server.pool().resident_count(),
         FRAMES
     );
     drop(client);
@@ -183,7 +185,9 @@ fn busy_invalidate_retry_during_swaps(mode: FrontendMode) {
     // Traffic still works after the storm.
     client.get(PAGE).expect("GET after storm");
     assert_eq!(
-        server.pool().free_frames() + server.pool().resident_count(),
+        server.pool().free_frames()
+            + server.pool().stashed_frames()
+            + server.pool().resident_count(),
         FRAMES
     );
     drop(client);

@@ -50,15 +50,16 @@ fn chaos_server(mode: FrontendMode) -> Server {
 }
 
 /// The invariant at the heart of frame repair: no frame may be lost to
-/// a failed I/O. Either it went back to the free list or it holds a
-/// resident page.
+/// a failed I/O. Either it went back to the free list, waits in a
+/// worker's stash of frames evicted ahead, or holds a resident page.
 fn assert_no_stuck_frames(server: &Server) {
     let free = server.pool().free_frames();
+    let stashed = server.pool().stashed_frames();
     let resident = server.pool().resident_count();
     assert_eq!(
-        free + resident,
+        free + stashed + resident,
         FRAMES,
-        "stuck frame: {free} free + {resident} resident != {FRAMES} frames"
+        "stuck frame: {free} free + {stashed} stashed + {resident} resident != {FRAMES} frames"
     );
 }
 

@@ -908,15 +908,16 @@ fn mid_request_disconnect_leaks_nothing(mode: FrontendMode) {
     }
 
     // Every orphaned request eventually drains and unpins its frames:
-    // free + resident returns to the exact frame count.
+    // free + stashed + resident returns to the exact frame count.
     let pool = server.pool().clone();
     let frames = pool.frames();
     assert!(
         bpw_server::poll_until(Duration::from_secs(10), || {
-            pool.free_frames() + pool.resident_count() == frames
+            pool.free_frames() + pool.stashed_frames() + pool.resident_count() == frames
         }),
-        "orphaned requests left frames pinned: {} free + {} resident != {frames}",
+        "orphaned requests left frames pinned: {} free + {} stashed + {} resident != {frames}",
         pool.free_frames(),
+        pool.stashed_frames(),
         pool.resident_count(),
     );
 
