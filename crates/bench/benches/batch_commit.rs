@@ -20,7 +20,6 @@ fn bench_commit(c: &mut Criterion) {
             queue_size: batch,
             batch_threshold: batch, // commit exactly at `batch`
             prefetching: true,
-            combining: bpw_core::Combining::Off,
         };
         let wrapper = BpWrapper::new(Lirs::new(FRAMES), cfg);
         wrapper.with_locked(|p| {

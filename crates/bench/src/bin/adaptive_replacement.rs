@@ -137,7 +137,6 @@ struct AdaptiveRun {
     adoptions: Vec<Adoption>,
     swaps: u64,
     pages_transferred: u64,
-    advice_recovered: u64,
     tap_pushed: u64,
     tap_dropped: u64,
     wall_ns: u64,
@@ -205,7 +204,6 @@ fn run_adaptive(trace: &[u64], quick: bool) -> AdaptiveRun {
         adoptions,
         swaps: mgr.swaps(),
         pages_transferred: mgr.pages_transferred(),
-        advice_recovered: mgr.advice_recovered(),
         tap_pushed: tap.pushed(),
         tap_dropped: tap.dropped(),
         wall_ns,
@@ -375,7 +373,6 @@ fn main() {
         .field_u64("adoptions", run.adoptions.len() as u64)
         .field_u64("swaps", run.swaps)
         .field_u64("pages_transferred", run.pages_transferred)
-        .field_u64("advice_recovered", run.advice_recovered)
         .field_u64("tap_pushed", run.tap_pushed)
         .field_u64("tap_dropped", run.tap_dropped)
         .field_u64("wall_ns", run.wall_ns);

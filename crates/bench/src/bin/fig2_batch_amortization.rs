@@ -70,7 +70,6 @@ fn real_threads() {
                 queue_size: batch,
                 batch_threshold: (batch / 2).max(1),
                 prefetching: true,
-                combining: bpw_core::Combining::Off,
             }
         };
         let wrapper = BpWrapper::new(TwoQ::new(frames), cfg);

@@ -14,7 +14,7 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
-use bpw_core::{BpWrapper, CombiningSnapshot, InstrumentedLock, WrapperConfig};
+use bpw_core::{BpWrapper, InstrumentedLock, WrapperConfig};
 use bpw_metrics::{LockSnapshot, LockStats};
 use bpw_replacement::{FrameId, MissOutcome, PageId, ReplacementPolicy};
 
@@ -80,13 +80,6 @@ pub trait ReplacementManager: Send + Sync {
     /// Lock statistics for the replacement lock.
     fn lock_snapshot(&self) -> LockSnapshot;
 
-    /// Combining-commit counters, for managers that batch through a
-    /// BP-Wrapper publication board. `None` for managers with no
-    /// combining machinery at all.
-    fn combining_snapshot(&self) -> Option<CombiningSnapshot> {
-        None
-    }
-
     /// Queued admissions dropped at commit because their frame was
     /// invalidated meanwhile (0 for managers that admit at once).
     fn stale_admissions(&self) -> u64 {
@@ -104,14 +97,6 @@ pub trait ReplacementManager: Send + Sync {
     /// resident set before it is installed (so its first miss decision
     /// already sees the inherited working set).
     fn import_state(&self, _state: &[(FrameId, PageId)]) {}
-
-    /// Manager hot-swap: drain any published-but-undrained combining
-    /// batches off this (retiring) manager, returning the raw accesses
-    /// so the coordinator can replay them into the successor. Managers
-    /// without a publication board return an empty vec.
-    fn take_published(&self) -> Vec<(PageId, FrameId)> {
-        Vec::new()
-    }
 
     /// Hot-swap the live manager for `next`, if this manager supports
     /// it ([`SwapManager`](crate::swap::SwapManager) does; static
@@ -143,10 +128,6 @@ impl<M: ReplacementManager + ?Sized> ReplacementManager for Box<M> {
         (**self).lock_snapshot()
     }
 
-    fn combining_snapshot(&self) -> Option<CombiningSnapshot> {
-        (**self).combining_snapshot()
-    }
-
     fn stale_admissions(&self) -> u64 {
         (**self).stale_admissions()
     }
@@ -157,10 +138,6 @@ impl<M: ReplacementManager + ?Sized> ReplacementManager for Box<M> {
 
     fn import_state(&self, state: &[(FrameId, PageId)]) {
         (**self).import_state(state)
-    }
-
-    fn take_published(&self) -> Vec<(PageId, FrameId)> {
-        (**self).take_published()
     }
 
     fn swap_to(&self, next: Box<dyn ReplacementManager>) -> Option<crate::swap::SwapReport> {
@@ -187,10 +164,6 @@ impl<M: ReplacementManager> ReplacementManager for Arc<M> {
         (**self).lock_snapshot()
     }
 
-    fn combining_snapshot(&self) -> Option<CombiningSnapshot> {
-        (**self).combining_snapshot()
-    }
-
     fn stale_admissions(&self) -> u64 {
         (**self).stale_admissions()
     }
@@ -201,10 +174,6 @@ impl<M: ReplacementManager> ReplacementManager for Arc<M> {
 
     fn import_state(&self, state: &[(FrameId, PageId)]) {
         (**self).import_state(state)
-    }
-
-    fn take_published(&self) -> Vec<(PageId, FrameId)> {
-        (**self).take_published()
     }
 
     fn swap_to(&self, next: Box<dyn ReplacementManager>) -> Option<crate::swap::SwapReport> {
@@ -474,10 +443,6 @@ impl<P: ReplacementPolicy> ReplacementManager for WrappedManager<P> {
         self.wrapper.lock_stats().snapshot()
     }
 
-    fn combining_snapshot(&self) -> Option<CombiningSnapshot> {
-        Some(self.wrapper.combining_snapshot())
-    }
-
     fn stale_admissions(&self) -> u64 {
         self.wrapper.counters().stale_admissions.get()
     }
@@ -493,14 +458,6 @@ impl<P: ReplacementPolicy> ReplacementManager for WrappedManager<P> {
                 debug_assert_eq!(out, MissOutcome::AdmittedFree(frame));
             }
         });
-    }
-
-    fn take_published(&self) -> Vec<(PageId, FrameId)> {
-        self.wrapper
-            .drain_published()
-            .into_iter()
-            .map(|e| (e.page, e.frame))
-            .collect()
     }
 }
 

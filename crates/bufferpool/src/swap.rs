@@ -15,12 +15,6 @@
 //! * The swapper installs the successor (new generation), then waits
 //!   for **quiescence**: every cell either idle or entered under the
 //!   *new* generation. Only then is the old manager retired.
-//! * Retirement drains the old manager's combining publication board
-//!   ([`ReplacementManager::take_published`]) and replays the stranded
-//!   advice into the successor — the coordinator is the *only*
-//!   retirement path for published batches across a swap, which is
-//!   exactly what the `dst_mutation = "swap_no_drain"` mutant breaks
-//!   and the dst conservation checker catches.
 //! * Handles lazily migrate: the first enter after a swap moves the
 //!   thread's queued advice into a successor handle
 //!   ([`ManagerHandle::take_for_swap`] / [`ManagerHandle::absorb`]).
@@ -39,7 +33,7 @@ use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use bpw_core::{CachePadded, CombiningSnapshot};
+use bpw_core::CachePadded;
 use bpw_dst::shim::{AtomicU64, Mutex};
 use bpw_metrics::LockSnapshot;
 use bpw_replacement::{FrameId, MissOutcome, PageId};
@@ -57,8 +51,6 @@ pub struct SwapReport {
     pub generation: u64,
     /// Resident pages transferred via `export_state`/`import_state`.
     pub pages_transferred: usize,
-    /// Stranded published accesses recovered off the old board.
-    pub advice_recovered: usize,
 }
 
 /// One installed manager generation. Handles hold an `Arc` to the
@@ -86,7 +78,6 @@ pub struct SwapManager {
     swaps: AtomicU64,
     migrations: AtomicU64,
     pages_transferred: AtomicU64,
-    advice_recovered: AtomicU64,
 }
 
 impl SwapManager {
@@ -103,7 +94,6 @@ impl SwapManager {
             swaps: AtomicU64::new(0),
             migrations: AtomicU64::new(0),
             pages_transferred: AtomicU64::new(0),
-            advice_recovered: AtomicU64::new(0),
         }
     }
 
@@ -120,11 +110,6 @@ impl SwapManager {
     /// Resident pages transferred across all swaps.
     pub fn pages_transferred(&self) -> u64 {
         self.pages_transferred.load(Ordering::Relaxed)
-    }
-
-    /// Stranded published accesses recovered across all swaps.
-    pub fn advice_recovered(&self) -> u64 {
-        self.advice_recovered.load(Ordering::Relaxed)
     }
 
     /// Name of the currently installed inner manager.
@@ -194,46 +179,28 @@ impl SwapManager {
         // miss locks, so one may have reached the old manager after its
         // state was exported. Quiescence means none is still running:
         // carry the late ones over. (Nothing leaves the old resident set
-        // meanwhile — evictions and invalidations hold miss locks.)
+        // meanwhile — evictions and invalidations hold miss locks.) The
+        // `dst_mutation = "swap_no_late_carry"` mutant skips this: the
+        // successor then never tracks those frames, which the dst
+        // policy-agrees-with-pool check must catch.
         let exported: HashSet<(FrameId, PageId)> = state.iter().copied().collect();
         let late: Vec<_> = old
             .mgr
             .export_state()
             .into_iter()
-            .filter(|e| !exported.contains(e))
+            .filter(|e| !exported.contains(e) && !cfg!(dst_mutation = "swap_no_late_carry"))
             .collect();
         new_slot.mgr.import_state(&late);
         bpw_dst::record(|| bpw_dst::Op::SwapRetire { gen: old.gen });
 
-        // Retire: the old board's published batches have exactly one
-        // surviving owner — this coordinator. Handles abandoned their
-        // slots on migration (`take_for_swap` never touches the board),
-        // so skipping this drain strands the advice forever; the
-        // `swap_no_drain` mutant proves the dst tier notices.
-        #[cfg(not(dst_mutation = "swap_no_drain"))]
-        let recovered = {
-            let stranded = old.mgr.take_published();
-            if !stranded.is_empty() {
-                let mut h = new_slot.mgr.handle();
-                h.absorb(&stranded);
-                h.flush();
-            }
-            stranded.len()
-        };
-        #[cfg(dst_mutation = "swap_no_drain")]
-        let recovered = 0usize;
-
         self.swaps.fetch_add(1, Ordering::Relaxed);
         self.pages_transferred
             .fetch_add((state.len() + late.len()) as u64, Ordering::Relaxed);
-        self.advice_recovered
-            .fetch_add(recovered as u64, Ordering::Relaxed);
         SwapReport {
             from,
             to,
             generation: new_gen,
             pages_transferred: state.len() + late.len(),
-            advice_recovered: recovered,
         }
     }
 }
@@ -266,20 +233,12 @@ impl ReplacementManager for SwapManager {
         self.current_generation().mgr.lock_snapshot()
     }
 
-    fn combining_snapshot(&self) -> Option<CombiningSnapshot> {
-        self.current_generation().mgr.combining_snapshot()
-    }
-
     fn export_state(&self) -> Vec<(FrameId, PageId)> {
         self.current_generation().mgr.export_state()
     }
 
     fn import_state(&self, state: &[(FrameId, PageId)]) {
         self.current_generation().mgr.import_state(state)
-    }
-
-    fn take_published(&self) -> Vec<(PageId, FrameId)> {
-        self.current_generation().mgr.take_published()
     }
 
     fn swap_to(&self, next: Box<dyn ReplacementManager>) -> Option<SwapReport> {
@@ -346,8 +305,8 @@ impl SwapHandle<'_> {
         let mut new_inner = unsafe { make_inner(&new_slot) };
         new_inner.absorb(&moved);
         // Drop the old inner *before* releasing the old generation Arc:
-        // its queue is empty and its publication slot abandoned, so the
-        // drop is a no-op, but the borrow checker discipline stands.
+        // its queue is empty, so the drop is a no-op, but the borrow
+        // checker discipline stands.
         let old_inner = std::mem::replace(&mut self.inner, new_inner);
         drop(old_inner);
         self.slot = new_slot;

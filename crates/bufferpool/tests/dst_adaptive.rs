@@ -1,12 +1,13 @@
 //! Deterministic-simulation coverage for replacement-manager hot-swap
-//! (DESIGN.md §16): swaps race pinned pages, misses, invalidations, and
-//! combining drains, and under every schedule the swap epoch must be
+//! (DESIGN.md §16): swaps race pinned pages, misses, invalidations and
+//! deferred commits, and under every schedule the swap epoch must be
 //! well-formed (no access applied to a retired manager), residency must
-//! be conserved (`free + resident == frames`), and every recorded hit
-//! must be committed exactly once — published batches stranded on a
-//! retired manager's board are the classic way to lose advice, which is
-//! exactly what the `dst_mutation = "swap_no_drain"` mutant reintroduces
-//! and this suite must catch.
+//! be conserved (`free + resident == frames`), the live manager must
+//! track exactly the pages the pool holds, and every recorded hit must
+//! be committed exactly once. An admission that reaches the old manager
+//! after its state was exported is the classic way to lose a page from
+//! the successor's view; the `dst_mutation = "swap_no_late_carry"`
+//! mutant skips carrying it over, and this suite must catch it.
 
 #![cfg(feature = "dst")]
 
@@ -28,7 +29,6 @@ fn wrapper_cfg() -> WrapperConfig {
     WrapperConfig::default()
         .with_queue_size(2)
         .with_batch_threshold(1)
-        .with_combining(true)
 }
 
 fn wrapped_lru(frames: usize) -> Box<dyn ReplacementManager> {
@@ -167,54 +167,6 @@ fn dst_swap_under_storm_preserves_invariants() {
         "no schedule ever recorded advice; vacuous"
     );
     assert!(busy_seen > 0, "no schedule ever answered Busy; vacuous");
-}
-
-/// The dedicated mutant target: a batch is *published* to the combining
-/// board (not just queued) when the swap lands, so the coordinator's
-/// retirement drain is the only thing standing between that advice and
-/// oblivion. Normal build: drained, replayed, conserved. With
-/// `RUSTFLAGS='--cfg dst_mutation="swap_no_drain"'` the drain is
-/// skipped and `check_hit_conservation` must panic.
-#[test]
-fn dst_swap_drain_recovers_published_advice() {
-    let wrapped = Arc::new(WrappedManager::new(
-        Lru::new(4),
-        WrapperConfig::default()
-            .with_queue_size(2)
-            .with_batch_threshold(2)
-            .with_combining(true),
-    ));
-    let mgr = Arc::new(SwapManager::new(Box::new(Arc::clone(&wrapped))));
-    let mut sim = Sim::new(0xD12A);
-    {
-        let wrapped = Arc::clone(&wrapped);
-        let mgr = Arc::clone(&mgr);
-        sim.spawn(move || {
-            let mut h = mgr.handle();
-            for i in 0..4u64 {
-                h.on_admit(i, i as u32);
-            }
-            // Fill the queue to threshold while *holding* the wrapper
-            // lock, so the commit attempt's try-lock fails and the batch
-            // is published to the board instead of applied.
-            wrapped.wrapper().with_locked(|_| {
-                h.on_hit(0, 0);
-                h.on_hit(1, 1);
-            });
-            // Swap with the batch still on the old board. Retirement
-            // must drain it into the successor.
-            mgr.swap(wrapped_lru(4));
-            drop(h);
-        });
-    }
-    let out = sim.run();
-    out.check(|o| {
-        let cons = check_hit_conservation(&o.history);
-        assert!(cons.records >= 2, "the batch was never published; vacuous");
-        assert_eq!(cons.records, cons.commits);
-    });
-    #[cfg(not(dst_mutation = "swap_no_drain"))]
-    assert_eq!(mgr.advice_recovered(), 2);
 }
 
 #[test]

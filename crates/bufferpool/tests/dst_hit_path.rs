@@ -37,8 +37,7 @@ fn make_pool(frames: usize) -> Arc<Pool> {
             Lru::new(frames),
             WrapperConfig::default()
                 .with_queue_size(4)
-                .with_batch_threshold(2)
-                .with_combining(true),
+                .with_batch_threshold(2),
         ),
         Arc::new(SimDisk::instant()),
     ))

@@ -29,8 +29,7 @@ fn make_pool() -> Arc<Pool> {
             Lru::new(FRAMES),
             WrapperConfig::default()
                 .with_queue_size(2)
-                .with_batch_threshold(1)
-                .with_combining(true),
+                .with_batch_threshold(1),
         ),
         Arc::new(SimDisk::instant()),
     ))

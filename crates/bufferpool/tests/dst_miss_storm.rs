@@ -34,8 +34,7 @@ fn make_pool() -> Arc<Pool> {
             Lru::new(FRAMES),
             WrapperConfig::default()
                 .with_queue_size(16)
-                .with_batch_threshold(2)
-                .with_combining(true),
+                .with_batch_threshold(2),
         ),
         Arc::new(SimDisk::instant()),
     ))

@@ -32,8 +32,8 @@ const HITS: u64 = 1_000;
 
 fn wrapped_pool() -> BufferPool<WrappedManager<TwoQ>> {
     // Queue sized so the measured window (HITS accesses) stays below
-    // the batch threshold: no commit, publish, or blocking Lock() can
-    // fire mid-window. The flush at session drop happens after the
+    // the batch threshold: no commit or blocking Lock() can fire
+    // mid-window. The flush at session drop happens after the
     // measurement.
     let cfg = WrapperConfig {
         queue_size: 2 * HITS as usize,

@@ -9,10 +9,9 @@
 //! and reports [`UnpinOutcome::Underflow`] instead, in **every**
 //! profile.
 //!
-//! Run under `--release` in CI (like `release_teardown.rs`): the
-//! release half below is exactly the code path debug builds cannot
-//! reach (their `debug_assert!` aborts first, which
-//! `unpin_underflow_still_panics_in_debug` pins down).
+//! Run under `--release` in CI: the release half below is exactly the
+//! code path debug builds cannot reach (their `debug_assert!` aborts
+//! first, which `unpin_underflow_still_panics_in_debug` pins down).
 
 #![cfg(not(feature = "dst"))]
 

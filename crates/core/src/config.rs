@@ -1,58 +1,5 @@
 //! Tuning parameters for the BP-Wrapper framework.
 
-/// How the wrapper handles a commit attempt that finds the replacement
-/// lock busy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Combining {
-    /// The paper's pseudo-code: keep accumulating past the threshold and
-    /// block in `Lock()` when the queue is full.
-    #[default]
-    Off,
-    /// Full flat combining: *any* contended threshold crossing publishes
-    /// and returns, and every lock holder drains all pending slots per
-    /// critical section. The lock is acquired by whoever wins it; the
-    /// losers never block on the hit path at all.
-    Flat,
-}
-
-impl Combining {
-    /// Does this mode use the publication board at all?
-    pub fn is_enabled(self) -> bool {
-        !matches!(self, Combining::Off)
-    }
-
-    /// Stable lower-case name (used in STATS and bench rows).
-    pub fn name(self) -> &'static str {
-        match self {
-            Combining::Off => "off",
-            Combining::Flat => "flat",
-        }
-    }
-}
-
-impl std::fmt::Display for Combining {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for Combining {
-    type Err = String;
-
-    /// Accepts the mode names plus `true`/`false` for compatibility with
-    /// the old boolean `--combining` flag (`true` means full flat
-    /// combining, the strongest mode).
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "off" | "false" | "none" => Ok(Combining::Off),
-            "flat" | "true" | "on" => Ok(Combining::Flat),
-            other => Err(format!(
-                "unknown combining mode {other:?} (expected off|flat)"
-            )),
-        }
-    }
-}
-
 /// Configuration of one [`BpWrapper`](crate::BpWrapper) instance.
 ///
 /// The defaults are the values the paper uses in its evaluation (§IV-C):
@@ -73,13 +20,6 @@ pub struct WrapperConfig {
     /// policy metadata of queued accesses into the processor cache
     /// immediately before requesting the lock (§III-B).
     pub prefetching: bool,
-    /// Combining commit mode: a thread that finds the lock busy
-    /// *publishes* its batch to a per-handle slot and returns, and
-    /// whichever thread next holds the lock applies published batches on
-    /// the publishers' behalf. [`Combining::Off`] by default — it trades
-    /// commit latency for fewer lock acquisitions and only pays off
-    /// under contention.
-    pub combining: Combining,
 }
 
 impl Default for WrapperConfig {
@@ -88,7 +28,6 @@ impl Default for WrapperConfig {
             queue_size: 64,
             batch_threshold: 32,
             prefetching: true,
-            combining: Combining::Off,
         }
     }
 }
@@ -100,7 +39,6 @@ impl WrapperConfig {
             queue_size: 1,
             batch_threshold: 1,
             prefetching: false,
-            combining: Combining::Off,
         }
     }
 
@@ -138,17 +76,6 @@ impl WrapperConfig {
         assert!(t >= 1, "batch threshold must be at least 1");
         assert!(t <= self.queue_size, "threshold cannot exceed queue size");
         self.batch_threshold = t;
-        self
-    }
-
-    /// Enable or disable combining commit (`true` selects flat combining).
-    pub fn with_combining(self, on: bool) -> Self {
-        self.with_combining_mode(if on { Combining::Flat } else { Combining::Off })
-    }
-
-    /// Select a combining mode explicitly.
-    pub fn with_combining_mode(mut self, mode: Combining) -> Self {
-        self.combining = mode;
         self
     }
 
@@ -228,33 +155,6 @@ mod tests {
         let c = c.with_batch_threshold(8);
         assert_eq!(c.batch_threshold, 8);
         c.validate();
-    }
-
-    #[test]
-    fn combining_is_opt_in() {
-        assert_eq!(WrapperConfig::default().combining, Combining::Off);
-        let c = WrapperConfig::default().with_combining(true);
-        assert_eq!(
-            c.combining,
-            Combining::Flat,
-            "bool opt-in means full flat combining"
-        );
-        c.validate();
-    }
-
-    #[test]
-    fn combining_mode_parses() {
-        for (s, want) in [
-            ("off", Combining::Off),
-            ("false", Combining::Off),
-            ("flat", Combining::Flat),
-            ("true", Combining::Flat),
-        ] {
-            assert_eq!(s.parse::<Combining>().unwrap(), want);
-        }
-        assert!("sideways".parse::<Combining>().is_err());
-        assert!("overflow".parse::<Combining>().is_err());
-        assert_eq!(Combining::Flat.to_string(), "flat");
     }
 
     #[test]

@@ -49,7 +49,6 @@
 //! println!("contentions/M: {:.1}", wrapper.contentions_per_million());
 //! ```
 
-pub mod combining;
 pub mod config;
 pub mod lock;
 pub mod pad;
@@ -58,17 +57,13 @@ pub mod queue;
 pub mod wrapped_cache;
 pub mod wrapper;
 
-pub use combining::{PublicationBoard, SlotId, TakenBatch};
-pub use config::{Combining, WrapperConfig};
+pub use config::WrapperConfig;
 pub use lock::{InstrumentedLock, LockGuard};
 pub use pad::CachePadded;
 pub use prefetch::{prefetch_line, prefetch_span, Prefetcher};
 pub use queue::{AccessEntry, AccessQueue};
 pub use wrapped_cache::WrappedCache;
-pub use wrapper::{
-    AccessHandle, ArcAccessHandle, BpWrapper, CombiningSnapshot, WrapperCounters,
-    MAX_COMBINE_PASSES,
-};
+pub use wrapper::{AccessHandle, ArcAccessHandle, BpWrapper, WrapperCounters};
 
 /// The five systems of the paper's Table I, as wrapper configurations
 /// plus the clock baseline.

@@ -128,15 +128,6 @@ impl AccessQueue {
     pub fn clear(&mut self) {
         self.entries.clear();
     }
-
-    /// The queue's backing storage, for an O(1) ownership exchange with
-    /// a publication buffer (combining publish swaps `Vec` internals by
-    /// pointer instead of copying entries or allocating). The caller
-    /// must leave behind storage with at least [`capacity`](Self::capacity)
-    /// reserved so later pushes never reallocate.
-    pub(crate) fn storage_mut(&mut self) -> &mut Vec<AccessEntry> {
-        &mut self.entries
-    }
 }
 
 #[cfg(test)]

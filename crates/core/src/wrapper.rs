@@ -26,52 +26,13 @@ use std::ops::Deref;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-use bpw_metrics::{Counter, Gauge, LockStats, StripedCounter};
+use bpw_metrics::{Counter, LockStats, StripedCounter};
 use bpw_replacement::{FrameId, MissOutcome, PageId, ReplacementPolicy};
 
-use crate::combining::{PublicationBoard, SlotId};
-use crate::config::{Combining, WrapperConfig};
+use crate::config::WrapperConfig;
 use crate::lock::{InstrumentedLock, LockGuard};
 use crate::prefetch::Prefetcher;
 use crate::queue::{AccessEntry, AccessQueue};
-
-/// Publication slots a combining-enabled wrapper provides; handles
-/// beyond this many concurrent threads fall back to blocking commits.
-const COMBINING_SLOTS: usize = 64;
-
-/// Fairness bound: at most this many drain passes per critical section.
-/// A combiner drains whatever is pending, and gives fresh publications
-/// arriving *while it drains* one more chance — then it must release
-/// the lock, or a steady stream of publishers could pin one thread in
-/// the critical section indefinitely (combiner starvation). The
-/// `dst_mutation = "fairness"` mutant removes the bound; the dst
-/// fairness checker must catch the unbounded tenure.
-pub const MAX_COMBINE_PASSES: u32 = 2;
-
-/// A point-in-time copy of the combining counters, for STATS/METRICS.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CombiningSnapshot {
-    /// Configured combining mode.
-    pub mode: Combining,
-    /// Batches published instead of blocking (or waiting) on the lock.
-    pub published: u64,
-    /// Publish attempts that failed (slot busy or none) and fell back
-    /// to accumulating or blocking.
-    pub publish_fallbacks: u64,
-    /// Published batches reclaimed by their own thread before newer
-    /// accesses were committed.
-    pub reclaimed: u64,
-    /// Other threads' batches applied by lock holders.
-    pub combined_batches: u64,
-    /// Entries inside those combined batches.
-    pub combined_entries: u64,
-    /// Drain passes executed across all critical sections.
-    pub combine_passes: u64,
-    /// Batches drained in the most recent combining critical section.
-    pub combine_depth_last: u64,
-    /// Most batches ever drained in one critical section.
-    pub combine_depth_peak: u64,
-}
 
 /// Counters specific to the wrapper (beyond the lock statistics).
 #[derive(Debug, Default)]
@@ -92,26 +53,6 @@ pub struct WrapperCounters {
     pub stale_admissions: StripedCounter,
     /// Commit rounds (batches) executed.
     pub batches: Counter,
-    /// Contended commits turned into publications instead of blocking
-    /// (or deferred) `Lock()` calls (combining only).
-    pub published: Counter,
-    /// Publish attempts that found the slot occupied or both buffers in
-    /// flight and fell back to accumulating/blocking (combining only).
-    pub publish_fallbacks: Counter,
-    /// Published batches a thread took back and applied itself before
-    /// committing newer accesses (order preservation; combining only).
-    pub reclaimed: Counter,
-    /// Other threads' published batches applied while holding the lock
-    /// (combining only).
-    pub combined_batches: Counter,
-    /// Entries inside those combined batches (combining only).
-    pub combined_entries: Counter,
-    /// Drain passes executed by combining critical sections (at most
-    /// [`MAX_COMBINE_PASSES`] each; combining only).
-    pub combine_passes: Counter,
-    /// Batches drained per combining critical section: last observed
-    /// value and all-time peak (combining only).
-    pub combine_depth: Gauge,
 }
 
 /// A replacement policy wrapped with the paper's batching and prefetching
@@ -122,7 +63,6 @@ pub struct BpWrapper<P: ReplacementPolicy> {
     config: WrapperConfig,
     prefetcher: Prefetcher,
     counters: WrapperCounters,
-    board: Option<PublicationBoard>,
     /// Per-frame admission generation: [`invalidate`](Self::invalidate)
     /// bumps it under the lock, each queued admission carries the value
     /// it was queued under, and a commit admits only if the two agree —
@@ -158,10 +98,6 @@ impl<P: ReplacementPolicy> BpWrapper<P> {
             config,
             prefetcher,
             counters: WrapperCounters::default(),
-            board: config
-                .combining
-                .is_enabled()
-                .then(|| PublicationBoard::new(COMBINING_SLOTS, config.queue_size)),
             admit_gens,
         }
     }
@@ -185,22 +121,6 @@ impl<P: ReplacementPolicy> BpWrapper<P> {
     /// Wrapper counters (accesses, commits, stale skips).
     pub fn counters(&self) -> &WrapperCounters {
         &self.counters
-    }
-
-    /// Snapshot of the combining-commit counters (all zero with
-    /// combining off).
-    pub fn combining_snapshot(&self) -> CombiningSnapshot {
-        CombiningSnapshot {
-            mode: self.config.combining,
-            published: self.counters.published.get(),
-            publish_fallbacks: self.counters.publish_fallbacks.get(),
-            reclaimed: self.counters.reclaimed.get(),
-            combined_batches: self.counters.combined_batches.get(),
-            combined_entries: self.counters.combined_entries.get(),
-            combine_passes: self.counters.combine_passes.get(),
-            combine_depth_last: self.counters.combine_depth.get(),
-            combine_depth_peak: self.counters.combine_depth.peak(),
-        }
     }
 
     /// Create a per-thread access handle with its own private FIFO queue.
@@ -245,108 +165,32 @@ impl<P: ReplacementPolicy> BpWrapper<P> {
             .prefetch_for_commit(self.lock.data_addr(), entries);
     }
 
-    /// Drain every published-but-undrained batch off the publication
-    /// board **without applying it** and return the entries. This is
-    /// the manager hot-swap retirement path: when this wrapper is being
-    /// replaced, handles abandon their slots (see
-    /// [`AccessHandle::take_for_swap`]) and the swap coordinator moves
-    /// the stranded advice into the successor manager. Returns an empty
-    /// vec when combining is off.
-    pub fn drain_published(&self) -> Vec<AccessEntry> {
-        let Some(board) = self.board.as_ref() else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        loop {
-            let drained = board.drain_pass(None, |batch| out.extend_from_slice(batch));
-            if drained == 0 {
-                break;
-            }
-        }
-        out
-    }
-
-    /// Combining publish path: hand the queue's storage to this handle's
-    /// publication slot instead of blocking. Returns `true` when the
-    /// batch was published (the queue is then empty, backed by the
-    /// slot's recycled buffer — an O(1) pointer swap, no allocation and
-    /// no entry copies). Fails — leaving the queue untouched — when
-    /// combining is off, the handle has no slot, or the slot still
-    /// holds an older undrained batch: publishing over it would let the
-    /// combiner apply batches of one thread out of order.
-    fn try_publish(&self, queue: &mut AccessQueue, slot: Option<SlotId>) -> bool {
-        let (Some(board), Some(slot)) = (self.board.as_ref(), slot) else {
-            return false;
-        };
-        let len = queue.len() as u32;
-        if board.publish(slot, queue.storage_mut()) {
-            self.counters.published.incr();
-            bpw_dst::record(|| bpw_dst::Op::PublishBatch { len });
-            true
-        } else {
-            self.counters.publish_fallbacks.incr();
-            false
-        }
-    }
-
-    /// Hold the policy lock directly (tests: simulate a busy lock).
-    #[cfg(test)]
-    pub(crate) fn lock_for_test(&self) -> LockGuard<'_, P> {
-        self.lock.lock()
-    }
-
-    /// One critical section's worth of commit work: first this thread's
-    /// pending published batch (older accesses must land before newer
-    /// ones), then its queue, then — combining only — every other
-    /// thread's published batch.
-    fn commit_locked(
-        &self,
-        guard: &mut LockGuard<'_, P>,
-        queue: &mut AccessQueue,
-        slot: Option<SlotId>,
-    ) {
-        // Reclaim-before-commit (§III-A): this thread's published batch
-        // holds *older* accesses than its queue, so it must be applied
-        // first or the thread's program order is reordered. The
-        // `dst_mutation = "combining"` mutant defers the reclaimed batch
-        // until after the queue commit — exactly the ordering bug the
-        // dst commit-order checker must catch.
-        #[cfg(dst_mutation = "combining")]
-        let mut deferred: Option<crate::combining::TakenBatch<'_>> = None;
-        if let (Some(board), Some(slot)) = (self.board.as_ref(), slot) {
-            if let Some(batch) = board.take(slot) {
-                self.counters.reclaimed.incr();
-                bpw_dst::record(|| bpw_dst::Op::ReclaimBatch {
-                    len: batch.len() as u32,
-                });
-                #[cfg(not(dst_mutation = "combining"))]
-                self.apply_batch(guard, &batch);
-                #[cfg(dst_mutation = "combining")]
-                {
-                    deferred = Some(batch);
-                }
-            }
-        }
+    /// One critical section's commit: apply this thread's queue, then
+    /// reset it (`Tail = 0`).
+    fn commit_locked(&self, guard: &mut LockGuard<'_, P>, queue: &mut AccessQueue) {
         self.apply_batch(guard, queue.entries());
         queue.clear();
-        #[cfg(dst_mutation = "combining")]
-        if let Some(batch) = deferred {
-            self.apply_batch(guard, &batch);
-        }
-        if let Some(board) = self.board.as_ref() {
-            self.combine_published(guard, board, slot);
-        }
     }
 
-    /// The commit loop: apply one batch of recorded accesses — a
-    /// thread's own queue or a published batch — in order. A hit is
-    /// skipped when its frame no longer holds the recorded page; an
-    /// admission when its frame is tracked already or was invalidated
+    /// The commit loop: apply one batch of recorded accesses in order. A
+    /// hit is skipped when its frame no longer holds the recorded page;
+    /// an admission when its frame is tracked already or was invalidated
     /// since it was queued.
     fn apply_batch(&self, guard: &mut LockGuard<'_, P>, entries: &[AccessEntry]) {
         let n = entries.len() as u64;
         let span = bpw_trace::span_start();
         let (mut applied, mut stale_admissions) = (0u64, 0u64);
+        // The `dst_mutation = "commit_reorder"` mutant applies a
+        // multi-entry batch's last entry first: the program-order bug
+        // the dst commit-order checker must catch.
+        #[cfg(dst_mutation = "commit_reorder")]
+        let rotated = {
+            let mut v = entries.to_vec();
+            v.rotate_right(entries.len().min(1));
+            v
+        };
+        #[cfg(dst_mutation = "commit_reorder")]
+        let entries = &rotated[..];
         for entry in entries {
             let (page, frame) = (entry.page, entry.frame);
             if entry.is_admission() {
@@ -399,54 +243,6 @@ impl<P: ReplacementPolicy> BpWrapper<P> {
         // attribute it to the owning request.
         bpw_trace::span_end_staged(bpw_trace::EventKind::BatchCommit, span, n);
     }
-
-    /// Drain other threads' published batches while we hold the lock —
-    /// the combining side of flat combining. Runs repeated passes so
-    /// publications that land *while* we drain are also retired, but at
-    /// most [`MAX_COMBINE_PASSES`] of them: an unbounded loop would let
-    /// a steady publisher stream pin this thread in the critical
-    /// section (the `dst_mutation = "fairness"` mutant does exactly
-    /// that, and the dst fairness checker must flag it).
-    fn combine_published(
-        &self,
-        guard: &mut LockGuard<'_, P>,
-        board: &PublicationBoard,
-        own: Option<SlotId>,
-    ) {
-        let span = bpw_trace::span_start();
-        let mut entries = 0u64;
-        let mut batches = 0u64;
-        let mut passes = 0u32;
-        loop {
-            let drained = board.drain_pass(own, |batch| {
-                entries += batch.len() as u64;
-                batches += 1;
-                bpw_dst::record(|| bpw_dst::Op::CombineBatch {
-                    len: batch.len() as u32,
-                });
-                self.apply_batch(guard, batch);
-            });
-            if drained == 0 {
-                break;
-            }
-            passes += 1;
-            #[cfg(not(dst_mutation = "fairness"))]
-            if passes >= MAX_COMBINE_PASSES {
-                break;
-            }
-        }
-        if batches > 0 {
-            self.counters.combined_batches.add(batches);
-            self.counters.combined_entries.add(entries);
-            self.counters.combine_passes.add(passes as u64);
-            self.counters.combine_depth.observe(batches);
-            bpw_dst::record(|| bpw_dst::Op::CombineDrain {
-                passes,
-                batches: batches as u32,
-            });
-            bpw_trace::span_end(bpw_trace::EventKind::CombinedCommit, span, entries);
-        }
-    }
 }
 
 /// A thread's private interface to a [`BpWrapper`]: records hits into the
@@ -460,7 +256,6 @@ pub struct AccessHandle<
 > {
     wrapper: W,
     queue: AccessQueue,
-    slot: Option<SlotId>,
     /// `'w` and `P` reach the fields only through `W`.
     _holds: PhantomData<fn() -> (&'w (), P)>,
 }
@@ -472,7 +267,6 @@ pub type ArcAccessHandle<P> = AccessHandle<'static, P, Arc<BpWrapper<P>>>;
 impl<'w, P: ReplacementPolicy, W: Deref<Target = BpWrapper<P>>> AccessHandle<'w, P, W> {
     fn new(wrapper: W) -> Self {
         AccessHandle {
-            slot: wrapper.board.as_ref().and_then(PublicationBoard::register),
             queue: AccessQueue::new(wrapper.config.queue_size),
             wrapper,
             _holds: PhantomData,
@@ -520,29 +314,15 @@ impl<'w, P: ReplacementPolicy, W: Deref<Target = BpWrapper<P>>> AccessHandle<'w,
             Some(w.lock.lock())
         };
         match acquired {
-            Some(mut guard) => w.commit_locked(&mut guard, &mut self.queue, self.slot),
-            None => {
-                // Flat combining: *any* contended threshold crossing
-                // publishes and returns — the lock holder retires the
-                // batch. (With combining off there is no board and
-                // `try_publish` fails without side effects.)
-                if w.try_publish(&mut self.queue, self.slot) {
-                    return;
-                }
-                if self.queue.is_full() {
-                    // The paper blocks in Lock() here; flat combining
-                    // retries the publication first because the slot
-                    // may have been drained since the threshold
-                    // attempt.
-                    if w.try_publish(&mut self.queue, self.slot) {
-                        return;
-                    }
-                    let mut guard = w.lock.lock();
-                    w.commit_locked(&mut guard, &mut self.queue, self.slot);
-                }
-                // Otherwise: keep accumulating; try again at the next
-                // threshold crossing (i.e. the next access).
+            Some(mut guard) => w.commit_locked(&mut guard, &mut self.queue),
+            // TryLock() failed on a full queue: block in Lock().
+            None if self.queue.is_full() => {
+                let mut guard = w.lock.lock();
+                w.commit_locked(&mut guard, &mut self.queue);
             }
+            // Otherwise keep accumulating; try again at the next
+            // threshold crossing (i.e. the next access).
+            None => {}
         }
     }
 
@@ -589,7 +369,7 @@ impl<'w, P: ReplacementPolicy, W: Deref<Target = BpWrapper<P>>> AccessHandle<'w,
         w.counters.accesses.incr();
         w.prefetch(self.queue.entries());
         let mut guard = w.lock.lock();
-        w.commit_locked(&mut guard, &mut self.queue, self.slot);
+        w.commit_locked(&mut guard, &mut self.queue);
         let out = guard.record_miss(page, free, evictable);
         bpw_dst::record(|| bpw_dst::Op::MissApply {
             page,
@@ -614,21 +394,16 @@ impl<'w, P: ReplacementPolicy, W: Deref<Target = BpWrapper<P>>> AccessHandle<'w,
         out
     }
 
-    /// Force-commit any queued accesses (blocking), and reclaim and
-    /// apply this handle's published-but-undrained batch, if any. Call
-    /// when a thread finishes its work so no history is lost.
+    /// Force-commit any queued accesses (blocking). Call when a thread
+    /// finishes its work so no history is lost.
     pub fn flush(&mut self) {
-        let w = &*self.wrapper;
-        let pending = match (w.board.as_ref(), self.slot) {
-            (Some(board), Some(slot)) => board.is_published(slot),
-            _ => false,
-        };
-        if self.queue.is_empty() && !pending {
+        if self.queue.is_empty() {
             return;
         }
+        let w = &*self.wrapper;
         w.prefetch(self.queue.entries());
         let mut guard = w.lock.lock();
-        w.commit_locked(&mut guard, &mut self.queue, self.slot);
+        w.commit_locked(&mut guard, &mut self.queue);
     }
 
     /// Number of accesses currently waiting in this thread's queue.
@@ -636,19 +411,13 @@ impl<'w, P: ReplacementPolicy, W: Deref<Target = BpWrapper<P>>> AccessHandle<'w,
         self.queue.len()
     }
 
-    /// Manager hot-swap: surrender this handle's queued accesses and
-    /// abandon its publication slot, *without* committing anything into
-    /// the (retiring) wrapper. The returned entries must be re-queued
-    /// into the successor via [`AccessHandle::absorb`]; they travel as
-    /// hits, so a handle that may be swapped must not leave admissions
-    /// queued (a swappable pool commits each one as it records it). Any
-    /// batch this handle already published stays on the board — the swap
-    /// coordinator retires the whole board with
-    /// [`BpWrapper::drain_published`]; touching it here would race that
-    /// drain. The leaked slot is harmless: the board retires with the
-    /// old manager.
+    /// Manager hot-swap: surrender this handle's queued accesses
+    /// *without* committing anything into the (retiring) wrapper. The
+    /// returned entries must be re-queued into the successor via
+    /// [`AccessHandle::absorb`]; they travel as hits, so a handle that
+    /// may be swapped must not leave admissions queued (a swappable pool
+    /// commits each one as it records it).
     pub fn take_for_swap(&mut self) -> Vec<(PageId, FrameId)> {
-        self.slot = None;
         self.queue.drain().map(|e| (e.page, e.frame)).collect()
     }
 
@@ -677,19 +446,7 @@ impl<'w, P: ReplacementPolicy, W: Deref<Target = BpWrapper<P>>> AccessHandle<'w,
 impl<'w, P: ReplacementPolicy, W: Deref<Target = BpWrapper<P>>> Drop for AccessHandle<'w, P, W> {
     fn drop(&mut self) {
         // Never lose recorded history: commit leftovers on teardown.
-        // Flushing also reclaims any published batch, so the slot is
-        // empty by the time it is recycled; `release` returning a batch
-        // anyway (a publish raced teardown somehow) is handled by
-        // committing the orphan here rather than leaking it to the
-        // slot's next owner.
         self.flush();
-        let w = &*self.wrapper;
-        if let (Some(board), Some(slot)) = (w.board.as_ref(), self.slot.take()) {
-            if let Some(orphan) = board.release(slot) {
-                let mut guard = w.lock.lock();
-                w.apply_batch(&mut guard, &orphan);
-            }
-        }
     }
 }
 
@@ -850,43 +607,6 @@ mod tests {
     }
 
     #[test]
-    fn a_published_batch_applies_its_admissions_in_program_order() {
-        let w = BpWrapper::new(
-            Lru::new(4),
-            WrapperConfig::default()
-                .with_queue_size(4)
-                .with_batch_threshold(4)
-                .with_combining_mode(Combining::Flat),
-        );
-        w.with_locked(|p| {
-            for i in 0..2u64 {
-                p.record_miss(i, Some(i as u32), &mut |_| true);
-            }
-        });
-        let held = w.lock_for_test();
-        let mut h = w.handle();
-        h.record_admit(20, 2);
-        h.record_hit(20, 2);
-        h.record_admit(30, 3);
-        h.record_hit(0, 0); // threshold, lock busy: publish all four
-        assert_eq!(h.queued(), 0);
-        assert_eq!(w.counters().published.get(), 1);
-        drop(held);
-        let mut combiner = w.handle();
-        for _ in 0..4 {
-            combiner.record_hit(1, 1); // commits, then combines h's batch
-        }
-        assert_eq!(w.counters().combined_batches.get(), 1);
-        assert_eq!(w.counters().committed.get(), 8);
-        assert_eq!(w.counters().stale_skipped.get(), 0);
-        assert_eq!(w.counters().stale_admissions.get(), 0);
-        w.with_locked(|p| {
-            assert_eq!((p.page_at(2), p.page_at(3)), (Some(20), Some(30)));
-            assert_eq!(p.eviction_order(), vec![1, 2, 3, 0]);
-        });
-    }
-
-    #[test]
     fn miss_ahead_evicts_k_victims_under_one_acquisition() {
         let w = warmed(16, WrapperConfig::default()); // k = 8
         let base = w.lock_stats().snapshot().acquisitions;
@@ -931,12 +651,11 @@ mod tests {
 
     #[test]
     fn lock_per_access_config_locks_every_hit() {
-        // For every preset: S = 1 takes the lock once per hit (with or
-        // without a publication board), S >= 2 does not.
+        // For every preset: S = 1 takes the lock once per hit, S >= 2
+        // does not.
         for cfg in [
             WrapperConfig::lock_per_access(),
             WrapperConfig::prefetching_only(),
-            WrapperConfig::lock_per_access().with_combining(true),
             WrapperConfig::batching_only(),
             WrapperConfig::batching_and_prefetching(),
         ] {
@@ -1028,237 +747,6 @@ mod tests {
             t.join().unwrap()
         });
         assert_eq!(flusher, 0, "queue must be committed after blocking lock");
-    }
-
-    #[test]
-    fn combining_publishes_instead_of_blocking() {
-        let w = warmed(
-            4,
-            WrapperConfig::default()
-                .with_queue_size(2)
-                .with_batch_threshold(2)
-                .with_combining(true),
-        );
-        let held = w.lock.lock();
-        let base = w.lock_stats().snapshot().acquisitions;
-        let mut h = w.handle();
-        h.record_hit(0, 0);
-        h.record_hit(1, 1); // TryLock fails, queue full: publish, don't block
-        assert_eq!(h.queued(), 0, "full queue must be published");
-        assert_eq!(w.counters().published.get(), 1);
-        assert_eq!(
-            w.lock_stats().snapshot().acquisitions,
-            base,
-            "publishing must not acquire the lock"
-        );
-        drop(held);
-        // The thread's next commit must apply the older published batch
-        // before the newer queue, or its access order is corrupted.
-        h.record_hit(2, 2);
-        h.record_hit(3, 3);
-        assert_eq!(w.counters().reclaimed.get(), 1);
-        assert_eq!(
-            w.counters().committed.get() + w.counters().stale_skipped.get(),
-            4
-        );
-        w.with_locked(|p| assert_eq!(p.eviction_order(), vec![0, 1, 2, 3]));
-    }
-
-    #[test]
-    fn flat_combining_publishes_at_threshold_not_just_full() {
-        let w = warmed(
-            4,
-            WrapperConfig::default()
-                .with_queue_size(4)
-                .with_batch_threshold(2)
-                .with_combining_mode(Combining::Flat),
-        );
-        let held = w.lock_for_test();
-        let mut h = w.handle();
-        h.record_hit(0, 0);
-        h.record_hit(1, 1); // threshold crossing, lock busy: publish
-        assert_eq!(h.queued(), 0, "flat mode must publish at the threshold");
-        assert_eq!(w.counters().published.get(), 1);
-        // Next threshold crossing finds the slot still occupied: fall
-        // back to accumulating (the queue is not full yet).
-        h.record_hit(2, 2);
-        h.record_hit(3, 3);
-        assert_eq!(h.queued(), 2);
-        assert_eq!(w.counters().publish_fallbacks.get(), 1);
-        drop(held);
-        h.flush();
-        // Reclaim-before-commit: the published [0,1] lands before [2,3].
-        assert_eq!(w.counters().reclaimed.get(), 1);
-        w.with_locked(|p| assert_eq!(p.eviction_order(), vec![0, 1, 2, 3]));
-    }
-
-    #[test]
-    fn handle_churn_loses_nothing_with_flat_combining() {
-        // Register/release cycles under contention: every recorded
-        // access must be committed or stale-skipped by the time the
-        // handles are gone, regardless of which slot each short-lived
-        // handle got.
-        let w = warmed(
-            64,
-            WrapperConfig::default()
-                .with_queue_size(8)
-                .with_batch_threshold(4)
-                .with_combining(true),
-        );
-        std::thread::scope(|s| {
-            for t in 0..4u64 {
-                let w = &w;
-                s.spawn(move || {
-                    for round in 0..50u64 {
-                        let mut h = w.handle();
-                        for i in 0..20u64 {
-                            let page = (t * 16 + (round + i) % 16) % 64;
-                            h.record_hit(page, page as u32);
-                        }
-                    } // drop: flush + release, every round
-                });
-            }
-        });
-        assert_eq!(w.counters().accesses.get(), 4 * 50 * 20);
-        assert_eq!(
-            w.counters().committed.get() + w.counters().stale_skipped.get(),
-            4 * 50 * 20,
-            "handle churn lost or duplicated accesses"
-        );
-        // Slots must all have been recycled: a fresh wave of handles
-        // can still publish (i.e. they all got slots with live buffers).
-        let held = w.lock_for_test();
-        let mut fresh: Vec<_> = (0..8).map(|_| w.handle()).collect();
-        let before = w.counters().published.get();
-        for (i, h) in fresh.iter_mut().enumerate() {
-            for j in 0..4u64 {
-                let page = (i as u64 * 4 + j) % 64;
-                h.record_hit(page, page as u32);
-            }
-        }
-        assert_eq!(
-            w.counters().published.get(),
-            before + 8,
-            "recycled slots must still publish"
-        );
-        drop(held);
-        drop(fresh);
-        w.with_locked(|p| p.check_invariants());
-    }
-
-    #[test]
-    fn combining_snapshot_reflects_counters() {
-        let w = warmed(
-            4,
-            WrapperConfig::default()
-                .with_queue_size(2)
-                .with_batch_threshold(2)
-                .with_combining(true),
-        );
-        assert_eq!(w.combining_snapshot().mode, Combining::Flat);
-        let held = w.lock_for_test();
-        let mut publisher = w.handle();
-        publisher.record_hit(0, 0);
-        publisher.record_hit(1, 1); // published
-        drop(held);
-        let mut committer = w.handle();
-        committer.record_hit(2, 2);
-        committer.record_hit(3, 3); // commits, combines the published batch
-        let snap = w.combining_snapshot();
-        assert_eq!(snap.published, 1);
-        assert_eq!(snap.combined_batches, 1);
-        assert_eq!(snap.combined_entries, 2);
-        assert_eq!(snap.combine_passes, 1);
-        assert_eq!(snap.combine_depth_last, 1);
-        assert_eq!(snap.combine_depth_peak, 1);
-        assert!(snap.combine_passes <= MAX_COMBINE_PASSES as u64 * snap.combined_batches);
-    }
-
-    #[test]
-    fn combiner_drains_other_threads_batches() {
-        let w = warmed(
-            4,
-            WrapperConfig::default()
-                .with_queue_size(2)
-                .with_batch_threshold(2)
-                .with_combining(true),
-        );
-        let held = w.lock.lock();
-        let mut publisher = w.handle();
-        publisher.record_hit(0, 0);
-        publisher.record_hit(1, 1); // published
-        drop(held);
-        let mut committer = w.handle();
-        committer.record_hit(2, 2);
-        committer.record_hit(3, 3); // commits own queue, then combines
-        assert_eq!(w.counters().combined_batches.get(), 1);
-        assert_eq!(w.counters().combined_entries.get(), 2);
-        assert_eq!(w.counters().committed.get(), 4);
-        w.with_locked(|p| assert_eq!(p.eviction_order(), vec![2, 3, 0, 1]));
-        // Nothing left for the publisher to reclaim.
-        publisher.flush();
-        assert_eq!(w.counters().reclaimed.get(), 0);
-    }
-
-    #[test]
-    fn combining_preserves_seq_run_detection() {
-        // The §III-A requirement, against an order-sensitive policy: a
-        // thread's contiguous scan must still be detected as one run
-        // even when part of it travels through a publication slot.
-        use bpw_replacement::SeqLru;
-        let w = BpWrapper::new(
-            SeqLru::new(32),
-            WrapperConfig::default()
-                .with_queue_size(4)
-                .with_batch_threshold(4)
-                .with_combining(true),
-        );
-        w.with_locked(|p| {
-            for i in 0..32u64 {
-                p.record_miss(i, Some(i as u32), &mut |_| true);
-            }
-        });
-        let warm_runs = w.with_locked(|p| p.detected_runs());
-        let held = w.lock_for_test();
-        let mut h = w.handle();
-        for p in 0..4u64 {
-            h.record_hit(p, p as u32); // overflows into a publication
-        }
-        assert_eq!(w.counters().published.get(), 1);
-        drop(held);
-        for p in 4..8u64 {
-            h.record_hit(p, p as u32); // commit: reclaimed batch first
-        }
-        let runs = w.with_locked(|p| p.detected_runs());
-        assert_eq!(
-            runs,
-            warm_runs + 1,
-            "published-then-reclaimed accesses must replay in FIFO order"
-        );
-    }
-
-    #[test]
-    fn concurrent_hits_all_accounted_with_combining() {
-        let w = warmed(64, WrapperConfig::default().with_combining(true));
-        std::thread::scope(|s| {
-            for t in 0..4 {
-                let w = &w;
-                s.spawn(move || {
-                    let mut h = w.handle();
-                    for i in 0..10_000u64 {
-                        let page = (t * 16 + i % 16) % 64;
-                        h.record_hit(page, page as u32);
-                    }
-                });
-            }
-        });
-        assert_eq!(w.counters().accesses.get(), 40_000);
-        assert_eq!(
-            w.counters().committed.get() + w.counters().stale_skipped.get(),
-            40_000,
-            "published batches must all be applied by drop time"
-        );
-        w.with_locked(|p| p.check_invariants());
     }
 
     #[test]

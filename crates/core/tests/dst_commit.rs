@@ -1,6 +1,6 @@
-//! Deterministic-simulation tests for the wrapper's batched/combining
-//! commit path (the paper's §III-A ordering contract), driven by the
-//! vendored bpw-dst scheduler.
+//! Deterministic-simulation tests for the wrapper's batched commit path
+//! (the paper's §III-A ordering contract), driven by the vendored
+//! bpw-dst scheduler.
 //!
 //! Every test explores many seeded schedules. For each schedule the
 //! recorded history must satisfy:
@@ -13,14 +13,16 @@
 //!   equivalent to some serial interleaving of committed batches.
 //!
 //! Failures print the seed and the full schedule; re-running the same
-//! seed replays the identical execution.
+//! seed replays the identical execution. The `dst_mutation =
+//! "commit_reorder"` mutant (a batch's last entry applied first) must
+//! fail the program-order check.
 
 #![cfg(feature = "dst")]
 
 use std::sync::Arc;
 
-use bpw_core::{BpWrapper, WrapperConfig, MAX_COMBINE_PASSES};
-use bpw_dst::check::{check_combine_fairness, check_commit_order, CommitReport};
+use bpw_core::{BpWrapper, WrapperConfig};
+use bpw_dst::check::{check_commit_order, CommitReport};
 use bpw_dst::{Event, Op, RunOutcome, Sim};
 use bpw_replacement::{Lru, ReplacementPolicy, SeqLru};
 
@@ -29,15 +31,15 @@ const WORKERS: u64 = 3;
 const PAGES_PER: u64 = 4;
 const ROUNDS: u64 = 3;
 
-/// An Lru wrapper with a tiny queue so publications and reclaims are
-/// frequent, pre-warmed so page `i` sits in frame `i`.
+/// An Lru wrapper with a tiny queue (S = 4, T = 2) so threshold
+/// crossings that find the lock busy are frequent, pre-warmed so page
+/// `i` sits in frame `i`.
 fn warmed_wrapper() -> Arc<BpWrapper<Lru>> {
     let w = BpWrapper::new(
         Lru::new(FRAMES),
         WrapperConfig::default()
             .with_queue_size(4)
-            .with_batch_threshold(2)
-            .with_combining(true),
+            .with_batch_threshold(2),
     );
     w.with_locked(|p| {
         for i in 0..FRAMES as u64 {
@@ -105,10 +107,16 @@ fn replay_serially(history: &[Event], live: &Arc<BpWrapper<Lru>>) {
     );
 }
 
+/// Threshold crossings whose `TryLock()` failed, so the batch kept
+/// accumulating (or, on a full queue, blocked in `Lock()`).
+fn deferred(w: &BpWrapper<impl ReplacementPolicy>) -> u64 {
+    w.lock_stats().snapshot().trylock_failures
+}
+
 /// One schedule of the standard storm: one task parks on the policy
-/// lock (forcing worker queues to overflow into publication slots)
-/// while `WORKERS` tasks record hits — and optionally one miss each —
-/// on disjoint page sets.
+/// lock (so worker threshold crossings find it busy and defer) while
+/// `WORKERS` tasks record hits — and optionally one miss each — on
+/// disjoint page sets.
 fn run_storm(seed: u64, pct: bool, with_misses: bool) -> (RunOutcome, Arc<BpWrapper<Lru>>) {
     let w = warmed_wrapper();
     let mut sim = if pct {
@@ -144,8 +152,8 @@ fn run_storm(seed: u64, pct: bool, with_misses: bool) -> (RunOutcome, Arc<BpWrap
                     h.record_miss(100 + t, None, &mut |_| true);
                 }
             }
-            // Dropping the handle flushes the queue and any published
-            // batch, so no recorded access is lost.
+            // Dropping the handle flushes the queue, so no recorded
+            // access is lost.
         });
     }
     (sim.run(), w)
@@ -162,35 +170,27 @@ fn check_storm(out: &RunOutcome, w: &Arc<BpWrapper<Lru>>) -> CommitReport {
 }
 
 #[test]
-fn dst_combining_commit_preserves_program_order() {
+fn dst_commit_preserves_program_order() {
     // Hits only: every recorded access must commit exactly once, in its
     // thread's order, and the global order must be serially realizable.
-    let mut publishes = 0;
-    let mut reclaims = 0;
-    let mut combines = 0;
+    let mut deferrals = 0;
     for (i, seed) in bpw_dst::seed_corpus(0xC0B1, 48).iter().enumerate() {
         let (out, w) = run_storm(*seed, i % 4 == 3, false);
         let report = check_storm(&out, &w);
         assert_eq!(report.records, WORKERS * PAGES_PER * ROUNDS);
-        publishes += report.publishes;
-        reclaims += report.reclaims;
-        combines += report.combines;
+        deferrals += deferred(&w);
     }
-    // The corpus as a whole must exercise the combining machinery —
-    // otherwise the reclaim-ordering contract was never under test.
+    // The corpus as a whole must defer commits past a busy lock —
+    // otherwise every batch committed at its first threshold crossing
+    // and the accumulate-then-commit order was never under test.
     assert!(
-        publishes > 0,
-        "no schedule published a batch; corpus vacuous"
+        deferrals > 0,
+        "no threshold crossing found the lock busy; corpus vacuous"
     );
-    assert!(
-        reclaims > 0,
-        "no schedule reclaimed a batch; corpus vacuous"
-    );
-    assert!(combines > 0, "no schedule combined a batch; corpus vacuous");
 }
 
 #[test]
-fn dst_combining_with_misses_replays_serially() {
+fn dst_commit_with_misses_replays_serially() {
     // Hits + evicting misses: stale commits now occur (a queued hit's
     // page can be evicted before its commit); the serial witness must
     // agree on every stale verdict and every victim.
@@ -208,20 +208,20 @@ fn dst_combining_with_misses_replays_serially() {
 }
 
 #[test]
-fn dst_seq_run_detection_survives_publication() {
-    // Port of `combining_preserves_seq_run_detection` under the
-    // scheduler: a single thread scans pages 0..8 while another task
-    // holds and releases the policy lock at schedule-chosen moments.
-    // Whatever the schedule — direct commits, publication + reclaim, or
-    // combining by the lock holder — the scan must reach the policy as
-    // ONE run, because reclaim-before-commit preserves program order.
+fn dst_seq_run_detection_survives_deferred_commits() {
+    // A single thread scans pages 0..8 while another task holds and
+    // releases the policy lock at schedule-chosen moments. Whatever the
+    // schedule — a commit at the threshold, or a failed `TryLock()`
+    // followed by a blocking `Lock()` on the full queue — the scan must
+    // reach the policy as ONE run, because each batch commits in FIFO
+    // order.
+    let mut deferrals = 0;
     for (i, seed) in bpw_dst::seed_corpus(0x5E9, 40).iter().enumerate() {
         let w = Arc::new(BpWrapper::new(
             SeqLru::new(32),
             WrapperConfig::default()
                 .with_queue_size(4)
-                .with_batch_threshold(4)
-                .with_combining(true),
+                .with_batch_threshold(4),
         ));
         w.with_locked(|p| {
             for i in 0..32u64 {
@@ -264,91 +264,25 @@ fn dst_seq_run_detection_survives_publication() {
             assert_eq!(
                 runs,
                 warm_runs + 1,
-                "a scan split by publication must still commit as one run"
+                "a scan whose commits waited on the lock must still commit as one run"
             );
         });
-    }
-}
-
-#[test]
-fn dst_flat_combiner_respects_fairness_bound() {
-    // Flat combining with a hair-trigger threshold (T=1): every hit
-    // publishes when the lock is busy, so publishers can feed a
-    // combiner *while it drains* — exactly the schedule where an
-    // unbounded combiner (the `dst_mutation = "fairness"` mutant) keeps
-    // draining pass after pass. The checker asserts no critical section
-    // ever exceeds MAX_COMBINE_PASSES.
-    // A roomy queue (S=8) keeps publishers accumulating instead of
-    // parking on the lock after a failed publish, so they stay alive to
-    // republish between a combiner's drain passes. With 4 workers x 24
-    // hits the seeded corpus reliably produces schedules where a third
-    // non-empty pass is available — the real combiner stops at the
-    // bound; the mutant takes it and trips the checker.
-    const FC_FRAMES: u64 = 32;
-    const FC_WORKERS: u64 = 4;
-    const FC_HITS: u64 = 24;
-    let mut drains = 0u64;
-    let mut multi_batch = 0u64;
-    for (i, seed) in bpw_dst::seed_corpus(0xFA17, 48).iter().enumerate() {
-        let w = BpWrapper::new(
-            Lru::new(FC_FRAMES as usize),
-            WrapperConfig::default()
-                .with_queue_size(8)
-                .with_batch_threshold(1)
-                .with_combining(true),
-        );
-        w.with_locked(|p| {
-            for f in 0..FC_FRAMES {
-                p.record_miss(f, Some(f as u32), &mut |_| true);
-            }
-        });
-        let w = Arc::new(w);
-        let mut sim = if i % 4 == 2 {
-            Sim::new(*seed).with_pct(3)
-        } else {
-            Sim::new(*seed)
-        };
-        for t in 0..FC_WORKERS {
-            let w = Arc::clone(&w);
-            sim.spawn(move || {
-                let mut h = w.handle_arc();
-                for k in 0..FC_HITS {
-                    let page = t * PAGES_PER + k % PAGES_PER;
-                    h.record_hit(page, page as u32);
-                }
-            });
-        }
-        let out = sim.run();
-        out.expect_clean();
-        out.check(|o| {
-            check_commit_order(&o.history);
-            let report = check_combine_fairness(&o.history, MAX_COMBINE_PASSES);
-            drains += report.drains;
-            if report.max_batches > 1 {
-                multi_batch += 1;
-            }
-        });
+        deferrals += deferred(&w);
     }
     assert!(
-        drains > 0,
-        "no schedule produced a combining drain; fairness bound never under test"
-    );
-    assert!(
-        multi_batch > 0,
-        "no schedule drained more than one batch per critical section; \
-         the multi-pass path was never exercised"
+        deferrals > 0,
+        "the scan never found the lock busy; corpus vacuous"
     );
 }
 
 #[test]
 fn dst_handle_churn_applies_every_entry_exactly_once() {
-    // Register/release churn: each worker tears its handle down and
-    // re-registers every round, so slots recycle between tasks while
-    // batches are in flight. Exactly-once commit (check_commit_order)
-    // must survive the churn — this is the schedule-explored version of
-    // the release-hole regression (a batch left in a released slot
-    // would be committed under the next owner or lost).
-    let mut publishes = 0u64;
+    // Handle churn: each worker tears its handle down and opens a new
+    // one every round, so a handle is often dropped with a deferred
+    // batch still queued. Exactly-once commit (check_commit_order) must
+    // survive the churn: the drop's flush commits what the threshold
+    // crossings could not.
+    let mut deferrals = 0u64;
     for (i, seed) in bpw_dst::seed_corpus(0xC4C4, 40).iter().enumerate() {
         let w = warmed_wrapper();
         let mut sim = if i % 3 == 1 {
@@ -378,7 +312,7 @@ fn dst_handle_churn_applies_every_entry_exactly_once() {
                         let page = t * PAGES_PER + (round + k) % PAGES_PER;
                         h.record_hit(page, page as u32);
                     }
-                    drop(h); // flush + release: the slot recycles mid-run
+                    drop(h); // flush whatever is still queued
                 }
             });
         }
@@ -387,13 +321,13 @@ fn dst_handle_churn_applies_every_entry_exactly_once() {
         out.check(|o| {
             let report = check_commit_order(&o.history);
             assert_eq!(report.records, WORKERS * PAGES_PER * ROUNDS);
-            publishes += report.publishes;
             replay_serially(&o.history, &w);
         });
+        deferrals += deferred(&w);
     }
     assert!(
-        publishes > 0,
-        "no schedule published through a churned slot; corpus vacuous"
+        deferrals > 0,
+        "no churned handle found the lock busy; corpus vacuous"
     );
 }
 
@@ -402,7 +336,8 @@ fn dst_same_seed_replays_identical_schedule_and_history() {
     // The harness's core promise: a seed IS the execution. Two runs of
     // the same seed must agree byte-for-byte on schedule, history, and
     // verdict — this is what makes a printed failing seed replayable.
-    for seed in [0xDE7E_12u64, 0xDE7E_13, 0xDE7E_14] {
+    let mut deferrals = 0;
+    for seed in [0x00DE_7E12_u64, 0x00DE_7E13, 0x00DE_7E14] {
         let (a, wa) = run_storm(seed, false, true);
         let (b, wb) = run_storm(seed, false, true);
         assert_eq!(
@@ -417,10 +352,16 @@ fn dst_same_seed_replays_identical_schedule_and_history() {
             wb.with_locked(|p| p.eviction_order()),
             "final policy state diverged for seed {seed:#x}"
         );
+        assert_eq!(deferred(&wa), deferred(&wb));
+        deferrals += deferred(&wa);
         // PCT mode must be just as reproducible.
         let (c, _) = run_storm(seed, true, true);
         let (d, _) = run_storm(seed, true, true);
         assert_eq!(c.schedule, d.schedule);
         assert_eq!(c.history, d.history);
     }
+    assert!(
+        deferrals > 0,
+        "no replayed schedule deferred a commit; replay compared trivial runs"
+    );
 }

@@ -1,12 +1,12 @@
 //! Property tests backing the advisor's shadow caches: the shadow
 //! [`CacheSim`] replay of a reference string must be *behaviorally
-//! identical* to the live policy driven through `BpWrapper` with
-//! combining off — not just the same hit/miss verdicts, but the same
-//! **eviction sequence**, page for page, in order. This is what makes
+//! identical* to the live policy driven through `BpWrapper` — not just
+//! the same hit/miss verdicts, but the same **eviction sequence**, page
+//! for page, in order. This is what makes
 //! the advisor's shadow scores a faithful proxy for what a candidate
 //! policy would do if hot-swapped in.
 
-use bpw_core::{Combining, WrappedCache, WrapperConfig};
+use bpw_core::{WrappedCache, WrapperConfig};
 use bpw_replacement::{CacheSim, PolicyKind};
 use proptest::prelude::*;
 
@@ -33,7 +33,6 @@ proptest! {
             queue_size,
             batch_threshold: threshold,
             prefetching: false,
-            combining: Combining::Off,
         };
         let mut shadow = CacheSim::new(kind.build(frames)).with_eviction_log();
         let mut live = WrappedCache::new(kind.build(frames), cfg).with_eviction_log();
@@ -60,10 +59,7 @@ proptest! {
         hot in prop::collection::vec(0u64..8, 1..100),
         scan_len in 1u64..64,
     ) {
-        let cfg = WrapperConfig {
-            combining: Combining::Off,
-            ..WrapperConfig::default()
-        };
+        let cfg = WrapperConfig::default();
         let mut shadow = CacheSim::new(kind.build(frames)).with_eviction_log();
         let mut live = WrappedCache::new(kind.build(frames), cfg).with_eviction_log();
         // Phase 1: hot-set reuse. Phase 2: a scan. Phase 3: hot again.

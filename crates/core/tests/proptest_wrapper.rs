@@ -32,7 +32,6 @@ proptest! {
             queue_size,
             batch_threshold: threshold,
             prefetching,
-            combining: bpw_core::Combining::Off,
         };
         let mut bare = CacheSim::new(kind.build(frames));
         let mut wrapped = WrappedCache::new(kind.build(frames), cfg);
@@ -76,7 +75,6 @@ proptest! {
             queue_size,
             batch_threshold: threshold,
             prefetching: false,
-            combining: bpw_core::Combining::Off,
         };
         let frames = 16;
         let mut wrapped = WrappedCache::new(PolicyKind::Lru.build(frames), cfg);

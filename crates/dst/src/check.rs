@@ -15,32 +15,22 @@ pub struct CommitReport {
     pub records: u64,
     pub commits: u64,
     pub stale_commits: u64,
-    pub publishes: u64,
-    pub reclaims: u64,
-    pub combines: u64,
 }
 
-/// Checker (a): the combining commit preserves per-thread program order
-/// and commits each recorded access **exactly once**, no matter which
-/// thread (recorder, combiner, or flusher) performs the commit.
+/// Checker (a): the batched commit preserves per-thread program order
+/// and commits each recorded access **exactly once**, whether the
+/// recording thread commits it at a threshold crossing, on a miss, or
+/// in a flush.
 ///
-/// Attribution: commits do not carry the recording task (a combiner
-/// commits other threads' batches), so ownership is derived from the
-/// `RecordHit` stream. Tests must give each virtual thread a disjoint
+/// Attribution: ownership is derived from the `RecordHit` stream, so
+/// the checker does not depend on which task a commit runs on. Tests must give each virtual thread a disjoint
 /// page set; the checker enforces this precondition.
 ///
 /// Panics with a precise message on the first violation.
 pub fn check_commit_order(events: &[Event]) -> CommitReport {
     let mut owner: HashMap<u64, usize> = HashMap::new();
     let mut queues: HashMap<usize, VecDeque<(u64, u32)>> = HashMap::new();
-    let mut report = CommitReport {
-        records: 0,
-        commits: 0,
-        stale_commits: 0,
-        publishes: 0,
-        reclaims: 0,
-        combines: 0,
-    };
+    let mut report = CommitReport::default();
     for ev in events {
         match ev.op {
             Op::RecordHit { page, frame } => {
@@ -82,9 +72,6 @@ pub fn check_commit_order(events: &[Event]) -> CommitReport {
                     report.stale_commits += 1;
                 }
             }
-            Op::PublishBatch { .. } => report.publishes += 1,
-            Op::ReclaimBatch { .. } => report.reclaims += 1,
-            Op::CombineBatch { .. } => report.combines += 1,
             _ => {}
         }
     }
@@ -98,43 +85,6 @@ pub fn check_commit_order(events: &[Event]) -> CommitReport {
         );
     }
     assert_eq!(report.records, report.commits);
-    report
-}
-
-/// Summary returned by [`check_combine_fairness`].
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct FairnessReport {
-    /// Combining critical sections observed.
-    pub drains: u64,
-    /// Largest number of drain passes any one critical section ran.
-    pub max_passes: u32,
-    /// Largest number of batches any one critical section retired.
-    pub max_batches: u32,
-}
-
-/// Checker (c): combining critical sections respect the fairness bound.
-/// Each `CombineDrain` event summarizes one lock tenure's draining;
-/// `bound` is the wrapper's `MAX_COMBINE_PASSES`. The unbounded-combiner
-/// mutant (`dst_mutation = "fairness"`) keeps draining as long as
-/// publishers feed it, so under a schedule that interleaves publishes
-/// into the drain it exceeds the bound and this checker panics.
-pub fn check_combine_fairness(events: &[Event], bound: u32) -> FairnessReport {
-    let mut report = FairnessReport::default();
-    for ev in events {
-        if let Op::CombineDrain { passes, batches } = ev.op {
-            report.drains += 1;
-            report.max_passes = report.max_passes.max(passes);
-            report.max_batches = report.max_batches.max(batches);
-            assert!(
-                passes <= bound,
-                "fairness bound violated: task {} ran {passes} drain passes \
-                 (bound {bound}) in one critical section, retiring {batches} \
-                 batches — an unbounded combiner starves under a steady \
-                 publisher stream",
-                ev.task
-            );
-        }
-    }
     report
 }
 
@@ -354,14 +304,11 @@ pub struct ConservationReport {
 }
 
 /// Checker (f): every recorded hit is committed **exactly once**, as a
-/// multiset over `(page, frame)` — the swap-tolerant relaxation of
-/// [`check_commit_order`]. A hot-swap may legally reorder advice (a
-/// thread's pre-swap *published* batch is replayed by the swap
-/// coordinator, possibly after the thread's post-swap queue has already
-/// committed), so per-task FIFO order does not survive a swap; but
-/// conservation must: the `swap_no_drain` mutant strands published
-/// batches on the retired manager's board, and this checker reports
-/// them as recorded-but-never-committed.
+/// multiset over `(page, frame)` — the relaxation of
+/// [`check_commit_order`] for histories whose tasks share pages (pool
+/// traffic, hot-swaps), where per-task attribution is ambiguous. A
+/// migration that dropped a handle's queued advice instead of moving it
+/// into the successor shows up here as recorded-but-never-committed.
 pub fn check_hit_conservation(events: &[Event]) -> ConservationReport {
     let mut outstanding: HashMap<(u64, u32), i64> = HashMap::new();
     let mut report = ConservationReport::default();
@@ -389,8 +336,8 @@ pub fn check_hit_conservation(events: &[Event]) -> ConservationReport {
     assert_eq!(
         lost,
         0,
-        "{lost} recorded access(es) were never committed — stranded on a \
-         retired manager's publication board? first: {:?}",
+        "{lost} recorded access(es) were never committed — left behind \
+         on a retired manager? first: {:?}",
         outstanding.iter().find(|(_, &v)| v > 0).map(|(k, _)| *k)
     );
     report
@@ -487,8 +434,7 @@ mod tests {
             ev(0, Op::RecordHit { page: 1, frame: 0 }),
             ev(1, Op::RecordHit { page: 10, frame: 1 }),
             ev(0, Op::RecordHit { page: 2, frame: 2 }),
-            // Task 1 commits its own access, then combines task 0's
-            // batch — program order per task, any interleaving across.
+            // Program order per task, any interleaving across tasks.
             ev(
                 1,
                 Op::CommitHit {
@@ -576,43 +522,6 @@ mod tests {
             ),
         ];
         check_commit_order(&events);
-    }
-
-    #[test]
-    fn fairness_accepts_bounded_drains() {
-        let events = vec![
-            ev(
-                0,
-                Op::CombineDrain {
-                    passes: 2,
-                    batches: 5,
-                },
-            ),
-            ev(
-                1,
-                Op::CombineDrain {
-                    passes: 1,
-                    batches: 1,
-                },
-            ),
-        ];
-        let report = check_combine_fairness(&events, 2);
-        assert_eq!(report.drains, 2);
-        assert_eq!(report.max_passes, 2);
-        assert_eq!(report.max_batches, 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "fairness bound violated")]
-    fn fairness_rejects_unbounded_combiner() {
-        let events = vec![ev(
-            0,
-            Op::CombineDrain {
-                passes: 3,
-                batches: 9,
-            },
-        )];
-        check_combine_fairness(&events, 2);
     }
 
     #[test]
@@ -791,10 +700,9 @@ mod tests {
 
     #[test]
     fn conservation_accepts_swap_reordered_commits() {
-        // A swap coordinator replays a published batch *after* the
-        // owning thread's newer queue already committed: FIFO order is
-        // violated (check_commit_order would panic) but conservation
-        // holds.
+        // Commits out of one task's recording order, one of them on
+        // another task: check_commit_order would panic, but every
+        // recorded access is committed exactly once.
         let events = vec![
             ev(0, Op::RecordHit { page: 1, frame: 0 }),
             ev(0, Op::RecordHit { page: 2, frame: 1 }),

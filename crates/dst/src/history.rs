@@ -21,21 +21,6 @@ pub enum Op {
         frame: u32,
         applied: bool,
     },
-    /// A full queue was published to a combining slot instead of
-    /// blocking on the lock.
-    PublishBatch { len: u32 },
-    /// The lock holder reclaimed its *own* previously published batch
-    /// before committing fresh accesses (the reclaim-before-commit
-    /// ordering the paper's §III-A requires for program order).
-    ReclaimBatch { len: u32 },
-    /// The lock holder combined another thread's published batch.
-    CombineBatch { len: u32 },
-    /// A combining critical section finished draining: it ran `passes`
-    /// drain passes and retired `batches` batches in total. The
-    /// fairness checker asserts `passes` never exceeds the wrapper's
-    /// bound — an unbounded combiner (the "fairness" mutant) keeps
-    /// draining as long as publishers keep feeding it.
-    CombineDrain { passes: u32, batches: u32 },
     /// A miss was applied to the policy under the lock. `frame` is the
     /// admitted frame (None when no frame was evictable, or when a
     /// queued admission into `free` was found stale at commit),
@@ -82,8 +67,8 @@ pub enum Op {
     /// publishes it, so no `MgrEnter` of this generation can precede it).
     SwapInstall { gen: u64 },
     /// Manager hot-swap: generation `gen` was retired — quiescence
-    /// reached, stranded published advice drained into the successor.
-    /// After this event no handle may enter `gen` again.
+    /// reached, late admissions carried over into the successor. After
+    /// this event no handle may enter `gen` again.
     SwapRetire { gen: u64 },
     /// A swap-aware handle entered its epoch and is about to apply an
     /// operation to the manager of generation `gen`. The swap-epoch

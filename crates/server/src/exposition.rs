@@ -21,7 +21,6 @@ use std::sync::atomic::Ordering;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-use bpw_core::CombiningSnapshot;
 use bpw_metrics::json::{escape_str_into, write_f64_into};
 use bpw_metrics::{Histogram, LockShardSummary, LockSnapshot};
 use bpw_replacement::AdvisorSnapshot;
@@ -152,8 +151,6 @@ pub(crate) struct PoolSide {
     miss_lock: LockSnapshot,
     /// Shard-aware miss-lock summary.
     miss_locks: LockShardSummary,
-    /// Combining-commit counters (wrapped managers only).
-    combining: Option<CombiningSnapshot>,
     /// Frames sessions hold evicted ahead of need.
     stashed_frames: u64,
     /// Queued admissions dropped because their frame was invalidated.
@@ -176,7 +173,6 @@ impl PoolSide {
                     lock: pool.manager().lock_snapshot(),
                     miss_lock: pool.miss_lock_snapshot(),
                     miss_locks: pool.miss_lock_summary(),
-                    combining: pool.manager().combining_snapshot(),
                     stashed_frames: pool.stashed_frames() as u64,
                     stale_admissions: pool.manager().stale_admissions(),
                     peak_queue_depth: shared.depth.get(),
@@ -306,20 +302,6 @@ pub(crate) fn walk<'a>(shared: &'a Shared, scrape: &'a Scrape, visit: &mut dyn F
     row(&["flight", "captured_total"], "bpw_exemplars_captured_total",   &[], "Slow or ERR_IO requests captured by the flight recorder.", Counter(bpw_trace::flight::captured_total()));
     row(&["flight", "buffered"],       "bpw_exemplars_buffered",         &[], "Exemplars currently held by the flight recorder.",         Gauge(bpw_trace::flight::exemplars().len() as u64));
 
-    // Flat-combining commit-path counters (wrapped managers only).
-    if let Some(c) = &pool.combining {
-        const BATCHES: &str = "Publication-slot batch events on the combining commit path.";
-        row(&["combining", "mode"],               "",                            &[], "", Text(Some(c.mode.name())));
-        row(&["combining", "published"],          "bpw_combining_batches_total", &[("event", "published")],        BATCHES, Counter(c.published));
-        row(&["combining", "publish_fallbacks"],  "bpw_combining_batches_total", &[("event", "publish_fallback")], BATCHES, Counter(c.publish_fallbacks));
-        row(&["combining", "reclaimed"],          "bpw_combining_batches_total", &[("event", "reclaimed")],        BATCHES, Counter(c.reclaimed));
-        row(&["combining", "combined_batches"],   "bpw_combining_batches_total", &[("event", "combined")],         BATCHES, Counter(c.combined_batches));
-        row(&["combining", "combined_entries"],   "bpw_combining_entries_total", &[], "Accesses applied from other threads' combined batches.",          Counter(c.combined_entries));
-        row(&["combining", "combine_passes"],     "bpw_combining_passes_total",  &[], "Drain passes executed by combining critical sections.",           Counter(c.combine_passes));
-        row(&["combining", "combine_depth_last"], "bpw_combining_depth_last",    &[], "Batches drained in the most recent combining critical section.",  Gauge(c.combine_depth_last));
-        row(&["combining", "combine_depth_peak"], "bpw_combining_depth_peak",    &[], "Most batches ever drained in one combining critical section.",    Gauge(c.combine_depth_peak));
-    }
-
     // Adaptive-replacement state (`--adaptive` servers only).
     if let (Some((a, live_manager)), Some(state)) = (&scrape.advisor, &shared.adaptive) {
         row(&["advisor", "incumbent"],         "",                                    &[], "", Text(Some(a.incumbent.name())));
@@ -331,7 +313,6 @@ pub(crate) fn walk<'a>(shared: &'a Shared, scrape: &'a Scrape, visit: &mut dyn F
         row(&["advisor", "swaps"],             "bpw_advisor_swaps_total",             &[], "Manager hot-swaps completed.",                                  Counter(state.swap.swaps()));
         row(&["advisor", "migrations"],        "bpw_advisor_migrations_total",        &[], "Lazy handle migrations after swaps.",                           Counter(state.swap.migrations()));
         row(&["advisor", "pages_transferred"], "bpw_advisor_pages_transferred_total", &[], "Resident pages carried across swaps via export/import.",        Counter(state.swap.pages_transferred()));
-        row(&["advisor", "advice_recovered"],  "bpw_advisor_advice_recovered_total",  &[], "Published accesses drained off retired managers' boards.",      Counter(state.swap.advice_recovered()));
         row(&["advisor", "tap_pushed"],        "bpw_advisor_tap_pushed_total",        &[], "Accesses the fetch path offered to the sample tap.",            Counter(state.tap.pushed()));
         row(&["advisor", "tap_dropped"],       "bpw_advisor_tap_dropped_total",       &[], "Samples overwritten before the advisor drained them.",          Counter(state.tap.dropped()));
         row(&["advisor", "live_manager"],      "",                                    &[], "", Text(Some(live_manager)));
@@ -534,7 +515,6 @@ mod tests {
             page_size: 64,
             pages: 128,
             manager: "wrapped-2q".into(),
-            combining: bpw_core::Combining::Flat,
             adaptive: true,
             mode: FrontendMode::EventLoop,
             ..ServerConfig::default()

@@ -48,4 +48,4 @@ pub use loadgen::{LoadConfig, LoadMode, LoadReport};
 pub use metrics::{OpKind, ServerMetrics};
 pub use poll::{poll_until, wait_for};
 pub use protocol::{Request, Response, MAX_FRAME};
-pub use server::{build_manager, build_manager_with, DynPool, FrontendMode, Server, ServerConfig};
+pub use server::{build_manager, DynPool, FrontendMode, Server, ServerConfig};

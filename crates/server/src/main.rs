@@ -5,18 +5,20 @@
 //! bpw-server serve   [--addr H:P] [--mode threaded|eventloop] [--workers N]
 //!                    [--queue N] [--policy P] [--max-pipeline N]
 //!                    [--frames N] [--page-size B] [--pages N] [--manager SPEC]
-//!                    [--combining off|flat] [--slo-us U]
-//!                    [--adaptive true]
+//!                    [--slo-us U] [--adaptive true]
 //!                    [--faulty true] [--fault-seed S] [--fail-reads-ppm N]
 //!                    [--fail-writes-ppm N] [--spike-ppm N] [--spike-us U]
 //! bpw-server loadgen --addr H:P [--connections N] [--requests N]
 //!                    [--write-fraction F] [--rate RPS | --think MS]
 //!                    [--pipeline N]
 //!                    [--workload zipf|dbt1|dbt2|scan] [--zipf-pages N]
-//!                    [--theta F] [--seed S]
-//! bpw-server smoke   [--out FILE] [--faulty true]
+//!                    [--theta F] [--seed S] [--put-len B]
+//! bpw-server smoke   [--out FILE] [--faulty true] [fault flags as serve]
 //! bpw-server chaos   [--out FILE] [--requests N] [--fault-seed S]
 //! ```
+//!
+//! A flag the subcommand does not read is an error (exit 2), so a
+//! misspelled flag never starts a server silently on defaults.
 //!
 //! `serve --slo-us U` arms the tail-latency flight recorder: tracing
 //! turns on, and any request slower than U microseconds (or ending
@@ -45,15 +47,61 @@ use bpw_metrics::JsonObject;
 use bpw_server::{loadgen, FaultPlan, LoadConfig, LoadMode, Server, ServerConfig};
 use bpw_workloads::{Workload, WorkloadKind, ZipfWorkload};
 
+type Flags = HashMap<String, String>;
+
+/// A subcommand's body.
+type Cmd = fn(&Flags) -> Result<(), String>;
+
+/// Flags [`fault_plan`] reads (`serve` and `smoke`).
+const FAULT_FLAGS: &[&str] = &[
+    "faulty",
+    "fault-seed",
+    "fail-reads-ppm",
+    "fail-writes-ppm",
+    "spike-ppm",
+    "spike-us",
+];
+
+/// Flags [`server_config`] reads, besides the fault flags.
+const SERVE_FLAGS: &[&str] = &[
+    "addr",
+    "workers",
+    "queue",
+    "policy",
+    "frames",
+    "page-size",
+    "pages",
+    "manager",
+    "mode",
+    "max-pipeline",
+    "slo-us",
+    "adaptive",
+];
+
+/// Flags `loadgen` reads ([`build_workload`] and [`load_config`]).
+const LOADGEN_FLAGS: &[&str] = &[
+    "addr",
+    "connections",
+    "requests",
+    "write-fraction",
+    "rate",
+    "think",
+    "pipeline",
+    "workload",
+    "zipf-pages",
+    "theta",
+    "seed",
+    "put-len",
+];
+
 fn main() {
     let mut args = std::env::args().skip(1);
     let cmd = args.next().unwrap_or_default();
-    let flags = parse_flags(args.collect());
-    let result = match cmd.as_str() {
-        "serve" => cmd_serve(&flags),
-        "loadgen" => cmd_loadgen(&flags),
-        "smoke" => cmd_smoke(&flags),
-        "chaos" => cmd_chaos(&flags),
+    let (run, reads): (Cmd, &[&[&str]]) = match cmd.as_str() {
+        "serve" => (cmd_serve, &[SERVE_FLAGS, FAULT_FLAGS]),
+        "loadgen" => (cmd_loadgen, &[LOADGEN_FLAGS]),
+        "smoke" => (cmd_smoke, &[&["out"], FAULT_FLAGS]),
+        "chaos" => (cmd_chaos, &[&["out", "requests", "fault-seed"]]),
         _ => {
             eprintln!(
                 "usage: bpw-server <serve|loadgen|smoke|chaos> [flags]  (see the header of src/main.rs)"
@@ -61,14 +109,19 @@ fn main() {
             std::process::exit(2);
         }
     };
-    if let Err(e) = result {
+    let flags = parse_flags(args.collect(), &reads.concat()).unwrap_or_else(|e| {
+        eprintln!("bpw-server {cmd}: {e}");
+        std::process::exit(2);
+    });
+    if let Err(e) = run(&flags) {
         eprintln!("bpw-server {cmd}: {e}");
         std::process::exit(1);
     }
 }
 
-/// `--key value` pairs; repeated keys keep the last value.
-fn parse_flags(argv: Vec<String>) -> HashMap<String, String> {
+/// `--key value` pairs; repeated keys keep the last value. A key not in
+/// `known` is an error naming it.
+fn parse_flags(argv: Vec<String>, known: &[&str]) -> Result<Flags, String> {
     let mut flags = HashMap::new();
     let mut it = argv.into_iter();
     while let Some(a) = it.next() {
@@ -76,24 +129,21 @@ fn parse_flags(argv: Vec<String>) -> HashMap<String, String> {
             eprintln!("ignoring stray argument {a:?}");
             continue;
         };
-        match it.next() {
-            Some(v) => {
-                flags.insert(key.to_string(), v);
-            }
-            None => {
-                eprintln!("flag --{key} needs a value");
-                std::process::exit(2);
-            }
+        if !known.contains(&key) {
+            return Err(format!(
+                "unknown flag --{key} (reads --{})",
+                known.join(", --")
+            ));
         }
+        let v = it
+            .next()
+            .ok_or_else(|| format!("flag --{key} needs a value"))?;
+        flags.insert(key.to_string(), v);
     }
-    flags
+    Ok(flags)
 }
 
-fn get<T: std::str::FromStr>(
-    flags: &HashMap<String, String>,
-    key: &str,
-    default: T,
-) -> Result<T, String>
+fn get<T: std::str::FromStr>(flags: &Flags, key: &str, default: T) -> Result<T, String>
 where
     T::Err: std::fmt::Display,
 {
@@ -106,7 +156,7 @@ where
 /// Fault-injection flags -> an optional [`FaultPlan`]. `--faulty true`
 /// alone enables a default plan (2% transient read+write faults, 1%
 /// latency spikes); the per-rate flags refine or enable one explicitly.
-fn fault_plan(flags: &HashMap<String, String>) -> Result<Option<FaultPlan>, String> {
+fn fault_plan(flags: &Flags) -> Result<Option<FaultPlan>, String> {
     let faulty: bool = get(flags, "faulty", false)?;
     let read_ppm: u32 = get(flags, "fail-reads-ppm", 0)?;
     let write_ppm: u32 = get(flags, "fail-writes-ppm", 0)?;
@@ -137,7 +187,7 @@ fn fault_plan(flags: &HashMap<String, String>) -> Result<Option<FaultPlan>, Stri
     }))
 }
 
-fn server_config(flags: &HashMap<String, String>) -> Result<ServerConfig, String> {
+fn server_config(flags: &Flags) -> Result<ServerConfig, String> {
     let d = ServerConfig::default();
     Ok(ServerConfig {
         addr: flags.get("addr").cloned().unwrap_or(d.addr),
@@ -148,7 +198,6 @@ fn server_config(flags: &HashMap<String, String>) -> Result<ServerConfig, String
         page_size: get(flags, "page-size", d.page_size)?,
         pages: get(flags, "pages", d.pages)?,
         manager: flags.get("manager").cloned().unwrap_or(d.manager),
-        combining: get(flags, "combining", d.combining)?,
         fault_plan: fault_plan(flags)?,
         mode: get(flags, "mode", d.mode)?,
         max_pipeline: get(flags, "max-pipeline", d.max_pipeline)?,
@@ -160,7 +209,7 @@ fn server_config(flags: &HashMap<String, String>) -> Result<ServerConfig, String
     })
 }
 
-fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let config = server_config(flags)?;
     let server = Server::start(config.clone()).map_err(|e| e.to_string())?;
     println!(
@@ -178,7 +227,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn build_workload(flags: &HashMap<String, String>) -> Result<Box<dyn Workload>, String> {
+fn build_workload(flags: &Flags) -> Result<Box<dyn Workload>, String> {
     let name = flags.get("workload").map(String::as_str).unwrap_or("zipf");
     if name == "zipf" {
         let pages: u64 = get(flags, "zipf-pages", 16_384)?;
@@ -189,7 +238,7 @@ fn build_workload(flags: &HashMap<String, String>) -> Result<Box<dyn Workload>, 
     Ok(kind.build())
 }
 
-fn load_config(flags: &HashMap<String, String>) -> Result<LoadConfig, String> {
+fn load_config(flags: &Flags) -> Result<LoadConfig, String> {
     let d = LoadConfig::default();
     let mode = match (flags.get("rate"), flags.get("think")) {
         (Some(_), Some(_)) => return Err("--rate and --think are mutually exclusive".into()),
@@ -212,7 +261,7 @@ fn load_config(flags: &HashMap<String, String>) -> Result<LoadConfig, String> {
     })
 }
 
-fn cmd_loadgen(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_loadgen(flags: &Flags) -> Result<(), String> {
     let addr: SocketAddr = flags
         .get("addr")
         .ok_or("loadgen needs --addr")?
@@ -230,7 +279,7 @@ fn cmd_loadgen(flags: &HashMap<String, String>) -> Result<(), String> {
 /// fault rates. Records throughput, the OK/ERR_IO mix, retry/repair
 /// counters, and the frame-accounting invariant to a JSON-lines
 /// artifact (`results/fault_injection.jsonl`).
-fn cmd_chaos(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_chaos(flags: &Flags) -> Result<(), String> {
     let out = flags
         .get("out")
         .cloned()
@@ -333,7 +382,7 @@ fn cmd_chaos(flags: &HashMap<String, String>) -> Result<(), String> {
 /// CI self-test: exercise STATS, METRICS, and the tracing pipeline
 /// end-to-end against a live server, failing loudly on any malformed
 /// payload.
-fn cmd_smoke(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_smoke(flags: &Flags) -> Result<(), String> {
     use bpw_metrics::JsonValue;
 
     let out = flags
@@ -501,4 +550,33 @@ fn cmd_smoke(flags: &HashMap<String, String>) -> Result<(), String> {
         tids.len()
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn parse_flags_rejects_a_flag_the_subcommand_does_not_read() {
+        let serve = [SERVE_FLAGS, FAULT_FLAGS].concat();
+        let flags = parse_flags(argv(&["--frames", "64", "--faulty", "true"]), &serve).unwrap();
+        assert_eq!(flags["frames"], "64");
+        assert!(server_config(&flags).is_ok());
+        // Misspellings, and a flag another subcommand reads.
+        for bad in [
+            &["--queue-size", "64"][..],
+            &["--frame", "64"],
+            &["--out", "x"],
+        ] {
+            let err = parse_flags(argv(bad), &serve).unwrap_err();
+            let named = format!("unknown flag {} ", bad[0]);
+            assert!(err.starts_with(&named), "{err:?} must name {}", bad[0]);
+        }
+        let err = parse_flags(argv(&["--addr"]), LOADGEN_FLAGS).unwrap_err();
+        assert!(err.contains("needs a value"), "{err:?}");
+    }
 }

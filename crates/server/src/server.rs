@@ -20,7 +20,7 @@ use bpw_bufferpool::{
     BufferPool, ClockManager, CoarseManager, FaultPlan, FaultyDisk, ReplacementManager, SimDisk,
     Storage, SwapManager, WrappedManager,
 };
-use bpw_core::{Combining, WrapperConfig};
+use bpw_core::WrapperConfig;
 use bpw_replacement::{Advisor, AdvisorConfig, PolicyKind, SampleTap};
 use crossbeam::channel;
 
@@ -91,11 +91,6 @@ pub struct ServerConfig {
     pub pages: u64,
     /// Manager spec, e.g. `"wrapped-2q"` (see [`build_manager`]).
     pub manager: String,
-    /// Combining commit mode for `wrapped-*` managers
-    /// (`--combining off|flat`): `flat` publishes on any contended
-    /// threshold crossing and lock holders drain every pending slot.
-    /// Off by default (paper-faithful baseline).
-    pub combining: Combining,
     /// When set, the simulated disk is wrapped in a [`FaultyDisk`]
     /// driven by this plan (chaos testing; see
     /// [`Server::faulty_disk`]).
@@ -129,7 +124,6 @@ impl Default for ServerConfig {
             page_size: 4096,
             pages: 1 << 20,
             manager: "wrapped-2q".into(),
-            combining: Combining::Off,
             fault_plan: None,
             mode: FrontendMode::Threaded,
             max_pipeline: 64,
@@ -148,16 +142,6 @@ impl Default for ServerConfig {
 /// where `<policy>` is anything [`PolicyKind`] parses (`2q`, `lirs`,
 /// `lru`, `arc`, ...).
 pub fn build_manager(spec: &str, frames: usize) -> Result<Box<dyn ReplacementManager>, String> {
-    build_manager_with(spec, frames, WrapperConfig::default())
-}
-
-/// [`build_manager`] with an explicit [`WrapperConfig`] for `wrapped-*`
-/// specs (`clock` and `coarse-*` ignore it).
-pub fn build_manager_with(
-    spec: &str,
-    frames: usize,
-    wrapper: WrapperConfig,
-) -> Result<Box<dyn ReplacementManager>, String> {
     let spec = spec.trim().to_ascii_lowercase();
     if spec == "clock" {
         return Ok(Box::new(ClockManager::new(frames)));
@@ -168,7 +152,10 @@ pub fn build_manager_with(
     }
     if let Some(policy) = spec.strip_prefix("wrapped-") {
         let kind: PolicyKind = policy.parse()?;
-        return Ok(Box::new(WrappedManager::new(kind.build(frames), wrapper)));
+        return Ok(Box::new(WrappedManager::new(
+            kind.build(frames),
+            WrapperConfig::default(),
+        )));
     }
     Err(format!(
         "unknown manager spec {spec:?} (want clock, coarse-<policy>, or wrapped-<policy>)"
@@ -222,8 +209,7 @@ pub struct Server {
 impl Server {
     /// Bind, spawn the worker pool and acceptor, and return.
     pub fn start(config: ServerConfig) -> io::Result<Server> {
-        let wrapper = WrapperConfig::default().with_combining_mode(config.combining);
-        let manager = build_manager_with(&config.manager, config.frames, wrapper)
+        let manager = build_manager(&config.manager, config.frames)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
         // Adaptive mode: interpose the hot-swap layer and set up the
         // sampled tap + expert scorer. Only wrapped-* managers make
@@ -316,7 +302,7 @@ impl Server {
                         };
                         if let Some(kind) = nominated {
                             let spec = format!("wrapped-{}", kind.name().to_ascii_lowercase());
-                            let next = build_manager_with(&spec, frames, wrapper)
+                            let next = build_manager(&spec, frames)
                                 .expect("nominated policies always build");
                             if shared.pool.swap_manager(next).is_some() {
                                 state.advisor.lock().expect("advisor lock").adopt(kind);

@@ -505,62 +505,6 @@ fn metrics_exposition_and_enriched_stats(mode: FrontendMode) {
     server.join();
 }
 
-/// A server with combining commit enabled serves the same traffic
-/// correctly: combining changes how batches reach the policy under
-/// contention, never what data clients see.
-fn combining_server_serves_correct_data(mode: FrontendMode) {
-    let server = Server::start(ServerConfig {
-        workers: 4,
-        queue_capacity: 128,
-        policy: AdmissionPolicy::Block,
-        frames: 128,
-        page_size: PAGE_SIZE,
-        pages: PAGES,
-        manager: "wrapped-lirs".into(),
-        combining: bpw_core::Combining::Flat,
-        mode,
-        ..ServerConfig::default()
-    })
-    .expect("combining server start");
-    let addr = server.addr();
-    std::thread::scope(|sc| {
-        for t in 0..4u64 {
-            sc.spawn(move || {
-                let mut client = Client::connect(addr).expect("connect");
-                let mut x = splitmix64(t ^ 0xC0B1);
-                for _ in 0..2_000u32 {
-                    x = splitmix64(x);
-                    let page = x % PAGES;
-                    match client.get(page).expect("transport") {
-                        Response::Ok(body) => {
-                            assert_eq!(
-                                u64::from_le_bytes(body[..8].try_into().unwrap()),
-                                page,
-                                "combining served wrong bytes"
-                            );
-                        }
-                        other => panic!("unexpected reply: {other:?}"),
-                    }
-                }
-            });
-        }
-    });
-    // A reply is counted just after it is written, so the last client
-    // can be back here before its connection thread has accounted it.
-    bpw_server::poll_until(Duration::from_secs(5), || {
-        server.metrics().ok.get() == 4 * 2_000
-    });
-    let stats = server.stats_json();
-    let v = JsonValue::parse(&stats).expect("STATS JSON");
-    assert!(
-        v.get("ok")
-            .and_then(JsonValue::as_u64)
-            .is_some_and(|ok| ok == 4 * 2_000),
-        "all requests must be OK: {stats}"
-    );
-    server.join();
-}
-
 /// The event kinds each request id owns among `events`.
 fn chains_by_request(events: &[bpw_trace::TraceEvent]) -> HashMap<u64, Vec<bpw_trace::EventKind>> {
     let mut chains: HashMap<u64, Vec<_>> = HashMap::new();
@@ -1274,7 +1218,6 @@ both_frontends!(
     loadgen_open_loop_sends_full_schedule,
     client_shutdown_request_stops_accepting,
     metrics_exposition_and_enriched_stats,
-    combining_server_serves_correct_data,
     traced_requests_leave_server_events,
     flight_recorder_captures_slow_request_span_chains,
     pipelined_responses_arrive_in_request_order,

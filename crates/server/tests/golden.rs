@@ -75,7 +75,6 @@ fn exposition_shape(mode: FrontendMode) -> String {
         page_size: 64,
         pages: 256,
         manager: "wrapped-2q".into(),
-        combining: bpw_core::Combining::Flat,
         adaptive: true,
         slo_us: Some(1_000_000),
         mode,

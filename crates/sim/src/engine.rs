@@ -12,7 +12,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use bpw_core::{Combining, SystemKind};
+use bpw_core::SystemKind;
 use bpw_metrics::Histogram;
 
 use crate::profile::{HardwareProfile, WorkloadParams};
@@ -29,11 +29,6 @@ pub struct SystemSpec {
     pub queue_size: u32,
     /// Batch threshold `T`.
     pub batch_threshold: u32,
-    /// Combining commit mode (batching systems): `Flat` publishes on
-    /// any contended threshold crossing (and a full queue) instead of
-    /// blocking, and lock holders drain every pending slot (bounded
-    /// passes) before releasing.
-    pub combining: Combining,
 }
 
 impl SystemSpec {
@@ -43,7 +38,6 @@ impl SystemSpec {
             kind,
             queue_size: 64,
             batch_threshold: 32,
-            combining: Combining::Off,
         }
     }
 
@@ -54,14 +48,7 @@ impl SystemSpec {
             kind,
             queue_size,
             batch_threshold,
-            combining: Combining::Off,
         }
-    }
-
-    /// Enable a combining commit mode (batching systems only).
-    pub fn with_combining(mut self, mode: Combining) -> Self {
-        self.combining = mode;
-        self
     }
 
     fn prefetching(&self) -> bool {
@@ -140,10 +127,6 @@ pub struct RunReport {
     pub contentions: u64,
     /// Failed try-lock attempts.
     pub trylock_failures: u64,
-    /// Batches published to a combining slot instead of blocking.
-    pub publishes: u64,
-    /// Published batches drained by other threads' lock tenures.
-    pub combined_batches: u64,
 }
 
 // --- internal machinery ----------------------------------------------------
@@ -187,8 +170,6 @@ struct Thread {
     pending_cs: u64,
     /// Accesses the pending/running CS commits.
     pending_commit: u64,
-    /// Accesses sitting in this thread's publication slot (0 = none).
-    published: u64,
     /// The access that triggered the CS was a miss (I/O follows).
     miss_pending: bool,
     /// When the thread first blocked on its current lock wait.
@@ -243,13 +224,6 @@ pub struct Sim {
     /// Failed try-locks since the replacement lock was last acquired;
     /// each one bounced the lock's cache line under the current holder.
     trylock_pressure: u64,
-    /// Threads with a batch sitting in their publication slot, in
-    /// publish order (the combiner's drain order).
-    pending_pubs: VecDeque<usize>,
-    /// Drain passes the current lock tenure has already run.
-    drain_passes: u32,
-    publishes: u64,
-    combined_batches: u64,
     response_hist: Histogram,
     horizon: Time,
 }
@@ -298,7 +272,6 @@ impl Sim {
                 batch_fill: 0,
                 pending_cs: 0,
                 pending_commit: 0,
-                published: 0,
                 miss_pending: false,
                 wait_since: 0,
                 rng: params.seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1,
@@ -320,10 +293,6 @@ impl Sim {
             io_queue: VecDeque::new(),
             total_accesses: 0,
             trylock_pressure: 0,
-            pending_pubs: VecDeque::new(),
-            drain_passes: 0,
-            publishes: 0,
-            combined_batches: 0,
             response_hist: Histogram::new(),
             horizon,
             p: params,
@@ -442,55 +411,6 @@ impl Sim {
         d
     }
 
-    /// Take back `th`'s published batch, if any, as it acquires the
-    /// lock: the real wrapper reclaims before committing newer accesses
-    /// so program order holds. Returns the reclaimed entry count.
-    fn reclaim_own(&mut self, th: usize) -> u64 {
-        let entries = std::mem::take(&mut self.threads[th].published);
-        if entries > 0 {
-            self.pending_pubs.retain(|&t| t != th);
-        }
-        entries
-    }
-
-    /// Publish `entries` into `th`'s slot instead of blocking, if the
-    /// configured combining mode allows and the slot is empty. The
-    /// thread keeps its CPU; a later lock holder drains the batch.
-    fn try_publish(&mut self, th: usize, entries: u64) -> bool {
-        if !self.p.system.combining.is_enabled() || self.threads[th].published > 0 {
-            return false;
-        }
-        self.threads[th].published = entries;
-        self.threads[th].batch_fill = 0;
-        self.pending_pubs.push_back(th);
-        self.publishes += 1;
-        true
-    }
-
-    /// One drain pass at the end of a lock tenure: the holder applies
-    /// every batch currently published, extending its critical section,
-    /// up to [`bpw_core::MAX_COMBINE_PASSES`] passes per tenure (the
-    /// fairness bound). Returns true when a pass was chained (the lock
-    /// stays held and another `ReplCsDone` follows).
-    fn combine_pass(&mut self, th: usize) -> bool {
-        if !self.p.system.combining.is_enabled()
-            || self.drain_passes >= bpw_core::MAX_COMBINE_PASSES
-            || self.pending_pubs.is_empty()
-        {
-            return false;
-        }
-        let mut entries = 0;
-        while let Some(t) = self.pending_pubs.pop_front() {
-            entries += std::mem::take(&mut self.threads[t].published);
-            self.combined_batches += 1;
-        }
-        self.drain_passes += 1;
-        self.threads[th].pending_commit = entries;
-        let cost = self.p.hardware.cs_per_access_ns * entries;
-        self.continue_run(th, cost.max(1), Cont::ReplCsDone);
-        true
-    }
-
     /// Blocking lock request on the replacement lock. Returns true if the
     /// thread keeps running (lock granted immediately).
     ///
@@ -505,11 +425,8 @@ impl Sim {
             self.repl.held = true;
             self.repl.hold_start = self.now;
             self.repl.tally.acquisitions += 1;
-            self.drain_passes = 0;
-            let reclaimed = self.reclaim_own(th);
-            self.threads[th].pending_commit = commit + reclaimed;
+            self.threads[th].pending_commit = commit;
             let jam = self.take_interference_ns();
-            let cs = cs + self.p.hardware.cs_per_access_ns * reclaimed;
             self.continue_run(th, self.acquire_ns() + cs + jam, Cont::ReplCsDone);
             true
         } else {
@@ -530,10 +447,7 @@ impl Sim {
             self.repl.hold_start = self.now;
             self.repl.tally.acquisitions += 1;
             self.repl.tally.wait_ns += self.now - self.threads[th].wait_since;
-            self.drain_passes = 0;
-            let reclaimed = self.reclaim_own(th);
-            self.threads[th].pending_commit += reclaimed;
-            let cs = self.threads[th].pending_cs + self.p.hardware.cs_per_access_ns * reclaimed;
+            let cs = self.threads[th].pending_cs;
             let jam = self.take_interference_ns();
             self.continue_run(th, self.acquire_ns() + cs + jam, Cont::ReplCsDone);
         } else {
@@ -629,34 +543,24 @@ impl Sim {
                 t.batch_fill += 1;
                 let fill = t.batch_fill;
                 if fill >= self.p.system.queue_size {
-                    // Queue full: paper line 13, blocking Lock() — unless
-                    // a combining slot can take the batch instead.
-                    if self.repl.held && self.try_publish(th, fill as u64) {
-                        self.advance_access(th, true);
-                    } else {
-                        let cs = self.warmup_ns() + hw.cs_per_access_ns * fill as u64;
-                        self.threads[th].batch_fill = 0;
-                        self.lock_blocking(th, cs, fill as u64);
-                    }
+                    // Queue full: paper line 13, blocking Lock().
+                    let cs = self.warmup_ns() + hw.cs_per_access_ns * fill as u64;
+                    self.threads[th].batch_fill = 0;
+                    self.lock_blocking(th, cs, fill as u64);
                 } else if fill >= self.p.system.batch_threshold {
-                    // TryLock(): free -> commit now; busy -> flat
-                    // combining publishes, otherwise keep going.
+                    // TryLock(): free -> commit now; busy -> keep going.
                     if !self.repl.held {
                         self.repl.held = true;
                         self.repl.hold_start = self.now;
                         self.repl.tally.acquisitions += 1;
-                        self.drain_passes = 0;
-                        let reclaimed = self.reclaim_own(th);
-                        let commit = fill as u64 + reclaimed;
-                        let cs = self.warmup_ns() + hw.cs_per_access_ns * commit;
+                        let cs = self.warmup_ns() + hw.cs_per_access_ns * fill as u64;
                         self.threads[th].batch_fill = 0;
-                        self.threads[th].pending_commit = commit;
+                        self.threads[th].pending_commit = fill as u64;
                         let jam = self.take_interference_ns();
                         self.continue_run(th, hw.trylock_ns + cs + jam, Cont::ReplCsDone);
                     } else {
                         self.repl.tally.trylock_failures += 1;
                         self.trylock_pressure += 1;
-                        self.try_publish(th, fill as u64);
                         // Failure costs a few ns, folded into the next
                         // access's compute; continue without the lock.
                         self.advance_access(th, true);
@@ -738,11 +642,6 @@ impl Sim {
                     let commit = self.threads[th].pending_commit;
                     self.repl.tally.accesses_covered += commit;
                     self.threads[th].pending_commit = 0;
-                    if self.combine_pass(th) {
-                        // Lock retained: a drain pass was chained and
-                        // ends in another ReplCsDone.
-                        continue;
-                    }
                     self.unlock_repl();
                     if self.threads[th].miss_pending {
                         self.threads[th].miss_pending = false;
@@ -803,8 +702,6 @@ impl Sim {
             txns,
             contentions: t.contentions,
             trylock_failures: t.trylock_failures,
-            publishes: self.publishes,
-            combined_batches: self.combined_batches,
         }
     }
 }
@@ -909,43 +806,6 @@ mod tests {
             );
             prev = r.lock_time_per_access_us;
         }
-    }
-
-    #[test]
-    fn combining_unblocks_small_queues_at_scale() {
-        // 32 cpus with small queues: plain batching collapses on the
-        // blocking Lock() at queue-full; a publication slot turns each
-        // of those blocks into a handoff, and flat combining also
-        // publishes at every contended threshold crossing.
-        let run = |mode| {
-            let spec = SystemSpec::with_batching(SystemKind::BatchingPrefetching, 8, 4)
-                .with_combining(mode);
-            let mut p = SimParams::new(
-                HardwareProfile::altix350(),
-                32,
-                spec,
-                WorkloadParams::tablescan(),
-            );
-            p.horizon_ms = 300;
-            simulate(p)
-        };
-        let off = run(Combining::Off);
-        let flat = run(Combining::Flat);
-        assert!(off.contentions > 0, "baseline must actually block");
-        assert_eq!(off.publishes, 0);
-        assert!(flat.publishes > 0 && flat.combined_batches > 0);
-        assert!(
-            flat.throughput_tps > 1.5 * off.throughput_tps,
-            "publication must relieve the queue-full collapse: {} vs {}",
-            flat.throughput_tps,
-            off.throughput_tps
-        );
-        assert!(
-            flat.contentions_per_million * 10.0 < off.contentions_per_million,
-            "combining must slash blocking contention: {} vs {}",
-            flat.contentions_per_million,
-            off.contentions_per_million
-        );
     }
 
     #[test]

@@ -44,10 +44,6 @@ pub enum EventKind {
     /// A miss had to wait for its page-table shard's miss lock; the
     /// span covers the wait. Arg: shard index.
     MissShardWait,
-    /// A lock holder drained other threads' published overflow queues
-    /// in the same critical section (combining commit). Arg: entries
-    /// applied on behalf of other threads.
-    CombinedCommit,
     /// A free-list stripe ran dry and a frame was stolen from another
     /// stripe. Instant. Arg: stripe stolen from.
     FreeListSteal,
@@ -67,7 +63,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// Every kind, in declaration order.
-    pub const ALL: [EventKind; 16] = [
+    pub const ALL: [EventKind; 15] = [
         EventKind::LockWait,
         EventKind::LockHold,
         EventKind::BatchCommit,
@@ -79,7 +75,6 @@ impl EventKind {
         EventKind::IoRetry,
         EventKind::IoError,
         EventKind::MissShardWait,
-        EventKind::CombinedCommit,
         EventKind::FreeListSteal,
         EventKind::EpollWakeup,
         EventKind::PinOrMiss,
@@ -100,7 +95,6 @@ impl EventKind {
             EventKind::IoRetry => "io_retry",
             EventKind::IoError => "io_error",
             EventKind::MissShardWait => "miss_shard_wait",
-            EventKind::CombinedCommit => "combined_commit",
             EventKind::FreeListSteal => "free_list_steal",
             EventKind::EpollWakeup => "epoll_wakeup",
             EventKind::PinOrMiss => "pin_or_miss",
@@ -123,7 +117,6 @@ impl EventKind {
             EventKind::IoRetry => "page",
             EventKind::IoError => "page",
             EventKind::MissShardWait => "shard",
-            EventKind::CombinedCommit => "entries",
             EventKind::FreeListSteal => "stripe",
             EventKind::EpollWakeup => "ready_events",
             EventKind::PinOrMiss => "opcode",

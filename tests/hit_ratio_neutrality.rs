@@ -5,7 +5,7 @@
 //! paper rejects it.
 
 use bpw_bench::PartitionedCache;
-use bpw_core::{Combining, WrappedCache, WrapperConfig};
+use bpw_core::{WrappedCache, WrapperConfig};
 use bpw_replacement::{CacheSim, PolicyKind};
 use bpw_workloads::{Trace, WorkloadKind};
 
@@ -24,18 +24,24 @@ fn workload_trace(kind: WorkloadKind, txns: usize) -> Vec<u64> {
     flat
 }
 
+/// Table I's commit configurations: one lock per access (`pgQ`),
+/// batching (`pgBat`), and batching with prefetching (`pgBatPre`).
+fn commit_configs() -> [(&'static str, WrapperConfig); 3] {
+    [
+        ("pgQ", WrapperConfig::lock_per_access()),
+        ("pgBat", WrapperConfig::batching_only()),
+        ("pgBatPre", WrapperConfig::default()),
+    ]
+}
+
 #[test]
 fn wrapped_hit_ratio_is_identical_on_paper_workloads() {
     for kind in WorkloadKind::ALL {
         let trace = workload_trace(kind, 150);
         for policy in [PolicyKind::TwoQ, PolicyKind::Lirs, PolicyKind::Mq] {
-            // Neutrality must hold whatever the commit path: plain
-            // try-lock batching and full flat combining alike.
-            for combining in [Combining::Off, Combining::Flat] {
-                let cfg = WrapperConfig {
-                    combining,
-                    ..WrapperConfig::default()
-                };
+            // Neutrality must hold whatever the commit configuration:
+            // a lock per access, or batches committed at the threshold.
+            for (system, cfg) in commit_configs() {
                 let frames = 1024;
                 let mut bare = CacheSim::new(policy.build(frames));
                 let mut wrapped = WrappedCache::new(policy.build(frames), cfg);
@@ -43,7 +49,7 @@ fn wrapped_hit_ratio_is_identical_on_paper_workloads() {
                 let b = wrapped.run(trace.iter().copied());
                 assert_eq!(
                     a, b,
-                    "{kind}/{policy}/{combining:?}: wrapped hit/miss stats must be identical"
+                    "{kind}/{policy}/{system}: wrapped hit/miss stats must be identical"
                 );
             }
         }
@@ -86,11 +92,7 @@ fn order_preservation_across_batch_boundaries() {
     // (same resident set), not merely the same hit count.
     let trace = workload_trace(WorkloadKind::Dbt2, 60);
     let frames = 512;
-    for combining in [Combining::Off, Combining::Flat] {
-        let cfg = WrapperConfig {
-            combining,
-            ..WrapperConfig::default()
-        };
+    for (system, cfg) in commit_configs() {
         let mut bare = CacheSim::new(PolicyKind::Lirs.build(frames));
         let mut wrapped = WrappedCache::new(PolicyKind::Lirs.build(frames), cfg);
         for &p in &trace {
@@ -103,7 +105,7 @@ fn order_preservation_across_batch_boundaries() {
             assert_eq!(
                 bare.is_resident(p),
                 wrapped.is_resident(p),
-                "residency diverged for page {p} ({combining:?})"
+                "residency diverged for page {p} ({system})"
             );
         }
     }
