@@ -16,6 +16,8 @@ use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
+use bpw_core::CachePadded;
+use bpw_metrics::StripedCounter;
 use bpw_replacement::PageId;
 use parking_lot::{Mutex, RwLock};
 
@@ -36,18 +38,28 @@ pub trait Storage: Send + Sync {
     fn writes(&self) -> u64;
 }
 
+/// `log2` of the number of [`SimDisk`] page-map stripes.
+const STRIPE_BITS: u32 = 6;
+
+/// One stripe of [`SimDisk`]'s written pages, on its own cache line.
+type Stripe = CachePadded<RwLock<HashMap<PageId, Box<[u8]>>>>;
+
 /// Deterministic simulated disk: unwritten pages read back as a pure
 /// function of the page id (verifiable), written pages are retained and
 /// read back exactly (write-back durability), and each access spins for
-/// a configurable latency to model device time. Reads copy under a
-/// shared lock, so they run concurrently; a write holds it exclusively
-/// for its copy, so no read sees a torn page.
+/// a configurable latency to model device time.
+///
+/// Written pages live in `1 << STRIPE_BITS` stripes chosen by a hash of
+/// the page id, and the access counts are per-thread cells, so misses
+/// on different threads share no lock and no counter line. Reads copy
+/// under their stripe's shared lock, so they run concurrently; a write
+/// holds it exclusively for its copy, so no read sees a torn page.
 pub struct SimDisk {
     read_latency: Duration,
     write_latency: Duration,
-    written: RwLock<HashMap<PageId, Box<[u8]>>>,
-    reads: AtomicU64,
-    writes: AtomicU64,
+    stripes: [Stripe; 1 << STRIPE_BITS],
+    reads: StripedCounter,
+    writes: StripedCounter,
 }
 
 impl SimDisk {
@@ -56,15 +68,21 @@ impl SimDisk {
         SimDisk {
             read_latency,
             write_latency,
-            written: RwLock::new(HashMap::new()),
-            reads: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
+            stripes: std::array::from_fn(|_| CachePadded::new(RwLock::new(HashMap::new()))),
+            reads: StripedCounter::default(),
+            writes: StripedCounter::default(),
         }
     }
 
     /// Number of distinct pages that have been written.
     pub fn written_pages(&self) -> usize {
-        self.written.read().len()
+        self.stripes.iter().map(|s| s.read().len()).sum()
+    }
+
+    /// The stripe holding `page` (Fibonacci hashing: the multiply's top
+    /// bits, so consecutive ids spread over every stripe).
+    fn stripe(&self, page: PageId) -> &Stripe {
+        &self.stripes[(page.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - STRIPE_BITS)) as usize]
     }
 
     /// A latency-free disk (pure function of page id), for tests and
@@ -98,7 +116,7 @@ impl SimDisk {
 impl Storage for SimDisk {
     fn read_page(&self, page: PageId, buf: &mut [u8]) -> io::Result<()> {
         Self::spin_for(self.read_latency);
-        if let Some(stored) = self.written.read().get(&page) {
+        if let Some(stored) = self.stripe(page).read().get(&page) {
             let n = stored.len().min(buf.len());
             buf[..n].copy_from_slice(&stored[..n]);
             // A stored page shorter than the frame must not leave the
@@ -110,13 +128,13 @@ impl Storage for SimDisk {
                 buf[..8].copy_from_slice(&page.to_le_bytes());
             }
         }
-        self.reads.fetch_add(1, Ordering::Relaxed);
+        self.reads.incr();
         Ok(())
     }
 
     fn write_page(&self, page: PageId, buf: &[u8]) -> io::Result<()> {
         Self::spin_for(self.write_latency);
-        let mut written = self.written.write();
+        let mut written = self.stripe(page).write();
         match written.get_mut(&page) {
             // A write-back of a page stored before: no allocation, no free.
             Some(stored) if stored.len() == buf.len() => stored.copy_from_slice(buf),
@@ -124,16 +142,16 @@ impl Storage for SimDisk {
                 written.insert(page, buf.into());
             }
         }
-        self.writes.fetch_add(1, Ordering::Relaxed);
+        self.writes.incr();
         Ok(())
     }
 
     fn reads(&self) -> u64 {
-        self.reads.load(Ordering::Relaxed)
+        self.reads.get()
     }
 
     fn writes(&self) -> u64 {
-        self.writes.load(Ordering::Relaxed)
+        self.writes.get()
     }
 }
 
@@ -478,6 +496,46 @@ mod tests {
             done.store(true, Ordering::Release);
         });
         assert_eq!(d.written_pages(), 1);
+    }
+
+    #[test]
+    fn threads_writing_every_stripe_read_back_exactly() {
+        const THREADS: u64 = 4;
+        const PER_THREAD: u64 = 256;
+        let d = SimDisk::instant();
+        let page_bytes = |page: u64| {
+            let mut buf = [(page as u8) ^ 0x5A; 64];
+            buf[..8].copy_from_slice(&page.to_le_bytes());
+            buf
+        };
+        let stripe_of = |page| d.stripe(page) as *const Stripe;
+        let stripes: HashSet<_> = (0..THREADS * PER_THREAD).map(stripe_of).collect();
+        assert_eq!(
+            stripes.len(),
+            d.stripes.len(),
+            "the pages cover every stripe"
+        );
+        std::thread::scope(|sc| {
+            for t in 0..THREADS {
+                let d = &d;
+                sc.spawn(move || {
+                    let mine = (0..PER_THREAD).map(|i| i * THREADS + t);
+                    for page in mine.clone() {
+                        d.write_page(page, &page_bytes(page)).unwrap();
+                    }
+                    let mut buf = [0u8; 64];
+                    for page in mine {
+                        d.read_page(page, &mut buf).unwrap();
+                        assert_eq!(buf, page_bytes(page), "page {page}");
+                    }
+                });
+            }
+        });
+        assert_eq!(d.written_pages() as u64, THREADS * PER_THREAD);
+        assert_eq!(
+            (d.writes(), d.reads()),
+            (THREADS * PER_THREAD, THREADS * PER_THREAD)
+        );
     }
 
     #[test]

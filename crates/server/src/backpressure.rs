@@ -172,19 +172,20 @@ impl<T> AdmissionQueue<T> {
             item,
             enqueued: Instant::now(),
         };
-        match self.policy {
-            AdmissionPolicy::Shed => match self.tx.try_send(entry) {
-                Ok(()) => {}
+        let depth = match self.policy {
+            AdmissionPolicy::Shed => match self.tx.try_send_len(entry) {
+                Ok(depth) => depth,
                 Err(TrySendError::Full(_)) => return Admitted::Shed,
                 Err(TrySendError::Disconnected(_)) => return Admitted::Closed,
             },
             AdmissionPolicy::Block | AdmissionPolicy::DeadlineDrop(_) => {
-                if self.tx.send(entry).is_err() {
-                    return Admitted::Closed;
+                match self.tx.send_len(entry) {
+                    Ok(depth) => depth,
+                    Err(_) => return Admitted::Closed,
                 }
             }
-        }
-        self.depth.observe(self.tx.len() as u64);
+        };
+        self.depth.observe(depth as u64);
         Admitted::Queued
     }
 
@@ -197,9 +198,9 @@ impl<T> AdmissionQueue<T> {
     /// [`AdmissionPolicy::DeadlineDrop`] measures true end-to-end
     /// staleness exactly as the blocking path does.
     pub fn offer_at(&self, item: T, enqueued: Instant) -> Offered<T> {
-        match self.tx.try_send(Entry { item, enqueued }) {
-            Ok(()) => {
-                self.depth.observe(self.tx.len() as u64);
+        match self.tx.try_send_len(Entry { item, enqueued }) {
+            Ok(depth) => {
+                self.depth.observe(depth as u64);
                 Offered::Queued
             }
             Err(TrySendError::Full(entry)) => match self.policy {

@@ -37,7 +37,7 @@ use crate::backpressure::{Popped, WorkQueue};
 use crate::eventloop::Completions;
 use crate::exposition::{self, PoolSide};
 use crate::metrics::{OpKind, ServerMetrics, Stage};
-use crate::protocol::{self, fnv1a, ProtocolError, Request, Response};
+use crate::protocol::{self, page_checksum, ProtocolError, Request, Response};
 use crate::server::{AdaptiveShared, DynPool};
 
 /// A thread's session against the server's pool: workers execute
@@ -475,7 +475,7 @@ fn execute(session: &mut Session<'_>, shared: &Shared, req: &Request) -> Respons
             let mut checksum = 0u64;
             for page in *start..end {
                 match session.fetch(page) {
-                    Ok(pinned) => checksum = pinned.read(|data| fnv1a(checksum, data)),
+                    Ok(pinned) => checksum = pinned.read(|data| page_checksum(checksum, data)),
                     Err(e) => return Response::IoError(e.to_string()),
                 }
             }
@@ -792,6 +792,44 @@ mod tests {
         assert!(
             shared.pool.invalidate(1).is_invalidated(),
             "a reply that could not be written still releases its pin"
+        );
+    }
+
+    #[test]
+    fn a_one_byte_put_inside_a_scan_changes_its_checksum() {
+        let shared = shared();
+        let session = &mut shared.pool.session();
+        let scan = |session: &mut Session<'_>| match execute(
+            session,
+            &shared,
+            &Request::Scan { start: 8, len: 8 },
+        ) {
+            Response::Ok(payload) => {
+                assert_eq!(payload.len(), 12);
+                u64::from_le_bytes(payload[4..].try_into().unwrap())
+            }
+            other => panic!("SCAN answered {other:?}"),
+        };
+        let before = scan(session);
+        assert_eq!(
+            before,
+            scan(session),
+            "an unchanged range checksums the same"
+        );
+        assert_eq!(before >> 32, 0, "CRC-32C leaves the high half zero");
+        // Page 11's content is its id, then its fill byte: flip one bit
+        // of the byte after the id.
+        let mut head = 11u64.to_le_bytes().to_vec();
+        head.push(SimDisk::fill_byte(11) ^ 1);
+        let put = Request::Put {
+            page: 11,
+            data: head,
+        };
+        assert_eq!(execute(session, &shared, &put), Response::Ok(Vec::new()));
+        assert_ne!(
+            scan(session),
+            before,
+            "a changed byte must change the checksum"
         );
     }
 

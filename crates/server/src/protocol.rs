@@ -17,7 +17,8 @@
 //!
 //! response := u32 len | status:u8 payload
 //!   OK       (0x00)  GET: page bytes; PUT/SHUTDOWN: empty;
-//!                    SCAN: count:u32 checksum:u64 (FNV-1a over contents);
+//!                    SCAN: count:u32 checksum:u64 (CRC-32C over contents,
+//!                    high half zero; see `page_checksum`);
 //!                    STATS: UTF-8 JSON;
 //!                    METRICS: UTF-8 Prometheus-style text exposition;
 //!                    EXEMPLARS: UTF-8 Chrome-trace JSON (flight
@@ -420,24 +421,78 @@ impl FrameDecoder {
     }
 }
 
-/// FNV-1a over a byte slice; SCAN replies carry this checksum so clients
-/// can verify content without shipping every page back.
-pub fn fnv1a(init: u64, bytes: &[u8]) -> u64 {
-    let mut h = if init == 0 {
-        0xcbf2_9ce4_8422_2325
-    } else {
-        init
-    };
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
+/// CRC-32C (Castagnoli) over a byte slice; SCAN replies carry this
+/// checksum so clients can verify content without shipping every page
+/// back. `init = 0` starts a chain, and a chain may be split anywhere:
+/// `page_checksum(page_checksum(i, a), b) == page_checksum(i, a ‖ b)`.
+/// The value fits in 32 bits, so the high half of the `u64` is zero.
+///
+/// On x86-64 with SSE4.2 the `crc32` instruction takes 8 bytes at a
+/// time; elsewhere a 256-entry table takes one.
+pub fn page_checksum(init: u64, bytes: &[u8]) -> u64 {
+    let crc = !(init as u32);
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("sse4.2") {
+        // SAFETY: `crc32c_sse42` needs SSE4.2 and nothing else, and the
+        // CPU was just checked for it.
+        return u64::from(!unsafe { crc32c_sse42(crc, bytes) });
     }
-    h
+    u64::from(!crc32c_portable(crc, bytes))
+}
+
+/// The SCAN checksum under its former name; perfbench still imports it.
+#[doc(hidden)]
+pub fn fnv1a(init: u64, bytes: &[u8]) -> u64 {
+    page_checksum(init, bytes)
+}
+
+/// `CRC32C_TABLE[b]` is the CRC-32C register after shifting byte `b`
+/// through a zero register (reflected polynomial `0x82F6_3B78`).
+const CRC32C_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0x82F6_3B78 & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        table[i] = crc;
+        i += 1;
+    }
+    table
+};
+
+/// The CRC-32C register after `bytes`, one table lookup per byte (no
+/// pre- or post-inversion).
+fn crc32c_portable(crc: u32, bytes: &[u8]) -> u32 {
+    bytes.iter().fold(crc, |crc, &b| {
+        CRC32C_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8)
+    })
+}
+
+/// [`crc32c_portable`] with one `crc32` instruction per 8 bytes.
+///
+/// # Safety
+///
+/// Call it only on a CPU with SSE4.2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse4.2")]
+unsafe fn crc32c_sse42(crc: u32, bytes: &[u8]) -> u32 {
+    use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
+    let words = bytes.chunks_exact(8);
+    let tail = words.remainder();
+    let crc = words.fold(u64::from(crc), |crc, w| {
+        _mm_crc32_u64(crc, u64::from_le_bytes(w.try_into().unwrap()))
+    });
+    tail.iter().fold(crc as u32, |crc, &b| _mm_crc32_u8(crc, b))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn requests_round_trip() {
@@ -651,12 +706,75 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
+    /// CRC-32C by the table, from a fresh chain.
+    fn portable(bytes: &[u8]) -> u64 {
+        u64::from(!crc32c_portable(!0, bytes))
+    }
+
     #[test]
-    fn fnv_is_stable_and_chains() {
-        let a = fnv1a(0, b"hello");
-        assert_eq!(a, fnv1a(0, b"hello"));
-        assert_ne!(a, fnv1a(0, b"hellp"));
-        let chained = fnv1a(fnv1a(0, b"he"), b"llo");
-        assert_eq!(chained, a);
+    fn page_checksum_is_crc32c() {
+        // Known answers: the CRC catalogue's check value, and RFC 3720
+        // B.4's 32 zero bytes.
+        for (bytes, want) in [
+            (&b"123456789"[..], 0xE306_9283),
+            (&[0u8; 32][..], 0x8A91_36AA),
+        ] {
+            assert_eq!(page_checksum(0, bytes), want);
+            assert_eq!(portable(bytes), want);
+        }
+        assert_eq!(
+            page_checksum(0, b""),
+            0,
+            "an empty chain stays at its start"
+        );
+        assert_ne!(page_checksum(0, b"hello"), page_checksum(0, b"hellp"));
+        assert_eq!(fnv1a(7, b"hello"), page_checksum(7, b"hello"));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Appending is the same as checksumming the concatenation, at
+        /// every split point.
+        #[test]
+        fn page_checksum_chains_at_every_split(
+            bytes in prop::collection::vec(any::<u8>(), 0..300),
+        ) {
+            let whole = page_checksum(0, &bytes);
+            prop_assert_eq!(whole >> 32, 0);
+            for split in 0..=bytes.len() {
+                let (a, b) = bytes.split_at(split);
+                prop_assert_eq!(page_checksum(page_checksum(0, a), b), whole, "split {}", split);
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn sse42_path_equals_portable_path() {
+        if !std::arch::is_x86_feature_detected!("sse4.2") {
+            eprintln!("skipped: this CPU has no SSE4.2, so only the portable path runs");
+            return;
+        }
+        let mut rng = proptest::TestRng::new(0x5CA7);
+        let buf: Vec<u8> = (0..9_008).map(|_| rng.next_u64() as u8).collect();
+        // Every length up to three words, then random lengths up to 9 000,
+        // each from every alignment and from a running chain.
+        let lengths: Vec<usize> = (0..=24)
+            .chain((0..200).map(|_| rng.below(9_001) as usize))
+            .collect();
+        for len in lengths {
+            for start in 0..8 {
+                let bytes = &buf[start..start + len];
+                let init = rng.next_u64() as u32;
+                // SAFETY: SSE4.2 was checked above.
+                let fast = unsafe { crc32c_sse42(init, bytes) };
+                assert_eq!(
+                    fast,
+                    crc32c_portable(init, bytes),
+                    "len {len} start {start}"
+                );
+            }
+        }
     }
 }

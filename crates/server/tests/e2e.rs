@@ -211,8 +211,8 @@ fn shed_policy_answers_ok_or_busy(mode: FrontendMode) {
     server.join();
 }
 
-/// SCAN's checksum equals the FNV-1a chain over the same pages fetched
-/// one GET at a time.
+/// SCAN's checksum equals the `page_checksum` (CRC-32C) chain over the
+/// same pages fetched one GET at a time.
 fn scan_checksum_matches_individual_gets(mode: FrontendMode) {
     let server = test_server(AdmissionPolicy::Block, "clock", 64, mode);
     let mut client = Client::connect(server.addr()).expect("connect");
@@ -224,7 +224,7 @@ fn scan_checksum_matches_individual_gets(mode: FrontendMode) {
     let mut expected = 0u64;
     for page in 4..20u64 {
         match client.get(page).unwrap() {
-            Response::Ok(bytes) => expected = bpw_server::protocol::fnv1a(expected, &bytes),
+            Response::Ok(bytes) => expected = bpw_server::protocol::page_checksum(expected, &bytes),
             other => panic!("GET answered {other:?}"),
         }
     }

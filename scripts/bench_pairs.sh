@@ -5,20 +5,23 @@
 #
 #   scripts/bench_pairs.sh <parent-rev> <workload> <pairs>
 #
-# Builds <parent-rev> from a `git archive` export under .bench_build/
-# (no worktree is registered in .git) and the working tree in place, then
-# runs <pairs> pairs, alternating which side goes first. Run length and
-# the end-to-end metrics (name, direction, bound) come from BENCHMARK.json;
-# every run's value of every metric is printed, then per metric the wins,
-# each side's quartiles, the quartiles of change/parent, and where the
-# median ratio falls against the metric's bound.
+# <workload> is one BENCHMARK.json workload, a comma-separated list of
+# them, or `all`. Builds <parent-rev> from a `git archive` export under
+# .bench_build/ (no worktree is registered in .git) and the working tree
+# in place, then runs <pairs> pairs per workload, alternating which side
+# goes first. Run length and the end-to-end metrics (name, direction,
+# bound) come from BENCHMARK.json; every run's value of every metric is
+# printed, then per workload and metric the wins, each side's quartiles,
+# the quartiles of change/parent, and where the median ratio falls
+# against the metric's bound. Exits 1 if a run is not correct or any
+# verdict is "WORSE than the bound".
 set -euo pipefail
 
 if [ $# -ne 3 ]; then
-    sed -n '2,14p' "$0" >&2
+    sed -n '2,18p' "$0" >&2
     exit 2
 fi
-rev=$1 workload=$2 pairs=$3
+rev=$1 pairs=$3
 
 root=$(git rev-parse --show-toplevel)
 seconds=$(awk -F'[:,]' '/"run_seconds"/ { print $2 + 0 }' "$root/BENCHMARK.json")
@@ -28,6 +31,12 @@ metrics=$(awk '/"end_to_end"/ { on = 1 } on && /\]/ { exit }
          if ($1 == "name:") n = $2
          if ($1 == "better:") b = $2
          if ($1 == "bound:") print n, b, $2 }' "$root/BENCHMARK.json")
+if [ "$2" = all ]; then
+    workloads=$(awk '/"workloads"/ { on = 1 } /"end_to_end"/ { exit }
+        on && /"name"/ { gsub(/[",]/, ""); print $2 }' "$root/BENCHMARK.json")
+else
+    workloads=${2//,/ }
+fi
 
 sha=$(git -C "$root" rev-parse --short "$rev^{commit}")
 parent=$root/.bench_build/pairs/$sha
@@ -39,10 +48,14 @@ for side in "$parent" "$root"; do
     cargo build --release --offline --quiet --manifest-path "$side/perfbench/Cargo.toml"
 done
 
-# Min, quartiles, max and verdict per metric over the pairs completed so
-# far; runs at exit, so a failed run still leaves the earlier pairs' summary.
+# Min, quartiles, max and verdict per metric over the current workload's
+# pairs completed so far, then empties the record; a verdict "WORSE than
+# the bound" sets $worse. Also runs at exit, so a failed run still leaves
+# the earlier pairs' summary.
 records=$(mktemp)
+worse=0
 report() {
+    [ -s "$records" ] || return 0
     awk '
         function sorted(a, n,  i, j, t) {
             for (i = 2; i <= n; i++)
@@ -67,20 +80,31 @@ report() {
                     R[n] = P[n] ? C[n] / P[n] : 1
                     if (C[n] != P[n]) { if ((C[n] > P[n]) != lower[m]) wins++; else losses++ }
                 }
-                if (!n) exit
+                if (!n) break
                 printf "%s (%s is better, bound %g): change wins %d, loses %d of %d\n", m, lower[m] ? "lower" : "higher", bound[m], wins, losses, n
                 line("parent", P, n); line("change", C, n); line("ratio", R, n)
                 worse = lower[m] ? q(R, n, .5) - 1 : 1 - q(R, n, .5)
-                if (worse > bound[m]) verdict = "WORSE than the bound"
+                if (worse > bound[m]) { verdict = "WORSE than the bound"; anyworse = 1 }
                 else if (worse < 0 && wins * 10 >= n * 9) verdict = "better"
                 else if (q(R, n, .75) - q(R, n, .25) > bound[m]) verdict = "unresolved: ratios spread wider than the bound"
                 else verdict = "inside the bound"
                 printf "  median change/parent %.3f: %s\n", q(R, n, .5), verdict
             }
-        }' <(echo "$metrics") "$records"
-    rm -f "$records"
+            exit anyworse
+        }' <(echo "$metrics") "$records" || worse=1
+    : >"$records"
 }
-trap report EXIT
+finish() {
+    local status=$?
+    report
+    rm -f "$records"
+    if [ "$worse" -ne 0 ]; then
+        echo "a metric is WORSE than its bound" >&2
+        status=1
+    fi
+    exit "$status"
+}
+trap finish EXIT
 
 # One run; appends "<pair> <side> <metric> <value>" per end-to-end metric
 # and prints the values on one line. A run that is not correct is fatal
@@ -100,12 +124,15 @@ run() {
         END { print "" }' <(echo "$metrics") - <<<"$out"
 }
 
-echo "# $workload: parent $sha vs working tree, $pairs pairs, --seconds $seconds"
-for i in $(seq 1 "$pairs"); do
-    if [ $((i % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
-    for side in $order; do
-        if [ "$side" = parent ]; then dir=$parent; else dir=$root; fi
-        printf 'pair %s %s:' "$i" "$side"
-        run "$i" "$side" "$dir"
+for workload in $workloads; do
+    echo "# $workload: parent $sha vs working tree, $pairs pairs, --seconds $seconds"
+    for i in $(seq 1 "$pairs"); do
+        if [ $((i % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
+        for side in $order; do
+            if [ "$side" = parent ]; then dir=$parent; else dir=$root; fi
+            printf 'pair %s %s:' "$i" "$side"
+            run "$i" "$side" "$dir"
+        done
     done
+    report
 done
