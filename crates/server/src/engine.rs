@@ -5,7 +5,7 @@
 //! frame ─▶ route ─┬─▶ Reply / Fatal ───────────────────────▶ write_reply
 //!                 ├─▶ Resident(pin, ticket) ──────────▶ Resident::reply
 //!                 └─▶ Work(req, ticket) ─▶ admission queue ─▶ worker_loop
-//!                                  execute ─▶ ReplyTo::send ─▶ write_reply
+//!                                  execute ─▶ Job::finish ─▶ write_reply
 //!                                                  └▶ Ticket::complete
 //! ```
 //!
@@ -118,9 +118,12 @@ pub(crate) enum ReplyTo {
     },
 }
 
-impl ReplyTo {
-    pub(crate) fn send(self, resp: Response) {
-        match self {
+impl Job {
+    /// Deliver `resp`. A reply to the event loop also hands back the PUT
+    /// body this job carried, and refills `spare` — the worker's buffer
+    /// for its next reply — if the reply took it.
+    fn finish(self, resp: Response, spare: &mut Vec<u8>) {
+        match self.reply {
             ReplyTo::Channel(tx) => {
                 // The receiver may have given up (connection died); the
                 // work is simply discarded.
@@ -130,7 +133,13 @@ impl ReplyTo {
                 completions,
                 token,
                 seq,
-            } => completions.push(token, seq, resp),
+            } => {
+                let body = match self.req {
+                    Request::Put { data, .. } => data,
+                    _ => Vec::new(),
+                };
+                completions.push(token, seq, resp, body, spare);
+            }
         }
     }
 }
@@ -178,16 +187,18 @@ pub(crate) fn protocol_error(shared: &Shared, e: &ProtocolError) -> Response {
 /// `session` is the calling thread's. `in_place` is the frontend's
 /// word that nothing this connection sent earlier is still queued — a
 /// GET answered here would otherwise overtake it (ordering is socket
-/// state, so the frontend knows it and the engine does not).
+/// state, so the frontend knows it and the engine does not). A PUT's
+/// data is decoded into a buffer popped from `spares`, when it has one.
 pub(crate) fn route<'p>(
     shared: &Shared,
     session: &mut Session<'p>,
     conn: u64,
     body: &[u8],
     in_place: bool,
+    spares: &mut Vec<Vec<u8>>,
 ) -> Routed<'p> {
     let admitted = Instant::now();
-    let req = match Request::decode(body) {
+    let req = match Request::decode_in(body, spares) {
         Ok(req) => req,
         Err(e) => return Routed::Fatal(protocol_error(shared, &e)),
     };
@@ -284,11 +295,11 @@ impl Resident<'_> {
         Ok(())
     }
 
-    /// Copy the page out and release the pin, for a reply that has to
-    /// wait its turn behind earlier ones: [`write_reply`] takes it from
-    /// here.
-    pub(crate) fn into_response(self) -> (Ticket, Response) {
-        let bytes = self.page.read(|data| data.to_vec());
+    /// Copy the page out into `buf` and release the pin, for a reply
+    /// that has to wait its turn behind earlier ones: [`write_reply`]
+    /// takes it from here.
+    pub(crate) fn into_response(self, buf: Vec<u8>) -> (Ticket, Response) {
+        let bytes = self.page.read(|data| protocol::refill(buf, data));
         (self.ticket, Response::Ok(bytes))
     }
 }
@@ -367,6 +378,9 @@ pub(crate) fn write_reply(
 /// to amortize the replacement lock — and deliver the responses.
 pub(crate) fn worker_loop(shared: &Shared, work: &WorkQueue<Job>) {
     let mut session = shared.pool.session();
+    // The buffer the next GET reply is copied into; the event loop's
+    // completion queue hands emptied ones back.
+    let mut spare = Vec::new();
     loop {
         match work.pop(Duration::from_millis(50)) {
             Popped::Item(job) => {
@@ -391,7 +405,7 @@ pub(crate) fn worker_loop(shared: &Shared, work: &WorkQueue<Job>) {
                 bpw_trace::stage::reset();
                 let span = bpw_trace::span_start();
                 let exec_t0 = Instant::now();
-                let resp = execute(&mut session, shared, &job.req);
+                let resp = execute(&mut session, shared, &job.req, &mut spare);
                 if work.is_empty() {
                     // About to go idle: commit this thread's deferred
                     // hits before the reply lets the connection's next
@@ -418,12 +432,10 @@ pub(crate) fn worker_loop(shared: &Shared, work: &WorkQueue<Job>) {
                         .metrics
                         .record_stage(kind, Stage::BatchCommit, scratch.batch_commit_ns);
                 }
-                job.reply.send(resp);
+                job.finish(resp, &mut spare);
                 bpw_trace::set_current_request(0);
             }
-            Popped::Expired(job) => {
-                job.reply.send(Response::Dropped);
-            }
+            Popped::Expired(job) => job.finish(Response::Dropped, &mut spare),
             Popped::Timeout => {
                 // Idle: commit any deferred BP-Wrapper bookkeeping so the
                 // replacement algorithm doesn't go stale between bursts.
@@ -434,8 +446,14 @@ pub(crate) fn worker_loop(shared: &Shared, work: &WorkQueue<Job>) {
     }
 }
 
-/// Run one data request against the pool.
-fn execute(session: &mut Session<'_>, shared: &Shared, req: &Request) -> Response {
+/// Run one data request against the pool. A GET's page is copied into
+/// `spare` (taken; a fresh buffer when it is empty).
+fn execute(
+    session: &mut Session<'_>,
+    shared: &Shared,
+    req: &Request,
+    spare: &mut Vec<u8>,
+) -> Response {
     let page_size = shared.pool.page_size();
     match req {
         Request::Get { page } => {
@@ -443,7 +461,9 @@ fn execute(session: &mut Session<'_>, shared: &Shared, req: &Request) -> Respons
                 return Response::Err(format!("page {page} outside 0..{}", shared.pages));
             }
             match session.fetch(*page) {
-                Ok(pinned) => Response::Ok(pinned.read(|data| data.to_vec())),
+                Ok(pinned) => {
+                    Response::Ok(pinned.read(|data| protocol::refill(std::mem::take(spare), data)))
+                }
                 Err(e) => Response::IoError(e.to_string()),
             }
         }
@@ -513,7 +533,7 @@ mod tests {
 
     /// Route `req` as a frontend whose connection has nothing queued.
     fn route_req<'p>(shared: &Shared, session: &mut Session<'p>, req: &Request) -> Routed<'p> {
-        route(shared, session, 1, &req.encode(), true)
+        route(shared, session, 1, &req.encode(), true, &mut Vec::new())
     }
 
     /// Route a GET of a page that is not resident and take its ticket.
@@ -582,7 +602,7 @@ mod tests {
         let session = &mut shared.pool.session();
         for body in [&[0xFFu8][..], &[0x01, 1, 2], &[0x04, 9]] {
             let before = shared.metrics.errors.get();
-            match route(&shared, session, 1, body, true) {
+            match route(&shared, session, 1, body, true, &mut Vec::new()) {
                 Routed::Fatal(resp @ Response::Err(_)) => assert_eq!(resp.status(), 3),
                 _ => panic!("{body:?} must be answered ERR and close the connection"),
             }
@@ -607,7 +627,9 @@ mod tests {
             ),
             (Request::Scan { start: 0, len: 4 }, OpKind::Scan),
         ] {
-            let Routed::Work(routed, ticket) = route(&shared, session, 7, &req.encode(), true)
+            let body = req.encode();
+            let Routed::Work(routed, ticket) =
+                route(&shared, session, 7, &body, true, &mut Vec::new())
             else {
                 panic!("{req:?} must be routed to the workers");
             };
@@ -681,7 +703,10 @@ mod tests {
         let Routed::Resident(hit) = route_req(&shared, session, &Request::Get { page: 4 }) else {
             panic!("page 4 is resident");
         };
-        let (ticket, resp) = hit.into_response();
+        let page = session.fetch(4).expect("instant disk").read(|d| d.to_vec());
+        let recycled = vec![0xEE; 256];
+        let at = recycled.as_ptr();
+        let (ticket, resp) = hit.into_response(recycled);
         assert!(
             shared.pool.invalidate(4).is_invalidated(),
             "no pin is held while the reply waits"
@@ -689,9 +714,52 @@ mod tests {
         let mut wire = Vec::new();
         write_reply(&shared, Some(ticket), &resp, &mut wire).expect("Vec cannot fail");
         assert_eq!(wire, framed(&resp));
-        assert!(matches!(resp, Response::Ok(ref bytes) if bytes[..8] == 4u64.to_le_bytes()));
+        let Response::Ok(bytes) = resp else {
+            panic!("a resident GET is answered OK");
+        };
+        assert_eq!(
+            bytes, page,
+            "the frame's bytes, none of the buffer's old ones"
+        );
+        assert_eq!(bytes.as_ptr(), at, "copied into the recycled buffer");
         let m = &shared.metrics;
         assert_eq!((m.ok.get(), m.total(), m.inline_hits.get()), (1, 1, 1));
+    }
+
+    #[test]
+    fn a_get_miss_is_copied_into_the_workers_recycled_buffer() {
+        let shared = shared();
+        let session = &mut shared.pool.session();
+        let mut spare = vec![0xEE; 256];
+        let at = spare.as_ptr();
+        let resp = execute(session, &shared, &Request::Get { page: 6 }, &mut spare);
+        assert!(spare.is_empty(), "the reply took the spare");
+        let Response::Ok(bytes) = resp else {
+            panic!("GET answered {resp:?}");
+        };
+        assert_eq!(bytes.as_ptr(), at, "no fresh buffer");
+        let page = session.fetch(6).expect("instant disk").read(|d| d.to_vec());
+        assert_eq!(
+            bytes, page,
+            "the frame's bytes, none of the buffer's old ones"
+        );
+
+        // A PUT and a SCAN leave the spare alone.
+        let mut spare = Vec::with_capacity(64);
+        let put = Request::Put {
+            page: 6,
+            data: vec![1; 8],
+        };
+        assert_eq!(
+            execute(session, &shared, &put, &mut spare),
+            Response::Ok(Vec::new())
+        );
+        let scan = Request::Scan { start: 0, len: 2 };
+        assert!(matches!(
+            execute(session, &shared, &scan, &mut spare),
+            Response::Ok(_)
+        ));
+        assert_eq!(spare.capacity(), 64);
     }
 
     #[test]
@@ -708,20 +776,15 @@ mod tests {
             0,
             "the worker accounts the whole access"
         );
-        let resp = execute(session, &shared, &Request::Get { page: 5 });
+        let resp = execute(session, &shared, &Request::Get { page: 5 }, &mut Vec::new());
         assert!(matches!(resp, Response::Ok(_)));
         assert_eq!(pool_counts(&shared), (0, 1));
         write_reply(&shared, Some(ticket), &resp, &mut Vec::new()).expect("Vec cannot fail");
 
         // Resident now, but the frontend says earlier requests of the
         // connection are still queued: the pool is not even asked.
-        let behind = route(
-            &shared,
-            session,
-            1,
-            &Request::Get { page: 5 }.encode(),
-            false,
-        );
+        let get = Request::Get { page: 5 }.encode();
+        let behind = route(&shared, session, 1, &get, false, &mut Vec::new());
         assert!(matches!(behind, Routed::Work(Request::Get { page: 5 }, _)));
         assert_eq!(pool_counts(&shared), (0, 1));
         // Out of range: left to the worker's ERR, never looked up.
@@ -799,11 +862,9 @@ mod tests {
     fn a_one_byte_put_inside_a_scan_changes_its_checksum() {
         let shared = shared();
         let session = &mut shared.pool.session();
-        let scan = |session: &mut Session<'_>| match execute(
-            session,
-            &shared,
-            &Request::Scan { start: 8, len: 8 },
-        ) {
+        let range = Request::Scan { start: 8, len: 8 };
+        let scan = |session: &mut Session<'_>| match execute(session, &shared, &range, &mut vec![])
+        {
             Response::Ok(payload) => {
                 assert_eq!(payload.len(), 12);
                 u64::from_le_bytes(payload[4..].try_into().unwrap())
@@ -825,7 +886,10 @@ mod tests {
             page: 11,
             data: head,
         };
-        assert_eq!(execute(session, &shared, &put), Response::Ok(Vec::new()));
+        assert_eq!(
+            execute(session, &shared, &put, &mut Vec::new()),
+            Response::Ok(Vec::new())
+        );
         assert_ne!(
             scan(session),
             before,

@@ -40,9 +40,19 @@
 //! submitted) to the admission queue and executed by workers, which may
 //! finish out of order; control requests (`STATS`/`METRICS`/`SHUTDOWN`)
 //! are answered inline by the loop thread. Completed responses park in
-//! a per-connection reorder buffer and are released strictly in
-//! sequence order — the pipelining contract is "responses in request
-//! order", byte-identical to what the threaded frontend produces.
+//! a per-connection reorder buffer (a [`Ring`] of slots indexed by
+//! sequence number) and are released strictly in sequence order — the
+//! pipelining contract is "responses in request order", byte-identical
+//! to what the threaded frontend produces.
+//!
+//! ## Page buffers circulate
+//!
+//! In steady state a queued GET or PUT allocates nothing, and a SCAN
+//! only its 12-byte reply. Frames are decoded from the decoder's buffer
+//! in place. A worker copies a GET's page into a buffer it was handed
+//! back; the loop decodes a PUT's body into one from its own stash.
+//! Buffers travel both ways under the completion queue's mutex, which
+//! every queued request takes anyway (see [`Completions`]).
 //!
 //! ## Flow control without blocking
 //!
@@ -65,7 +75,7 @@
 //!   socket, routing its buffered frames and re-offering its stalled
 //!   requests, until a flush brings the buffer back under the mark.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
@@ -93,34 +103,106 @@ const MAX_READS_PER_WAKEUP: usize = 8;
 /// under a mutex (held for a push or a swap, never across I/O) and the
 /// eventfd wakes the loop — once per batch, not per response, because
 /// only the first push into an empty queue notifies.
+///
+/// The same mutex carries page buffers the other way, on acquisitions
+/// that happen anyway. A worker's push hands back the PUT body it has
+/// written and, only when its last reply took its buffer, takes a spare
+/// for the next. The loop's drain hands back the reply buffers it has
+/// copied into write buffers and takes the ones it will decode PUT
+/// bodies into. At most `queue_capacity + workers` spares are kept, and
+/// only buffers of `page_size..=2 × page_size` bytes of capacity: never
+/// a megabyte PUT body or a STATS reply. A buffer that is not kept is
+/// freed after the mutex is released.
 pub(crate) struct Completions {
-    queue: Mutex<Vec<(u64, u64, Response)>>,
+    queue: Mutex<Queue>,
     wake: WakeFd,
+    page_size: usize,
+    /// Most spares kept.
+    bound: usize,
+}
+
+/// A worker's response for `(token, seq)`.
+type Completion = (u64, u64, Response);
+
+struct Queue {
+    done: Vec<Completion>,
+    /// Emptied page buffers.
+    spares: Vec<Vec<u8>>,
 }
 
 impl Completions {
-    pub(crate) fn new() -> io::Result<Completions> {
+    pub(crate) fn new(page_size: usize, bound: usize) -> io::Result<Completions> {
         Ok(Completions {
-            queue: Mutex::new(Vec::new()),
+            queue: Mutex::new(Queue {
+                done: Vec::new(),
+                spares: Vec::with_capacity(bound),
+            }),
             wake: WakeFd::new()?,
+            page_size,
+            bound,
         })
     }
 
-    /// Deliver a worker's response for `(token, seq)`.
-    pub(crate) fn push(&self, token: u64, seq: u64, resp: Response) {
-        let was_empty = {
+    /// Deliver a worker's response for `(token, seq)`, hand back `spent`
+    /// (the job's PUT body, or an empty `Vec`), and refill `spare` if
+    /// it is empty.
+    pub(crate) fn push(
+        &self,
+        token: u64,
+        seq: u64,
+        resp: Response,
+        spent: Vec<u8>,
+        spare: &mut Vec<u8>,
+    ) {
+        let (was_empty, rejected) = {
             let mut q = self.queue.lock().expect("completions lock");
-            let was_empty = q.is_empty();
-            q.push((token, seq, resp));
-            was_empty
+            let was_empty = q.done.is_empty();
+            q.done.push((token, seq, resp));
+            let rejected = if q.spares.len() < self.bound && self.reusable(&spent) {
+                q.spares.push(spent);
+                None
+            } else {
+                Some(spent)
+            };
+            if spare.capacity() == 0 {
+                if let Some(buf) = q.spares.pop() {
+                    *spare = buf;
+                }
+            }
+            (was_empty, rejected)
         };
+        // A body the stack does not keep is freed outside the lock.
+        drop(rejected);
         if was_empty {
             self.wake.notify();
         }
     }
 
-    fn drain(&self) -> Vec<(u64, u64, Response)> {
-        std::mem::take(&mut *self.queue.lock().expect("completions lock"))
+    /// Swap the finished responses into `done`, which must be empty, and
+    /// bring the loop's `stash` (page buffers only) to `want` buffers:
+    /// hand back what it holds beyond that, take spares up to it.
+    fn drain(&self, done: &mut Vec<Completion>, stash: &mut Vec<Vec<u8>>, want: usize) {
+        debug_assert!(done.is_empty());
+        {
+            let mut q = self.queue.lock().expect("completions lock");
+            std::mem::swap(&mut q.done, done);
+            while stash.len() > want && q.spares.len() < self.bound {
+                let buf = stash.pop().expect("longer than want");
+                debug_assert!(self.reusable(&buf), "the stash holds page buffers");
+                q.spares.push(buf);
+            }
+            while stash.len() < want {
+                let Some(buf) = q.spares.pop() else { break };
+                stash.push(buf);
+            }
+        }
+        // The surplus the stack had no room for is freed outside the lock.
+        stash.truncate(want);
+    }
+
+    /// Is `buf` a page buffer, worth keeping for another page?
+    fn reusable(&self, buf: &Vec<u8>) -> bool {
+        (self.page_size..=2 * self.page_size).contains(&buf.capacity())
     }
 }
 
@@ -140,6 +222,60 @@ impl Write for Coalesced<'_> {
     }
 }
 
+/// A reply owed to the client: the ticket of a data request, redeemed
+/// when the reply is written, and the response once there is one.
+struct Slot {
+    ticket: Option<Ticket>,
+    resp: Option<Response>,
+}
+
+/// A connection's reorder buffer. Slot `i` holds the reply to sequence
+/// number `next_to_send + i`, so the next frame's number is
+/// `next_to_send + slots.len()`: filing a reply is an index, releasing
+/// one a pop, and neither hashes nor allocates once the ring has grown
+/// to the connection's pipeline depth.
+#[derive(Default)]
+struct Ring {
+    slots: VecDeque<Slot>,
+    /// Sequence number of the next response to put on the wire.
+    next_to_send: u64,
+}
+
+impl Ring {
+    /// Give the next frame its sequence number and a slot.
+    fn push(&mut self, ticket: Option<Ticket>, resp: Option<Response>) -> u64 {
+        self.slots.push_back(Slot { ticket, resp });
+        self.next_to_send + self.slots.len() as u64 - 1
+    }
+
+    /// The next frame is answered on the spot, as only a frame with
+    /// nothing owed before it may be.
+    fn skip(&mut self) {
+        debug_assert!(self.slots.is_empty());
+        self.next_to_send += 1;
+    }
+
+    /// File the response to `seq`.
+    fn fill(&mut self, seq: u64, resp: Response) {
+        let slot = &mut self.slots[(seq - self.next_to_send) as usize];
+        debug_assert!(slot.resp.is_none(), "one response per request");
+        slot.resp = Some(resp);
+    }
+
+    /// The next response in sequence — with its number and ticket — if
+    /// it has arrived.
+    fn pop(&mut self) -> Option<(u64, Option<Ticket>, Response)> {
+        let resp = self.slots.front_mut()?.resp.take()?;
+        let ticket = self.slots.pop_front().and_then(|slot| slot.ticket);
+        self.next_to_send += 1;
+        Some((self.next_to_send - 1, ticket, resp))
+    }
+
+    fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+}
+
 /// One multiplexed client connection.
 struct Conn {
     stream: TcpStream,
@@ -148,15 +284,8 @@ struct Conn {
     id: u64,
     decoder: FrameDecoder,
     wbuf: WriteBuf,
-    /// Sequence number the next decoded frame will get.
-    next_seq: u64,
-    /// Sequence number of the next response to put on the wire.
-    next_to_send: u64,
-    /// Completed responses waiting for their turn (reorder buffer).
-    pending: BTreeMap<u64, Response>,
-    /// Tickets of data requests, by seq — redeemed when the response
-    /// is written.
-    tickets: HashMap<u64, Ticket>,
+    /// Every reply owed, in sequence order.
+    ring: Ring,
     /// Data requests handed to workers and not yet completed.
     inflight: usize,
     /// Decoded data requests a full admission queue handed back. Each
@@ -179,10 +308,7 @@ impl Conn {
             id: engine::next_conn_id(),
             decoder: FrameDecoder::new(),
             wbuf: WriteBuf::new(),
-            next_seq: 0,
-            next_to_send: 0,
-            pending: BTreeMap::new(),
-            tickets: HashMap::new(),
+            ring: Ring::default(),
             inflight: 0,
             stalled: VecDeque::new(),
             peer_eof: false,
@@ -192,11 +318,9 @@ impl Conn {
     }
 
     /// All work this connection will ever produce has been written.
+    /// (A request in flight or stalled holds a slot in the ring.)
     fn drained(&self) -> bool {
-        self.inflight == 0
-            && self.stalled.is_empty()
-            && self.pending.is_empty()
-            && self.wbuf.is_empty()
+        self.ring.is_empty() && self.wbuf.is_empty()
     }
 
     /// The client is not reading: more replies wait in the write buffer
@@ -234,6 +358,10 @@ struct EventLoop<'a> {
     session: Session<'a>,
     admission: AdmissionQueue<Job>,
     completions: Arc<Completions>,
+    /// Page buffers for PUT bodies and for resident GETs that wait their
+    /// turn; written replies give theirs back. Each drain of the
+    /// completion queue brings it to `max_pipeline` buffers.
+    stash: Vec<Vec<u8>>,
     max_pipeline: usize,
     /// Unread reply bytes past which a connection is backlogged.
     high_water: usize,
@@ -265,6 +393,7 @@ pub(crate) fn run(
         session: shared.pool.session(),
         admission,
         completions,
+        stash: Vec::new(),
         max_pipeline,
         high_water: max_pipeline * (shared.pool.page_size() + RESPONSE_HEAD),
     };
@@ -273,6 +402,8 @@ pub(crate) fn run(
     let mut scratch = vec![0u8; READ_CHUNK];
     // Tokens with possible new output/stall/close work this wakeup.
     let mut dirty: Vec<u64> = Vec::new();
+    // Completions collected this wakeup; swapped with the queue's.
+    let mut done = Vec::new();
 
     loop {
         ready_buf.clear();
@@ -316,7 +447,8 @@ pub(crate) fn run(
         // Route completed work to its reorder buffer. A completion also
         // means a worker freed queue capacity, so every connection with
         // stalled requests becomes eligible for a retry.
-        let done = el.completions.drain();
+        el.completions
+            .drain(&mut done, &mut el.stash, el.max_pipeline);
         if !done.is_empty() || woke_for_completions {
             for token in el
                 .conns
@@ -327,10 +459,10 @@ pub(crate) fn run(
                 dirty.push(token);
             }
         }
-        for (token, seq, resp) in done {
+        for (token, seq, resp) in done.drain(..) {
             if let Some(conn) = el.conns.get_mut(&token) {
                 conn.inflight -= 1;
-                conn.pending.insert(seq, resp);
+                conn.ring.fill(seq, resp);
                 dirty.push(token);
             }
             // else: the connection died mid-request; the worker's
@@ -461,47 +593,53 @@ impl EventLoop<'_> {
             if conn.close_after.is_some() || conn.backlogged(self.high_water) {
                 return;
             }
+            let (id, in_place) = (conn.id, conn.may_answer_in_place());
             let routed = match conn.decoder.next_frame() {
                 Ok(None) => return,
-                Ok(Some(body)) => {
-                    let in_place = conn.may_answer_in_place();
-                    engine::route(self.shared, &mut self.session, conn.id, &body, in_place)
-                }
+                Ok(Some(body)) => engine::route(
+                    self.shared,
+                    &mut self.session,
+                    id,
+                    body,
+                    in_place,
+                    &mut self.stash,
+                ),
                 Err(e) => Routed::Fatal(engine::protocol_error(self.shared, &e)),
             };
-            let seq = conn.next_seq;
-            conn.next_seq += 1;
             match routed {
                 Routed::Reply(resp) => {
-                    conn.pending.insert(seq, resp);
+                    conn.ring.push(None, Some(resp));
                 }
                 Routed::Fatal(resp) => {
                     // Same contract as the threaded frontend: answer
                     // ERR, then drop the connection — after every
                     // earlier response has gone out in order.
-                    conn.pending.insert(seq, resp);
-                    conn.close_after = Some(seq);
+                    conn.close_after = Some(conn.ring.push(None, Some(resp)));
                     return;
                 }
-                Routed::Resident(hit) if seq == conn.next_to_send => {
+                Routed::Resident(hit) if conn.ring.is_empty() => {
                     // Next on the wire: frame to write buffer, one copy.
-                    conn.next_to_send += 1;
+                    conn.ring.skip();
                     let written = hit.reply(self.shared, &mut Coalesced(&mut conn.wbuf));
                     debug_assert!(written.is_ok(), "the write buffer cannot fail");
                 }
                 Routed::Resident(hit) => {
                     // Earlier replies are still owed: copy out now, so
                     // the pin is gone before the next frame is looked at.
-                    let (ticket, resp) = hit.into_response();
-                    conn.tickets.insert(seq, ticket);
-                    conn.pending.insert(seq, resp);
+                    let (ticket, resp) = hit.into_response(self.stash.pop().unwrap_or_default());
+                    conn.ring.push(Some(ticket), Some(resp));
                 }
-                Routed::Work(req, ticket) if conn.stalled.is_empty() => {
-                    self.offer(token, seq, req, ticket)
+                Routed::Work(req, ticket) => {
+                    let seq = conn.ring.push(Some(ticket), None);
+                    if conn.stalled.is_empty() {
+                        self.offer(token, seq, req, ticket);
+                    } else {
+                        // Order guarantee: nothing may overtake an
+                        // already-stalled request on its way into the
+                        // queue.
+                        conn.stalled.push_back((seq, req, ticket));
+                    }
                 }
-                // Order guarantee: nothing may overtake an
-                // already-stalled request on its way into the queue.
-                Routed::Work(req, ticket) => conn.stalled.push_back((seq, req, ticket)),
             }
         }
     }
@@ -527,21 +665,19 @@ impl EventLoop<'_> {
                     .metrics
                     .pipeline_depth
                     .record(conn.inflight as u64);
-                None
+                return;
             }
             Offered::Full(job) => {
                 conn.stalled.push_back((seq, job.req, ticket));
                 return;
             }
-            Offered::Shed => Some(Response::Busy),
-            Offered::Closed => Some(engine::shutting_down()),
+            Offered::Shed => Response::Busy,
+            Offered::Closed => engine::shutting_down(),
         };
-        // Refusals are accounted when their reply is written, exactly
-        // like a threaded connection counting its BUSY.
-        conn.tickets.insert(seq, ticket);
-        if let Some(resp) = refusal {
-            conn.pending.insert(seq, resp);
-        }
+        // Refusals are accounted, by the slot's ticket, when their reply
+        // is written, exactly like a threaded connection counting its
+        // BUSY.
+        conn.ring.fill(seq, refusal);
     }
 
     /// Take in what the connection has waiting, oldest first: stalled
@@ -587,16 +723,17 @@ impl EventLoop<'_> {
             // write itself is shared by every reply in the flush below
             // and can't be attributed per request (the threaded
             // frontend measures the actual write).
-            while let Some(resp) = conn.pending.remove(&conn.next_to_send) {
-                let seq = conn.next_to_send;
-                conn.next_to_send += 1;
-                let written = engine::write_reply(
-                    self.shared,
-                    conn.tickets.remove(&seq),
-                    &resp,
-                    &mut Coalesced(&mut conn.wbuf),
-                );
+            while let Some((seq, ticket, resp)) = conn.ring.pop() {
+                let written =
+                    engine::write_reply(self.shared, ticket, &resp, &mut Coalesced(&mut conn.wbuf));
                 debug_assert!(written.is_ok(), "the write buffer cannot fail");
+                // Its bytes are in the write buffer: the page buffer can
+                // carry another.
+                if let Response::Ok(buf) = resp {
+                    if self.completions.reusable(&buf) {
+                        self.stash.push(buf);
+                    }
+                }
                 if conn.close_after == Some(seq) {
                     break;
                 }
@@ -625,7 +762,7 @@ impl EventLoop<'_> {
         };
         let err_done = conn
             .close_after
-            .is_some_and(|s| conn.next_to_send > s && conn.wbuf.is_empty());
+            .is_some_and(|s| conn.ring.next_to_send > s && conn.wbuf.is_empty());
         // After EOF a torn trailing frame can never complete (every
         // whole frame was routed by `dispatch_frames` above), so only
         // unanswered work keeps the connection open.
@@ -658,5 +795,112 @@ impl EventLoop<'_> {
             let _ = self.epoll.delete(&conn.stream);
             self.shared.metrics.connections_open.decr();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::RequestCtx;
+    use crate::metrics::OpKind;
+
+    const PAGE: usize = 4096;
+
+    fn spares(c: &Completions) -> usize {
+        c.queue.lock().expect("completions lock").spares.len()
+    }
+
+    #[test]
+    fn the_spare_stack_never_exceeds_its_bound() {
+        let c = Completions::new(PAGE, 3).expect("eventfd");
+        let mut done = Vec::new();
+        let mut stash: Vec<Vec<u8>> = (0..10).map(|_| Vec::with_capacity(PAGE)).collect();
+        c.drain(&mut done, &mut stash, 2);
+        assert_eq!(
+            (stash.len(), spares(&c)),
+            (2, 3),
+            "the loop's surplus past 3 is dropped"
+        );
+
+        // Workers whose own buffer is full hand back PUT bodies only.
+        let mut spare = Vec::with_capacity(PAGE);
+        for seq in 0..5 {
+            c.push(1, seq, Response::Busy, Vec::with_capacity(PAGE), &mut spare);
+            assert_eq!(spares(&c), 3);
+        }
+        // A drain takes what there is, and all the completions.
+        c.drain(&mut done, &mut stash, 8);
+        assert_eq!((stash.len(), spares(&c), done.len()), (5, 0, 5));
+    }
+
+    #[test]
+    fn only_page_sized_buffers_are_kept_and_a_worker_takes_one_only_when_empty() {
+        let c = Completions::new(PAGE, 8).expect("eventfd");
+        let mut spare = Vec::new();
+        // A PUT body over 2 × page_size, one under a page, none at all.
+        let bodies = [
+            Vec::with_capacity(2 * PAGE + 1),
+            Vec::with_capacity(PAGE - 1),
+            Vec::new(),
+        ];
+        for (seq, body) in (0..).zip(bodies) {
+            c.push(1, seq, Response::Ok(Vec::new()), body, &mut spare);
+        }
+        assert_eq!((spares(&c), spare.capacity()), (0, 0), "none kept");
+
+        // The worker's buffer is empty: it takes the body it handed back.
+        c.push(
+            1,
+            3,
+            Response::Busy,
+            Vec::with_capacity(2 * PAGE),
+            &mut spare,
+        );
+        assert_eq!((spares(&c), spare.capacity()), (0, 2 * PAGE));
+        // Full: the next body stays on the stack.
+        c.push(1, 4, Response::Busy, Vec::with_capacity(PAGE), &mut spare);
+        assert_eq!((spares(&c), spare.capacity()), (1, 2 * PAGE));
+
+        // A STATS-sized reply the loop has written is not reusable.
+        assert!(!c.reusable(&vec![b'{'; 3 * PAGE]));
+        assert!(c.reusable(&vec![0; PAGE]));
+    }
+
+    fn ticket(id: u64) -> Ticket {
+        Ticket {
+            kind: OpKind::Get,
+            admitted: Instant::now(),
+            ctx: RequestCtx {
+                id,
+                conn: 1,
+                opcode: 1,
+            },
+        }
+    }
+
+    #[test]
+    fn the_ring_releases_out_of_order_completions_strictly_in_sequence() {
+        let mut ring = Ring::default();
+        ring.skip(); // seq 0, answered on the spot
+        let seqs: Vec<u64> = (1..=5)
+            .map(|id| ring.push(Some(ticket(id)), None))
+            .collect();
+        assert_eq!(seqs, [1, 2, 3, 4, 5]);
+        assert_eq!(ring.push(None, Some(Response::Busy)), 6, "ready at once");
+        for seq in [4, 2, 5, 3] {
+            ring.fill(seq, Response::Ok(vec![seq as u8]));
+            assert!(ring.pop().is_none(), "1 is still owed");
+        }
+        ring.fill(1, Response::Ok(vec![1]));
+        let released: Vec<_> = std::iter::from_fn(|| ring.pop())
+            .map(|(seq, ticket, resp)| (seq, ticket.map(|t| t.ctx.id), resp))
+            .collect();
+        let mut want: Vec<_> = (1..=5u64)
+            .map(|seq| (seq, Some(seq), Response::Ok(vec![seq as u8])))
+            .collect();
+        want.push((6, None, Response::Busy));
+        assert_eq!(released, want);
+        assert!(ring.is_empty());
+        assert_eq!(ring.push(None, None), 7);
     }
 }

@@ -164,6 +164,15 @@ impl Request {
 
     /// Parse a body produced by [`encode`](Self::encode).
     pub fn decode(body: &[u8]) -> Result<Request, ProtocolError> {
+        Request::decode_in(body, &mut Vec::new())
+    }
+
+    /// [`decode`](Self::decode), with a PUT's data copied into a buffer
+    /// popped from `spares` (a fresh one when it is empty).
+    pub(crate) fn decode_in(
+        body: &[u8],
+        spares: &mut Vec<Vec<u8>>,
+    ) -> Result<Request, ProtocolError> {
         let (&op, rest) = body
             .split_first()
             .ok_or_else(|| ProtocolError("empty request".into()))?;
@@ -178,7 +187,7 @@ impl Request {
                 let page = u64::from_le_bytes(rest[..8].try_into().unwrap());
                 Ok(Request::Put {
                     page,
-                    data: rest[8..].to_vec(),
+                    data: refill(spares.pop().unwrap_or_default(), &rest[8..]),
                 })
             }
             OP_SCAN => {
@@ -253,6 +262,14 @@ impl Response {
             other => Err(ProtocolError(format!("unknown status 0x{other:02x}"))),
         }
     }
+}
+
+/// `buf` holding exactly `bytes`: a recycled buffer is reused rather
+/// than reallocated when `bytes` fits its capacity.
+pub(crate) fn refill(mut buf: Vec<u8>, bytes: &[u8]) -> Vec<u8> {
+    buf.clear();
+    buf.extend_from_slice(bytes);
+    buf
 }
 
 fn read_u64(b: &[u8], what: &str) -> Result<u64, ProtocolError> {
@@ -382,11 +399,12 @@ impl FrameDecoder {
         self.buf.len() - self.pos
     }
 
-    /// The next complete frame body, if one is fully buffered.
+    /// The next complete frame body, if one is fully buffered. The slice
+    /// borrows the decoder's buffer and is valid until the next call.
     ///
     /// `Ok(None)` means "need more bytes"; `Err` means the stream is
     /// malformed and every later call will keep erring.
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, ProtocolError> {
+    pub fn next_frame(&mut self) -> Result<Option<&[u8]>, ProtocolError> {
         if self.poisoned {
             return Err(ProtocolError("decoder poisoned by an earlier error".into()));
         }
@@ -406,9 +424,9 @@ impl FrameDecoder {
             self.compact();
             return Ok(None);
         }
-        let body = self.buf[self.pos + 4..self.pos + 4 + len].to_vec();
-        self.pos += 4 + len;
-        Ok(Some(body))
+        let start = self.pos + 4;
+        self.pos = start + len;
+        Ok(Some(&self.buf[start..self.pos]))
     }
 
     fn compact(&mut self) {
@@ -597,7 +615,7 @@ mod tests {
         for &b in &wire {
             dec.push(&[b]);
             while let Some(f) = dec.next_frame().unwrap() {
-                frames.push(f);
+                frames.push(f.to_vec());
             }
         }
         assert_eq!(frames.len(), 2);
@@ -636,7 +654,7 @@ mod tests {
             for chunk in [&wire[..split], &wire[split..]] {
                 dec.push(chunk);
                 while let Some(f) = dec.next_frame().unwrap() {
-                    got.push(f);
+                    got.push(f.to_vec());
                 }
             }
             assert_eq!(got.len(), 3, "split at {split}");
@@ -680,7 +698,7 @@ mod tests {
         assert_eq!(dec.next_frame().unwrap(), None, "mid-body: need more");
         assert_eq!(dec.buffered(), wire.len() - 1);
         dec.push(&wire[wire.len() - 1..]);
-        let body = dec.next_frame().unwrap().expect("complete now");
+        let body = dec.next_frame().unwrap().expect("complete now").to_vec();
         assert!(matches!(
             Request::decode(&body).unwrap(),
             Request::Put { page: 8, .. }
@@ -695,6 +713,29 @@ mod tests {
         dec.push(&[0xFF, 0xFF, 0xFF, 0x7F]);
         assert!(dec.next_frame().unwrap().is_some(), "valid frame first");
         assert!(dec.next_frame().is_err(), "then the garbage header");
+    }
+
+    #[test]
+    fn a_short_put_decoded_into_a_recycled_page_buffer_carries_only_its_own_bytes() {
+        let mut spares = vec![vec![0xEE; 4096]];
+        let recycled = spares[0].as_ptr();
+        let put = Request::Put {
+            page: 5,
+            data: vec![1, 2, 3],
+        };
+        let decoded = Request::decode_in(&put.encode(), &mut spares).unwrap();
+        assert_eq!(decoded, put, "none of the buffer's old bytes");
+        assert!(spares.is_empty(), "the PUT took the spare");
+        let Request::Put { data, .. } = decoded else {
+            unreachable!("decoded == put")
+        };
+        assert_eq!(data.as_ptr(), recycled, "decoded in place, not reallocated");
+
+        let mut spares = vec![Vec::with_capacity(4096)];
+        for req in [Request::Get { page: 1 }, Request::Stats] {
+            assert_eq!(Request::decode_in(&req.encode(), &mut spares).unwrap(), req);
+        }
+        assert_eq!(spares.len(), 1, "only a PUT takes a spare");
     }
 
     #[test]
@@ -746,6 +787,60 @@ mod tests {
                 let (a, b) = bytes.split_at(split);
                 prop_assert_eq!(page_checksum(page_checksum(0, a), b), whole, "split {}", split);
             }
+        }
+
+        /// However a stream of whole frames is cut into fragments, the
+        /// decoder yields the bodies one push of the whole stream does,
+        /// and holds nothing once the last frame is out.
+        #[test]
+        fn any_split_decodes_like_one_push(
+            bodies in prop::collection::vec(prop::collection::vec(any::<u8>(), 1..300), 0..12),
+            cuts in prop::collection::vec(any::<usize>(), 0..16),
+        ) {
+            let wire: Vec<u8> = bodies.iter().flat_map(|b| framed(b)).collect();
+            let mut whole = FrameDecoder::new();
+            whole.push(&wire);
+            let mut once = Vec::new();
+            while let Some(body) = whole.next_frame().expect("valid frames") {
+                once.push(body.to_vec());
+            }
+            prop_assert_eq!(&once, &bodies);
+
+            let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (wire.len() + 1)).collect();
+            cuts.extend([0, wire.len()]);
+            cuts.sort_unstable();
+            let mut dec = FrameDecoder::new();
+            let mut split = Vec::new();
+            for piece in cuts.windows(2) {
+                dec.push(&wire[piece[0]..piece[1]]);
+                while let Some(body) = dec.next_frame().expect("valid frames") {
+                    split.push(body.to_vec());
+                }
+            }
+            prop_assert_eq!(&split, &once, "cut at {:?}", cuts);
+            prop_assert_eq!(dec.buffered(), 0);
+        }
+
+        /// Whole frames followed by arbitrary bytes, in arbitrary
+        /// fragments: the decoder and `Request::decode` return, never
+        /// panic, and no body is empty or over the frame cap.
+        #[test]
+        fn arbitrary_bytes_never_panic_the_decoder(
+            bodies in prop::collection::vec(prop::collection::vec(any::<u8>(), 1..40), 0..4),
+            garbage in prop::collection::vec(any::<u8>(), 0..300),
+            chunk in 1usize..64,
+        ) {
+            let mut wire: Vec<u8> = bodies.iter().flat_map(|b| framed(b)).collect();
+            wire.extend(&garbage);
+            let mut dec = FrameDecoder::new();
+            for piece in wire.chunks(chunk) {
+                dec.push(piece);
+                while let Ok(Some(body)) = dec.next_frame() {
+                    prop_assert!(!body.is_empty() && body.len() <= MAX_FRAME);
+                    let _ = Request::decode(body);
+                }
+            }
+            prop_assert!(dec.buffered() <= wire.len());
         }
     }
 

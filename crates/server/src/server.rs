@@ -335,7 +335,8 @@ impl Server {
             );
         }
 
-        let workers = (0..config.workers.max(1))
+        let worker_count = config.workers.max(1);
+        let workers = (0..worker_count)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 let work = work.clone();
@@ -362,7 +363,9 @@ impl Server {
             }
             FrontendMode::EventLoop => {
                 listener.set_nonblocking(true)?;
-                let completions = Arc::new(Completions::new()?);
+                // Spare page buffers: one per queue slot and per worker.
+                let spares = config.queue_capacity + worker_count;
+                let completions = Arc::new(Completions::new(config.page_size, spares)?);
                 let shared = Arc::clone(&shared);
                 let admission = admission.clone();
                 let max_pipeline = config.max_pipeline.max(1);
@@ -558,8 +561,10 @@ fn serve_connection(
     while protocol::read_frame(&mut reader, &mut buf)? {
         // Strict request/reply: nothing of this connection is queued
         // while a frame is being routed, so any resident GET may be
-        // answered in place.
-        let (ticket, resp, fatal) = match engine::route(shared, &mut session, conn_id, &buf, true) {
+        // answered in place. No buffers are recycled here: a PUT's data
+        // is decoded into a fresh one.
+        let routed = engine::route(shared, &mut session, conn_id, &buf, true, &mut Vec::new());
+        let (ticket, resp, fatal) = match routed {
             Routed::Resident(hit) => {
                 hit.reply(shared, &mut writer)?;
                 continue;
