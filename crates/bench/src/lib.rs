@@ -18,6 +18,8 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
+use bpw_workloads::{Trace, Workload};
+
 /// A simple column-aligned text table that can also serialize to CSV.
 pub struct Table {
     title: String,
@@ -102,6 +104,32 @@ pub fn fmt(v: f64) -> String {
     } else {
         format!("{v:.3}")
     }
+}
+
+/// The smallest relative hit-ratio difference this repo treats as real
+/// (`BENCHMARK.json`'s `hit_ratio` bound): a policy outside the paper's
+/// advanced five must beat their best by more than this to stay.
+pub const WIN_MARGIN: f64 = 0.005;
+
+/// One reference string from `threads` concurrent backends: each
+/// thread's first `txns` transactions, interleaved round by round.
+pub fn interleaved_trace(
+    workload: &dyn Workload,
+    threads: usize,
+    txns: usize,
+    seed: u64,
+) -> Vec<u64> {
+    let traces = Trace::capture_per_thread(workload, threads, txns, seed);
+    let per_thread: Vec<Vec<&[u64]>> = traces.iter().map(|t| t.transactions().collect()).collect();
+    let mut flat = Vec::new();
+    for round in 0..txns {
+        for th in &per_thread {
+            if let Some(t) = th.get(round) {
+                flat.extend_from_slice(t);
+            }
+        }
+    }
+    flat
 }
 
 #[cfg(test)]

@@ -301,9 +301,10 @@ mod tests {
 
     #[test]
     fn hysteresis_blocks_marginal_challengers() {
-        // Two identical policies: scores tie, so the relative margin is
-        // never cleared and no nomination happens.
-        let mut adv = Advisor::new(&[PolicyKind::Lru], PolicyKind::Fifo, cfg());
+        // A 64-page cycle through 16 shadow frames: LRU and CLOCK both
+        // score nothing, so the scores tie, the relative margin is never
+        // cleared and no nomination happens.
+        let mut adv = Advisor::new(&[PolicyKind::Lru], PolicyKind::Clock, cfg());
         for i in 0..8192u64 {
             adv.observe((i * 7) % 64);
         }

@@ -51,16 +51,6 @@ impl Arena {
         }
     }
 
-    /// Number of nodes in the arena.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True if the arena has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
     /// Allocate a new list handle with a unique owner id.
     pub fn new_list(&mut self) -> List {
         let id = self.next_list_id;
@@ -126,20 +116,6 @@ impl List {
     /// True if `node` is a member of this list.
     pub fn contains(&self, arena: &Arena, node: u32) -> bool {
         arena.nodes[node as usize].owner == self.id
-    }
-
-    /// Successor of `node` towards the back, or `None`.
-    pub fn next(&self, arena: &Arena, node: u32) -> Option<u32> {
-        debug_assert!(self.contains(arena, node));
-        let n = arena.nodes[node as usize].next;
-        (n != NIL).then_some(n)
-    }
-
-    /// Predecessor of `node` towards the front, or `None`.
-    pub fn prev(&self, arena: &Arena, node: u32) -> Option<u32> {
-        debug_assert!(self.contains(arena, node));
-        let p = arena.nodes[node as usize].prev;
-        (p != NIL).then_some(p)
     }
 
     /// Link an unowned node at the front.
@@ -208,32 +184,6 @@ impl List {
         self.len += 1;
     }
 
-    /// Link an unowned node immediately after member node `pos`.
-    pub fn insert_after(&mut self, arena: &mut Arena, pos: u32, node: u32) {
-        assert!(
-            self.contains(arena, pos),
-            "pos {pos} not in list {}",
-            self.id
-        );
-        assert!(
-            arena.is_free(node),
-            "node {node} already in list {}",
-            arena.owner(node)
-        );
-        let next = arena.nodes[pos as usize].next;
-        let n = &mut arena.nodes[node as usize];
-        n.owner = self.id;
-        n.prev = pos;
-        n.next = next;
-        arena.nodes[pos as usize].next = node;
-        if next != NIL {
-            arena.nodes[next as usize].prev = node;
-        } else {
-            self.tail = node;
-        }
-        self.len += 1;
-    }
-
     /// Unlink a member node.
     pub fn remove(&mut self, arena: &mut Arena, node: u32) {
         assert!(
@@ -255,20 +205,6 @@ impl List {
         }
         arena.nodes[node as usize] = Node::default();
         self.len -= 1;
-    }
-
-    /// Unlink and return the back node.
-    pub fn pop_back(&mut self, arena: &mut Arena) -> Option<u32> {
-        let t = self.back()?;
-        self.remove(arena, t);
-        Some(t)
-    }
-
-    /// Unlink and return the front node.
-    pub fn pop_front(&mut self, arena: &mut Arena) -> Option<u32> {
-        let h = self.front()?;
-        self.remove(arena, h);
-        Some(h)
     }
 
     /// Move a member node to the front (MRU position).
@@ -361,11 +297,6 @@ impl GhostSlots {
         self.base
     }
 
-    /// Total managed slots.
-    pub fn capacity(&self) -> usize {
-        self.count
-    }
-
     /// Slots currently handed out.
     pub fn in_use(&self) -> usize {
         self.count - self.free.len()
@@ -403,8 +334,10 @@ mod tests {
         assert_eq!(order, vec![3, 2, 1, 0]);
         let rev: Vec<u32> = l.iter_rev(&a).collect();
         assert_eq!(rev, vec![0, 1, 2, 3]);
-        assert_eq!(l.pop_back(&mut a), Some(0));
-        assert_eq!(l.pop_front(&mut a), Some(3));
+        assert_eq!((l.front(), l.back()), (Some(3), Some(0)));
+        l.remove(&mut a, 0);
+        l.remove(&mut a, 3);
+        assert_eq!((l.front(), l.back()), (Some(2), Some(1)));
         assert_eq!(l.len(), 2);
         l.check(&a);
     }
@@ -462,7 +395,7 @@ mod tests {
     }
 
     #[test]
-    fn insert_before_and_after() {
+    fn insert_before_relinks() {
         let mut a = Arena::new(6);
         let mut l = a.new_list();
         l.push_back(&mut a, 0);
@@ -471,18 +404,14 @@ mod tests {
         assert_eq!(l.iter(&a).collect::<Vec<_>>(), vec![0, 2, 1]);
         l.insert_before(&mut a, 0, 3); // becomes new head
         assert_eq!(l.iter(&a).collect::<Vec<_>>(), vec![3, 0, 2, 1]);
-        l.insert_after(&mut a, 1, 4); // becomes new tail
-        assert_eq!(l.iter(&a).collect::<Vec<_>>(), vec![3, 0, 2, 1, 4]);
-        l.insert_after(&mut a, 0, 5);
-        assert_eq!(l.iter(&a).collect::<Vec<_>>(), vec![3, 0, 5, 2, 1, 4]);
+        assert_eq!(l.iter_rev(&a).collect::<Vec<_>>(), vec![1, 2, 0, 3]);
         l.check(&a);
-        assert_eq!(l.len(), 6);
+        assert_eq!(l.len(), 4);
     }
 
     #[test]
     fn ghost_slots_alloc_dealloc() {
         let mut g = GhostSlots::new(10, 3);
-        assert_eq!(g.capacity(), 3);
         let s1 = g.alloc().unwrap();
         let s2 = g.alloc().unwrap();
         let s3 = g.alloc().unwrap();
@@ -504,8 +433,7 @@ mod tests {
         }
         l.remove(&mut a, 2);
         assert_eq!(l.iter(&a).collect::<Vec<_>>(), vec![0, 1, 3, 4]);
-        assert_eq!(l.next(&a, 1), Some(3));
-        assert_eq!(l.prev(&a, 3), Some(1));
+        assert_eq!(l.iter_rev(&a).collect::<Vec<_>>(), vec![4, 3, 1, 0]);
         l.check(&a);
     }
 }

@@ -138,11 +138,6 @@ impl LinkedSet {
         (self.tail != NIL).then(|| self.nodes[self.tail as usize].key)
     }
 
-    /// Most recently inserted element.
-    pub fn peek_newest(&self) -> Option<PageId> {
-        (self.head != NIL).then(|| self.nodes[self.head as usize].key)
-    }
-
     /// Iterate newest-to-oldest.
     pub fn iter(&self) -> impl Iterator<Item = PageId> + '_ {
         let mut cur = self.head;
@@ -188,7 +183,7 @@ mod tests {
         }
         assert_eq!(s.len(), 3);
         assert_eq!(s.peek_oldest(), Some(1));
-        assert_eq!(s.peek_newest(), Some(3));
+        assert_eq!(s.iter().next(), Some(3));
         assert_eq!(s.pop_oldest(), Some(1));
         assert_eq!(s.pop_oldest(), Some(2));
         assert_eq!(s.pop_oldest(), Some(3));
@@ -202,7 +197,7 @@ mod tests {
         s.insert_front(1);
         s.insert_front(2);
         assert!(!s.insert_front(1)); // already present
-        assert_eq!(s.peek_newest(), Some(1));
+        assert_eq!(s.iter().next(), Some(1));
         assert_eq!(s.peek_oldest(), Some(2));
         assert_eq!(s.len(), 2);
         s.check();

@@ -3,7 +3,7 @@
 //! A policy manages a fixed set of buffer *frames*. The buffer pool performs
 //! the page-table lookup, so a **hit** is reported by frame id (no hash
 //! lookup inside the policy), while a **miss** is reported by page id so
-//! that policies with ghost lists (2Q, LIRS, MQ, ARC, CAR, CLOCK-Pro) can
+//! that policies with ghost lists (2Q, LIRS, MQ, ARC, CAR) can
 //! consult their history of evicted pages.
 //!
 //! This frame-centric design mirrors how PostgreSQL embeds replacement

@@ -147,8 +147,9 @@ proptest! {
     /// side effect (it invalidates the frame it accepts), so a policy
     /// must evict exactly the frame the filter accepted — one acceptance
     /// per decision, and it is the victim. (LRU-K and LFU once violated
-    /// this with keep-scanning min-searches; this test pins the fix for
-    /// every policy.)
+    /// this with keep-scanning min-searches; LFU's O(frames) victim scan
+    /// is the one that still exercises it, and this test pins the fix
+    /// for every policy.)
     #[test]
     fn filter_acceptance_is_the_victim(
         frames in 2usize..16,

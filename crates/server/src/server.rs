@@ -617,6 +617,14 @@ mod tests {
     }
 
     #[test]
+    fn removed_policy_spec_names_what_is_left() {
+        let err = build_manager("wrapped-lru-2", 8)
+            .err()
+            .expect("LRU-2 is gone");
+        assert!(err.contains("\"lru-2\"") && err.contains("2Q"), "{err}");
+    }
+
+    #[test]
     fn server_starts_and_joins() {
         let server = Server::start(ServerConfig {
             workers: 2,

@@ -4,24 +4,13 @@
 //! distributed-lock alternative from §V-A *does* hurt, which is why the
 //! paper rejects it.
 
-use bpw_bench::PartitionedCache;
+use bpw_bench::{interleaved_trace, PartitionedCache};
 use bpw_core::{WrappedCache, WrapperConfig};
 use bpw_replacement::{CacheSim, PolicyKind};
-use bpw_workloads::{Trace, WorkloadKind};
+use bpw_workloads::WorkloadKind;
 
 fn workload_trace(kind: WorkloadKind, txns: usize) -> Vec<u64> {
-    let w = kind.build();
-    let traces = Trace::capture_per_thread(&*w, 4, txns, 0xFEED);
-    let per_thread: Vec<Vec<&[u64]>> = traces.iter().map(|t| t.transactions().collect()).collect();
-    let mut flat = Vec::new();
-    for round in 0..txns {
-        for th in &per_thread {
-            if let Some(t) = th.get(round) {
-                flat.extend_from_slice(t);
-            }
-        }
-    }
-    flat
+    interleaved_trace(&*kind.build(), 4, txns, 0xFEED)
 }
 
 /// Table I's commit configurations: one lock per access (`pgQ`),
