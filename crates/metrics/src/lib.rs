@@ -9,10 +9,8 @@ pub mod counters;
 pub mod histogram;
 pub mod json;
 pub mod lock_stats;
-pub mod seqlock;
 
 pub use counters::{Counter, Gauge, MaxGauge, StripedCounter};
 pub use histogram::Histogram;
 pub use json::{JsonError, JsonObject, JsonValue};
 pub use lock_stats::{LockShardSummary, LockSnapshot, LockStats};
-pub use seqlock::{Seqlock, SnapshotCache};

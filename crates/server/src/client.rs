@@ -100,19 +100,6 @@ impl Client {
         }
     }
 
-    /// Fetch the flight recorder's captured exemplars as Chrome-trace
-    /// JSON.
-    pub fn exemplars(&mut self) -> io::Result<String> {
-        match self.call(&Request::Exemplars)? {
-            Response::Ok(bytes) => String::from_utf8(bytes)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string())),
-            other => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("EXEMPLARS answered {other:?}"),
-            )),
-        }
-    }
-
     /// Ask the server to stop accepting connections.
     pub fn shutdown(&mut self) -> io::Result<Response> {
         self.call(&Request::Shutdown)

@@ -16,7 +16,7 @@
 //! passes each response through [`write_reply`] (or
 //! [`Resident::reply`]) with the writer that is its transport.
 //! Decoding, control opcodes, request identity, stage attribution,
-//! trace events, flight capture and per-status counters live here.
+//! trace events and per-status counters live here.
 //!
 //! BP-Wrapper's rule is that a hit touches nothing shared and only a
 //! miss pays for synchronisation. `route` applies it to the request
@@ -35,7 +35,7 @@ use crossbeam::channel::Sender;
 
 use crate::backpressure::{Popped, WorkQueue};
 use crate::eventloop::Completions;
-use crate::exposition::{self, PoolSide};
+use crate::exposition;
 use crate::metrics::{OpKind, ServerMetrics, Stage};
 use crate::protocol::{self, page_checksum, ProtocolError, Request, Response};
 use crate::server::{AdaptiveShared, DynPool};
@@ -56,11 +56,6 @@ pub(crate) struct Shared {
     pub(crate) pages: u64,
     /// Queue-depth high-water mark (mirrors the admission queue's gauge).
     pub(crate) depth: Arc<bpw_metrics::MaxGauge>,
-    /// Seqlock-cached pool-side aggregation for STATS/METRICS: one
-    /// scrape per [`exposition::STATS_TTL`] pays the counter walk; the
-    /// rest read the published snapshot without touching data-path
-    /// cache lines.
-    pub(crate) stats_cache: bpw_metrics::SnapshotCache<PoolSide>,
     /// Present when the config enabled `--adaptive`.
     pub(crate) adaptive: Option<Arc<AdaptiveShared>>,
 }
@@ -72,19 +67,11 @@ pub(crate) struct Shared {
 pub(crate) struct RequestCtx {
     /// Process-unique request id (never 0 — 0 means "unattributed").
     pub(crate) id: u64,
-    /// The owning connection's id.
-    pub(crate) conn: u64,
     /// The request's opcode byte.
     pub(crate) opcode: u8,
 }
 
 static NEXT_REQUEST_ID: AtomicU64 = AtomicU64::new(1);
-static NEXT_CONN_ID: AtomicU64 = AtomicU64::new(1);
-
-/// Mint a process-unique connection id (monotonic, starts at 1).
-pub(crate) fn next_conn_id() -> u64 {
-    NEXT_CONN_ID.fetch_add(1, Ordering::Relaxed)
-}
 
 /// What a data request carries from [`route`] to its written reply:
 /// which histogram it lands in, when its clock started, who it is.
@@ -192,7 +179,6 @@ pub(crate) fn protocol_error(shared: &Shared, e: &ProtocolError) -> Response {
 pub(crate) fn route<'p>(
     shared: &Shared,
     session: &mut Session<'p>,
-    conn: u64,
     body: &[u8],
     in_place: bool,
     spares: &mut Vec<Vec<u8>>,
@@ -208,7 +194,6 @@ pub(crate) fn route<'p>(
     };
     let ctx = RequestCtx {
         id: NEXT_REQUEST_ID.fetch_add(1, Ordering::Relaxed),
-        conn,
         opcode: req.opcode(),
     };
     let ticket = Ticket {
@@ -309,7 +294,6 @@ fn control(shared: &Shared, req: &Request) -> Response {
     match req {
         Request::Stats => Response::Ok(exposition::stats_json(shared).into_bytes()),
         Request::Metrics => Response::Ok(exposition::metrics_text(shared).into_bytes()),
-        Request::Exemplars => Response::Ok(bpw_trace::flight::exemplars_json().into_bytes()),
         Request::Shutdown => {
             // Flag the stop before acknowledging: a client that has seen
             // the OK must observe `stop_requested()` as true.
@@ -333,14 +317,8 @@ impl Ticket {
         } = self;
         let total_ns = admitted.elapsed().as_nanos() as u64;
         m.record_stage(kind, Stage::ReplyFlush, flush_ns);
-        // The reply span must land in the ring BEFORE a flight capture
-        // snapshots it, or the exemplar's chain ends at the worker.
         bpw_trace::set_current_request(ctx.id);
         bpw_trace::span_backdated(bpw_trace::EventKind::ServerReply, total_ns, status as u64);
-        if bpw_trace::flight::should_capture(total_ns, status) {
-            m.record_slo_violation(kind);
-            bpw_trace::flight::capture(ctx.id, ctx.conn, ctx.opcode, status, total_ns);
-        }
         bpw_trace::set_current_request(0);
         match status {
             protocol::ST_OK => m.record_ok(kind, total_ns),
@@ -526,14 +504,13 @@ mod tests {
             stop: Arc::new(AtomicBool::new(false)),
             pages: 64,
             depth: Arc::new(bpw_metrics::MaxGauge::new()),
-            stats_cache: bpw_metrics::SnapshotCache::default(),
             adaptive: None,
         }
     }
 
     /// Route `req` as a frontend whose connection has nothing queued.
     fn route_req<'p>(shared: &Shared, session: &mut Session<'p>, req: &Request) -> Routed<'p> {
-        route(shared, session, 1, &req.encode(), true, &mut Vec::new())
+        route(shared, session, &req.encode(), true, &mut Vec::new())
     }
 
     /// Route a GET of a page that is not resident and take its ticket.
@@ -566,6 +543,41 @@ mod tests {
         }
     }
 
+    /// The `(pool_hits, pool_misses)` a STATS reply reports.
+    fn scraped_counts(shared: &Shared, session: &mut Session<'_>) -> (u64, u64) {
+        let stats = ok_text(route_req(shared, session, &Request::Stats));
+        let v = JsonValue::parse(&stats).expect("STATS JSON");
+        let count = |key| v.get(key).and_then(JsonValue::as_u64).expect(key);
+        (count("pool_hits"), count("pool_misses"))
+    }
+
+    #[test]
+    fn every_scrape_reads_the_live_pool_counters() {
+        let shared = shared();
+        let session = &mut shared.pool.session();
+        let get = Request::Get { page: 3 };
+        // GET (a miss, executed as a worker would), STATS, GET (a hit,
+        // answered in place), STATS: back to back, no pause between.
+        let Routed::Work(req, _) = route_req(&shared, session, &get) else {
+            panic!("page 3 is cold");
+        };
+        execute(session, &shared, &req, &mut Vec::new());
+        let first = scraped_counts(&shared, session);
+        assert_eq!(first, pool_counts(&shared), "the first scrape is exact");
+        let Routed::Resident(hit) = route_req(&shared, session, &get) else {
+            panic!("page 3 is resident");
+        };
+        hit.reply(&shared, &mut Vec::new())
+            .expect("Vec cannot fail");
+        let second = scraped_counts(&shared, session);
+        assert_eq!(second, pool_counts(&shared), "the second scrape is exact");
+        assert_eq!(
+            second.0 + second.1,
+            first.0 + first.1 + 1,
+            "one fetch between the two scrapes"
+        );
+    }
+
     #[test]
     fn control_opcodes_are_answered_inline_and_uncounted() {
         let shared = shared();
@@ -577,11 +589,6 @@ mod tests {
             .is_some());
         let metrics = ok_text(route_req(&shared, session, &Request::Metrics));
         assert!(bpw_trace::validate_exposition(&metrics).expect("exposition") > 20);
-        let exemplars = ok_text(route_req(&shared, session, &Request::Exemplars));
-        assert!(JsonValue::parse(&exemplars)
-            .expect("EXEMPLARS JSON")
-            .get("traceEvents")
-            .is_some());
 
         assert!(!shared.stop.load(Ordering::SeqCst));
         assert_eq!(ok_text(route_req(&shared, session, &Request::Shutdown)), "");
@@ -602,7 +609,7 @@ mod tests {
         let session = &mut shared.pool.session();
         for body in [&[0xFFu8][..], &[0x01, 1, 2], &[0x04, 9]] {
             let before = shared.metrics.errors.get();
-            match route(&shared, session, 1, body, true, &mut Vec::new()) {
+            match route(&shared, session, body, true, &mut Vec::new()) {
                 Routed::Fatal(resp @ Response::Err(_)) => assert_eq!(resp.status(), 3),
                 _ => panic!("{body:?} must be answered ERR and close the connection"),
             }
@@ -629,13 +636,13 @@ mod tests {
         ] {
             let body = req.encode();
             let Routed::Work(routed, ticket) =
-                route(&shared, session, 7, &body, true, &mut Vec::new())
+                route(&shared, session, &body, true, &mut Vec::new())
             else {
                 panic!("{req:?} must be routed to the workers");
             };
             assert_eq!(routed, req);
             assert_eq!(ticket.kind, kind);
-            assert_eq!((ticket.ctx.conn, ticket.ctx.opcode), (7, req.opcode()));
+            assert_eq!(ticket.ctx.opcode, req.opcode());
             assert!(ticket.ctx.id > last_id, "request ids are minted in order");
             last_id = ticket.ctx.id;
             assert_eq!(shared.metrics.stage(kind, Stage::Decode).count(), 1);
@@ -784,7 +791,7 @@ mod tests {
         // Resident now, but the frontend says earlier requests of the
         // connection are still queued: the pool is not even asked.
         let get = Request::Get { page: 5 }.encode();
-        let behind = route(&shared, session, 1, &get, false, &mut Vec::new());
+        let behind = route(&shared, session, &get, false, &mut Vec::new());
         assert!(matches!(behind, Routed::Work(Request::Get { page: 5 }, _)));
         assert_eq!(pool_counts(&shared), (0, 1));
         // Out of range: left to the worker's ERR, never looked up.

@@ -279,9 +279,6 @@ impl Ring {
 /// One multiplexed client connection.
 struct Conn {
     stream: TcpStream,
-    /// Process-unique connection id (same id space as the threaded
-    /// frontend's connections) — stamped into every request's ctx.
-    id: u64,
     decoder: FrameDecoder,
     wbuf: WriteBuf,
     /// Every reply owed, in sequence order.
@@ -305,7 +302,6 @@ impl Conn {
     fn new(stream: TcpStream) -> Conn {
         Conn {
             stream,
-            id: engine::next_conn_id(),
             decoder: FrameDecoder::new(),
             wbuf: WriteBuf::new(),
             ring: Ring::default(),
@@ -593,13 +589,12 @@ impl EventLoop<'_> {
             if conn.close_after.is_some() || conn.backlogged(self.high_water) {
                 return;
             }
-            let (id, in_place) = (conn.id, conn.may_answer_in_place());
+            let in_place = conn.may_answer_in_place();
             let routed = match conn.decoder.next_frame() {
                 Ok(None) => return,
                 Ok(Some(body)) => engine::route(
                     self.shared,
                     &mut self.session,
-                    id,
                     body,
                     in_place,
                     &mut self.stash,
@@ -870,11 +865,7 @@ mod tests {
         Ticket {
             kind: OpKind::Get,
             admitted: Instant::now(),
-            ctx: RequestCtx {
-                id,
-                conn: 1,
-                opcode: 1,
-            },
+            ctx: RequestCtx { id, opcode: 1 },
         }
     }
 

@@ -18,8 +18,6 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::atomic::Ordering;
-use std::sync::OnceLock;
-use std::time::{Duration, Instant};
 
 use bpw_metrics::json::{escape_str_into, write_f64_into};
 use bpw_metrics::{Histogram, LockShardSummary, LockSnapshot};
@@ -29,19 +27,6 @@ use bpw_trace::PromWriter;
 use crate::engine::Shared;
 use crate::metrics::{OpKind, Stage};
 use crate::server::DynPool;
-
-/// How long a published [`PoolSide`] is served before a scrape
-/// re-aggregates. Short enough that monitoring stays fresh; long enough
-/// that a scrape storm (many Prometheus pollers, dashboards) costs the
-/// data path one walk per interval instead of one per scrape.
-pub(crate) const STATS_TTL: Duration = Duration::from_millis(10);
-
-/// Monotone nanoseconds since the first call (the clock handed to the
-/// snapshot cache; `Instant` itself cannot live in an atomic).
-fn scrape_clock_ns() -> u64 {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
-}
 
 /// What one row's value is, which is also its Prometheus `TYPE`.
 #[derive(Debug, Clone, Copy)]
@@ -112,8 +97,8 @@ impl<'a> Row<'a> {
     }
 }
 
-/// A buffer-pool counter read through the seqlock cache:
-/// `(STATS key, METRICS series, help, where it is read)`.
+/// A buffer-pool counter: `(STATS key, METRICS series, help, where it
+/// is read)`.
 type PoolCounter = (
     &'static str,
     &'static str,
@@ -135,13 +120,10 @@ const POOL_COUNTERS: [PoolCounter; 10] = [
     ("page_table_fallback_reads", "bpw_page_table_fallback_reads_total", "Page-table lookups that fell back to the locked path.",             |p| p.page_table_fallback_reads()),
 ];
 
-/// Every pool-side scalar a scrape needs, aggregated once and published
-/// through a seqlock ([`bpw_metrics::SnapshotCache`]) so concurrent
-/// scrapes read a *consistent* point-in-time view without touching the
-/// data path's counters. `Copy` is what makes the seqlock publication
-/// race-safe — a torn copy is discarded, never dropped.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct PoolSide {
+/// Every pool-side scalar a scrape needs, read live from the pool's
+/// counters once per scrape.
+#[derive(Debug)]
+struct PoolSide {
     /// One value per [`POOL_COUNTERS`] row, in table order.
     counters: [u64; POOL_COUNTERS.len()],
     hit_ratio: f64,
@@ -160,24 +142,19 @@ pub(crate) struct PoolSide {
 }
 
 impl PoolSide {
-    /// The current snapshot, at most [`STATS_TTL`] stale; the uncached
-    /// walk runs under the seqlock when it is older.
+    /// Walk the pool's counters now.
     fn of(shared: &Shared) -> PoolSide {
-        shared
-            .stats_cache
-            .get(scrape_clock_ns(), STATS_TTL.as_nanos() as u64, || {
-                let pool = &*shared.pool;
-                PoolSide {
-                    counters: POOL_COUNTERS.map(|(_, _, _, read)| read(pool)),
-                    hit_ratio: pool.stats().hit_ratio(),
-                    lock: pool.manager().lock_snapshot(),
-                    miss_lock: pool.miss_lock_snapshot(),
-                    miss_locks: pool.miss_lock_summary(),
-                    stashed_frames: pool.stashed_frames() as u64,
-                    stale_admissions: pool.manager().stale_admissions(),
-                    peak_queue_depth: shared.depth.get(),
-                }
-            })
+        let pool = &*shared.pool;
+        PoolSide {
+            counters: POOL_COUNTERS.map(|(_, _, _, read)| read(pool)),
+            hit_ratio: pool.stats().hit_ratio(),
+            lock: pool.manager().lock_snapshot(),
+            miss_lock: pool.miss_lock_snapshot(),
+            miss_locks: pool.miss_lock_summary(),
+            stashed_frames: pool.stashed_frames() as u64,
+            stale_admissions: pool.manager().stale_admissions(),
+            peak_queue_depth: shared.depth.get(),
+        }
     }
 }
 
@@ -285,10 +262,6 @@ pub(crate) fn walk<'a>(shared: &'a Shared, scrape: &'a Scrape, visit: &mut dyn F
         row(&["stages", op.name(), stage.name()], "bpw_stage_latency_ns", &[("op", op.name()), ("stage", stage.name())],
             "Request latency attributed to one pipeline stage, per opcode.", Hist(m.stage(op, stage)));
     }
-    for op in OpKind::ALL {
-        row(&["slo_violations", op.name()], "bpw_slo_violations_total", &[("op", op.name())],
-            "Requests that exceeded --slo-us or ended ERR_IO, per opcode.", Counter(m.slo_violations[op.index()].get()));
-    }
 
     row(&["trace", "enabled"],         "bpw_trace_enabled",              &[], "1 when event tracing is recording.",                       Flag(bpw_trace::enabled()));
     row(&["trace", "dropped_events"],  "bpw_trace_dropped_events_total", &[], "Trace events lost to ring overflow.",                      Counter(bpw_trace::dropped()));
@@ -298,9 +271,6 @@ pub(crate) fn walk<'a>(shared: &'a Shared, scrape: &'a Scrape, visit: &mut dyn F
     for (tid, dropped) in &scrape.rings {
         row(&[], "bpw_trace_ring_dropped_events_total", &[("tid", tid)], "Trace events lost to ring overflow, per recording thread.", Counter(*dropped));
     }
-    row(&["flight", "slo_ns"],         "bpw_flight_slo_ns",              &[], "Armed flight-recorder SLO in nanoseconds (0 = disarmed).", Gauge(bpw_trace::flight::slo_ns()));
-    row(&["flight", "captured_total"], "bpw_exemplars_captured_total",   &[], "Slow or ERR_IO requests captured by the flight recorder.", Counter(bpw_trace::flight::captured_total()));
-    row(&["flight", "buffered"],       "bpw_exemplars_buffered",         &[], "Exemplars currently held by the flight recorder.",         Gauge(bpw_trace::flight::exemplars().len() as u64));
 
     // Adaptive-replacement state (`--adaptive` servers only).
     if let (Some((a, live_manager)), Some(state)) = (&scrape.advisor, &shared.adaptive) {

@@ -5,7 +5,7 @@
 //! bpw-server serve   [--addr H:P] [--mode threaded|eventloop] [--workers N]
 //!                    [--queue N] [--policy P] [--max-pipeline N]
 //!                    [--frames N] [--page-size B] [--pages N] [--manager SPEC]
-//!                    [--slo-us U] [--adaptive true]
+//!                    [--adaptive true]
 //!                    [--faulty true] [--fault-seed S] [--fail-reads-ppm N]
 //!                    [--fail-writes-ppm N] [--spike-ppm N] [--spike-us U]
 //! bpw-server loadgen --addr H:P [--connections N] [--requests N]
@@ -19,12 +19,6 @@
 //!
 //! A flag the subcommand does not read is an error (exit 2), so a
 //! misspelled flag never starts a server silently on defaults.
-//!
-//! `serve --slo-us U` arms the tail-latency flight recorder: tracing
-//! turns on, and any request slower than U microseconds (or ending
-//! `ERR_IO`) is captured as an exemplar — its span chain, pulled from
-//! the per-thread trace rings — fetchable via the `EXEMPLARS` opcode
-//! as Chrome-trace JSON.
 //!
 //! `smoke` is the CI self-test: it starts an in-process server, checks
 //! STATS and METRICS payloads, runs a traced workload, and validates
@@ -74,7 +68,6 @@ const SERVE_FLAGS: &[&str] = &[
     "manager",
     "mode",
     "max-pipeline",
-    "slo-us",
     "adaptive",
 ];
 
@@ -201,10 +194,6 @@ fn server_config(flags: &Flags) -> Result<ServerConfig, String> {
         fault_plan: fault_plan(flags)?,
         mode: get(flags, "mode", d.mode)?,
         max_pipeline: get(flags, "max-pipeline", d.max_pipeline)?,
-        slo_us: match flags.get("slo-us") {
-            Some(v) => Some(v.parse().map_err(|e| format!("--slo-us {v:?}: {e}"))?),
-            None => None,
-        },
         adaptive: get(flags, "adaptive", d.adaptive)?,
     })
 }
@@ -502,50 +491,8 @@ fn cmd_smoke(flags: &Flags) -> Result<(), String> {
     drop(client); // join() waits for live connections to close
     server.join();
 
-    // 6. Flight recorder: a server armed with an impossible SLO (1us)
-    //    must capture exemplars and serve them as valid Chrome-trace
-    //    JSON over the EXEMPLARS opcode.
-    bpw_trace::flight::clear();
-    let slo_server = Server::start(ServerConfig {
-        workers: 2,
-        frames: 256,
-        page_size: 256,
-        pages: 4096,
-        slo_us: Some(1),
-        ..ServerConfig::default()
-    })
-    .map_err(|e| e.to_string())?;
-    let mut slo_client =
-        bpw_server::Client::connect(slo_server.addr()).map_err(|e| e.to_string())?;
-    for page in 0..64u64 {
-        slo_client.get(page).map_err(|e| e.to_string())?;
-    }
-    let exemplars = slo_client.exemplars().map_err(|e| e.to_string())?;
-    let ev = JsonValue::parse(&exemplars).map_err(|e| format!("EXEMPLARS JSON invalid: {e}"))?;
-    let Some(JsonValue::Arr(spans)) = ev.get("traceEvents") else {
-        return Err("EXEMPLARS lacks a traceEvents array".into());
-    };
-    let captured = ev
-        .get("otherData")
-        .and_then(|o| o.get("exemplars"))
-        .and_then(|e| match e {
-            JsonValue::Arr(items) => Some(items.len()),
-            _ => None,
-        })
-        .unwrap_or(0);
-    if captured == 0 || spans.is_empty() {
-        return Err(format!(
-            "flight recorder captured {captured} exemplars / {} spans (want >=1 of each): {exemplars}",
-            spans.len()
-        ));
-    }
-    slo_client.shutdown().map_err(|e| e.to_string())?;
-    drop(slo_client);
-    slo_server.join();
-    bpw_trace::flight::clear();
-
     println!(
-        "smoke ok: {samples} exposition samples, {} trace events from {} threads, {captured} exemplars -> {out}",
+        "smoke ok: {samples} exposition samples, {} trace events from {} threads -> {out}",
         events.len(),
         tids.len()
     );
@@ -571,6 +518,7 @@ mod tests {
             &["--queue-size", "64"][..],
             &["--frame", "64"],
             &["--out", "x"],
+            &["--slo-us", "5"],
         ] {
             let err = parse_flags(argv(bad), &serve).unwrap_err();
             let named = format!("unknown flag {} ", bad[0]);

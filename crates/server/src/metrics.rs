@@ -34,7 +34,7 @@ impl OpKind {
             Request::Get { .. } => Some(OpKind::Get),
             Request::Put { .. } => Some(OpKind::Put),
             Request::Scan { .. } => Some(OpKind::Scan),
-            Request::Stats | Request::Shutdown | Request::Metrics | Request::Exemplars => None,
+            Request::Stats | Request::Shutdown | Request::Metrics => None,
         }
     }
 
@@ -149,9 +149,6 @@ pub struct ServerMetrics {
     /// Per-opcode, per-stage latency attribution (indexed by
     /// [`OpKind::index`], then by [`Stage`] in pipeline order).
     pub stages: [[Histogram; 6]; 3],
-    /// Requests whose end-to-end latency exceeded `--slo-us` (or ended
-    /// `ERR_IO`), per opcode — the SLO burn rate numerators.
-    pub slo_violations: [Counter; 3],
 }
 
 impl ServerMetrics {
@@ -181,11 +178,6 @@ impl ServerMetrics {
         self.stage(kind, stage).record(ns);
     }
 
-    /// Count one SLO violation for `kind`.
-    pub fn record_slo_violation(&self, kind: OpKind) {
-        self.slo_violations[kind.index()].incr();
-    }
-
     /// Total requests that received any reply.
     pub fn total(&self) -> u64 {
         self.ok.get()
@@ -212,12 +204,7 @@ mod tests {
             OpKind::of(&Request::Scan { start: 0, len: 1 }),
             Some(OpKind::Scan)
         );
-        for control in [
-            Request::Stats,
-            Request::Metrics,
-            Request::Exemplars,
-            Request::Shutdown,
-        ] {
+        for control in [Request::Stats, Request::Metrics, Request::Shutdown] {
             assert_eq!(OpKind::of(&control), None);
         }
     }

@@ -13,16 +13,15 @@
 //!   STATS    (0x04)
 //!   SHUTDOWN (0x05)
 //!   METRICS  (0x06)
-//!   EXEMPLARS(0x07)
+//!   (0x07)           retired: decodes as an unknown opcode; not to
+//!                    be reassigned
 //!
 //! response := u32 len | status:u8 payload
 //!   OK       (0x00)  GET: page bytes; PUT/SHUTDOWN: empty;
 //!                    SCAN: count:u32 checksum:u64 (CRC-32C over contents,
 //!                    high half zero; see `page_checksum`);
 //!                    STATS: UTF-8 JSON;
-//!                    METRICS: UTF-8 Prometheus-style text exposition;
-//!                    EXEMPLARS: UTF-8 Chrome-trace JSON (flight
-//!                    recorder's captured slow/failed requests)
+//!                    METRICS: UTF-8 Prometheus-style text exposition
 //!   BUSY     (0x01)  shed by admission control (queue full)
 //!   DROPPED  (0x02)  deadline exceeded while queued
 //!   ERR      (0x03)  UTF-8 message
@@ -68,9 +67,6 @@ pub enum Request {
     Shutdown,
     /// Fetch the server's metrics as Prometheus-style text exposition.
     Metrics,
-    /// Fetch the flight recorder's captured exemplars as Chrome-trace
-    /// JSON (loadable in Perfetto).
-    Exemplars,
 }
 
 /// A server reply.
@@ -109,7 +105,6 @@ const OP_SCAN: u8 = 0x03;
 const OP_STATS: u8 = 0x04;
 const OP_SHUTDOWN: u8 = 0x05;
 const OP_METRICS: u8 = 0x06;
-const OP_EXEMPLARS: u8 = 0x07;
 
 pub(crate) const ST_OK: u8 = 0x00;
 pub(crate) const ST_BUSY: u8 = 0x01;
@@ -144,7 +139,6 @@ impl Request {
             Request::Stats => vec![OP_STATS],
             Request::Shutdown => vec![OP_SHUTDOWN],
             Request::Metrics => vec![OP_METRICS],
-            Request::Exemplars => vec![OP_EXEMPLARS],
         }
     }
 
@@ -158,7 +152,6 @@ impl Request {
             Request::Stats => OP_STATS,
             Request::Shutdown => OP_SHUTDOWN,
             Request::Metrics => OP_METRICS,
-            Request::Exemplars => OP_EXEMPLARS,
         }
     }
 
@@ -206,10 +199,7 @@ impl Request {
             OP_STATS if rest.is_empty() => Ok(Request::Stats),
             OP_SHUTDOWN if rest.is_empty() => Ok(Request::Shutdown),
             OP_METRICS if rest.is_empty() => Ok(Request::Metrics),
-            OP_EXEMPLARS if rest.is_empty() => Ok(Request::Exemplars),
-            OP_STATS | OP_SHUTDOWN | OP_METRICS | OP_EXEMPLARS => {
-                Err(ProtocolError("unexpected payload".into()))
-            }
+            OP_STATS | OP_SHUTDOWN | OP_METRICS => Err(ProtocolError("unexpected payload".into())),
             other => Err(ProtocolError(format!("unknown opcode 0x{other:02x}"))),
         }
     }
@@ -528,7 +518,6 @@ mod tests {
             Request::Stats,
             Request::Shutdown,
             Request::Metrics,
-            Request::Exemplars,
         ];
         for req in cases {
             assert_eq!(req.encode()[0], req.opcode());
@@ -560,7 +549,7 @@ mod tests {
         assert!(Request::decode(&[OP_SCAN, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]).is_err());
         assert!(Request::decode(&[OP_STATS, 1]).is_err());
         assert!(Request::decode(&[OP_METRICS, 1]).is_err());
-        assert!(Request::decode(&[OP_EXEMPLARS, 1]).is_err());
+        assert!(Request::decode(&[0x07]).is_err(), "0x07 is retired");
         assert!(Response::decode(&[0xEE]).is_err());
         // SCAN len over the cap.
         let mut b = vec![OP_SCAN];

@@ -100,12 +100,6 @@ pub struct ServerConfig {
     /// Event-loop mode only: requests a single connection may have in
     /// flight before the loop stops reading from it.
     pub max_pipeline: usize,
-    /// Latency SLO in microseconds (`--slo-us`). When set, tracing is
-    /// enabled, the flight recorder arms, and any request slower than
-    /// this (or ending `ERR_IO`) is captured as an exemplar fetchable
-    /// via `EXEMPLARS`. `None` keeps the recorder off and tracing
-    /// untouched.
-    pub slo_us: Option<u64>,
     /// `--adaptive true`: wrap the (necessarily `wrapped-*`) manager in a
     /// [`SwapManager`], sample the fetch stream into shadow caches, and
     /// let the advisor thread hot-swap the policy when a challenger
@@ -127,7 +121,6 @@ impl Default for ServerConfig {
             fault_plan: None,
             mode: FrontendMode::Threaded,
             max_pipeline: 64,
-            slo_us: None,
             adaptive: false,
         }
     }
@@ -192,15 +185,6 @@ pub struct Server {
     /// Threaded frontend only: live connection threads, each with a
     /// clone of its socket so [`join`](Self::join) can end its reads.
     conns: Arc<Mutex<Vec<Conn>>>,
-    /// Ring-trim janitor (present when `slo_us` armed the flight
-    /// recorder): the trace rings drop-and-count on overflow, so a
-    /// steady-state server would stop capturing NEW events once they
-    /// fill. The janitor keeps a recent window live by discarding
-    /// events older than ~1s.
-    janitor: Option<JoinHandle<()>>,
-    /// True when this server armed the flight recorder (and therefore
-    /// owns disarming it on join).
-    armed_flight: bool,
     /// Advisor thread (present with `--adaptive`): drains the sample
     /// tap, scores shadow caches, and hot-swaps the winning policy.
     advisor: Option<JoinHandle<()>>,
@@ -273,7 +257,6 @@ impl Server {
             stop: Arc::new(AtomicBool::new(false)),
             pages: config.pages,
             depth: admission.depth_gauge(),
-            stats_cache: bpw_metrics::SnapshotCache::default(),
             adaptive,
         });
 
@@ -312,28 +295,6 @@ impl Server {
                 })
                 .expect("spawn advisor")
         });
-
-        let mut janitor = None;
-        let armed_flight = config.slo_us.is_some();
-        if let Some(slo_us) = config.slo_us {
-            bpw_trace::flight::arm(
-                slo_us.saturating_mul(1_000),
-                bpw_trace::flight::DEFAULT_EXEMPLAR_CAPACITY,
-            );
-            bpw_trace::set_enabled(true);
-            let stop = Arc::clone(&shared.stop);
-            janitor = Some(
-                thread::Builder::new()
-                    .name("bpw-trace-janitor".into())
-                    .spawn(move || {
-                        while !stop.load(Ordering::SeqCst) {
-                            thread::sleep(Duration::from_millis(25));
-                            bpw_trace::trim_older_than(1_000_000_000);
-                        }
-                    })
-                    .expect("spawn trace janitor"),
-            );
-        }
 
         let worker_count = config.workers.max(1);
         let workers = (0..worker_count)
@@ -386,8 +347,6 @@ impl Server {
             acceptor: Some(acceptor),
             workers,
             conns,
-            janitor,
-            armed_flight,
             advisor,
         })
     }
@@ -482,18 +441,8 @@ impl Server {
         for w in std::mem::take(&mut self.workers) {
             let _ = w.join();
         }
-        if let Some(j) = self.janitor.take() {
-            let _ = j.join();
-        }
         if let Some(a) = self.advisor.take() {
             let _ = a.join();
-        }
-        if self.armed_flight {
-            // This server turned the recorder (and tracing) on; leave
-            // the process the way we found it so tests sharing the
-            // global collector don't observe a stray armed recorder.
-            bpw_trace::flight::disarm();
-            bpw_trace::set_enabled(false);
         }
     }
 }
@@ -549,7 +498,6 @@ fn serve_connection(
     admission: &AdmissionQueue<Job>,
 ) -> io::Result<()> {
     stream.set_nodelay(true).ok();
-    let conn_id = engine::next_conn_id();
     // This thread's pool session: resident GETs are answered right here.
     let mut session = shared.pool.session();
     let mut reader = BufReader::new(stream);
@@ -563,7 +511,7 @@ fn serve_connection(
         // while a frame is being routed, so any resident GET may be
         // answered in place. No buffers are recycled here: a PUT's data
         // is decoded into a fresh one.
-        let routed = engine::route(shared, &mut session, conn_id, &buf, true, &mut Vec::new());
+        let routed = engine::route(shared, &mut session, &buf, true, &mut Vec::new());
         let (ticket, resp, fatal) = match routed {
             Routed::Resident(hit) => {
                 hit.reply(shared, &mut writer)?;

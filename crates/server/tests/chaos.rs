@@ -17,7 +17,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use bpw_metrics::JsonValue;
 use bpw_server::{loadgen, Client, FaultPlan, FrontendMode, Server, ServerConfig};
 use bpw_workloads::{zipf::splitmix64, PageStream, ZipfWorkload};
 
@@ -216,118 +215,6 @@ fn chaos_loadgen_accounting_stays_exact_under_faults(mode: FrontendMode) {
     server.join();
 }
 
-/// Flight-recorder fault capture (ISSUE 7): a request that ends in
-/// `ERR_IO` must be captured as an exemplar even when its latency is
-/// nowhere near the SLO. The server is armed with an hour-long budget
-/// so elapsed time can never trigger a capture — only the error path
-/// can — and a persistently broken page guarantees one happens.
-fn flight_recorder_captures_err_io_exemplars(mode: FrontendMode) {
-    // The flight recorder is process-global: serialize the two frontend
-    // instances of this test so one's join() (which disarms) cannot
-    // race the other's capture window.
-    static FLIGHT_GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    let _gate = FLIGHT_GATE.lock().unwrap();
-    bpw_trace::flight::clear();
-    let server = Server::start(ServerConfig {
-        workers: 2,
-        frames: FRAMES,
-        page_size: PAGE_SIZE,
-        pages: PAGES,
-        mode,
-        // One hour in microseconds: no request can exceed it, so every
-        // capture below is attributable to ERR_IO alone.
-        slo_us: Some(3_600_000_000),
-        fault_plan: Some(FaultPlan {
-            seed: 0xF117_0E2A,
-            ..FaultPlan::default()
-        }),
-        ..ServerConfig::default()
-    })
-    .expect("start armed chaos server");
-    let disk = server
-        .faulty_disk()
-        .expect("fault plan must install a FaultyDisk")
-        .clone();
-    disk.break_page_reads(7);
-
-    let mut client = Client::connect(server.addr()).expect("connect");
-    // Healthy requests first: none may trip the hour-long budget.
-    for page in [1u64, 2, 3, 4] {
-        assert!(matches!(
-            client.get(page).expect("transport"),
-            bpw_server::Response::Ok(_)
-        ));
-    }
-    match client.get(7).expect("transport") {
-        bpw_server::Response::IoError(_) => {}
-        other => panic!("broken page 7 must return ERR_IO, got {other:?}"),
-    }
-
-    let json = client.exemplars().expect("EXEMPLARS reply");
-    let v = JsonValue::parse(&json).expect("EXEMPLARS must be valid JSON");
-    let index = v
-        .get("otherData")
-        .and_then(|o| o.get("exemplars"))
-        .expect("exemplar index");
-    let JsonValue::Arr(index) = index else {
-        panic!("exemplar index must be an array: {json}")
-    };
-    // Every capture while armed with an hour budget is an ERR_IO one —
-    // including any from chaos tests running concurrently in this
-    // binary — and ours must be among them: a GET (opcode 1) with
-    // status 4 whose span chain was snapshotted.
-    assert!(!index.is_empty(), "ERR_IO must capture an exemplar");
-    for ex in index.iter() {
-        assert_eq!(
-            ex.get("status").and_then(JsonValue::as_u64),
-            Some(4),
-            "hour-long SLO means only ERR_IO may capture: {json}"
-        );
-    }
-    let ours = index
-        .iter()
-        .find(|ex| {
-            ex.get("opcode").and_then(JsonValue::as_u64) == Some(1)
-                && ex.get("events").and_then(JsonValue::as_u64).unwrap_or(0) >= 1
-        })
-        .unwrap_or_else(|| panic!("no GET exemplar with a span chain: {json}"));
-    let req = ours
-        .get("request_id")
-        .and_then(JsonValue::as_u64)
-        .expect("exemplar carries its request id");
-    assert!(req > 0, "request ids start at 1");
-    // The captured chain must include the reply span stamped with the
-    // failing request's id.
-    let Some(JsonValue::Arr(events)) = v.get("traceEvents") else {
-        panic!("EXEMPLARS lacks a traceEvents array: {json}");
-    };
-    assert!(
-        events.iter().any(|e| {
-            e.get("args")
-                .and_then(|a| a.get("req"))
-                .and_then(JsonValue::as_u64)
-                == Some(req)
-                && e.get("name").and_then(JsonValue::as_str) == Some("server_reply")
-        }),
-        "ERR_IO exemplar {req} must include its server_reply span: {json}"
-    );
-
-    let stats = client.stats().expect("stats");
-    let sv = JsonValue::parse(&stats).unwrap();
-    assert!(
-        sv.get("flight")
-            .and_then(|f| f.get("captured_total"))
-            .and_then(JsonValue::as_u64)
-            .is_some_and(|n| n >= 1),
-        "capture counter must move: {stats}"
-    );
-
-    disk.clear_faults();
-    drop(client);
-    server.join();
-    bpw_trace::flight::clear();
-}
-
 macro_rules! both_frontends {
     ($($name:ident),* $(,)?) => {
         mod threaded {
@@ -350,5 +237,4 @@ macro_rules! both_frontends {
 both_frontends!(
     chaos_run_returns_correct_bytes_or_err_io_and_recovers,
     chaos_loadgen_accounting_stays_exact_under_faults,
-    flight_recorder_captures_err_io_exemplars,
 );

@@ -69,6 +69,8 @@ fn metrics_series(text: &str, out: &mut BTreeSet<String>) {
 }
 
 fn exposition_shape(mode: FrontendMode) -> String {
+    // Traced, so the scrape renders the per-ring series too.
+    bpw_trace::set_enabled(true);
     let server = Server::start(ServerConfig {
         workers: 2,
         frames: 64,
@@ -76,7 +78,6 @@ fn exposition_shape(mode: FrontendMode) -> String {
         pages: 256,
         manager: "wrapped-2q".into(),
         adaptive: true,
-        slo_us: Some(1_000_000),
         mode,
         ..ServerConfig::default()
     })
@@ -93,6 +94,8 @@ fn exposition_shape(mode: FrontendMode) -> String {
     let metrics = client.metrics().expect("METRICS");
     drop(client);
     server.join();
+    bpw_trace::set_enabled(false);
+    bpw_trace::clear();
 
     let mut lines = BTreeSet::new();
     let v = JsonValue::parse(&stats).expect("STATS parses");
@@ -107,8 +110,8 @@ fn exposition_shape(mode: FrontendMode) -> String {
     out
 }
 
-/// Both modes in one test: the flight recorder and trace collector are
-/// process-global, so two armed servers must not overlap.
+/// Both modes in one test: the trace collector is process-global, so
+/// two traced servers must not overlap.
 #[test]
 fn exposition_names_match_the_golden_in_both_modes() {
     for mode in [FrontendMode::Threaded, FrontendMode::EventLoop] {

@@ -7,7 +7,7 @@
 //! touched only when a thread records its first event (ring creation)
 //! and when an exporter drains — never per event.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -22,7 +22,6 @@ struct Collector {
     epoch: Instant,
     rings: Mutex<Vec<Arc<Ring>>>,
     next_tid: AtomicU32,
-    ring_capacity: AtomicUsize,
 }
 
 fn collector() -> &'static Collector {
@@ -32,7 +31,6 @@ fn collector() -> &'static Collector {
         epoch: Instant::now(),
         rings: Mutex::new(Vec::new()),
         next_tid: AtomicU32::new(0),
-        ring_capacity: AtomicUsize::new(DEFAULT_RING_CAPACITY),
     })
 }
 
@@ -73,12 +71,6 @@ pub fn set_enabled(on: bool) {
     collector().enabled.store(on, Ordering::Relaxed);
 }
 
-/// Capacity (events) for rings created *after* this call. Existing
-/// rings keep their size. Rounded up to a power of two, minimum 8.
-pub fn set_ring_capacity(capacity: usize) {
-    collector().ring_capacity.store(capacity, Ordering::Relaxed);
-}
-
 /// Nanoseconds since the collector's epoch (process-wide, monotonic).
 #[inline]
 pub fn now_ns() -> u64 {
@@ -90,7 +82,7 @@ fn with_local_ring(f: impl FnOnce(&Ring)) {
         let ring = cell.get_or_init(|| {
             let c = collector();
             let tid = c.next_tid.fetch_add(1, Ordering::Relaxed);
-            let ring = Arc::new(Ring::new(c.ring_capacity.load(Ordering::Relaxed), tid));
+            let ring = Arc::new(Ring::new(DEFAULT_RING_CAPACITY, tid));
             c.rings
                 .lock()
                 .expect("trace registry")
@@ -210,7 +202,7 @@ pub fn dropped() -> u64 {
 
 /// Per-ring overflow counters as `(trace thread id, events dropped)`,
 /// in registration order. A ring that dropped events explains a gap in
-/// any exemplar assembled from it, so exporters surface these
+/// any span chain drained from it, so exporters surface these
 /// individually rather than only in aggregate.
 pub fn ring_drops() -> Vec<(u32, u64)> {
     collector()
@@ -220,43 +212,6 @@ pub fn ring_drops() -> Vec<(u32, u64)> {
         .iter()
         .map(|r| (r.tid(), r.drops()))
         .collect()
-}
-
-/// Copy (without consuming) every buffered event stamped with request
-/// `req`, across all rings, sorted by start time. This is the flight
-/// recorder's capture path: the events stay in place for the next
-/// [`drain`], so capturing an exemplar never steals spans from the
-/// normal export stream. Registry-lock serialized against drains and
-/// trims.
-pub fn snapshot_for_request(req: u64) -> Vec<TraceEvent> {
-    let mut out = Vec::new();
-    let rings = collector().rings.lock().expect("trace registry");
-    let mut scratch = Vec::new();
-    for ring in rings.iter() {
-        scratch.clear();
-        ring.snapshot_into(&mut scratch);
-        out.extend(scratch.iter().copied().filter(|e| e.req == req));
-    }
-    drop(rings);
-    out.sort_by_key(|e| (e.start_ns, e.tid));
-    out
-}
-
-/// Discard buffered events older than `age_ns`. With no steady-state
-/// drainer the drop-don't-overwrite rings would fill and then lose
-/// every *new* event — exactly the ones a flight-recorder capture
-/// needs — so a server with an SLO armed runs this periodically to
-/// keep a bounded recent window live. Returns how many events were
-/// discarded.
-pub fn trim_older_than(age_ns: u64) -> usize {
-    let cutoff = now_ns().saturating_sub(age_ns);
-    collector()
-        .rings
-        .lock()
-        .expect("trace registry")
-        .iter()
-        .map(|r| r.trim_before(cutoff))
-        .sum()
 }
 
 /// Number of threads that have recorded at least one event (registered

@@ -155,7 +155,7 @@ pub struct TraceEvent {
     /// Owning request id (0 = not attributed to any request). Stamped
     /// from the recording thread's current-request cell, so every event
     /// a worker records while executing a request carries that
-    /// request's id — the key the flight recorder groups spans by.
+    /// request's id — the key a drained trace groups spans by.
     pub req: u64,
 }
 

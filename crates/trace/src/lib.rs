@@ -19,10 +19,9 @@
 //!
 //! Events are **request-attributed**: each carries the recording
 //! thread's current request id ([`set_current_request`]), set once per
-//! request by whichever thread owns it. On top of that ride the
-//! per-stage latency scratch ([`stage`]) and the tail-latency flight
-//! recorder ([`flight`]), which snapshots a slow request's span chain
-//! out of the rings without consuming it.
+//! request by whichever thread owns it, so a drained stream holds
+//! every request's span chain keyed by id. On top of that rides the
+//! per-stage latency scratch ([`stage`]).
 //!
 //! Two exporters consume the stream:
 //!
@@ -35,7 +34,6 @@
 pub mod chrome;
 pub mod collector;
 pub mod event;
-pub mod flight;
 pub mod prom;
 pub mod ring;
 pub mod stage;
@@ -43,8 +41,8 @@ pub mod stage;
 pub use chrome::{chrome_trace_json, write_chrome_trace};
 pub use collector::{
     buffered, clear, current_request, drain, dropped, enabled, instant, now_ns, record, ring_drops,
-    set_current_request, set_enabled, set_ring_capacity, snapshot_for_request, span_backdated,
-    span_end, span_end_staged, span_start, thread_count, trim_older_than, DEFAULT_RING_CAPACITY,
+    set_current_request, set_enabled, span_backdated, span_end, span_end_staged, span_start,
+    thread_count, DEFAULT_RING_CAPACITY,
 };
 pub use event::{EventKind, TraceEvent};
 pub use prom::{validate_exposition, PromWriter};

@@ -1,8 +1,8 @@
 //! The per-thread event ring: a fixed-capacity single-producer /
 //! single-consumer buffer.
 //!
-//! The producer is the owning thread's record path; the consumer is
-//! the collector's drain (serialized by the collector's registry
+//! The producer is the owning thread's record path; the only consumer
+//! is the collector's drain (serialized by the collector's registry
 //! lock). The record path touches no shared lock — one relaxed load of
 //! the read index, one slot write, one release store of the write
 //! index — so tracing follows the same discipline as BP-Wrapper
@@ -115,46 +115,6 @@ impl Ring {
         }
         self.tail.store(tail, Ordering::Release);
     }
-
-    /// Copy every buffered event into `out` (oldest first) *without*
-    /// consuming them: `tail` is not advanced, so a later
-    /// [`drain_into`](Ring::drain_into) still sees everything. The
-    /// flight recorder's capture path. Consumer-only; callers
-    /// serialize (same contract as draining — the slots in
-    /// `[tail, head)` are exactly the ones the producer will not
-    /// touch).
-    pub fn snapshot_into(&self, out: &mut Vec<TraceEvent>) {
-        let head = self.head.load(Ordering::Acquire);
-        let mut tail = self.tail.load(Ordering::Relaxed);
-        out.reserve(head - tail);
-        while tail < head {
-            out.push(unsafe { *self.slots[tail & self.mask].get() });
-            tail += 1;
-        }
-    }
-
-    /// Discard buffered events whose `start_ns` predates `cutoff_ns`,
-    /// stopping at the first young-enough event. Push order is only
-    /// approximately start-ordered (backdated spans start in the past),
-    /// so the trim is conservative: a stale event behind a young one
-    /// survives until the next pass. Returns how many were discarded.
-    /// Consumer-only; callers serialize.
-    pub fn trim_before(&self, cutoff_ns: u64) -> usize {
-        let head = self.head.load(Ordering::Acquire);
-        let mut tail = self.tail.load(Ordering::Relaxed);
-        let start = tail;
-        while tail < head {
-            let ev = unsafe { *self.slots[tail & self.mask].get() };
-            if ev.start_ns >= cutoff_ns {
-                break;
-            }
-            tail += 1;
-        }
-        if tail != start {
-            self.tail.store(tail, Ordering::Release);
-        }
-        tail - start
-    }
 }
 
 #[cfg(test)]
@@ -209,44 +169,6 @@ mod tests {
         // Space is available again after the drain.
         r.push(ev(99));
         assert_eq!(r.len(), 1);
-    }
-
-    #[test]
-    fn snapshot_copies_without_consuming() {
-        let r = Ring::new(8, 1);
-        for i in 0..5 {
-            r.push(ev(i));
-        }
-        let mut snap = Vec::new();
-        r.snapshot_into(&mut snap);
-        assert_eq!(snap.len(), 5);
-        assert_eq!(r.len(), 5, "snapshot must not consume");
-        // A drain after the snapshot still sees every event.
-        let mut out = Vec::new();
-        r.drain_into(&mut out);
-        assert_eq!(out, snap);
-        assert!(r.is_empty());
-    }
-
-    #[test]
-    fn trim_discards_only_the_stale_prefix() {
-        let r = Ring::new(8, 1);
-        for i in 0..6 {
-            r.push(ev(i * 10));
-        }
-        assert_eq!(r.trim_before(30), 3, "events at 0,10,20 are stale");
-        let mut out = Vec::new();
-        r.drain_into(&mut out);
-        assert_eq!(
-            out.iter().map(|e| e.start_ns).collect::<Vec<_>>(),
-            vec![30, 40, 50]
-        );
-        // Trimming frees capacity like a drain does.
-        for i in 0..8 {
-            r.push(ev(100 + i));
-        }
-        assert_eq!(r.len(), 8);
-        assert_eq!(r.drops(), 0);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!   paper's hit-only hot path, where an unconditional pair of clock
 //!   reads per batch would violate the disabled-tracing overhead
 //!   budget. The stage histogram is therefore only populated while
-//!   tracing is on (which a server with `--slo-us` armed always is).
+//!   tracing is on.
 
 use std::cell::Cell;
 
