@@ -30,7 +30,6 @@ pub mod managers;
 pub mod page_table;
 pub mod pool;
 pub mod storage;
-pub mod swap;
 
 pub use desc::{BufferDesc, DescState, PinAttempt, UnpinOutcome};
 pub use free_list::StripedFreeList;
@@ -40,4 +39,3 @@ pub use managers::{
 pub use page_table::PageTable;
 pub use pool::{BufferPool, InvalidateOutcome, PinnedPage, PoolSession, PoolStats, RetryPolicy};
 pub use storage::{FaultPlan, FaultyDisk, SimDisk, Storage};
-pub use swap::{SwapManager, SwapReport};

@@ -45,24 +45,6 @@ pub trait ManagerHandle {
 
     /// Commit any deferred bookkeeping (end of a thread's run).
     fn flush(&mut self) {}
-
-    /// Manager hot-swap: surrender any thread-private deferred accesses
-    /// *without* committing them into the (retiring) manager, so the
-    /// swap coordinator can replay them into the successor. Handles
-    /// with no deferred state return an empty vec.
-    fn take_for_swap(&mut self) -> Vec<(PageId, FrameId)> {
-        Vec::new()
-    }
-
-    /// Manager hot-swap: adopt accesses recorded against a predecessor
-    /// manager. The default replays them as ordinary hits; BP-Wrapper
-    /// handles override this to re-queue quietly (the accesses were
-    /// already counted and recorded once).
-    fn absorb(&mut self, entries: &[(PageId, FrameId)]) {
-        for &(page, frame) in entries {
-            self.on_hit(page, frame);
-        }
-    }
 }
 
 /// A replacement algorithm plus its synchronization scheme.
@@ -86,26 +68,12 @@ pub trait ReplacementManager: Send + Sync {
         0
     }
 
-    /// Manager hot-swap: the resident `(frame, page)` set this manager
-    /// believes in, for transfer into a successor. Callers must freeze
-    /// residency (hold every pool miss-shard lock) first.
+    /// The resident `(frame, page)` set this manager believes in, for
+    /// [`BufferPool::check_mapping_invariants`](crate::BufferPool::check_mapping_invariants)
+    /// to compare with the page table; meaningful only while no miss is
+    /// in flight.
     fn export_state(&self) -> Vec<(FrameId, PageId)> {
         Vec::new()
-    }
-
-    /// Manager hot-swap: seed a *fresh* manager with a predecessor's
-    /// resident set before it is installed (so its first miss decision
-    /// already sees the inherited working set).
-    fn import_state(&self, _state: &[(FrameId, PageId)]) {}
-
-    /// Hot-swap the live manager for `next`, if this manager supports
-    /// it ([`SwapManager`](crate::swap::SwapManager) does; static
-    /// managers return `None` and drop `next`). Callers must freeze
-    /// residency first — [`BufferPool::swap_manager`](crate::BufferPool::swap_manager)
-    /// is the safe entry point.
-    fn swap_to(&self, next: Box<dyn ReplacementManager>) -> Option<crate::swap::SwapReport> {
-        drop(next);
-        None
     }
 }
 
@@ -134,50 +102,6 @@ impl<M: ReplacementManager + ?Sized> ReplacementManager for Box<M> {
 
     fn export_state(&self) -> Vec<(FrameId, PageId)> {
         (**self).export_state()
-    }
-
-    fn import_state(&self, state: &[(FrameId, PageId)]) {
-        (**self).import_state(state)
-    }
-
-    fn swap_to(&self, next: Box<dyn ReplacementManager>) -> Option<crate::swap::SwapReport> {
-        (**self).swap_to(next)
-    }
-}
-
-// Arc'd managers forward too, so tests and drivers can keep a typed
-// reference to a manager they also hand to a [`SwapManager`] slot.
-impl<M: ReplacementManager> ReplacementManager for Arc<M> {
-    fn name(&self) -> String {
-        (**self).name()
-    }
-
-    fn handle(&self) -> Box<dyn ManagerHandle + '_> {
-        (**self).handle()
-    }
-
-    fn invalidate(&self, frame: FrameId) {
-        (**self).invalidate(frame)
-    }
-
-    fn lock_snapshot(&self) -> LockSnapshot {
-        (**self).lock_snapshot()
-    }
-
-    fn stale_admissions(&self) -> u64 {
-        (**self).stale_admissions()
-    }
-
-    fn export_state(&self) -> Vec<(FrameId, PageId)> {
-        (**self).export_state()
-    }
-
-    fn import_state(&self, state: &[(FrameId, PageId)]) {
-        (**self).import_state(state)
-    }
-
-    fn swap_to(&self, next: Box<dyn ReplacementManager>) -> Option<crate::swap::SwapReport> {
-        (**self).swap_to(next)
     }
 }
 
@@ -216,14 +140,6 @@ impl<P: ReplacementPolicy> ReplacementManager for CoarseManager<P> {
 
     fn export_state(&self) -> Vec<(FrameId, PageId)> {
         self.lock.lock().resident_pages()
-    }
-
-    fn import_state(&self, state: &[(FrameId, PageId)]) {
-        let mut g = self.lock.lock();
-        for &(frame, page) in state {
-            let out = g.record_miss(page, Some(frame), &mut |_| true);
-            debug_assert_eq!(out, MissOutcome::AdmittedFree(frame));
-        }
     }
 }
 
@@ -324,20 +240,6 @@ impl ReplacementManager for ClockManager {
             .filter(|&f| g.present[f])
             .map(|f| (f as FrameId, g.page_of[f]))
             .collect()
-    }
-
-    fn import_state(&self, state: &[(FrameId, PageId)]) {
-        let mut g = self.lock.lock();
-        for &(frame, page) in state {
-            let f = frame as usize;
-            debug_assert!(!g.present[f], "import into occupied frame {frame}");
-            g.page_of[f] = page;
-            g.present[f] = true;
-            g.resident += 1;
-            // Inherited pages get one sweep of protection, like a fresh
-            // admission would.
-            self.referenced[f].store(1, Ordering::Relaxed);
-        }
     }
 }
 
@@ -450,15 +352,6 @@ impl<P: ReplacementPolicy> ReplacementManager for WrappedManager<P> {
     fn export_state(&self) -> Vec<(FrameId, PageId)> {
         self.wrapper.with_locked(|p| p.resident_pages())
     }
-
-    fn import_state(&self, state: &[(FrameId, PageId)]) {
-        self.wrapper.with_locked(|p| {
-            for &(frame, page) in state {
-                let out = p.record_miss(page, Some(frame), &mut |_| true);
-                debug_assert_eq!(out, MissOutcome::AdmittedFree(frame));
-            }
-        });
-    }
 }
 
 struct WrappedHandle<'m, P: ReplacementPolicy> {
@@ -485,14 +378,6 @@ impl<'m, P: ReplacementPolicy> ManagerHandle for WrappedHandle<'m, P> {
 
     fn flush(&mut self) {
         self.handle.flush();
-    }
-
-    fn take_for_swap(&mut self) -> Vec<(PageId, FrameId)> {
-        self.handle.take_for_swap()
-    }
-
-    fn absorb(&mut self, entries: &[(PageId, FrameId)]) {
-        self.handle.absorb(entries);
     }
 }
 

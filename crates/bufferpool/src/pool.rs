@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use bpw_core::{CachePadded, InstrumentedLock};
 use bpw_metrics::{LockShardSummary, LockSnapshot, LockStats, StripedCounter};
-use bpw_replacement::{FrameId, MissOutcome, PageId, SampleTap};
+use bpw_replacement::{FrameId, MissOutcome, PageId};
 use parking_lot::Mutex;
 
 use crate::desc::{BufferDesc, UnpinOutcome};
@@ -18,7 +18,6 @@ use crate::free_list::{StripedFreeList, MAX_STRIPES};
 use crate::managers::{ManagerHandle, ReplacementManager};
 use crate::page_table::PageTable;
 use crate::storage::Storage;
-use crate::swap::SwapReport;
 
 /// Why [`BufferPool::invalidate`] did or did not drop a page.
 /// `NotResident` is permanent (until someone re-fetches the page);
@@ -156,9 +155,6 @@ pub struct BufferPool<M: ReplacementManager> {
     stashed: StripedCounter,
     page_size: usize,
     retry: RetryPolicy,
-    /// Sampled-access tap feeding the adaptive-replacement advisor.
-    /// `None` (the default) costs one branch on the fetch path.
-    tap: Option<Arc<SampleTap>>,
 }
 
 impl<M: ReplacementManager> BufferPool<M> {
@@ -187,42 +183,7 @@ impl<M: ReplacementManager> BufferPool<M> {
             stashed: StripedCounter::default(),
             page_size,
             retry: RetryPolicy::default(),
-            tap: None,
         }
-    }
-
-    /// Attach a sampled-access tap (builder style): every
-    /// `tap.period()`-th fetch per session pushes its page id into the
-    /// tap's lossy ring for the adaptive advisor to score. The sampling
-    /// countdown is session-local, so the steady-state fetch cost with
-    /// a tap attached is one decrement and (1-in-N) a couple of relaxed
-    /// atomics — never a lock.
-    pub fn with_sample_tap(mut self, tap: Arc<SampleTap>) -> Self {
-        self.tap = Some(tap);
-        self
-    }
-
-    /// The attached sample tap, if any.
-    pub fn sample_tap(&self) -> Option<&Arc<SampleTap>> {
-        self.tap.as_ref()
-    }
-
-    /// Hot-swap the replacement manager for `next`, if the configured
-    /// manager supports it (i.e. it is a
-    /// [`SwapManager`](crate::swap::SwapManager), possibly boxed).
-    /// Returns `None` — dropping `next` — for static managers.
-    ///
-    /// Residency is frozen for the duration by acquiring **every**
-    /// miss-shard lock (in index order; safe because every other pool
-    /// path holds at most one shard lock and never waits for a second):
-    /// misses, invalidations, and frame repair are all excluded, so the
-    /// resident set transferred by `export_state`/`import_state` cannot
-    /// change underfoot. Hits keep flowing — they never touch residency
-    /// and the swap epoch protocol (swap.rs) handles their advice.
-    pub fn swap_manager(&self, next: Box<dyn ReplacementManager>) -> Option<SwapReport> {
-        let _guards: Vec<_> = self.miss_locks.iter().map(|l| l.lock()).collect();
-        bpw_dst::yield_point();
-        self.manager.swap_to(next)
     }
 
     fn build_miss_locks(shards: usize) -> Vec<InstrumentedLock<()>> {
@@ -349,7 +310,6 @@ impl<M: ReplacementManager> BufferPool<M> {
         PoolSession {
             pool: self,
             handle: self.manager.handle(),
-            sample_countdown: self.tap.as_ref().map_or(0, |t| t.period()),
             stash: Vec::new(),
             evicted: Vec::new(),
         }
@@ -533,9 +493,6 @@ impl<M: ReplacementManager> BufferPool<M> {
 pub struct PoolSession<'p, M: ReplacementManager> {
     pool: &'p BufferPool<M>,
     handle: Box<dyn ManagerHandle + 'p>,
-    /// 1-in-N sampling countdown for the advisor tap — session-local so
-    /// the common fetch pays no shared read-modify-write for it.
-    sample_countdown: u64,
     /// Frames this session evicted ahead of need: invalid, unmapped,
     /// tracked by no manager. Its next misses fill them before touching
     /// the free list or the replacement lock; drop returns the rest to
@@ -553,7 +510,6 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
     /// failed read, back with its dirty victim after a failed
     /// write-back) and the fetch may simply be retried.
     pub fn fetch(&mut self, page: PageId) -> io::Result<PinnedPage<'p, M>> {
-        self.sample(page);
         loop {
             // Fast path: concurrent hash lookup + pin. The yield between
             // lookup and pin is where eviction/invalidation can rebind
@@ -589,25 +545,7 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
         bpw_dst::yield_point();
         let frame = self.pool.table.get(page)?;
         bpw_dst::yield_point();
-        let pinned = self.pin_hit(page, frame)?;
-        self.sample(page);
-        Some(pinned)
-    }
-
-    /// Advisor tap: 1-in-N sampling with a session-local countdown.
-    /// No tap (the default) is one branch; with a tap the off-sample
-    /// cost is the decrement, and the on-sample cost is a couple of
-    /// relaxed atomics into a lossy ring — never a lock, so the
-    /// lock-free-hit census is unaffected either way.
-    #[inline]
-    fn sample(&mut self, page: PageId) {
-        if let Some(tap) = self.pool.tap.as_deref() {
-            self.sample_countdown -= 1;
-            if self.sample_countdown == 0 {
-                self.sample_countdown = tap.period();
-                tap.push(page);
-            }
-        }
+        self.pin_hit(page, frame)
     }
 
     /// The hit: pin `frame` if it still holds `page`, and account it

@@ -189,47 +189,6 @@ fn concurrent_hits_still_take_zero_locks() {
 }
 
 #[test]
-fn adaptive_pool_hits_stay_lock_free() {
-    // The adaptive layer must not tax the hit path: the swap epoch is a
-    // plain atomic store/recheck pair, and the sample tap is a lossy
-    // lock-free ring. Same census, with both installed and the tap
-    // sampling every single access (period 1, the worst case).
-    let cfg = WrapperConfig {
-        queue_size: 2 * HITS as usize,
-        batch_threshold: 2 * HITS as usize,
-        ..WrapperConfig::default()
-    };
-    let tap = Arc::new(bpw_replacement::SampleTap::new(1, 4096));
-    let pool = BufferPool::new(
-        FRAMES,
-        128,
-        bpw_bufferpool::SwapManager::new(Box::new(WrappedManager::new(TwoQ::new(FRAMES), cfg))),
-        Arc::new(SimDisk::instant()),
-    )
-    .with_sample_tap(Arc::clone(&tap));
-    // Session creation registers the epoch cell (locked, once) — keep
-    // it outside the measured window, like the page-table warmup.
-    let mut session = pool.session();
-    for page in 0..8u64 {
-        drop(session.fetch(page).expect("instant disk"));
-    }
-
-    let base = parking_lot::thread_acquisitions();
-    for i in 0..HITS {
-        drop(session.fetch(i % 8).expect("resident page cannot error"));
-    }
-    let taken = parking_lot::thread_acquisitions() - base;
-    assert_eq!(
-        taken, 0,
-        "adaptive-pool hits must stay lock-free, but {HITS} hits took {taken}"
-    );
-    assert!(
-        tap.pushed() >= HITS,
-        "the tap must have sampled the window without locking"
-    );
-}
-
-#[test]
 fn mutex_baseline_is_visible_to_the_census() {
     // Control experiment: a mutex-guarded descriptor pays one lock per
     // pin and another per unpin, and the census sees both — so the

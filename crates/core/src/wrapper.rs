@@ -411,32 +411,6 @@ impl<'w, P: ReplacementPolicy, W: Deref<Target = BpWrapper<P>>> AccessHandle<'w,
         self.queue.len()
     }
 
-    /// Manager hot-swap: surrender this handle's queued accesses
-    /// *without* committing anything into the (retiring) wrapper. The
-    /// returned entries must be re-queued into the successor via
-    /// [`AccessHandle::absorb`]; they travel as hits, so a handle that
-    /// may be swapped must not leave admissions queued (a swappable pool
-    /// commits each one as it records it).
-    pub fn take_for_swap(&mut self) -> Vec<(PageId, FrameId)> {
-        self.queue.drain().map(|e| (e.page, e.frame)).collect()
-    }
-
-    /// Manager hot-swap: quietly adopt accesses recorded against a
-    /// predecessor manager: no access counter increment and no
-    /// `RecordHit` history op (each entry was recorded exactly once by
-    /// its original thread — the eventual commit supplies the matching
-    /// `CommitHit`). Flushes whenever the queue fills so arbitrarily
-    /// large transfers fit; the rest commits with this wrapper's next
-    /// batch.
-    pub fn absorb(&mut self, entries: &[(PageId, FrameId)]) {
-        for &(page, frame) in entries {
-            if self.queue.is_full() {
-                self.flush();
-            }
-            self.queue.push(AccessEntry::hit(page, frame));
-        }
-    }
-
     /// The wrapper this handle feeds, as the handle holds it.
     pub fn wrapper(&self) -> &W {
         &self.wrapper

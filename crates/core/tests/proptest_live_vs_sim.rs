@@ -1,10 +1,10 @@
-//! Property tests backing the advisor's shadow caches: the shadow
-//! [`CacheSim`] replay of a reference string must be *behaviorally
-//! identical* to the live policy driven through `BpWrapper` — not just
-//! the same hit/miss verdicts, but the same **eviction sequence**, page
-//! for page, in order. This is what makes
-//! the advisor's shadow scores a faithful proxy for what a candidate
-//! policy would do if hot-swapped in.
+//! Property tests that `CacheSim` forecasts the live wrapped pool
+//! exactly: the shadow [`CacheSim`] replay of a reference string must be
+//! *behaviorally identical* to the live policy driven through
+//! `BpWrapper` — not just the same hit/miss verdicts, but the same
+//! **eviction sequence**, page for page, in order. This is what lets
+//! Fig. 8, `compare_policies` and perfbench's `replacement.sim_hit_ratio`
+//! quote a `CacheSim` hit ratio for the wrapped pool.
 
 use bpw_core::{WrappedCache, WrapperConfig};
 use bpw_replacement::{CacheSim, PolicyKind};
@@ -50,8 +50,8 @@ proptest! {
     }
 
     /// The same equivalence holds under eviction pressure with repeated
-    /// phases (the advisor's bread and butter: scoring phase-change
-    /// workloads), using default wrapper parameters.
+    /// phases (phase-change workloads), using default wrapper
+    /// parameters.
     #[test]
     fn shadow_replay_matches_live_across_phases(
         kind in any_policy(),

@@ -227,122 +227,6 @@ pub fn check_free_list(events: &[Event], frames: u32, initially_free: bool) -> F
     report
 }
 
-/// Summary returned by [`check_swap_epoch`].
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct SwapEpochReport {
-    /// Generations installed during the run.
-    pub installs: u64,
-    /// Generations retired during the run.
-    pub retires: u64,
-    /// Epoch entries observed.
-    pub enters: u64,
-    /// Highest generation installed.
-    pub max_gen: u64,
-}
-
-/// Checker (e): the manager hot-swap epoch protocol. Asserts, over the
-/// linearized history:
-///
-/// * install generations are strictly increasing (no double-install,
-///   no regression), and
-/// * **no access is ever applied to a retired manager**: every
-///   `MgrEnter { gen }` precedes the `SwapRetire { gen }` of its
-///   generation. Generation 0 exists from startup without an install
-///   event.
-pub fn check_swap_epoch(events: &[Event]) -> SwapEpochReport {
-    let mut retired: std::collections::HashSet<u64> = std::collections::HashSet::new();
-    let mut last_install: Option<u64> = None;
-    let mut report = SwapEpochReport::default();
-    for ev in events {
-        match ev.op {
-            Op::SwapInstall { gen } => {
-                if let Some(prev) = last_install {
-                    assert!(
-                        gen > prev,
-                        "swap install generations must be strictly increasing: \
-                         task {} installed gen {gen} after gen {prev}",
-                        ev.task
-                    );
-                }
-                assert!(
-                    gen > 0,
-                    "generation 0 is the startup manager and cannot be installed"
-                );
-                last_install = Some(gen);
-                report.installs += 1;
-                report.max_gen = report.max_gen.max(gen);
-            }
-            Op::SwapRetire { gen } => {
-                assert!(
-                    retired.insert(gen),
-                    "task {} retired generation {gen} twice",
-                    ev.task
-                );
-                report.retires += 1;
-            }
-            Op::MgrEnter { gen } => {
-                assert!(
-                    !retired.contains(&gen),
-                    "access applied to a retired manager: task {} entered \
-                     generation {gen} after its SwapRetire — quiescence did \
-                     not hold",
-                    ev.task
-                );
-                report.enters += 1;
-            }
-            _ => {}
-        }
-    }
-    report
-}
-
-/// Summary returned by [`check_hit_conservation`].
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct ConservationReport {
-    pub records: u64,
-    pub commits: u64,
-}
-
-/// Checker (f): every recorded hit is committed **exactly once**, as a
-/// multiset over `(page, frame)` — the relaxation of
-/// [`check_commit_order`] for histories whose tasks share pages (pool
-/// traffic, hot-swaps), where per-task attribution is ambiguous. A
-/// migration that dropped a handle's queued advice instead of moving it
-/// into the successor shows up here as recorded-but-never-committed.
-pub fn check_hit_conservation(events: &[Event]) -> ConservationReport {
-    let mut outstanding: HashMap<(u64, u32), i64> = HashMap::new();
-    let mut report = ConservationReport::default();
-    for ev in events {
-        match ev.op {
-            Op::RecordHit { page, frame } => {
-                *outstanding.entry((page, frame)).or_insert(0) += 1;
-                report.records += 1;
-            }
-            Op::CommitHit { page, frame, .. } => {
-                let n = outstanding.entry((page, frame)).or_insert(0);
-                assert!(
-                    *n > 0,
-                    "task {} committed ({page},{frame}) more times than it was \
-                     recorded",
-                    ev.task
-                );
-                *n -= 1;
-                report.commits += 1;
-            }
-            _ => {}
-        }
-    }
-    let lost: i64 = outstanding.values().sum();
-    assert_eq!(
-        lost,
-        0,
-        "{lost} recorded access(es) were never committed — left behind \
-         on a retired manager? first: {:?}",
-        outstanding.iter().find(|(_, &v)| v > 0).map(|(k, _)| *k)
-    );
-    report
-}
-
 /// Summary returned by [`check_read_your_writes`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ReadYourWritesReport {
@@ -656,119 +540,6 @@ mod tests {
             ev(1, Op::PageRead { page: 1, stamp: 1 }),
         ];
         check_read_your_writes(&events);
-    }
-
-    #[test]
-    fn swap_epoch_accepts_clean_swap() {
-        let events = vec![
-            ev(1, Op::MgrEnter { gen: 0 }),
-            ev(0, Op::SwapInstall { gen: 1 }),
-            ev(1, Op::MgrEnter { gen: 0 }), // straggler before retire: fine
-            ev(0, Op::SwapRetire { gen: 0 }),
-            ev(1, Op::MgrEnter { gen: 1 }),
-            ev(0, Op::SwapInstall { gen: 2 }),
-            ev(0, Op::SwapRetire { gen: 1 }),
-            ev(2, Op::MgrEnter { gen: 2 }),
-        ];
-        let report = check_swap_epoch(&events);
-        assert_eq!(report.installs, 2);
-        assert_eq!(report.retires, 2);
-        assert_eq!(report.enters, 4);
-        assert_eq!(report.max_gen, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "retired manager")]
-    fn swap_epoch_rejects_entry_after_retire() {
-        let events = vec![
-            ev(0, Op::SwapInstall { gen: 1 }),
-            ev(0, Op::SwapRetire { gen: 0 }),
-            ev(1, Op::MgrEnter { gen: 0 }),
-        ];
-        check_swap_epoch(&events);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn swap_epoch_rejects_generation_regression() {
-        let events = vec![
-            ev(0, Op::SwapInstall { gen: 2 }),
-            ev(0, Op::SwapInstall { gen: 2 }),
-        ];
-        check_swap_epoch(&events);
-    }
-
-    #[test]
-    fn conservation_accepts_swap_reordered_commits() {
-        // Commits out of one task's recording order, one of them on
-        // another task: check_commit_order would panic, but every
-        // recorded access is committed exactly once.
-        let events = vec![
-            ev(0, Op::RecordHit { page: 1, frame: 0 }),
-            ev(0, Op::RecordHit { page: 2, frame: 1 }),
-            ev(
-                0,
-                Op::CommitHit {
-                    page: 2,
-                    frame: 1,
-                    applied: true,
-                },
-            ),
-            ev(
-                1,
-                Op::CommitHit {
-                    page: 1,
-                    frame: 0,
-                    applied: false,
-                },
-            ),
-        ];
-        let report = check_hit_conservation(&events);
-        assert_eq!(report.records, 2);
-        assert_eq!(report.commits, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "never committed")]
-    fn conservation_rejects_stranded_advice() {
-        let events = vec![
-            ev(0, Op::RecordHit { page: 1, frame: 0 }),
-            ev(0, Op::RecordHit { page: 2, frame: 1 }),
-            ev(
-                0,
-                Op::CommitHit {
-                    page: 1,
-                    frame: 0,
-                    applied: true,
-                },
-            ),
-        ];
-        check_hit_conservation(&events);
-    }
-
-    #[test]
-    #[should_panic(expected = "more times than it was")]
-    fn conservation_rejects_double_commit() {
-        let events = vec![
-            ev(0, Op::RecordHit { page: 1, frame: 0 }),
-            ev(
-                0,
-                Op::CommitHit {
-                    page: 1,
-                    frame: 0,
-                    applied: true,
-                },
-            ),
-            ev(
-                0,
-                Op::CommitHit {
-                    page: 1,
-                    frame: 0,
-                    applied: true,
-                },
-            ),
-        ];
-        check_hit_conservation(&events);
     }
 
     #[test]

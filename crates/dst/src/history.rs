@@ -62,18 +62,6 @@ pub enum Op {
     /// A test read `stamp` out of a pinned page; recorded inside
     /// `PinnedPage::read`'s closure, like [`Op::PageWrite`].
     PageRead { page: u64, stamp: u64 },
-    /// Manager hot-swap: a successor manager became the live generation
-    /// (recorded by the swap coordinator *before* the generation counter
-    /// publishes it, so no `MgrEnter` of this generation can precede it).
-    SwapInstall { gen: u64 },
-    /// Manager hot-swap: generation `gen` was retired — quiescence
-    /// reached, late admissions carried over into the successor. After
-    /// this event no handle may enter `gen` again.
-    SwapRetire { gen: u64 },
-    /// A swap-aware handle entered its epoch and is about to apply an
-    /// operation to the manager of generation `gen`. The swap-epoch
-    /// checker asserts `gen` was not yet retired.
-    MgrEnter { gen: u64 },
 }
 
 /// An [`Op`] attributed to the virtual thread that performed it.

@@ -29,8 +29,6 @@
 //! println!("hit ratio: {:.2}", cache.stats().hit_ratio());
 //! ```
 
-pub mod adaptive;
-pub mod advisor;
 pub mod arc;
 pub mod arena;
 pub mod cache_sim;
@@ -46,8 +44,6 @@ pub mod seq_lru;
 pub mod traits;
 pub mod two_q;
 
-pub use adaptive::SampleTap;
-pub use advisor::{Advisor, AdvisorConfig, AdvisorSnapshot, ExpertScore};
 pub use arc::Arc;
 pub use cache_sim::{CacheSim, SimStats};
 pub use car::Car;

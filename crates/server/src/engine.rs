@@ -38,7 +38,7 @@ use crate::eventloop::Completions;
 use crate::exposition;
 use crate::metrics::{OpKind, ServerMetrics, Stage};
 use crate::protocol::{self, page_checksum, ProtocolError, Request, Response};
-use crate::server::{AdaptiveShared, DynPool};
+use crate::server::DynPool;
 
 /// A thread's session against the server's pool: workers execute
 /// queued requests through one, frontend threads pin resident pages
@@ -56,8 +56,6 @@ pub(crate) struct Shared {
     pub(crate) pages: u64,
     /// Queue-depth high-water mark (mirrors the admission queue's gauge).
     pub(crate) depth: Arc<bpw_metrics::MaxGauge>,
-    /// Present when the config enabled `--adaptive`.
-    pub(crate) adaptive: Option<Arc<AdaptiveShared>>,
 }
 
 /// Request-scoped identity, minted by [`route`] and carried with the
@@ -504,7 +502,6 @@ mod tests {
             stop: Arc::new(AtomicBool::new(false)),
             pages: 64,
             depth: Arc::new(bpw_metrics::MaxGauge::new()),
-            adaptive: None,
         }
     }
 

@@ -7,13 +7,11 @@
 //! [`metrics_text`] (the `METRICS` reply) groups them by series name.
 //! Adding a metric is one `row(..)` line.
 //!
-//! Three asymmetries are part of the table, not of the renderers:
-//! string-valued rows have no Prometheus series (`prom` is empty); the
-//! two per-instance breakdowns whose label set grows with the
-//! deployment (miss-lock shards, trace rings) have no JSON path — STATS
-//! carries their aggregates (`miss_locks.*`, `trace.dropped_events`)
-//! and stays O(1) in pool size; and an expert's EWMA is a ratio in JSON
-//! but parts-per-million in its (older) Prometheus series.
+//! One asymmetry is part of the table, not of the renderers: the two
+//! per-instance breakdowns whose label set grows with the deployment
+//! (miss-lock shards, trace rings) have no JSON path — STATS carries
+//! their aggregates (`miss_locks.*`, `trace.dropped_events`) and stays
+//! O(1) in pool size.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -21,7 +19,6 @@ use std::sync::atomic::Ordering;
 
 use bpw_metrics::json::{escape_str_into, write_f64_into};
 use bpw_metrics::{Histogram, LockShardSummary, LockSnapshot};
-use bpw_replacement::AdvisorSnapshot;
 use bpw_trace::PromWriter;
 
 use crate::engine::Shared;
@@ -37,25 +34,19 @@ pub(crate) enum Value<'a> {
     Gauge(u64),
     /// Point-in-time ratio.
     Ratio(f64),
-    /// A ratio whose Prometheus series is in parts per million.
-    Ppm(f64),
     /// JSON `true`/`false`, Prometheus `1`/`0`.
     Flag(bool),
     /// A latency/size distribution.
     Hist(&'a Histogram),
-    /// JSON-only string (`None` renders `null`).
-    Text(Option<&'a str>),
 }
 
 /// One exported metric.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Row<'a> {
-    /// JSON key path from the STATS root, `""`-padded. A segment ending
-    /// in `[]` is an array whose element `idx` holds the rest of the
-    /// path. All empty: no JSON rendering.
+    /// JSON key path from the STATS root, `""`-padded. All empty: no
+    /// JSON rendering.
     pub(crate) json: [&'static str; 3],
-    pub(crate) idx: usize,
-    /// Prometheus series name; empty for JSON-only rows.
+    /// Prometheus series name.
     pub(crate) prom: &'static str,
     /// Prometheus labels, `("", "")`-padded.
     pub(crate) labels: [(&'static str, &'a str); 2],
@@ -73,7 +64,6 @@ impl<'a> Row<'a> {
     ) -> Self {
         let mut row = Row {
             json: [""; 3],
-            idx: 0,
             prom,
             labels: [("", ""); 2],
             help,
@@ -165,8 +155,6 @@ pub(crate) struct Scrape {
     shards: Vec<(String, LockSnapshot)>,
     /// `(tid label, events dropped)` per trace ring (METRICS only).
     rings: Vec<(String, u64)>,
-    /// Advisor view and the live manager's name (`--adaptive` only).
-    advisor: Option<(AdvisorSnapshot, String)>,
 }
 
 impl Scrape {
@@ -190,10 +178,6 @@ impl Scrape {
             pool: PoolSide::of(shared),
             shards,
             rings,
-            advisor: shared.adaptive.as_deref().map(|state| {
-                let snap = state.advisor.lock().expect("advisor lock").snapshot();
-                (snap, state.swap.current_name())
-            }),
         }
     }
 }
@@ -202,7 +186,7 @@ impl Scrape {
 /// `(STATS path, METRICS series, labels, help, value)`.
 #[rustfmt::skip] // one row per line
 pub(crate) fn walk<'a>(shared: &'a Shared, scrape: &'a Scrape, visit: &mut dyn FnMut(Row<'a>)) {
-    use Value::{Counter, Flag, Gauge, Hist, Ppm, Ratio, Text};
+    use Value::{Counter, Flag, Gauge, Hist, Ratio};
     let m = &*shared.metrics;
     let pool = &scrape.pool;
     let mut row = |json: &[&'static str], prom, labels: &[(&'static str, &'a str)], help, value| {
@@ -272,40 +256,14 @@ pub(crate) fn walk<'a>(shared: &'a Shared, scrape: &'a Scrape, visit: &mut dyn F
         row(&[], "bpw_trace_ring_dropped_events_total", &[("tid", tid)], "Trace events lost to ring overflow, per recording thread.", Counter(*dropped));
     }
 
-    // Adaptive-replacement state (`--adaptive` servers only).
-    if let (Some((a, live_manager)), Some(state)) = (&scrape.advisor, &shared.adaptive) {
-        row(&["advisor", "incumbent"],         "",                                    &[], "", Text(Some(a.incumbent.name())));
-        row(&["advisor", "leader"],            "",                                    &[], "", Text(a.leader.map(|l| l.name())));
-        row(&["advisor", "lead_streak"],       "bpw_advisor_lead_streak",             &[], "Consecutive windows the leading challenger has held its lead.", Gauge(a.lead_streak as u64));
-        row(&["advisor", "samples"],           "bpw_advisor_samples_total",           &[], "Sampled accesses scored by the shadow caches.",                 Counter(a.samples));
-        row(&["advisor", "windows"],           "bpw_advisor_windows_total",           &[], "Scoring windows closed by the advisor.",                        Counter(a.windows));
-        row(&["advisor", "adoptions"],         "bpw_advisor_adoptions_total",         &[], "Challenger policies adopted (hot-swapped in).",                 Counter(a.adoptions));
-        row(&["advisor", "swaps"],             "bpw_advisor_swaps_total",             &[], "Manager hot-swaps completed.",                                  Counter(state.swap.swaps()));
-        row(&["advisor", "migrations"],        "bpw_advisor_migrations_total",        &[], "Lazy handle migrations after swaps.",                           Counter(state.swap.migrations()));
-        row(&["advisor", "pages_transferred"], "bpw_advisor_pages_transferred_total", &[], "Resident pages carried across swaps via export/import.",        Counter(state.swap.pages_transferred()));
-        row(&["advisor", "tap_pushed"],        "bpw_advisor_tap_pushed_total",        &[], "Accesses the fetch path offered to the sample tap.",            Counter(state.tap.pushed()));
-        row(&["advisor", "tap_dropped"],       "bpw_advisor_tap_dropped_total",       &[], "Samples overwritten before the advisor drained them.",          Counter(state.tap.dropped()));
-        row(&["advisor", "live_manager"],      "",                                    &[], "", Text(Some(live_manager)));
-        for (idx, e) in a.experts.iter().enumerate() {
-            let policy = &[("policy", e.policy.name())];
-            let mut expert = |leaf, prom, labels: &[(&'static str, &'a str)], help, value| {
-                visit(Row { idx, ..Row::new(&["advisor", "experts[]", leaf], prom, labels, help, value) })
-            };
-            expert("policy",             "",                                      &[],    "", Text(Some(e.policy.name())));
-            expert("ewma",               "bpw_advisor_expert_ewma_ppm",           policy, "Each expert's EWMA shadow hit ratio, parts per million.", Ppm(e.ewma));
-            expert("lifetime_hit_ratio", "bpw_advisor_expert_lifetime_hit_ratio", policy, "Each expert's shadow hit ratio since start.",             Ratio(e.lifetime_hit_ratio));
-        }
-    }
 }
 
 /// Nests rows by JSON path: rows sharing a parent must be visited
 /// consecutively (the table is written in STATS order, so they are).
 struct JsonTree {
     out: String,
-    /// Open containers below the root: `(name, element index, closer)`.
-    /// An array `name[]` is two entries — the array, then its element.
-    open: Vec<(&'static str, Option<usize>, char)>,
-    want: Vec<(&'static str, Option<usize>, char)>,
+    /// Names of the objects open below the root, outermost first.
+    open: Vec<&'static str>,
     need_comma: bool,
 }
 
@@ -314,7 +272,6 @@ impl JsonTree {
         JsonTree {
             out: String::from("{"),
             open: Vec::new(),
-            want: Vec::new(),
             need_comma: false,
         }
     }
@@ -327,8 +284,8 @@ impl JsonTree {
 
     fn close_to(&mut self, depth: usize) {
         while self.open.len() > depth {
-            let (_, _, closer) = self.open.pop().expect("open container");
-            self.out.push(closer);
+            self.open.pop();
+            self.out.push('}');
             self.need_comma = true;
         }
     }
@@ -337,33 +294,19 @@ impl JsonTree {
         let Some((leaf, parents)) = row.json_path().split_last() else {
             return;
         };
-        self.want.clear();
-        for seg in parents {
-            match seg.strip_suffix("[]") {
-                Some(name) => {
-                    self.want.push((name, None, ']'));
-                    self.want.push((name, Some(row.idx), '}'));
-                }
-                None => self.want.push((seg, None, '}')),
-            }
-        }
         let common = self
             .open
             .iter()
-            .zip(&self.want)
+            .zip(parents)
             .take_while(|(a, b)| a == b)
             .count();
         self.close_to(common);
-        for i in common..self.want.len() {
-            let entry = self.want[i];
+        for &name in &parents[common..] {
             self.comma();
-            if entry.1.is_none() {
-                escape_str_into(&mut self.out, entry.0);
-                self.out.push(':');
-            }
-            self.out.push(if entry.2 == ']' { '[' } else { '{' });
+            escape_str_into(&mut self.out, name);
+            self.out.push_str(":{");
             self.need_comma = false;
-            self.open.push(entry);
+            self.open.push(name);
         }
         self.comma();
         escape_str_into(&mut self.out, leaf);
@@ -372,11 +315,9 @@ impl JsonTree {
             Value::Counter(v) | Value::Gauge(v) => {
                 let _ = write!(self.out, "{v}");
             }
-            Value::Ratio(v) | Value::Ppm(v) => write_f64_into(&mut self.out, v),
+            Value::Ratio(v) => write_f64_into(&mut self.out, v),
             Value::Flag(v) => self.out.push_str(if v { "true" } else { "false" }),
             Value::Hist(h) => self.out.push_str(&h.to_json()),
-            Value::Text(Some(s)) => escape_str_into(&mut self.out, s),
-            Value::Text(None) => self.out.push_str("null"),
         }
         self.need_comma = true;
     }
@@ -398,9 +339,6 @@ struct PromFamilies {
 
 impl PromFamilies {
     fn row(&mut self, row: &Row<'_>) {
-        if row.prom.is_empty() {
-            return;
-        }
         let kind = match row.value {
             Value::Counter(_) => "counter",
             Value::Hist(_) => "histogram",
@@ -418,10 +356,8 @@ impl PromFamilies {
         match row.value {
             Value::Counter(v) | Value::Gauge(v) => w.sample(row.prom, labels, v),
             Value::Ratio(v) => w.sample_f64(row.prom, labels, v),
-            Value::Ppm(v) => w.sample(row.prom, labels, (v * 1e6) as u64),
             Value::Flag(v) => w.sample(row.prom, labels, v as u64),
             Value::Hist(h) => w.histogram(row.prom, labels, h),
-            Value::Text(_) => unreachable!("string rows name no series"),
         };
     }
 
@@ -438,7 +374,7 @@ pub(crate) fn stats_json(shared: &Shared) -> String {
     tree.finish()
 }
 
-/// The METRICS reply: every row with a series name, Prometheus-style.
+/// The METRICS reply: every row, Prometheus-style.
 pub(crate) fn metrics_text(shared: &Shared) -> String {
     let scrape = Scrape::gather(shared, true);
     let mut families = PromFamilies::default();
@@ -460,15 +396,7 @@ mod tests {
     ];
 
     fn json_at<'v>(root: &'v JsonValue, row: &Row<'_>) -> Option<&'v JsonValue> {
-        row.json_path()
-            .iter()
-            .try_fold(root, |v, seg| match seg.strip_suffix("[]") {
-                Some(name) => match v.get(name)? {
-                    JsonValue::Arr(items) => items.get(row.idx),
-                    _ => None,
-                },
-                None => v.get(seg),
-            })
+        row.json_path().iter().try_fold(root, |v, seg| v.get(seg))
     }
 
     fn series(row: &Row<'_>, suffix: &str) -> String {
@@ -485,7 +413,6 @@ mod tests {
             page_size: 64,
             pages: 128,
             manager: "wrapped-2q".into(),
-            adaptive: true,
             mode: FrontendMode::EventLoop,
             ..ServerConfig::default()
         })
@@ -506,12 +433,7 @@ mod tests {
         walk(shared, &scrape, &mut |row| {
             rows += 1;
             let name = row.json_path().join(".");
-            let string_valued = matches!(row.value, Value::Text(_));
-            assert_eq!(
-                row.prom.is_empty(),
-                string_valued,
-                "{name}: exactly the string-valued rows are JSON-only"
-            );
+            assert!(!row.prom.is_empty(), "{name}: no row is JSON-only");
             assert_eq!(
                 row.json_path().is_empty(),
                 PROM_ONLY.contains(&row.prom),
@@ -521,28 +443,24 @@ mod tests {
             if !row.json_path().is_empty() {
                 let v = json_at(&json, &row).unwrap_or_else(|| panic!("STATS lacks {name}"));
                 match row.value {
-                    Value::Text(Some(s)) => assert_eq!(v.as_str(), Some(s), "{name}"),
-                    Value::Text(None) => assert_eq!(*v, JsonValue::Null, "{name}"),
                     Value::Flag(_) => assert!(matches!(v, JsonValue::Bool(_)), "{name}"),
                     Value::Hist(_) => assert!(v.get("p999").is_some(), "{name}"),
                     _ => assert!(v.as_f64().is_some(), "{name} must be a number: {v:?}"),
                 }
             }
-            if !row.prom.is_empty() {
-                let needle = match row.value {
-                    Value::Hist(_) => series(&row, "_count"),
-                    _ => series(&row, ""),
-                };
-                let hits = metrics.lines().filter(|l| l.starts_with(&needle)).count();
-                assert_eq!(hits, 1, "METRICS must carry {needle:?} exactly once");
-                assert_eq!(
-                    metrics.matches(&format!("# TYPE {} ", row.prom)).count(),
-                    1,
-                    "{} needs exactly one TYPE header",
-                    row.prom
-                );
-                sampled += 1;
-            }
+            let needle = match row.value {
+                Value::Hist(_) => series(&row, "_count"),
+                _ => series(&row, ""),
+            };
+            let hits = metrics.lines().filter(|l| l.starts_with(&needle)).count();
+            assert_eq!(hits, 1, "METRICS must carry {needle:?} exactly once");
+            assert_eq!(
+                metrics.matches(&format!("# TYPE {} ", row.prom)).count(),
+                1,
+                "{} needs exactly one TYPE header",
+                row.prom
+            );
+            sampled += 1;
         });
         assert!(rows > 100, "the table lost rows: {rows}");
         assert!(samples >= sampled, "{samples} samples for {sampled} series");
@@ -550,25 +468,23 @@ mod tests {
     }
 
     #[test]
-    fn json_tree_nests_objects_and_arrays() {
+    fn json_tree_nests_objects() {
         let mut tree = JsonTree::new();
-        let row = |json: &[&'static str], idx, value| Row {
-            idx,
-            ..Row::new(json, "", &[], "", value)
-        };
+        let row = |json: &[&'static str], value| Row::new(json, "", &[], "", value);
         for row in [
-            row(&["a"], 0, Value::Counter(1)),
-            row(&["b", "c"], 0, Value::Flag(true)),
-            row(&["b", "d[]", "e"], 0, Value::Gauge(2)),
-            row(&["b", "d[]", "f"], 0, Value::Text(None)),
-            row(&["b", "d[]", "e"], 1, Value::Ratio(0.5)),
-            row(&["g", "h", "i"], 0, Value::Text(Some("x\"y"))),
+            row(&["a"], Value::Counter(1)),
+            row(&["b", "c"], Value::Flag(true)),
+            row(&["b", "d", "e"], Value::Gauge(2)),
+            row(&["b", "d", "f"], Value::Ratio(0.5)),
+            row(&["b", "g"], Value::Gauge(3)),
+            row(&["h", "i", "j"], Value::Counter(4)),
+            row(&[], Value::Counter(5)),
         ] {
             tree.row(&row);
         }
         assert_eq!(
             tree.finish(),
-            r#"{"a":1,"b":{"c":true,"d":[{"e":2,"f":null},{"e":0.5}]},"g":{"h":{"i":"x\"y"}}}"#
+            r#"{"a":1,"b":{"c":true,"d":{"e":2,"f":0.5},"g":3},"h":{"i":{"j":4}}}"#
         );
     }
 }

@@ -5,7 +5,6 @@
 //! bpw-server serve   [--addr H:P] [--mode threaded|eventloop] [--workers N]
 //!                    [--queue N] [--policy P] [--max-pipeline N]
 //!                    [--frames N] [--page-size B] [--pages N] [--manager SPEC]
-//!                    [--adaptive true]
 //!                    [--faulty true] [--fault-seed S] [--fail-reads-ppm N]
 //!                    [--fail-writes-ppm N] [--spike-ppm N] [--spike-us U]
 //! bpw-server loadgen --addr H:P [--connections N] [--requests N]
@@ -68,7 +67,6 @@ const SERVE_FLAGS: &[&str] = &[
     "manager",
     "mode",
     "max-pipeline",
-    "adaptive",
 ];
 
 /// Flags `loadgen` reads ([`build_workload`] and [`load_config`]).
@@ -194,7 +192,6 @@ fn server_config(flags: &Flags) -> Result<ServerConfig, String> {
         fault_plan: fault_plan(flags)?,
         mode: get(flags, "mode", d.mode)?,
         max_pipeline: get(flags, "max-pipeline", d.max_pipeline)?,
-        adaptive: get(flags, "adaptive", d.adaptive)?,
     })
 }
 
@@ -519,6 +516,7 @@ mod tests {
             &["--frame", "64"],
             &["--out", "x"],
             &["--slo-us", "5"],
+            &["--adaptive", "true"],
         ] {
             let err = parse_flags(argv(bad), &serve).unwrap_err();
             let named = format!("unknown flag {} ", bad[0]);

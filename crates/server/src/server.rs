@@ -18,10 +18,10 @@ use std::time::Duration;
 
 use bpw_bufferpool::{
     BufferPool, ClockManager, CoarseManager, FaultPlan, FaultyDisk, ReplacementManager, SimDisk,
-    Storage, SwapManager, WrappedManager,
+    Storage, WrappedManager,
 };
 use bpw_core::WrapperConfig;
-use bpw_replacement::{Advisor, AdvisorConfig, PolicyKind, SampleTap};
+use bpw_replacement::PolicyKind;
 use crossbeam::channel;
 
 use crate::backpressure::{admission_queue, AdmissionPolicy, AdmissionQueue, Admitted};
@@ -100,11 +100,6 @@ pub struct ServerConfig {
     /// Event-loop mode only: requests a single connection may have in
     /// flight before the loop stops reading from it.
     pub max_pipeline: usize,
-    /// `--adaptive true`: wrap the (necessarily `wrapped-*`) manager in a
-    /// [`SwapManager`], sample the fetch stream into shadow caches, and
-    /// let the advisor thread hot-swap the policy when a challenger
-    /// sustainably wins. ADVISOR state is exported via STATS/METRICS.
-    pub adaptive: bool,
 }
 
 impl Default for ServerConfig {
@@ -121,7 +116,6 @@ impl Default for ServerConfig {
             fault_plan: None,
             mode: FrontendMode::Threaded,
             max_pipeline: 64,
-            adaptive: false,
         }
     }
 }
@@ -155,19 +149,6 @@ pub fn build_manager(spec: &str, frames: usize) -> Result<Box<dyn ReplacementMan
     ))
 }
 
-/// Adaptive-replacement state shared between the advisor thread and the
-/// STATS/METRICS renderers.
-pub(crate) struct AdaptiveShared {
-    /// The hot-swappable manager (the pool's `Box<dyn ReplacementManager>`
-    /// forwards `swap_to` into this same instance via its `Arc`).
-    pub(crate) swap: Arc<SwapManager>,
-    /// Expert scorer; the advisor thread holds this lock only while
-    /// feeding drained samples, never across a swap.
-    pub(crate) advisor: Mutex<Advisor>,
-    /// The lossy sampled-access ring the fetch path feeds.
-    pub(crate) tap: Arc<SampleTap>,
-}
-
 /// A running page service. Dropping without [`join`](Self::join) leaks
 /// the threads; tests and binaries should always join.
 pub struct Server {
@@ -185,9 +166,6 @@ pub struct Server {
     /// Threaded frontend only: live connection threads, each with a
     /// clone of its socket so [`join`](Self::join) can end its reads.
     conns: Arc<Mutex<Vec<Conn>>>,
-    /// Advisor thread (present with `--adaptive`): drains the sample
-    /// tap, scores shadow caches, and hot-swaps the winning policy.
-    advisor: Option<JoinHandle<()>>,
 }
 
 impl Server {
@@ -195,47 +173,6 @@ impl Server {
     pub fn start(config: ServerConfig) -> io::Result<Server> {
         let manager = build_manager(&config.manager, config.frames)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
-        // Adaptive mode: interpose the hot-swap layer and set up the
-        // sampled tap + expert scorer. Only wrapped-* managers make
-        // sense to adapt between (the advisor swaps among them).
-        let mut adaptive = None;
-        let manager: Box<dyn ReplacementManager> = if config.adaptive {
-            let incumbent: PolicyKind = config
-                .manager
-                .trim()
-                .to_ascii_lowercase()
-                .strip_prefix("wrapped-")
-                .ok_or_else(|| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        "--adaptive requires a wrapped-<policy> manager",
-                    )
-                })?
-                .parse()
-                .map_err(|e: String| io::Error::new(io::ErrorKind::InvalidInput, e))?;
-            let advisor_cfg = AdvisorConfig {
-                shadow_frames: config.frames.min(256),
-                window: 256,
-                sample_period: 4,
-                ..AdvisorConfig::default()
-            };
-            let candidates = [
-                PolicyKind::Lru,
-                PolicyKind::TwoQ,
-                PolicyKind::Lirs,
-                PolicyKind::Arc,
-            ];
-            let swap = Arc::new(SwapManager::new(manager));
-            let state = Arc::new(AdaptiveShared {
-                swap: Arc::clone(&swap),
-                advisor: Mutex::new(Advisor::new(&candidates, incumbent, advisor_cfg)),
-                tap: Arc::new(SampleTap::new(advisor_cfg.sample_period, 4096)),
-            });
-            adaptive = Some(state);
-            Box::new(swap)
-        } else {
-            manager
-        };
         let mut faulty = None;
         let storage: Arc<dyn Storage> = match config.fault_plan {
             Some(plan) => {
@@ -245,11 +182,12 @@ impl Server {
             }
             None => Arc::new(SimDisk::instant()),
         };
-        let mut pool = BufferPool::new(config.frames, config.page_size, manager, storage);
-        if let Some(state) = &adaptive {
-            pool = pool.with_sample_tap(Arc::clone(&state.tap));
-        }
-        let pool = Arc::new(pool);
+        let pool = Arc::new(BufferPool::new(
+            config.frames,
+            config.page_size,
+            manager,
+            storage,
+        ));
         let (admission, work) = admission_queue(config.queue_capacity, config.policy);
         let shared = Arc::new(Shared {
             pool,
@@ -257,43 +195,6 @@ impl Server {
             stop: Arc::new(AtomicBool::new(false)),
             pages: config.pages,
             depth: admission.depth_gauge(),
-            adaptive,
-        });
-
-        // Advisor thread: drain the tap, feed the shadow caches, and
-        // hot-swap when a challenger sustainably beats the incumbent.
-        // The swap itself goes through `BufferPool::swap_manager`, which
-        // freezes residency under the miss-shard locks.
-        let advisor = shared.adaptive.as_ref().map(|state| {
-            let state = Arc::clone(state);
-            let shared = Arc::clone(&shared);
-            let frames = config.frames;
-            thread::Builder::new()
-                .name("bpw-advisor".into())
-                .spawn(move || {
-                    let mut buf = Vec::new();
-                    while !shared.stop.load(Ordering::SeqCst) {
-                        thread::sleep(Duration::from_millis(2));
-                        buf.clear();
-                        state.tap.drain(&mut buf);
-                        let nominated = {
-                            let mut adv = state.advisor.lock().expect("advisor lock");
-                            for &p in &buf {
-                                adv.observe(p);
-                            }
-                            adv.nominate()
-                        };
-                        if let Some(kind) = nominated {
-                            let spec = format!("wrapped-{}", kind.name().to_ascii_lowercase());
-                            let next = build_manager(&spec, frames)
-                                .expect("nominated policies always build");
-                            if shared.pool.swap_manager(next).is_some() {
-                                state.advisor.lock().expect("advisor lock").adopt(kind);
-                            }
-                        }
-                    }
-                })
-                .expect("spawn advisor")
         });
 
         let worker_count = config.workers.max(1);
@@ -347,7 +248,6 @@ impl Server {
             acceptor: Some(acceptor),
             workers,
             conns,
-            advisor,
         })
     }
 
@@ -369,12 +269,6 @@ impl Server {
     /// The fault-injecting disk, when the config enabled one.
     pub fn faulty_disk(&self) -> Option<&Arc<FaultyDisk>> {
         self.faulty.as_ref()
-    }
-
-    /// The hot-swap layer, when the config enabled `--adaptive`. Tests
-    /// use this to drive swaps directly and read swap/migration counts.
-    pub fn adaptive_swap(&self) -> Option<&Arc<SwapManager>> {
-        self.shared.adaptive.as_ref().map(|a| &a.swap)
     }
 
     /// Render the same JSON a `STATS` request returns.
@@ -440,9 +334,6 @@ impl Server {
         drop(self.admission.take());
         for w in std::mem::take(&mut self.workers) {
             let _ = w.join();
-        }
-        if let Some(a) = self.advisor.take() {
-            let _ = a.join();
         }
     }
 }

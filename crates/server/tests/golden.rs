@@ -54,7 +54,7 @@ fn metrics_series(text: &str, out: &mut BTreeSet<String>) {
             None => (series, ""),
         };
         // Label values never contain `,` or `=` here (ops, stages,
-        // shard/tid numbers, policy names), so a plain split is exact.
+        // shard/tid numbers), so a plain split is exact.
         let keys: Vec<&str> = labels
             .split(',')
             .filter(|kv| !kv.is_empty())
@@ -77,7 +77,6 @@ fn exposition_shape(mode: FrontendMode) -> String {
         page_size: 64,
         pages: 256,
         manager: "wrapped-2q".into(),
-        adaptive: true,
         mode,
         ..ServerConfig::default()
     })
