@@ -2,38 +2,44 @@
 //! single packed atomic header — the "buffer header lock collapsed into
 //! one CAS word" design modern engines converged on (PostgreSQL 9.6's
 //! `BufferDesc.state`, LeanStore-style optimistic latches) — so a cache
-//! hit pins and unpins with **zero lock acquisitions**.
+//! hit pins and unpins with **zero lock acquisitions**, and the pin
+//! itself is the page's read latch.
 //!
 //! # Header layout (one `AtomicU64`)
 //!
 //! ```text
-//!   63                    22 21 20 19 18 17                 0
-//!  +------------------------+--+--+--+--+--------------------+
-//!  |       version (42)     |LK|IO|DT|VD|      pins (18)     |
-//!  +------------------------+--+--+--+--+--------------------+
-//!   LK = slow-path writer latch   IO = io_in_progress
-//!   DT = dirty                    VD = valid
+//!   63                29 28 27 26 25 24 23         16 15           0
+//!  +--------------------+--+--+--+--+--+-------------+--------------+
+//!  |    version (35)    |WR|LK|IO|DT|VD| writers (8) |  pins (16)   |
+//!  +--------------------+--+--+--+--+--+-------------+--------------+
+//!   WR = a writer holds the bytes  LK = slow-path descriptor latch
+//!   IO = io_in_progress            DT = dirty       VD = valid
+//!   writers = pins whose holders are writing or waiting to
 //! ```
 //!
 //! * **Fast paths** ([`BufferDesc::try_pin`], [`BufferDesc::unpin`])
 //!   are bounded CAS loops on the header. `try_pin` loads the header,
-//!   rejects latched/invalid/in-I/O frames, reads the tag, and CASes
-//!   `pins + 1` against the *exact* header it validated: because every
-//!   slow-path writer bumps `version` when it releases the latch, a
-//!   successful CAS proves no retag/invalidate/miss-fill intervened
-//!   between the tag read and the pin landing (no ABA — the version
-//!   would differ). `unpin` is the mirror decrement, with a checked
-//!   release-mode guard: an underflow saturates at zero and bumps the
-//!   `bpw_pin_underflow_total` counter instead of silently wrapping the
-//!   pin count into the flag bits.
+//!   rejects latched/invalid/in-I/O/being-written frames, reads the tag,
+//!   and CASes `pins + 1` against the *exact* header it validated:
+//!   because every slow-path writer bumps `version` when it releases
+//!   the latch, a successful CAS proves no retag/invalidate/miss-fill
+//!   intervened between the tag read and the pin landing (no ABA — the
+//!   version would differ). `unpin` is the mirror decrement, with a
+//!   checked release-mode guard: an underflow saturates at zero and
+//!   bumps the `bpw_pin_underflow_total` counter instead of silently
+//!   wrapping the pin count into the flag bits.
+//! * **Page bytes** have no lock of their own. A pin is a read latch;
+//!   a write (`BufferDesc::write_latch`) joins the writers, takes
+//!   `WR` (which makes `try_pin` fail), and waits until every pin left
+//!   on the frame is a writer's: its own, or one queued for `WR`.
 //! * **Slow paths** (miss fill, invalidate, eviction's victim filter,
 //!   frame repair) acquire the `LK` bit via CAS —
 //!   [`BufferDesc::lock`] — mutate an unpacked [`DescState`] copy, and
 //!   publish it on guard drop with `version + 1` in a single release
 //!   store. While `LK` is held, `try_pin` fails (callers retry through
-//!   the fetch loop) and `unpin` spins (the latch is only ever held for
-//!   a few loads/stores, never across I/O), so the guard's write-back
-//!   cannot clobber a concurrent pin-count change.
+//!   the fetch loop) and `unpin` and the writer CASes spin (the latch is
+//!   only ever held for a few loads/stores, never across I/O), so the
+//!   guard's write-back cannot clobber a concurrent header change.
 //!
 //! `tag` lives outside the header as a plain atomic written only under
 //! the `LK` latch; readers validate it against the header version
@@ -43,23 +49,40 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use bpw_replacement::PageId;
 
-/// Bits 0..18: pin count (262 143 concurrent pins per frame).
-const PIN_BITS: u32 = 18;
+/// Bits 0..16: pin count. At the ceiling `try_pin` fails rather than
+/// carry into the writer count.
+const PIN_BITS: u32 = 16;
 const PIN_MASK: u64 = (1 << PIN_BITS) - 1;
 const PIN_ONE: u64 = 1;
+/// Bits 16..24: how many of the pins belong to writers (the one holding
+/// `WRITING` and those queued for it). A writer that finds it full
+/// waits for a slot.
+const WRITER_SHIFT: u32 = PIN_BITS;
+const WRITER_MASK: u64 = 0xFF << WRITER_SHIFT;
+const WRITER_ONE: u64 = 1 << WRITER_SHIFT;
 /// Frame holds a current, usable copy of `tag`.
-const VALID: u64 = 1 << 18;
+const VALID: u64 = 1 << 24;
 /// The in-buffer copy is newer than storage.
-const DIRTY: u64 = 1 << 19;
+const DIRTY: u64 = 1 << 25;
 /// A read from storage is filling this frame.
-const IO: u64 = 1 << 20;
-/// Slow-path writer latch.
-const LOCKED: u64 = 1 << 21;
-/// Bits 22..64: version, bumped once per slow-path critical section
-/// that may have mutated state. Wraps after 2^42 descriptor writes —
-/// descriptor writes happen on misses, so at 10M misses/s that is two
-/// weeks of sustained missing on one frame before a theoretical wrap.
-const VERSION_SHIFT: u32 = 22;
+const IO: u64 = 1 << 26;
+/// Slow-path descriptor latch.
+const LOCKED: u64 = 1 << 27;
+/// A writer holds the page's bytes: no new pin may land.
+const WRITING: u64 = 1 << 28;
+/// Bits 29..64: version (35 bits), bumped once per slow-path critical
+/// section that changed the state. A pin can be fooled only if a thread
+/// stalls between its header load and its CAS while the version goes
+/// all the way round, with tag and flags back where they were. A miss
+/// bumps its frame's version at most four times (victim filter, claim,
+/// end of I/O, and the dirty flag's clear after a write-back ahead), so
+/// at 10 000 misses a second on *one* frame — `pool_miss_rw` does a few
+/// hundred — a wrap takes 2^35 / 40 000 s, about ten days
+/// (`version_wraps_in_place_and_takes_days_to_do_so`).
+const VERSION_SHIFT: u32 = 29;
+/// The header bits only writers change: a slow-path latch holder writes
+/// them back as it found them.
+const WRITER_BITS: u64 = WRITER_MASK | WRITING;
 
 /// How many CAS retries the fast path absorbs before giving up and
 /// reporting failure (the caller re-runs the full lookup). Retries only
@@ -111,7 +134,7 @@ pub enum UnpinOutcome {
 /// A buffer descriptor: packed atomic header + latch-protected tag.
 ///
 /// Not cache-line padded at the type level: the pool pads the
-/// descriptor together with its frame's content latch, so everything a
+/// descriptor together with its frame's bytes pointer, so everything a
 /// hit writes for one page is one line.
 #[derive(Debug, Default)]
 pub struct BufferDesc {
@@ -122,6 +145,11 @@ pub struct BufferDesc {
 #[inline(always)]
 fn pins_of(h: u64) -> u64 {
     h & PIN_MASK
+}
+
+#[inline(always)]
+fn writers_of(h: u64) -> u64 {
+    (h & WRITER_MASK) >> WRITER_SHIFT
 }
 
 #[inline(always)]
@@ -152,9 +180,11 @@ impl BufferDesc {
     }
 
     /// Try to pin the frame for `page`. Succeeds only if the frame holds
-    /// a valid, I/O-complete copy of `page`. Lock-free: a bounded CAS
-    /// loop whose success proves (via the header version) that the tag
-    /// it validated was current at the instant the pin landed.
+    /// a valid, I/O-complete copy of `page` that no writer holds, and
+    /// fewer than 2^16 − 1 pins. Lock-free: a bounded CAS loop whose
+    /// success proves (via the header version) that the tag it
+    /// validated was current at the instant the pin landed. A pin is a
+    /// read latch on the frame's bytes until [`unpin`](Self::unpin).
     #[inline]
     pub fn try_pin(&self, page: PageId) -> PinAttempt {
         let mut retries = 0u32;
@@ -164,7 +194,7 @@ impl BufferDesc {
         loop {
             bpw_dst::yield_point();
             let h = self.header.load(Ordering::Acquire);
-            if h & (LOCKED | IO) != 0 || h & VALID == 0 {
+            if h & (LOCKED | IO | WRITING) != 0 || h & VALID == 0 || pins_of(h) == PIN_MASK {
                 return PinAttempt {
                     pinned: false,
                     retries,
@@ -183,7 +213,9 @@ impl BufferDesc {
             // have retagged the frame in between released its latch with
             // a version bump, so the compare would fail and we retry
             // with a fresh tag. Release ordering on success keeps the
-            // tag load from sinking below the pin store.
+            // tag load from sinking below the pin store; Acquire makes
+            // the last writer's bytes visible to the reads this pin
+            // allows.
             #[cfg(not(dst_mutation = "no_version_check"))]
             let expected = h;
             // MUTANT (CI-verified): trust the *current* header instead
@@ -194,7 +226,10 @@ impl BufferDesc {
             #[cfg(dst_mutation = "no_version_check")]
             let expected = self.header.load(Ordering::Acquire);
             #[cfg(dst_mutation = "no_version_check")]
-            if expected & (LOCKED | IO) != 0 || expected & VALID == 0 {
+            if expected & (LOCKED | IO | WRITING) != 0
+                || expected & VALID == 0
+                || pins_of(expected) == PIN_MASK
+            {
                 return PinAttempt {
                     pinned: false,
                     retries,
@@ -267,6 +302,71 @@ impl BufferDesc {
         }
     }
 
+    /// Claim the frame's bytes for a write. The caller holds one pin,
+    /// which becomes a writer's: the call adds it to the writer count,
+    /// takes `WRITING` (at once when no writer has it, else after the
+    /// current one is done), and then waits until every pin on the frame
+    /// is a writer's, i.e. until the readers have left. `WRITING` stops
+    /// new pins, so the wait is bounded by the readers already in. The
+    /// returned guard ends the write on drop and marks the frame dirty.
+    ///
+    /// A thread must not call this while it holds a second pin of the
+    /// same frame: the write would wait for that pin forever. The writer
+    /// count holds 255: a 256th concurrent writer of one frame waits for
+    /// a slot while its pin keeps the writer that holds `WRITING`
+    /// waiting, so at most 255 threads may write one page at once (the
+    /// server's writers are its workers).
+    pub(crate) fn write_latch(&self) -> WriteLatch<'_> {
+        // Join the writers, taking WRITING in the same CAS if it is free.
+        let mut writing = loop {
+            bpw_dst::yield_point();
+            let h = self.header.load(Ordering::Relaxed);
+            if h & LOCKED != 0 || h & WRITER_MASK == WRITER_MASK {
+                bpw_dst::yield_now();
+                continue;
+            }
+            let joined = (h + WRITER_ONE) | WRITING;
+            if self
+                .header
+                .compare_exchange_weak(h, joined, Ordering::Acquire, Ordering::Relaxed)
+                .is_ok()
+            {
+                break h & WRITING == 0;
+            }
+        };
+        // Queue behind the writer that has it.
+        while !writing {
+            bpw_dst::yield_point();
+            let h = self.header.load(Ordering::Relaxed);
+            if h & (LOCKED | WRITING) != 0 {
+                bpw_dst::yield_now();
+                continue;
+            }
+            writing = self
+                .header
+                .compare_exchange_weak(h, h | WRITING, Ordering::Acquire, Ordering::Relaxed)
+                .is_ok();
+        }
+        // Wait out the readers. Acquire pairs with their Release unpins:
+        // their loads come before this writer's stores.
+        loop {
+            bpw_dst::yield_point();
+            let h = self.header.load(Ordering::Acquire);
+            // MUTANTS (CI-verified): skip the wait altogether, so a write
+            // tears under a reader (`write_ignores_readers`), or wait for
+            // this writer's own pin alone, so writers queued for WRITING
+            // hold pins it waits on forever (`writer_counts_itself_only`).
+            #[cfg(not(dst_mutation = "writer_counts_itself_only"))]
+            let readers_gone = pins_of(h) == writers_of(h);
+            #[cfg(dst_mutation = "writer_counts_itself_only")]
+            let readers_gone = pins_of(h) == 1;
+            if readers_gone || cfg!(dst_mutation = "write_ignores_readers") {
+                return WriteLatch { desc: self };
+            }
+            bpw_dst::yield_now();
+        }
+    }
+
     /// Acquire the slow-path latch (the `LK` header bit), returning a
     /// guard over an unpacked [`DescState`] copy. Mutations publish on
     /// drop with a version bump. Spins (latch holds never span I/O);
@@ -299,7 +399,7 @@ impl BufferDesc {
             desc: self,
             entry: state,
             state,
-            version: h >> VERSION_SHIFT,
+            header: h,
         })
     }
 
@@ -336,12 +436,15 @@ impl BufferDesc {
 /// it back (tag first, then the packed header with `version + 1`,
 /// one release store) when dropped. Read-only critical sections skip
 /// the version bump so they cannot fail concurrent optimistic pins.
+/// The writer count and `WRITING` go back as they were: their CASes
+/// spin while `LK` is held, so they cannot have moved.
 pub struct DescGuard<'a> {
     desc: &'a BufferDesc,
     /// State as it was at latch acquisition (write-back elision check).
     entry: DescState,
     state: DescState,
-    version: u64,
+    /// The header as latched, `LK` clear.
+    header: u64,
 }
 
 impl std::ops::Deref for DescGuard<'_> {
@@ -364,16 +467,45 @@ impl Drop for DescGuard<'_> {
             // Nothing changed: restore the pre-latch header unmodified
             // (no version bump), so optimistic pins that straddled this
             // read-only section still validate.
-            self.desc
-                .header
-                .store(pack(&self.entry, self.version), Ordering::Release);
+            self.desc.header.store(self.header, Ordering::Release);
             return;
         }
         self.desc.tag.store(self.state.tag, Ordering::Relaxed);
+        let version = (self.header >> VERSION_SHIFT).wrapping_add(1);
         self.desc.header.store(
-            pack(&self.state, self.version.wrapping_add(1)),
+            pack(&self.state, version) | (self.header & WRITER_BITS),
             Ordering::Release,
         );
+    }
+}
+
+/// A write in progress on one frame ([`BufferDesc::write_latch`]).
+/// Dropping it — after the write, or while a panicking write unwinds —
+/// ends the write in one CAS: `WRITING` off, the writer count down one,
+/// `DIRTY` on. Release: the bytes written come before the next pin's
+/// AcqRel CAS.
+pub(crate) struct WriteLatch<'a> {
+    desc: &'a BufferDesc,
+}
+
+impl Drop for WriteLatch<'_> {
+    fn drop(&mut self) {
+        let header = &self.desc.header;
+        loop {
+            bpw_dst::yield_point();
+            let h = header.load(Ordering::Relaxed);
+            if h & LOCKED != 0 {
+                bpw_dst::yield_now();
+                continue;
+            }
+            let done = ((h - WRITER_ONE) & !WRITING) | DIRTY;
+            if header
+                .compare_exchange_weak(h, done, Ordering::Release, Ordering::Relaxed)
+                .is_ok()
+            {
+                return;
+            }
+        }
     }
 }
 
@@ -519,6 +651,121 @@ mod tests {
             assert_eq!(s.pins, 0, "underflow must saturate, not wrap");
             assert!(s.valid && s.dirty, "flag bits must be untouched");
         }
+    }
+
+    #[test]
+    fn pins_stop_at_the_ceiling_instead_of_carrying_into_the_flags() {
+        let d = valid_desc(6);
+        for _ in 0..PIN_MASK {
+            assert!(d.try_pin(6).pinned);
+        }
+        let full = d.header.load(Ordering::Relaxed);
+        assert_eq!(pins_of(full), PIN_MASK);
+        assert!(!d.try_pin(6).pinned, "a pin past the ceiling must fail");
+        assert_eq!(d.header.load(Ordering::Relaxed), full, "and change nothing");
+        assert_eq!(writers_of(full), 0);
+        assert_eq!(d.unpin(), UnpinOutcome::Released);
+        assert!(d.try_pin(6).pinned, "one below the ceiling pins again");
+    }
+
+    #[test]
+    fn version_wraps_in_place_and_takes_days_to_do_so() {
+        let version_bits = 64 - VERSION_SHIFT;
+        assert_eq!(version_bits, 35);
+        // Wrap time at the stated per-frame miss rate: 2^35 bumps at
+        // four per miss and 10 000 misses a second.
+        let (bumps_per_miss, misses_per_s) = (4, 10_000);
+        let wrap_s = (1u64 << version_bits) / (bumps_per_miss * misses_per_s);
+        assert_eq!(wrap_s / (24 * 3600), 9, "version wraps in {wrap_s} s");
+        // At the top of its range the version wraps to zero without
+        // touching the flags, the writer bits or the pins.
+        let d = valid_desc(8);
+        assert!(d.try_pin(8).pinned);
+        let h = d.header.load(Ordering::Relaxed);
+        d.header
+            .store(h | (u64::MAX << VERSION_SHIFT), Ordering::Relaxed);
+        d.lock().dirty = true;
+        let wrapped = d.header.load(Ordering::Relaxed);
+        assert_eq!(wrapped >> VERSION_SHIFT, 0);
+        assert_eq!(wrapped, h & !(u64::MAX << VERSION_SHIFT) | DIRTY);
+        let s = d.snapshot();
+        assert!(s.valid && s.dirty && s.pins == 1 && s.tag == 8);
+    }
+
+    fn valid_desc(tag: PageId) -> BufferDesc {
+        let d = BufferDesc::new();
+        {
+            let mut s = d.lock();
+            s.tag = tag;
+            s.valid = true;
+        }
+        d
+    }
+
+    #[test]
+    fn a_write_blocks_pins_and_ends_dirty_with_the_header_restored() {
+        let d = valid_desc(2);
+        assert!(d.try_pin(2).pinned);
+        let before = d.header.load(Ordering::Relaxed);
+        {
+            let _w = d.write_latch();
+            let h = d.header.load(Ordering::Relaxed);
+            assert_eq!((writers_of(h), h & WRITING), (1, WRITING));
+            assert!(!d.try_pin(2).pinned, "no pin lands during a write");
+            // A slow-path latch in the middle keeps the writer bits.
+            d.lock().dirty = true;
+            assert_eq!(
+                d.header.load(Ordering::Relaxed) & WRITER_BITS,
+                h & WRITER_BITS
+            );
+        }
+        let after = d.header.load(Ordering::Relaxed);
+        let version = u64::MAX << VERSION_SHIFT;
+        assert_eq!(after & !(DIRTY | version), before & !version);
+        assert!(d.snapshot().dirty);
+        assert!(d.try_pin(2).pinned);
+    }
+
+    #[test]
+    fn a_panicking_write_still_ends() {
+        let d = valid_desc(3);
+        assert!(d.try_pin(3).pinned);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _w = d.write_latch();
+            panic!("write failed");
+        }));
+        assert!(caught.is_err());
+        let h = d.header.load(Ordering::Relaxed);
+        assert_eq!((writers_of(h), h & WRITING, pins_of(h)), (0, 0, 1));
+        assert!(d.try_pin(3).pinned);
+    }
+
+    #[test]
+    fn a_writer_waits_for_readers_and_for_a_writer_slot() {
+        use std::sync::atomic::AtomicBool;
+        use std::time::Duration;
+        let d = valid_desc(4);
+        // A reader's pin, and every writer slot taken as if by 255
+        // pinned writers.
+        assert!(d.try_pin(4).pinned);
+        let phantoms = WRITER_MASK + (WRITER_MASK >> WRITER_SHIFT);
+        d.header.fetch_add(phantoms, Ordering::Relaxed);
+        let wrote = AtomicBool::new(false);
+        std::thread::scope(|sc| {
+            sc.spawn(|| {
+                assert!(d.try_pin(4).pinned); // the writer's own pin
+                let _w = d.write_latch();
+                wrote.store(true, Ordering::Release);
+            });
+            std::thread::sleep(Duration::from_millis(20));
+            assert!(!wrote.load(Ordering::Acquire), "no free writer slot");
+            d.header.fetch_sub(phantoms, Ordering::Relaxed);
+            std::thread::sleep(Duration::from_millis(20));
+            assert!(!wrote.load(Ordering::Acquire), "a reader still holds a pin");
+            assert_eq!(d.unpin(), UnpinOutcome::Released);
+        });
+        assert!(wrote.load(Ordering::Acquire));
+        assert_eq!(d.pins(), 1, "the writer's pin stays with its holder");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! A DBMS-style buffer pool substrate for the BP-Wrapper reproduction:
 //! a sharded page table (concurrent lookups, per-bucket locks), buffer
-//! descriptors with pin counts and per-frame latches, simulated storage,
+//! descriptors whose pins latch the page's bytes, simulated storage,
 //! and pluggable replacement managers covering the paper's three
 //! synchronization schemes (coarse lock per access, lock-free CLOCK
 //! hits, and BP-Wrapper).

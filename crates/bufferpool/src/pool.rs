@@ -3,6 +3,7 @@
 //! paper — concurrent hash-table lookup, per-frame pinning, and
 //! replacement bookkeeping routed through a [`ReplacementManager`].
 
+use std::cell::{RefCell, UnsafeCell};
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -11,7 +12,6 @@ use std::time::Duration;
 use bpw_core::{CachePadded, InstrumentedLock};
 use bpw_metrics::{LockShardSummary, LockSnapshot, LockStats, StripedCounter};
 use bpw_replacement::{FrameId, MissOutcome, PageId};
-use parking_lot::Mutex;
 
 use crate::desc::{BufferDesc, UnpinOutcome};
 use crate::free_list::{StripedFreeList, MAX_STRIPES};
@@ -121,14 +121,23 @@ impl PoolStats {
     }
 }
 
-/// One buffer frame: its descriptor and the latch guarding its bytes.
-/// Together they fill less than one cache line, so a hit's pin → latch →
-/// unlatch → unpin dirties exactly one line, and that line holds nothing
-/// of a neighbouring frame.
+/// One buffer frame: its descriptor and its bytes. The bytes have no
+/// lock of their own: a pin is a read latch, and a write first waits
+/// until no other pin but a writer's is left ([`BufferDesc::write_latch`]).
+/// Descriptor and pointer fill less than one cache line, so a hit's pin
+/// → unpin dirties exactly one line, and that line holds nothing of a
+/// neighbouring frame.
 struct Frame {
     desc: BufferDesc,
-    data: Mutex<Box<[u8]>>,
+    data: UnsafeCell<Box<[u8]>>,
 }
+
+// SAFETY: `desc` is atomics, `Sync` on its own. The bytes behind `data`
+// are reached only through `BufferPool::{bytes, bytes_mut}`, whose
+// callers exclude a writer the pin protocol's way (a pin, the write
+// latch, or a frame no one can pin), so no `&mut` to them is ever live
+// beside another reference on any thread.
+unsafe impl Sync for Frame {}
 
 const _: () = assert!(std::mem::size_of::<CachePadded<Frame>>() == 64);
 const _: () = assert!(std::mem::size_of::<BufferDesc>() == 16);
@@ -171,7 +180,7 @@ impl<M: ReplacementManager> BufferPool<M> {
                 .map(|_| {
                     CachePadded::new(Frame {
                         desc: BufferDesc::new(),
-                        data: Mutex::new(vec![0u8; page_size].into_boxed_slice()),
+                        data: UnsafeCell::new(vec![0u8; page_size].into_boxed_slice()),
                     })
                 })
                 .collect(),
@@ -360,21 +369,32 @@ impl<M: ReplacementManager> BufferPool<M> {
         &self.frames[f as usize].desc
     }
 
-    /// Lock frame `f`'s content.
+    /// Frame `f`'s bytes, to read.
+    ///
+    /// # Safety
+    /// No writer may hold the bytes while the slice lives: the caller
+    /// holds a pin of `f`, or `f` cannot be pinned (see [`bytes_mut`]).
+    ///
+    /// [`bytes_mut`]: Self::bytes_mut
     #[inline]
-    pub(crate) fn data_lock(&self, f: FrameId) -> parking_lot::MutexGuard<'_, Box<[u8]>> {
-        let data = &self.frames[f as usize].data;
-        // `PinnedPage::write` takes the descriptor latch — a yield point
-        // — under this lock, so under the dst harness two tasks pinning
-        // one page meet here: spin with a voluntary yield, never block
-        // the OS thread that holds the scheduler token.
-        while bpw_dst::in_task() {
-            if let Some(guard) = data.try_lock() {
-                return guard;
-            }
-            bpw_dst::yield_now();
-        }
-        data.lock()
+    unsafe fn bytes(&self, f: FrameId) -> &[u8] {
+        // SAFETY: the caller excludes writers, so no `&mut` to the bytes
+        // exists while this one lives.
+        unsafe { &*self.frames[f as usize].data.get() }
+    }
+
+    /// Frame `f`'s bytes, to write.
+    ///
+    /// # Safety
+    /// No one else may reach the bytes while the slice lives: the caller
+    /// holds `f`'s write latch, or `f` cannot be pinned — `IO` is set
+    /// with the caller's pin the only one, or `f` is invalid with no
+    /// pins — and the caller is the one thread working on it.
+    #[inline]
+    #[allow(clippy::mut_from_ref)] // exclusion is the caller's, per `# Safety`
+    unsafe fn bytes_mut(&self, f: FrameId) -> &mut [u8] {
+        // SAFETY: the caller's exclusion makes this the only reference.
+        unsafe { &mut *self.frames[f as usize].data.get() }
     }
 
     /// Run `op` with bounded retries and exponential backoff per the
@@ -577,6 +597,7 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
             pool: self.pool,
             frame,
             page,
+            access: RefCell::new(()),
         })
     }
 
@@ -668,13 +689,15 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
         // request's latency to disk time, and two clock reads are noise
         // next to a storage round trip. The `MissIo` span reuses them.
         let io_t0 = std::time::Instant::now();
-        let mut data = pool.data_lock(frame);
+        // SAFETY: `IO` is set and the pin is this call's own, so
+        // `try_pin` fails for everyone else and nobody can read or write
+        // the bytes until the miss completes or is repaired.
+        let data = unsafe { pool.bytes_mut(frame) };
         if was_dirty {
             let v = victim.expect("dirty implies eviction");
-            let written = pool.io_with_retries(v, || pool.storage.write_page(v, &data));
+            let written = pool.io_with_retries(v, || pool.storage.write_page(v, data));
             bpw_dst::yield_point();
             if let Err(e) = written {
-                drop(data);
                 bpw_trace::stage::add_miss_io(io_t0.elapsed().as_nanos() as u64);
                 self.keep_victim(page, v, frame);
                 return Err(e);
@@ -687,9 +710,7 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
             }
             pool.stats.writebacks.fetch_add(1, Ordering::Relaxed);
         }
-        let buf = &mut **data;
-        let read = pool.io_with_retries(page, || pool.storage.read_page(page, &mut *buf));
-        drop(data);
+        let read = pool.io_with_retries(page, || pool.storage.read_page(page, &mut *data));
         if let Err(e) = read {
             bpw_trace::stage::add_miss_io(io_t0.elapsed().as_nanos() as u64);
             pool.repair_failed_frame(page, frame);
@@ -718,7 +739,12 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
             frame,
             hit: false,
         });
-        Ok(Some(PinnedPage { pool, frame, page }))
+        Ok(Some(PinnedPage {
+            pool,
+            frame,
+            page,
+            access: RefCell::new(()),
+        }))
     }
 
     /// Settle the victims the last `on_evict` took ahead of need, and
@@ -731,9 +757,11 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
         while let Some((frame, v)) = self.evicted.pop() {
             bpw_trace::instant(bpw_trace::EventKind::Eviction, v);
             if pool.desc(frame).lock().dirty {
-                let data = pool.data_lock(frame);
-                let written = pool.io_with_retries(v, || pool.storage.write_page(v, &data));
-                drop(data);
+                // SAFETY: the victim filter left the frame invalid with no
+                // pins, and `try_pin` rejects an invalid frame: nobody can
+                // write the bytes while they are stored.
+                let data = unsafe { pool.bytes(frame) };
+                let written = pool.io_with_retries(v, || pool.storage.write_page(v, data));
                 bpw_dst::yield_point();
                 if written.is_err() {
                     // Admit before revalidating: until the descriptor is
@@ -802,11 +830,15 @@ impl<'p, M: ReplacementManager> Drop for PoolSession<'p, M> {
 }
 
 /// A pinned page: read/write access to the frame contents; unpins on
-/// drop.
+/// drop. The pin is the read latch, so a read locks nothing.
 pub struct PinnedPage<'p, M: ReplacementManager> {
     pool: &'p BufferPool<M>,
     frame: FrameId,
     page: PageId,
+    /// Nested access through this one guard (a write inside a read, or a
+    /// read inside a write) would alias the bytes under one pin: it
+    /// panics instead. Also keeps the guard to one thread at a time.
+    access: RefCell<()>,
 }
 
 impl<'p, M: ReplacementManager> PinnedPage<'p, M> {
@@ -820,18 +852,27 @@ impl<'p, M: ReplacementManager> PinnedPage<'p, M> {
         self.frame
     }
 
-    /// Read the page contents.
+    /// Read the page contents, under this guard's pin alone.
     pub fn read<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
-        let data = self.pool.data_lock(self.frame);
-        f(&data)
+        let _shared = self.access.borrow();
+        // SAFETY: this guard's pin is held, and a writer waits for every
+        // pin that is not a writer's before it touches the bytes.
+        f(unsafe { self.pool.bytes(self.frame) })
     }
 
     /// Mutate the page contents and mark the page dirty.
+    ///
+    /// A write waits for the page's other pins: readers finish, other
+    /// writers go one at a time, and no new pin lands until it is done.
+    /// So a thread must not write a page through one guard while it
+    /// holds a second guard of the same page — the write would wait for
+    /// that pin forever.
     pub fn write<R>(&self, f: impl FnOnce(&mut [u8]) -> R) -> R {
-        let mut data = self.pool.data_lock(self.frame);
-        let r = f(&mut data);
-        self.pool.desc(self.frame).lock().dirty = true;
-        r
+        let _exclusive = self.access.borrow_mut();
+        let _latch = self.pool.desc(self.frame).write_latch();
+        // SAFETY: the write latch holds the bytes: every other pin of the
+        // frame is a writer's queued behind this one, and no pin can land.
+        f(unsafe { self.pool.bytes_mut(self.frame) })
     }
 }
 
@@ -887,6 +928,15 @@ mod tests {
         drop(p);
         assert_eq!(pool.stats().hits.load(Ordering::Relaxed), 1);
         assert_eq!(pool.storage().reads(), 1, "second fetch must not hit disk");
+    }
+
+    #[test]
+    #[should_panic(expected = "already borrowed")]
+    fn a_write_inside_a_read_of_the_same_guard_panics_instead_of_aliasing() {
+        let pool = pool_2q(4);
+        let mut s = pool.session();
+        let p = s.fetch(3).unwrap();
+        p.read(|_| p.write(|d| d[0] = 1));
     }
 
     #[test]

@@ -15,6 +15,13 @@
 //! Unlike `dst_miss_storm`, tasks here deliberately *share* pages (so
 //! `check_commit_order` does not apply) — shared hot pages are what
 //! make pin/invalidate/refill collisions dense enough to matter.
+//!
+//! The page's bytes have no lock: a pin is the read latch, and a write
+//! waits until every other pin is a writer's. Two more mutants are
+//! caught here: `write_ignores_readers` (the writer skips that wait; a
+//! reader sees a torn page) and `writer_counts_itself_only` (it waits
+//! for its own pin alone, so writers queued behind it never let it
+//! start; the scheduler reports the livelock).
 
 #![cfg(feature = "dst")]
 
@@ -434,5 +441,131 @@ fn dst_hit_path_same_seed_same_history() {
             pb.stats().hits.load(Ordering::Relaxed)
         );
         assert_eq!(pa.free_frames(), pb.free_frames());
+    }
+}
+
+// --- the pin as a read latch: torn reads and queued writers ----------------
+
+const WRITTEN_PAGE: u64 = 0;
+const HALF: usize = 32;
+
+/// A pool whose page 0 is resident, zeroed, and has no session open.
+fn pool_with_zeroed_page() -> Arc<Pool> {
+    let pool = make_pool(2);
+    let mut s = pool.session();
+    s.fetch(WRITTEN_PAGE).unwrap().write(|d| d.fill(0));
+    drop(s);
+    pool
+}
+
+/// Fill the page with `byte`, half by half, with a schedule point
+/// between the halves: a reader let in mid-write sees two values.
+fn write_in_halves(d: &mut [u8], byte: u8) {
+    d[..HALF].fill(byte);
+    bpw_dst::yield_point();
+    d[HALF..].fill(byte);
+}
+
+fn run_torn_read_race(seed: u64, pct: bool) -> (RunOutcome, Arc<Pool>) {
+    let pool = pool_with_zeroed_page();
+    let mut sim = if pct {
+        Sim::new(seed).with_pct(3)
+    } else {
+        Sim::new(seed)
+    };
+    for w in 0..2u8 {
+        let pool = Arc::clone(&pool);
+        sim.spawn(move || {
+            let mut s = pool.session();
+            for i in 0..6u8 {
+                let p = s.fetch(WRITTEN_PAGE).unwrap();
+                p.write(|d| write_in_halves(d, 1 + w * 16 + i));
+                drop(p);
+                bpw_dst::yield_now();
+            }
+        });
+    }
+    for _ in 0..2 {
+        let pool = Arc::clone(&pool);
+        sim.spawn(move || {
+            let mut s = pool.session();
+            for _ in 0..8 {
+                let p = s.fetch(WRITTEN_PAGE).unwrap();
+                p.read(|d| {
+                    let low = d[..HALF].to_vec();
+                    bpw_dst::yield_point();
+                    let high = &d[HALF..];
+                    assert!(
+                        low.iter().chain(high).all(|&b| b == low[0]),
+                        "torn read: a write ran under a reader's pin \
+                         (low half {low:?}, high half {high:?})"
+                    );
+                });
+                drop(p);
+            }
+        });
+    }
+    (sim.run(), pool)
+}
+
+#[test]
+fn dst_a_read_never_sees_half_a_write() {
+    for (i, seed) in bpw_dst::seed_corpus(0x7E4D, 32).iter().enumerate() {
+        let (out, pool) = run_torn_read_race(*seed, i % 2 == 1);
+        out.check(|o| {
+            let pr = check_pin_balance(&o.history, true);
+            assert_eq!(pr.pins, pr.unpins);
+            // Writes set DIRTY without the descriptor latch; the page is
+            // dirty and its bytes are the last write's.
+            let mut s = pool.session();
+            let p = s.fetch(WRITTEN_PAGE).unwrap();
+            p.read(|d| assert!(d.iter().all(|&b| b == d[0] && b != 0)));
+        });
+    }
+}
+
+/// Three tasks pin the page first and only then write it, so their pins
+/// overlap: each write waits for the others' pins, which are writers'.
+fn run_concurrent_writers(seed: u64, pct: bool) -> (RunOutcome, Arc<Pool>, u64) {
+    let pool = pool_with_zeroed_page();
+    let finished = Arc::new(std::sync::atomic::AtomicU64::new(0));
+    let mut sim = if pct {
+        Sim::new(seed).with_pct(3)
+    } else {
+        Sim::new(seed)
+    };
+    // A clean run takes a few hundred steps; a livelock is reported
+    // well before the default budget.
+    sim = sim.with_max_steps(20_000);
+    for w in 1..=3u8 {
+        let pool = Arc::clone(&pool);
+        let finished = Arc::clone(&finished);
+        sim.spawn(move || {
+            let mut s = pool.session();
+            let p = s.fetch(WRITTEN_PAGE).unwrap();
+            bpw_dst::yield_now();
+            p.write(|d| write_in_halves(d, w));
+            finished.fetch_add(1, Ordering::Relaxed);
+        });
+    }
+    let out = sim.run();
+    (out, pool, finished.load(Ordering::Relaxed))
+}
+
+#[test]
+fn dst_concurrent_writers_each_finish_and_one_wins_whole() {
+    for (i, seed) in bpw_dst::seed_corpus(0x3E17E5, 32).iter().enumerate() {
+        let (out, pool, finished) = run_concurrent_writers(*seed, i % 2 == 1);
+        out.check(|o| {
+            assert_eq!(finished, 3, "every write finishes");
+            let pr = check_pin_balance(&o.history, true);
+            assert_eq!(pr.pins, pr.unpins);
+            let mut s = pool.session();
+            let p = s.fetch(WRITTEN_PAGE).unwrap();
+            p.read(|d| {
+                assert!((1..=3).contains(&d[0]), "page holds no writer's bytes");
+                assert!(d.iter().all(|&b| b == d[0]), "two writers' bytes mixed");
+            });
+        });
     }
 }

@@ -1,18 +1,18 @@
-//! The tentpole's acceptance proof: a cache hit (page-table lookup +
-//! pin + unpin) performs **zero mutex/rwlock acquisitions**.
+//! The lock-free hit, proven by census: a cache hit that reads its page
+//! (page-table lookup + pin + `read` + unpin) performs **zero
+//! mutex/rwlock acquisitions**.
 //!
 //! Every lock in the workspace routes through the vendored
 //! `parking_lot` shim, which keeps a thread-local census of successful
 //! acquisitions (`parking_lot::thread_acquisitions`). The test warms a
-//! pool, then drives a window of guaranteed hits on the same thread and
-//! asserts the thread's acquisition count did not move — covering the
-//! page-table shard `RwLock` (optimistic probe instead), the descriptor
-//! latch (pin/unpin are header CAS loops), and, by construction, the
-//! policy/miss `InstrumentedLock`s (BP-Wrapper defers bookkeeping below
-//! its batch threshold). `PinnedPage::read` still takes the frame's
-//! data mutex, so the window pins and drops without reading — the
-//! hit *path* is lock-free; content access is a separate latch by
-//! design (page I/O can't be seqlocked).
+//! pool, then drives a window of guaranteed hits on the same thread,
+//! each reading its page, and asserts the thread's acquisition count
+//! did not move — covering the page-table shard `RwLock` (optimistic
+//! probe instead), the descriptor latch (pin/unpin are header CAS
+//! loops), the page's bytes (the pin is their read latch; they have no
+//! lock of their own), and, by construction, the policy/miss
+//! `InstrumentedLock`s (BP-Wrapper defers bookkeeping below its batch
+//! threshold).
 //!
 //! A control test locks a bare `parking_lot::Mutex` twice (what the
 //! seed's mutex descriptor paid per pin/unpin pair) and asserts the same
@@ -60,8 +60,11 @@ fn cache_hit_takes_zero_lock_acquisitions() {
 
     let base = parking_lot::thread_acquisitions();
     for i in 0..HITS {
-        let pin = session.fetch(i % 8).expect("resident page cannot error");
+        let page = i % 8;
+        let pin = session.fetch(page).expect("resident page cannot error");
+        let stamp = pin.read(|d| u64::from_le_bytes(d[..8].try_into().unwrap()));
         drop(pin);
+        assert_eq!(stamp, page);
     }
     let taken = parking_lot::thread_acquisitions() - base;
 
@@ -72,8 +75,8 @@ fn cache_hit_takes_zero_lock_acquisitions() {
     );
     assert_eq!(
         taken, 0,
-        "a cache hit must perform zero mutex/rwlock acquisitions, \
-         but {HITS} hits took {taken}"
+        "a cache hit that reads its page must perform zero mutex/rwlock \
+         acquisitions, but {HITS} hits took {taken}"
     );
     assert_eq!(
         pool.page_table_fallback_reads(),
@@ -176,7 +179,9 @@ fn concurrent_hits_still_take_zero_locks() {
                 let mut session = pool.session();
                 let base = parking_lot::thread_acquisitions();
                 for i in 0..HITS {
-                    drop(session.fetch((i + t) % 8).expect("resident"));
+                    let page = (i + t) % 8;
+                    let pin = session.fetch(page).expect("resident");
+                    pin.read(|d| assert_eq!(d[..8], page.to_le_bytes()));
                 }
                 let taken = parking_lot::thread_acquisitions() - base;
                 assert_eq!(

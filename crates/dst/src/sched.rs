@@ -123,8 +123,14 @@ pub(crate) fn record_op_with<F: FnOnce() -> Op>(f: F) {
     });
 }
 
-fn abort_unwind() -> ! {
-    std::panic::resume_unwind(Box::new(DstAbort))
+/// Unwind the calling task out of an aborting run. A task that is
+/// already unwinding is at a yield point in a destructor, where a second
+/// panic would abort the process: it runs on, unscheduled, to the end of
+/// its cleanup instead.
+fn abort_unwind() {
+    if !std::thread::panicking() {
+        std::panic::resume_unwind(Box::new(DstAbort))
+    }
 }
 
 fn next_rand(inner: &mut Inner) -> u64 {
@@ -178,6 +184,7 @@ fn reschedule(ctx: &Ctx, demote: bool) {
     if inner.aborting {
         drop(inner);
         abort_unwind();
+        return;
     }
     inner.steps += 1;
     if inner.steps > inner.max_steps {
@@ -191,6 +198,7 @@ fn reschedule(ctx: &Ctx, demote: bool) {
         shared.cv.notify_all();
         drop(inner);
         abort_unwind();
+        return;
     }
     if demote {
         inner.priorities[ctx.id] = inner.next_demoted;
@@ -204,6 +212,7 @@ fn reschedule(ctx: &Ctx, demote: bool) {
     if inner.aborting {
         drop(inner);
         abort_unwind();
+        return;
     }
     ctx.budget.set(inner.granted_budget);
 }
@@ -503,6 +512,38 @@ mod tests {
         });
         let out = sim.run();
         assert!(out.failure.unwrap().contains("step budget"));
+    }
+
+    #[test]
+    fn an_abort_lets_destructors_finish_their_yield_points() {
+        // Both tasks are parked mid-spin when the budget runs out; each
+        // unwinds through a guard whose drop yields. The run reports the
+        // livelock instead of a panic inside a destructor aborting the
+        // process.
+        struct YieldsOnDrop(Arc<AtomicU64>);
+        impl Drop for YieldsOnDrop {
+            fn drop(&mut self) {
+                for _ in 0..8 {
+                    crate::yield_point();
+                    crate::yield_now();
+                }
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let dropped = Arc::new(AtomicU64::new(0));
+        let mut sim = Sim::new(5).with_max_steps(1000);
+        for _ in 0..2 {
+            let guard = YieldsOnDrop(Arc::clone(&dropped));
+            sim.spawn(move || {
+                let _guard = guard;
+                loop {
+                    crate::yield_now();
+                }
+            });
+        }
+        let out = sim.run();
+        assert!(out.failure.unwrap().contains("step budget"));
+        assert_eq!(dropped.load(Ordering::Relaxed), 2);
     }
 
     #[test]

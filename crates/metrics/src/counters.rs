@@ -8,7 +8,7 @@
 
 use std::cell::Cell;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use crossbeam::utils::CachePadded;
 
@@ -49,34 +49,82 @@ impl Counter {
     }
 }
 
-/// Cells per [`StripedCounter`]. Threads take cells round-robin at their
-/// first add; threads that land on the same cell stay exact and only pay
-/// for sharing the line.
+/// Cells per [`StripedCounter`]: cell [`SHARED`] and 15 that a thread
+/// each can own.
 const STRIPES: usize = 16;
 
-static NEXT_STRIPE: AtomicUsize = AtomicUsize::new(0);
+/// The cell every thread may add to, with `fetch_add`: threads that
+/// found no free cell, and adds made while a thread's locals are being
+/// destroyed.
+const SHARED: usize = 0;
+
+/// Not yet claimed: the thread has not added to a striped counter.
+const UNCLAIMED: usize = usize::MAX;
+
+/// Bit `i` set: a live thread owns cell `i` of every [`StripedCounter`].
+/// Bit [`SHARED`] is set for good, so no thread claims it.
+static OWNED: AtomicU32 = AtomicU32::new(1 << SHARED);
+
+/// The calling thread's cell index in every [`StripedCounter`]; gives
+/// the cell back when the thread exits.
+struct Stripe(Cell<usize>);
+
+impl Drop for Stripe {
+    fn drop(&mut self) {
+        let cell = self.0.get();
+        if cell != UNCLAIMED && cell != SHARED {
+            // Release: this thread's last store to the cell comes before
+            // the next owner's first load of it.
+            OWNED.fetch_and(!(1 << cell), Ordering::Release);
+        }
+    }
+}
 
 thread_local! {
-    /// The calling thread's cell index in every [`StripedCounter`].
-    static STRIPE: Cell<usize> = const { Cell::new(usize::MAX) };
+    static STRIPE: Stripe = const { Stripe(Cell::new(UNCLAIMED)) };
+}
+
+/// Claim the lowest free cell, or [`SHARED`] if every one is owned.
+fn claim() -> usize {
+    let all = (1u32 << STRIPES) - 1;
+    let mut owned = OWNED.load(Ordering::Relaxed);
+    while owned != all {
+        let cell = (!owned).trailing_zeros();
+        match OWNED.compare_exchange_weak(
+            owned,
+            owned | 1 << cell,
+            Ordering::Acquire,
+            Ordering::Relaxed,
+        ) {
+            Ok(_) => return cell as usize,
+            Err(seen) => owned = seen,
+        }
+    }
+    SHARED
 }
 
 #[inline]
 fn stripe() -> usize {
-    STRIPE.with(|s| {
-        if s.get() == usize::MAX {
-            s.set(NEXT_STRIPE.fetch_add(1, Ordering::Relaxed) % STRIPES);
-        }
-        s.get()
-    })
+    STRIPE
+        .try_with(|s| {
+            if s.0.get() == UNCLAIMED {
+                s.0.set(claim());
+            }
+            s.0.get()
+        })
+        .unwrap_or(SHARED)
 }
 
 /// An event counter for per-access hot paths: each thread adds to its
 /// own cache-line-padded cell, readers sum the cells. A [`Counter`]
 /// bumped on every access from every thread is itself the write-shared
 /// hot spot the paper removes; this keeps the add on a line no other
-/// running thread writes. Nothing is buffered, so the sum is exact as
-/// soon as an `incr` returns.
+/// running thread writes. A thread claims a cell at its first add and
+/// is then its only writer, so an add is a relaxed load and a store,
+/// not an atomic read-modify-write; the cell goes back when the thread
+/// exits, its count kept for the next owner to add to. Beyond 15 live
+/// threads the rest share one cell and `fetch_add` it. Nothing is
+/// buffered, so the sum is exact as soon as an `incr` returns.
 #[derive(Default)]
 pub struct StripedCounter {
     cells: [CachePadded<AtomicU64>; STRIPES],
@@ -89,10 +137,20 @@ impl StripedCounter {
         self.add(1);
     }
 
-    /// Add `n`.
+    /// Add `n` (wrapping).
     #[inline]
     pub fn add(&self, n: u64) {
-        self.cells[stripe()].fetch_add(n, Ordering::Relaxed);
+        let i = stripe();
+        let cell = &self.cells[i];
+        if i == SHARED {
+            cell.fetch_add(n, Ordering::Relaxed);
+        } else {
+            // This thread is the cell's only writer.
+            cell.store(
+                cell.load(Ordering::Relaxed).wrapping_add(n),
+                Ordering::Relaxed,
+            );
+        }
     }
 
     /// Subtract `n`, for a population count (a gauge). The thread that
@@ -100,7 +158,7 @@ impl StripedCounter {
     /// may wrap below zero; the cells' wrapping sum is still exact.
     #[inline]
     pub fn sub(&self, n: u64) {
-        self.cells[stripe()].fetch_sub(n, Ordering::Relaxed);
+        self.add(n.wrapping_neg());
     }
 
     /// Current value.
@@ -240,15 +298,75 @@ mod tests {
         assert_eq!(c.get(), 40_000);
     }
 
+    /// The tests that add to a striped counter run one at a time: some
+    /// reason about which cells are free, and the claims are
+    /// process-wide.
+    static CLAIMS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn claims() -> std::sync::MutexGuard<'static, ()> {
+        CLAIMS.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn striped_counter_is_exact_under_concurrent_adders() {
-        // More adders than cells, so some cells are shared: the sum
-        // must still be exact, and exact for each adder the moment its
-        // own add returns (no per-thread buffering).
+        // Every adder lives until all have claimed, so at least three
+        // find no free cell and share the overflow cell.
+        let _serial = claims();
         let c = StripedCounter::default();
-        let threads = STRIPES as u64 + 3;
+        let threads = STRIPES + 2;
+        let claimed = std::sync::Barrier::new(threads);
+        let on_shared = AtomicU64::new(0);
         std::thread::scope(|sc| {
             for _ in 0..threads {
+                sc.spawn(|| {
+                    c.incr();
+                    claimed.wait();
+                    if stripe() == SHARED {
+                        on_shared.fetch_add(1, Ordering::Relaxed);
+                    }
+                    for _ in 0..4_999 {
+                        c.incr();
+                    }
+                });
+            }
+        });
+        assert!(on_shared.load(Ordering::Relaxed) >= 3);
+        assert_eq!(c.get(), threads as u64 * 5_000);
+        assert_eq!(c.load(Ordering::Acquire), c.get());
+    }
+
+    #[test]
+    fn striped_counter_is_exact_when_a_new_thread_takes_over_a_cell() {
+        let _serial = claims();
+        let c = StripedCounter::default();
+        let on = |n: u64| {
+            std::thread::scope(|sc| {
+                sc.spawn(|| {
+                    c.add(n);
+                    stripe()
+                })
+                .join()
+                .unwrap()
+            })
+        };
+        let first = on(7);
+        assert_ne!(first, SHARED, "the cells are free between tests");
+        // The exited thread gave its cell back: the next one claims it
+        // and adds to the count the first one left there.
+        assert_eq!(on(5), first);
+        assert_eq!(c.get(), 12);
+        for n in 0..40 {
+            assert_eq!(on(n), first, "an exited thread keeps no cell");
+        }
+        assert_eq!(c.get(), 12 + (0..40).sum::<u64>());
+    }
+
+    #[test]
+    fn striped_counter_adds_are_visible_when_they_return() {
+        let _serial = claims();
+        let c = StripedCounter::default();
+        std::thread::scope(|sc| {
+            for _ in 0..4 {
                 sc.spawn(|| {
                     for _ in 0..5_000 {
                         let before = c.get();
@@ -258,14 +376,14 @@ mod tests {
                 });
             }
         });
-        assert_eq!(c.get(), threads * 5_000);
-        assert_eq!(c.load(Ordering::Acquire), c.get());
+        assert_eq!(c.get(), 20_000);
     }
 
     #[test]
     fn striped_counter_counts_a_population_across_threads() {
         // Frames go in on one thread and come out on another: the
         // second thread's cell wraps below zero, the sum does not.
+        let _serial = claims();
         let c = StripedCounter::default();
         std::thread::scope(|sc| {
             sc.spawn(|| c.add(7)).join().unwrap();

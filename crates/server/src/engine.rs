@@ -264,9 +264,10 @@ fn pin_resident<'p>(
 impl Resident<'_> {
     /// Write `[ST_OK] + frame bytes` straight from the frame into `w`,
     /// release the pin, flush, and account the reply like any other.
-    /// The content latch is held for the copy only: `w` must buffer a
-    /// whole reply frame without touching its socket, so that a slow
-    /// reader never holds a page's latch.
+    /// The pin, which is the page's read latch, is held for the copy
+    /// only: `w` must buffer a whole reply frame without touching its
+    /// socket, so that a slow reader never keeps a write of the page
+    /// waiting.
     pub(crate) fn reply(self, shared: &Shared, w: &mut impl Write) -> io::Result<()> {
         let Resident { page, ticket } = self;
         let flush_t0 = Instant::now();

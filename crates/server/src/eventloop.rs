@@ -19,7 +19,7 @@
 //! The loop owns a pool session. `route` pins a GET's page with it when
 //! the page is resident, and the loop answers on the spot, under three
 //! rules. **The loop never blocks**: all it does for such a GET is the
-//! lookup-and-pin, one page copy under the content latch, and
+//! lookup-and-pin, one page copy under that pin, and
 //! BP-Wrapper's own bounded batch commit. **A pin never outlives the
 //! call that took it**: a reply that is next in sequence is written
 //! from the frame into the connection's write buffer; one that is not

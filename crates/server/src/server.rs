@@ -393,7 +393,7 @@ fn serve_connection(
     let mut session = shared.pool.session();
     let mut reader = BufReader::new(stream);
     // Room for one whole page reply, so that copying a resident page out
-    // of its frame never reaches the socket while the frame is latched.
+    // of its frame never reaches the socket while the frame is pinned.
     let reply_frame = shared.pool.page_size() + protocol::RESPONSE_HEAD;
     let mut writer = BufWriter::with_capacity(reply_frame.max(8 << 10), stream);
     let mut buf = Vec::new();

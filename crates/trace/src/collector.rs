@@ -17,8 +17,11 @@ use crate::ring::Ring;
 /// Default per-thread ring capacity (events).
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 14;
 
+/// The on/off flag, a plain static outside the lazily built collector:
+/// a disabled site costs one inlined relaxed load and a branch.
+static ENABLED: AtomicBool = AtomicBool::new(false);
+
 struct Collector {
-    enabled: AtomicBool,
     epoch: Instant,
     rings: Mutex<Vec<Arc<Ring>>>,
     next_tid: AtomicU32,
@@ -27,7 +30,6 @@ struct Collector {
 fn collector() -> &'static Collector {
     static COLLECTOR: OnceLock<Collector> = OnceLock::new();
     COLLECTOR.get_or_init(|| Collector {
-        enabled: AtomicBool::new(false),
         epoch: Instant::now(),
         rings: Mutex::new(Vec::new()),
         next_tid: AtomicU32::new(0),
@@ -62,13 +64,13 @@ pub fn current_request() -> u64 {
 /// build an event (including reading the clock).
 #[inline]
 pub fn enabled() -> bool {
-    collector().enabled.load(Ordering::Relaxed)
+    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Turn tracing on or off at runtime. Buffered events survive a
 /// disable; [`drain`] collects them whenever convenient.
 pub fn set_enabled(on: bool) {
-    collector().enabled.store(on, Ordering::Relaxed);
+    ENABLED.store(on, Ordering::Relaxed);
 }
 
 /// Nanoseconds since the collector's epoch (process-wide, monotonic).
@@ -114,12 +116,17 @@ pub fn record(kind: EventKind, start_ns: u64, dur_ns: u64, arg: u64) {
     });
 }
 
-/// Record an instant event at the current time.
+/// Record an instant event at the current time. Only the flag check
+/// is inlined into the call site.
 #[inline]
 pub fn instant(kind: EventKind, arg: u64) {
-    if !enabled() {
-        return;
+    if enabled() {
+        record_instant(kind, arg);
     }
+}
+
+#[inline(never)]
+fn record_instant(kind: EventKind, arg: u64) {
     record(kind, now_ns(), 0, arg);
 }
 
@@ -147,9 +154,13 @@ pub fn span_end(kind: EventKind, start: Option<u64>, arg: u64) {
 /// *ends* now and lasted `dur_ns`.
 #[inline]
 pub fn span_backdated(kind: EventKind, dur_ns: u64, arg: u64) {
-    if !enabled() {
-        return;
+    if enabled() {
+        record_backdated(kind, dur_ns, arg);
     }
+}
+
+#[inline(never)]
+fn record_backdated(kind: EventKind, dur_ns: u64, arg: u64) {
     let end = now_ns();
     record(kind, end.saturating_sub(dur_ns), dur_ns, arg);
 }
