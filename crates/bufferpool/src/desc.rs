@@ -1,9 +1,9 @@
-//! Buffer descriptors: per-frame metadata (tag, pin count, flags) in a
-//! single packed atomic header — the "buffer header lock collapsed into
-//! one CAS word" design modern engines converged on (PostgreSQL 9.6's
-//! `BufferDesc.state`, LeanStore-style optimistic latches) — so a cache
-//! hit pins and unpins with **zero lock acquisitions**, and the pin
-//! itself is the page's read latch.
+//! Buffer descriptors: per-frame metadata (tag, header pin count,
+//! flags) in a single packed atomic header — the "buffer header lock
+//! collapsed into one CAS word" design modern engines converged on
+//! (PostgreSQL 9.6's `BufferDesc.state`, LeanStore-style optimistic
+//! latches) — so pins take **zero lock acquisitions**, and a pin is the
+//! page's read latch.
 //!
 //! # Header layout (one `AtomicU64`)
 //!
@@ -17,27 +17,44 @@
 //!   writers = pins whose holders are writing or waiting to
 //! ```
 //!
-//! * **Fast paths** ([`BufferDesc::try_pin`], [`BufferDesc::unpin`])
-//!   are bounded CAS loops on the header. `try_pin` loads the header,
-//!   rejects latched/invalid/in-I/O/being-written frames, reads the tag,
-//!   and CASes `pins + 1` against the *exact* header it validated:
-//!   because every slow-path writer bumps `version` when it releases
-//!   the latch, a successful CAS proves no retag/invalidate/miss-fill
-//!   intervened between the tag read and the pin landing (no ABA — the
-//!   version would differ). `unpin` is the mirror decrement, with a
-//!   checked release-mode guard: an underflow saturates at zero and
-//!   bumps the `bpw_pin_underflow_total` counter instead of silently
-//!   wrapping the pin count into the flag bits.
+//! # Two kinds of pin
+//!
+//! * **Slot pins.** A hit does not write this header at all: the pool
+//!   publishes the pin in a slot of a cache line its session owns and
+//!   then validates it here ([`BufferDesc::check_slot_pin`]). Every
+//!   path that needs "no readers" first makes the frame unpinnable
+//!   and then scans the slots — invalidate under `LK`, a write under
+//!   `WR`, both taken with a SeqCst CAS; eviction after the victim
+//!   filter has cleared `VALID`, behind a SeqCst fence — so either it
+//!   sees the slot or the validation sees the bit (the Dekker pairing;
+//!   DESIGN.md §15).
+//! * **Header pins** (`pins` above) are what a miss holds, what a write
+//!   holds, and what a hit falls back to when its session has no free
+//!   slot: [`BufferDesc::try_pin`] and [`BufferDesc::unpin`] are bounded
+//!   CAS loops on the header. `try_pin` loads the header, rejects
+//!   latched/invalid/in-I/O/being-written frames, reads the tag, and
+//!   CASes `pins + 1` against the *exact* header it validated: because
+//!   every slow-path writer bumps `version` when it releases the latch,
+//!   a successful CAS proves no retag/invalidate/miss-fill intervened
+//!   between the tag read and the pin landing (no ABA — the version
+//!   would differ). `unpin` is the mirror decrement, with a checked
+//!   release-mode guard: an underflow saturates at zero and bumps the
+//!   `bpw_pin_underflow_total` counter instead of silently wrapping the
+//!   pin count into the flag bits.
+//!
+//! # Bytes and latches
+//!
 //! * **Page bytes** have no lock of their own. A pin is a read latch;
 //!   a write (`BufferDesc::write_latch`) joins the writers, takes
-//!   `WR` (which makes `try_pin` fail), and waits until every pin left
-//!   on the frame is a writer's: its own, or one queued for `WR`.
+//!   `WR` (which makes both kinds of pin fail), and waits until every
+//!   header pin left on the frame is a writer's — its own, or one
+//!   queued for `WR` — and no slot pins it.
 //! * **Slow paths** (miss fill, invalidate, eviction's victim filter,
 //!   frame repair) acquire the `LK` bit via CAS —
 //!   [`BufferDesc::lock`] — mutate an unpacked [`DescState`] copy, and
 //!   publish it on guard drop with `version + 1` in a single release
-//!   store. While `LK` is held, `try_pin` fails (callers retry through
-//!   the fetch loop) and `unpin` and the writer CASes spin (the latch is
+//!   store. While `LK` is held, pins fail (callers retry through the
+//!   fetch loop) and `unpin` and the writer CASes spin (the latch is
 //!   only ever held for a few loads/stores, never across I/O), so the
 //!   guard's write-back cannot clobber a concurrent header change.
 //!
@@ -103,8 +120,9 @@ pub struct DescState {
     pub dirty: bool,
     /// True while a read from storage is filling this frame.
     pub io_in_progress: bool,
-    /// Number of threads currently using the frame (an unpinned frame is
-    /// the only eviction candidate).
+    /// Header pins: the misses, writes and slot-less hits holding the
+    /// frame. A hit's slot pin is not counted here
+    /// (`BufferPool::pin_count` counts both).
     pub pins: u32,
 }
 
@@ -266,6 +284,53 @@ impl BufferDesc {
         }
     }
 
+    /// Validate a pin the caller has already published in a pin slot:
+    /// true if the frame holds a valid, I/O-complete copy of `page` that
+    /// no writer and no latch holder has. Writes nothing.
+    ///
+    /// The SeqCst header load pairs with the SeqCst slot store before it.
+    /// A retag of a valid frame (eviction, invalidate) and a write first
+    /// make the frame unpinnable — `LK` or `WR` set with a SeqCst CAS,
+    /// or `VALID` cleared before a SeqCst fence — and then scan the
+    /// slots: either that scan sees the slot, or this load sees the bit
+    /// — or a header published after that, which is judged afresh. After this load no retag can pass the published
+    /// slot, so the tag read below is the one the header was published
+    /// with, and no version re-check is needed.
+    #[inline]
+    pub fn check_slot_pin(&self, page: PageId) -> bool {
+        let h = self.header.load(Ordering::SeqCst);
+        if h & (LOCKED | IO | WRITING) != 0 || h & VALID == 0 {
+            return false;
+        }
+        bpw_dst::yield_point();
+        self.tag.load(Ordering::Acquire) == page
+    }
+
+    /// Add a header pin for a caller that already holds a pin of this
+    /// frame elsewhere (a slot), so that it can hand the pin over. The
+    /// held pin keeps the frame's tag and validity as they are, so this
+    /// ignores `IO`, `WR` and the tag: it waits out only `LK`, whose
+    /// holder writes the header back from its own copy, and the pin
+    /// ceiling. SeqCst: the caller then clears its slot, and a victim
+    /// check that reads the cleared slot must then see this pin.
+    pub(crate) fn add_pin_held(&self) {
+        loop {
+            bpw_dst::yield_point();
+            let h = self.header.load(Ordering::Relaxed);
+            if h & LOCKED != 0 || pins_of(h) == PIN_MASK {
+                bpw_dst::yield_now();
+                continue;
+            }
+            if self
+                .header
+                .compare_exchange_weak(h, h + PIN_ONE, Ordering::SeqCst, Ordering::Relaxed)
+                .is_ok()
+            {
+                return;
+            }
+        }
+    }
+
     /// Drop one pin. Lock-free CAS decrement with a checked guard that
     /// survives release builds: an unpin without a matching pin (the
     /// old `debug_assert!` caught it only in debug profiles — and a
@@ -302,12 +367,13 @@ impl BufferDesc {
         }
     }
 
-    /// Claim the frame's bytes for a write. The caller holds one pin,
-    /// which becomes a writer's: the call adds it to the writer count,
-    /// takes `WRITING` (at once when no writer has it, else after the
-    /// current one is done), and then waits until every pin on the frame
-    /// is a writer's, i.e. until the readers have left. `WRITING` stops
-    /// new pins, so the wait is bounded by the readers already in. The
+    /// Claim the frame's bytes for a write. The caller holds one header
+    /// pin, which becomes a writer's: the call adds it to the writer
+    /// count, takes `WRITING` (at once when no writer has it, else after
+    /// the current one is done), and then waits until every header pin
+    /// on the frame is a writer's and `slot_pinned` says no slot pins
+    /// it, i.e. until the readers have left. `WRITING` stops new pins of
+    /// both kinds, so the wait is bounded by the readers already in. The
     /// returned guard ends the write on drop and marks the frame dirty.
     ///
     /// A thread must not call this while it holds a second pin of the
@@ -316,8 +382,10 @@ impl BufferDesc {
     /// a slot while its pin keeps the writer that holds `WRITING`
     /// waiting, so at most 255 threads may write one page at once (the
     /// server's writers are its workers).
-    pub(crate) fn write_latch(&self) -> WriteLatch<'_> {
+    pub(crate) fn write_latch(&self, slot_pinned: impl Fn() -> bool) -> WriteLatch<'_> {
         // Join the writers, taking WRITING in the same CAS if it is free.
+        // Both CASes that can take WRITING are SeqCst: the slot scan
+        // below pairs with a hit's slot store and header load.
         let mut writing = loop {
             bpw_dst::yield_point();
             let h = self.header.load(Ordering::Relaxed);
@@ -328,7 +396,7 @@ impl BufferDesc {
             let joined = (h + WRITER_ONE) | WRITING;
             if self
                 .header
-                .compare_exchange_weak(h, joined, Ordering::Acquire, Ordering::Relaxed)
+                .compare_exchange_weak(h, joined, Ordering::SeqCst, Ordering::Relaxed)
                 .is_ok()
             {
                 break h & WRITING == 0;
@@ -344,22 +412,26 @@ impl BufferDesc {
             }
             writing = self
                 .header
-                .compare_exchange_weak(h, h | WRITING, Ordering::Acquire, Ordering::Relaxed)
+                .compare_exchange_weak(h, h | WRITING, Ordering::SeqCst, Ordering::Relaxed)
                 .is_ok();
         }
-        // Wait out the readers. Acquire pairs with their Release unpins:
-        // their loads come before this writer's stores.
+        // Wait out the readers. Acquire pairs with their Release unpins
+        // and slot clears: their loads come before this writer's stores.
         loop {
             bpw_dst::yield_point();
             let h = self.header.load(Ordering::Acquire);
             // MUTANTS (CI-verified): skip the wait altogether, so a write
             // tears under a reader (`write_ignores_readers`), or wait for
             // this writer's own pin alone, so writers queued for WRITING
-            // hold pins it waits on forever (`writer_counts_itself_only`).
+            // hold pins it waits on forever (`writer_counts_itself_only`),
+            // or count header pins only, so a write tears under a hit's
+            // slot pin (`write_ignores_slots`).
             #[cfg(not(dst_mutation = "writer_counts_itself_only"))]
-            let readers_gone = pins_of(h) == writers_of(h);
+            let header_readers_gone = pins_of(h) == writers_of(h);
             #[cfg(dst_mutation = "writer_counts_itself_only")]
-            let readers_gone = pins_of(h) == 1;
+            let header_readers_gone = pins_of(h) == 1;
+            let readers_gone = header_readers_gone
+                && (cfg!(dst_mutation = "write_ignores_slots") || !slot_pinned());
             if readers_gone || cfg!(dst_mutation = "write_ignores_readers") {
                 return WriteLatch { desc: self };
             }
@@ -381,7 +453,9 @@ impl BufferDesc {
         }
     }
 
-    /// Non-blocking latch attempt.
+    /// Non-blocking latch attempt. The CAS is SeqCst so that a slot
+    /// scan made under the latch pairs with a hit's slot store and
+    /// header load ([`check_slot_pin`](Self::check_slot_pin)).
     pub fn try_lock(&self) -> Option<DescGuard<'_>> {
         let h = self.header.load(Ordering::Relaxed);
         if h & LOCKED != 0 {
@@ -389,7 +463,7 @@ impl BufferDesc {
         }
         if self
             .header
-            .compare_exchange(h, h | LOCKED, Ordering::Acquire, Ordering::Relaxed)
+            .compare_exchange(h, h | LOCKED, Ordering::SeqCst, Ordering::Relaxed)
             .is_err()
         {
             return None;
@@ -426,9 +500,10 @@ impl BufferDesc {
         }
     }
 
-    /// Current pin count (racy read; tests and victim prefilters).
+    /// Current header pin count (racy read; tests, pin census, and the
+    /// victim check after its slot scan, which needs the SeqCst load).
     pub fn pins(&self) -> u32 {
-        pins_of(self.header.load(Ordering::Relaxed)) as u32
+        pins_of(self.header.load(Ordering::SeqCst)) as u32
     }
 }
 
@@ -483,7 +558,7 @@ impl Drop for DescGuard<'_> {
 /// Dropping it — after the write, or while a panicking write unwinds —
 /// ends the write in one CAS: `WRITING` off, the writer count down one,
 /// `DIRTY` on. Release: the bytes written come before the next pin's
-/// AcqRel CAS.
+/// header read (a header pin's CAS, a slot pin's validating load).
 pub(crate) struct WriteLatch<'a> {
     desc: &'a BufferDesc,
 }
@@ -708,7 +783,7 @@ mod tests {
         assert!(d.try_pin(2).pinned);
         let before = d.header.load(Ordering::Relaxed);
         {
-            let _w = d.write_latch();
+            let _w = d.write_latch(|| false);
             let h = d.header.load(Ordering::Relaxed);
             assert_eq!((writers_of(h), h & WRITING), (1, WRITING));
             assert!(!d.try_pin(2).pinned, "no pin lands during a write");
@@ -731,7 +806,7 @@ mod tests {
         let d = valid_desc(3);
         assert!(d.try_pin(3).pinned);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _w = d.write_latch();
+            let _w = d.write_latch(|| false);
             panic!("write failed");
         }));
         assert!(caught.is_err());
@@ -754,7 +829,7 @@ mod tests {
         std::thread::scope(|sc| {
             sc.spawn(|| {
                 assert!(d.try_pin(4).pinned); // the writer's own pin
-                let _w = d.write_latch();
+                let _w = d.write_latch(|| false);
                 wrote.store(true, Ordering::Release);
             });
             std::thread::sleep(Duration::from_millis(20));

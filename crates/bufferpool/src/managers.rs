@@ -43,6 +43,15 @@ pub trait ManagerHandle {
         extra: &mut Vec<(FrameId, PageId)>,
     ) -> MissOutcome;
 
+    /// Admit `page` into `frame`, a frame the last `on_evict` took, as
+    /// part of that eviction rather than as an access of its own: the
+    /// pool gives a victim that a pin still held its frame back, or
+    /// moves the miss into another victim's frame. A wrapped handle
+    /// leaves it out of its access count; the others admit as usual.
+    fn on_readmit(&mut self, page: PageId, frame: FrameId) {
+        self.on_admit(page, frame);
+    }
+
     /// Commit any deferred bookkeeping (end of a thread's run).
     fn flush(&mut self) {}
 }
@@ -365,6 +374,10 @@ impl<'m, P: ReplacementPolicy> ManagerHandle for WrappedHandle<'m, P> {
 
     fn on_admit(&mut self, page: PageId, frame: FrameId) {
         self.handle.record_admit(page, frame);
+    }
+
+    fn on_readmit(&mut self, page: PageId, frame: FrameId) {
+        self.handle.record_readmit(page, frame);
     }
 
     fn on_evict(

@@ -3,10 +3,10 @@
 //! paper — concurrent hash-table lookup, per-frame pinning, and
 //! replacement bookkeeping routed through a [`ReplacementManager`].
 
-use std::cell::{RefCell, UnsafeCell};
+use std::cell::{Cell, RefCell, UnsafeCell};
 use std::io;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use bpw_core::{CachePadded, InstrumentedLock};
@@ -65,8 +65,10 @@ pub struct PoolStats {
     /// frame; none wedged a frame).
     pub io_errors: AtomicU64,
     /// CAS retries inside `try_pin` beyond the first attempt — the
-    /// lock-free hit path's contention signal (each retry is one more
-    /// loop iteration, not a blocked thread).
+    /// header pin's contention signal (each retry is one more loop
+    /// iteration, not a blocked thread). A hit that pins through its
+    /// session's slot line makes no CAS, so this counts only hits whose
+    /// session had no free slot.
     pub pin_cas_retries: AtomicU64,
     /// Unpins that found the pin count already at zero (pin/unpin
     /// imbalance). The count saturates instead of wrapping; this should
@@ -143,6 +145,136 @@ const _: () = assert!(std::mem::size_of::<CachePadded<Frame>>() == 64);
 const _: () = assert!(std::mem::size_of::<BufferDesc>() == 16);
 const _: () = assert!(std::mem::align_of::<PoolStats>() >= 64);
 
+/// Lines of pin slots: at most this many live sessions pin through a
+/// slot; later ones pin through the frame header.
+const SLOT_LINES: usize = 64;
+/// Slots per line: a session holding this many slot pins pins its next
+/// page through the frame header.
+const SLOTS: usize = 15;
+
+/// One session's pin slots, one cache line. A slot holds `frame + 1`
+/// while its holder's guard pins `frame`, and 0 when free.
+#[derive(Default)]
+struct SlotLine {
+    /// Slots `used..` are zero, so a scan reads only `0..used`: a
+    /// session that holds one guard at a time costs a scan two loads.
+    /// Only the owner raises it, SeqCst and before it first stores into
+    /// the new slot, so a scan that reads the old value comes before
+    /// that store in the SeqCst order. A claim of an all-clear line
+    /// resets it.
+    used: AtomicU32,
+    slots: [AtomicU32; SLOTS],
+}
+
+impl SlotLine {
+    /// A free slot for the owner's next pin: a clear one among the used
+    /// ones, else the next unused one, or `None` when all are held.
+    #[inline]
+    fn free_slot(&self) -> Option<&AtomicU32> {
+        // Relaxed: only the owner writes `used`, and a claim's reset
+        // came before the owner's session existed.
+        let used = self.used.load(Ordering::Relaxed) as usize;
+        let slots = &self.slots[..used];
+        if let Some(slot) = slots.iter().find(|s| s.load(Ordering::Relaxed) == 0) {
+            return Some(slot);
+        }
+        let slot = self.slots.get(used)?;
+        self.used.store(used as u32 + 1, Ordering::SeqCst);
+        Some(slot)
+    }
+
+    /// The slots that may be set. SeqCst loads: see [`PinSlots::scan`].
+    fn scan(&self) -> impl Iterator<Item = u32> + '_ {
+        let used = self.used.load(Ordering::SeqCst) as usize;
+        self.slots[..used].iter().map(|s| s.load(Ordering::SeqCst))
+    }
+}
+
+const _: () = assert!(std::mem::size_of::<CachePadded<SlotLine>>() == 64);
+const _: () = assert!(SLOT_LINES <= u64::BITS as usize);
+
+/// Where hits publish their pins: one line per session, written only by
+/// the session that owns it (a nonzero value) and by the guards it
+/// handed out (a zero). A hit's pin and unpin therefore write no line
+/// another thread writes. Paths that need a frame to have no readers
+/// make the frame unpinnable on its header first and then scan the live
+/// lines ([`BufferPool::slot_pinned`]).
+struct PinSlots {
+    lines: Box<[CachePadded<SlotLine>]>,
+    /// Bit `i` set: a live session owns line `i`. Claims and releases
+    /// serialize on this lock; a session lives as long as its thread or
+    /// connection, so no per-operation path takes it.
+    owned: Mutex<u64>,
+    /// Bit `i` set: line `i` may hold a pin — a live session owns it, or
+    /// a guard that outlived its session still holds a slot there. The
+    /// scans read only these lines, so their cost follows the sessions
+    /// live now, not the most that ever were. Written under `owned`.
+    live: AtomicU64,
+}
+
+impl PinSlots {
+    fn new() -> Self {
+        PinSlots {
+            lines: (0..SLOT_LINES)
+                .map(|_| CachePadded::new(Default::default()))
+                .collect(),
+            owned: Mutex::new(0),
+            live: AtomicU64::new(0),
+        }
+    }
+
+    fn owned(&self) -> std::sync::MutexGuard<'_, u64> {
+        // Nothing panics under the lock; a poisoned one is still sound.
+        self.owned.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Take the lowest free line, if there is one. The line joins `live`
+    /// before its owner's first slot store: a scan that reads `live`
+    /// without it comes before that store in the SeqCst order, so its
+    /// latch came first too and the owner's hit sees it.
+    fn claim(&self) -> Option<usize> {
+        let mut owned = self.owned();
+        let line = (!*owned).trailing_zeros() as usize;
+        if line >= SLOT_LINES {
+            return None;
+        }
+        *owned |= 1 << line;
+        // With no slot set (none can be set until the new owner pins),
+        // the new owner's scans start from nothing.
+        let slots = &self.lines[line];
+        if slots.scan().all(|s| s == 0) {
+            slots.used.store(0, Ordering::SeqCst);
+        }
+        self.live.fetch_or(1 << line, Ordering::SeqCst);
+        Some(line)
+    }
+
+    /// Give `line` up, and drop from `live` every line that no session
+    /// owns and no slot of which is set. Such a line stays all zero
+    /// until a claim, which takes this lock and sets its bit again: an
+    /// unowned line's slots only ever clear.
+    fn release(&self, line: usize) {
+        let mut owned = self.owned();
+        *owned &= !(1 << line);
+        let live = (0..SLOT_LINES)
+            .filter(|&i| *owned & 1 << i != 0 || self.lines[i].scan().any(|s| s != 0))
+            .fold(0, |live, i| live | 1 << i);
+        self.live.store(live, Ordering::SeqCst);
+    }
+
+    /// The slots of every line that may hold a pin. SeqCst loads: the
+    /// caller made the frame unpinnable with a SeqCst CAS or fence,
+    /// which pairs with a hit's SeqCst slot store and header load.
+    fn scan(&self) -> impl Iterator<Item = u32> + '_ {
+        let live = self.live.load(Ordering::SeqCst);
+        self.lines
+            .iter()
+            .enumerate()
+            .filter(move |&(i, _)| live & 1 << i != 0)
+            .flat_map(|(_, line)| line.scan())
+    }
+}
+
 /// A DBMS-style buffer pool generic over its replacement manager.
 pub struct BufferPool<M: ReplacementManager> {
     table: PageTable,
@@ -162,6 +294,7 @@ pub struct BufferPool<M: ReplacementManager> {
     /// Frames held in sessions' stashes: evicted ahead of need, not yet
     /// refilled. A gauge, striped because a miss moves it.
     stashed: StripedCounter,
+    slots: PinSlots,
     page_size: usize,
     retry: RetryPolicy,
 }
@@ -190,6 +323,7 @@ impl<M: ReplacementManager> BufferPool<M> {
             storage,
             stats: PoolStats::default(),
             stashed: StripedCounter::default(),
+            slots: PinSlots::new(),
             page_size,
             retry: RetryPolicy::default(),
         }
@@ -314,14 +448,33 @@ impl<M: ReplacementManager> BufferPool<M> {
     }
 
     /// Create a per-thread session (carries the manager handle, i.e. the
-    /// BP-Wrapper private queue for wrapped managers).
+    /// BP-Wrapper private queue for wrapped managers, and a line of pin
+    /// slots while fewer than 64 other sessions hold one).
     pub fn session(&self) -> PoolSession<'_, M> {
         PoolSession {
             pool: self,
             handle: self.manager.handle(),
             stash: Vec::new(),
             evicted: Vec::new(),
+            pinned: Vec::new(),
+            slots: self
+                .slots
+                .claim()
+                .map(|line| (line, &*self.slots.lines[line])),
         }
+    }
+
+    /// Does a hit's slot pin frame `f`? Only meaningful while the caller
+    /// holds `f`'s `LK` latch or `WRITING` bit: then a hit that this
+    /// scan misses sees the bit and gives its slot up.
+    fn slot_pinned(&self, f: FrameId) -> bool {
+        self.slots.scan().any(|s| s == f + 1)
+    }
+
+    /// Every pin on frame `f`: its header pins and the slots that hold
+    /// it (a racy count; tests).
+    pub(crate) fn pin_count(&self, f: FrameId) -> u32 {
+        self.desc(f).pins() + self.slots.scan().filter(|&s| s == f + 1).count() as u32
     }
 
     /// Drop `page` from the buffer (e.g. relation truncation),
@@ -352,6 +505,11 @@ impl<M: ReplacementManager> BufferPool<M> {
         {
             let mut s = self.desc(frame).lock();
             if s.pins > 0 || s.io_in_progress || !(s.valid && s.tag == page) {
+                return InvalidateOutcome::Busy;
+            }
+            // MUTANT (CI-verified) `invalidate_ignores_slots`: free a
+            // frame a hit still reads.
+            if !cfg!(dst_mutation = "invalidate_ignores_slots") && self.slot_pinned(frame) {
                 return InvalidateOutcome::Busy;
             }
             s.valid = false;
@@ -520,6 +678,11 @@ pub struct PoolSession<'p, M: ReplacementManager> {
     stash: Vec<FrameId>,
     /// Scratch for the victims one `on_evict` took ahead of need.
     evicted: Vec<(FrameId, PageId)>,
+    /// Scratch for the frames the victim check's slot scan found pinned.
+    pinned: Vec<FrameId>,
+    /// The line of pin slots this session owns, and its index; `None`
+    /// when every line was taken, and then hits pin through the header.
+    slots: Option<(usize, &'p SlotLine)>,
 }
 
 impl<'p, M: ReplacementManager> PoolSession<'p, M> {
@@ -569,22 +732,57 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
     }
 
     /// The hit: pin `frame` if it still holds `page`, and account it
-    /// (striped counter, replacement advice, dst record).
+    /// (striped counter, replacement advice, dst record). The pin goes
+    /// into a free slot of this session's line; with none free, into
+    /// the frame's header.
     #[inline]
     fn pin_hit(&mut self, page: PageId, frame: FrameId) -> Option<PinnedPage<'p, M>> {
-        let attempt = self.pool.desc(frame).try_pin(page);
-        if attempt.retries > 0 {
-            // Off the common path: only contended pins pay this
-            // shared RMW (an unconditional fetch_add here would
-            // reintroduce per-hit cache-line traffic).
-            self.pool
-                .stats
-                .pin_cas_retries
-                .fetch_add(u64::from(attempt.retries), Ordering::Relaxed);
-        }
-        if !attempt.pinned {
-            return None;
-        }
+        let desc = self.pool.desc(frame);
+        let free = self.slots.and_then(|(_, line)| line.free_slot());
+        let slot = match free {
+            Some(slot) => {
+                // Publish, then validate: SeqCst store before the SeqCst
+                // header load, the reader's half of the Dekker pairing
+                // with the scans (`check_slot_pin`). The MUTANT
+                // `slot_published_late` (CI-verified) swaps the two, so
+                // an evictor's scan can pass between them.
+                let late = cfg!(dst_mutation = "slot_published_late");
+                if !late {
+                    slot.store(frame + 1, Ordering::SeqCst);
+                    bpw_dst::yield_point();
+                }
+                let valid = desc.check_slot_pin(page);
+                if late {
+                    bpw_dst::yield_point();
+                    slot.store(frame + 1, Ordering::SeqCst);
+                }
+                if !valid {
+                    slot.store(0, Ordering::Release);
+                    return None;
+                }
+                bpw_dst::record(|| bpw_dst::Op::Pin {
+                    page,
+                    pins: self.pool.pin_count(frame),
+                });
+                Some(slot)
+            }
+            None => {
+                let attempt = desc.try_pin(page);
+                if attempt.retries > 0 {
+                    // Off the common path: only contended pins pay this
+                    // shared RMW (an unconditional fetch_add here would
+                    // reintroduce per-hit cache-line traffic).
+                    self.pool
+                        .stats
+                        .pin_cas_retries
+                        .fetch_add(u64::from(attempt.retries), Ordering::Relaxed);
+                }
+                if !attempt.pinned {
+                    return None;
+                }
+                None
+            }
+        };
         bpw_trace::instant(bpw_trace::EventKind::HitPin, page);
         self.pool.stats.hits.incr();
         self.handle.on_hit(page, frame);
@@ -597,6 +795,7 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
             pool: self.pool,
             frame,
             page,
+            slot: Cell::new(slot),
             access: RefCell::new(()),
         })
     }
@@ -622,9 +821,11 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
         let popped = stashed.or_else(|| pool.free.pop(shard));
         let (frame, victim) = match popped {
             Some(f) => (f, None),
-            // Victim filter: pinned or in-I/O frames are rejected; each
-            // accepted frame is atomically invalidated under its latch
-            // so no new pin can slip in after selection.
+            // Victim filter: frames with header pins or in I/O are
+            // rejected; each accepted frame is atomically invalidated
+            // under its latch so no new pin can slip in after selection.
+            // Slot pins are checked once the replacement lock is gone,
+            // in one scan for all the victims (`check_victims`).
             None => match self.handle.on_evict(
                 page,
                 &mut |f| {
@@ -638,7 +839,14 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
                 },
                 &mut self.evicted,
             ) {
-                MissOutcome::Evicted { frame, victim } => (frame, Some(victim)),
+                MissOutcome::Evicted { frame, victim } => {
+                    match self.check_victims(page, frame, victim) {
+                        Some((frame, victim)) => (frame, Some(victim)),
+                        // A hit holds every victim: retry, as when no
+                        // frame was evictable.
+                        None => return Ok(None),
+                    }
+                }
                 MissOutcome::AdmittedFree(_) => unreachable!("on_evict has no free frame"),
                 // Everything pinned: let the caller retry. No miss is
                 // counted: the logical miss has not completed, and a
@@ -689,9 +897,10 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
         // request's latency to disk time, and two clock reads are noise
         // next to a storage round trip. The `MissIo` span reuses them.
         let io_t0 = std::time::Instant::now();
-        // SAFETY: `IO` is set and the pin is this call's own, so
-        // `try_pin` fails for everyone else and nobody can read or write
-        // the bytes until the miss completes or is repaired.
+        // SAFETY: `IO` is set and the pin is this call's own, so every
+        // other pin fails (`try_pin` and `check_slot_pin` reject `IO`)
+        // and nobody can read or write the bytes until the miss
+        // completes or is repaired.
         let data = unsafe { pool.bytes_mut(frame) };
         if was_dirty {
             let v = victim.expect("dirty implies eviction");
@@ -743,8 +952,72 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
             pool,
             frame,
             page,
+            slot: Cell::new(None),
             access: RefCell::new(()),
         }))
+    }
+
+    /// The slot check of the victims the last `on_evict` took: `frame`,
+    /// which the manager filled with `page`, and those ahead of need in
+    /// `self.evicted`. One scan covers them all. A victim that a pin
+    /// still holds gets its page back, the way a failed write-back does,
+    /// and leaves `self.evicted`. Returns the frame and victim this miss
+    /// fills: `frame`'s, or if a pin holds it, an ahead victim's, which
+    /// the manager is told `page` moved into; `None` if a pin holds
+    /// every victim.
+    fn check_victims(
+        &mut self,
+        page: PageId,
+        frame: FrameId,
+        victim: PageId,
+    ) -> Option<(FrameId, PageId)> {
+        // The filter cleared each victim's VALID before this fence,
+        // which pairs with a hit's SeqCst slot store and header load:
+        // either the scan below sees the hit's slot, or the hit sees
+        // the frame invalid and gives the slot up. (MUTANT, CI-verified:
+        // `evict_ignores_slots` skips the scan.)
+        fence(Ordering::SeqCst);
+        self.pinned.clear();
+        if !cfg!(dst_mutation = "evict_ignores_slots") {
+            let slots = self.pool.slots.scan().filter(|&s| s != 0);
+            self.pinned.extend(slots.map(|s| s - 1));
+        }
+        let mut i = 0;
+        while i < self.evicted.len() {
+            let (f, v) = self.evicted[i];
+            if self.victim_held(f) {
+                self.evicted.swap_remove(i);
+                self.readmit(v, f);
+            } else {
+                i += 1;
+            }
+        }
+        if !self.victim_held(frame) {
+            return Some((frame, victim));
+        }
+        self.pool.manager.invalidate(frame);
+        self.readmit(victim, frame);
+        let (f, v) = self.evicted.pop()?;
+        self.handle.on_readmit(page, f);
+        Some((f, v))
+    }
+
+    /// Does a pin hold victim `f`, by the last scan or by its header? The
+    /// header is read after the scan: a writer moves its slot pin to the
+    /// header before it clears the slot (all SeqCst), so a scan that
+    /// missed the slot is followed by a header load that sees the pin.
+    fn victim_held(&self, f: FrameId) -> bool {
+        self.pinned.contains(&f) || self.pool.desc(f).pins() > 0
+    }
+
+    /// Give evicted frame `frame` back to its page `v`: its bytes and
+    /// mapping are still there.
+    fn readmit(&mut self, v: PageId, frame: FrameId) {
+        // Admit before revalidating: until the descriptor is valid
+        // again, invalidate answers Busy and cannot free the frame under
+        // the admission.
+        self.handle.on_readmit(v, frame);
+        self.pool.desc(frame).lock().valid = true;
     }
 
     /// Settle the victims the last `on_evict` took ahead of need, and
@@ -758,17 +1031,13 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
             bpw_trace::instant(bpw_trace::EventKind::Eviction, v);
             if pool.desc(frame).lock().dirty {
                 // SAFETY: the victim filter left the frame invalid with no
-                // pins, and `try_pin` rejects an invalid frame: nobody can
-                // write the bytes while they are stored.
+                // pins of either kind, and both kinds reject an invalid
+                // frame: nobody can write the bytes while they are stored.
                 let data = unsafe { pool.bytes(frame) };
                 let written = pool.io_with_retries(v, || pool.storage.write_page(v, data));
                 bpw_dst::yield_point();
                 if written.is_err() {
-                    // Admit before revalidating: until the descriptor is
-                    // valid again, invalidate answers Busy and cannot
-                    // free the frame under the admission.
-                    self.handle.on_admit(v, frame);
-                    pool.desc(frame).lock().valid = true;
+                    self.readmit(v, frame);
                     continue;
                 }
                 pool.desc(frame).lock().dirty = false;
@@ -816,6 +1085,11 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
 impl<'p, M: ReplacementManager> Drop for PoolSession<'p, M> {
     fn drop(&mut self) {
         self.handle.flush();
+        // Guards that outlive the session still clear their own slots;
+        // the line's next owner uses only the zero ones.
+        if let Some((line, _)) = self.slots {
+            self.pool.slots.release(line);
+        }
         // The `dst_mutation = "stash_leak"` mutant forgets the stash here:
         // its frames then belong to nobody, which the dst miss storm's
         // frame accounting must catch.
@@ -835,6 +1109,10 @@ pub struct PinnedPage<'p, M: ReplacementManager> {
     pool: &'p BufferPool<M>,
     frame: FrameId,
     page: PageId,
+    /// The slot holding this guard's pin, or `None` for a header pin.
+    /// The guard clears it itself, so it may outlive its session or be
+    /// dropped on another thread.
+    slot: Cell<Option<&'p AtomicU32>>,
     /// Nested access through this one guard (a write inside a read, or a
     /// read inside a write) would alias the bytes under one pin: it
     /// panics instead. Also keeps the guard to one thread at a time.
@@ -869,7 +1147,16 @@ impl<'p, M: ReplacementManager> PinnedPage<'p, M> {
     /// that pin forever.
     pub fn write<R>(&self, f: impl FnOnce(&mut [u8]) -> R) -> R {
         let _exclusive = self.access.borrow_mut();
-        let _latch = self.pool.desc(self.frame).write_latch();
+        let desc = self.pool.desc(self.frame);
+        if let Some(slot) = self.slot.take() {
+            // A writer's pin is a header pin: move it there first, so
+            // the write never waits on its own slot. SeqCst, like the
+            // header CAS before it: a victim check whose scan reads the
+            // cleared slot then sees the header pin.
+            desc.add_pin_held();
+            slot.store(0, Ordering::SeqCst);
+        }
+        let _latch = desc.write_latch(|| self.pool.slot_pinned(self.frame));
         // SAFETY: the write latch holds the bytes: every other pin of the
         // frame is a writer's queued behind this one, and no pin can land.
         f(unsafe { self.pool.bytes_mut(self.frame) })
@@ -888,7 +1175,15 @@ impl<'p, M: ReplacementManager> std::fmt::Debug for PinnedPage<'p, M> {
 impl<'p, M: ReplacementManager> Drop for PinnedPage<'p, M> {
     fn drop(&mut self) {
         bpw_dst::yield_point();
-        if self.pool.desc(self.frame).unpin() == UnpinOutcome::Underflow {
+        if let Some(slot) = self.slot.get() {
+            // Release: this guard's reads come before a writer's or an
+            // evictor's scan that finds the slot free.
+            slot.store(0, Ordering::Release);
+            bpw_dst::record(|| bpw_dst::Op::Unpin {
+                page: self.page,
+                pins: self.pool.pin_count(self.frame),
+            });
+        } else if self.pool.desc(self.frame).unpin() == UnpinOutcome::Underflow {
             self.pool
                 .stats
                 .pin_underflows
@@ -1565,6 +1860,222 @@ mod tests {
             assert_eq!(hits + misses, accesses);
         }
         assert_eq!(pool.free_frames() + pool.resident_count(), pool.frames());
+    }
+
+    /// The header pins and all pins of the frame holding `page`.
+    fn pins_of<M: ReplacementManager>(pool: &BufferPool<M>, page: PageId) -> (u32, u32) {
+        let frame = pool.table.get(page).expect("resident");
+        (pool.desc(frame).snapshot().pins, pool.pin_count(frame))
+    }
+
+    #[test]
+    fn a_hit_pins_through_its_session_slot_and_leaves_the_header_alone() {
+        let pool = pool_2q(4);
+        let mut s = pool.session();
+        let miss = s.fetch(1).unwrap();
+        assert_eq!(pins_of(&pool, 1), (1, 1), "a miss pins through the header");
+        let hit = s.fetch(1).unwrap();
+        assert_eq!(pins_of(&pool, 1), (1, 2), "a hit writes no header");
+        drop(miss);
+        assert_eq!(pins_of(&pool, 1), (0, 1));
+        hit.read(|d| assert_eq!(u64::from_le_bytes(d[..8].try_into().unwrap()), 1));
+        drop(hit);
+        assert_eq!(pins_of(&pool, 1), (0, 0));
+        assert_eq!(pool.stats().pin_cas_retries.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn a_65th_session_and_a_16th_guard_pin_through_the_header() {
+        let pool = pool_2q(4);
+        drop(pool.session().fetch(1).unwrap());
+        let sessions: Vec<_> = (0..SLOT_LINES).map(|_| pool.session()).collect();
+        assert!(sessions.iter().all(|s| s.slots.is_some()));
+        let mut extra = pool.session();
+        assert!(extra.slots.is_none(), "every line is owned");
+        let held = extra.fetch(1).unwrap();
+        assert_eq!(
+            pins_of(&pool, 1),
+            (1, 1),
+            "a session without a line pins the header"
+        );
+        drop(held);
+        drop(sessions);
+        drop(extra);
+
+        let mut s = pool.session();
+        let guards: Vec<_> = (0..SLOTS).map(|_| s.fetch(1).unwrap()).collect();
+        assert_eq!(pins_of(&pool, 1), (0, SLOTS as u32), "one slot per guard");
+        let seventeenth = s.fetch(1).unwrap();
+        assert_eq!(pins_of(&pool, 1), (1, SLOTS as u32 + 1));
+        drop(guards);
+        assert_eq!(pins_of(&pool, 1), (1, 1));
+        drop(seventeenth);
+        assert_eq!(pins_of(&pool, 1), (0, 0));
+    }
+
+    #[test]
+    fn eviction_invalidate_and_writes_respect_slot_and_header_pins() {
+        for slot in [true, false] {
+            let pool = pool_2q(2);
+            let mut s = pool.session();
+            if slot {
+                drop(s.fetch(1).unwrap());
+            }
+            // A hit of a warm page pins a slot, a miss the header.
+            let held = s.fetch(1).unwrap();
+            assert_eq!(pins_of(&pool, 1), (u32::from(!slot), 1));
+            assert_eq!(pool.invalidate(1), InvalidateOutcome::Busy, "slot {slot}");
+            for p in 10..20u64 {
+                drop(s.fetch(p).unwrap()); // must always evict the other frame
+            }
+            assert_eq!(held.frame(), pool.table.get(1).unwrap(), "slot {slot}");
+            let wrote = std::sync::atomic::AtomicBool::new(false);
+            std::thread::scope(|sc| {
+                sc.spawn(|| {
+                    let mut w = pool.session();
+                    w.fetch(1).unwrap().write(|d| d[9] = 0x5A);
+                    wrote.store(true, Ordering::Release);
+                });
+                std::thread::sleep(Duration::from_millis(20));
+                assert!(!wrote.load(Ordering::Acquire), "a write ran under a pin");
+                held.read(|d| assert_ne!(d[9], 0x5A));
+                drop(held);
+            });
+            assert!(wrote.load(Ordering::Acquire));
+            assert_eq!(pins_of(&pool, 1), (0, 0));
+            assert_eq!(pool.invalidate(1), InvalidateOutcome::Invalidated);
+        }
+    }
+
+    #[test]
+    fn a_write_through_a_slot_pin_moves_the_pin_to_the_header() {
+        let pool = pool_2q(2);
+        let mut s = pool.session();
+        drop(s.fetch(1).unwrap());
+        let p = s.fetch(1).unwrap();
+        assert_eq!(pins_of(&pool, 1), (0, 1));
+        p.write(|d| d[9] = 7);
+        assert_eq!(
+            pins_of(&pool, 1),
+            (1, 1),
+            "the writer's pin is a header pin"
+        );
+        assert!(pool.desc(p.frame()).snapshot().dirty);
+        drop(p);
+        assert_eq!(pins_of(&pool, 1), (0, 0));
+    }
+
+    #[test]
+    fn a_guard_frees_its_slot_after_its_session_or_on_another_thread() {
+        let pool = pool_2q(4);
+        let mut s = pool.session();
+        for p in [1u64, 2] {
+            drop(s.fetch(p).unwrap());
+        }
+        let (outlives, travels) = (s.fetch(1).unwrap(), s.fetch(2).unwrap());
+        drop(s);
+        assert_eq!(pins_of(&pool, 1), (0, 1));
+        drop(outlives);
+        assert_eq!(pins_of(&pool, 1), (0, 0));
+        std::thread::scope(|sc| {
+            sc.spawn(move || drop(travels));
+        });
+        assert_eq!(pins_of(&pool, 2), (0, 0));
+        assert_eq!(pool.invalidate(1), InvalidateOutcome::Invalidated);
+        assert_eq!(pool.invalidate(2), InvalidateOutcome::Invalidated);
+    }
+
+    #[test]
+    fn the_slot_scan_reads_only_the_lines_live_now() {
+        let pool = pool_2q(4);
+        let live = || pool.slots.live.load(Ordering::Relaxed);
+        let sessions: Vec<_> = (0..SLOT_LINES).map(|_| pool.session()).collect();
+        assert_eq!(live(), u64::MAX);
+        drop(sessions);
+        assert_eq!(live(), 0, "the bound falls with the sessions");
+
+        // A line whose guard outlived its session stays scanned until a
+        // later release finds it clear.
+        let mut s = pool.session();
+        drop(s.fetch(1).unwrap());
+        let outlives = s.fetch(1).unwrap();
+        let other = pool.session();
+        drop(s);
+        assert_eq!(live(), 0b11, "line 0 still holds a slot");
+        assert_eq!(pool.invalidate(1), InvalidateOutcome::Busy);
+        drop(outlives);
+        drop(other);
+        assert_eq!(live(), 0);
+    }
+
+    #[test]
+    fn one_scan_per_eviction_keeps_every_slot_pinned_victim() {
+        // Wrapped 2Q evicts k frames per replacement-lock acquisition;
+        // whichever of them a hit still reads goes back to its page, and
+        // the wrapper counts each access once.
+        let frames = 16;
+        let pool = BufferPool::new(
+            frames,
+            64,
+            WrappedManager::new(TwoQ::new(frames), WrapperConfig::default()),
+            Arc::new(SimDisk::instant()),
+        );
+        let mut reader = pool.session();
+        let held: Vec<_> = (0..4u64)
+            .map(|p| {
+                drop(reader.fetch(p).unwrap());
+                reader.fetch(p).unwrap()
+            })
+            .collect();
+        assert!(held.iter().all(|g| g.slot.get().is_some()));
+        let mut s = pool.session();
+        let mut evicted_ahead = false;
+        for p in 100..400u64 {
+            drop(s.fetch(p).unwrap());
+            evicted_ahead |= pool.stashed_frames() > 0;
+        }
+        assert!(evicted_ahead, "nothing was evicted ahead; vacuous");
+        let (hits, misses) = counts(&pool);
+        s.flush();
+        assert_eq!(
+            pool.manager().wrapper().counters().accesses.get(),
+            hits + misses,
+            "a victim given back is no access of its own"
+        );
+        for (p, g) in (0..4u64).zip(&held) {
+            assert_eq!(
+                pool.table.get(p),
+                Some(g.frame()),
+                "page {p} lost its frame"
+            );
+            g.read(|d| assert_eq!(u64::from_le_bytes(d[..8].try_into().unwrap()), p));
+        }
+        drop(held);
+        drop((reader, s));
+        assert_eq!(pool.free_frames() + pool.resident_count(), frames);
+        pool.check_mapping_invariants();
+    }
+
+    #[test]
+    fn a_new_session_reuses_a_line_that_still_has_a_live_slot() {
+        let pool = pool_2q(4);
+        let mut s = pool.session();
+        for p in [1u64, 2] {
+            drop(s.fetch(p).unwrap());
+        }
+        let old = s.fetch(1).unwrap();
+        let line = s.slots.unwrap().0;
+        drop(s);
+        let mut s = pool.session();
+        assert_eq!(s.slots.unwrap().0, line, "the freed line is taken again");
+        let new = s.fetch(2).unwrap();
+        assert_eq!(pins_of(&pool, 1), (0, 1), "the old guard's slot is kept");
+        assert_eq!(pins_of(&pool, 2), (0, 1));
+        drop(old);
+        assert_eq!(pins_of(&pool, 1), (0, 0));
+        assert_eq!(pins_of(&pool, 2), (0, 1));
+        drop(new);
+        assert_eq!(pins_of(&pool, 2), (0, 0));
     }
 
     #[test]

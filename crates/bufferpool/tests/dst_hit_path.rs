@@ -1,7 +1,18 @@
-//! Deterministic-simulation suite for the lock-free hit path: the
-//! tag-validated CAS pin racing invalidation, eviction, and miss-fill.
+//! Deterministic-simulation suite for the lock-free hit path: slot pins
+//! and tag-validated header pins racing invalidation, eviction, and
+//! miss-fill.
 //!
-//! The schedule point that matters sits inside [`BufferDesc::try_pin`],
+//! A hit publishes its pin in its session's slot line and then checks
+//! the frame's header; an evictor latches the header and then scans the
+//! slots. Between publication and check there is a schedule point: the
+//! CI-verified mutant `dst_mutation = "slot_published_late"` checks
+//! first and publishes after, so an eviction fits in between, and
+//! `fetch_resident` racing an eviction of the page it pins catches it
+//! (as it catches `evict_ignores_slots`, the victim filter that never
+//! scans).
+//!
+//! A session with no free slot pins through the header, where the
+//! schedule point that matters sits inside [`BufferDesc::try_pin`],
 //! between the tag read and the header CAS. Under the seeded scheduler
 //! a *complete* invalidate + refill of the same frame can execute in
 //! that window; the pin must then fail (the slow path bumped the header
@@ -10,18 +21,21 @@
 //! `dst_mutation = "no_version_check"` removes exactly that
 //! re-verification — this suite is what catches it, via the wrong-bytes
 //! read assertions below: at the descriptor level, and through
-//! `PoolSession::fetch_resident` racing an eviction of the page it pins.
+//! `PoolSession::fetch_resident` of a session whose slots are all held,
+//! racing an eviction of the page it pins.
 //!
 //! Unlike `dst_miss_storm`, tasks here deliberately *share* pages (so
 //! `check_commit_order` does not apply) — shared hot pages are what
 //! make pin/invalidate/refill collisions dense enough to matter.
 //!
 //! The page's bytes have no lock: a pin is the read latch, and a write
-//! waits until every other pin is a writer's. Two more mutants are
+//! waits until every other pin is a writer's. Three more mutants are
 //! caught here: `write_ignores_readers` (the writer skips that wait; a
-//! reader sees a torn page) and `writer_counts_itself_only` (it waits
-//! for its own pin alone, so writers queued behind it never let it
-//! start; the scheduler reports the livelock).
+//! reader sees a torn page), `write_ignores_slots` (it waits for header
+//! pins only, so a hit's slot pin does not hold it off) and
+//! `writer_counts_itself_only` (it waits for its own pin alone, so
+//! writers queued behind it never let it start; the scheduler reports
+//! the livelock).
 
 #![cfg(feature = "dst")]
 
@@ -356,28 +370,47 @@ fn dst_pin_validation_survives_invalidate_refill_races() {
 // --- targeted race: fetch_resident vs eviction of the page it pins ----------
 
 const EVICTION_ROUNDS: u64 = 120;
+/// The page task A holds pinned in every slot of its session (and once
+/// more through the header, its miss) in the header-pin variant.
+const FILLER: u64 = 3;
+/// Pin slots per session: `FILLER` guards beyond these pin through the
+/// header.
+const SLOTS: u64 = 15;
 
-/// One frame again, but the retag is a plain eviction and the pinner
-/// comes in through `fetch_resident`. Task B alternates `fetch(1)` /
-/// `fetch(2)`, each evicting the other; task A asks `fetch_resident(1)`
-/// and checks the bytes whenever it gets a pin. Both `yield_now` after
-/// every operation, so under PCT they take strict turns — except at a
-/// change point, which parks A wherever it stands. Enough change points
-/// (depth 64 over a run a few thousand steps long) put one between A's
-/// tag read and its CAS while page 1 is resident; B's next turn is then
-/// exactly one whole eviction, and A resumes against a valid frame that
-/// holds page 2. The version-checked CAS fails there and A reports
-/// `None`; the `no_version_check` mutant pins, and the byte assertion
-/// fires — this test alone fails under the mutant.
-fn run_resident_vs_eviction(seed: u64) -> (RunOutcome, Arc<Pool>, u64) {
-    let pool = make_pool(1);
+/// One frame for the race, but the retag is a plain eviction and the
+/// pinner comes in through `fetch_resident`. Task B alternates
+/// `fetch(1)` / `fetch(2)`, each evicting the other; task A asks
+/// `fetch_resident(1)` and checks the bytes whenever it gets a pin.
+/// Both `yield_now` after every operation, so under PCT they take
+/// strict turns — except at a change point, which parks A wherever it
+/// stands. Enough change points (depth 64 over a run a few thousand
+/// steps long) put one inside A's pin while page 1 is resident; B's
+/// next turn is then exactly one whole eviction, and A resumes against
+/// a valid frame that holds page 2.
+///
+/// A pins through a slot, whose window is between the check and the
+/// publication under the `slot_published_late` mutant: the check passed
+/// against page 1, the eviction's scan found no slot, and A reads page
+/// 2's bytes. With `through_header`, A first fills its slots with
+/// guards of a second page (one more frame), so its pins go through
+/// `try_pin`: there the window is between the tag read and the CAS.
+/// The version-checked CAS fails and A reports `None`; the
+/// `no_version_check` mutant pins, and the byte assertion fires.
+fn run_resident_vs_eviction(seed: u64, through_header: bool) -> (RunOutcome, Arc<Pool>, u64) {
+    let pool = make_pool(1 + usize::from(through_header));
     let in_place = Arc::new(std::sync::atomic::AtomicU64::new(0));
+    let filled = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let mut sim = Sim::new(seed).with_pct(64);
     {
         let pool = Arc::clone(&pool);
         let in_place = Arc::clone(&in_place);
+        let filled = Arc::clone(&filled);
         sim.spawn(move || {
             let mut s = pool.session();
+            // One miss (a header pin) and a hit per slot.
+            let fillers = if through_header { SLOTS + 1 } else { 0 };
+            let _held: Vec<_> = (0..fillers).map(|_| s.fetch(FILLER).unwrap()).collect();
+            filled.store(true, Ordering::Relaxed);
             for _ in 0..EVICTION_ROUNDS {
                 if let Some(p) = s.fetch_resident(1) {
                     in_place.fetch_add(1, Ordering::Relaxed);
@@ -391,6 +424,10 @@ fn run_resident_vs_eviction(seed: u64) -> (RunOutcome, Arc<Pool>, u64) {
         let pool = Arc::clone(&pool);
         sim.spawn(move || {
             let mut s = pool.session();
+            // The race starts once the filler holds its frame.
+            while !filled.load(Ordering::Relaxed) {
+                bpw_dst::yield_now();
+            }
             for round in 0..EVICTION_ROUNDS {
                 drop(s.fetch(1 + round % 2).unwrap());
                 bpw_dst::yield_now();
@@ -401,30 +438,49 @@ fn run_resident_vs_eviction(seed: u64) -> (RunOutcome, Arc<Pool>, u64) {
     (out, pool, in_place.load(Ordering::Relaxed))
 }
 
-#[test]
-fn dst_fetch_resident_never_pins_an_evicted_page() {
+fn check_resident_vs_eviction(through_header: bool) {
     let mut in_place = 0;
     // About one seed in ten lands a change point in the window.
     let seeds = bpw_dst::seed_corpus(0xE71C7, 32);
+    let frames = 1 + usize::from(through_header);
     for &seed in &seeds {
-        let (out, pool, pinned) = run_resident_vs_eviction(seed);
+        let (out, pool, pinned) = run_resident_vs_eviction(seed, through_header);
         in_place += pinned;
         out.check(|o| {
             let pr = check_pin_balance(&o.history, true);
             assert_eq!(pr.pins, pr.unpins);
-            assert_eq!(pool.free_frames() + pool.resident_count(), 1);
+            assert_eq!(pool.free_frames() + pool.resident_count(), frames);
             pool.check_mapping_invariants();
-            // Only B misses, once per round (each fetch evicts the
-            // other page); A's `None`s count nothing.
+            // Every access is one hit or one miss, and A's `None`s
+            // count nothing. B misses every round while A's fillers
+            // hold the second frame (each fetch evicts the other page);
+            // once A is done, B may find both pages resident.
+            let fillers = if through_header { SLOTS + 1 } else { 0 };
             let st = pool.stats();
-            assert_eq!(st.misses.load(Ordering::Relaxed), EVICTION_ROUNDS);
-            assert_eq!(st.hits.load(Ordering::Relaxed), pinned);
+            let (hits, misses) = (
+                st.hits.load(Ordering::Relaxed),
+                st.misses.load(Ordering::Relaxed),
+            );
+            assert_eq!(hits + misses, EVICTION_ROUNDS + fillers + pinned);
+            if !through_header {
+                assert_eq!(misses, EVICTION_ROUNDS);
+            }
         });
     }
     assert!(
         in_place > 0 && in_place < seeds.len() as u64 * EVICTION_ROUNDS,
         "fetch_resident must both pin and give up, pinned {in_place}"
     );
+}
+
+#[test]
+fn dst_fetch_resident_never_pins_an_evicted_page() {
+    check_resident_vs_eviction(false);
+}
+
+#[test]
+fn dst_fetch_resident_through_the_header_never_pins_an_evicted_page() {
+    check_resident_vs_eviction(true);
 }
 
 // --- determinism -----------------------------------------------------------

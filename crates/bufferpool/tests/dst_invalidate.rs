@@ -5,6 +5,12 @@
 //! every schedule the retry loop must converge to `Invalidated` or
 //! `NotResident` (never spin forever — the step budget would abort the
 //! run), and the pool must end with `free + resident == frames`.
+//!
+//! A hit's pin lives in its session's slot line, not in the frame's
+//! header, so invalidate must scan the slots too: the
+//! `dst_mutation = "invalidate_ignores_slots"` mutant frees a page a
+//! hit is still reading, and `dst_invalidate_never_frees_a_page_a_hit_reads`
+//! catches the refill under the reader.
 
 #![cfg(feature = "dst")]
 
@@ -124,6 +130,81 @@ fn dst_invalidate_retry_loop_converges_under_pin_races() {
     assert!(
         invalidated_seen > 0,
         "no schedule ever invalidated; vacuous"
+    );
+}
+
+/// One frame. The reader warms `PAGE`, then holds hit guards on it and
+/// reads it before and after a run of yields; the antagonist invalidates
+/// `PAGE` whenever it can and refills the frame with another page at
+/// once. Invalidate must answer `Busy` while a hit's slot pins the
+/// page; under the `invalidate_ignores_slots` mutant it frees the
+/// frame, the refill overwrites it, and the reader's second read sees
+/// the other page.
+#[test]
+fn dst_invalidate_never_frees_a_page_a_hit_reads() {
+    const OTHER: u64 = PAGE + 1;
+    const ROUNDS: u64 = 6;
+    let stamp = |d: &[u8]| u64::from_le_bytes(d[..8].try_into().unwrap());
+    let (mut busy_seen, mut hits) = (0u64, 0u64);
+    for (i, seed) in bpw_dst::seed_corpus(0x5107, 40).iter().enumerate() {
+        let pool = Arc::new(BufferPool::new(
+            1,
+            64,
+            WrappedManager::new(Lru::new(1), WrapperConfig::default()),
+            Arc::new(SimDisk::instant()),
+        ));
+        let mut sim = if i % 4 == 1 {
+            Sim::new(*seed).with_pct(3)
+        } else {
+            Sim::new(*seed)
+        };
+        {
+            let pool = Arc::clone(&pool);
+            sim.spawn(move || {
+                let mut s = pool.session();
+                drop(s.fetch(PAGE).unwrap());
+                for _ in 0..ROUNDS {
+                    let p = s.fetch(PAGE).unwrap();
+                    assert_eq!(p.read(stamp), PAGE);
+                    for _ in 0..4 {
+                        bpw_dst::yield_now();
+                    }
+                    assert_eq!(
+                        p.read(stamp),
+                        PAGE,
+                        "the page was invalidated and its frame refilled under a reader's pin"
+                    );
+                }
+            });
+        }
+        {
+            let pool = Arc::clone(&pool);
+            sim.spawn(move || {
+                let mut s = pool.session();
+                for _ in 0..4 * ROUNDS {
+                    if pool.invalidate(PAGE).is_invalidated() {
+                        drop(s.fetch(OTHER).unwrap());
+                    }
+                    bpw_dst::yield_now();
+                }
+            });
+        }
+        let out = sim.run();
+        out.expect_clean();
+        out.check(|_| {
+            assert_eq!(pool.free_frames() + pool.resident_count(), 1);
+            pool.check_mapping_invariants();
+        });
+        busy_seen += out
+            .history
+            .iter()
+            .filter(|e| matches!(e.op, Op::Invalidate { outcome: 2, .. }))
+            .count() as u64;
+        hits += pool.stats().hits.load(std::sync::atomic::Ordering::Relaxed);
+    }
+    assert!(
+        busy_seen > 0 && hits > 0,
+        "no invalidate met a hit's pin ({busy_seen} Busy, {hits} hits); vacuous"
     );
 }
 

@@ -8,8 +8,8 @@
 //! pool, then drives a window of guaranteed hits on the same thread,
 //! each reading its page, and asserts the thread's acquisition count
 //! did not move — covering the page-table shard `RwLock` (optimistic
-//! probe instead), the descriptor latch (pin/unpin are header CAS
-//! loops), the page's bytes (the pin is their read latch; they have no
+//! probe instead), the descriptor latch (a hit pins through its
+//! session's slot line and a header load), the page's bytes (the pin is their read latch; they have no
 //! lock of their own), and, by construction, the policy/miss
 //! `InstrumentedLock`s (BP-Wrapper defers bookkeeping below its batch
 //! threshold).
@@ -88,7 +88,7 @@ fn cache_hit_takes_zero_lock_acquisitions() {
             .pin_cas_retries
             .load(std::sync::atomic::Ordering::Relaxed),
         0,
-        "single-threaded pins must land on the first CAS"
+        "slot pins make no CAS, so no CAS can retry"
     );
 }
 

@@ -292,8 +292,16 @@ impl<'w, P: ReplacementPolicy, W: Deref<Target = BpWrapper<P>>> AccessHandle<'w,
     /// [invalidated](BpWrapper::invalidate) meanwhile.
     pub fn record_admit(&mut self, page: PageId, frame: FrameId) {
         bpw_dst::yield_point();
+        self.wrapper.counters.accesses.incr();
+        self.record_readmit(page, frame);
+    }
+
+    /// [`record_admit`](Self::record_admit) for an admission that is not
+    /// an access of its own, so `accesses` does not count it: a frame
+    /// that [`record_miss_ahead`](Self::record_miss_ahead) took goes back
+    /// to its page, or the miss it served moves into another of them.
+    pub fn record_readmit(&mut self, page: PageId, frame: FrameId) {
         let w = &*self.wrapper;
-        w.counters.accesses.incr();
         let generation = w.admit_gens[frame as usize].load(Ordering::Relaxed);
         self.queue.push(AccessEntry::admit(page, frame, generation));
         self.commit_at_threshold();

@@ -56,7 +56,7 @@ pub enum EventKind {
     /// eviction and I/O (which then nests its own `MissIo` span). Arg:
     /// request opcode.
     PinOrMiss,
-    /// A lock-free cache hit: the pin CAS landed without touching any
+    /// A lock-free cache hit: the pin landed without touching any
     /// lock. Instant. Arg: page id.
     HitPin,
 }
