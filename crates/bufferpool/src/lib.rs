@@ -32,7 +32,7 @@ pub mod pool;
 pub mod storage;
 
 pub use desc::{BufferDesc, DescState, PinAttempt, UnpinOutcome};
-pub use free_list::StripedFreeList;
+pub use free_list::FreeList;
 pub use managers::{
     ClockManager, CoarseManager, ManagerHandle, ReplacementManager, WrappedManager,
 };

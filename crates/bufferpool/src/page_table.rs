@@ -213,9 +213,8 @@ impl PageTable {
         x
     }
 
-    /// The shard index `page` hashes to. Public so pool-side structures
-    /// (per-shard miss locks, striped free lists) can partition by the
-    /// exact same function.
+    /// The shard index `page` hashes to. Public so the pool's per-shard
+    /// miss locks can partition by the exact same function.
     pub fn shard_index(&self, page: PageId) -> usize {
         (Self::hash(page) & self.mask) as usize
     }

@@ -14,7 +14,7 @@ use bpw_metrics::{LockShardSummary, LockSnapshot, LockStats, StripedCounter};
 use bpw_replacement::{FrameId, MissOutcome, PageId};
 
 use crate::desc::{BufferDesc, UnpinOutcome};
-use crate::free_list::{StripedFreeList, MAX_STRIPES};
+use crate::free_list::FreeList;
 use crate::managers::{ManagerHandle, ReplacementManager};
 use crate::page_table::PageTable;
 use crate::storage::Storage;
@@ -279,7 +279,7 @@ impl PinSlots {
 pub struct BufferPool<M: ReplacementManager> {
     table: PageTable,
     frames: Vec<CachePadded<Frame>>,
-    free: StripedFreeList,
+    free: FreeList,
     /// Serialize victim selection + table rebinding (not the I/O), one
     /// lock per page-table shard: misses on pages in different shards
     /// run their whole slow path concurrently. Instrumented: misses are
@@ -301,12 +301,20 @@ pub struct BufferPool<M: ReplacementManager> {
 
 impl<M: ReplacementManager> BufferPool<M> {
     /// Build a pool of `frames` frames of `page_size` bytes each, with
-    /// one miss lock per page-table shard and as many free-list stripes,
-    /// up to [`MAX_STRIPES`].
+    /// one miss lock per page-table shard.
     pub fn new(frames: usize, page_size: usize, manager: M, storage: Arc<dyn Storage>) -> Self {
         assert!(frames >= 1);
         let table = PageTable::new(frames / 4);
-        let shards = table.shards();
+        let miss_locks = (0..table.shards())
+            .map(|i| {
+                InstrumentedLock::with_wait_event(
+                    (),
+                    Arc::new(LockStats::new()),
+                    bpw_trace::EventKind::MissShardWait,
+                    i as u64,
+                )
+            })
+            .collect();
         BufferPool {
             table,
             frames: (0..frames)
@@ -317,8 +325,8 @@ impl<M: ReplacementManager> BufferPool<M> {
                     })
                 })
                 .collect(),
-            free: StripedFreeList::new(frames, shards.min(MAX_STRIPES)),
-            miss_locks: Self::build_miss_locks(shards),
+            free: FreeList::new(frames),
+            miss_locks,
             manager,
             storage,
             stats: PoolStats::default(),
@@ -329,42 +337,10 @@ impl<M: ReplacementManager> BufferPool<M> {
         }
     }
 
-    fn build_miss_locks(shards: usize) -> Vec<InstrumentedLock<()>> {
-        (0..shards)
-            .map(|i| {
-                InstrumentedLock::with_wait_event(
-                    (),
-                    Arc::new(LockStats::new()),
-                    bpw_trace::EventKind::MissShardWait,
-                    i as u64,
-                )
-            })
-            .collect()
-    }
-
-    /// Override the miss-path partition width (builder style; call
-    /// before the first fetch). `1` is a single global miss lock + free
-    /// list: frames are then handed out in one ascending order, which
-    /// `tests/proptest_pool.rs` needs to compare the pool against
-    /// `CacheSim` step by step. Values above the page-table shard
-    /// count are clamped to it (extra locks could never be indexed).
-    pub fn with_miss_shards(mut self, shards: usize) -> Self {
-        assert!(shards >= 1, "need at least one miss shard");
-        assert_eq!(
-            self.free.len(),
-            self.frames(),
-            "with_miss_shards must be called before any fetch"
-        );
-        let n = shards.min(self.table.shards());
-        self.miss_locks = Self::build_miss_locks(n);
-        self.free = StripedFreeList::new(self.frames(), n.min(MAX_STRIPES));
-        self
-    }
-
     /// The shard lock index `page`'s miss path serializes on: the page
-    /// table's shard function, folded onto the miss-lock count.
+    /// table's shard function.
     fn miss_shard(&self, page: PageId) -> usize {
-        self.table.shard_index(page) % self.miss_locks.len()
+        self.table.shard_index(page)
     }
 
     /// Set the storage retry policy (builder style).
@@ -425,15 +401,11 @@ impl<M: ReplacementManager> BufferPool<M> {
         LockShardSummary::from_snapshots(&self.miss_lock_shard_snapshots())
     }
 
-    /// Free-list pops served by a stripe other than the asker's home
-    /// (work-stealing rebalances).
+    /// Always 0: the free list is one FIFO and has nothing to steal
+    /// from. Kept only for the benchmark's layer report, which reads it.
+    #[doc(hidden)]
     pub fn free_list_steals(&self) -> u64 {
-        self.free.steals()
-    }
-
-    /// Frames parked on the free list's cold stack by frame repair.
-    pub fn free_list_cold_pushes(&self) -> u64 {
-        self.free.cold_pushes()
+        0
     }
 
     /// Page-table lookups that retried through the locked fallback path
@@ -495,8 +467,7 @@ impl<M: ReplacementManager> BufferPool<M> {
     }
 
     fn invalidate_inner(&self, page: PageId) -> InvalidateOutcome {
-        let shard = self.miss_shard(page);
-        let _g = self.miss_locks[shard].lock();
+        let _g = self.miss_locks[self.miss_shard(page)].lock();
         bpw_dst::yield_point();
         let Some(frame) = self.table.get(page) else {
             return InvalidateOutcome::NotResident;
@@ -517,7 +488,7 @@ impl<M: ReplacementManager> BufferPool<M> {
         }
         self.table.remove(page);
         self.manager.invalidate(frame);
-        self.free.push(shard, frame);
+        self.free.push(frame);
         InvalidateOutcome::Invalidated
     }
 
@@ -605,10 +576,10 @@ impl<M: ReplacementManager> BufferPool<M> {
         bpw_dst::record(|| bpw_dst::Op::Unpin { page, pins: 0 });
         self.table.remove(page);
         self.manager.invalidate(frame);
-        // Cold push: the frame just hosted a failing I/O; a plain LIFO
-        // push would hand it straight to the next miss, so one bad page
-        // could monopolize a single frame indefinitely.
-        self.free.push_cold(frame);
+        // To the back of the list: the frame just hosted a failing I/O,
+        // and handing it straight to the next miss would let one bad
+        // page monopolize a single frame.
+        self.free.push(frame);
     }
 
     /// Number of valid resident pages (O(frames); tests).
@@ -619,8 +590,9 @@ impl<M: ReplacementManager> BufferPool<M> {
             .count()
     }
 
-    /// Frames currently on the free list (never used or freed by
-    /// [`invalidate`](Self::invalidate)).
+    /// Frames currently on the free list: never used, or returned by
+    /// [`invalidate`](Self::invalidate), by repair after a failed read,
+    /// or from a dropped session's stash.
     pub fn free_frames(&self) -> usize {
         self.free.len()
     }
@@ -804,8 +776,7 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
     /// (the caller retries), `Err` when storage failed after retries.
     fn fetch_miss(&mut self, page: PageId) -> io::Result<Option<PinnedPage<'p, M>>> {
         let pool = self.pool;
-        let shard = pool.miss_shard(page);
-        let mut guard = pool.miss_locks[shard].lock();
+        let mut guard = pool.miss_locks[pool.miss_shard(page)].lock();
         bpw_dst::yield_point();
         // Re-check: another thread may have loaded the page while we
         // waited for this shard's miss lock.
@@ -818,7 +789,7 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
         // the free list — is admitted once its read succeeds. Only when
         // there is none does the manager evict.
         let stashed = self.stash.pop();
-        let popped = stashed.or_else(|| pool.free.pop(shard));
+        let popped = stashed.or_else(|| pool.free.pop());
         let (frame, victim) = match popped {
             Some(f) => (f, None),
             // Victim filter: frames with header pins or in I/O are
@@ -1098,7 +1069,7 @@ impl<'p, M: ReplacementManager> Drop for PoolSession<'p, M> {
         }
         self.pool.stashed.sub(self.stash.len() as u64);
         for frame in self.stash.drain(..) {
-            self.pool.free.push(frame as usize, frame);
+            self.pool.free.push(frame);
         }
     }
 }
@@ -1631,10 +1602,10 @@ mod tests {
     #[test]
     fn failing_page_rotates_through_frames_not_one() {
         // A page whose read always fails must not monopolize a single
-        // frame: repair parks the failed frame on the free list's cold
-        // stack, so the next attempt claims a different (regular-stripe)
-        // frame. The repair leaves the frame's tag as a remnant, which
-        // lets the test count distinct frames the bad page touched.
+        // frame: repair returns the failed frame to the back of the free
+        // list, so every attempt claims a fresh frame. The repair leaves
+        // the frame's tag as a remnant, which lets the test count
+        // distinct frames the bad page touched.
         let frames = 4usize;
         let disk = Arc::new(crate::storage::FaultyDisk::new(
             Arc::new(SimDisk::instant()),
@@ -1656,11 +1627,12 @@ mod tests {
         let touched = (0..frames)
             .filter(|&f| pool.desc(f as FrameId).snapshot().tag == bad)
             .count();
-        assert!(
-            touched >= 2,
-            "bad page churned only {touched} frame(s); cold rotation broken"
+        assert_eq!(
+            touched,
+            frames - 1,
+            "each of {} failures must land on a fresh frame",
+            frames - 1
         );
-        assert_eq!(pool.free_list_cold_pushes(), frames as u64 - 1);
         assert_eq!(pool.free_frames(), frames, "every failure fully repaired");
     }
 
@@ -1674,44 +1646,35 @@ mod tests {
         let uniform = uniform_trace(60_000, 16_384);
         let cold: Vec<u64> = (0..64).collect();
         for (frames, trace, even) in [(16, &cold, false), (2048, &uniform, true)] {
-            for one_lock in [false, true] {
-                let mut pool = pool_2q(frames);
-                if one_lock {
-                    pool = pool.with_miss_shards(1);
-                }
-                let mut s = pool.session();
-                for &p in trace {
-                    drop(s.fetch(p).unwrap());
-                }
-                drop(s);
-                pool.check_mapping_invariants();
-                let misses = counts(&pool).1;
-                let acqs: Vec<u64> = pool
-                    .miss_lock_shard_snapshots()
-                    .iter()
-                    .map(|s| s.acquisitions)
-                    .collect();
-                // One miss-shard lock acquisition per miss, and the
-                // merged views agree with the per-shard ones.
-                assert_eq!(acqs.iter().sum::<u64>(), misses);
-                assert_eq!(pool.miss_lock_snapshot().acquisitions, misses);
-                let summary = pool.miss_lock_summary();
-                assert_eq!(summary.shards, acqs.len());
-                assert_eq!(summary.total_acquisitions, misses);
-                if one_lock {
-                    assert_eq!(acqs, [misses]);
-                    continue;
-                }
-                let touched = acqs.iter().filter(|&&a| a > 0).count();
-                assert!(touched > 1, "misses must spread over multiple shards");
-                if even {
-                    let fair = misses / acqs.len() as u64;
-                    let hottest = *acqs.iter().max().unwrap();
-                    assert!(
-                        hottest <= 2 * fair,
-                        "hottest shard took {hottest} misses, fair share {fair}"
-                    );
-                }
+            let pool = pool_2q(frames);
+            let mut s = pool.session();
+            for &p in trace {
+                drop(s.fetch(p).unwrap());
+            }
+            drop(s);
+            pool.check_mapping_invariants();
+            let misses = counts(&pool).1;
+            let acqs: Vec<u64> = pool
+                .miss_lock_shard_snapshots()
+                .iter()
+                .map(|s| s.acquisitions)
+                .collect();
+            // One miss-shard lock acquisition per miss, and the merged
+            // views agree with the per-shard ones.
+            assert_eq!(acqs.iter().sum::<u64>(), misses);
+            assert_eq!(pool.miss_lock_snapshot().acquisitions, misses);
+            let summary = pool.miss_lock_summary();
+            assert_eq!(summary.shards, acqs.len());
+            assert_eq!(summary.total_acquisitions, misses);
+            let touched = acqs.iter().filter(|&&a| a > 0).count();
+            assert!(touched > 1, "misses must spread over multiple shards");
+            if even {
+                let fair = misses / acqs.len() as u64;
+                let hottest = *acqs.iter().max().unwrap();
+                assert!(
+                    hottest <= 2 * fair,
+                    "hottest shard took {hottest} misses, fair share {fair}"
+                );
             }
         }
     }
@@ -1779,32 +1742,6 @@ mod tests {
         );
         assert_eq!(pool.free_frames() + pool.resident_count(), frames);
         pool.check_mapping_invariants();
-    }
-
-    #[test]
-    fn free_list_stripes_follow_threads_not_frames() {
-        // One miss lock per table shard, but a miss on a full pool must
-        // not pay for a free-list head per shard.
-        let pool = pool_2q(2048);
-        assert!(pool.miss_lock_shards() > MAX_STRIPES);
-        assert_eq!(pool.free.stripes(), MAX_STRIPES);
-        let pool = pool.with_miss_shards(64);
-        assert_eq!(pool.miss_lock_shards(), 64);
-        assert_eq!(pool.free.stripes(), MAX_STRIPES);
-        assert_eq!(pool_2q(16).free.stripes(), pool_2q(16).miss_lock_shards());
-    }
-
-    #[test]
-    fn coarse_baseline_single_shard() {
-        let pool = pool_2q(8).with_miss_shards(1);
-        assert_eq!(pool.miss_lock_shards(), 1);
-        assert_eq!(pool.free.stripes(), 1);
-        let mut s = pool.session();
-        for p in 0..32u64 {
-            drop(s.fetch(p).unwrap());
-        }
-        assert_eq!(pool.miss_lock_snapshot().acquisitions, 32);
-        assert_eq!(pool.free_frames() + pool.resident_count(), 8);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 
 use std::sync::Arc;
 
-use bpw_bufferpool::{BufferPool, SimDisk, WrappedManager};
+use bpw_bufferpool::{BufferPool, ReplacementManager, SimDisk, WrappedManager};
 use bpw_core::WrapperConfig;
 use bpw_replacement::TwoQ;
 
@@ -191,6 +191,54 @@ fn concurrent_hits_still_take_zero_locks() {
             });
         }
     });
+}
+
+#[test]
+fn a_miss_on_a_full_pool_takes_no_free_list_lock() {
+    // A full pool's free list is empty, and a miss learns that from one
+    // load of its count, not under its lock. The census of a window of
+    // clean misses is then exactly: per miss, its miss-shard lock, one
+    // `SimDisk` stripe lock to read the page, and the page table's
+    // shard write lock twice (the victim unmapped, the page mapped);
+    // plus the replacement lock's share, one acquisition per k victims
+    // evicted ahead. A free list that locked on its empty path would
+    // add one per miss.
+    const MISSES: u64 = 256;
+    let cfg = WrapperConfig::default();
+    let pool = BufferPool::new(
+        FRAMES,
+        128,
+        WrappedManager::new(TwoQ::new(FRAMES), cfg),
+        Arc::new(SimDisk::instant()),
+    );
+    let mut session = pool.session();
+    for page in 0..2 * FRAMES as u64 {
+        drop(session.fetch(page).expect("instant disk"));
+    }
+    assert_eq!(pool.free_frames(), 0, "the pool must be full");
+    let relaxed = std::sync::atomic::Ordering::Relaxed;
+    let misses_before = pool.stats().misses.load(relaxed);
+    let replacement_before = pool.manager().lock_snapshot().acquisitions;
+
+    let base = parking_lot::thread_acquisitions();
+    for page in 10_000..10_000 + MISSES {
+        drop(session.fetch(page).expect("instant disk"));
+    }
+    let taken = parking_lot::thread_acquisitions() - base;
+
+    assert_eq!(pool.stats().misses.load(relaxed) - misses_before, MISSES);
+    assert_eq!(
+        pool.stats().writebacks.load(relaxed),
+        0,
+        "clean misses only"
+    );
+    let replacement = pool.manager().lock_snapshot().acquisitions - replacement_before;
+    assert_eq!(replacement, MISSES / cfg.evict_batch() as u64);
+    assert_eq!(taken, 4 * MISSES + replacement);
+    assert_eq!(
+        taken, 1_056,
+        "{MISSES} misses on a full pool took {taken} locks"
+    );
 }
 
 #[test]

@@ -21,18 +21,12 @@ proptest! {
         frames in 2usize..24,
         trace in prop::collection::vec(0u64..48, 1..300),
     ) {
-        // One miss shard: free frames are handed out in ascending order,
-        // matching CacheSim's allocator. Frame-indexed policies (CLOCK)
-        // make different—equally valid—decisions under striped
-        // allocation, so exact equivalence is only defined against the
-        // same allocation order.
         let pool = BufferPool::new(
             frames,
             32,
             CoarseManager::new(kind.build(frames)),
             Arc::new(SimDisk::instant()),
-        )
-        .with_miss_shards(1);
+        );
         let mut reference = CacheSim::new(kind.build(frames));
         let mut session = pool.session();
         for &page in &trace {

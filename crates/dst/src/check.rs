@@ -150,15 +150,13 @@ pub struct FreeListReport {
     /// Pops that answered `None`.
     pub empty_pops: u64,
     pub pushes: u64,
-    pub cold_pushes: u64,
     pub free_at_end: u32,
 }
 
-/// Checker (b): the striped free list never double-allocates a frame
-/// and never loses one, across home-stripe, steal, and cold paths, and
-/// a pop never answers `None` past a frame that was linked the whole
-/// time the pop ran — the list's count is an upper bound on the frames
-/// linked, so its zero is exact.
+/// Checker (b): the free list never double-allocates a frame and never
+/// loses one, and a pop never answers `None` past a frame that was
+/// linked the whole time the pop ran — a push raises the list's count
+/// before it records the frame, so the count's zero is exact.
 ///
 /// `initially_free` is the set of frames sitting on the free list when
 /// recording started (for a fresh pool: all frames). Replays every
@@ -196,13 +194,13 @@ pub fn check_free_list(events: &[Event], frames: u32, initially_free: bool) -> F
                 assert!(
                     *slot,
                     "double allocation: task {} popped frame {frame} while it \
-                     was already allocated (ABA?)",
+                     was already allocated",
                     ev.task
                 );
                 *slot = false;
                 report.pops += 1;
             }
-            Op::FreePush { frame, cold } => {
+            Op::FreePush { frame } => {
                 let slot = free.get_mut(frame as usize).unwrap_or_else(|| {
                     panic!("push of out-of-range frame {frame} (frames={frames})")
                 });
@@ -215,9 +213,6 @@ pub fn check_free_list(events: &[Event], frames: u32, initially_free: bool) -> F
                 *slot = true;
                 linked_at[frame as usize] = i + 1;
                 report.pushes += 1;
-                if cold {
-                    report.cold_pushes += 1;
-                }
             }
             _ => {}
         }
@@ -445,18 +440,12 @@ mod tests {
         let events = vec![
             ev(0, Op::FreePop { frame: 0 }),
             ev(1, Op::FreePop { frame: 1 }),
-            ev(
-                0,
-                Op::FreePush {
-                    frame: 0,
-                    cold: true,
-                },
-            ),
+            ev(0, push(0)),
             ev(1, Op::FreePop { frame: 0 }),
         ];
         let report = check_free_list(&events, 2, true);
         assert_eq!(report.pops, 3);
-        assert_eq!(report.cold_pushes, 1);
+        assert_eq!(report.pushes, 1);
         assert_eq!(report.free_at_end, 0);
     }
 
@@ -471,7 +460,7 @@ mod tests {
     }
 
     fn push(frame: u32) -> Op {
-        Op::FreePush { frame, cold: false }
+        Op::FreePush { frame }
     }
 
     #[test]
@@ -547,20 +536,8 @@ mod tests {
     fn free_list_rejects_duplicate_free() {
         let events = vec![
             ev(0, Op::FreePop { frame: 0 }),
-            ev(
-                0,
-                Op::FreePush {
-                    frame: 0,
-                    cold: false,
-                },
-            ),
-            ev(
-                1,
-                Op::FreePush {
-                    frame: 0,
-                    cold: false,
-                },
-            ),
+            ev(0, push(0)),
+            ev(1, push(0)),
         ];
         check_free_list(&events, 2, true);
     }

@@ -34,14 +34,12 @@ pub enum Op {
     /// A miss evicted `victim` from `frame` ahead of need, under the
     /// same lock acquisition, leaving the frame to its session's stash.
     EvictAhead { frame: u32, victim: u64 },
-    /// A frame was pushed onto the striped free list (`cold` = onto the
-    /// cold stack rather than a per-thread stripe).
-    FreePush { frame: u32, cold: bool },
-    /// A frame was popped (allocated) from the striped free list, via
-    /// the home stripe, a steal, or the cold stack.
+    /// A frame was pushed onto the free list.
+    FreePush { frame: u32 },
+    /// A frame was popped (allocated) from the free list.
     FreePop { frame: u32 },
     /// A free-list pop answered `None`: it read a zero count, or found
-    /// every stack empty.
+    /// the list empty under its lock.
     FreePopEmpty,
     /// A pool fetch completed.
     FetchDone { page: u64, frame: u32, hit: bool },

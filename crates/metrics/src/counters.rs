@@ -300,7 +300,11 @@ mod tests {
 
     /// The tests that add to a striped counter run one at a time: some
     /// reason about which cells are free, and the claims are
-    /// process-wide.
+    /// process-wide. Each adds only on threads it joins, so every cell
+    /// it claimed is free again when it returns: a thread gives its cell
+    /// back in a thread-local destructor, which a scope's end does not
+    /// wait for and a test harness thread runs after the next test has
+    /// started.
     static CLAIMS: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     fn claims() -> std::sync::MutexGuard<'static, ()> {
@@ -317,18 +321,21 @@ mod tests {
         let claimed = std::sync::Barrier::new(threads);
         let on_shared = AtomicU64::new(0);
         std::thread::scope(|sc| {
-            for _ in 0..threads {
-                sc.spawn(|| {
-                    c.incr();
-                    claimed.wait();
-                    if stripe() == SHARED {
-                        on_shared.fetch_add(1, Ordering::Relaxed);
-                    }
-                    for _ in 0..4_999 {
+            let adders: Vec<_> = (0..threads)
+                .map(|_| {
+                    sc.spawn(|| {
                         c.incr();
-                    }
-                });
-            }
+                        claimed.wait();
+                        if stripe() == SHARED {
+                            on_shared.fetch_add(1, Ordering::Relaxed);
+                        }
+                        for _ in 0..4_999 {
+                            c.incr();
+                        }
+                    })
+                })
+                .collect();
+            adders.into_iter().for_each(|a| a.join().unwrap());
         });
         assert!(on_shared.load(Ordering::Relaxed) >= 3);
         assert_eq!(c.get(), threads as u64 * 5_000);
@@ -366,15 +373,18 @@ mod tests {
         let _serial = claims();
         let c = StripedCounter::default();
         std::thread::scope(|sc| {
-            for _ in 0..4 {
-                sc.spawn(|| {
-                    for _ in 0..5_000 {
-                        let before = c.get();
-                        c.incr();
-                        assert!(c.get() > before, "own adds must be visible");
-                    }
-                });
-            }
+            let adders: Vec<_> = (0..4)
+                .map(|_| {
+                    sc.spawn(|| {
+                        for _ in 0..5_000 {
+                            let before = c.get();
+                            c.incr();
+                            assert!(c.get() > before, "own adds must be visible");
+                        }
+                    })
+                })
+                .collect();
+            adders.into_iter().for_each(|a| a.join().unwrap());
         });
         assert_eq!(c.get(), 20_000);
     }
@@ -388,9 +398,9 @@ mod tests {
         std::thread::scope(|sc| {
             sc.spawn(|| c.add(7)).join().unwrap();
             sc.spawn(|| c.sub(5)).join().unwrap();
+            assert_eq!(c.get(), 2);
+            sc.spawn(|| c.sub(2)).join().unwrap();
         });
-        assert_eq!(c.get(), 2);
-        c.sub(2);
         assert_eq!(c.get(), 0);
     }
 

@@ -97,14 +97,12 @@ type PoolCounter = (
 );
 
 #[rustfmt::skip] // one row per line
-const POOL_COUNTERS: [PoolCounter; 10] = [
+const POOL_COUNTERS: [PoolCounter; 8] = [
     ("pool_hits",                 "bpw_pool_hits_total",                 "Fetches served from the buffer.",                                   |p| p.stats().hits.load(Ordering::Relaxed)),
     ("pool_misses",               "bpw_pool_misses_total",               "Fetches that read storage.",                                        |p| p.stats().misses.load(Ordering::Relaxed)),
     ("pool_writebacks",           "bpw_pool_writebacks_total",           "Dirty victims written back.",                                       |p| p.stats().writebacks.load(Ordering::Relaxed)),
     ("pool_io_retries",           "bpw_pool_io_retries_total",           "Storage operations retried after a transient fault.",               |p| p.stats().io_retries.load(Ordering::Relaxed)),
     ("pool_io_errors",            "bpw_pool_io_errors_total",            "Storage operations failed after exhausting retries.",               |p| p.stats().io_errors.load(Ordering::Relaxed)),
-    ("free_list_steals",          "bpw_free_list_steals_total",          "Free-list pops served by stealing from another stripe.",            |p| p.free_list_steals()),
-    ("free_list_cold_pushes",     "bpw_free_list_cold_pushes_total",     "Frames parked on the free list's cold stack by frame repair.",      |p| p.free_list_cold_pushes()),
     ("pin_cas_retries",           "bpw_pin_cas_retries_total",           "Header pin CAS retries (packed-header contention signal).",         |p| p.stats().pin_cas_retries.load(Ordering::Relaxed)),
     ("pin_underflows",            "bpw_pin_underflow_total",             "Unpins that found the pin count at zero (saturated, not wrapped).", |p| p.stats().pin_underflows.load(Ordering::Relaxed)),
     ("page_table_fallback_reads", "bpw_page_table_fallback_reads_total", "Page-table lookups that fell back to the locked path.",             |p| p.page_table_fallback_reads()),

@@ -146,15 +146,6 @@ fn chaos_run_returns_correct_bytes_or_err_io_and_recovers(mode: FrontendMode) {
         "exhausted retries must be counted"
     );
 
-    // Every failed fetch routed its repaired frame to the free list's
-    // cold stack — persistently broken page 7 (hot under Zipf) must not
-    // monopolize a single frame by getting its last frame right back.
-    assert!(
-        server.pool().free_list_cold_pushes() >= 2,
-        "repeated failures on page 7 must park frames cold (got {})",
-        server.pool().free_list_cold_pushes()
-    );
-
     // Criterion 2: no frame was wedged by any of the injected failures.
     assert_no_stuck_frames(&server);
 

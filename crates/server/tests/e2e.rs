@@ -401,7 +401,7 @@ fn metrics_exposition_and_enriched_stats(mode: FrontendMode) {
     assert!(text.contains("bpw_lock_acquisitions_total{lock=\"miss\"}"));
     assert!(text.contains("bpw_miss_shard_acquisitions_total{shard=\"0\"}"));
     assert!(text.contains("bpw_miss_lock_shards"));
-    assert!(text.contains("bpw_free_list_steals_total"));
+    assert!(text.contains("bpw_pool_io_retries_total"));
     assert!(text.contains("bpw_trace_dropped_events_total"));
     // Event-loop observability is always exposed (zero-valued under the
     // threaded frontend) so dashboards don't need mode-aware queries.
@@ -440,7 +440,7 @@ fn metrics_exposition_and_enriched_stats(mode: FrontendMode) {
             .and_then(|l| l.get("acquisitions"))
             .and_then(JsonValue::as_u64),
     );
-    assert!(v.get("free_list_steals").is_some());
+    assert!(v.get("pool_io_retries").is_some());
     assert!(v.get("trace").and_then(|t| t.get("enabled")).is_some());
     // Stage histograms in STATS: the 64 GETs above must have left
     // samples (with quantile summaries) in every always-on stage.

@@ -44,9 +44,6 @@ pub enum EventKind {
     /// A miss had to wait for its page-table shard's miss lock; the
     /// span covers the wait. Arg: shard index.
     MissShardWait,
-    /// A free-list stripe ran dry and a frame was stolen from another
-    /// stripe. Instant. Arg: stripe stolen from.
-    FreeListSteal,
     /// One event-loop wakeup: the span covers dispatching every ready
     /// fd, draining completions, and flushing coalesced writes. Arg:
     /// ready events delivered by this `epoll_wait`.
@@ -63,7 +60,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// Every kind, in declaration order.
-    pub const ALL: [EventKind; 15] = [
+    pub const ALL: [EventKind; 14] = [
         EventKind::LockWait,
         EventKind::LockHold,
         EventKind::BatchCommit,
@@ -75,7 +72,6 @@ impl EventKind {
         EventKind::IoRetry,
         EventKind::IoError,
         EventKind::MissShardWait,
-        EventKind::FreeListSteal,
         EventKind::EpollWakeup,
         EventKind::PinOrMiss,
         EventKind::HitPin,
@@ -95,7 +91,6 @@ impl EventKind {
             EventKind::IoRetry => "io_retry",
             EventKind::IoError => "io_error",
             EventKind::MissShardWait => "miss_shard_wait",
-            EventKind::FreeListSteal => "free_list_steal",
             EventKind::EpollWakeup => "epoll_wakeup",
             EventKind::PinOrMiss => "pin_or_miss",
             EventKind::HitPin => "hit_pin",
@@ -117,7 +112,6 @@ impl EventKind {
             EventKind::IoRetry => "page",
             EventKind::IoError => "page",
             EventKind::MissShardWait => "shard",
-            EventKind::FreeListSteal => "stripe",
             EventKind::EpollWakeup => "ready_events",
             EventKind::PinOrMiss => "opcode",
             EventKind::HitPin => "page",
@@ -132,7 +126,6 @@ impl EventKind {
                 | EventKind::ServerEnqueue
                 | EventKind::IoRetry
                 | EventKind::IoError
-                | EventKind::FreeListSteal
                 | EventKind::HitPin
         )
     }
