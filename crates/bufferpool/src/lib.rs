@@ -1,11 +1,12 @@
 //! # bpw-bufferpool
 //!
 //! A DBMS-style buffer pool substrate for the BP-Wrapper reproduction:
-//! a sharded page table (concurrent lookups, per-bucket locks), buffer
-//! descriptors whose pins latch the page's bytes, simulated storage,
-//! and pluggable replacement managers covering the paper's three
-//! synchronization schemes (coarse lock per access, lock-free CLOCK
-//! hits, and BP-Wrapper).
+//! a sharded page table (lock-free lookups; one partition lock per
+//! shard, which is also the miss path's only lock), buffer descriptors
+//! whose pins latch the page's bytes, simulated storage, and pluggable
+//! replacement managers covering the paper's three synchronization
+//! schemes (coarse lock per access, lock-free CLOCK hits, and
+//! BP-Wrapper).
 //!
 //! ```
 //! use std::sync::Arc;
@@ -27,7 +28,7 @@
 pub mod desc;
 pub mod free_list;
 pub mod managers;
-pub mod page_table;
+mod page_table;
 pub mod pool;
 pub mod storage;
 
@@ -36,6 +37,5 @@ pub use free_list::FreeList;
 pub use managers::{
     ClockManager, CoarseManager, ManagerHandle, ReplacementManager, WrappedManager,
 };
-pub use page_table::PageTable;
 pub use pool::{BufferPool, InvalidateOutcome, PinnedPage, PoolSession, PoolStats, RetryPolicy};
 pub use storage::{FaultPlan, FaultyDisk, SimDisk, Storage};

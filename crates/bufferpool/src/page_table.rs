@@ -1,15 +1,16 @@
 //! The buffer look-up structure: a sharded page-id → frame-id map whose
 //! **readers take no lock**. The paper's §II argues bucket locks are
-//! rarely *contended* — but even an uncontended `RwLock` read is a
+//! rarely *contended* — but even an uncontended lock acquisition is a
 //! shared-cache-line RMW on acquire and another on release, which at
 //! 8+ threads is most of what a cache hit pays. Here each shard is a
 //! small open-addressing array of atomic `(page, frame)` slots guarded
 //! by a seqlock version: readers probe with plain loads and validate
-//! the version afterwards; writers (misses only) serialize on the
-//! shard's `RwLock` as before and flip the version odd around their
-//! critical section. A reader that observes a torn state (odd version,
-//! version change, or a shard with spilled entries) falls back to the
-//! locked path and counts the event.
+//! the version afterwards. Writers hold the shard's **partition lock**
+//! ([`PageTable::lock`], also the pool's miss lock) and flip the version
+//! odd around each mutation only, so a held guard stalls no optimistic
+//! reader. A reader that observes a torn state (odd version, version
+//! change, or a shard with spilled entries) falls back to the locked
+//! path and counts the event.
 //!
 //! Why seqlock-versioned shards rather than packing `(page, frame)`
 //! into one atomic word: `PageId` is a full `u64`, so a packed entry
@@ -25,9 +26,11 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
+use std::sync::Arc;
 
+use bpw_core::{InstrumentedLock, LockGuard};
+use bpw_metrics::{LockSnapshot, LockStats};
 use bpw_replacement::{FrameId, PageId};
-use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Slots per shard. With the pool's default sizing (one shard per four
 /// frames) average occupancy is 4/16 = 25%, so probes are short and
@@ -43,7 +46,7 @@ const TOMBSTONE: u64 = u64::MAX - 1;
 
 /// One open-addressing slot. The two fields are only ever interpreted
 /// together under an even, unchanged shard version (optimistic readers)
-/// or the shard lock (writers, fallback readers), so no ordering
+/// or the partition lock (writers, fallback readers), so no ordering
 /// stronger than the shard's seqlock fences is needed on the fields
 /// themselves.
 #[derive(Debug)]
@@ -61,7 +64,7 @@ impl Slot {
     }
 }
 
-/// Writer-side shard state, guarded by the shard `RwLock`.
+/// Writer-side shard state, guarded by the partition lock.
 #[derive(Debug, Default)]
 struct Spill {
     /// Mappings that did not fit in the slot array (and any page id
@@ -81,46 +84,25 @@ struct Shard {
     /// optimistic readers know when a probe miss is inconclusive.
     spill_len: AtomicU64,
     slots: [Slot; SLOT_CAP],
-    lock: RwLock<Spill>,
+    /// The partition lock. Instrumented: once BP-Wrapper takes the
+    /// replacement lock off the hit path, misses are where lock
+    /// contention concentrates, and a blocked acquisition is a
+    /// `MissShardWait` span carrying the shard index.
+    lock: InstrumentedLock<Spill>,
 }
 
 impl Shard {
-    fn new() -> Self {
+    fn new(index: usize) -> Self {
         Shard {
             version: AtomicU64::new(0),
             spill_len: AtomicU64::new(0),
             slots: std::array::from_fn(|_| Slot::new()),
-            lock: RwLock::new(Spill::default()),
-        }
-    }
-
-    /// dst-aware lock acquisition: blocking inside a simulation task
-    /// would wedge the token-passing scheduler, so spin on the `try_`
-    /// variant and yield the token between attempts (the same pattern
-    /// as `InstrumentedLock`).
-    fn lock_read(&self) -> RwLockReadGuard<'_, Spill> {
-        if bpw_dst::in_task() {
-            loop {
-                if let Some(g) = self.lock.try_read() {
-                    return g;
-                }
-                bpw_dst::yield_now();
-            }
-        } else {
-            self.lock.read()
-        }
-    }
-
-    fn lock_write(&self) -> RwLockWriteGuard<'_, Spill> {
-        if bpw_dst::in_task() {
-            loop {
-                if let Some(g) = self.lock.try_write() {
-                    return g;
-                }
-                bpw_dst::yield_now();
-            }
-        } else {
-            self.lock.write()
+            lock: InstrumentedLock::with_wait_event(
+                Spill::default(),
+                Arc::new(LockStats::new()),
+                bpw_trace::EventKind::MissShardWait,
+                index as u64,
+            ),
         }
     }
 
@@ -141,6 +123,11 @@ impl Shard {
         None
     }
 
+    /// Publish the spill map's size to optimistic readers.
+    fn set_spill_len(&self, len: usize) {
+        self.spill_len.store(len as u64, Ordering::Relaxed);
+    }
+
     /// Locked (fallback / writer-side) lookup: slots + spill map.
     fn get_locked(&self, spill: &Spill, home: usize, page: PageId) -> Option<FrameId> {
         self.probe(home, page)
@@ -151,7 +138,7 @@ impl Shard {
 /// RAII seqlock write window: flips the shard version odd on entry and
 /// back to even (one generation later) on drop, with the fences that
 /// order the slot mutations inside the window. Must only be created
-/// while holding the shard's write lock.
+/// while holding the shard's partition lock.
 struct WriteWindow<'a> {
     shard: &'a Shard,
     v: u64,
@@ -178,7 +165,7 @@ impl Drop for WriteWindow<'_> {
 }
 
 /// Sharded page-id → frame-id map with lock-free reads.
-pub struct PageTable {
+pub(crate) struct PageTable {
     shards: Vec<Shard>,
     mask: u64,
     /// Optimistic reads that had to retry through the locked path
@@ -189,17 +176,18 @@ pub struct PageTable {
 impl PageTable {
     /// Create a table with `shards` buckets (rounded up to a power of
     /// two, minimum 16).
-    pub fn new(shards: usize) -> Self {
+    pub(crate) fn new(shards: usize) -> Self {
         let n = shards.next_power_of_two().max(16);
         PageTable {
-            shards: (0..n).map(|_| Shard::new()).collect(),
+            shards: (0..n).map(Shard::new).collect(),
             mask: (n - 1) as u64,
             fallback_reads: AtomicU64::new(0),
         }
     }
 
     /// Number of shards.
-    pub fn shards(&self) -> usize {
+    #[cfg(test)]
+    fn shards(&self) -> usize {
         self.shards.len()
     }
 
@@ -213,9 +201,8 @@ impl PageTable {
         x
     }
 
-    /// The shard index `page` hashes to. Public so the pool's per-shard
-    /// miss locks can partition by the exact same function.
-    pub fn shard_index(&self, page: PageId) -> usize {
+    /// The shard index `page` hashes to.
+    fn shard_index(&self, page: PageId) -> usize {
         (Self::hash(page) & self.mask) as usize
     }
 
@@ -227,15 +214,23 @@ impl PageTable {
 
     /// Reads that fell back to the locked path (scraped into
     /// `bpw_page_table_fallback_reads_total`).
-    pub fn fallback_reads(&self) -> u64 {
+    pub(crate) fn fallback_reads(&self) -> u64 {
         self.fallback_reads.load(Ordering::Relaxed)
+    }
+
+    /// Each shard's partition-lock statistics, in shard order.
+    pub(crate) fn lock_snapshots(&self) -> Vec<LockSnapshot> {
+        self.shards
+            .iter()
+            .map(|s| s.lock.stats().snapshot())
+            .collect()
     }
 
     /// Visit every `(page, frame)` mapping (O(shards) lock rounds; for
     /// invariant checks and stats, not hot paths).
-    pub fn for_each(&self, mut f: impl FnMut(PageId, FrameId)) {
+    pub(crate) fn for_each(&self, mut f: impl FnMut(PageId, FrameId)) {
         for shard in &self.shards {
-            let spill = shard.lock_read();
+            let spill = shard.lock.lock();
             for slot in &shard.slots {
                 let p = slot.page.load(Ordering::Relaxed);
                 if p != EMPTY && p != TOMBSTONE {
@@ -251,8 +246,9 @@ impl PageTable {
     /// Look up the frame caching `page`, if mapped — **lock-free** on
     /// the common path: a seqlock-validated probe of the shard's atomic
     /// slots. The yield point makes every lookup a schedule decision
-    /// under the dst harness.
-    pub fn get(&self, page: PageId) -> Option<FrameId> {
+    /// under the dst harness. A caller holding `page`'s guard must ask
+    /// the guard instead: a fallback here would wait on that guard.
+    pub(crate) fn get(&self, page: PageId) -> Option<FrameId> {
         bpw_dst::yield_point();
         let shard = &self.shards[self.shard_index(page)];
         let home = Self::home_index(page);
@@ -270,33 +266,71 @@ impl PageTable {
             }
         }
         // Fallback: a torn read means a writer is (or was just) active;
-        // the shard lock serializes against it. Rare, so the counter
-        // RMW is off the hot path.
+        // the partition lock serializes against it. Rare, so the
+        // counter RMW is off the hot path.
         self.fallback_reads.fetch_add(1, Ordering::Relaxed);
-        let spill = shard.lock_read();
+        let spill = shard.lock.lock();
         shard.get_locked(&spill, home, page)
     }
 
-    /// Map `page` to `frame`. Returns the previous mapping, if any.
-    /// Writers serialize on the shard lock (misses only — never on the
-    /// hit path).
-    pub fn insert(&self, page: PageId, frame: FrameId) -> Option<FrameId> {
-        bpw_dst::yield_point();
+    /// Take `page`'s partition lock: the one lock that serializes the
+    /// mutations of its shard — misses, invalidations, repairs and
+    /// unmaps — and never a hit.
+    pub(crate) fn lock(&self, page: PageId) -> PartitionGuard<'_> {
         let shard = &self.shards[self.shard_index(page)];
-        let home = Self::home_index(page);
-        let mut spill = shard.lock_write();
+        PartitionGuard {
+            shard,
+            spill: shard.lock.lock(),
+        }
+    }
+
+    /// Total mappings (O(shards); for tests).
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        let mut n = 0;
+        self.for_each(|_, _| n += 1);
+        n
+    }
+}
+
+/// A held partition lock ([`PageTable::lock`]), for pages of its own
+/// shard only. Each mutation opens the seqlock write window for itself
+/// alone: an optimistic [`PageTable::get`] never waits on a held guard,
+/// only on a mutation in flight.
+pub(crate) struct PartitionGuard<'a> {
+    shard: &'a Shard,
+    spill: LockGuard<'a, Spill>,
+}
+
+impl PartitionGuard<'_> {
+    /// `page`'s frame, if mapped, read under the lock.
+    pub(crate) fn get(&self, page: PageId) -> Option<FrameId> {
+        self.shard
+            .get_locked(&self.spill, PageTable::home_index(page), page)
+    }
+
+    /// Count `n` page accesses against this hold (the lock's
+    /// per-access cost).
+    pub(crate) fn cover_accesses(&mut self, n: u64) {
+        self.spill.cover_accesses(n);
+    }
+
+    /// Map `page` to `frame`. Returns the previous mapping, if any.
+    pub(crate) fn insert(&mut self, page: PageId, frame: FrameId) -> Option<FrameId> {
+        bpw_dst::yield_point();
+        let home = PageTable::home_index(page);
+        let shard = self.shard;
+        let spill = &mut *self.spill;
         let window = WriteWindow::open(shard);
         if page >= TOMBSTONE {
             // Sentinel-colliding ids live in the spill map only.
             let prev = spill.map.insert(page, frame);
-            shard
-                .spill_len
-                .store(spill.map.len() as u64, Ordering::Relaxed);
+            shard.set_spill_len(spill.map.len());
             drop(window);
             return prev;
         }
         if spill.tombstones > SLOT_CAP / 2 && spill.map.is_empty() {
-            Self::compact(shard, &mut spill);
+            Self::compact(shard, spill);
         }
         // Pass 1: existing entry (update in place) or first free slot.
         let mut free = None;
@@ -339,9 +373,7 @@ impl PageTable {
                 // Shard array full: spill. Readers of this shard take
                 // the locked path until removes drain the spill.
                 spill.map.insert(page, frame);
-                shard
-                    .spill_len
-                    .store(spill.map.len() as u64, Ordering::Relaxed);
+                shard.set_spill_len(spill.map.len());
             }
         }
         drop(window);
@@ -349,11 +381,11 @@ impl PageTable {
     }
 
     /// Remove the mapping for `page`. Returns the frame it mapped to.
-    pub fn remove(&self, page: PageId) -> Option<FrameId> {
+    pub(crate) fn remove(&mut self, page: PageId) -> Option<FrameId> {
         bpw_dst::yield_point();
-        let shard = &self.shards[self.shard_index(page)];
-        let home = Self::home_index(page);
-        let mut spill = shard.lock_write();
+        let home = PageTable::home_index(page);
+        let shard = self.shard;
+        let spill = &mut *self.spill;
         let window = WriteWindow::open(shard);
         let mut removed = None;
         if page < TOMBSTONE {
@@ -373,9 +405,7 @@ impl PageTable {
         }
         if removed.is_none() {
             removed = spill.map.remove(&page);
-            shard
-                .spill_len
-                .store(spill.map.len() as u64, Ordering::Relaxed);
+            shard.set_spill_len(spill.map.len());
         }
         // Drain one spilled mapping into the freed tombstone so skewed
         // shards return to the lock-free read path as they empty out.
@@ -390,9 +420,7 @@ impl PageTable {
                             slot.page.store(p2, Ordering::Relaxed);
                             spill.tombstones -= 1;
                             spill.map.remove(&p2);
-                            shard
-                                .spill_len
-                                .store(spill.map.len() as u64, Ordering::Relaxed);
+                            shard.set_spill_len(spill.map.len());
                             break;
                         }
                     }
@@ -406,7 +434,7 @@ impl PageTable {
     /// Rewrite a shard's slots without tombstones (writer-side, inside
     /// a write window). Only runs when the spill map is empty, so the
     /// `EMPTY` slots it creates cannot strand a spilled entry.
-    fn compact(shard: &Shard, spill: &mut RwLockWriteGuard<'_, Spill>) {
+    fn compact(shard: &Shard, spill: &mut Spill) {
         let mut live: Vec<(u64, u32)> = Vec::with_capacity(SLOT_CAP);
         for slot in &shard.slots {
             let p = slot.page.load(Ordering::Relaxed);
@@ -417,7 +445,7 @@ impl PageTable {
         }
         spill.tombstones = 0;
         for (p, f) in live {
-            let home = Self::home_index(p);
+            let home = PageTable::home_index(p);
             for i in 0..SLOT_CAP {
                 let slot = &shard.slots[(home + i) % SLOT_CAP];
                 if slot.page.load(Ordering::Relaxed) == EMPTY {
@@ -428,46 +456,30 @@ impl PageTable {
             }
         }
     }
-
-    /// Total mappings (O(shards); for stats/tests).
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| {
-                let spill = shard.lock_read();
-                let in_slots = shard
-                    .slots
-                    .iter()
-                    .filter(|s| {
-                        let p = s.page.load(Ordering::Relaxed);
-                        p != EMPTY && p != TOMBSTONE
-                    })
-                    .count();
-                in_slots + spill.map.len()
-            })
-            .sum()
-    }
-
-    /// True if no pages are mapped.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::AtomicBool;
+
     use super::*;
 
     #[test]
     fn insert_get_remove() {
+        // One guard for it all: a reader on the guard's own thread would
+        // deadlock if a held guard sent it to the locked path.
         let t = PageTable::new(4);
         assert_eq!(t.get(1), None);
-        assert_eq!(t.insert(1, 10), None);
-        assert_eq!(t.get(1), Some(10));
-        assert_eq!(t.insert(1, 11), Some(10));
-        assert_eq!(t.remove(1), Some(11));
-        assert_eq!(t.get(1), None);
-        assert!(t.is_empty());
+        let mut g = t.lock(1);
+        assert_eq!(g.insert(1, 10), None);
+        assert_eq!((g.get(1), t.get(1)), (Some(10), Some(10)));
+        assert_eq!(g.insert(1, 11), Some(10));
+        assert_eq!(g.remove(1), Some(11));
+        assert_eq!((t.get(1), t.fallback_reads()), (None, 0));
+        drop(g);
+        let acqs: Vec<u64> = t.lock_snapshots().iter().map(|l| l.acquisitions).collect();
+        assert_eq!((acqs.len(), acqs.iter().sum()), (t.shards(), 1));
+        assert_eq!(t.len(), 0);
     }
 
     #[test]
@@ -490,7 +502,7 @@ mod tests {
     fn for_each_visits_all_mappings() {
         let t = PageTable::new(4);
         for p in 0..100u64 {
-            t.insert(p, p as FrameId);
+            t.lock(p).insert(p, p as FrameId);
         }
         let mut seen = std::collections::HashSet::new();
         t.for_each(|page, frame| {
@@ -507,8 +519,8 @@ mod tests {
             for k in 0..4u64 {
                 let t = &t;
                 s.spawn(move || {
-                    for i in 0..1000u64 {
-                        t.insert(k * 1000 + i, (k * 1000 + i) as FrameId);
+                    for p in k * 1000..(k + 1) * 1000 {
+                        t.lock(p).insert(p, p as FrameId);
                     }
                 });
             }
@@ -523,7 +535,7 @@ mod tests {
     fn uncontended_reads_never_fall_back() {
         let t = PageTable::new(8);
         for p in 0..32u64 {
-            t.insert(p, p as FrameId);
+            t.lock(p).insert(p, p as FrameId);
         }
         let base = t.fallback_reads();
         for _ in 0..4 {
@@ -546,7 +558,7 @@ mod tests {
         let t = PageTable::new(1);
         let n = 2000u64;
         for p in 0..n {
-            assert_eq!(t.insert(p, p as FrameId), None);
+            assert_eq!(t.lock(p).insert(p, p as FrameId), None);
         }
         assert_eq!(t.len(), n as usize);
         for p in 0..n {
@@ -557,9 +569,13 @@ mod tests {
             "spilled shards must route reads through the fallback"
         );
         for p in 0..n {
-            assert_eq!(t.remove(p), Some(p as FrameId), "page {p} not removed");
+            assert_eq!(
+                t.lock(p).remove(p),
+                Some(p as FrameId),
+                "page {p} not removed"
+            );
         }
-        assert!(t.is_empty());
+        assert_eq!(t.len(), 0);
         // Fully drained: the optimistic path works again.
         let base = t.fallback_reads();
         for p in 0..n {
@@ -581,13 +597,13 @@ mod tests {
         for round in 0..50u64 {
             for k in 0..8u64 {
                 let p = round * 8 + k;
-                t.insert(p, p as FrameId);
+                t.lock(p).insert(p, p as FrameId);
             }
             for k in 0..8u64 {
                 let p = round * 8 + k;
                 assert_eq!(t.get(p), Some(p as FrameId));
                 if k % 2 == 0 {
-                    assert_eq!(t.remove(p), Some(p as FrameId));
+                    assert_eq!(t.lock(p).remove(p), Some(p as FrameId));
                 }
             }
         }
@@ -605,13 +621,13 @@ mod tests {
         // route through the spill map.
         let t = PageTable::new(4);
         for p in [u64::MAX, u64::MAX - 1] {
-            assert_eq!(t.insert(p, 7), None);
+            assert_eq!(t.lock(p).insert(p, 7), None);
             assert_eq!(t.get(p), Some(7));
-            assert_eq!(t.insert(p, 8), Some(7));
-            assert_eq!(t.remove(p), Some(8));
+            assert_eq!(t.lock(p).insert(p, 8), Some(7));
+            assert_eq!(t.lock(p).remove(p), Some(8));
             assert_eq!(t.get(p), None);
         }
-        assert!(t.is_empty());
+        assert_eq!(t.len(), 0);
     }
 
     #[test]
@@ -619,15 +635,15 @@ mod tests {
         // Readers hammer a key range while writers insert/remove it;
         // every observed frame must be the one its page was mapped to
         // (frame = page here), torn states must only ever cause
-        // fallbacks, never wrong values.
+        // fallbacks, never wrong values. The readers stop once both
+        // writers have joined.
         let t = PageTable::new(4);
-        let stop = AtomicU64::new(0);
+        let stop = AtomicBool::new(false);
         std::thread::scope(|s| {
             for _ in 0..2 {
-                let t = &t;
-                let stop = &stop;
+                let (t, stop) = (&t, &stop);
                 s.spawn(move || {
-                    while stop.load(Ordering::Relaxed) == 0 {
+                    while !stop.load(Ordering::Relaxed) {
                         for p in 0..64u64 {
                             if let Some(f) = t.get(p) {
                                 assert_eq!(f, p as FrameId, "torn read returned wrong frame");
@@ -636,26 +652,26 @@ mod tests {
                     }
                 });
             }
-            for k in 0..2u64 {
-                let t = &t;
-                s.spawn(move || {
-                    for round in 0..2000u64 {
-                        for p in (k * 32)..(k * 32 + 32) {
-                            if round % 2 == 0 {
-                                t.insert(p, p as FrameId);
-                            } else {
-                                t.remove(p);
+            let writers: Vec<_> = (0..2u64)
+                .map(|k| {
+                    let t = &t;
+                    s.spawn(move || {
+                        for round in 0..2000u64 {
+                            for p in (k * 32)..(k * 32 + 32) {
+                                if round % 2 == 0 {
+                                    t.lock(p).insert(p, p as FrameId);
+                                } else {
+                                    t.lock(p).remove(p);
+                                }
                             }
                         }
-                    }
-                });
+                    })
+                })
+                .collect();
+            for w in writers {
+                w.join().expect("writer panicked");
             }
-            // Writers finish first; then release the readers.
-            // (scope join handles: spawn order — writers are the last
-            // two handles, but scope joins all at the end; use a simple
-            // completion flag instead.)
-            std::thread::sleep(std::time::Duration::from_millis(100));
-            stop.store(1, Ordering::Relaxed);
+            stop.store(true, Ordering::Relaxed);
         });
     }
 }

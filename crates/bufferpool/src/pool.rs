@@ -9,8 +9,8 @@ use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
-use bpw_core::{CachePadded, InstrumentedLock};
-use bpw_metrics::{LockShardSummary, LockSnapshot, LockStats, StripedCounter};
+use bpw_core::CachePadded;
+use bpw_metrics::{LockShardSummary, LockSnapshot, StripedCounter};
 use bpw_replacement::{FrameId, MissOutcome, PageId};
 
 use crate::desc::{BufferDesc, UnpinOutcome};
@@ -277,17 +277,14 @@ impl PinSlots {
 
 /// A DBMS-style buffer pool generic over its replacement manager.
 pub struct BufferPool<M: ReplacementManager> {
+    /// Page → frame map. A shard's partition lock serializes victim
+    /// selection and rebinding (not the I/O) for the pages that hash
+    /// there, and is the miss path's only lock: misses on pages in
+    /// different shards run their whole slow path concurrently. No
+    /// thread holds two partition locks, so no deadlock can arise.
     table: PageTable,
     frames: Vec<CachePadded<Frame>>,
     free: FreeList,
-    /// Serialize victim selection + table rebinding (not the I/O), one
-    /// lock per page-table shard: misses on pages in different shards
-    /// run their whole slow path concurrently. Instrumented: misses are
-    /// where lock contention concentrates once BP-Wrapper removes it
-    /// from the hit path. A miss only ever holds the one lock its page
-    /// hashes to — no ordering between shard locks exists, so no
-    /// deadlock can.
-    miss_locks: Vec<InstrumentedLock<()>>,
     manager: M,
     storage: Arc<dyn Storage>,
     stats: PoolStats,
@@ -301,22 +298,11 @@ pub struct BufferPool<M: ReplacementManager> {
 
 impl<M: ReplacementManager> BufferPool<M> {
     /// Build a pool of `frames` frames of `page_size` bytes each, with
-    /// one miss lock per page-table shard.
+    /// one page-table shard per four frames.
     pub fn new(frames: usize, page_size: usize, manager: M, storage: Arc<dyn Storage>) -> Self {
         assert!(frames >= 1);
-        let table = PageTable::new(frames / 4);
-        let miss_locks = (0..table.shards())
-            .map(|i| {
-                InstrumentedLock::with_wait_event(
-                    (),
-                    Arc::new(LockStats::new()),
-                    bpw_trace::EventKind::MissShardWait,
-                    i as u64,
-                )
-            })
-            .collect();
         BufferPool {
-            table,
+            table: PageTable::new(frames / 4),
             frames: (0..frames)
                 .map(|_| {
                     CachePadded::new(Frame {
@@ -326,7 +312,6 @@ impl<M: ReplacementManager> BufferPool<M> {
                 })
                 .collect(),
             free: FreeList::new(frames),
-            miss_locks,
             manager,
             storage,
             stats: PoolStats::default(),
@@ -337,21 +322,10 @@ impl<M: ReplacementManager> BufferPool<M> {
         }
     }
 
-    /// The shard lock index `page`'s miss path serializes on: the page
-    /// table's shard function.
-    fn miss_shard(&self, page: PageId) -> usize {
-        self.table.shard_index(page)
-    }
-
     /// Set the storage retry policy (builder style).
     pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
         self
-    }
-
-    /// The storage retry policy in effect.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
     }
 
     /// Number of frames.
@@ -374,29 +348,22 @@ impl<M: ReplacementManager> BufferPool<M> {
         &self.manager
     }
 
-    /// Aggregate contention profile of the miss path (victim selection
-    /// and rebinding), summed over every shard lock — the legacy
-    /// single-lock view.
+    /// Aggregate contention profile of the miss path, summed over the
+    /// page table's partition locks: a miss's guard, each victim's
+    /// unmap, invalidations, repairs, and the rare page-table read that
+    /// falls back to the lock.
     pub fn miss_lock_snapshot(&self) -> LockSnapshot {
         self.miss_lock_shard_snapshots()
             .iter()
             .fold(LockSnapshot::default(), |acc, s| acc.merge(s))
     }
 
-    /// Number of miss-path shard locks.
-    pub fn miss_lock_shards(&self) -> usize {
-        self.miss_locks.len()
-    }
-
-    /// Per-shard miss-lock snapshots, in shard order.
+    /// Per-shard partition-lock snapshots, in shard order.
     pub fn miss_lock_shard_snapshots(&self) -> Vec<LockSnapshot> {
-        self.miss_locks
-            .iter()
-            .map(|l| l.stats().snapshot())
-            .collect()
+        self.table.lock_snapshots()
     }
 
-    /// Shard-aware miss-lock summary (totals + hottest shard).
+    /// Shard-aware partition-lock summary (totals + hottest shard).
     pub fn miss_lock_summary(&self) -> LockShardSummary {
         LockShardSummary::from_snapshots(&self.miss_lock_shard_snapshots())
     }
@@ -452,7 +419,7 @@ impl<M: ReplacementManager> BufferPool<M> {
     /// Drop `page` from the buffer (e.g. relation truncation),
     /// distinguishing "nothing to drop" from "in use right now" so
     /// callers know whether a retry can help. Serializes on the page's
-    /// own shard lock only.
+    /// own partition lock only.
     pub fn invalidate(&self, page: PageId) -> InvalidateOutcome {
         let out = self.invalidate_inner(page);
         bpw_dst::record(|| bpw_dst::Op::Invalidate {
@@ -467,9 +434,9 @@ impl<M: ReplacementManager> BufferPool<M> {
     }
 
     fn invalidate_inner(&self, page: PageId) -> InvalidateOutcome {
-        let _g = self.miss_locks[self.miss_shard(page)].lock();
+        let mut guard = self.table.lock(page);
         bpw_dst::yield_point();
-        let Some(frame) = self.table.get(page) else {
+        let Some(frame) = guard.get(page) else {
             return InvalidateOutcome::NotResident;
         };
         bpw_dst::yield_point();
@@ -486,7 +453,7 @@ impl<M: ReplacementManager> BufferPool<M> {
             s.valid = false;
             s.dirty = false;
         }
-        self.table.remove(page);
+        guard.remove(page);
         self.manager.invalidate(frame);
         self.free.push(frame);
         InvalidateOutcome::Invalidated
@@ -562,7 +529,7 @@ impl<M: ReplacementManager> BufferPool<M> {
     /// state forgotten, frame on the free list — so no frame is ever
     /// wedged and a later fetch of `page` starts from scratch.
     fn repair_failed_frame(&self, page: PageId, frame: FrameId) {
-        let _g = self.miss_locks[self.miss_shard(page)].lock();
+        let mut guard = self.table.lock(page);
         {
             let mut s = self.desc(frame).lock();
             debug_assert!(s.io_in_progress, "repair of a frame not in I/O");
@@ -574,7 +541,7 @@ impl<M: ReplacementManager> BufferPool<M> {
             s.pins = 0; // the caller gets an error, not a guard
         }
         bpw_dst::record(|| bpw_dst::Op::Unpin { page, pins: 0 });
-        self.table.remove(page);
+        guard.remove(page);
         self.manager.invalidate(frame);
         // To the back of the list: the frame just hosted a failing I/O,
         // and handing it straight to the next miss would let one bad
@@ -690,7 +657,7 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
     }
 
     /// Pin `page` only if it is resident right now: one page-table
-    /// lookup and one pin attempt — never the miss lock, never storage,
+    /// lookup and one pin attempt — never a partition lock, never storage,
     /// never a wait on a frame that is mid-I/O or mid-eviction. For a
     /// caller that must not block (an event loop) and has somewhere else
     /// to send a miss. `Some` is exactly [`fetch`](Self::fetch)'s hit;
@@ -776,12 +743,13 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
     /// (the caller retries), `Err` when storage failed after retries.
     fn fetch_miss(&mut self, page: PageId) -> io::Result<Option<PinnedPage<'p, M>>> {
         let pool = self.pool;
-        let mut guard = pool.miss_locks[pool.miss_shard(page)].lock();
+        let mut guard = pool.table.lock(page);
         bpw_dst::yield_point();
         // Re-check: another thread may have loaded the page while we
-        // waited for this shard's miss lock.
-        if pool.table.get(page).is_some() {
-            drop(guard);
+        // waited for its partition lock. (MUTANT, CI-verified:
+        // `unguarded_recheck` trusts `fetch`'s lock-free lookup instead,
+        // so two misses on one page both claim a frame.)
+        if !cfg!(dst_mutation = "unguarded_recheck") && guard.get(page).is_some() {
             return Ok(None); // retry via the hit path
         }
         guard.cover_accesses(1);
@@ -841,27 +809,30 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
             was_dirty
         };
         bpw_dst::record(|| bpw_dst::Op::Pin { page, pins: 1 });
+        guard.insert(page, frame);
+        // I/O happens outside the partition lock: other misses proceed.
+        drop(guard);
+        // The frame is now mapped with io_in_progress set and the
+        // partition lock released — the window where concurrent
+        // fetchers of the same page spin on the unpinnable mapping and
+        // invalidate must report Busy. The victim still maps to the
+        // frame too, so a re-fetch of it spins the same way.
+        bpw_dst::yield_point();
         if let Some(v) = victim {
             bpw_trace::instant(bpw_trace::EventKind::Eviction, v);
-            // A dirty victim stays mapped to this (now unpinnable) frame
-            // until its bytes are durable: a re-fetch of `v` then spins
-            // on the mapping like a same-page fetcher during I/O instead
-            // of reading the stale copy from storage. (The
-            // `dst_mutation = "early_unmap"` mutant unmaps here and
-            // writes back after the lock is gone, which the dst
-            // read-your-writes checker must catch.)
+            // A clean victim leaves the table now, under its own
+            // partition lock and before any I/O, so no error return
+            // leaves it mapped. A dirty one stays mapped to this (now
+            // unpinnable) frame until its bytes are durable: a re-fetch
+            // of `v` then spins on the mapping like a same-page fetcher
+            // during I/O instead of reading the stale copy from storage.
+            // (The `dst_mutation = "early_unmap"` mutant unmaps it here,
+            // before the write-back, which the dst read-your-writes
+            // checker must catch.)
             if !was_dirty || cfg!(dst_mutation = "early_unmap") {
-                pool.table.remove(v);
+                pool.table.lock(v).remove(v);
             }
         }
-        pool.table.insert(page, frame);
-        // I/O happens outside the miss lock: other misses proceed.
-        drop(guard);
-        // The frame is now mapped with io_in_progress set and the shard
-        // lock released — the window where concurrent fetchers of the
-        // same page spin on the unpinnable mapping and invalidate must
-        // report Busy.
-        bpw_dst::yield_point();
         self.stash_evicted();
         // Miss I/O is timed unconditionally (not just when tracing is
         // on): the stage scratch is how the server attributes a
@@ -886,7 +857,7 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
             // rebound `v` meanwhile: a miss on `v` backs off while any
             // mapping for it exists.
             if !cfg!(dst_mutation = "early_unmap") {
-                pool.table.remove(v);
+                pool.table.lock(v).remove(v);
             }
             pool.stats.writebacks.fetch_add(1, Ordering::Relaxed);
         }
@@ -1014,7 +985,7 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
                 pool.desc(frame).lock().dirty = false;
                 pool.stats.writebacks.fetch_add(1, Ordering::Relaxed);
             }
-            pool.table.remove(v);
+            pool.table.lock(v).remove(v);
             self.stash.push(frame);
             pool.stashed.add(1);
         }
@@ -1028,8 +999,8 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
     /// `v` admitted.
     fn keep_victim(&mut self, page: PageId, v: PageId, frame: FrameId) {
         let pool = self.pool;
-        let _g = pool.miss_locks[pool.miss_shard(page)].lock();
-        pool.table.remove(page);
+        let mut guard = pool.table.lock(page);
+        guard.remove(page);
         pool.manager.invalidate(frame);
         self.handle.on_admit(v, frame);
         {
@@ -1412,7 +1383,7 @@ mod tests {
             // Spins through NoEvictableFrame until a pin drops below.
             drop(s.fetch(100).unwrap());
         });
-        // Each failed attempt takes page 100's miss shard lock once;
+        // Each failed attempt takes page 100's partition lock once;
         // wait until several such acquisitions are on the books instead
         // of sleeping a fixed interval.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
@@ -1472,6 +1443,25 @@ mod tests {
         p.read(|d| assert_eq!(u64::from_le_bytes(d[..8].try_into().unwrap()), 7));
         drop(p);
         assert_eq!(pool.free_frames() + pool.resident_count(), frames);
+
+        // On a full pool the failing miss evicts a clean victim first,
+        // which leaves the table before any I/O: the failure must not
+        // leave it mapped to the repaired frame, where a re-fetch spins.
+        for page in 10..10 + frames as PageId {
+            drop(s.fetch(page).unwrap());
+        }
+        assert_eq!(pool.free_frames(), 0, "the pool must be full");
+        disk.break_page_reads(99);
+        s.fetch(99).expect_err("broken page must error");
+        let victim = (10..10 + frames as PageId)
+            .find(|&p| pool.table.get(p).is_none())
+            .expect("the failed miss left its victim mapped");
+        assert_eq!(pool.table.get(99), None);
+        pool.check_mapping_invariants();
+        let live = pool.free_frames() + pool.stashed_frames() + pool.resident_count();
+        assert_eq!(live, frames);
+        let p = s.fetch(victim).unwrap();
+        p.read(|d| assert_eq!(u64::from_le_bytes(d[..8].try_into().unwrap()), victim));
     }
 
     #[test]
@@ -1640,9 +1630,9 @@ mod tests {
     fn miss_shards_partition_and_aggregate() {
         // 64 cold pages through 16 frames, and the `pool_miss_rw` shape:
         // 2 048 frames, a seeded uniform trace over 16 384 pages, one
-        // thread. Only the second has enough misses per shard (~100) for
-        // the even-spread bound; the first's hottest of 16 shards takes
-        // 9 of 64.
+        // thread. Only the second has enough acquisitions per shard
+        // (~200) for the even-spread bound; the first's hottest of 16
+        // shards takes 16 of 112.
         let uniform = uniform_trace(60_000, 16_384);
         let cold: Vec<u64> = (0..64).collect();
         for (frames, trace, even) in [(16, &cold, false), (2048, &uniform, true)] {
@@ -1652,28 +1642,30 @@ mod tests {
                 drop(s.fetch(p).unwrap());
             }
             drop(s);
-            pool.check_mapping_invariants();
             let misses = counts(&pool).1;
             let acqs: Vec<u64> = pool
                 .miss_lock_shard_snapshots()
                 .iter()
                 .map(|s| s.acquisitions)
                 .collect();
-            // One miss-shard lock acquisition per miss, and the merged
-            // views agree with the per-shard ones.
-            assert_eq!(acqs.iter().sum::<u64>(), misses);
-            assert_eq!(pool.miss_lock_snapshot().acquisitions, misses);
+            // One partition-lock acquisition per miss, its guard, and
+            // one per victim, its unmap; every miss on the full pool
+            // evicts one. The merged views agree with the per-shard ones.
+            let locked = 2 * misses - frames as u64;
+            assert_eq!(acqs.iter().sum::<u64>(), locked);
+            assert_eq!(pool.miss_lock_snapshot().acquisitions, locked);
             let summary = pool.miss_lock_summary();
             assert_eq!(summary.shards, acqs.len());
-            assert_eq!(summary.total_acquisitions, misses);
+            assert_eq!(summary.total_acquisitions, locked);
+            pool.check_mapping_invariants();
             let touched = acqs.iter().filter(|&&a| a > 0).count();
             assert!(touched > 1, "misses must spread over multiple shards");
             if even {
-                let fair = misses / acqs.len() as u64;
+                let fair = locked / acqs.len() as u64;
                 let hottest = *acqs.iter().max().unwrap();
                 assert!(
                     hottest <= 2 * fair,
-                    "hottest shard took {hottest} misses, fair share {fair}"
+                    "hottest shard took {hottest} acquisitions, fair share {fair}"
                 );
             }
         }
@@ -1717,12 +1709,15 @@ mod tests {
         }
         let (hits, misses) = counts(&pool);
         let acqs = pool.manager().lock_snapshot().acquisitions;
+        // Every miss past the first `frames` fills a victim's frame, and
+        // the stash holds the victims evicted ahead and not filled yet.
+        let victims = misses - frames as u64 + pool.stashed_frames() as u64;
         assert!(
             acqs <= misses.div_ceil(k) + (hits + misses).div_ceil(t),
             "{acqs} replacement-lock acquisitions for {misses} misses in {} accesses",
             hits + misses
         );
-        assert_eq!(pool.miss_lock_snapshot().acquisitions, misses);
+        assert_eq!(pool.miss_lock_snapshot().acquisitions, misses + victims);
         assert!(
             pool.stashed_frames() > 0,
             "nothing was evicted ahead; vacuous"

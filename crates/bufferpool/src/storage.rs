@@ -264,11 +264,6 @@ impl FaultyDisk {
         self.state.lock().fail_next_reads += n;
     }
 
-    /// Fail the next `n` writes (adds to any pending budget).
-    pub fn fail_next_writes(&self, n: u64) {
-        self.state.lock().fail_next_writes += n;
-    }
-
     /// Make every read of `page` fail until [`clear_faults`](Self::clear_faults).
     pub fn break_page_reads(&self, page: PageId) {
         self.state.lock().broken_reads.insert(page);
@@ -290,12 +285,6 @@ impl FaultyDisk {
         s.read_fail_ppm = 0;
         s.write_fail_ppm = 0;
         s.spike_ppm = 0;
-    }
-
-    /// Total faults injected (reads + writes).
-    pub fn injected_faults(&self) -> u64 {
-        self.injected_read_faults.load(Ordering::Relaxed)
-            + self.injected_write_faults.load(Ordering::Relaxed)
     }
 
     /// Decide the fate of one access. Returns `(inject_fault, spike)`.
@@ -621,6 +610,6 @@ mod tests {
         let mut buf = vec![0u8; 16];
         d.read_page(3, &mut buf).unwrap();
         assert_eq!(buf, vec![9u8; 16]);
-        assert_eq!(d.injected_faults(), 0);
+        assert_eq!(d.injected_read_faults.load(Ordering::Relaxed), 0);
     }
 }

@@ -161,3 +161,37 @@ fn dst_miss_storm_same_seed_same_history() {
         assert_eq!(pa.free_frames(), pb.free_frames());
     }
 }
+
+#[test]
+fn dst_two_misses_on_one_page_read_it_once() {
+    // The storm's tasks share no page. Here two tasks fetch the same
+    // cold pages in the same order, so their misses race page by page;
+    // the loser's re-check under the partition lock finds the winner's
+    // mapping, so each page is read once.
+    for seed in bpw_dst::seed_corpus(0x3158, 64) {
+        let pool = make_pool();
+        let mut sim = Sim::new(seed);
+        for _ in 0..2 {
+            let pool = Arc::clone(&pool);
+            sim.spawn(move || {
+                let mut s = pool.session();
+                for page in 0..FRAMES as u64 {
+                    drop(s.fetch(page).unwrap());
+                }
+            });
+        }
+        sim.run().check(|o| {
+            let missed = o
+                .history
+                .iter()
+                .filter(|e| matches!(e.op, Op::FetchDone { hit: false, .. }));
+            assert_eq!(
+                missed.count(),
+                FRAMES,
+                "seed {seed:#x}: a page was missed twice"
+            );
+            assert_eq!(pool.storage().reads(), FRAMES as u64);
+            pool.check_mapping_invariants();
+        });
+    }
+}

@@ -1,11 +1,11 @@
 //! Miss-storm stress test: many threads over a working set far larger
 //! than the pool, so nearly every fetch takes the partitioned miss path
-//! (per-shard miss locks + the free list) concurrently. The test
+//! (per-shard partition locks + the free list) concurrently. The test
 //! asserts the accounting and structural invariants that partitioning
 //! must not break:
 //!
 //! * `hits + misses == completed fetches` — no access lost or double
-//!   counted across shard locks;
+//!   counted across partition locks;
 //! * `free_frames + resident_count == frames` — no frame leaked between
 //!   the free list and the table;
 //! * no two pages map to the same frame — shard-local rebinding never
@@ -89,7 +89,7 @@ fn storm<M: bpw_bufferpool::ReplacementManager + Sync>(
                     completed.fetch_add(1, Ordering::Relaxed);
                     if write_percent == 0 && i % 97 == 0 {
                         // Sprinkle invalidations into the storm: they take
-                        // the same shard locks and push to the free list.
+                        // the same partition locks and push to the free list.
                         // (Not with writes: invalidate discards dirty bytes.)
                         pool.invalidate(page.wrapping_add(1) % universe);
                     }
@@ -155,7 +155,7 @@ fn miss_storm_wrapped_pool_invariants_hold() {
             .filter(|s| s.acquisitions > 0)
             .count()
             > 1,
-        "storm must spread misses over multiple shard locks"
+        "storm must spread misses over multiple partition locks"
     );
     assert_eq!(
         summary.total_acquisitions,

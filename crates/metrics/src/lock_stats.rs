@@ -108,7 +108,7 @@ impl LockStats {
 }
 
 /// Aggregate view over a family of sharded locks (e.g. the buffer
-/// pool's per-shard miss locks): totals across shards plus the worst
+/// pool's page-table partition locks): totals across shards plus the worst
 /// single shard's wait, which totals alone would hide.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LockShardSummary {

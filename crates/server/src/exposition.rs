@@ -9,7 +9,7 @@
 //!
 //! One asymmetry is part of the table, not of the renderers: the two
 //! per-instance breakdowns whose label set grows with the deployment
-//! (miss-lock shards, trace rings) have no JSON path — STATS carries
+//! (partition-lock shards, trace rings) have no JSON path — STATS carries
 //! their aggregates (`miss_locks.*`, `trace.dropped_events`) and stays
 //! O(1) in pool size.
 
@@ -117,9 +117,9 @@ struct PoolSide {
     hit_ratio: f64,
     /// Replacement-manager lock behaviour.
     lock: LockSnapshot,
-    /// Sum over the pool's per-shard miss locks.
+    /// Sum over the page table's partition locks.
     miss_lock: LockSnapshot,
-    /// Shard-aware miss-lock summary.
+    /// Shard-aware partition-lock summary.
     miss_locks: LockShardSummary,
     /// Frames sessions hold evicted ahead of need.
     stashed_frames: u64,
@@ -149,7 +149,7 @@ impl PoolSide {
 /// Values a scrape reads once, up front, so rows can borrow them.
 pub(crate) struct Scrape {
     pool: PoolSide,
-    /// `(shard label, snapshot)` per miss-lock shard (METRICS only).
+    /// `(shard label, snapshot)` per partition lock (METRICS only).
     shards: Vec<(String, LockSnapshot)>,
     /// `(tid label, events dropped)` per trace ring (METRICS only).
     rings: Vec<(String, u64)>,
@@ -227,17 +227,17 @@ pub(crate) fn walk<'a>(shared: &'a Shared, scrape: &'a Scrape, visit: &mut dyn F
         row(&[key, "accesses_per_acquisition"], "bpw_lock_accesses_per_acquisition", lock, "Mean accesses committed per acquisition (the batch size).", Ratio(l.accesses_per_acquisition()));
     }
     let s = &pool.miss_locks;
-    row(&["miss_locks", "shards"],             "bpw_miss_lock_shards",             &[], "Miss-path partition width (shard locks).",              Gauge(s.shards as u64));
-    row(&["miss_locks", "total_acquisitions"], "bpw_miss_locks_acquisitions_total", &[], "Miss-lock acquisitions summed over shards.",            Counter(s.total_acquisitions));
-    row(&["miss_locks", "total_contentions"],  "bpw_miss_locks_contentions_total",  &[], "Blocked miss-lock acquisitions summed over shards.",    Counter(s.total_contentions));
-    row(&["miss_locks", "total_wait_ns"],      "bpw_miss_locks_wait_ns_total",      &[], "Nanoseconds waited on miss locks, summed over shards.", Counter(s.total_wait_ns));
-    row(&["miss_locks", "total_hold_ns"],      "bpw_miss_locks_hold_ns_total",      &[], "Nanoseconds miss locks were held, summed over shards.", Counter(s.total_hold_ns));
-    row(&["miss_locks", "max_wait_ns"],        "bpw_miss_locks_max_wait_ns",        &[], "Cumulative wait of the hottest miss-lock shard.",       Gauge(s.max_wait_ns));
+    row(&["miss_locks", "shards"],             "bpw_miss_lock_shards",             &[], "Miss-path partition width (partition locks).",          Gauge(s.shards as u64));
+    row(&["miss_locks", "total_acquisitions"], "bpw_miss_locks_acquisitions_total", &[], "Partition-lock acquisitions summed over shards.",       Counter(s.total_acquisitions));
+    row(&["miss_locks", "total_contentions"],  "bpw_miss_locks_contentions_total",  &[], "Blocked partition-lock acquisitions summed over shards.", Counter(s.total_contentions));
+    row(&["miss_locks", "total_wait_ns"],      "bpw_miss_locks_wait_ns_total",      &[], "Nanoseconds waited on partition locks, summed over shards.", Counter(s.total_wait_ns));
+    row(&["miss_locks", "total_hold_ns"],      "bpw_miss_locks_hold_ns_total",      &[], "Nanoseconds partition locks were held, summed over shards.", Counter(s.total_hold_ns));
+    row(&["miss_locks", "max_wait_ns"],        "bpw_miss_locks_max_wait_ns",        &[], "Cumulative wait of the hottest partition lock.",       Gauge(s.max_wait_ns));
     // Per-shard series: where on the partition the miss path's
     // remaining serialization concentrates.
     for (shard, s) in &scrape.shards {
-        row(&[], "bpw_miss_shard_acquisitions_total", &[("shard", shard)], "Miss-path lock acquisitions by page-table shard.", Counter(s.acquisitions));
-        row(&[], "bpw_miss_shard_wait_ns_total",      &[("shard", shard)], "Nanoseconds waited on each shard's miss lock.",    Counter(s.wait_ns));
+        row(&[], "bpw_miss_shard_acquisitions_total", &[("shard", shard)], "Partition-lock acquisitions by page-table shard.", Counter(s.acquisitions));
+        row(&[], "bpw_miss_shard_wait_ns_total",      &[("shard", shard)], "Nanoseconds waited on each shard's partition lock.", Counter(s.wait_ns));
     }
 
     for (op, stage) in OpKind::ALL.into_iter().flat_map(|op| Stage::ALL.map(|stage| (op, stage))) {

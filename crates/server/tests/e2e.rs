@@ -423,7 +423,7 @@ fn metrics_exposition_and_enriched_stats(mode: FrontendMode) {
             .and_then(|l| l.get("acquisitions"))
             .and_then(JsonValue::as_u64)
             .is_some_and(|a| a >= 1),
-        "64 cold fetches must acquire the miss lock: {stats}"
+        "64 cold fetches must acquire a partition lock: {stats}"
     );
     let shards = v.get("miss_locks").expect("shard-aware miss-lock summary");
     assert!(

@@ -41,8 +41,9 @@ pub enum EventKind {
     /// the frame involved was repaired and the error surfaced. Instant.
     /// Arg: page id.
     IoError,
-    /// A miss had to wait for its page-table shard's miss lock; the
-    /// span covers the wait. Arg: shard index.
+    /// A thread had to wait for a page-table shard's partition lock
+    /// (a miss, an unmap, an invalidation or a locked read); the span
+    /// covers the wait. Arg: shard index.
     MissShardWait,
     /// One event-loop wakeup: the span covers dispatching every ready
     /// fd, draining completions, and flushing coalesced writes. Arg:
