@@ -611,5 +611,6 @@ mod tests {
         d.read_page(3, &mut buf).unwrap();
         assert_eq!(buf, vec![9u8; 16]);
         assert_eq!(d.injected_read_faults.load(Ordering::Relaxed), 0);
+        assert_eq!(d.injected_write_faults.load(Ordering::Relaxed), 0);
     }
 }
