@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use bpw_bench::ClockHitPath;
+use bpw_bufferpool::{ClockManager, ReplacementManager};
 use bpw_core::{BpWrapper, WrapperConfig};
 use bpw_replacement::{ReplacementPolicy, TwoQ};
 
@@ -28,12 +28,14 @@ fn bench_hit_path(c: &mut Criterion) {
     g.measurement_time(std::time::Duration::from_millis(500));
     g.warm_up_time(std::time::Duration::from_millis(200));
 
-    let clock = ClockHitPath::new(FRAMES);
+    let clock = ClockManager::new(FRAMES);
+    let mut handle = clock.handle();
     let mut x = 1u64;
     g.bench_function("pgClock_bit_set", |b| {
         b.iter(|| {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            clock.record_hit(black_box((x % FRAMES as u64) as u32));
+            let page = x % FRAMES as u64;
+            handle.on_hit(black_box(page), page as u32);
         })
     });
 

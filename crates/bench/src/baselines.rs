@@ -1,58 +1,15 @@
-//! Baseline synchronization schemes the paper compares against:
-//!
-//! * [`ClockHitPath`] — the `pgClock` approach: CLOCK needs no lock on a
-//!   hit (an atomic reference-bit set suffices), giving optimal
-//!   scalability at the price of CLOCK's hit ratio. The paper uses this
-//!   as the scalability gold standard.
-//! * [`PartitionedCache`] — the distributed-lock approach (§V-A, as in
-//!   Oracle Universal Server / ADABAS / Mr.LRU): hash pages into
-//!   partitions, each with a private policy and lock. Contention drops,
-//!   but history is fragmented and hot partitions still collide.
+//! The distributed-lock baseline the paper compares against,
+//! [`PartitionedCache`] (§V-A, as in Oracle Universal Server / ADABAS /
+//! Mr.LRU): hash pages into partitions, each with a private policy and
+//! lock. Contention drops, but history is fragmented and hot partitions
+//! still collide. The other baseline, `pgClock`'s lock-free hit path, is
+//! `bpw_bufferpool::ClockManager`, the one the pool and server run.
 
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
 use bpw_core::InstrumentedLock;
 use bpw_metrics::LockStats;
 use bpw_replacement::{CacheSim, PageId, ReplacementPolicy, SimStats};
-
-/// The lock-free hit path of CLOCK: per-frame reference bits set with a
-/// relaxed atomic store. Models what PostgreSQL 8.x does on a buffer hit
-/// (`pgClock` in the paper) — the miss path still needs a lock, but the
-/// paper's scalability experiments are hit-only.
-pub struct ClockHitPath {
-    referenced: Vec<AtomicU8>,
-}
-
-impl ClockHitPath {
-    /// Reference bits for `frames` buffer frames.
-    pub fn new(frames: usize) -> Self {
-        ClockHitPath {
-            referenced: (0..frames).map(|_| AtomicU8::new(0)).collect(),
-        }
-    }
-
-    /// Number of frames.
-    pub fn frames(&self) -> usize {
-        self.referenced.len()
-    }
-
-    /// Record a hit: set the reference bit. No lock, no ordering needed.
-    #[inline]
-    pub fn record_hit(&self, frame: u32) {
-        self.referenced[frame as usize].store(1, Ordering::Relaxed);
-    }
-
-    /// Read a reference bit (used by the sweep, under the miss lock).
-    pub fn referenced(&self, frame: u32) -> bool {
-        self.referenced[frame as usize].load(Ordering::Relaxed) != 0
-    }
-
-    /// Clear a reference bit (sweep).
-    pub fn clear(&self, frame: u32) {
-        self.referenced[frame as usize].store(0, Ordering::Relaxed);
-    }
-}
 
 /// The distributed-lock baseline: `n` independent policy instances, each
 /// guarding `1/n`-th of the frames behind its own lock; pages are hashed
@@ -96,7 +53,7 @@ impl<P: ReplacementPolicy> PartitionedCache<P> {
 
     /// Partition a page hashes to (splitmix64, so consecutive page ids
     /// spread uniformly).
-    pub fn partition_of(&self, page: PageId) -> usize {
+    fn partition_of(&self, page: PageId) -> usize {
         let mut x = page.wrapping_add(0x9E37_79B9_7F4A_7C15);
         x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -129,27 +86,6 @@ impl<P: ReplacementPolicy> PartitionedCache<P> {
 mod tests {
     use super::*;
     use bpw_replacement::{Lru, TwoQ};
-
-    #[test]
-    fn clock_hit_path_sets_bits_without_lock() {
-        let c = ClockHitPath::new(8);
-        std::thread::scope(|s| {
-            for t in 0..4u32 {
-                let c = &c;
-                s.spawn(move || {
-                    for _ in 0..1000 {
-                        c.record_hit(t * 2);
-                        c.record_hit(t * 2 + 1);
-                    }
-                });
-            }
-        });
-        for f in 0..8 {
-            assert!(c.referenced(f));
-            c.clear(f);
-            assert!(!c.referenced(f));
-        }
-    }
 
     #[test]
     fn partition_is_deterministic_and_uniformish() {

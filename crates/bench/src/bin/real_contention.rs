@@ -10,7 +10,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use bpw_bench::{fmt, ClockHitPath, Table};
+use bpw_bench::{fmt, Table};
+use bpw_bufferpool::{ClockManager, ReplacementManager};
 use bpw_core::{BpWrapper, SystemKind, WrapperConfig};
 use bpw_replacement::{ReplacementPolicy, TwoQ};
 
@@ -60,7 +61,7 @@ fn run_wrapped(cfg: WrapperConfig) -> Row {
 }
 
 fn run_clock() -> Row {
-    let clock = ClockHitPath::new(FRAMES);
+    let clock = ClockManager::new(FRAMES);
     let t0 = Instant::now();
     let dummy = AtomicU64::new(0);
     std::thread::scope(|s| {
@@ -68,6 +69,7 @@ fn run_clock() -> Row {
             let clock = &clock;
             let dummy = &dummy;
             s.spawn(move || {
+                let mut h = clock.handle();
                 let mut x = 0xABCD_EF01_2345_6789u64 ^ th;
                 let mut local = 0u64;
                 for _ in 0..PER_THREAD {
@@ -75,7 +77,7 @@ fn run_clock() -> Row {
                     x ^= x >> 7;
                     x ^= x << 17;
                     let page = x % FRAMES as u64;
-                    clock.record_hit(page as u32);
+                    h.on_hit(page, page as u32);
                     local ^= page;
                 }
                 dummy.fetch_xor(local, Ordering::Relaxed);

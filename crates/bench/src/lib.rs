@@ -166,4 +166,4 @@ mod tests {
 pub mod baselines;
 pub mod scaling;
 
-pub use baselines::{ClockHitPath, PartitionedCache};
+pub use baselines::PartitionedCache;

@@ -37,5 +37,5 @@ pub use free_list::FreeList;
 pub use managers::{
     ClockManager, CoarseManager, ManagerHandle, ReplacementManager, WrappedManager,
 };
-pub use pool::{BufferPool, InvalidateOutcome, PinnedPage, PoolSession, PoolStats, RetryPolicy};
+pub use pool::{BufferPool, InvalidateOutcome, PinnedPage, PoolSession, PoolStats};
 pub use storage::{FaultPlan, FaultyDisk, SimDisk, Storage};

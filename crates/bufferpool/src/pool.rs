@@ -76,39 +76,12 @@ pub struct PoolStats {
     pub pin_underflows: AtomicU64,
 }
 
-/// How the pool retries failed storage operations before giving up:
+/// Retries of a failed storage operation before its error surfaces:
 /// bounded attempts with exponential backoff, the standard treatment
 /// for transient device faults.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Retries after the first failure (0 = fail immediately).
-    pub max_retries: u32,
-    /// Sleep before retry `k` is `base_backoff * 2^k`.
-    pub base_backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 3,
-            base_backoff: Duration::from_micros(50),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// No retries: every fault surfaces immediately (tests).
-    pub fn none() -> Self {
-        RetryPolicy {
-            max_retries: 0,
-            base_backoff: Duration::ZERO,
-        }
-    }
-
-    fn backoff(&self, attempt: u32) -> Duration {
-        self.base_backoff.saturating_mul(1u32 << attempt.min(10))
-    }
-}
+const MAX_IO_RETRIES: u32 = 3;
+/// Sleep before retry `k` is `IO_BASE_BACKOFF * 2^k`.
+const IO_BASE_BACKOFF: Duration = Duration::from_micros(50);
 
 impl PoolStats {
     /// Hit ratio over all fetches so far.
@@ -293,7 +266,6 @@ pub struct BufferPool<M: ReplacementManager> {
     stashed: StripedCounter,
     slots: PinSlots,
     page_size: usize,
-    retry: RetryPolicy,
 }
 
 impl<M: ReplacementManager> BufferPool<M> {
@@ -318,14 +290,7 @@ impl<M: ReplacementManager> BufferPool<M> {
             stashed: StripedCounter::default(),
             slots: PinSlots::new(),
             page_size,
-            retry: RetryPolicy::default(),
         }
-    }
-
-    /// Set the storage retry policy (builder style).
-    pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
     }
 
     /// Number of frames.
@@ -493,8 +458,8 @@ impl<M: ReplacementManager> BufferPool<M> {
         unsafe { &mut *self.frames[f as usize].data.get() }
     }
 
-    /// Run `op` with bounded retries and exponential backoff per the
-    /// pool's [`RetryPolicy`]. Emits an `IoRetry` trace event per retry
+    /// Run `op` with up to `MAX_IO_RETRIES` retries and exponential
+    /// backoff. Emits an `IoRetry` trace event per retry
     /// and an `IoError` (plus the `io_errors` counter) on exhaustion.
     pub(crate) fn io_with_retries(
         &self,
@@ -506,17 +471,14 @@ impl<M: ReplacementManager> BufferPool<M> {
             match op() {
                 Ok(()) => return Ok(()),
                 Err(e) => {
-                    if attempt >= self.retry.max_retries {
+                    if attempt >= MAX_IO_RETRIES {
                         self.stats.io_errors.fetch_add(1, Ordering::Relaxed);
                         bpw_trace::instant(bpw_trace::EventKind::IoError, page);
                         return Err(e);
                     }
                     self.stats.io_retries.fetch_add(1, Ordering::Relaxed);
                     bpw_trace::instant(bpw_trace::EventKind::IoRetry, page);
-                    let backoff = self.retry.backoff(attempt);
-                    if !backoff.is_zero() {
-                        std::thread::sleep(backoff);
-                    }
+                    std::thread::sleep(IO_BASE_BACKOFF * (1 << attempt));
                     attempt += 1;
                 }
             }
@@ -1421,8 +1383,7 @@ mod tests {
             128,
             CoarseManager::new(TwoQ::new(frames)),
             Arc::clone(&disk) as Arc<dyn Storage>,
-        )
-        .with_retry_policy(RetryPolicy::none());
+        );
         disk.break_page_reads(7);
         let mut s = pool.session();
         let err = s.fetch(7).expect_err("broken page must error");
@@ -1475,19 +1436,22 @@ mod tests {
             128,
             CoarseManager::new(TwoQ::new(4)),
             Arc::clone(&disk) as Arc<dyn Storage>,
-        )
-        .with_retry_policy(RetryPolicy {
-            max_retries: 3,
-            base_backoff: Duration::ZERO,
-        });
-        disk.fail_next_reads(2); // fewer than the retry budget
+        );
+        let stats = pool.stats();
+        disk.fail_next_reads(MAX_IO_RETRIES as u64); // the whole retry budget
         let mut s = pool.session();
         let p = s.fetch(9).expect("transient faults must be retried");
         p.read(|d| assert_eq!(u64::from_le_bytes(d[..8].try_into().unwrap()), 9));
         drop(p);
-        assert_eq!(pool.stats().io_retries.load(Ordering::Relaxed), 2);
-        assert_eq!(pool.stats().io_errors.load(Ordering::Relaxed), 0);
-        assert_eq!(pool.stats().misses.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.io_retries.load(Ordering::Relaxed), 3);
+        assert_eq!(stats.io_errors.load(Ordering::Relaxed), 0);
+        assert_eq!(stats.misses.load(Ordering::Relaxed), 1);
+        // One fault more than the budget surfaces, and repairs the frame.
+        disk.fail_next_reads(MAX_IO_RETRIES as u64 + 1);
+        s.fetch(10)
+            .expect_err("a fault past the budget must surface");
+        assert_eq!(stats.io_errors.load(Ordering::Relaxed), 1);
+        assert_eq!(pool.free_frames() + pool.resident_count(), pool.frames());
     }
 
     #[test]
@@ -1504,8 +1468,7 @@ mod tests {
             128,
             CoarseManager::new(TwoQ::new(1)),
             Arc::clone(&disk) as Arc<dyn Storage>,
-        )
-        .with_retry_policy(RetryPolicy::none());
+        );
         let mut s = pool.session();
         let p = s.fetch(1).unwrap();
         p.write(|d| d[9] = 0xEE);
@@ -1540,9 +1503,12 @@ mod tests {
             64,
             CoarseManager::new(TwoQ::new(8)),
             Arc::clone(&disk) as Arc<dyn Storage>,
-        )
-        .with_retry_policy(RetryPolicy::none());
-        disk.fail_next_reads(6);
+        );
+        // Only the reads in flight when the faults run out (one per
+        // thread, at most MAX_IO_RETRIES faults each) can succeed after a
+        // fault; every other read that meets one uses up its budget and
+        // errs, so these many faults make at least one fetch err.
+        disk.fail_next_reads(4 * (MAX_IO_RETRIES as u64 + 1));
         std::thread::scope(|sc| {
             for t in 0..4u64 {
                 let pool = &pool;
@@ -1569,6 +1535,7 @@ mod tests {
             8,
             "no frame may be wedged or leaked"
         );
+        assert!(pool.stats().io_errors.load(Ordering::Relaxed) >= 1);
     }
 
     #[test]
@@ -1606,8 +1573,7 @@ mod tests {
             128,
             CoarseManager::new(TwoQ::new(frames)),
             Arc::clone(&disk) as Arc<dyn Storage>,
-        )
-        .with_retry_policy(RetryPolicy::none());
+        );
         let bad = 7u64;
         disk.break_page_reads(bad);
         let mut s = pool.session();

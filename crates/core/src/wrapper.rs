@@ -102,12 +102,6 @@ impl<P: ReplacementPolicy> BpWrapper<P> {
         }
     }
 
-    /// Wrap with the paper's default configuration (S=64, T=32, both
-    /// techniques on).
-    pub fn with_defaults(policy: P) -> Self {
-        Self::new(policy, WrapperConfig::default())
-    }
-
     /// The active configuration.
     pub fn config(&self) -> WrapperConfig {
         self.config

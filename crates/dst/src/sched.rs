@@ -411,7 +411,7 @@ impl RunOutcome {
     /// Human-readable replay information: seed, mode, and the complete
     /// schedule (the seed alone reproduces it; the schedule is printed
     /// so a failure can be eyeballed without re-running).
-    pub fn dump(&self) -> String {
+    fn dump(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
         let _ = writeln!(

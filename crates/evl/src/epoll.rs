@@ -1,7 +1,6 @@
 //! Safe wrappers over the raw epoll surface: an [`Epoll`] instance with
-//! token-based registration, an [`Interest`] builder covering level- and
-//! edge-triggered delivery, and a [`WakeFd`] (eventfd) for cross-thread
-//! wakeups.
+//! token-based registration, a level-triggered [`Interest`], and a
+//! [`WakeFd`] (eventfd) for cross-thread wakeups.
 
 use std::io;
 use std::os::unix::io::{AsRawFd, RawFd};
@@ -9,7 +8,7 @@ use std::time::Duration;
 
 use crate::sys::{
     sys_close, sys_epoll_add, sys_epoll_create, sys_epoll_del, sys_epoll_mod, sys_epoll_wait,
-    sys_eventfd, sys_read, sys_write, EpollEvent, EPOLLERR, EPOLLET, EPOLLHUP, EPOLLIN, EPOLLOUT,
+    sys_eventfd, sys_read, sys_write, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT,
     EPOLLRDHUP,
 };
 
@@ -18,7 +17,6 @@ use crate::sys::{
 pub struct Interest {
     readable: bool,
     writable: bool,
-    edge: bool,
 }
 
 impl Interest {
@@ -26,19 +24,16 @@ impl Interest {
     pub const READ: Interest = Interest {
         readable: true,
         writable: false,
-        edge: false,
     };
     /// Writable only, level-triggered.
     pub const WRITE: Interest = Interest {
         readable: false,
         writable: true,
-        edge: false,
     };
     /// Readable and writable, level-triggered.
     pub const READ_WRITE: Interest = Interest {
         readable: true,
         writable: true,
-        edge: false,
     };
     /// Neither direction: registration stays alive (hangups are still
     /// reported) but delivers no read/write events — how the loop parks
@@ -46,16 +41,7 @@ impl Interest {
     pub const NONE: Interest = Interest {
         readable: false,
         writable: false,
-        edge: false,
     };
-
-    /// Switch to edge-triggered delivery: one event per readiness
-    /// *transition*, so the consumer must drain to `WouldBlock` before
-    /// waiting again.
-    pub fn edge_triggered(mut self) -> Interest {
-        self.edge = true;
-        self
-    }
 
     fn bits(self) -> u32 {
         // RDHUP is always on: a peer's half-close should wake the loop
@@ -66,9 +52,6 @@ impl Interest {
         }
         if self.writable {
             bits |= EPOLLOUT;
-        }
-        if self.edge {
-            bits |= EPOLLET;
         }
         bits
     }
@@ -226,27 +209,6 @@ mod tests {
         assert_eq!(ready_tokens(&mut epoll, Duration::from_secs(5)), vec![42]);
         assert_eq!(wake.drain(), 1);
         assert!(ready_tokens(&mut epoll, Duration::from_millis(10)).is_empty());
-    }
-
-    #[test]
-    fn edge_triggered_fires_once_per_transition() {
-        let mut epoll = Epoll::new(8).unwrap();
-        let wake = WakeFd::new().unwrap();
-        epoll
-            .add(&wake, 7, Interest::READ.edge_triggered())
-            .unwrap();
-
-        wake.notify();
-        wake.notify();
-        assert_eq!(ready_tokens(&mut epoll, Duration::from_secs(5)), vec![7]);
-        // Edge-triggered and not drained: no second event for the same
-        // readiness edge.
-        assert!(ready_tokens(&mut epoll, Duration::from_millis(20)).is_empty());
-        // Both notifies coalesced into one counter value.
-        assert_eq!(wake.drain(), 2);
-        // A fresh write is a fresh edge.
-        wake.notify();
-        assert_eq!(ready_tokens(&mut epoll, Duration::from_secs(5)), vec![7]);
     }
 
     #[test]

@@ -20,8 +20,6 @@ pub const EPOLLERR: u32 = 0x008;
 pub const EPOLLHUP: u32 = 0x010;
 /// `epoll_event.events` bit: peer closed its write half.
 pub const EPOLLRDHUP: u32 = 0x2000;
-/// `epoll_event.events` bit: edge-triggered delivery.
-pub const EPOLLET: u32 = 1 << 31;
 
 const EPOLL_CTL_ADD: i32 = 1;
 const EPOLL_CTL_DEL: i32 = 2;

@@ -467,7 +467,7 @@ impl crate::Histogram {
     /// The occupied buckets as a JSON array of `[lower_bound, count]`
     /// pairs (empty buckets are omitted; an empty histogram renders
     /// `[]`).
-    pub fn buckets_to_json(&self) -> String {
+    fn buckets_to_json(&self) -> String {
         let mut out = String::from("[");
         let mut any = false;
         for (lower, _, count) in self.buckets() {

@@ -78,7 +78,7 @@ impl Arena {
     }
 
     /// True if `node` belongs to no list.
-    pub fn is_free(&self, node: u32) -> bool {
+    fn is_free(&self, node: u32) -> bool {
         self.owner(node) == NO_LIST
     }
 }

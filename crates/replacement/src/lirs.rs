@@ -5,9 +5,10 @@
 //!
 //! Pages are classified by *inter-reference recency* (IRR): LIR (low-IRR,
 //! "hot") pages own most of the cache; HIR pages get a small allocation
-//! (`lhirs`, 1% by default) and are evicted quickly — but their history
-//! stays on the LIRS stack `S`, so a re-reference with small reuse
-//! distance promotes them to LIR.
+//! (`lhirs`, `HIR_PERCENT` = 1% of frames, at least one, the paper's
+//! setting) and are evicted quickly — but their history stays on the
+//! LIRS stack `S`, so a re-reference with small reuse distance promotes
+//! them to LIR.
 //!
 //! # Structures
 //!
@@ -18,7 +19,7 @@
 //!   eviction candidate.
 //!
 //! The number of non-resident entries retained in `S` is bounded
-//! (`ghost_cap`, default 2× frames), as in all practical LIRS
+//! (`ghost_cap`, `GHOST_MULTIPLE` = 2× frames), as in all practical LIRS
 //! deployments; the oldest ghost is dropped on overflow. Ghost creation
 //! order matches stack order (evictions pop the minimum last-access time
 //! in `Q`), so a FIFO of ghosts identifies the lowest one in `S` in O(1).
@@ -30,23 +31,10 @@ use crate::frame_table::FrameTable;
 use crate::linked_set::LinkedSet;
 use crate::traits::{FrameId, MissOutcome, NodeRegion, PageId, ReplacementPolicy};
 
-/// Tuning knobs for [`Lirs`].
-#[derive(Debug, Clone, Copy)]
-pub struct LirsConfig {
-    /// Fraction of frames allocated to resident HIR pages (paper: 1%).
-    pub hir_fraction: f64,
-    /// Ghost (non-resident HIR) capacity as a multiple of frames.
-    pub ghost_multiple: f64,
-}
-
-impl Default for LirsConfig {
-    fn default() -> Self {
-        LirsConfig {
-            hir_fraction: 0.01,
-            ghost_multiple: 2.0,
-        }
-    }
-}
+/// Percent of frames allocated to resident HIR pages (paper: 1%).
+const HIR_PERCENT: usize = 1;
+/// Ghost (non-resident HIR) capacity as a multiple of frames.
+const GHOST_MULTIPLE: usize = 2;
 
 /// The LIRS replacement policy.
 pub struct Lirs {
@@ -66,16 +54,11 @@ pub struct Lirs {
 }
 
 impl Lirs {
-    /// Create a LIRS policy with default parameters (1% HIR allocation).
+    /// Create a LIRS policy with the paper's 1% HIR allocation.
     pub fn new(frames: usize) -> Self {
-        Self::with_config(frames, LirsConfig::default())
-    }
-
-    /// Create a LIRS policy with explicit parameters.
-    pub fn with_config(frames: usize, cfg: LirsConfig) -> Self {
         assert!(frames >= 2, "LIRS needs at least two frames");
-        let lhirs = ((frames as f64 * cfg.hir_fraction) as usize).clamp(1, frames - 1);
-        let ghost_cap = ((frames as f64 * cfg.ghost_multiple) as usize).max(1);
+        let lhirs = (frames * HIR_PERCENT / 100).clamp(1, frames - 1);
+        let ghost_cap = frames * GHOST_MULTIPLE;
         let mut arena = Arena::new(2 * frames + ghost_cap);
         let s = arena.new_list();
         let q = arena.new_list();
@@ -117,17 +100,20 @@ impl Lirs {
     }
 
     /// Number of LIR pages (test aid).
-    pub fn lir_count(&self) -> usize {
+    #[cfg(test)]
+    fn lir_count(&self) -> usize {
         self.lir_count
     }
 
     /// LIR capacity (test aid).
-    pub fn llirs(&self) -> usize {
+    #[cfg(test)]
+    fn llirs(&self) -> usize {
         self.llirs
     }
 
     /// True if `frame` currently holds a LIR page (test aid).
-    pub fn is_lir_frame(&self, frame: FrameId) -> bool {
+    #[cfg(test)]
+    fn is_lir_frame(&self, frame: FrameId) -> bool {
         self.table.is_present(frame) && self.is_lir[frame as usize]
     }
 
@@ -435,42 +421,36 @@ mod tests {
     use super::*;
     use crate::cache_sim::CacheSim;
 
-    fn sim(frames: usize, hir_fraction: f64) -> CacheSim<Lirs> {
-        CacheSim::new(Lirs::with_config(
-            frames,
-            LirsConfig {
-                hir_fraction,
-                ghost_multiple: 2.0,
-            },
-        ))
+    fn sim(frames: usize) -> CacheSim<Lirs> {
+        CacheSim::new(Lirs::new(frames))
     }
 
     #[test]
     fn warmup_fills_lir_first() {
-        let mut s = sim(10, 0.2); // llirs = 8
-        for p in 0..8 {
+        let mut s = sim(10); // llirs = 9, lhirs = 1
+        for p in 0..9 {
             s.access(p);
         }
-        assert_eq!(s.policy().lir_count(), 8);
-        s.access(8); // LIR full: becomes resident HIR
-        assert_eq!(s.policy().lir_count(), 8);
+        assert_eq!(s.policy().lir_count(), 9);
+        s.access(9); // LIR full: becomes resident HIR
+        assert_eq!(s.policy().lir_count(), 9);
         s.check_consistency();
     }
 
     #[test]
     fn ghost_rereference_promotes() {
-        let mut s = sim(10, 0.2); // llirs=8, lhirs=2
+        let mut s = sim(10); // llirs = 9, lhirs = 1
         for p in 0..10 {
             s.access(p);
         }
-        // 8,9 are resident HIR. Miss on 10 evicts 8 (front of Q) -> ghost.
+        // 9 is the resident HIR. Miss on 10 evicts 9 (front of Q) -> ghost.
         s.access(10);
-        assert!(!s.is_resident(8));
-        assert!(s.policy().is_ghost(8));
-        // Re-access 8 while ghosted: must be promoted to LIR on return.
-        s.access(8);
-        assert!(s.is_resident(8));
-        let f = s.frame_of(8).unwrap();
+        assert!(!s.is_resident(9));
+        assert!(s.policy().is_ghost(9));
+        // Re-access 9 while ghosted: must be promoted to LIR on return.
+        s.access(9);
+        assert!(s.is_resident(9));
+        let f = s.frame_of(9).unwrap();
         assert!(
             s.policy().is_lir_frame(f),
             "ghost re-reference must yield LIR"
@@ -480,7 +460,7 @@ mod tests {
 
     #[test]
     fn resident_hir_promotion_on_stack_hit() {
-        let mut s = sim(10, 0.2);
+        let mut s = sim(10);
         for p in 0..10 {
             s.access(p);
         }
@@ -496,7 +476,7 @@ mod tests {
     fn scan_resistance() {
         // LIRS's signature property: a one-shot scan cannot displace the
         // LIR working set.
-        let mut s = sim(100, 0.05);
+        let mut s = sim(100); // one resident HIR frame
         let hot: Vec<PageId> = (0..90).collect();
         for _ in 0..3 {
             for &p in &hot {
@@ -537,7 +517,7 @@ mod tests {
 
     #[test]
     fn ghost_pool_overflow_drops_oldest() {
-        let mut s = sim(4, 0.25); // ghost cap = 8
+        let mut s = sim(4); // ghost cap = 8
         for p in 0..100 {
             s.access(p);
             s.check_consistency();
@@ -546,7 +526,7 @@ mod tests {
 
     #[test]
     fn eviction_filter_respected() {
-        let mut s = sim(4, 0.5); // llirs=2
+        let mut s = sim(4); // llirs = 3
         for p in 0..4 {
             s.access(p);
         }
@@ -558,7 +538,7 @@ mod tests {
 
     #[test]
     fn remove_lir_page_keeps_stack_legal() {
-        let mut s = sim(6, 0.34);
+        let mut s = sim(6);
         for p in 0..6 {
             s.access(p);
         }
@@ -574,7 +554,7 @@ mod tests {
     fn random_trace_consistency() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        let mut s = sim(16, 0.1);
+        let mut s = sim(16);
         for _ in 0..3000 {
             let p = rng.gen_range(0..64u64);
             s.access(p);

@@ -8,6 +8,11 @@
 //! `life_time` accesses without a reference. Evicted pages leave their
 //! frequency in the ghost queue `Qout` so a quick return restores their
 //! level.
+//!
+//! The parameters are the MQ paper's: `NUM_QUEUES` = 8 queues, a
+//! `Qout` of `QOUT_MULTIPLE` = 4× frames, and a `life_time` of
+//! `LIFE_TIME_MULTIPLE` = 2× frames accesses, standing in for the peak
+//! temporal distance the paper measures per workload.
 
 use std::collections::HashMap;
 
@@ -16,28 +21,13 @@ use crate::frame_table::FrameTable;
 use crate::linked_set::LinkedSet;
 use crate::traits::{FrameId, MissOutcome, NodeRegion, PageId, ReplacementPolicy};
 
-/// Tuning knobs for [`Mq`].
-#[derive(Debug, Clone, Copy)]
-pub struct MqConfig {
-    /// Number of queues in the ladder (paper: 8).
-    pub num_queues: usize,
-    /// Accesses a page may go unreferenced before demotion
-    /// (paper: peak temporal distance; default 2× frames).
-    pub life_time: u64,
-    /// Ghost queue capacity as a multiple of frames (paper: 4×).
-    pub qout_multiple: f64,
-}
-
-impl MqConfig {
-    /// Paper defaults scaled to `frames`.
-    pub fn for_frames(frames: usize) -> Self {
-        MqConfig {
-            num_queues: 8,
-            life_time: (frames as u64 * 2).max(1),
-            qout_multiple: 4.0,
-        }
-    }
-}
+/// Number of queues in the ladder (paper: 8).
+const NUM_QUEUES: usize = 8;
+/// Accesses a page may go unreferenced before demotion, as a multiple of
+/// frames (paper: the peak temporal distance).
+const LIFE_TIME_MULTIPLE: u64 = 2;
+/// Ghost queue capacity as a multiple of frames (paper: 4×).
+const QOUT_MULTIPLE: usize = 4;
 
 /// The Multi-Queue replacement policy.
 pub struct Mq {
@@ -55,21 +45,12 @@ pub struct Mq {
 }
 
 impl Mq {
-    /// Create an MQ policy with the paper's default parameters.
+    /// Create an MQ policy with the paper's parameters.
     pub fn new(frames: usize) -> Self {
-        Self::with_config(frames, MqConfig::for_frames(frames))
-    }
-
-    /// Create an MQ policy with explicit parameters.
-    pub fn with_config(frames: usize, cfg: MqConfig) -> Self {
         assert!(frames > 0, "MQ needs at least one frame");
-        assert!(
-            (1..=64).contains(&cfg.num_queues),
-            "queue count out of range"
-        );
         let mut arena = Arena::new(frames);
-        let queues = (0..cfg.num_queues).map(|_| arena.new_list()).collect();
-        let qout_cap = ((frames as f64 * cfg.qout_multiple) as usize).max(1);
+        let queues = (0..NUM_QUEUES).map(|_| arena.new_list()).collect();
+        let qout_cap = frames * QOUT_MULTIPLE;
         Mq {
             arena,
             queues,
@@ -77,7 +58,7 @@ impl Mq {
             freq: vec![0; frames],
             expire: vec![0; frames],
             now: 0,
-            life_time: cfg.life_time.max(1),
+            life_time: frames as u64 * LIFE_TIME_MULTIPLE,
             qout: LinkedSet::with_capacity(qout_cap),
             qout_freq: HashMap::with_capacity(qout_cap),
             qout_cap,
@@ -92,14 +73,16 @@ impl Mq {
     }
 
     /// Queue index currently holding `frame` (test aid).
-    pub fn queue_of(&self, frame: FrameId) -> Option<u8> {
+    #[cfg(test)]
+    fn queue_of(&self, frame: FrameId) -> Option<u8> {
         self.table
             .is_present(frame)
             .then(|| self.queue_of[frame as usize])
     }
 
     /// True if `page` is remembered in Qout (test aid).
-    pub fn in_qout(&self, page: PageId) -> bool {
+    #[cfg(test)]
+    fn in_qout(&self, page: PageId) -> bool {
         self.qout.contains(page)
     }
 
@@ -294,38 +277,31 @@ mod tests {
 
     #[test]
     fn expired_pages_demote() {
-        let cfg = MqConfig {
-            num_queues: 4,
-            life_time: 3,
-            qout_multiple: 2.0,
-        };
-        let mut s = CacheSim::new(Mq::with_config(4, cfg));
+        let mut s = CacheSim::new(Mq::new(4)); // life_time = 8
         for _ in 0..4 {
-            s.access(1); // freq 4 -> Q2
+            s.access(1); // freq 4 -> Q2, expires after access 4 + 8
         }
         let f = s.frame_of(1).unwrap();
         assert_eq!(s.policy().queue_of(f), Some(2));
-        // Touch other pages past the lifetime: 1 demotes step by step.
-        for p in 2..12 {
+        // 2 × frames accesses to other pages: still within its lifetime.
+        for p in 2..10 {
             s.access(p);
         }
-        assert!(s.policy().queue_of(f).unwrap_or(0) < 2 || !s.is_resident(1));
+        assert_eq!(s.policy().queue_of(f), Some(2));
+        // One more outlives it: 1 demotes a level, still resident.
+        s.access(10);
+        assert_eq!(s.policy().queue_of(f), Some(1));
         s.check_consistency();
     }
 
     #[test]
     fn qout_bounded() {
-        let cfg = MqConfig {
-            num_queues: 8,
-            life_time: 8,
-            qout_multiple: 1.0,
-        };
-        let mut s = CacheSim::new(Mq::with_config(4, cfg));
+        let mut s = CacheSim::new(Mq::new(4));
         for p in 0..200 {
             s.access(p);
         }
         s.check_consistency();
-        assert!(s.policy().qout.len() <= 4);
+        assert_eq!(s.policy().qout.len(), 4 * QOUT_MULTIPLE);
     }
 
     #[test]

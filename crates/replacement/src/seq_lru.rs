@@ -17,24 +17,18 @@
 //! interleave accesses from concurrent threads at access granularity (as
 //! lock-per-access or a shared queue would) and detection collapses.
 //! The `ablation_queue_design` benchmark measures precisely this.
+//!
+//! A run counts as sequential from its `MIN_RUN` = 8th consecutive page.
+//! SEQ detects runs of about 20 page faults; scans here are
+//! page-granular, so a shorter run suffices.
 
 use crate::arena::{Arena, List};
 use crate::frame_table::FrameTable;
 use crate::traits::{FrameId, MissOutcome, NodeRegion, PageId, ReplacementPolicy};
 
-/// Tuning knobs for [`SeqLru`].
-#[derive(Debug, Clone, Copy)]
-pub struct SeqLruConfig {
-    /// Consecutive-page run length after which accesses count as
-    /// sequential (SEQ used ~20 faults; scans here are page-granular).
-    pub min_run: u32,
-}
-
-impl Default for SeqLruConfig {
-    fn default() -> Self {
-        SeqLruConfig { min_run: 8 }
-    }
-}
+/// Consecutive-page run length after which accesses count as
+/// sequential.
+const MIN_RUN: u32 = 8;
 
 /// LRU with order-based sequential-run detection and early eviction of
 /// sequential pages.
@@ -50,21 +44,15 @@ pub struct SeqLru {
     last_page: Option<PageId>,
     /// Length of the current consecutive run.
     run_len: u32,
-    min_run: u32,
     detected_runs: u64,
+    #[cfg(test)]
     sequential_accesses: u64,
 }
 
 impl SeqLru {
-    /// Create with default detection parameters.
+    /// Create with SEQ-style run detection.
     pub fn new(frames: usize) -> Self {
-        Self::with_config(frames, SeqLruConfig::default())
-    }
-
-    /// Create with an explicit run threshold.
-    pub fn with_config(frames: usize, cfg: SeqLruConfig) -> Self {
         assert!(frames > 0, "SeqLru needs at least one frame");
-        assert!(cfg.min_run >= 2, "run threshold must be at least 2");
         let mut arena = Arena::new(frames);
         let main = arena.new_list();
         let seq = arena.new_list();
@@ -75,26 +63,27 @@ impl SeqLru {
             table: FrameTable::new(frames),
             last_page: None,
             run_len: 0,
-            min_run: cfg.min_run,
             detected_runs: 0,
+            #[cfg(test)]
             sequential_accesses: 0,
         }
     }
 
     /// Update the run detector with the page just accessed; returns true
-    /// if this access extends a detected (>= min_run) sequential run.
+    /// if this access extends a detected (>= MIN_RUN) sequential run.
     fn observe(&mut self, page: PageId) -> bool {
         let consecutive = self.last_page == Some(page.wrapping_sub(1));
         self.last_page = Some(page);
         if consecutive {
             self.run_len += 1;
-            if self.run_len == self.min_run {
+            if self.run_len == MIN_RUN {
                 self.detected_runs += 1;
             }
         } else {
             self.run_len = 1;
         }
-        let seq = self.run_len >= self.min_run;
+        let seq = self.run_len >= MIN_RUN;
+        #[cfg(test)]
         if seq {
             self.sequential_accesses += 1;
         }
@@ -107,12 +96,14 @@ impl SeqLru {
     }
 
     /// Accesses classified as sequential (test aid).
-    pub fn sequential_accesses(&self) -> u64 {
+    #[cfg(test)]
+    fn sequential_accesses(&self) -> u64 {
         self.sequential_accesses
     }
 
     /// Pages currently marked sequential (test aid).
-    pub fn sequential_resident(&self) -> usize {
+    #[cfg(test)]
+    fn sequential_resident(&self) -> usize {
         self.seq.len()
     }
 
@@ -301,7 +292,7 @@ mod tests {
         let mut s = CacheSim::new(SeqLru::new(32));
         for start in [0u64, 100, 200, 300] {
             for p in start..start + 5 {
-                s.access(p); // runs of 5 < min_run of 8
+                s.access(p); // runs of 5 < MIN_RUN of 8
             }
         }
         assert_eq!(s.policy().detected_runs(), 0);

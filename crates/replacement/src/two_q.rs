@@ -2,29 +2,20 @@
 //! A1out / Am. This is the algorithm the paper grafts into PostgreSQL as
 //! its representative advanced policy (`pgQ`), and the one PostgreSQL
 //! itself used before retreating to CLOCK over lock-contention concerns.
+//!
+//! The queue sizes are the 2Q paper's recommended ones: A1in targets
+//! `KIN_DIVISOR` = a quarter of the frames and the A1out ghost list
+//! holds `KOUT_DIVISOR` = half as many pages as there are frames.
 
 use crate::arena::{Arena, List};
 use crate::frame_table::FrameTable;
 use crate::linked_set::LinkedSet;
 use crate::traits::{FrameId, MissOutcome, NodeRegion, PageId, ReplacementPolicy};
 
-/// Tuning knobs for [`TwoQ`].
-#[derive(Debug, Clone, Copy)]
-pub struct TwoQConfig {
-    /// Target size of the A1in FIFO as a fraction of frames (paper: 25%).
-    pub kin_fraction: f64,
-    /// Capacity of the A1out ghost list as a fraction of frames (paper: 50%).
-    pub kout_fraction: f64,
-}
-
-impl Default for TwoQConfig {
-    fn default() -> Self {
-        TwoQConfig {
-            kin_fraction: 0.25,
-            kout_fraction: 0.50,
-        }
-    }
-}
+/// A1in's target size is `frames / KIN_DIVISOR` (paper: 25%).
+const KIN_DIVISOR: usize = 4;
+/// A1out's capacity is `frames / KOUT_DIVISOR` (paper: 50%).
+const KOUT_DIVISOR: usize = 2;
 
 /// The full 2Q algorithm: newly-referenced pages sit in the A1in FIFO;
 /// pages evicted from A1in are remembered in the A1out ghost list; only a
@@ -41,19 +32,14 @@ pub struct TwoQ {
 }
 
 impl TwoQ {
-    /// Create a 2Q policy with the paper's default parameters.
+    /// Create a 2Q policy with the paper's Kin and Kout.
     pub fn new(frames: usize) -> Self {
-        Self::with_config(frames, TwoQConfig::default())
-    }
-
-    /// Create a 2Q policy with explicit Kin/Kout fractions.
-    pub fn with_config(frames: usize, cfg: TwoQConfig) -> Self {
         assert!(frames > 0, "2Q needs at least one frame");
         let mut arena = Arena::new(frames);
         let am = arena.new_list();
         let a1in = arena.new_list();
-        let kin = ((frames as f64 * cfg.kin_fraction) as usize).max(1);
-        let kout = ((frames as f64 * cfg.kout_fraction) as usize).max(1);
+        let kin = (frames / KIN_DIVISOR).max(1);
+        let kout = (frames / KOUT_DIVISOR).max(1);
         TwoQ {
             arena,
             am,
@@ -66,17 +52,20 @@ impl TwoQ {
     }
 
     /// Number of pages currently in the A1in FIFO (test aid).
-    pub fn a1in_len(&self) -> usize {
+    #[cfg(test)]
+    fn a1in_len(&self) -> usize {
         self.a1in.len()
     }
 
     /// Number of pages currently in the Am list (test aid).
-    pub fn am_len(&self) -> usize {
+    #[cfg(test)]
+    fn am_len(&self) -> usize {
         self.am.len()
     }
 
     /// True if `page` is remembered in the A1out ghost list (test aid).
-    pub fn in_a1out(&self, page: PageId) -> bool {
+    #[cfg(test)]
+    fn in_a1out(&self, page: PageId) -> bool {
         self.a1out.contains(page)
     }
 
@@ -290,21 +279,14 @@ mod tests {
 
     #[test]
     fn am_eviction_not_remembered() {
-        let mut q = TwoQ::with_config(
-            4,
-            TwoQConfig {
-                kin_fraction: 1.0,
-                kout_fraction: 0.5,
-            },
-        );
-        // kin = 4: A1in never exceeds target, so eviction falls to Am...
+        let mut q = TwoQ::new(1);
+        // kin = 1: A1in never exceeds target, so eviction falls to Am...
         // but Am is empty, so A1in is drained anyway (orders fallback).
-        for (i, p) in (0..4).zip([1, 2, 3, 4]) {
-            admit(&mut q, p, i as FrameId);
-        }
-        let out = miss_full(&mut q, 5);
+        admit(&mut q, 1, 0);
+        let out = miss_full(&mut q, 2);
         // A1in not over target and Am empty: falls back to A1in path.
-        assert!(out.victim().is_some());
+        assert_eq!(out.victim(), Some(1));
+        assert!(q.in_a1out(1), "an A1in victim is remembered");
         q.check_invariants();
     }
 

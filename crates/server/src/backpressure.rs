@@ -213,11 +213,6 @@ impl<T> AdmissionQueue<T> {
         }
     }
 
-    /// Highest queue depth observed at any submit.
-    pub fn peak_depth(&self) -> u64 {
-        self.depth.get()
-    }
-
     /// Shared handle to the depth gauge, so stats reporting can outlive
     /// (and live apart from) the queue's sender side.
     pub fn depth_gauge(&self) -> Arc<MaxGauge> {
@@ -286,7 +281,7 @@ mod tests {
             other => panic!("expected Item(1), got {other:?}"),
         }
         assert_eq!(aq.submit(3), Admitted::Queued);
-        assert!(aq.peak_depth() >= 2);
+        assert!(aq.depth_gauge().get() >= 2);
     }
 
     #[test]

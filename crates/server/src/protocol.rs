@@ -277,7 +277,7 @@ fn read_u64(b: &[u8], what: &str) -> Result<u64, ProtocolError> {
 /// frame is as malformed as an oversized one — and rejecting both at
 /// the header keeps a garbage 4-byte prefix from ever sizing a server
 /// allocation.
-pub fn validate_frame_len(len: usize) -> Result<(), ProtocolError> {
+fn validate_frame_len(len: usize) -> Result<(), ProtocolError> {
     if len == 0 {
         return Err(ProtocolError("zero-length frame".into()));
     }
@@ -830,6 +830,63 @@ mod tests {
                 }
             }
             prop_assert!(dec.buffered() <= wire.len());
+        }
+
+        /// Frames whose headers claim small, zero, near-cap, just-over-cap
+        /// or arbitrary lengths, cut short anywhere and pushed in arbitrary fragments,
+        /// drained after every push: while the decoder waits for bytes
+        /// it holds less than one header plus the largest legal body, and
+        /// once it errs it holds nothing and errs from then on.
+        #[test]
+        fn decoder_memory_is_bounded_by_the_frame_cap(
+            frames in prop::collection::vec((any::<u32>(), 0u8..4), 1..6),
+            tail in any::<usize>(),
+            cuts in prop::collection::vec(any::<usize>(), 0..16),
+        ) {
+            let mut wire = Vec::new();
+            for (raw, kind) in frames {
+                let len = match kind {
+                    0 => raw as usize % 300,
+                    1 => MAX_FRAME - raw as usize % 300,
+                    2 => MAX_FRAME + 1 + raw as usize % 300,
+                    _ => raw as usize,
+                };
+                wire.extend((len as u32).to_le_bytes());
+                if len <= MAX_FRAME + 300 {
+                    wire.resize(wire.len() + len, raw as u8);
+                }
+            }
+            wire.truncate(tail % (wire.len() + 1));
+            let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (wire.len() + 1)).collect();
+            cuts.extend([0, wire.len()]);
+            cuts.sort_unstable();
+            let mut dec = FrameDecoder::new();
+            let mut failed = false;
+            for piece in cuts.windows(2) {
+                dec.push(&wire[piece[0]..piece[1]]);
+                if failed {
+                    prop_assert!(dec.next_frame().is_err(), "a poisoned decoder recovered");
+                    prop_assert_eq!(dec.buffered(), 0);
+                    continue;
+                }
+                loop {
+                    match dec.next_frame() {
+                        Ok(Some(body)) => prop_assert!(!body.is_empty() && body.len() <= MAX_FRAME),
+                        Ok(None) => {
+                            prop_assert!(dec.buffered() < 4 + MAX_FRAME, "holds {}", dec.buffered());
+                            break;
+                        }
+                        Err(_) => {
+                            prop_assert_eq!(dec.buffered(), 0);
+                            failed = true;
+                            break;
+                        }
+                    }
+                }
+            }
+            if failed {
+                prop_assert!(dec.next_frame().is_err());
+            }
         }
     }
 

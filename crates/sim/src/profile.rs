@@ -198,7 +198,8 @@ impl WorkloadParams {
     }
 
     /// Mean transaction length.
-    pub fn mean_txn_len(&self) -> f64 {
+    #[cfg(test)]
+    fn mean_txn_len(&self) -> f64 {
         self.txn_lengths.iter().map(|&l| l as f64).sum::<f64>() / self.txn_lengths.len() as f64
     }
 }

@@ -23,7 +23,8 @@ impl Series {
     }
 
     /// Throughput of the last (largest-CPU) point.
-    pub fn final_throughput(&self) -> f64 {
+    #[cfg(test)]
+    fn final_throughput(&self) -> f64 {
         self.points
             .last()
             .map(|(_, r)| r.throughput_tps)
@@ -31,7 +32,8 @@ impl Series {
     }
 
     /// Parallel speedup from the first to the last point.
-    pub fn speedup(&self) -> f64 {
+    #[cfg(test)]
+    fn speedup(&self) -> f64 {
         match (self.points.first(), self.points.last()) {
             (Some((_, a)), Some((_, b))) if a.throughput_tps > 0.0 => {
                 b.throughput_tps / a.throughput_tps

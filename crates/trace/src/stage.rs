@@ -53,7 +53,7 @@ pub fn add_miss_io(ns: u64) {
 
 /// Credit batch-commit time to the current request.
 #[inline]
-pub fn add_batch_commit(ns: u64) {
+fn add_batch_commit(ns: u64) {
     BATCH_COMMIT_NS.with(|c| c.set(c.get().saturating_add(ns)));
 }
 

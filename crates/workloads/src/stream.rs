@@ -53,7 +53,8 @@ impl PageStream {
     }
 
     /// Pages remaining in the current transaction.
-    pub fn remaining_in_transaction(&self) -> usize {
+    #[cfg(test)]
+    fn remaining_in_transaction(&self) -> usize {
         self.buf.len() - self.next
     }
 }

@@ -2,9 +2,6 @@
 //! reference string (per thread), so experiments can re-run the *exact*
 //! same accesses across systems — the paper's apples-to-apples setup.
 
-use std::io::{self, Read, Write};
-use std::path::Path;
-
 use crate::{TransactionStream, Workload};
 
 /// A captured per-thread trace: page ids plus transaction boundaries.
@@ -44,12 +41,13 @@ impl Trace {
     }
 
     /// Number of transactions.
-    pub fn txn_count(&self) -> usize {
+    fn txn_count(&self) -> usize {
         self.txn_ends.len()
     }
 
     /// Total page accesses.
-    pub fn access_count(&self) -> usize {
+    #[cfg(test)]
+    fn access_count(&self) -> usize {
         self.pages.len()
     }
 
@@ -64,84 +62,13 @@ impl Trace {
     }
 
     /// Distinct pages touched (the working-set size).
-    pub fn distinct_pages(&self) -> usize {
+    #[cfg(test)]
+    fn distinct_pages(&self) -> usize {
         let mut v = self.pages.clone();
         v.sort_unstable();
         v.dedup();
         v.len()
     }
-
-    /// Serialize to a compact binary file (magic + version + counts +
-    /// little-endian u64 arrays), so expensive captures can be re-used
-    /// across experiment runs without any serialization dependency.
-    pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
-        f.write_all(Self::MAGIC)?;
-        f.write_all(&1u32.to_le_bytes())?;
-        f.write_all(&(self.txn_ends.len() as u64).to_le_bytes())?;
-        f.write_all(&(self.pages.len() as u64).to_le_bytes())?;
-        for &e in &self.txn_ends {
-            f.write_all(&(e as u64).to_le_bytes())?;
-        }
-        for &p in &self.pages {
-            f.write_all(&p.to_le_bytes())?;
-        }
-        f.flush()
-    }
-
-    /// Load a trace written by [`save`](Self::save).
-    pub fn load(path: impl AsRef<Path>) -> io::Result<Self> {
-        let mut f = std::io::BufReader::new(std::fs::File::open(path)?);
-        let mut u64buf = [0u8; 8];
-        let mut u32buf = [0u8; 4];
-        let mut magic = [0u8; 4];
-        f.read_exact(&mut magic)?;
-        if &magic != Self::MAGIC {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "not a BPWT trace file",
-            ));
-        }
-        f.read_exact(&mut u32buf)?;
-        let version = u32::from_le_bytes(u32buf);
-        if version != 1 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unsupported trace version {version}"),
-            ));
-        }
-        f.read_exact(&mut u64buf)?;
-        let txns = u64::from_le_bytes(u64buf) as usize;
-        f.read_exact(&mut u64buf)?;
-        let accesses = u64::from_le_bytes(u64buf) as usize;
-        let mut txn_ends = Vec::with_capacity(txns);
-        for _ in 0..txns {
-            f.read_exact(&mut u64buf)?;
-            txn_ends.push(u64::from_le_bytes(u64buf) as usize);
-        }
-        let mut pages = Vec::with_capacity(accesses);
-        for _ in 0..accesses {
-            f.read_exact(&mut u64buf)?;
-            pages.push(u64::from_le_bytes(u64buf));
-        }
-        // Structural validation: monotone ends covering all pages.
-        let mut prev = 0usize;
-        for &e in &txn_ends {
-            if e < prev || e > pages.len() {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "corrupt txn boundaries",
-                ));
-            }
-            prev = e;
-        }
-        if txn_ends.last() != Some(&pages.len()) && !(txn_ends.is_empty() && pages.is_empty()) {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "trailing pages"));
-        }
-        Ok(Trace { pages, txn_ends })
-    }
-
-    const MAGIC: &'static [u8; 4] = b"BPWT";
 }
 
 /// Replay a trace as a `TransactionStream` (wraps around at the end).
@@ -205,30 +132,6 @@ mod tests {
         buf.clear();
         r.next_transaction(&mut buf); // wrapped
         assert_eq!(buf, t.pages[..3].to_vec());
-    }
-
-    #[test]
-    fn save_load_roundtrip() {
-        let w = crate::synthetic::ZipfWorkload::new(500, 0.9, 7);
-        let mut s = w.stream(0, 123);
-        let t = Trace::capture(&mut *s, 20);
-        let dir = std::env::temp_dir().join("bpw_trace_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("roundtrip.bpwt");
-        t.save(&path).unwrap();
-        let loaded = Trace::load(&path).unwrap();
-        assert_eq!(t, loaded);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn load_rejects_garbage() {
-        let dir = std::env::temp_dir().join("bpw_trace_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("garbage.bpwt");
-        std::fs::write(&path, b"not a trace at all").unwrap();
-        assert!(Trace::load(&path).is_err());
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

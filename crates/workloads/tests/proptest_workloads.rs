@@ -93,25 +93,6 @@ proptest! {
         }
     }
 
-    /// Trace round-trip through the binary file format is lossless for
-    /// arbitrary captures.
-    #[test]
-    fn trace_file_roundtrip(
-        seed in 0u64..500,
-        txns in 1usize..30,
-    ) {
-        let w = ZipfWorkload::new(300, 0.7, 6);
-        let mut s = w.stream(0, seed);
-        let t = Trace::capture(&mut *s, txns);
-        let dir = std::env::temp_dir().join("bpw_trace_prop");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("t{seed}_{txns}.bpwt"));
-        t.save(&path).unwrap();
-        let loaded = Trace::load(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        prop_assert_eq!(t, loaded);
-    }
-
     /// The Zipf sampler's most popular rank always dominates a uniform
     /// share for real skew values.
     #[test]
