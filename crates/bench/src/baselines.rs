@@ -5,10 +5,8 @@
 //! still collide. The other baseline, `pgClock`'s lock-free hit path, is
 //! `bpw_bufferpool::ClockManager`, the one the pool and server run.
 
-use std::sync::Arc;
-
 use bpw_core::InstrumentedLock;
-use bpw_metrics::LockStats;
+use bpw_metrics::LockSnapshot;
 use bpw_replacement::{CacheSim, PageId, ReplacementPolicy, SimStats};
 
 /// The distributed-lock baseline: `n` independent policy instances, each
@@ -17,7 +15,6 @@ use bpw_replacement::{CacheSim, PageId, ReplacementPolicy, SimStats};
 /// (the Mr.LRU fix that keeps ghost-list policies functional).
 pub struct PartitionedCache<P: ReplacementPolicy> {
     parts: Vec<InstrumentedLock<CacheSim<P>>>,
-    stats: Arc<LockStats>,
 }
 
 impl<P: ReplacementPolicy> PartitionedCache<P> {
@@ -29,16 +26,10 @@ impl<P: ReplacementPolicy> PartitionedCache<P> {
         mut make: impl FnMut(usize) -> P,
     ) -> Self {
         assert!(partitions >= 1, "need at least one partition");
-        let stats = Arc::new(LockStats::new());
         let parts = (0..partitions)
-            .map(|_| {
-                InstrumentedLock::new(
-                    CacheSim::new(make(frames_per_partition)),
-                    Arc::clone(&stats),
-                )
-            })
+            .map(|_| InstrumentedLock::new(CacheSim::new(make(frames_per_partition))))
             .collect();
-        PartitionedCache { parts, stats }
+        PartitionedCache { parts }
     }
 
     /// Number of partitions.
@@ -46,9 +37,11 @@ impl<P: ReplacementPolicy> PartitionedCache<P> {
         self.parts.len()
     }
 
-    /// Shared lock statistics across all partition locks.
-    pub fn lock_stats(&self) -> &Arc<LockStats> {
-        &self.stats
+    /// Lock statistics summed over the partition locks.
+    pub fn lock_snapshot(&self) -> LockSnapshot {
+        self.parts.iter().fold(LockSnapshot::default(), |sum, p| {
+            sum.merge(&p.stats().snapshot())
+        })
     }
 
     /// Partition a page hashes to (splitmix64, so consecutive page ids
@@ -109,10 +102,24 @@ mod tests {
         for page in 0..16u64 {
             assert!(pc.access(page), "page {page} should still be cached");
         }
+        // Each partition lock counts its own holds: four threads'
+        // accesses through all four locks sum exactly.
+        std::thread::scope(|sc| {
+            for t in 0..4u64 {
+                let pc = &pc;
+                sc.spawn(move || {
+                    for i in 0..2_000u64 {
+                        pc.access((t + i) % 16);
+                    }
+                });
+            }
+        });
+        let locks = pc.lock_snapshot();
+        assert_eq!(locks.acquisitions, 32 + 8_000);
+        assert_eq!(locks.accesses_covered, 32 + 8_000);
         let s = pc.stats();
-        assert_eq!(s.hits, 16);
+        assert_eq!(s.hits, 16 + 8_000);
         assert_eq!(s.misses, 16);
-        assert!(pc.lock_stats().snapshot().acquisitions >= 32);
     }
 
     #[test]

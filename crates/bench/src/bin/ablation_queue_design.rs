@@ -30,7 +30,6 @@ use std::sync::Arc;
 
 use bpw_bench::{fmt, Table};
 use bpw_core::{ArcAccessHandle, BpWrapper, InstrumentedLock, WrapperConfig};
-use bpw_metrics::LockStats;
 use bpw_replacement::{FrameId, MissOutcome, PageId, SeqLru};
 
 const FRAMES: usize = 2048;
@@ -96,7 +95,7 @@ struct SharedQueue {
 impl SharedQueue {
     fn new() -> Self {
         let wrapper = wrapped(WrapperConfig::default());
-        let handle = InstrumentedLock::new(wrapper.handle_arc(), Arc::new(LockStats::new()));
+        let handle = InstrumentedLock::new(wrapper.handle_arc());
         SharedQueue { wrapper, handle }
     }
 }

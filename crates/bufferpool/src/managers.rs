@@ -12,10 +12,9 @@
 //!   `pgBatPre`, and every configuration in between).
 
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::Arc;
 
 use bpw_core::{BpWrapper, InstrumentedLock, WrapperConfig};
-use bpw_metrics::{LockSnapshot, LockStats};
+use bpw_metrics::LockSnapshot;
 use bpw_replacement::{FrameId, MissOutcome, PageId, ReplacementPolicy};
 
 /// How a pool thread reports accesses to the replacement algorithm.
@@ -125,7 +124,7 @@ impl<P: ReplacementPolicy> CoarseManager<P> {
     /// Wrap `policy`.
     pub fn new(policy: P) -> Self {
         CoarseManager {
-            lock: InstrumentedLock::new(policy, Arc::new(LockStats::new())),
+            lock: InstrumentedLock::new(policy),
         }
     }
 }
@@ -204,15 +203,12 @@ impl ClockManager {
     pub fn new(frames: usize) -> Self {
         ClockManager {
             referenced: (0..frames).map(|_| AtomicU8::new(0)).collect(),
-            lock: InstrumentedLock::new(
-                ClockCore {
-                    page_of: vec![0; frames],
-                    present: vec![false; frames],
-                    hand: 0,
-                    resident: 0,
-                },
-                Arc::new(LockStats::new()),
-            ),
+            lock: InstrumentedLock::new(ClockCore {
+                page_of: vec![0; frames],
+                present: vec![false; frames],
+                hand: 0,
+                resident: 0,
+            }),
         }
     }
 

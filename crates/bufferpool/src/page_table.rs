@@ -26,10 +26,9 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
 
 use bpw_core::{InstrumentedLock, LockGuard};
-use bpw_metrics::{LockSnapshot, LockStats};
+use bpw_metrics::LockSnapshot;
 use bpw_replacement::{FrameId, PageId};
 
 /// Slots per shard. With the pool's default sizing (one shard per four
@@ -99,7 +98,6 @@ impl Shard {
             slots: std::array::from_fn(|_| Slot::new()),
             lock: InstrumentedLock::with_wait_event(
                 Spill::default(),
-                Arc::new(LockStats::new()),
                 bpw_trace::EventKind::MissShardWait,
                 index as u64,
             ),

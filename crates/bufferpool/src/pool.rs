@@ -46,8 +46,8 @@ impl InvalidateOutcome {
 }
 
 /// Aggregate pool statistics. `hits` and `misses` are bumped once per
-/// fetch, so they are striped per thread; the rest move only on the
-/// miss and fault paths. The striped cells give the struct a cache-line
+/// fetch and `writebacks` once per dirty eviction, on whichever thread
+/// missed, so they are striped per thread; the rest move rarely. The striped cells give the struct a cache-line
 /// alignment, so none of these writes invalidate the line holding the
 /// pool's read-mostly fields.
 #[derive(Debug, Default)]
@@ -57,7 +57,7 @@ pub struct PoolStats {
     /// Fetches that read from storage.
     pub misses: StripedCounter,
     /// Dirty victims written back.
-    pub writebacks: AtomicU64,
+    pub writebacks: StripedCounter,
     /// Storage operations retried after a transient fault.
     pub io_retries: AtomicU64,
     /// Storage operations that failed after exhausting their retry
@@ -821,7 +821,7 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
             if !cfg!(dst_mutation = "early_unmap") {
                 pool.table.lock(v).remove(v);
             }
-            pool.stats.writebacks.fetch_add(1, Ordering::Relaxed);
+            pool.stats.writebacks.incr();
         }
         let read = pool.io_with_retries(page, || pool.storage.read_page(page, &mut *data));
         if let Err(e) = read {
@@ -945,7 +945,7 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
                     continue;
                 }
                 pool.desc(frame).lock().dirty = false;
-                pool.stats.writebacks.fetch_add(1, Ordering::Relaxed);
+                pool.stats.writebacks.incr();
             }
             pool.table.lock(v).remove(v);
             self.stash.push(frame);

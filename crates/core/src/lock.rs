@@ -2,59 +2,58 @@
 //! policy, reporting the paper's lock metrics: contended acquisitions,
 //! try-lock failures, wait time, and hold time.
 
-use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use bpw_metrics::LockStats;
 use parking_lot::{Mutex, MutexGuard};
 
-/// Exclusive lock over `T` with contention accounting.
+/// Exclusive lock over `T` with contention accounting. The statistics
+/// live in the lock, laid out just before the lock word, and the holder
+/// writes them: a counted acquisition costs the lock's own atomic and
+/// plain stores to a line the holder writes anyway. Hold time is
+/// estimated from one hold in 16, so 15 acquisitions in 16 read no
+/// clock; counts and waits are exact.
+#[repr(C)]
 pub struct InstrumentedLock<T> {
+    stats: LockStats,
     inner: Mutex<T>,
-    stats: Arc<LockStats>,
     wait_kind: bpw_trace::EventKind,
     wait_arg: u64,
 }
 
 /// RAII guard for [`InstrumentedLock`]. Reports hold time and the number
-/// of accesses the critical section covered when dropped.
+/// of accesses the critical section covered when dropped, before it
+/// unlocks.
 pub struct LockGuard<'a, T> {
     guard: Option<MutexGuard<'a, T>>,
     stats: &'a LockStats,
-    acquired_at: Instant,
+    /// When the hold began, if it is timed or traced.
+    acquired_at: Option<Instant>,
+    /// This hold is the sampled one whose duration counts.
+    timed: bool,
     accesses: u64,
 }
 
 impl<T> InstrumentedLock<T> {
-    /// Wrap `value`, reporting into `stats`.
-    pub fn new(value: T, stats: Arc<LockStats>) -> Self {
-        InstrumentedLock {
-            inner: Mutex::new(value),
-            stats,
-            wait_kind: bpw_trace::EventKind::LockWait,
-            wait_arg: 1,
-        }
+    /// Wrap `value`.
+    pub fn new(value: T) -> Self {
+        Self::with_wait_event(value, bpw_trace::EventKind::LockWait, 1)
     }
 
     /// Wrap `value`, reporting contended waits as `kind` spans with
     /// `arg` as the event argument (e.g. `MissShardWait` carrying the
     /// shard index) instead of the generic `LockWait`.
-    pub fn with_wait_event(
-        value: T,
-        stats: Arc<LockStats>,
-        kind: bpw_trace::EventKind,
-        arg: u64,
-    ) -> Self {
+    pub fn with_wait_event(value: T, kind: bpw_trace::EventKind, arg: u64) -> Self {
         InstrumentedLock {
+            stats: LockStats::new(),
             inner: Mutex::new(value),
-            stats,
             wait_kind: kind,
             wait_arg: arg,
         }
     }
 
-    /// The shared statistics sink.
-    pub fn stats(&self) -> &Arc<LockStats> {
+    /// This lock's statistics.
+    pub fn stats(&self) -> &LockStats {
         &self.stats
     }
 
@@ -63,16 +62,7 @@ impl<T> InstrumentedLock<T> {
     pub fn try_lock(&self) -> Option<LockGuard<'_, T>> {
         bpw_dst::yield_point();
         match self.inner.try_lock() {
-            Some(guard) => {
-                self.stats
-                    .record_acquisition(false, std::time::Duration::ZERO);
-                Some(LockGuard {
-                    guard: Some(guard),
-                    stats: &self.stats,
-                    acquired_at: Instant::now(),
-                    accesses: 0,
-                })
-            }
+            Some(guard) => Some(self.held(guard, false, Duration::ZERO, None)),
             None => {
                 self.stats.record_trylock_failure();
                 None
@@ -94,49 +84,57 @@ impl<T> InstrumentedLock<T> {
             let mut contended = false;
             loop {
                 if let Some(guard) = self.inner.try_lock() {
-                    self.stats
-                        .record_acquisition(contended, std::time::Duration::ZERO);
-                    return LockGuard {
-                        guard: Some(guard),
-                        stats: &self.stats,
-                        acquired_at: Instant::now(),
-                        accesses: 0,
-                    };
+                    return self.held(guard, contended, Duration::ZERO, None);
                 }
                 contended = true;
                 bpw_dst::yield_now();
             }
         }
         if let Some(guard) = self.inner.try_lock() {
-            self.stats
-                .record_acquisition(false, std::time::Duration::ZERO);
-            return LockGuard {
-                guard: Some(guard),
-                stats: &self.stats,
-                acquired_at: Instant::now(),
-                accesses: 0,
-            };
+            return self.held(guard, false, Duration::ZERO, None);
         }
         let wait_start = Instant::now();
         let guard = self.inner.lock();
         let waited = wait_start.elapsed();
-        self.stats.record_acquisition(true, waited);
         bpw_trace::span_backdated(self.wait_kind, waited.as_nanos() as u64, self.wait_arg);
+        // Not a third clock read, and not one inside the critical
+        // section: the wait ended when the hold began.
+        self.held(guard, true, waited, Some(wait_start + waited))
+    }
+
+    /// Count an acquisition, now that `guard` holds the lock, and start
+    /// its hold: the clock is read (unless the wait already did) only
+    /// for the one hold in 16 that is timed, or for a `LockHold` span
+    /// while tracing is on.
+    #[inline]
+    fn held<'a>(
+        &'a self,
+        guard: MutexGuard<'a, T>,
+        contended: bool,
+        waited: Duration,
+        now: Option<Instant>,
+    ) -> LockGuard<'a, T> {
+        let timed = self.stats.record_acquisition(contended, waited);
+        let acquired_at = if timed || bpw_trace::enabled() {
+            Some(now.unwrap_or_else(Instant::now))
+        } else {
+            None
+        };
         LockGuard {
             guard: Some(guard),
             stats: &self.stats,
-            // Not a third clock read, and not one inside the critical
-            // section: the wait ended when the hold began.
-            acquired_at: wait_start + waited,
+            acquired_at,
+            timed,
             accesses: 0,
         }
     }
 
-    /// Address of the protected value, for prefetching its header cache
-    /// lines before acquiring the lock. The pointer is never dereferenced
-    /// by callers — only fed to a hardware prefetch hint.
+    /// Address of the lock's hot lines — its statistics, the lock word
+    /// and the start of the protected value, in that order — for
+    /// prefetching before acquiring it. The pointer is never
+    /// dereferenced by callers — only fed to a hardware prefetch hint.
     pub fn data_addr(&self) -> usize {
-        self.inner.data_ptr() as usize
+        self as *const Self as usize
     }
 }
 
@@ -164,24 +162,37 @@ impl<'a, T> std::ops::DerefMut for LockGuard<'a, T> {
 
 impl<'a, T> Drop for LockGuard<'a, T> {
     fn drop(&mut self) {
-        let held = self.acquired_at.elapsed();
+        let held = self.acquired_at.map(|t| t.elapsed());
+        // The `dst_mutation = "stats_after_unlock"` mutant records the
+        // release after unlocking, with a yield point between: the next
+        // holder then adds to counts this release has not stored yet,
+        // which the dst lock-count test must catch.
+        if cfg!(dst_mutation = "stats_after_unlock") {
+            drop(self.guard.take());
+            bpw_dst::yield_point();
+        }
+        // Recorded while still held: the counts are the holder's alone.
+        self.stats
+            .record_release(held.filter(|_| self.timed), self.accesses);
         drop(self.guard.take());
-        self.stats.record_release(held, self.accesses);
-        bpw_trace::span_backdated(
-            bpw_trace::EventKind::LockHold,
-            held.as_nanos() as u64,
-            self.accesses,
-        );
+        if let Some(held) = held {
+            bpw_trace::span_backdated(
+                bpw_trace::EventKind::LockHold,
+                held.as_nanos() as u64,
+                self.accesses,
+            );
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn uncontended_lock_counts_acquisition() {
-        let lock = InstrumentedLock::new(5u32, Arc::new(LockStats::new()));
+        let lock = InstrumentedLock::new(5u32);
         {
             let mut g = lock.lock();
             *g += 1;
@@ -196,7 +207,7 @@ mod tests {
 
     #[test]
     fn trylock_failure_recorded() {
-        let lock = InstrumentedLock::new((), Arc::new(LockStats::new()));
+        let lock = InstrumentedLock::new(());
         let _held = lock.lock();
         assert!(lock.try_lock().is_none());
         let snap = lock.stats().snapshot();
@@ -213,7 +224,7 @@ mod tests {
         // escalating, deadline-bounded hold until contention lands.
         let mut hold = std::time::Duration::from_millis(2);
         for _ in 0..6 {
-            let lock = Arc::new(InstrumentedLock::new(0u64, Arc::new(LockStats::new())));
+            let lock = Arc::new(InstrumentedLock::new(0u64));
             let l2 = Arc::clone(&lock);
             let (tx, rx) = std::sync::mpsc::channel();
             let holder = std::thread::spawn(move || {
@@ -241,7 +252,7 @@ mod tests {
 
     #[test]
     fn data_addr_is_stable() {
-        let lock = InstrumentedLock::new(1u8, Arc::new(LockStats::new()));
+        let lock = InstrumentedLock::new(1u8);
         let a = lock.data_addr();
         let _g = lock.lock();
         assert_eq!(a, lock.data_addr());

@@ -55,9 +55,9 @@ const MAX_HEADER: usize = 256;
 #[derive(Debug, Clone, Copy)]
 pub struct Prefetcher {
     enabled: bool,
-    /// Bytes of the value behind the lock to warm — with `parking_lot`,
-    /// adjacent to the lock word. Its address moves with the wrapper,
-    /// so each commit passes it in.
+    /// Bytes to warm from the lock's address: its statistics and lock
+    /// word, then the value behind it. The address moves with the
+    /// wrapper, so each commit passes it in.
     inline_len: usize,
     /// The policy's header (list heads, counters) when it lives behind a
     /// pointer — a boxed policy's heap struct, which never moves.
@@ -99,8 +99,9 @@ impl Prefetcher {
         self.header
     }
 
-    /// Warm the cache for a commit of `entries`: the lock word and the
-    /// value beside it at `lock_data` (the lock's current data address),
+    /// Warm the cache for a commit of `entries`: the lock's statistics,
+    /// lock word and the value after them at `lock_data` (the lock's
+    /// current address),
     /// the policy header, and each entry's node metadata.
     #[inline]
     pub fn prefetch_for_commit(&self, lock_data: usize, entries: &[AccessEntry]) {

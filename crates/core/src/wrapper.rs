@@ -26,7 +26,7 @@ use std::ops::Deref;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-use bpw_metrics::{Counter, LockStats, StripedCounter};
+use bpw_metrics::{HeldCounter, LockStats, StripedCounter};
 use bpw_replacement::{FrameId, MissOutcome, PageId, ReplacementPolicy};
 
 use crate::config::WrapperConfig;
@@ -34,7 +34,9 @@ use crate::lock::{InstrumentedLock, LockGuard};
 use crate::prefetch::Prefetcher;
 use crate::queue::{AccessEntry, AccessQueue};
 
-/// Counters specific to the wrapper (beyond the lock statistics).
+/// Counters specific to the wrapper (beyond the lock statistics). All
+/// but `accesses` are written only by the commit loop, under the policy
+/// lock, so they are held counters, unpadded beside each other.
 #[derive(Debug, Default)]
 pub struct WrapperCounters {
     /// Page accesses recorded through any handle (hits + misses).
@@ -43,16 +45,15 @@ pub struct WrapperCounters {
     /// write.
     pub accesses: StripedCounter,
     /// Queued entries applied to the policy at commit time.
-    pub committed: Counter,
+    pub committed: HeldCounter,
     /// Queued entries skipped at commit because the frame no longer held
     /// the recorded page (eviction/invalidation raced the delayed commit).
-    pub stale_skipped: Counter,
+    pub stale_skipped: HeldCounter,
     /// Queued admissions dropped at commit because their frame was
-    /// invalidated after they were queued. Striped like `accesses`: the
-    /// commit that counts one may run on any thread.
-    pub stale_admissions: StripedCounter,
+    /// invalidated after they were queued.
+    pub stale_admissions: HeldCounter,
     /// Commit rounds (batches) executed.
-    pub batches: Counter,
+    pub batches: HeldCounter,
 }
 
 /// A replacement policy wrapped with the paper's batching and prefetching
@@ -83,7 +84,7 @@ impl<P: ReplacementPolicy> BpWrapper<P> {
         let (header, header_len) = policy.header_span();
         let behind_pointer = header != &policy as *const P as usize;
         let admit_gens = (0..policy.frames()).map(|_| AtomicU32::new(0)).collect();
-        let lock = InstrumentedLock::new(policy, Arc::new(LockStats::new()));
+        let lock = InstrumentedLock::new(policy);
         let prefetcher = if config.prefetching {
             Prefetcher::new(
                 std::mem::size_of::<P>(),
@@ -108,7 +109,7 @@ impl<P: ReplacementPolicy> BpWrapper<P> {
     }
 
     /// Lock statistics (acquisitions, contentions, hold/wait time).
-    pub fn lock_stats(&self) -> &Arc<LockStats> {
+    pub fn lock_stats(&self) -> &LockStats {
         self.lock.stats()
     }
 
@@ -228,9 +229,7 @@ impl<P: ReplacementPolicy> BpWrapper<P> {
         self.counters
             .stale_skipped
             .add(n - applied - stale_admissions);
-        if stale_admissions > 0 {
-            self.counters.stale_admissions.add(stale_admissions);
-        }
+        self.counters.stale_admissions.add(stale_admissions);
         self.counters.batches.incr();
         // Staged: the commit's duration is also credited to the calling
         // thread's batch-commit stage scratch, so the server can

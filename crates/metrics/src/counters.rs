@@ -49,6 +49,40 @@ impl Counter {
     }
 }
 
+/// A count that only the holder of one lock adds to, read by anyone.
+/// An add is a relaxed load and a store, not an atomic
+/// read-modify-write: the lock serialises the adders, and its release
+/// publishes each add to the next holder. Unpadded, so it can share the
+/// line its lock's holder writes anyway. Adds made outside that lock
+/// may be lost.
+#[derive(Debug, Default)]
+pub struct HeldCounter {
+    value: AtomicU64,
+}
+
+impl HeldCounter {
+    /// Add `n`. The caller holds the lock this counter belongs to.
+    #[inline]
+    pub fn add(&self, n: u64) {
+        self.value.store(
+            self.value.load(Ordering::Relaxed).wrapping_add(n),
+            Ordering::Relaxed,
+        );
+    }
+
+    /// Add one. The caller holds the lock this counter belongs to.
+    #[inline]
+    pub fn incr(&self) {
+        self.add(1);
+    }
+
+    /// Current value.
+    #[inline]
+    pub fn get(&self) -> u64 {
+        self.value.load(Ordering::Relaxed)
+    }
+}
+
 /// Cells per [`StripedCounter`]: cell [`SHARED`] and 15 that a thread
 /// each can own.
 const STRIPES: usize = 16;

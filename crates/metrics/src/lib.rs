@@ -10,7 +10,7 @@ pub mod histogram;
 pub mod json;
 pub mod lock_stats;
 
-pub use counters::{Counter, Gauge, MaxGauge, StripedCounter};
+pub use counters::{Counter, Gauge, HeldCounter, MaxGauge, StripedCounter};
 pub use histogram::Histogram;
 pub use json::{JsonError, JsonObject, JsonValue};
 pub use lock_stats::{LockShardSummary, LockSnapshot, LockStats};

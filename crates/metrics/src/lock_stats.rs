@@ -5,32 +5,46 @@
 //! * **Average lock contention** (§IV-C): "a lock contention happens when
 //!   a lock request cannot be immediately satisfied", normalized to
 //!   contentions **per million page accesses** — [`LockStats::contentions_per_million`].
-//! * **Lock acquisition and holding time per access** (Fig. 2):
-//!   [`LockStats::hold_ns`] plus [`LockStats::wait_ns`] divided by the
-//!   accesses they covered.
+//! * **Lock acquisition and holding time per access** (Fig. 2): hold
+//!   plus wait time divided by the accesses they covered
+//!   ([`LockSnapshot::lock_time_per_access_ns`]).
+//!
+//! Counts and waits are exact; hold time is estimated from one hold in
+//! [`HOLD_SAMPLE`] (see [`LockStats::record_acquisition`]).
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use crate::counters::Counter;
+use crate::counters::HeldCounter;
 
-/// Shared, thread-safe lock statistics. One instance is attached to each
-/// replacement-algorithm lock; every wrapper implementation reports into
-/// it.
+/// One hold in this many is timed, and its duration is credited this
+/// many times. Timing a hold reads the clock twice, once inside the
+/// critical section; sampling keeps that off all but one acquisition in
+/// 16 while the estimate stays unbiased.
+const HOLD_SAMPLE: u64 = 16;
+
+/// Statistics of one lock, kept inside it. Everything but
+/// `trylock_failures` is written by the thread that holds the lock, with
+/// plain stores: an acquisition is counted once the lock is taken, a
+/// release before it is given up, so the next holder always sees them.
+/// The fields are unpadded: they share the lock word's line, which the
+/// holder has just written.
 #[derive(Debug, Default)]
 pub struct LockStats {
     /// Successful lock acquisitions (blocking or try-lock).
-    pub acquisitions: Counter,
+    acquisitions: HeldCounter,
     /// Acquisitions that could not be satisfied immediately
     /// (the paper's "lock contention" events).
-    pub contentions: Counter,
-    /// Non-blocking `try_lock` attempts that failed.
-    pub trylock_failures: Counter,
+    contentions: HeldCounter,
     /// Total nanoseconds spent waiting for the lock.
-    pub wait_ns: Counter,
-    /// Total nanoseconds the lock was held.
-    pub hold_ns: Counter,
+    wait_ns: HeldCounter,
+    /// Estimated nanoseconds the lock was held.
+    hold_ns: HeldCounter,
     /// Page accesses whose bookkeeping the lock protected.
-    pub accesses_covered: Counter,
+    accesses_covered: HeldCounter,
+    /// Non-blocking `try_lock` attempts that failed: the one count a
+    /// thread that does not hold the lock writes.
+    trylock_failures: AtomicU64,
 }
 
 /// An owned copy of [`LockStats`] at a point in time.
@@ -44,7 +58,7 @@ pub struct LockSnapshot {
     pub trylock_failures: u64,
     /// Nanoseconds spent waiting.
     pub wait_ns: u64,
-    /// Nanoseconds spent holding.
+    /// Nanoseconds spent holding, estimated from one hold in 16.
     pub hold_ns: u64,
     /// Accesses covered.
     pub accesses_covered: u64,
@@ -56,31 +70,39 @@ impl LockStats {
         Self::default()
     }
 
-    /// Record one successful acquisition.
+    /// Record one successful acquisition, called by the thread that now
+    /// holds the lock. Returns whether this hold is to be timed: the
+    /// acquisition numbered `n` (the first is 1) is timed when
+    /// `n % 16 == 1`, chosen by number alone, contended or not.
     #[inline]
-    pub fn record_acquisition(&self, contended: bool, wait: Duration) {
-        self.acquisitions.incr();
+    pub fn record_acquisition(&self, contended: bool, wait: Duration) -> bool {
+        let n = self.acquisitions.get().wrapping_add(1);
+        self.acquisitions.add(1);
         if contended {
             self.contentions.incr();
         }
-        // Uncontended acquisitions wait zero: skip the RMW on a line
-        // of its own.
         if !wait.is_zero() {
             self.wait_ns.add(wait.as_nanos() as u64);
         }
+        n % HOLD_SAMPLE == 1
     }
 
-    /// Record a failed try-lock.
+    /// Record a failed try-lock (any thread).
     #[inline]
     pub fn record_trylock_failure(&self) {
-        self.trylock_failures.incr();
+        self.trylock_failures.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record a completed critical section covering `accesses` page
-    /// accesses.
+    /// Record the end of a hold covering `accesses` page accesses,
+    /// called by the holder before it unlocks. `held` is the hold's
+    /// duration if [`record_acquisition`](Self::record_acquisition)
+    /// chose to time it; it stands for itself and the 15 untimed holds
+    /// that follow.
     #[inline]
-    pub fn record_release(&self, held: Duration, accesses: u64) {
-        self.hold_ns.add(held.as_nanos() as u64);
+    pub fn record_release(&self, held: Option<Duration>, accesses: u64) {
+        if let Some(held) = held {
+            self.hold_ns.add(held.as_nanos() as u64 * HOLD_SAMPLE);
+        }
         self.accesses_covered.add(accesses);
     }
 
@@ -89,7 +111,7 @@ impl LockStats {
         LockSnapshot {
             acquisitions: self.acquisitions.get(),
             contentions: self.contentions.get(),
-            trylock_failures: self.trylock_failures.get(),
+            trylock_failures: self.trylock_failures.load(Ordering::Relaxed),
             wait_ns: self.wait_ns.get(),
             hold_ns: self.hold_ns.get(),
             accesses_covered: self.accesses_covered.get(),
@@ -100,10 +122,7 @@ impl LockStats {
     /// million page accesses. `total_accesses` is the workload's access
     /// count (hits + misses), not just those that took the lock.
     pub fn contentions_per_million(&self, total_accesses: u64) -> f64 {
-        if total_accesses == 0 {
-            return 0.0;
-        }
-        self.contentions.get() as f64 * 1e6 / total_accesses as f64
+        self.snapshot().contentions_per_million(total_accesses)
     }
 }
 
@@ -203,17 +222,17 @@ mod tests {
     #[test]
     fn records_and_snapshots() {
         let s = LockStats::new();
-        s.record_acquisition(false, Duration::from_nanos(100));
-        s.record_acquisition(true, Duration::from_nanos(900));
+        assert!(s.record_acquisition(false, Duration::from_nanos(100)));
+        assert!(!s.record_acquisition(true, Duration::from_nanos(900)));
         s.record_trylock_failure();
-        s.record_release(Duration::from_nanos(500), 16);
-        s.record_release(Duration::from_nanos(300), 1);
+        s.record_release(Some(Duration::from_nanos(500)), 16);
+        s.record_release(None, 1);
         let snap = s.snapshot();
         assert_eq!(snap.acquisitions, 2);
         assert_eq!(snap.contentions, 1);
         assert_eq!(snap.trylock_failures, 1);
         assert_eq!(snap.wait_ns, 1000);
-        assert_eq!(snap.hold_ns, 800);
+        assert_eq!(snap.hold_ns, 500 * HOLD_SAMPLE);
         assert_eq!(snap.accesses_covered, 17);
     }
 
@@ -232,15 +251,16 @@ mod tests {
     fn snapshot_delta_and_derived() {
         let s = LockStats::new();
         s.record_acquisition(false, Duration::from_nanos(10));
-        s.record_release(Duration::from_nanos(90), 10);
+        s.record_release(Some(Duration::from_nanos(90)), 10);
         let a = s.snapshot();
         s.record_acquisition(true, Duration::from_nanos(40));
-        s.record_release(Duration::from_nanos(60), 10);
+        s.record_release(None, 10);
         let b = s.snapshot();
         let d = b.since(&a);
         assert_eq!(d.acquisitions, 1);
         assert_eq!(d.contentions, 1);
-        assert!((d.lock_time_per_access_ns() - 10.0).abs() < 1e-9);
+        assert_eq!(d.hold_ns, 0);
+        assert!((d.lock_time_per_access_ns() - 4.0).abs() < 1e-9);
         assert!((d.accesses_per_acquisition() - 10.0).abs() < 1e-9);
     }
 

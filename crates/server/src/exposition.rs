@@ -222,7 +222,7 @@ pub(crate) fn walk<'a>(shared: &'a Shared, scrape: &'a Scrape, visit: &mut dyn F
         row(&[key, "contentions"],              "bpw_lock_contentions_total",        lock, "Blocked acquisitions (the paper's contention events).",     Counter(l.contentions));
         row(&[key, "trylock_failures"],         "bpw_lock_trylock_failures_total",   lock, "Non-blocking try-lock attempts that failed.",               Counter(l.trylock_failures));
         row(&[key, "wait_ns"],                  "bpw_lock_wait_ns_total",            lock, "Nanoseconds spent waiting for the lock.",                   Counter(l.wait_ns));
-        row(&[key, "hold_ns"],                  "bpw_lock_hold_ns_total",            lock, "Nanoseconds the lock was held.",                            Counter(l.hold_ns));
+        row(&[key, "hold_ns"],                  "bpw_lock_hold_ns_total",            lock, "Nanoseconds the lock was held, estimated from every 16th acquisition.", Counter(l.hold_ns));
         row(&[key, "accesses_covered"],         "bpw_lock_accesses_covered_total",   lock, "Page accesses whose bookkeeping the lock protected.",       Counter(l.accesses_covered));
         row(&[key, "accesses_per_acquisition"], "bpw_lock_accesses_per_acquisition", lock, "Mean accesses committed per acquisition (the batch size).", Ratio(l.accesses_per_acquisition()));
     }
@@ -231,7 +231,7 @@ pub(crate) fn walk<'a>(shared: &'a Shared, scrape: &'a Scrape, visit: &mut dyn F
     row(&["miss_locks", "total_acquisitions"], "bpw_miss_locks_acquisitions_total", &[], "Partition-lock acquisitions summed over shards.",       Counter(s.total_acquisitions));
     row(&["miss_locks", "total_contentions"],  "bpw_miss_locks_contentions_total",  &[], "Blocked partition-lock acquisitions summed over shards.", Counter(s.total_contentions));
     row(&["miss_locks", "total_wait_ns"],      "bpw_miss_locks_wait_ns_total",      &[], "Nanoseconds waited on partition locks, summed over shards.", Counter(s.total_wait_ns));
-    row(&["miss_locks", "total_hold_ns"],      "bpw_miss_locks_hold_ns_total",      &[], "Nanoseconds partition locks were held, summed over shards.", Counter(s.total_hold_ns));
+    row(&["miss_locks", "total_hold_ns"],      "bpw_miss_locks_hold_ns_total",      &[], "Nanoseconds partition locks were held, summed over shards; estimated from every 16th acquisition.", Counter(s.total_hold_ns));
     row(&["miss_locks", "max_wait_ns"],        "bpw_miss_locks_max_wait_ns",        &[], "Cumulative wait of the hottest partition lock.",       Gauge(s.max_wait_ns));
     // Per-shard series: where on the partition the miss path's
     // remaining serialization concentrates.
