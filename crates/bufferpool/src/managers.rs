@@ -118,12 +118,16 @@ impl<M: ReplacementManager + ?Sized> ReplacementManager for Box<M> {
 /// Any policy behind a single lock taken on every hit and miss.
 pub struct CoarseManager<P: ReplacementPolicy> {
     lock: InstrumentedLock<P>,
+    /// The policy's name, read at construction so that naming the
+    /// manager takes no lock the lock statistics would count.
+    policy: &'static str,
 }
 
 impl<P: ReplacementPolicy> CoarseManager<P> {
     /// Wrap `policy`.
     pub fn new(policy: P) -> Self {
         CoarseManager {
+            policy: policy.name(),
             lock: InstrumentedLock::new(policy),
         }
     }
@@ -131,7 +135,7 @@ impl<P: ReplacementPolicy> CoarseManager<P> {
 
 impl<P: ReplacementPolicy> ReplacementManager for CoarseManager<P> {
     fn name(&self) -> String {
-        format!("coarse({})", self.lock.lock().name())
+        format!("coarse({})", self.policy)
     }
 
     fn handle(&self) -> Box<dyn ManagerHandle + '_> {
@@ -508,7 +512,13 @@ mod tests {
 
     #[test]
     fn names_are_informative() {
-        assert!(CoarseManager::new(TwoQ::new(2)).name().contains("2Q"));
+        let coarse = CoarseManager::new(TwoQ::new(2));
+        assert!(coarse.name().contains("2Q"));
+        assert_eq!(
+            coarse.lock_snapshot().acquisitions,
+            0,
+            "naming the manager takes no counted lock"
+        );
         assert!(ClockManager::new(2).name().contains("clock"));
         let w = WrappedManager::new(TwoQ::new(2), WrapperConfig::default());
         assert!(w.name().contains("S=64"));

@@ -433,16 +433,19 @@ impl PartitionGuard<'_> {
     /// a write window). Only runs when the spill map is empty, so the
     /// `EMPTY` slots it creates cannot strand a spilled entry.
     fn compact(shard: &Shard, spill: &mut Spill) {
-        let mut live: Vec<(u64, u32)> = Vec::with_capacity(SLOT_CAP);
+        // On the stack: a miss's compaction allocates nothing.
+        let mut live = [(0u64, 0u32); SLOT_CAP];
+        let mut n = 0;
         for slot in &shard.slots {
             let p = slot.page.load(Ordering::Relaxed);
             if p != EMPTY && p != TOMBSTONE {
-                live.push((p, slot.frame.load(Ordering::Relaxed)));
+                live[n] = (p, slot.frame.load(Ordering::Relaxed));
+                n += 1;
             }
             slot.page.store(EMPTY, Ordering::Relaxed);
         }
         spill.tombstones = 0;
-        for (p, f) in live {
+        for &(p, f) in &live[..n] {
             let home = PageTable::home_index(p);
             for i in 0..SLOT_CAP {
                 let slot = &shard.slots[(home + i) % SLOT_CAP];

@@ -57,6 +57,12 @@ impl<T> InstrumentedLock<T> {
         &self.stats
     }
 
+    /// The protected value, through exclusive access to the lock: no
+    /// lock is taken and no acquisition is counted.
+    pub fn get_mut(&mut self) -> &mut T {
+        self.inner.get_mut()
+    }
+
     /// The paper's `TryLock()`: a non-blocking attempt. A failure is
     /// cheap and recorded; the caller keeps accumulating accesses.
     pub fn try_lock(&self) -> Option<LockGuard<'_, T>> {

@@ -20,7 +20,7 @@ use bpw_replacement::NodeRegion;
 use crate::queue::AccessEntry;
 
 /// Typical cache line size; prefetches are issued per line.
-pub const CACHE_LINE: usize = 64;
+const CACHE_LINE: usize = 64;
 
 /// Issue a prefetch hint for the cache line containing `addr`.
 #[inline]

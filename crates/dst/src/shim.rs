@@ -87,48 +87,6 @@ shim_atomic!(AtomicU32, std::sync::atomic::AtomicU32, u32);
 shim_atomic!(AtomicU64, std::sync::atomic::AtomicU64, u64);
 shim_atomic!(AtomicUsize, std::sync::atomic::AtomicUsize, usize);
 
-/// Yield-instrumented atomic pointer.
-#[repr(transparent)]
-#[derive(Debug)]
-pub struct AtomicPtr<T>(std::sync::atomic::AtomicPtr<T>);
-
-impl<T> AtomicPtr<T> {
-    #[inline]
-    pub fn new(p: *mut T) -> Self {
-        Self(std::sync::atomic::AtomicPtr::new(p))
-    }
-
-    #[inline]
-    pub fn load(&self, order: Ordering) -> *mut T {
-        crate::yield_point();
-        self.0.load(order)
-    }
-
-    #[inline]
-    pub fn store(&self, p: *mut T, order: Ordering) {
-        crate::yield_point();
-        self.0.store(p, order)
-    }
-
-    #[inline]
-    pub fn swap(&self, p: *mut T, order: Ordering) -> *mut T {
-        crate::yield_point();
-        self.0.swap(p, order)
-    }
-
-    #[inline]
-    pub fn compare_exchange(
-        &self,
-        current: *mut T,
-        new: *mut T,
-        success: Ordering,
-        failure: Ordering,
-    ) -> Result<*mut T, *mut T> {
-        crate::yield_point();
-        self.0.compare_exchange(current, new, success, failure)
-    }
-}
-
 /// A mutex that never blocks the OS thread while a simulation is
 /// active: inside a virtual thread, acquisition spins on `try_lock`
 /// with a voluntary yield per failure, so the scheduler keeps full

@@ -14,7 +14,7 @@
 pub const NIL: u32 = u32::MAX;
 
 /// Owner tag for a node that is in no list.
-pub const NO_LIST: u8 = u8::MAX;
+const NO_LIST: u8 = u8::MAX;
 
 #[derive(Clone, Copy, Debug)]
 struct Node {
@@ -72,7 +72,7 @@ impl Arena {
         (self.nodes.as_ptr() as usize, std::mem::size_of::<Node>())
     }
 
-    /// Owner list id of `node`, or [`NO_LIST`].
+    /// Owner list id of `node`, or `NO_LIST`.
     pub fn owner(&self, node: u32) -> u8 {
         self.nodes[node as usize].owner
     }

@@ -37,7 +37,7 @@ use std::io::{self, Read, Write};
 pub const MAX_FRAME: usize = 1 << 20;
 
 /// Longest SCAN a single request may ask for.
-pub const MAX_SCAN_LEN: u32 = 1 << 16;
+const MAX_SCAN_LEN: u32 = 1 << 16;
 
 /// A client request.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -58,7 +58,7 @@ fn distributed_locks_hurt_hit_ratio() {
     let mut global = CacheSim::new(PolicyKind::TwoQ.build(frames));
     let global_hr = global.run(trace.iter().copied()).hit_ratio();
 
-    let partitioned = PartitionedCache::new(16, frames / 16, bpw_replacement::TwoQ::new);
+    let mut partitioned = PartitionedCache::new(16, frames / 16, bpw_replacement::TwoQ::new);
     for &p in &trace {
         partitioned.access(p);
     }
