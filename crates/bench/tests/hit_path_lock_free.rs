@@ -1,6 +1,7 @@
 //! The buffer pool's lock census, per operation: a hit, read or write,
 //! takes no lock and touches no heap; a miss on a full pool or an
-//! `invalidate` takes a fixed number of locks. Each test pins its rows of
+//! `invalidate` takes a fixed number of locks; building a pool allocates
+//! the same at any size. Each test pins its rows of
 //! the cost table (`costs/mod.rs`). The cells they pin are thread-local,
 //! so the tests run side by side.
 
@@ -9,7 +10,9 @@ mod costs;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use bpw_bufferpool::{BufferPool, InvalidateOutcome, ReplacementManager, SimDisk, WrappedManager};
+use bpw_bufferpool::{
+    BufferPool, InvalidateOutcome, ReplacementManager, SimDisk, Storage, WrappedManager,
+};
 use bpw_core::WrapperConfig;
 use bpw_replacement::TwoQ;
 use costs::{check, cost, Pinned};
@@ -242,5 +245,25 @@ fn invalidate_takes_three_locks_and_no_heap() {
     check(&[
         // Its partition lock, the replacement lock, the free list's.
         ("invalidate a resident page", 32, local(96, 0, 0), invalidated),
+    ]);
+}
+
+#[test]
+fn building_a_pool_allocates_the_same_at_any_size() {
+    let build = |frames: usize| {
+        let manager = WrappedManager::new(TwoQ::new(frames), WrapperConfig::default());
+        let storage: Arc<dyn Storage> = Arc::new(SimDisk::instant());
+        let mut pool = None;
+        let built = cost(|| pool = Some(BufferPool::new(frames, 4096, manager, storage)));
+        assert_eq!(pool.map(|p| p.frames()), Some(frames));
+        built
+    };
+    let (small, large) = (build(64), build(8_192));
+    #[rustfmt::skip]
+    check(&[
+        // Descriptors, shards, free list, slot lines: one allocation each.
+        ("BufferPool::new, 64 frames", 1, local(0, 4, 0), small),
+        // The same at 128× the frames: their bytes are one mapping, faulted in on use.
+        ("BufferPool::new, 8 192 frames", 1, local(0, 4, 0), large),
     ]);
 }

@@ -151,9 +151,9 @@ pub enum UnpinOutcome {
 
 /// A buffer descriptor: packed atomic header + latch-protected tag.
 ///
-/// Not cache-line padded at the type level: the pool pads the
-/// descriptor together with its frame's bytes pointer, so everything a
-/// hit writes for one page is one line.
+/// Not cache-line padded at the type level: the pool pads each
+/// descriptor to a line of its own, so everything a hit writes for one
+/// page is one line.
 #[derive(Debug, Default)]
 pub struct BufferDesc {
     header: AtomicU64,

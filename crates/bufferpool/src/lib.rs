@@ -26,6 +26,7 @@
 //! ```
 
 pub mod desc;
+mod frame_bytes;
 pub mod free_list;
 pub mod managers;
 mod page_table;

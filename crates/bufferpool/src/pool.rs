@@ -3,7 +3,7 @@
 //! paper — concurrent hash-table lookup, per-frame pinning, and
 //! replacement bookkeeping routed through a [`ReplacementManager`].
 
-use std::cell::{Cell, RefCell, UnsafeCell};
+use std::cell::{Cell, RefCell};
 use std::io;
 use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -14,6 +14,7 @@ use bpw_metrics::{LockShardSummary, LockSnapshot, StripedCounter};
 use bpw_replacement::{FrameId, MissOutcome, PageId};
 
 use crate::desc::{BufferDesc, UnpinOutcome};
+use crate::frame_bytes::FrameBytes;
 use crate::free_list::FreeList;
 use crate::managers::{ManagerHandle, ReplacementManager};
 use crate::page_table::PageTable;
@@ -96,25 +97,12 @@ impl PoolStats {
     }
 }
 
-/// One buffer frame: its descriptor and its bytes. The bytes have no
-/// lock of their own: a pin is a read latch, and a write first waits
-/// until no other pin but a writer's is left ([`BufferDesc::write_latch`]).
-/// Descriptor and pointer fill less than one cache line, so a hit's pin
-/// → unpin dirties exactly one line, and that line holds nothing of a
-/// neighbouring frame.
-struct Frame {
-    desc: BufferDesc,
-    data: UnsafeCell<Box<[u8]>>,
-}
-
-// SAFETY: `desc` is atomics, `Sync` on its own. The bytes behind `data`
-// are reached only through `BufferPool::{bytes, bytes_mut}`, whose
-// callers exclude a writer the pin protocol's way (a pin, the write
-// latch, or a frame no one can pin), so no `&mut` to them is ever live
-// beside another reference on any thread.
-unsafe impl Sync for Frame {}
-
-const _: () = assert!(std::mem::size_of::<CachePadded<Frame>>() == 64);
+// A frame's descriptor fills less than one cache line, so a hit's pin →
+// unpin dirties exactly one line, and that line holds nothing of a
+// neighbouring frame. The frame's bytes are in `FrameBytes`, and have no
+// lock of their own: a pin is a read latch, and a write first waits
+// until no other pin but a writer's is left (`BufferDesc::write_latch`).
+const _: () = assert!(std::mem::size_of::<CachePadded<BufferDesc>>() == 64);
 const _: () = assert!(std::mem::size_of::<BufferDesc>() == 16);
 const _: () = assert!(std::mem::align_of::<PoolStats>() >= 64);
 
@@ -256,7 +244,10 @@ pub struct BufferPool<M: ReplacementManager> {
     /// different shards run their whole slow path concurrently. No
     /// thread holds two partition locks, so no deadlock can arise.
     table: PageTable,
-    frames: Vec<CachePadded<Frame>>,
+    /// Frame `f`'s descriptor, on a line of its own.
+    descs: Vec<CachePadded<BufferDesc>>,
+    /// Every frame's bytes, backed only once first touched.
+    data: FrameBytes,
     free: FreeList,
     manager: M,
     storage: Arc<dyn Storage>,
@@ -275,14 +266,10 @@ impl<M: ReplacementManager> BufferPool<M> {
         assert!(frames >= 1);
         BufferPool {
             table: PageTable::new(frames / 4),
-            frames: (0..frames)
-                .map(|_| {
-                    CachePadded::new(Frame {
-                        desc: BufferDesc::new(),
-                        data: UnsafeCell::new(vec![0u8; page_size].into_boxed_slice()),
-                    })
-                })
+            descs: (0..frames)
+                .map(|_| CachePadded::new(BufferDesc::new()))
                 .collect(),
+            data: FrameBytes::new(frames, page_size),
             free: FreeList::new(frames),
             manager,
             storage,
@@ -295,7 +282,7 @@ impl<M: ReplacementManager> BufferPool<M> {
 
     /// Number of frames.
     pub fn frames(&self) -> usize {
-        self.frames.len()
+        self.descs.len()
     }
 
     /// Page size in bytes.
@@ -427,7 +414,7 @@ impl<M: ReplacementManager> BufferPool<M> {
     /// Frame `f`'s descriptor.
     #[inline]
     pub(crate) fn desc(&self, f: FrameId) -> &BufferDesc {
-        &self.frames[f as usize].desc
+        &self.descs[f as usize]
     }
 
     /// Frame `f`'s bytes, to read.
@@ -439,9 +426,10 @@ impl<M: ReplacementManager> BufferPool<M> {
     /// [`bytes_mut`]: Self::bytes_mut
     #[inline]
     unsafe fn bytes(&self, f: FrameId) -> &[u8] {
-        // SAFETY: the caller excludes writers, so no `&mut` to the bytes
-        // exists while this one lives.
-        unsafe { &*self.frames[f as usize].data.get() }
+        // SAFETY: frame `f`'s `page_size` bytes are inside the mapping,
+        // and the caller excludes writers, so no `&mut` to them exists
+        // while this one lives.
+        unsafe { std::slice::from_raw_parts(self.data.frame(f), self.page_size) }
     }
 
     /// Frame `f`'s bytes, to write.
@@ -454,8 +442,9 @@ impl<M: ReplacementManager> BufferPool<M> {
     #[inline]
     #[allow(clippy::mut_from_ref)] // exclusion is the caller's, per `# Safety`
     unsafe fn bytes_mut(&self, f: FrameId) -> &mut [u8] {
-        // SAFETY: the caller's exclusion makes this the only reference.
-        unsafe { &mut *self.frames[f as usize].data.get() }
+        // SAFETY: frame `f`'s `page_size` bytes are inside the mapping,
+        // and the caller's exclusion makes this the only reference.
+        unsafe { std::slice::from_raw_parts_mut(self.data.frame(f), self.page_size) }
     }
 
     /// Run `op` with up to `MAX_IO_RETRIES` retries and exponential
@@ -513,10 +502,7 @@ impl<M: ReplacementManager> BufferPool<M> {
 
     /// Number of valid resident pages (O(frames); tests).
     pub fn resident_count(&self) -> usize {
-        self.frames
-            .iter()
-            .filter(|f| f.desc.snapshot().valid)
-            .count()
+        self.descs.iter().filter(|d| d.snapshot().valid).count()
     }
 
     /// Frames currently on the free list: never used, or returned by
@@ -1990,5 +1976,40 @@ mod tests {
         pool.desc(frame).lock().io_in_progress = false;
         assert!(s.fetch_resident(5).is_some());
         assert_eq!(counts(&pool), (1, 1));
+    }
+
+    extern "C" {
+        fn mincore(addr: *mut std::ffi::c_void, len: usize, vec: *mut u8) -> i32;
+    }
+
+    #[test]
+    fn a_pool_keeps_resident_only_the_frames_it_filled() {
+        let (frames, page_size, filled) = (1024, 4096, 256);
+        let pool = BufferPool::new(
+            frames,
+            page_size,
+            CoarseManager::new(TwoQ::new(frames)),
+            Arc::new(SimDisk::instant()),
+        );
+        let mut s = pool.session();
+        for page in 0..filled as u64 {
+            drop(s.fetch(page).unwrap());
+        }
+        let (base, len) = pool.data.mapping();
+        let mut pages = vec![0u8; len.div_ceil(4096)];
+        // SAFETY: `base..base + len` is mapped, and `pages` holds one
+        // byte per 4 KiB page of it.
+        let ret = unsafe { mincore(base.cast(), len, pages.as_mut_ptr()) };
+        assert_eq!(ret, 0, "mincore: {}", io::Error::last_os_error());
+        let resident = pages.iter().filter(|&&p| p & 1 != 0).count() * 4096;
+        // The free list hands out frames 0, 1, ... in order, so the
+        // filled frames are the mapping's first `filled` strides: one
+        // huge page when the kernel backs them with one.
+        let bound = (filled * (len / frames)).next_multiple_of(2 << 20);
+        assert!(
+            (filled * page_size..=bound).contains(&resident),
+            "{resident} of the mapping's {len} bytes resident with {filled} of \
+             {frames} frames filled; expected at most {bound}"
+        );
     }
 }
