@@ -76,6 +76,10 @@ struct Spill {
     tombstones: usize,
 }
 
+/// Line-aligned, so that no two shards share a cache line: a writer's
+/// version flips and lock traffic on one shard never invalidate the
+/// lines another shard's optimistic readers probe.
+#[repr(align(64))]
 struct Shard {
     /// Seqlock: odd while a writer is mutating; even otherwise.
     version: AtomicU64,
@@ -85,22 +89,17 @@ struct Shard {
     slots: [Slot; SLOT_CAP],
     /// The partition lock. Instrumented: once BP-Wrapper takes the
     /// replacement lock off the hit path, misses are where lock
-    /// contention concentrates, and a blocked acquisition is a
-    /// `MissShardWait` span carrying the shard index.
+    /// contention concentrates.
     lock: InstrumentedLock<Spill>,
 }
 
 impl Shard {
-    fn new(index: usize) -> Self {
+    fn new() -> Self {
         Shard {
             version: AtomicU64::new(0),
             spill_len: AtomicU64::new(0),
             slots: std::array::from_fn(|_| Slot::new()),
-            lock: InstrumentedLock::with_wait_event(
-                Spill::default(),
-                bpw_trace::EventKind::MissShardWait,
-                index as u64,
-            ),
+            lock: InstrumentedLock::new(Spill::default()),
         }
     }
 
@@ -177,7 +176,7 @@ impl PageTable {
     pub(crate) fn new(shards: usize) -> Self {
         let n = shards.next_power_of_two().max(16);
         PageTable {
-            shards: (0..n).map(Shard::new).collect(),
+            shards: (0..n).map(|_| Shard::new()).collect(),
             mask: (n - 1) as u64,
             fallback_reads: AtomicU64::new(0),
         }

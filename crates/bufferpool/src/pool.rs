@@ -448,13 +448,9 @@ impl<M: ReplacementManager> BufferPool<M> {
     }
 
     /// Run `op` with up to `MAX_IO_RETRIES` retries and exponential
-    /// backoff. Emits an `IoRetry` trace event per retry
-    /// and an `IoError` (plus the `io_errors` counter) on exhaustion.
-    pub(crate) fn io_with_retries(
-        &self,
-        page: PageId,
-        mut op: impl FnMut() -> io::Result<()>,
-    ) -> io::Result<()> {
+    /// backoff, counting each retry in `io_retries` and an exhausted
+    /// run in `io_errors`.
+    pub(crate) fn io_with_retries(&self, mut op: impl FnMut() -> io::Result<()>) -> io::Result<()> {
         let mut attempt = 0u32;
         loop {
             match op() {
@@ -462,11 +458,9 @@ impl<M: ReplacementManager> BufferPool<M> {
                 Err(e) => {
                     if attempt >= MAX_IO_RETRIES {
                         self.stats.io_errors.fetch_add(1, Ordering::Relaxed);
-                        bpw_trace::instant(bpw_trace::EventKind::IoError, page);
                         return Err(e);
                     }
                     self.stats.io_retries.fetch_add(1, Ordering::Relaxed);
-                    bpw_trace::instant(bpw_trace::EventKind::IoRetry, page);
                     std::thread::sleep(IO_BASE_BACKOFF * (1 << attempt));
                     attempt += 1;
                 }
@@ -670,7 +664,6 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
                 None
             }
         };
-        bpw_trace::instant(bpw_trace::EventKind::HitPin, page);
         self.pool.stats.hits.incr();
         self.handle.on_hit(page, frame);
         bpw_dst::record(|| bpw_dst::Op::FetchDone {
@@ -767,7 +760,6 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
         // frame too, so a re-fetch of it spins the same way.
         bpw_dst::yield_point();
         if let Some(v) = victim {
-            bpw_trace::instant(bpw_trace::EventKind::Eviction, v);
             // A clean victim leaves the table now, under its own
             // partition lock and before any I/O, so no error return
             // leaves it mapped. A dirty one stays mapped to this (now
@@ -782,10 +774,9 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
             }
         }
         self.stash_evicted();
-        // Miss I/O is timed unconditionally (not just when tracing is
-        // on): the stage scratch is how the server attributes a
-        // request's latency to disk time, and two clock reads are noise
-        // next to a storage round trip. The `MissIo` span reuses them.
+        // Miss I/O is timed on every miss: the stage scratch is how the
+        // server attributes a request's latency to disk time, and two
+        // clock reads are noise next to a storage round trip.
         let io_t0 = std::time::Instant::now();
         // SAFETY: `IO` is set and the pin is this call's own, so every
         // other pin fails (`try_pin` and `check_slot_pin` reject `IO`)
@@ -794,7 +785,7 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
         let data = unsafe { pool.bytes_mut(frame) };
         if was_dirty {
             let v = victim.expect("dirty implies eviction");
-            let written = pool.io_with_retries(v, || pool.storage.write_page(v, data));
+            let written = pool.io_with_retries(|| pool.storage.write_page(v, data));
             bpw_dst::yield_point();
             if let Err(e) = written {
                 bpw_trace::stage::add_miss_io(io_t0.elapsed().as_nanos() as u64);
@@ -809,7 +800,7 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
             }
             pool.stats.writebacks.incr();
         }
-        let read = pool.io_with_retries(page, || pool.storage.read_page(page, &mut *data));
+        let read = pool.io_with_retries(|| pool.storage.read_page(page, &mut *data));
         if let Err(e) = read {
             bpw_trace::stage::add_miss_io(io_t0.elapsed().as_nanos() as u64);
             pool.repair_failed_frame(page, frame);
@@ -830,9 +821,7 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
         // Count the miss only now that it has completed: a retry after
         // NoEvictableFrame or an I/O failure must not count twice.
         pool.stats.misses.incr();
-        let io_ns = io_t0.elapsed().as_nanos() as u64;
-        bpw_trace::span_backdated(bpw_trace::EventKind::MissIo, io_ns, page);
-        bpw_trace::stage::add_miss_io(io_ns);
+        bpw_trace::stage::add_miss_io(io_t0.elapsed().as_nanos() as u64);
         bpw_dst::record(|| bpw_dst::Op::FetchDone {
             page,
             frame,
@@ -918,13 +907,12 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
     fn stash_evicted(&mut self) {
         let pool = self.pool;
         while let Some((frame, v)) = self.evicted.pop() {
-            bpw_trace::instant(bpw_trace::EventKind::Eviction, v);
             if pool.desc(frame).lock().dirty {
                 // SAFETY: the victim filter left the frame invalid with no
                 // pins of either kind, and both kinds reject an invalid
                 // frame: nobody can write the bytes while they are stored.
                 let data = unsafe { pool.bytes(frame) };
-                let written = pool.io_with_retries(v, || pool.storage.write_page(v, data));
+                let written = pool.io_with_retries(|| pool.storage.write_page(v, data));
                 bpw_dst::yield_point();
                 if written.is_err() {
                     self.readmit(v, frame);

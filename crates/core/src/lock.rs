@@ -17,8 +17,6 @@ use parking_lot::{Mutex, MutexGuard};
 pub struct InstrumentedLock<T> {
     stats: LockStats,
     inner: Mutex<T>,
-    wait_kind: bpw_trace::EventKind,
-    wait_arg: u64,
 }
 
 /// RAII guard for [`InstrumentedLock`]. Reports hold time and the number
@@ -27,28 +25,18 @@ pub struct InstrumentedLock<T> {
 pub struct LockGuard<'a, T> {
     guard: Option<MutexGuard<'a, T>>,
     stats: &'a LockStats,
-    /// When the hold began, if it is timed or traced.
+    /// When the hold began, if it is the sampled one whose duration
+    /// counts.
     acquired_at: Option<Instant>,
-    /// This hold is the sampled one whose duration counts.
-    timed: bool,
     accesses: u64,
 }
 
 impl<T> InstrumentedLock<T> {
     /// Wrap `value`.
     pub fn new(value: T) -> Self {
-        Self::with_wait_event(value, bpw_trace::EventKind::LockWait, 1)
-    }
-
-    /// Wrap `value`, reporting contended waits as `kind` spans with
-    /// `arg` as the event argument (e.g. `MissShardWait` carrying the
-    /// shard index) instead of the generic `LockWait`.
-    pub fn with_wait_event(value: T, kind: bpw_trace::EventKind, arg: u64) -> Self {
         InstrumentedLock {
             stats: LockStats::new(),
             inner: Mutex::new(value),
-            wait_kind: kind,
-            wait_arg: arg,
         }
     }
 
@@ -102,7 +90,6 @@ impl<T> InstrumentedLock<T> {
         let wait_start = Instant::now();
         let guard = self.inner.lock();
         let waited = wait_start.elapsed();
-        bpw_trace::span_backdated(self.wait_kind, waited.as_nanos() as u64, self.wait_arg);
         // Not a third clock read, and not one inside the critical
         // section: the wait ended when the hold began.
         self.held(guard, true, waited, Some(wait_start + waited))
@@ -110,8 +97,7 @@ impl<T> InstrumentedLock<T> {
 
     /// Count an acquisition, now that `guard` holds the lock, and start
     /// its hold: the clock is read (unless the wait already did) only
-    /// for the one hold in 16 that is timed, or for a `LockHold` span
-    /// while tracing is on.
+    /// for the one hold in 16 that is timed.
     #[inline]
     fn held<'a>(
         &'a self,
@@ -121,16 +107,10 @@ impl<T> InstrumentedLock<T> {
         now: Option<Instant>,
     ) -> LockGuard<'a, T> {
         let timed = self.stats.record_acquisition(contended, waited);
-        let acquired_at = if timed || bpw_trace::enabled() {
-            Some(now.unwrap_or_else(Instant::now))
-        } else {
-            None
-        };
         LockGuard {
             guard: Some(guard),
             stats: &self.stats,
-            acquired_at,
-            timed,
+            acquired_at: timed.then(|| now.unwrap_or_else(Instant::now)),
             accesses: 0,
         }
     }
@@ -178,16 +158,8 @@ impl<'a, T> Drop for LockGuard<'a, T> {
             bpw_dst::yield_point();
         }
         // Recorded while still held: the counts are the holder's alone.
-        self.stats
-            .record_release(held.filter(|_| self.timed), self.accesses);
+        self.stats.record_release(held, self.accesses);
         drop(self.guard.take());
-        if let Some(held) = held {
-            bpw_trace::span_backdated(
-                bpw_trace::EventKind::LockHold,
-                held.as_nanos() as u64,
-                self.accesses,
-            );
-        }
     }
 }
 

@@ -173,7 +173,6 @@ impl<P: ReplacementPolicy> BpWrapper<P> {
     /// since it was queued.
     fn apply_batch(&self, guard: &mut LockGuard<'_, P>, entries: &[AccessEntry]) {
         let n = entries.len() as u64;
-        let span = bpw_trace::span_start();
         let (mut applied, mut stale_admissions) = (0u64, 0u64);
         // The `dst_mutation = "commit_reorder"` mutant applies a
         // multi-entry batch's last entry first: the program-order bug
@@ -231,10 +230,6 @@ impl<P: ReplacementPolicy> BpWrapper<P> {
             .add(n - applied - stale_admissions);
         self.counters.stale_admissions.add(stale_admissions);
         self.counters.batches.incr();
-        // Staged: the commit's duration is also credited to the calling
-        // thread's batch-commit stage scratch, so the server can
-        // attribute it to the owning request.
-        bpw_trace::span_end_staged(bpw_trace::EventKind::BatchCommit, span, n);
     }
 }
 

@@ -15,8 +15,8 @@
 //! session to [`route`], submits or offers the resulting [`Job`], and
 //! passes each response through [`write_reply`] (or
 //! [`Resident::reply`]) with the writer that is its transport.
-//! Decoding, control opcodes, request identity, stage attribution,
-//! trace events and per-status counters live here.
+//! Decoding, control opcodes, stage attribution and per-status
+//! counters live here.
 //!
 //! BP-Wrapper's rule is that a hit touches nothing shared and only a
 //! miss pays for synchronisation. `route` applies it to the request
@@ -26,7 +26,7 @@
 //! PUT and SCAN — queues for a worker.
 
 use std::io::{self, Write};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -58,28 +58,14 @@ pub(crate) struct Shared {
     pub(crate) depth: Arc<bpw_metrics::MaxGauge>,
 }
 
-/// Request-scoped identity, minted by [`route`] and carried with the
-/// job so every layer (queue, worker, pool, commit, reply) can stamp
-/// its trace events and stage samples with the owning request.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RequestCtx {
-    /// Process-unique request id (never 0 — 0 means "unattributed").
-    pub(crate) id: u64,
-    /// The request's opcode byte.
-    pub(crate) opcode: u8,
-}
-
-static NEXT_REQUEST_ID: AtomicU64 = AtomicU64::new(1);
-
 /// What a data request carries from [`route`] to its written reply:
-/// which histogram it lands in, when its clock started, who it is.
+/// which histogram it lands in and when its clock started.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Ticket {
     pub(crate) kind: OpKind,
     /// The instant the request's frame was complete — queue wait and
     /// every later stage are measured against it.
     pub(crate) admitted: Instant,
-    pub(crate) ctx: RequestCtx,
 }
 
 /// One queued request: the decoded message, its ticket, and where the
@@ -190,27 +176,15 @@ pub(crate) fn route<'p>(
     let Some(kind) = OpKind::of(&req) else {
         return Routed::Reply(control(shared, &req));
     };
-    let ctx = RequestCtx {
-        id: NEXT_REQUEST_ID.fetch_add(1, Ordering::Relaxed),
-        opcode: req.opcode(),
-    };
-    let ticket = Ticket {
-        kind,
-        admitted,
-        ctx,
-    };
+    let ticket = Ticket { kind, admitted };
     shared.metrics.record_stage(kind, Stage::Decode, decode_ns);
-    // Attribute this thread's events to the request, then detach: the
-    // calling thread goes on to other requests, and its own spans must
-    // stay unowned.
-    bpw_trace::set_current_request(ctx.id);
     let resident = match req {
         Request::Get { page } if page < shared.pages && in_place => {
             pin_resident(shared, session, page, ticket)
         }
         _ => None,
     };
-    let routed = match resident {
+    match resident {
         Some(hit) => Routed::Resident(hit),
         None => {
             // The hits this thread answered are still in its BP-Wrapper
@@ -218,12 +192,9 @@ pub(crate) fn route<'p>(
             // the policy then picks victims knowing every access the
             // connection made before it, in the order it made them.
             session.flush();
-            bpw_trace::instant(bpw_trace::EventKind::ServerEnqueue, ctx.opcode as u64);
             Routed::Work(req, ticket)
         }
-    };
-    bpw_trace::set_current_request(0);
-    routed
+    }
 }
 
 /// The hit half of [`worker_loop`]'s execute step, on the calling
@@ -236,24 +207,11 @@ fn pin_resident<'p>(
     page: u64,
     ticket: Ticket,
 ) -> Option<Resident<'p>> {
-    // Fresh stage scratch (an idle flush may have left commit time
-    // behind on this thread).
-    bpw_trace::stage::reset();
-    let span = bpw_trace::span_start();
     let pin_t0 = Instant::now();
     let pinned = session.fetch_resident(page)?;
     let pin_ns = pin_t0.elapsed().as_nanos() as u64;
-    bpw_trace::span_end(
-        bpw_trace::EventKind::PinOrMiss,
-        span,
-        ticket.ctx.opcode as u64,
-    );
     let m = &shared.metrics;
-    let commit_ns = bpw_trace::stage::take().batch_commit_ns;
-    m.record_stage(ticket.kind, Stage::PinHit, pin_ns.saturating_sub(commit_ns));
-    if commit_ns > 0 {
-        m.record_stage(ticket.kind, Stage::BatchCommit, commit_ns);
-    }
+    m.record_stage(ticket.kind, Stage::PinHit, pin_ns);
     m.inline_hits.incr();
     Some(Resident {
         page: pinned,
@@ -309,16 +267,9 @@ impl Ticket {
     /// Account one reply that has just been handed to the transport,
     /// `flush_ns` after its serialization started.
     pub(crate) fn complete(self, m: &ServerMetrics, status: u8, flush_ns: u64) {
-        let Ticket {
-            kind,
-            admitted,
-            ctx,
-        } = self;
+        let Ticket { kind, admitted } = self;
         let total_ns = admitted.elapsed().as_nanos() as u64;
         m.record_stage(kind, Stage::ReplyFlush, flush_ns);
-        bpw_trace::set_current_request(ctx.id);
-        bpw_trace::span_backdated(bpw_trace::EventKind::ServerReply, total_ns, status as u64);
-        bpw_trace::set_current_request(0);
         match status {
             protocol::ST_OK => m.record_ok(kind, total_ns),
             protocol::ST_BUSY => m.busy.incr(),
@@ -361,26 +312,14 @@ pub(crate) fn worker_loop(shared: &Shared, work: &WorkQueue<Job>) {
     loop {
         match work.pop(Duration::from_millis(50)) {
             Popped::Item(job) => {
-                let Ticket {
-                    kind,
-                    admitted,
-                    ctx,
-                } = job.ticket;
-                bpw_trace::set_current_request(ctx.id);
+                let Ticket { kind, admitted } = job.ticket;
                 let waited_ns = admitted.elapsed().as_nanos() as u64;
                 shared.metrics.queue_wait_ns.record(waited_ns);
-                bpw_trace::span_backdated(
-                    bpw_trace::EventKind::ServerDequeue,
-                    waited_ns,
-                    ctx.opcode as u64,
-                );
                 shared
                     .metrics
                     .record_stage(kind, Stage::QueueWait, waited_ns);
-                // Fresh stage scratch for this request (an idle-timeout
-                // flush may have left commit time behind on this thread).
+                // Fresh miss-I/O scratch for this request.
                 bpw_trace::stage::reset();
-                let span = bpw_trace::span_start();
                 let exec_t0 = Instant::now();
                 let resp = execute(&mut session, shared, &job.req, &mut spare);
                 if work.is_empty() {
@@ -393,24 +332,15 @@ pub(crate) fn worker_loop(shared: &Shared, work: &WorkQueue<Job>) {
                     session.flush();
                 }
                 let exec_ns = exec_t0.elapsed().as_nanos() as u64;
-                bpw_trace::span_end(bpw_trace::EventKind::PinOrMiss, span, ctx.opcode as u64);
-                let scratch = bpw_trace::stage::take();
-                // Whatever execute() spent beyond attributed miss I/O
-                // and batch commits is the hit path's own cost.
-                let pin_hit = exec_ns.saturating_sub(scratch.miss_io_ns + scratch.batch_commit_ns);
+                let miss_io_ns = bpw_trace::stage::take().miss_io_ns;
+                // Whatever execute() spent beyond attributed miss I/O —
+                // batch commits included — is the hit path's own cost.
+                let pin_hit = exec_ns.saturating_sub(miss_io_ns);
                 shared.metrics.record_stage(kind, Stage::PinHit, pin_hit);
-                if scratch.miss_io_ns > 0 {
-                    shared
-                        .metrics
-                        .record_stage(kind, Stage::MissIo, scratch.miss_io_ns);
-                }
-                if scratch.batch_commit_ns > 0 {
-                    shared
-                        .metrics
-                        .record_stage(kind, Stage::BatchCommit, scratch.batch_commit_ns);
+                if miss_io_ns > 0 {
+                    shared.metrics.record_stage(kind, Stage::MissIo, miss_io_ns);
                 }
                 job.finish(resp, &mut spare);
-                bpw_trace::set_current_request(0);
             }
             Popped::Expired(job) => job.finish(Response::Dropped, &mut spare),
             Popped::Timeout => {
@@ -620,7 +550,6 @@ mod tests {
     fn data_requests_get_a_ticket_and_a_decode_sample() {
         let shared = shared();
         let session = &mut shared.pool.session();
-        let mut last_id = 0;
         for (req, kind) in [
             (Request::Get { page: 3 }, OpKind::Get),
             (
@@ -640,9 +569,6 @@ mod tests {
             };
             assert_eq!(routed, req);
             assert_eq!(ticket.kind, kind);
-            assert_eq!(ticket.ctx.opcode, req.opcode());
-            assert!(ticket.ctx.id > last_id, "request ids are minted in order");
-            last_id = ticket.ctx.id;
             assert_eq!(shared.metrics.stage(kind, Stage::Decode).count(), 1);
         }
         assert_eq!(

@@ -80,7 +80,7 @@ use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bpw_evl::{Epoll, Interest, Ready, WakeFd, WriteBuf};
 
@@ -407,7 +407,6 @@ pub(crate) fn run(
             Ok(events) => ready_buf.extend(events),
             Err(e) => panic!("epoll_wait failed: {e}"),
         }
-        let woke = Instant::now();
         if ready_buf.is_empty() {
             // Idle: commit deferred BP-Wrapper bookkeeping, as a worker
             // does when its pop times out.
@@ -477,11 +476,6 @@ pub(crate) fn run(
                 .metrics
                 .ready_per_wakeup
                 .record(ready_buf.len() as u64);
-            bpw_trace::span_backdated(
-                bpw_trace::EventKind::EpollWakeup,
-                woke.elapsed().as_nanos() as u64,
-                ready_buf.len() as u64,
-            );
         }
 
         if stop {
@@ -796,8 +790,8 @@ impl EventLoop<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::RequestCtx;
     use crate::metrics::OpKind;
+    use std::time::Instant;
 
     const PAGE: usize = 4096;
 
@@ -861,20 +855,21 @@ mod tests {
         assert!(c.reusable(&vec![0; PAGE]));
     }
 
-    fn ticket(id: u64) -> Ticket {
+    /// A ticket tagged with `seq`: admitted `seq` ns after `base`.
+    fn ticket(base: Instant, seq: u64) -> Ticket {
         Ticket {
             kind: OpKind::Get,
-            admitted: Instant::now(),
-            ctx: RequestCtx { id, opcode: 1 },
+            admitted: base + Duration::from_nanos(seq),
         }
     }
 
     #[test]
     fn the_ring_releases_out_of_order_completions_strictly_in_sequence() {
+        let base = Instant::now();
         let mut ring = Ring::default();
         ring.skip(); // seq 0, answered on the spot
         let seqs: Vec<u64> = (1..=5)
-            .map(|id| ring.push(Some(ticket(id)), None))
+            .map(|seq| ring.push(Some(ticket(base, seq)), None))
             .collect();
         assert_eq!(seqs, [1, 2, 3, 4, 5]);
         assert_eq!(ring.push(None, Some(Response::Busy)), 6, "ready at once");
@@ -884,7 +879,10 @@ mod tests {
         }
         ring.fill(1, Response::Ok(vec![1]));
         let released: Vec<_> = std::iter::from_fn(|| ring.pop())
-            .map(|(seq, ticket, resp)| (seq, ticket.map(|t| t.ctx.id), resp))
+            .map(|(seq, ticket, resp)| {
+                let tag = ticket.map(|t| (t.admitted - base).as_nanos() as u64);
+                (seq, tag, resp)
+            })
             .collect();
         let mut want: Vec<_> = (1..=5u64)
             .map(|seq| (seq, Some(seq), Response::Ok(vec![seq as u8])))

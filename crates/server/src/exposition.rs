@@ -7,10 +7,9 @@
 //! [`metrics_text`] (the `METRICS` reply) groups them by series name.
 //! Adding a metric is one `row(..)` line.
 //!
-//! One asymmetry is part of the table, not of the renderers: the two
-//! per-instance breakdowns whose label set grows with the deployment
-//! (partition-lock shards, trace rings) have no JSON path — STATS carries
-//! their aggregates (`miss_locks.*`, `trace.dropped_events`) and stays
+//! One asymmetry is part of the table, not of the renderers: the
+//! per-shard breakdowns, whose label set grows with the pool, have no
+//! JSON path — STATS carries their aggregates (`miss_locks.*`) and stays
 //! O(1) in pool size.
 
 use std::collections::HashMap;
@@ -34,8 +33,6 @@ pub(crate) enum Value<'a> {
     Gauge(u64),
     /// Point-in-time ratio.
     Ratio(f64),
-    /// JSON `true`/`false`, Prometheus `1`/`0`.
-    Flag(bool),
     /// A latency/size distribution.
     Hist(&'a Histogram),
 }
@@ -151,16 +148,13 @@ pub(crate) struct Scrape {
     pool: PoolSide,
     /// `(shard label, snapshot)` per partition lock (METRICS only).
     shards: Vec<(String, LockSnapshot)>,
-    /// `(tid label, events dropped)` per trace ring (METRICS only).
-    rings: Vec<(String, u64)>,
 }
 
 impl Scrape {
-    /// `breakdowns` also reads the per-shard and per-ring series, which
-    /// only METRICS renders.
+    /// `breakdowns` also reads the per-shard series, which only METRICS
+    /// renders.
     pub(crate) fn gather(shared: &Shared, breakdowns: bool) -> Scrape {
         let mut shards = Vec::new();
-        let mut rings = Vec::new();
         if breakdowns {
             let snaps = shared.pool.miss_lock_shard_snapshots();
             shards.extend(
@@ -169,13 +163,10 @@ impl Scrape {
                     .enumerate()
                     .map(|(i, s)| (i.to_string(), s)),
             );
-            let drops = bpw_trace::ring_drops();
-            rings.extend(drops.into_iter().map(|(tid, d)| (tid.to_string(), d)));
         }
         Scrape {
             pool: PoolSide::of(shared),
             shards,
-            rings,
         }
     }
 }
@@ -184,7 +175,7 @@ impl Scrape {
 /// `(STATS path, METRICS series, labels, help, value)`.
 #[rustfmt::skip] // one row per line
 pub(crate) fn walk<'a>(shared: &'a Shared, scrape: &'a Scrape, visit: &mut dyn FnMut(Row<'a>)) {
-    use Value::{Counter, Flag, Gauge, Hist, Ratio};
+    use Value::{Counter, Gauge, Hist, Ratio};
     let m = &*shared.metrics;
     let pool = &scrape.pool;
     let mut row = |json: &[&'static str], prom, labels: &[(&'static str, &'a str)], help, value| {
@@ -244,16 +235,6 @@ pub(crate) fn walk<'a>(shared: &'a Shared, scrape: &'a Scrape, visit: &mut dyn F
         row(&["stages", op.name(), stage.name()], "bpw_stage_latency_ns", &[("op", op.name()), ("stage", stage.name())],
             "Request latency attributed to one pipeline stage, per opcode.", Hist(m.stage(op, stage)));
     }
-
-    row(&["trace", "enabled"],         "bpw_trace_enabled",              &[], "1 when event tracing is recording.",                       Flag(bpw_trace::enabled()));
-    row(&["trace", "dropped_events"],  "bpw_trace_dropped_events_total", &[], "Trace events lost to ring overflow.",                      Counter(bpw_trace::dropped()));
-    row(&["trace", "threads"],         "bpw_trace_threads",              &[], "Threads that have recorded at least one trace event.",     Gauge(bpw_trace::thread_count() as u64));
-    row(&["trace", "buffered_events"], "bpw_trace_buffered_events",      &[], "Trace events currently buffered in the rings.",            Gauge(bpw_trace::buffered() as u64));
-    // Per-ring drop counters: which recording thread is losing events.
-    for (tid, dropped) in &scrape.rings {
-        row(&[], "bpw_trace_ring_dropped_events_total", &[("tid", tid)], "Trace events lost to ring overflow, per recording thread.", Counter(*dropped));
-    }
-
 }
 
 /// Nests rows by JSON path: rows sharing a parent must be visited
@@ -314,7 +295,6 @@ impl JsonTree {
                 let _ = write!(self.out, "{v}");
             }
             Value::Ratio(v) => write_f64_into(&mut self.out, v),
-            Value::Flag(v) => self.out.push_str(if v { "true" } else { "false" }),
             Value::Hist(h) => self.out.push_str(&h.to_json()),
         }
         self.need_comma = true;
@@ -354,7 +334,6 @@ impl PromFamilies {
         match row.value {
             Value::Counter(v) | Value::Gauge(v) => w.sample(row.prom, labels, v),
             Value::Ratio(v) => w.sample_f64(row.prom, labels, v),
-            Value::Flag(v) => w.sample(row.prom, labels, v as u64),
             Value::Hist(h) => w.histogram(row.prom, labels, h),
         };
     }
@@ -387,10 +366,9 @@ mod tests {
     use bpw_metrics::JsonValue;
 
     /// The two breakdown families that have no JSON path.
-    const PROM_ONLY: [&str; 3] = [
+    const PROM_ONLY: [&str; 2] = [
         "bpw_miss_shard_acquisitions_total",
         "bpw_miss_shard_wait_ns_total",
-        "bpw_trace_ring_dropped_events_total",
     ];
 
     fn json_at<'v>(root: &'v JsonValue, row: &Row<'_>) -> Option<&'v JsonValue> {
@@ -441,7 +419,6 @@ mod tests {
             if !row.json_path().is_empty() {
                 let v = json_at(&json, &row).unwrap_or_else(|| panic!("STATS lacks {name}"));
                 match row.value {
-                    Value::Flag(_) => assert!(matches!(v, JsonValue::Bool(_)), "{name}"),
                     Value::Hist(_) => assert!(v.get("p999").is_some(), "{name}"),
                     _ => assert!(v.as_f64().is_some(), "{name} must be a number: {v:?}"),
                 }
@@ -460,7 +437,7 @@ mod tests {
             );
             sampled += 1;
         });
-        assert!(rows > 100, "the table lost rows: {rows}");
+        assert!(rows > 96, "the table lost rows: {rows}");
         assert!(samples >= sampled, "{samples} samples for {sampled} series");
         server.join();
     }
@@ -471,7 +448,7 @@ mod tests {
         let row = |json: &[&'static str], value| Row::new(json, "", &[], "", value);
         for row in [
             row(&["a"], Value::Counter(1)),
-            row(&["b", "c"], Value::Flag(true)),
+            row(&["b", "c"], Value::Counter(7)),
             row(&["b", "d", "e"], Value::Gauge(2)),
             row(&["b", "d", "f"], Value::Ratio(0.5)),
             row(&["b", "g"], Value::Gauge(3)),
@@ -482,7 +459,7 @@ mod tests {
         }
         assert_eq!(
             tree.finish(),
-            r#"{"a":1,"b":{"c":true,"d":{"e":2,"f":0.5},"g":3},"h":{"i":{"j":4}}}"#
+            r#"{"a":1,"b":{"c":7,"d":{"e":2,"f":0.5},"g":3},"h":{"i":{"j":4}}}"#
         );
     }
 }

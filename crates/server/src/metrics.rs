@@ -64,15 +64,16 @@ pub enum Stage {
     Decode,
     /// Sitting in the admission queue before a worker picked it up.
     QueueWait,
-    /// Executing against the buffer pool, *minus* the miss-I/O and
-    /// batch-commit time attributed below — a hit's latch-and-go cost.
+    /// Executing against the buffer pool, *minus* the miss-I/O time
+    /// attributed below — a hit's latch-and-go cost, with the batch
+    /// commits it ran.
     PinHit,
     /// Miss-path storage I/O (victim write-back + page read).
     MissIo,
-    /// BP-Wrapper batch commits into the replacement policy (only
-    /// populated while tracing is on — the commit sits on the hit-only
-    /// hot path, where unconditional clocks would break the
-    /// disabled-tracing budget).
+    /// Never recorded: a batch commit sits on the hit-only hot path,
+    /// where timing each one would cost two clock reads per batch, so
+    /// its time stays inside `PinHit`. The empty row is kept because
+    /// `perfbench` reads `stages.<op>.batch_commit` from STATS.
     BatchCommit,
     /// Writing the reply frame back toward the client (the socket write
     /// under the threaded frontend; frame serialization into the

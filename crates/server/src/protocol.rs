@@ -142,19 +142,6 @@ impl Request {
         }
     }
 
-    /// The request's opcode byte (also the first byte of
-    /// [`encode`](Self::encode)'s output).
-    pub fn opcode(&self) -> u8 {
-        match self {
-            Request::Get { .. } => OP_GET,
-            Request::Put { .. } => OP_PUT,
-            Request::Scan { .. } => OP_SCAN,
-            Request::Stats => OP_STATS,
-            Request::Shutdown => OP_SHUTDOWN,
-            Request::Metrics => OP_METRICS,
-        }
-    }
-
     /// Parse a body produced by [`encode`](Self::encode).
     pub fn decode(body: &[u8]) -> Result<Request, ProtocolError> {
         Request::decode_in(body, &mut Vec::new())
@@ -520,7 +507,6 @@ mod tests {
             Request::Metrics,
         ];
         for req in cases {
-            assert_eq!(req.encode()[0], req.opcode());
             assert_eq!(Request::decode(&req.encode()).unwrap(), req);
         }
     }

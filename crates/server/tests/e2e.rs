@@ -14,7 +14,6 @@
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
 use bpw_metrics::JsonValue;
@@ -28,10 +27,6 @@ const CLIENTS: usize = 8;
 const REQUESTS_PER_CLIENT: u64 = 12_500; // x8 clients = 100k total
 const PAGES: u64 = 1024;
 const PAGE_SIZE: usize = 64;
-
-/// The global trace collector is shared by every test in this binary;
-/// tests that toggle it must not overlap.
-static TRACE_GATE: Mutex<()> = Mutex::new(());
 
 fn test_server(policy: AdmissionPolicy, manager: &str, queue: usize, mode: FrontendMode) -> Server {
     Server::start(ServerConfig {
@@ -373,19 +368,9 @@ fn client_shutdown_request_stops_accepting(mode: FrontendMode) {
 }
 
 /// METRICS returns a well-formed Prometheus-style exposition covering
-/// request counters, both instrumented locks, the event-loop series,
-/// and the trace collector's health; STATS carries the matching JSON
-/// sub-objects.
+/// request counters, both instrumented locks and the event-loop series;
+/// STATS carries the matching JSON sub-objects.
 fn metrics_exposition_and_enriched_stats(mode: FrontendMode) {
-    // Register this thread's trace ring, so the scrape has at least one
-    // per-ring series to render.
-    {
-        let _gate = TRACE_GATE.lock().unwrap();
-        bpw_trace::set_enabled(true);
-        bpw_trace::instant(bpw_trace::EventKind::ServerEnqueue, 0);
-        bpw_trace::set_enabled(false);
-        bpw_trace::clear();
-    }
     let server = test_server(AdmissionPolicy::Block, "wrapped-2q", 64, mode);
     let mut client = Client::connect(server.addr()).expect("connect");
     for page in 0..64u64 {
@@ -402,7 +387,6 @@ fn metrics_exposition_and_enriched_stats(mode: FrontendMode) {
     assert!(text.contains("bpw_miss_shard_acquisitions_total{shard=\"0\"}"));
     assert!(text.contains("bpw_miss_lock_shards"));
     assert!(text.contains("bpw_pool_io_retries_total"));
-    assert!(text.contains("bpw_trace_dropped_events_total"));
     // Event-loop observability is always exposed (zero-valued under the
     // threaded frontend) so dashboards don't need mode-aware queries.
     assert!(text.contains("bpw_connections_open"));
@@ -410,11 +394,9 @@ fn metrics_exposition_and_enriched_stats(mode: FrontendMode) {
     assert!(text.contains("bpw_short_writes_total"));
     assert!(text.contains("bpw_pipeline_depth_count"));
     assert!(text.contains("bpw_ready_events_per_wakeup_count"));
-    // Stage attribution is always exposed; per-ring drop series, one
-    // per ring registered before the scrape.
+    // Stage attribution is always exposed.
     assert!(text.contains("bpw_stage_latency_ns_count{op=\"get\",stage=\"queue_wait\"}"));
     assert!(text.contains("bpw_stage_latency_ns_count{op=\"get\",stage=\"pin_hit\"}"));
-    assert!(text.contains("bpw_trace_ring_dropped_events_total"));
 
     let stats = client.stats().expect("STATS reply");
     let v = JsonValue::parse(&stats).expect("STATS JSON");
@@ -441,7 +423,6 @@ fn metrics_exposition_and_enriched_stats(mode: FrontendMode) {
             .and_then(JsonValue::as_u64),
     );
     assert!(v.get("pool_io_retries").is_some());
-    assert!(v.get("trace").and_then(|t| t.get("enabled")).is_some());
     // Stage histograms in STATS: the 64 GETs above must have left
     // samples (with quantile summaries) in every always-on stage.
     let get_stages = v
@@ -501,69 +482,24 @@ fn metrics_exposition_and_enriched_stats(mode: FrontendMode) {
     server.join();
 }
 
-/// The event kinds each request id owns among `events`.
-fn chains_by_request(events: &[bpw_trace::TraceEvent]) -> HashMap<u64, Vec<bpw_trace::EventKind>> {
-    let mut chains: HashMap<u64, Vec<_>> = HashMap::new();
-    for e in events.iter().filter(|e| e.req != 0) {
-        chains.entry(e.req).or_default().push(e.kind);
-    }
-    chains
-}
-
-/// With tracing enabled, a cold GET leaves the whole queued chain under
-/// one request id — enqueue, dequeue, pin-or-miss, reply — and a warm
-/// GET the short one: pin-or-miss and reply, nothing of the queue. Under
-/// the event loop there are wakeup spans too.
-fn traced_requests_leave_server_events(mode: FrontendMode) {
-    use bpw_trace::EventKind;
-
-    let _gate = TRACE_GATE.lock().unwrap();
+/// A cold GET queues for a worker; a warm one is answered on the
+/// frontend thread: 32 cold GETs leave `inline_hits` at 0 and one queue
+/// wait each, and a GET of a page they made resident counts one inline
+/// hit and no queue wait.
+fn cold_gets_queue_and_a_warm_get_is_answered_inline(mode: FrontendMode) {
     let server = test_server(AdmissionPolicy::Block, "wrapped-2q", 64, mode);
     let mut client = Client::connect(server.addr()).expect("connect");
-    bpw_trace::clear();
-    bpw_trace::set_enabled(true);
     for page in 0..32u64 {
         assert!(matches!(client.get(page).unwrap(), Response::Ok(_)));
     }
-    bpw_trace::set_enabled(false);
-    let cold = bpw_trace::drain();
-    let queued = [
-        EventKind::ServerEnqueue,
-        EventKind::ServerDequeue,
-        EventKind::PinOrMiss,
-        EventKind::ServerReply,
-    ];
-    assert!(
-        chains_by_request(&cold)
-            .values()
-            .any(|chain| queued.iter().all(|kind| chain.contains(kind))),
-        "no request id owns enqueue, dequeue, pin-or-miss and reply among {} events",
-        cold.len()
-    );
-    if mode == FrontendMode::EventLoop {
-        assert!(cold.iter().any(|e| e.kind == EventKind::EpollWakeup));
-    }
+    let m = server.metrics();
+    assert_eq!(m.inline_hits.get(), 0);
+    assert_eq!(m.queue_wait_ns.count(), 32);
 
     // Page 0 is resident now: its GET never sees the queue.
-    bpw_trace::set_enabled(true);
     assert!(matches!(client.get(0).unwrap(), Response::Ok(_)));
-    // The threaded driver accounts a reply after it is on the wire.
-    bpw_server::wait_for(Duration::from_secs(5), "the warm GET is accounted", || {
-        server.metrics().ok.get() == 33
-    });
-    bpw_trace::set_enabled(false);
-    let warm = bpw_trace::drain();
-    assert!(
-        chains_by_request(&warm).values().any(|chain| {
-            chain.contains(&EventKind::PinOrMiss)
-                && chain.contains(&EventKind::ServerReply)
-                && !chain.contains(&EventKind::ServerEnqueue)
-                && !chain.contains(&EventKind::ServerDequeue)
-        }),
-        "no request id owns just pin-or-miss and reply among {} events",
-        warm.len()
-    );
-    assert_eq!(server.metrics().inline_hits.get(), 1);
+    assert_eq!(m.inline_hits.get(), 1);
+    assert_eq!(m.queue_wait_ns.count(), 32);
     drop(client);
     server.join();
 }
@@ -1094,7 +1030,7 @@ both_frontends!(
     loadgen_open_loop_sends_full_schedule,
     client_shutdown_request_stops_accepting,
     metrics_exposition_and_enriched_stats,
-    traced_requests_leave_server_events,
+    cold_gets_queue_and_a_warm_get_is_answered_inline,
     pipelined_responses_arrive_in_request_order,
     slowloris_client_cannot_stall_others,
     mid_request_disconnect_leaks_nothing,

@@ -54,7 +54,7 @@ fn metrics_series(text: &str, out: &mut BTreeSet<String>) {
             None => (series, ""),
         };
         // Label values never contain `,` or `=` here (ops, stages,
-        // shard/tid numbers), so a plain split is exact.
+        // shard numbers), so a plain split is exact.
         let keys: Vec<&str> = labels
             .split(',')
             .filter(|kv| !kv.is_empty())
@@ -69,8 +69,6 @@ fn metrics_series(text: &str, out: &mut BTreeSet<String>) {
 }
 
 fn exposition_shape(mode: FrontendMode) -> String {
-    // Traced, so the scrape renders the per-ring series too.
-    bpw_trace::set_enabled(true);
     let server = Server::start(ServerConfig {
         workers: 2,
         frames: 64,
@@ -93,8 +91,6 @@ fn exposition_shape(mode: FrontendMode) -> String {
     let metrics = client.metrics().expect("METRICS");
     drop(client);
     server.join();
-    bpw_trace::set_enabled(false);
-    bpw_trace::clear();
 
     let mut lines = BTreeSet::new();
     let v = JsonValue::parse(&stats).expect("STATS parses");
@@ -109,8 +105,8 @@ fn exposition_shape(mode: FrontendMode) -> String {
     out
 }
 
-/// Both modes in one test: the trace collector is process-global, so
-/// two traced servers must not overlap.
+/// Both frontends expose the same names, and the golden file holds one
+/// shape for both.
 #[test]
 fn exposition_names_match_the_golden_in_both_modes() {
     for mode in [FrontendMode::Threaded, FrontendMode::EventLoop] {
