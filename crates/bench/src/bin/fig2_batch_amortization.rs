@@ -69,7 +69,6 @@ fn real_threads() {
             WrapperConfig {
                 queue_size: batch,
                 batch_threshold: (batch / 2).max(1),
-                prefetching: true,
             }
         };
         let wrapper = BpWrapper::new(TwoQ::new(frames), cfg);

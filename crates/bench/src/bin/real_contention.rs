@@ -1,7 +1,9 @@
 //! Real-thread measurement on **this host**: lock acquisitions, failed
 //! try-locks, blocked acquisitions (the paper's "contentions") and
-//! throughput for the five Table I systems, running the hit-only
-//! scalability workload through the actual `bpw-core` implementation.
+//! throughput for the three Table I systems that run live — `pgClock`,
+//! `pgQ` and `pgBat` — on the hit-only scalability workload through the
+//! actual `bpw-core` implementation. `pgPre` and `pgBatPre` add
+//! prefetching, which only `bpw-sim` models.
 //!
 //! Unlike wall-clock scaling (which needs the simulator on a small
 //! host), these *counts* are scheduling-robust: batching divides lock
@@ -115,8 +117,16 @@ fn main() {
             "throughput_Macc_per_s",
         ],
     );
-    for kind in SystemKind::ALL {
-        let row = match kind.wrapper_config() {
+    let systems = [
+        (SystemKind::Clock, None),
+        (
+            SystemKind::LockPerAccess,
+            Some(WrapperConfig::lock_per_access()),
+        ),
+        (SystemKind::Batching, Some(WrapperConfig::default())),
+    ];
+    for (kind, cfg) in systems {
+        let row = match cfg {
             None => run_clock(),
             Some(cfg) => run_wrapped(cfg),
         };
@@ -133,6 +143,6 @@ fn main() {
     t.write_csv("real_contention");
     println!(
         "Expected (any host): pgQ acquires the lock once per access ({total});\n\
-         pgBat/pgBatPre acquire ~1/32nd as often and block orders of magnitude less."
+         pgBat acquires ~1/32nd as often and blocks orders of magnitude less."
     );
 }

@@ -1,7 +1,7 @@
 //! # bpw-bench
 //!
 //! The experiment harness: one binary per table/figure of the paper's
-//! evaluation (§IV), plus Criterion microbenchmarks. Each binary prints
+//! evaluation (§IV). Each binary prints
 //! the same rows/series the paper reports and writes a CSV under
 //! `results/`.
 //!

@@ -40,7 +40,6 @@ fn hot_pool() -> BufferPool<WrappedManager<TwoQ>> {
     let pool = pool_with(WrapperConfig {
         queue_size: 2 * HITS as usize,
         batch_threshold: 2 * HITS as usize,
-        ..WrapperConfig::default()
     });
     let mut session = pool.session();
     for page in 0..8u64 {

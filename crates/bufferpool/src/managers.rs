@@ -3,13 +3,12 @@
 //! systems:
 //!
 //! * [`CoarseManager`] — any policy behind one lock, acquired on every
-//!   access (the `pgQ` baseline, and `pgPre` when built with a
-//!   prefetching wrapper config).
+//!   access (the `pgQ` baseline).
 //! * [`ClockManager`] — CLOCK with PostgreSQL's lock-free hit path
 //!   (atomic reference bits); the lock is taken only on misses
 //!   (`pgClock`, the scalability gold standard).
-//! * [`WrappedManager`] — any policy behind BP-Wrapper (`pgBat`,
-//!   `pgBatPre`, and every configuration in between).
+//! * [`WrappedManager`] — any policy behind BP-Wrapper (`pgBat`, and
+//!   with `S = 1` the same lock-per-access commits as `pgQ`).
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -332,9 +331,8 @@ impl<P: ReplacementPolicy> ReplacementManager for WrappedManager<P> {
     fn name(&self) -> String {
         let c = self.wrapper.config();
         format!(
-            "bp-wrapper(batch={}, prefetch={}, S={}, T={})",
+            "bp-wrapper(batch={}, S={}, T={})",
             c.batching(),
-            c.prefetching,
             c.queue_size,
             c.batch_threshold
         )

@@ -3,23 +3,18 @@
 /// Configuration of one [`BpWrapper`](crate::BpWrapper) instance.
 ///
 /// The defaults are the values the paper uses in its evaluation (§IV-C):
-/// FIFO queue size 64, batch threshold 32, both techniques enabled.
+/// FIFO queue size 64, batch threshold 32.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WrapperConfig {
     /// `S` — capacity of each thread's private FIFO queue. When the queue
     /// is full a blocking `Lock()` is unavoidable, so `S = 1` is one
-    /// lock acquisition per access: the paper's `pgQ` baseline with
-    /// prefetching off, `pgPre` with it on.
+    /// lock acquisition per access: the paper's `pgQ` baseline.
     pub queue_size: usize,
     /// `T` — number of queued accesses that triggers a non-blocking
     /// `TryLock()` commit attempt. Must satisfy `1 <= T <= S`; the paper
     /// shows `T = S/2` works well and `T = S` (no try-lock headroom)
     /// hurts (§IV-E, Table III).
     pub batch_threshold: usize,
-    /// Enable the prefetching technique: read the lock word and the
-    /// policy metadata of queued accesses into the processor cache
-    /// immediately before requesting the lock (§III-B).
-    pub prefetching: bool,
 }
 
 impl Default for WrapperConfig {
@@ -27,40 +22,17 @@ impl Default for WrapperConfig {
         WrapperConfig {
             queue_size: 64,
             batch_threshold: 32,
-            prefetching: true,
         }
     }
 }
 
 impl WrapperConfig {
-    /// The paper's `pgQ` baseline: lock on every access, no prefetch.
+    /// The paper's `pgQ` baseline: lock on every access.
     pub fn lock_per_access() -> Self {
         WrapperConfig {
             queue_size: 1,
             batch_threshold: 1,
-            prefetching: false,
         }
-    }
-
-    /// The paper's `pgBat`: batching only.
-    pub fn batching_only() -> Self {
-        WrapperConfig {
-            prefetching: false,
-            ..Self::default()
-        }
-    }
-
-    /// The paper's `pgPre`: prefetching only.
-    pub fn prefetching_only() -> Self {
-        WrapperConfig {
-            prefetching: true,
-            ..Self::lock_per_access()
-        }
-    }
-
-    /// The paper's `pgBatPre`: both techniques (the default).
-    pub fn batching_and_prefetching() -> Self {
-        Self::default()
     }
 
     /// Set queue size `S` (clamping threshold to stay valid).
@@ -89,7 +61,7 @@ impl WrapperConfig {
     /// acquisition: its own plus `k − 1` ahead of need, whose frames
     /// the next misses fill with admissions queued like hits. Derived
     /// from `S`, never set: 8 at the paper's `S = 64`, and 1 — a miss
-    /// evicts only its own victim — at `S = 1` (`pgQ`, `pgPre`) and for
+    /// evicts only its own victim — at `S = 1` (`pgQ`) and for
     /// any queue under 16.
     pub fn evict_batch(&self) -> usize {
         (self.queue_size / 8).max(1)
@@ -117,32 +89,20 @@ mod tests {
         assert_eq!(c.queue_size, 64);
         assert_eq!(c.batch_threshold, 32);
         assert!(c.batching());
-        assert!(c.prefetching);
         c.validate();
     }
 
     #[test]
     fn presets_are_valid() {
-        for c in [
-            WrapperConfig::lock_per_access(),
-            WrapperConfig::batching_only(),
-            WrapperConfig::prefetching_only(),
-            WrapperConfig::batching_and_prefetching(),
-        ] {
-            c.validate();
-        }
-        assert!(!WrapperConfig::lock_per_access().batching());
-        assert!(!WrapperConfig::prefetching_only().batching());
-        assert!(WrapperConfig::batching_only().batching());
-        assert!(!WrapperConfig::batching_only().prefetching);
-        assert!(WrapperConfig::prefetching_only().prefetching);
+        let c = WrapperConfig::lock_per_access();
+        c.validate();
+        assert!(!c.batching());
     }
 
     #[test]
     fn evict_batch_follows_queue_size() {
         assert_eq!(WrapperConfig::default().evict_batch(), 8);
         assert_eq!(WrapperConfig::lock_per_access().evict_batch(), 1);
-        assert_eq!(WrapperConfig::prefetching_only().evict_batch(), 1);
         for (s, k) in [(2, 1), (15, 1), (16, 2), (128, 16)] {
             assert_eq!(WrapperConfig::default().with_queue_size(s).evict_batch(), k);
         }

@@ -5,17 +5,17 @@
 //! Zhang, ICDE 2009).
 //!
 //! The framework wraps any [`ReplacementPolicy`](bpw_replacement::ReplacementPolicy)
-//! with two techniques that remove nearly all lock contention from the
-//! buffer-hit path **without modifying the algorithm**:
+//! with the paper's **batching** technique (§III-A), which removes nearly
+//! all lock contention from the buffer-hit path **without modifying the
+//! algorithm**: each thread records hits in a private FIFO queue and
+//! commits them in one lock acquisition once a threshold is reached —
+//! via a non-blocking `TryLock`, falling back to a blocking `Lock` only
+//! when the queue is full.
 //!
-//! * **Batching** (§III-A): each thread records hits in a private FIFO
-//!   queue and commits them in one lock acquisition once a threshold is
-//!   reached — via a non-blocking `TryLock`, falling back to a blocking
-//!   `Lock` only when the queue is full.
-//! * **Prefetching** (§III-B): immediately before requesting the lock,
-//!   the thread issues hardware prefetch hints for the lock word and the
-//!   list nodes the critical section will touch, moving cache-miss
-//!   stalls out of the lock-holding period.
+//! The paper's second technique, prefetching (§III-B), is modelled only
+//! by `bpw-sim`: on the real pool, turning it off moved no end-to-end
+//! benchmark metric (DESIGN.md §2 gives the pairs), so the live wrapper
+//! does not carry it.
 //!
 //! ## Quick example
 //!
@@ -23,7 +23,7 @@
 //! use bpw_core::{BpWrapper, WrapperConfig};
 //! use bpw_replacement::{Lirs, ReplacementPolicy};
 //!
-//! // Wrap an unmodified LIRS instance; S = 64, T = 32, both techniques on.
+//! // Wrap an unmodified LIRS instance; S = 64, T = 32.
 //! let wrapper = BpWrapper::new(Lirs::new(1024), WrapperConfig::default());
 //!
 //! // Pre-warm: bind pages 0..1024 to frames 0..1024.
@@ -52,7 +52,6 @@
 pub mod config;
 pub mod lock;
 pub mod pad;
-pub mod prefetch;
 pub mod queue;
 pub mod wrapped_cache;
 pub mod wrapper;
@@ -60,13 +59,14 @@ pub mod wrapper;
 pub use config::WrapperConfig;
 pub use lock::{InstrumentedLock, LockGuard};
 pub use pad::CachePadded;
-pub use prefetch::{prefetch_line, prefetch_span, Prefetcher};
 pub use queue::{AccessEntry, AccessQueue};
 pub use wrapped_cache::WrappedCache;
 pub use wrapper::{AccessHandle, ArcAccessHandle, BpWrapper, WrapperCounters};
 
-/// The five systems of the paper's Table I, as wrapper configurations
-/// plus the clock baseline.
+/// The five systems of the paper's Table I. `bpw-sim` models all five;
+/// the live wrapper runs `pgQ` ([`WrapperConfig::lock_per_access`]) and
+/// `pgBat` ([`WrapperConfig::default`]), and `pgClock` is the pool's
+/// CLOCK manager. The two prefetching systems exist only in simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SystemKind {
     /// `pgClock`: stock PostgreSQL 8.2.3 — CLOCK, lock-free hit path.
@@ -101,18 +101,6 @@ impl SystemKind {
             SystemKind::BatchingPrefetching => "pgBatPre",
         }
     }
-
-    /// Wrapper configuration for this system (`None` for `pgClock`,
-    /// which bypasses the wrapper entirely).
-    pub fn wrapper_config(&self) -> Option<WrapperConfig> {
-        match self {
-            SystemKind::Clock => None,
-            SystemKind::LockPerAccess => Some(WrapperConfig::lock_per_access()),
-            SystemKind::Batching => Some(WrapperConfig::batching_only()),
-            SystemKind::Prefetching => Some(WrapperConfig::prefetching_only()),
-            SystemKind::BatchingPrefetching => Some(WrapperConfig::batching_and_prefetching()),
-        }
-    }
 }
 
 impl std::fmt::Display for SystemKind {
@@ -129,19 +117,6 @@ mod tests {
     fn system_kinds_cover_table_one() {
         assert_eq!(SystemKind::ALL.len(), 5);
         assert_eq!(SystemKind::Clock.name(), "pgClock");
-        assert!(SystemKind::Clock.wrapper_config().is_none());
-        let full = SystemKind::BatchingPrefetching.wrapper_config().unwrap();
-        assert!(full.batching() && full.prefetching);
-        let bat = SystemKind::Batching.wrapper_config().unwrap();
-        assert!(bat.batching() && !bat.prefetching);
-        let pre = SystemKind::Prefetching.wrapper_config().unwrap();
-        assert!(!pre.batching() && pre.prefetching);
-        let lpa = SystemKind::LockPerAccess.wrapper_config().unwrap();
-        assert!(!lpa.batching() && !lpa.prefetching);
-        for k in SystemKind::ALL {
-            if let Some(c) = k.wrapper_config() {
-                c.validate();
-            }
-        }
+        assert_eq!(SystemKind::BatchingPrefetching.to_string(), "pgBatPre");
     }
 }

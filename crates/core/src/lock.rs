@@ -8,11 +8,12 @@ use bpw_metrics::LockStats;
 use parking_lot::{Mutex, MutexGuard};
 
 /// Exclusive lock over `T` with contention accounting. The statistics
-/// live in the lock, laid out just before the lock word, and the holder
-/// writes them: a counted acquisition costs the lock's own atomic and
-/// plain stores to a line the holder writes anyway. Hold time is
-/// estimated from one hold in 16, so 15 acquisitions in 16 read no
-/// clock; counts and waits are exact.
+/// live in the lock, laid out (`#[repr(C)]`) just before the lock word
+/// so that they share its line, and the holder writes them: a counted
+/// acquisition costs the lock's own atomic and plain stores to a line
+/// the holder writes anyway. Hold time is estimated from one hold in
+/// 16, so 15 acquisitions in 16 read no clock; counts and waits are
+/// exact.
 #[repr(C)]
 pub struct InstrumentedLock<T> {
     stats: LockStats,
@@ -113,14 +114,6 @@ impl<T> InstrumentedLock<T> {
             acquired_at: timed.then(|| now.unwrap_or_else(Instant::now)),
             accesses: 0,
         }
-    }
-
-    /// Address of the lock's hot lines — its statistics, the lock word
-    /// and the start of the protected value, in that order — for
-    /// prefetching before acquiring it. The pointer is never
-    /// dereferenced by callers — only fed to a hardware prefetch hint.
-    pub fn data_addr(&self) -> usize {
-        self as *const Self as usize
     }
 }
 
@@ -226,14 +219,5 @@ mod tests {
             hold *= 4; // 2ms, 8ms, 32ms, ... ~2s worst case
         }
         panic!("could not provoke a blocking acquisition with holds up to ~2s");
-    }
-
-    #[test]
-    fn data_addr_is_stable() {
-        let lock = InstrumentedLock::new(1u8);
-        let a = lock.data_addr();
-        let _g = lock.lock();
-        assert_eq!(a, lock.data_addr());
-        assert_ne!(a, 0);
     }
 }

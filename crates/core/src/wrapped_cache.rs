@@ -160,7 +160,6 @@ mod tests {
             let cfg = WrapperConfig {
                 queue_size: s,
                 batch_threshold: (s / 2).max(1),
-                prefetching: s % 2 == 0, // exercise both prefetch settings
             };
             let mut bare = CacheSim::new(PolicyKind::TwoQ.build(16));
             let mut wrapped = WrappedCache::new(PolicyKind::TwoQ.build(16), cfg);

@@ -1,5 +1,5 @@
-//! The BP-Wrapper framework (paper §III, Fig. 4): batching + prefetching
-//! around an *unmodified* replacement policy.
+//! The BP-Wrapper framework (paper §III, Fig. 4): batching around an
+//! *unmodified* replacement policy.
 //!
 //! ```text
 //! replacement_for_page_hit(p):            replacement_for_page_miss(p):
@@ -31,7 +31,6 @@ use bpw_replacement::{FrameId, MissOutcome, PageId, ReplacementPolicy};
 
 use crate::config::WrapperConfig;
 use crate::lock::{InstrumentedLock, LockGuard};
-use crate::prefetch::Prefetcher;
 use crate::queue::{AccessEntry, AccessQueue};
 
 /// Counters specific to the wrapper (beyond the lock statistics). All
@@ -56,13 +55,12 @@ pub struct WrapperCounters {
     pub batches: HeldCounter,
 }
 
-/// A replacement policy wrapped with the paper's batching and prefetching
-/// techniques. Clone an [`AccessHandle`] per worker thread via
+/// A replacement policy wrapped with the paper's batching technique.
+/// Clone an [`AccessHandle`] per worker thread via
 /// [`BpWrapper::handle`].
 pub struct BpWrapper<P: ReplacementPolicy> {
     lock: InstrumentedLock<P>,
     config: WrapperConfig,
-    prefetcher: Prefetcher,
     counters: WrapperCounters,
     /// Per-frame admission generation: [`invalidate`](Self::invalidate)
     /// bumps it under the lock, each queued admission carries the value
@@ -77,27 +75,10 @@ impl<P: ReplacementPolicy> BpWrapper<P> {
     /// Wrap `policy` with the given configuration.
     pub fn new(policy: P, config: WrapperConfig) -> Self {
         config.validate();
-        let region = policy.node_region();
-        // A policy that is its own header moves with the wrapper, so its
-        // address is taken at each commit; one behind a pointer (a boxed
-        // policy) reports the heap struct, which stays put.
-        let (header, header_len) = policy.header_span();
-        let behind_pointer = header != &policy as *const P as usize;
         let admit_gens = (0..policy.frames()).map(|_| AtomicU32::new(0)).collect();
-        let lock = InstrumentedLock::new(policy);
-        let prefetcher = if config.prefetching {
-            Prefetcher::new(
-                std::mem::size_of::<P>(),
-                behind_pointer.then_some((header, header_len)),
-                region,
-            )
-        } else {
-            Prefetcher::disabled()
-        };
         BpWrapper {
-            lock,
+            lock: InstrumentedLock::new(policy),
             config,
-            prefetcher,
             counters: WrapperCounters::default(),
             admit_gens,
         }
@@ -151,13 +132,6 @@ impl<P: ReplacementPolicy> BpWrapper<P> {
         let mut guard = self.lock.lock();
         self.admit_gens[frame as usize].fetch_add(1, Ordering::Relaxed);
         guard.remove(frame)
-    }
-
-    /// Warm the lock and the policy for a commit of `entries`.
-    #[inline]
-    fn prefetch(&self, entries: &[AccessEntry]) {
-        self.prefetcher
-            .prefetch_for_commit(self.lock.data_addr(), entries);
     }
 
     /// One critical section's commit: apply this thread's queue, then
@@ -301,7 +275,6 @@ impl<'w, P: ReplacementPolicy, W: Deref<Target = BpWrapper<P>>> AccessHandle<'w,
         if self.queue.len() < w.config.batch_threshold {
             return;
         }
-        w.prefetch(self.queue.entries());
         let acquired = if w.config.batching() {
             w.lock.try_lock()
         } else {
@@ -363,7 +336,6 @@ impl<'w, P: ReplacementPolicy, W: Deref<Target = BpWrapper<P>>> AccessHandle<'w,
         let w = &*self.wrapper;
         bpw_dst::yield_point();
         w.counters.accesses.incr();
-        w.prefetch(self.queue.entries());
         let mut guard = w.lock.lock();
         w.commit_locked(&mut guard, &mut self.queue);
         let out = guard.record_miss(page, free, evictable);
@@ -397,7 +369,6 @@ impl<'w, P: ReplacementPolicy, W: Deref<Target = BpWrapper<P>>> AccessHandle<'w,
             return;
         }
         let w = &*self.wrapper;
-        w.prefetch(self.queue.entries());
         let mut guard = w.lock.lock();
         w.commit_locked(&mut guard, &mut self.queue);
     }
@@ -603,32 +574,9 @@ mod tests {
     }
 
     #[test]
-    fn prefetcher_warms_a_boxed_policy_where_it_lives() {
-        use bpw_replacement::TwoQ;
-        let policy: Box<dyn ReplacementPolicy> = Box::new(TwoQ::new(64));
-        let inner = &*policy as *const dyn ReplacementPolicy as *const u8 as usize;
-        let w = BpWrapper::new(policy, WrapperConfig::default());
-        assert_eq!(
-            w.prefetcher.header(),
-            Some((inner, std::mem::size_of::<TwoQ>().min(256))),
-            "the boxed TwoQ, not the fat pointer beside the lock word"
-        );
-        // A policy held by value is its own header and moves with the
-        // wrapper: it is warmed at the lock's address, taken per commit.
-        let by_value = BpWrapper::new(TwoQ::new(64), WrapperConfig::default());
-        assert_eq!(by_value.prefetcher.header(), None);
-    }
-
-    #[test]
     fn lock_per_access_config_locks_every_hit() {
-        // For every preset: S = 1 takes the lock once per hit, S >= 2
-        // does not.
-        for cfg in [
-            WrapperConfig::lock_per_access(),
-            WrapperConfig::prefetching_only(),
-            WrapperConfig::batching_only(),
-            WrapperConfig::batching_and_prefetching(),
-        ] {
+        // S = 1 takes the lock once per hit, S >= 2 does not.
+        for cfg in [WrapperConfig::lock_per_access(), WrapperConfig::default()] {
             let w = warmed(4, cfg);
             let base = w.lock_stats().snapshot().acquisitions;
             let mut h = w.handle();

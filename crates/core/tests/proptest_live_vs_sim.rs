@@ -32,7 +32,6 @@ proptest! {
         let cfg = WrapperConfig {
             queue_size,
             batch_threshold: threshold,
-            prefetching: false,
         };
         let mut shadow = CacheSim::new(kind.build(frames)).with_eviction_log();
         let mut live = WrappedCache::new(kind.build(frames), cfg).with_eviction_log();

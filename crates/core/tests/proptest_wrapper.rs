@@ -24,14 +24,12 @@ proptest! {
         frames in 2usize..24,
         queue_size in 1usize..96,
         threshold_frac in 1usize..=100,
-        prefetching in any::<bool>(),
         trace in prop::collection::vec(0u64..64, 1..600),
     ) {
         let threshold = ((queue_size * threshold_frac) / 100).clamp(1, queue_size);
         let cfg = WrapperConfig {
             queue_size,
             batch_threshold: threshold,
-            prefetching,
         };
         let mut bare = CacheSim::new(kind.build(frames));
         let mut wrapped = WrappedCache::new(kind.build(frames), cfg);
@@ -74,7 +72,6 @@ proptest! {
         let cfg = WrapperConfig {
             queue_size,
             batch_threshold: threshold,
-            prefetching: false,
         };
         let frames = 16;
         let mut wrapped = WrappedCache::new(PolicyKind::Lru.build(frames), cfg);

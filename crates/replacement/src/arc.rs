@@ -10,7 +10,7 @@
 use crate::arena::{Arena, List};
 use crate::frame_table::FrameTable;
 use crate::linked_set::LinkedSet;
-use crate::traits::{FrameId, MissOutcome, NodeRegion, PageId, ReplacementPolicy};
+use crate::traits::{FrameId, MissOutcome, PageId, ReplacementPolicy};
 
 /// The ARC replacement policy.
 pub struct Arc {
@@ -184,15 +184,6 @@ impl ReplacementPolicy for Arc {
 
     fn page_at(&self, frame: FrameId) -> Option<PageId> {
         self.table.page_at(frame)
-    }
-
-    fn node_region(&self) -> Option<NodeRegion> {
-        let (base, stride) = self.arena.raw_parts();
-        Some(NodeRegion {
-            base,
-            stride,
-            count: self.frames(),
-        })
     }
 
     fn check_invariants(&self) {

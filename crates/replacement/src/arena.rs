@@ -6,8 +6,6 @@
 //! and by allocated ghost slots above `frames` for history entries — gives:
 //!
 //! * O(1) insert/remove/move with no per-operation allocation,
-//! * stable addresses for BP-Wrapper's prefetch technique (the node for
-//!   frame `f` lives at a fixed offset for the lifetime of the policy),
 //! * cheap membership tests via an owner tag per node.
 
 /// Sentinel index meaning "no node".
@@ -62,14 +60,6 @@ impl Arena {
             len: 0,
             id,
         }
-    }
-
-    /// Address of node 0 and the byte stride between nodes, for building
-    /// a [`NodeRegion`](crate::traits::NodeRegion). The node storage is
-    /// allocated once in [`Arena::new`] and never grows or moves, so the
-    /// addresses are stable for the arena's lifetime.
-    pub fn raw_parts(&self) -> (usize, usize) {
-        (self.nodes.as_ptr() as usize, std::mem::size_of::<Node>())
     }
 
     /// Owner list id of `node`, or `NO_LIST`.

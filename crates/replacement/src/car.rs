@@ -8,7 +8,7 @@
 use crate::arena::{Arena, List};
 use crate::frame_table::FrameTable;
 use crate::linked_set::LinkedSet;
-use crate::traits::{FrameId, MissOutcome, NodeRegion, PageId, ReplacementPolicy};
+use crate::traits::{FrameId, MissOutcome, PageId, ReplacementPolicy};
 
 /// The CAR replacement policy: two clocks `T1` (recency) and `T2`
 /// (frequency) plus ghost lists `B1`/`B2` driving the adaptive target `p`.
@@ -216,15 +216,6 @@ impl ReplacementPolicy for Car {
 
     fn page_at(&self, frame: FrameId) -> Option<PageId> {
         self.table.page_at(frame)
-    }
-
-    fn node_region(&self) -> Option<NodeRegion> {
-        let (base, stride) = self.arena.raw_parts();
-        Some(NodeRegion {
-            base,
-            stride,
-            count: self.frames(),
-        })
     }
 
     fn check_invariants(&self) {

@@ -8,7 +8,7 @@
 //! path with no lock at all (atomic bit set), exactly as PostgreSQL does.
 
 use crate::frame_table::FrameTable;
-use crate::traits::{FrameId, MissOutcome, NodeRegion, PageId, ReplacementPolicy};
+use crate::traits::{FrameId, MissOutcome, PageId, ReplacementPolicy};
 
 /// CLOCK replacement: frames arranged in a ring swept by a hand; a hit
 /// sets the frame's reference bit; the hand clears bits until it finds an
@@ -107,15 +107,6 @@ impl ReplacementPolicy for Clock {
 
     fn page_at(&self, frame: FrameId) -> Option<PageId> {
         self.table.page_at(frame)
-    }
-
-    fn node_region(&self) -> Option<NodeRegion> {
-        // CLOCK's only per-frame metadata is the reference-bit array.
-        Some(NodeRegion {
-            base: self.referenced.as_ptr() as usize,
-            stride: std::mem::size_of::<bool>(),
-            count: self.frames(),
-        })
     }
 
     fn check_invariants(&self) {

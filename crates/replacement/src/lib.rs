@@ -53,7 +53,7 @@ pub use lirs::Lirs;
 pub use lru::Lru;
 pub use mq::Mq;
 pub use seq_lru::SeqLru;
-pub use traits::{FrameId, MissOutcome, NodeRegion, PageId, ReplacementPolicy};
+pub use traits::{FrameId, MissOutcome, PageId, ReplacementPolicy};
 pub use two_q::TwoQ;
 
 /// Every policy in this crate, for building sweeps over algorithms.
@@ -201,12 +201,6 @@ impl ReplacementPolicy for Box<dyn ReplacementPolicy> {
     }
     fn check_invariants(&self) {
         (**self).check_invariants()
-    }
-    fn node_region(&self) -> Option<NodeRegion> {
-        (**self).node_region()
-    }
-    fn header_span(&self) -> (usize, usize) {
-        (**self).header_span()
     }
 }
 

@@ -29,7 +29,7 @@ use std::collections::HashMap;
 use crate::arena::{Arena, GhostSlots, List};
 use crate::frame_table::FrameTable;
 use crate::linked_set::LinkedSet;
-use crate::traits::{FrameId, MissOutcome, NodeRegion, PageId, ReplacementPolicy};
+use crate::traits::{FrameId, MissOutcome, PageId, ReplacementPolicy};
 
 /// Percent of frames allocated to resident HIR pages (paper: 1%).
 const HIR_PERCENT: usize = 1;
@@ -336,15 +336,6 @@ impl ReplacementPolicy for Lirs {
 
     fn page_at(&self, frame: FrameId) -> Option<PageId> {
         self.table.page_at(frame)
-    }
-
-    fn node_region(&self) -> Option<NodeRegion> {
-        let (base, stride) = self.arena.raw_parts();
-        Some(NodeRegion {
-            base,
-            stride,
-            count: self.frames(),
-        })
     }
 
     fn check_invariants(&self) {

@@ -3,7 +3,7 @@
 
 use crate::arena::{Arena, List};
 use crate::frame_table::FrameTable;
-use crate::traits::{FrameId, MissOutcome, NodeRegion, PageId, ReplacementPolicy};
+use crate::traits::{FrameId, MissOutcome, PageId, ReplacementPolicy};
 
 /// Classic LRU over a fixed set of frames. A single list, MRU at the
 /// front; eviction takes the least recently used evictable frame.
@@ -86,15 +86,6 @@ impl ReplacementPolicy for Lru {
 
     fn page_at(&self, frame: FrameId) -> Option<PageId> {
         self.table.page_at(frame)
-    }
-
-    fn node_region(&self) -> Option<NodeRegion> {
-        let (base, stride) = self.arena.raw_parts();
-        Some(NodeRegion {
-            base,
-            stride,
-            count: self.frames(),
-        })
     }
 
     fn check_invariants(&self) {

@@ -19,7 +19,7 @@ use std::collections::HashMap;
 use crate::arena::{Arena, List};
 use crate::frame_table::FrameTable;
 use crate::linked_set::LinkedSet;
-use crate::traits::{FrameId, MissOutcome, NodeRegion, PageId, ReplacementPolicy};
+use crate::traits::{FrameId, MissOutcome, PageId, ReplacementPolicy};
 
 /// Number of queues in the ladder (paper: 8).
 const NUM_QUEUES: usize = 8;
@@ -195,15 +195,6 @@ impl ReplacementPolicy for Mq {
 
     fn page_at(&self, frame: FrameId) -> Option<PageId> {
         self.table.page_at(frame)
-    }
-
-    fn node_region(&self) -> Option<NodeRegion> {
-        let (base, stride) = self.arena.raw_parts();
-        Some(NodeRegion {
-            base,
-            stride,
-            count: self.frames(),
-        })
     }
 
     fn check_invariants(&self) {

@@ -24,7 +24,7 @@
 
 use crate::arena::{Arena, List};
 use crate::frame_table::FrameTable;
-use crate::traits::{FrameId, MissOutcome, NodeRegion, PageId, ReplacementPolicy};
+use crate::traits::{FrameId, MissOutcome, PageId, ReplacementPolicy};
 
 /// Consecutive-page run length after which accesses count as
 /// sequential.
@@ -196,15 +196,6 @@ impl ReplacementPolicy for SeqLru {
 
     fn page_at(&self, frame: FrameId) -> Option<PageId> {
         self.table.page_at(frame)
-    }
-
-    fn node_region(&self) -> Option<NodeRegion> {
-        let (base, stride) = self.arena.raw_parts();
-        Some(NodeRegion {
-            base,
-            stride,
-            count: self.frames(),
-        })
     }
 
     fn check_invariants(&self) {

@@ -7,8 +7,8 @@
 //! consult their history of evicted pages.
 //!
 //! This frame-centric design mirrors how PostgreSQL embeds replacement
-//! metadata in each `BufferDesc`, and is what lets the BP-Wrapper prefetch
-//! technique compute stable addresses for the metadata of queued accesses.
+//! metadata in each `BufferDesc`: a queued hit needs only the frame id to
+//! reach its metadata when the batch commits.
 
 /// Identifier of an on-disk page (what the paper calls a `BufferTag`,
 /// flattened to one integer).
@@ -45,35 +45,6 @@ impl MissOutcome {
             MissOutcome::Evicted { victim, .. } => Some(victim),
             _ => None,
         }
-    }
-}
-
-/// A stable memory region holding per-frame policy metadata, exposed for
-/// BP-Wrapper's prefetch technique.
-///
-/// The paper prefetches "the forward and/or backward pointers involved in
-/// the movement of accessed pages" before acquiring the lock. Policies in
-/// this crate keep those pointers in a fixed-size node arena whose
-/// allocation never moves or grows, so the address of frame `f`'s node is
-/// `base + f * stride` for the lifetime of the policy.
-///
-/// Addresses are carried as `usize` so the descriptor is `Send + Sync`;
-/// they are only ever passed to a hardware prefetch instruction, never
-/// dereferenced, so concurrent mutation of the nodes is harmless.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NodeRegion {
-    /// Address of the node for frame 0.
-    pub base: usize,
-    /// Bytes between consecutive frame nodes.
-    pub stride: usize,
-    /// Number of frame nodes (prefetching beyond `count` is invalid).
-    pub count: usize,
-}
-
-impl NodeRegion {
-    /// Address of the node for `frame`, if in range.
-    pub fn addr_of(&self, frame: FrameId) -> Option<usize> {
-        ((frame as usize) < self.count).then(|| self.base + frame as usize * self.stride)
     }
 }
 
@@ -147,24 +118,6 @@ pub trait ReplacementPolicy: Send {
     /// Validate internal invariants, panicking on violation.
     /// No-op by default; every policy in this crate overrides it.
     fn check_invariants(&self) {}
-
-    /// Stable region of per-frame metadata for lock-free prefetching,
-    /// if the policy can expose one. See [`NodeRegion`].
-    fn node_region(&self) -> Option<NodeRegion> {
-        None
-    }
-
-    /// The policy's header — list heads, counters — as `(address,
-    /// bytes)`, for prefetching before the lock is requested. The
-    /// default is the policy value itself; a policy held behind a
-    /// pointer (`Box<dyn ReplacementPolicy>`) forwards, so the span is
-    /// the heap struct's rather than the pointer's.
-    fn header_span(&self) -> (usize, usize) {
-        (
-            self as *const Self as *const u8 as usize,
-            std::mem::size_of_val(self),
-        )
-    }
 }
 
 /// Convenience: record a miss with no free frame and no eviction filter.

@@ -13,8 +13,8 @@ fn main() {
     // 1. Any ReplacementPolicy works unmodified; LIRS here.
     let policy = Lirs::new(frames);
 
-    // 2. Wrap it. Defaults: queue size S = 64, batch threshold T = 32,
-    //    batching + prefetching on (the paper's pgBatPre).
+    // 2. Wrap it. Defaults: queue size S = 64, batch threshold T = 32:
+    //    the paper's batching technique (pgBat).
     let wrapper = BpWrapper::new(policy, WrapperConfig::default());
 
     // 3. Pre-warm the buffer (the paper's scalability setup: the working

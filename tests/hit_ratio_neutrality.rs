@@ -13,13 +13,12 @@ fn workload_trace(kind: WorkloadKind, txns: usize) -> Vec<u64> {
     interleaved_trace(&*kind.build(), 4, txns, 0xFEED)
 }
 
-/// Table I's commit configurations: one lock per access (`pgQ`),
-/// batching (`pgBat`), and batching with prefetching (`pgBatPre`).
-fn commit_configs() -> [(&'static str, WrapperConfig); 3] {
+/// Table I's commit configurations: one lock per access (`pgQ`) and
+/// batching (`pgBat`).
+fn commit_configs() -> [(&'static str, WrapperConfig); 2] {
     [
         ("pgQ", WrapperConfig::lock_per_access()),
-        ("pgBat", WrapperConfig::batching_only()),
-        ("pgBatPre", WrapperConfig::default()),
+        ("pgBat", WrapperConfig::default()),
     ]
 }
 
