@@ -1,6 +1,7 @@
 //! The buffer pool's lock census, per operation: a hit, read or write,
 //! takes no lock and touches no heap; a miss on a full pool or an
-//! `invalidate` takes a fixed number of locks; building a pool allocates
+//! `invalidate` takes a fixed number of locks; pgQ (a queue of one) adds
+//! the replacement lock to every access; building a pool allocates
 //! the same at any size. Each test pins its rows of
 //! the cost table (`costs/mod.rs`). The cells they pin are thread-local,
 //! so the tests run side by side.
@@ -195,6 +196,49 @@ fn a_miss_on_a_full_pool_takes_no_free_list_lock() {
         // `SimDisk` stripe to read) + 1 per k = 8 victims evicted ahead: the
         // free list of a full pool answers "empty" from its count.
         ("clean miss, full pool (k = 8)", MISSES, local(800, 0, 0), misses),
+    ]);
+}
+
+#[test]
+fn pgq_takes_the_replacement_lock_on_every_access() {
+    // pgQ is the wrapper at a queue of one: every access commits under a
+    // blocking lock of its own.
+    let pool = pool_with(WrapperConfig::lock_per_access());
+    let mut session = pool.session();
+    let fills = cost(|| {
+        for page in 0..FRAMES as u64 {
+            drop(session.fetch(page).expect("instant disk"));
+        }
+    });
+    assert_eq!(pool.free_frames(), 0, "the pool must be full");
+    let hits = cost(|| {
+        for i in 0..HITS {
+            let pin = session.fetch(i % 8).expect("resident");
+            pin.read(|d| assert_eq!(d[..8], (i % 8).to_le_bytes()));
+        }
+    });
+    for page in FRAMES as u64..WARM_PAGES {
+        drop(session.fetch(page).expect("instant disk"));
+    }
+    let before = hits_and_misses(&pool);
+    let replacement = pool.manager().lock_snapshot().acquisitions;
+    let misses = cost(|| {
+        for page in 10_000..10_000 + MISSES {
+            drop(session.fetch(page).expect("instant disk"));
+        }
+    });
+    assert_eq!(hits_and_misses(&pool), (before.0, before.1 + MISSES));
+    assert_eq!(pool.stats().writebacks.load(Ordering::Relaxed), 0);
+    let replacement = pool.manager().lock_snapshot().acquisitions - replacement;
+    assert_eq!(replacement, MISSES, "k = 1: one victim per acquisition");
+    #[rustfmt::skip]
+    check(&[
+        // Its partition lock, the free list's, a `SimDisk` stripe, the replacement lock.
+        ("pgQ miss into a free frame", FRAMES as u64, local(256, 0, 0), fills),
+        // The replacement lock alone: S = 1 commits every hit at once.
+        ("pgQ hit: fetch, read, unpin", HITS, local(1000, 0, 0), hits),
+        // A clean miss's 3 (partition, victim's unmap, stripe) + the replacement lock.
+        ("pgQ clean miss, full pool (k = 1)", MISSES, local(1024, 0, 0), misses),
     ]);
 }
 

@@ -5,8 +5,8 @@
 //! shard, which is also the miss path's only lock), buffer descriptors
 //! whose pins latch the page's bytes, simulated storage, and pluggable
 //! replacement managers covering the paper's three synchronization
-//! schemes (coarse lock per access, lock-free CLOCK hits, and
-//! BP-Wrapper).
+//! schemes with two managers: lock-free CLOCK hits, and BP-Wrapper,
+//! which at a queue of one takes a lock per access.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -35,8 +35,6 @@ pub mod storage;
 
 pub use desc::{BufferDesc, DescState, PinAttempt, UnpinOutcome};
 pub use free_list::FreeList;
-pub use managers::{
-    ClockManager, CoarseManager, ManagerHandle, ReplacementManager, WrappedManager,
-};
+pub use managers::{ClockManager, ManagerHandle, ReplacementManager, WrappedManager};
 pub use pool::{BufferPool, InvalidateOutcome, PinnedPage, PoolSession, PoolStats};
 pub use storage::{FaultPlan, FaultyDisk, SimDisk, Storage};

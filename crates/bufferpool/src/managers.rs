@@ -1,14 +1,13 @@
 //! Replacement managers: how the pool talks to its replacement
-//! algorithm. Three synchronization styles, matching the paper's tested
+//! algorithm. Two synchronization styles cover the paper's tested
 //! systems:
 //!
-//! * [`CoarseManager`] — any policy behind one lock, acquired on every
-//!   access (the `pgQ` baseline).
 //! * [`ClockManager`] — CLOCK with PostgreSQL's lock-free hit path
 //!   (atomic reference bits); the lock is taken only on misses
 //!   (`pgClock`, the scalability gold standard).
-//! * [`WrappedManager`] — any policy behind BP-Wrapper (`pgBat`, and
-//!   with `S = 1` the same lock-per-access commits as `pgQ`).
+//! * [`WrappedManager`] — any policy behind BP-Wrapper: `pgBat` by
+//!   default, and `pgQ` (one blocking lock per access) at
+//!   [`WrapperConfig::lock_per_access`], a queue of one.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -26,7 +25,7 @@ pub trait ManagerHandle {
     /// `page` was read into `frame`, a frame the manager does not track
     /// (popped from the free list or from the session's stash of frames
     /// evicted ahead): record its admission. A wrapped handle queues it
-    /// like a hit; the others record it under the lock at once.
+    /// like a hit; the clock handle records it under its lock at once.
     fn on_admit(&mut self, page: PageId, frame: FrameId);
 
     /// `page` missed on a full pool: choose a victim among the frames
@@ -45,7 +44,8 @@ pub trait ManagerHandle {
     /// part of that eviction rather than as an access of its own: the
     /// pool gives a victim that a pin still held its frame back, or
     /// moves the miss into another victim's frame. A wrapped handle
-    /// leaves it out of its access count; the others admit as usual.
+    /// leaves it out of its access count; the clock handle admits as
+    /// usual.
     fn on_readmit(&mut self, page: PageId, frame: FrameId) {
         self.on_admit(page, frame);
     }
@@ -70,7 +70,7 @@ pub trait ReplacementManager: Send + Sync {
     fn lock_snapshot(&self) -> LockSnapshot;
 
     /// Queued admissions dropped at commit because their frame was
-    /// invalidated meanwhile (0 for managers that admit at once).
+    /// invalidated meanwhile (0 for the clock, which admits at once).
     fn stale_admissions(&self) -> u64 {
         0
     }
@@ -109,79 +109,6 @@ impl<M: ReplacementManager + ?Sized> ReplacementManager for Box<M> {
 
     fn export_state(&self) -> Vec<(FrameId, PageId)> {
         (**self).export_state()
-    }
-}
-
-// --- Coarse: one lock, acquired per access -------------------------------
-
-/// Any policy behind a single lock taken on every hit and miss.
-pub struct CoarseManager<P: ReplacementPolicy> {
-    lock: InstrumentedLock<P>,
-    /// The policy's name, read at construction so that naming the
-    /// manager takes no lock the lock statistics would count.
-    policy: &'static str,
-}
-
-impl<P: ReplacementPolicy> CoarseManager<P> {
-    /// Wrap `policy`.
-    pub fn new(policy: P) -> Self {
-        CoarseManager {
-            policy: policy.name(),
-            lock: InstrumentedLock::new(policy),
-        }
-    }
-}
-
-impl<P: ReplacementPolicy> ReplacementManager for CoarseManager<P> {
-    fn name(&self) -> String {
-        format!("coarse({})", self.policy)
-    }
-
-    fn handle(&self) -> Box<dyn ManagerHandle + '_> {
-        Box::new(CoarseHandle { mgr: self })
-    }
-
-    fn invalidate(&self, frame: FrameId) {
-        self.lock.lock().remove(frame);
-    }
-
-    fn lock_snapshot(&self) -> LockSnapshot {
-        self.lock.stats().snapshot()
-    }
-
-    fn export_state(&self) -> Vec<(FrameId, PageId)> {
-        self.lock.lock().resident_pages()
-    }
-}
-
-struct CoarseHandle<'m, P: ReplacementPolicy> {
-    mgr: &'m CoarseManager<P>,
-}
-
-impl<'m, P: ReplacementPolicy> ManagerHandle for CoarseHandle<'m, P> {
-    fn on_hit(&mut self, _page: PageId, frame: FrameId) {
-        let mut g = self.mgr.lock.lock();
-        g.record_hit(frame);
-        g.cover_accesses(1);
-    }
-
-    fn on_admit(&mut self, page: PageId, frame: FrameId) {
-        let mut g = self.mgr.lock.lock();
-        let out = g.record_miss(page, Some(frame), &mut |_| true);
-        debug_assert_eq!(out, MissOutcome::AdmittedFree(frame));
-        g.cover_accesses(1);
-    }
-
-    fn on_evict(
-        &mut self,
-        page: PageId,
-        evictable: &mut dyn FnMut(FrameId) -> bool,
-        _extra: &mut Vec<(FrameId, PageId)>,
-    ) -> MissOutcome {
-        let mut g = self.mgr.lock.lock();
-        let out = g.record_miss(page, None, evictable);
-        g.cover_accesses(1);
-        out
     }
 }
 
@@ -398,21 +325,6 @@ mod tests {
     use bpw_replacement::TwoQ;
 
     #[test]
-    fn coarse_manager_locks_per_access() {
-        let m = CoarseManager::new(TwoQ::new(4));
-        let mut h = m.handle();
-        for i in 0..4u64 {
-            h.on_admit(i, i as u32);
-        }
-        h.on_hit(0, 0);
-        h.on_hit(1, 1);
-        drop(h);
-        let snap = m.lock_snapshot();
-        assert_eq!(snap.acquisitions, 6);
-        assert_eq!(snap.accesses_covered, 6);
-    }
-
-    #[test]
     fn clock_manager_hits_without_lock() {
         let m = ClockManager::new(4);
         let mut h = m.handle();
@@ -510,13 +422,6 @@ mod tests {
 
     #[test]
     fn names_are_informative() {
-        let coarse = CoarseManager::new(TwoQ::new(2));
-        assert!(coarse.name().contains("2Q"));
-        assert_eq!(
-            coarse.lock_snapshot().acquisitions,
-            0,
-            "naming the manager takes no counted lock"
-        );
         assert!(ClockManager::new(2).name().contains("clock"));
         let w = WrappedManager::new(TwoQ::new(2), WrapperConfig::default());
         assert!(w.name().contains("S=64"));

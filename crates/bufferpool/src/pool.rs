@@ -1073,18 +1073,18 @@ impl<'p, M: ReplacementManager> Drop for PinnedPage<'p, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::managers::{ClockManager, CoarseManager, WrappedManager};
+    use crate::managers::{ClockManager, WrappedManager};
     use crate::storage::SimDisk;
     use bpw_core::WrapperConfig;
     use bpw_replacement::{Lirs, ReplacementPolicy, TwoQ};
 
-    fn pool_2q(frames: usize) -> BufferPool<CoarseManager<TwoQ>> {
-        BufferPool::new(
-            frames,
-            128,
-            CoarseManager::new(TwoQ::new(frames)),
-            Arc::new(SimDisk::instant()),
-        )
+    /// `pgQ`: 2Q behind a queue of one, a blocking lock per access.
+    fn pgq(frames: usize) -> WrappedManager<TwoQ> {
+        WrappedManager::new(TwoQ::new(frames), WrapperConfig::lock_per_access())
+    }
+
+    fn pool_2q(frames: usize) -> BufferPool<WrappedManager<TwoQ>> {
+        BufferPool::new(frames, 128, pgq(frames), Arc::new(SimDisk::instant()))
     }
 
     #[test]
@@ -1355,7 +1355,7 @@ mod tests {
         let pool = BufferPool::new(
             frames,
             128,
-            CoarseManager::new(TwoQ::new(frames)),
+            pgq(frames),
             Arc::clone(&disk) as Arc<dyn Storage>,
         );
         disk.break_page_reads(7);
@@ -1405,12 +1405,7 @@ mod tests {
             Arc::new(SimDisk::instant()),
             crate::storage::FaultPlan::default(),
         ));
-        let pool = BufferPool::new(
-            4,
-            128,
-            CoarseManager::new(TwoQ::new(4)),
-            Arc::clone(&disk) as Arc<dyn Storage>,
-        );
+        let pool = BufferPool::new(4, 128, pgq(4), Arc::clone(&disk) as Arc<dyn Storage>);
         let stats = pool.stats();
         disk.fail_next_reads(MAX_IO_RETRIES as u64); // the whole retry budget
         let mut s = pool.session();
@@ -1437,12 +1432,7 @@ mod tests {
             Arc::new(SimDisk::instant()),
             crate::storage::FaultPlan::default(),
         ));
-        let pool = BufferPool::new(
-            1,
-            128,
-            CoarseManager::new(TwoQ::new(1)),
-            Arc::clone(&disk) as Arc<dyn Storage>,
-        );
+        let pool = BufferPool::new(1, 128, pgq(1), Arc::clone(&disk) as Arc<dyn Storage>);
         let mut s = pool.session();
         let p = s.fetch(1).unwrap();
         p.write(|d| d[9] = 0xEE);
@@ -1472,12 +1462,7 @@ mod tests {
             Arc::new(SimDisk::instant()),
             crate::storage::FaultPlan::default(),
         ));
-        let pool = BufferPool::new(
-            8,
-            64,
-            CoarseManager::new(TwoQ::new(8)),
-            Arc::clone(&disk) as Arc<dyn Storage>,
-        );
+        let pool = BufferPool::new(8, 64, pgq(8), Arc::clone(&disk) as Arc<dyn Storage>);
         // Only the reads in flight when the faults run out (one per
         // thread, at most MAX_IO_RETRIES faults each) can succeed after a
         // fault; every other read that meets one uses up its budget and
@@ -1545,7 +1530,7 @@ mod tests {
         let pool = BufferPool::new(
             frames,
             128,
-            CoarseManager::new(TwoQ::new(frames)),
+            pgq(frames),
             Arc::clone(&disk) as Arc<dyn Storage>,
         );
         let bad = 7u64;
@@ -1973,12 +1958,7 @@ mod tests {
     #[test]
     fn a_pool_keeps_resident_only_the_frames_it_filled() {
         let (frames, page_size, filled) = (1024, 4096, 256);
-        let pool = BufferPool::new(
-            frames,
-            page_size,
-            CoarseManager::new(TwoQ::new(frames)),
-            Arc::new(SimDisk::instant()),
-        );
+        let pool = BufferPool::new(frames, page_size, pgq(frames), Arc::new(SimDisk::instant()));
         let mut s = pool.session();
         for page in 0..filled as u64 {
             drop(s.fetch(page).unwrap());

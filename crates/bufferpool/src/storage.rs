@@ -163,14 +163,6 @@ impl Storage for SimDisk {
 pub struct FaultPlan {
     /// Seed for the probabilistic fault draws.
     pub seed: u64,
-    /// Fail the next N reads (transient; decrements per injected fault).
-    pub fail_next_reads: u64,
-    /// Fail the next N writes (transient).
-    pub fail_next_writes: u64,
-    /// Pages whose reads always fail until the plan is cleared.
-    pub broken_read_pages: Vec<PageId>,
-    /// Pages whose writes always fail until the plan is cleared.
-    pub broken_write_pages: Vec<PageId>,
     /// Per-million probability that any read fails (transient).
     pub read_fail_ppm: u32,
     /// Per-million probability that any write fails (transient).
@@ -185,10 +177,6 @@ impl Default for FaultPlan {
     fn default() -> Self {
         FaultPlan {
             seed: 0xFA_17,
-            fail_next_reads: 0,
-            fail_next_writes: 0,
-            broken_read_pages: Vec::new(),
-            broken_write_pages: Vec::new(),
             read_fail_ppm: 0,
             write_fail_ppm: 0,
             spike_ppm: 0,
@@ -201,7 +189,6 @@ impl Default for FaultPlan {
 struct FaultState {
     rng: u64,
     fail_next_reads: u64,
-    fail_next_writes: u64,
     broken_reads: HashSet<PageId>,
     broken_writes: HashSet<PageId>,
     read_fail_ppm: u32,
@@ -225,11 +212,11 @@ pub struct FaultyDisk {
     inner: std::sync::Arc<dyn Storage>,
     state: Mutex<FaultState>,
     /// Read faults injected so far.
-    pub injected_read_faults: AtomicU64,
+    injected_read_faults: AtomicU64,
     /// Write faults injected so far.
-    pub injected_write_faults: AtomicU64,
+    injected_write_faults: AtomicU64,
     /// Latency spikes injected so far.
-    pub injected_spikes: AtomicU64,
+    injected_spikes: AtomicU64,
 }
 
 impl FaultyDisk {
@@ -239,10 +226,9 @@ impl FaultyDisk {
             inner,
             state: Mutex::new(FaultState {
                 rng: plan.seed,
-                fail_next_reads: plan.fail_next_reads,
-                fail_next_writes: plan.fail_next_writes,
-                broken_reads: plan.broken_read_pages.into_iter().collect(),
-                broken_writes: plan.broken_write_pages.into_iter().collect(),
+                fail_next_reads: 0,
+                broken_reads: HashSet::new(),
+                broken_writes: HashSet::new(),
                 read_fail_ppm: plan.read_fail_ppm,
                 write_fail_ppm: plan.write_fail_ppm,
                 spike_ppm: plan.spike_ppm,
@@ -279,7 +265,6 @@ impl FaultyDisk {
     pub fn clear_faults(&self) {
         let mut s = self.state.lock();
         s.fail_next_reads = 0;
-        s.fail_next_writes = 0;
         s.broken_reads.clear();
         s.broken_writes.clear();
         s.read_fail_ppm = 0;
@@ -303,13 +288,8 @@ impl FaultyDisk {
         if broken {
             return (true, spike);
         }
-        let budget = if write {
-            &mut s.fail_next_writes
-        } else {
-            &mut s.fail_next_reads
-        };
-        if *budget > 0 {
-            *budget -= 1;
+        if !write && s.fail_next_reads > 0 {
+            s.fail_next_reads -= 1;
             return (true, spike);
         }
         let ppm = if write {

@@ -16,7 +16,8 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use bpw_bufferpool::{BufferPool, CoarseManager, SimDisk, Storage};
+use bpw_bufferpool::{BufferPool, SimDisk, Storage, WrappedManager};
+use bpw_core::WrapperConfig;
 use bpw_replacement::{Lru, PageId};
 
 const VICTIM: PageId = 1;
@@ -68,7 +69,8 @@ fn refetch_of_a_dirty_victim_waits_for_its_write_back() {
     // Two frames under LRU: page 1 is written then page 2 touched, so
     // fetching page 3 evicts the dirty page 1, and a concurrent miss on
     // page 1 has page 2's frame to take.
-    let pool = BufferPool::new(2, 64, CoarseManager::new(Lru::new(2)), Arc::new(disk));
+    let manager = WrappedManager::new(Lru::new(2), WrapperConfig::lock_per_access());
+    let pool = BufferPool::new(2, 64, manager, Arc::new(disk));
     {
         let mut s = pool.session();
         s.fetch(VICTIM).unwrap().write(|d| d[20] = MARK);

@@ -17,7 +17,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use bpw_bufferpool::{BufferPool, CoarseManager, SimDisk, WrappedManager};
+use bpw_bufferpool::{BufferPool, SimDisk, WrappedManager};
 use bpw_core::WrapperConfig;
 use bpw_replacement::{Lirs, TwoQ};
 
@@ -165,13 +165,13 @@ fn miss_storm_wrapped_pool_invariants_hold() {
 
 #[test]
 fn miss_storm_coarse_single_shard_invariants_hold() {
-    // The same storm against the coarse-lock manager: the correctness
-    // properties are manager-independent.
+    // The same storm against pgQ, a lock per access (a queue of one):
+    // the correctness properties are independent of batching.
     let frames = 32;
     let pool = BufferPool::new(
         frames,
         64,
-        CoarseManager::new(TwoQ::new(frames)),
+        WrappedManager::new(TwoQ::new(frames), WrapperConfig::lock_per_access()),
         Arc::new(SimDisk::instant()),
     );
     storm(&pool, 4, 3000, 512, 0x9E3779B9, 0);

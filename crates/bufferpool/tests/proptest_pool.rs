@@ -6,7 +6,7 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use bpw_bufferpool::{BufferPool, CoarseManager, SimDisk, WrappedManager};
+use bpw_bufferpool::{BufferPool, SimDisk, WrappedManager};
 use bpw_core::WrapperConfig;
 use bpw_replacement::{CacheSim, PolicyKind};
 use proptest::prelude::*;
@@ -24,7 +24,7 @@ proptest! {
         let pool = BufferPool::new(
             frames,
             32,
-            CoarseManager::new(kind.build(frames)),
+            WrappedManager::new(kind.build(frames), WrapperConfig::lock_per_access()),
             Arc::new(SimDisk::instant()),
         );
         let mut reference = CacheSim::new(kind.build(frames));
@@ -64,7 +64,10 @@ proptest! {
         let pool = BufferPool::new(
             frames,
             32,
-            CoarseManager::new(PolicyKind::Lru.build(frames)),
+            WrappedManager::new(
+                PolicyKind::Lru.build(frames),
+                WrapperConfig::lock_per_access(),
+            ),
             Arc::new(SimDisk::instant()),
         );
         let mut session = pool.session();

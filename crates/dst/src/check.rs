@@ -94,7 +94,7 @@ pub struct PinReport {
     pub pins: u64,
     pub unpins: u64,
     /// Largest pin count any single page reached.
-    pub max_pins: u32,
+    max_pins: u32,
 }
 
 /// Checker (d): lock-free pins and unpins balance. A page resides in at
@@ -228,7 +228,7 @@ pub struct ReadYourWritesReport {
     pub writes: u64,
     pub reads: u64,
     /// Evictions of a page written since it was loaded.
-    pub dirty_evictions: u64,
+    dirty_evictions: u64,
     /// Reads of a page whose latest write had been evicted.
     pub reads_through_eviction: u64,
 }

@@ -155,9 +155,8 @@ fn fault_plan(flags: &Flags) -> Result<Option<FaultPlan>, String> {
     if !faulty && read_ppm == 0 && write_ppm == 0 && spike_ppm == 0 {
         return Ok(None);
     }
-    let d = FaultPlan::default();
     Ok(Some(FaultPlan {
-        seed: get(flags, "fault-seed", d.seed)?,
+        seed: get(flags, "fault-seed", FaultPlan::default().seed)?,
         read_fail_ppm: if faulty && read_ppm == 0 {
             20_000
         } else {
@@ -174,7 +173,6 @@ fn fault_plan(flags: &Flags) -> Result<Option<FaultPlan>, String> {
             spike_ppm
         },
         spike: Duration::from_micros(get(flags, "spike-us", 500)?),
-        ..d
     }))
 }
 
@@ -199,9 +197,10 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let config = server_config(flags)?;
     let server = Server::start(config.clone()).map_err(|e| e.to_string())?;
     println!(
-        "bpw-server listening on {} — {} frontend, manager {}, {} workers, policy {}, queue {}",
+        "bpw-server listening on {} — {} frontend, manager {} ({}), {} workers, policy {}, queue {}",
         server.addr(),
         config.mode,
+        config.manager,
         server.pool().manager().name(),
         config.workers,
         config.policy,

@@ -17,8 +17,8 @@ use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use bpw_bufferpool::{
-    BufferPool, ClockManager, CoarseManager, FaultPlan, FaultyDisk, ReplacementManager, SimDisk,
-    Storage, WrappedManager,
+    BufferPool, ClockManager, FaultPlan, FaultyDisk, ReplacementManager, SimDisk, Storage,
+    WrappedManager,
 };
 use bpw_core::WrapperConfig;
 use bpw_replacement::PolicyKind;
@@ -123,8 +123,10 @@ impl Default for ServerConfig {
 /// Build a replacement manager from a spec string:
 ///
 /// * `clock` — PostgreSQL-style CLOCK with lock-free hits
-/// * `coarse-<policy>` — `<policy>` behind one lock per access
-/// * `wrapped-<policy>` — `<policy>` behind BP-Wrapper
+/// * `coarse-<policy>` — `<policy>` behind one lock per access: the
+///   wrapper at [`WrapperConfig::lock_per_access`], the paper's `pgQ`
+/// * `wrapped-<policy>` — `<policy>` behind BP-Wrapper's batching
+///   ([`WrapperConfig::default`], `pgBat`)
 ///
 /// where `<policy>` is anything [`PolicyKind`] parses (`2q`, `lirs`,
 /// `lru`, `arc`, ...).
@@ -133,16 +135,14 @@ pub fn build_manager(spec: &str, frames: usize) -> Result<Box<dyn ReplacementMan
     if spec == "clock" {
         return Ok(Box::new(ClockManager::new(frames)));
     }
-    if let Some(policy) = spec.strip_prefix("coarse-") {
-        let kind: PolicyKind = policy.parse()?;
-        return Ok(Box::new(CoarseManager::new(kind.build(frames))));
-    }
-    if let Some(policy) = spec.strip_prefix("wrapped-") {
-        let kind: PolicyKind = policy.parse()?;
-        return Ok(Box::new(WrappedManager::new(
-            kind.build(frames),
-            WrapperConfig::default(),
-        )));
+    for (prefix, config) in [
+        ("coarse-", WrapperConfig::lock_per_access()),
+        ("wrapped-", WrapperConfig::default()),
+    ] {
+        if let Some(policy) = spec.strip_prefix(prefix) {
+            let kind: PolicyKind = policy.parse()?;
+            return Ok(Box::new(WrappedManager::new(kind.build(frames), config)));
+        }
     }
     Err(format!(
         "unknown manager spec {spec:?} (want clock, coarse-<policy>, or wrapped-<policy>)"

@@ -41,7 +41,6 @@ fn chaos_server(mode: FrontendMode) -> Server {
             write_fail_ppm: 20_000,
             spike_ppm: 10_000,
             spike: Duration::from_micros(200),
-            ..FaultPlan::default()
         }),
         ..ServerConfig::default()
     })

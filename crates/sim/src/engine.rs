@@ -108,9 +108,9 @@ pub struct RunReport {
     pub avg_response_ms: f64,
     /// 95th-percentile transaction response time in milliseconds
     /// (bucket-resolution: within a factor of two).
-    pub p95_response_ms: f64,
+    p95_response_ms: f64,
     /// Worst observed transaction response time in milliseconds.
-    pub max_response_ms: f64,
+    max_response_ms: f64,
     /// Replacement-lock contentions per million page accesses
     /// (the paper's "average lock contention").
     pub contentions_per_million: f64,

@@ -10,7 +10,7 @@ pub struct Trace {
     /// Flattened page accesses.
     pub pages: Vec<u64>,
     /// End offsets (exclusive) of each transaction within `pages`.
-    pub txn_ends: Vec<usize>,
+    txn_ends: Vec<usize>,
 }
 
 impl Trace {

@@ -7,9 +7,7 @@
 
 use std::sync::Arc;
 
-use bpw_bufferpool::{
-    BufferPool, ClockManager, CoarseManager, ReplacementManager, SimDisk, WrappedManager,
-};
+use bpw_bufferpool::{BufferPool, ClockManager, ReplacementManager, SimDisk, WrappedManager};
 use bpw_core::WrapperConfig;
 use bpw_replacement::TwoQ;
 use bpw_workloads::{Tpcc, TpccConfig, Workload};
@@ -79,33 +77,24 @@ fn main() {
             contentions: snap.contentions,
         });
     }
-    {
+    // pgQ and pgBat are one wrapper: a queue of one locks per access.
+    for (name, config) in [
+        (
+            "pgQ       (2Q, lock per access)",
+            WrapperConfig::lock_per_access(),
+        ),
+        ("pgBat     (2Q under BP-Wrapper)", WrapperConfig::default()),
+    ] {
         let pool = BufferPool::new(
             frames,
             256,
-            CoarseManager::new(TwoQ::new(frames)),
+            WrappedManager::new(TwoQ::new(frames), config),
             Arc::new(SimDisk::instant()),
         );
         drive(&pool, &workload, threads, txns);
         let snap = pool.manager().lock_snapshot();
         outcomes.push(Outcome {
-            name: "pgQ       (2Q, lock per access)",
-            hit_ratio: pool.stats().hit_ratio(),
-            acquisitions: snap.acquisitions,
-            contentions: snap.contentions,
-        });
-    }
-    {
-        let pool = BufferPool::new(
-            frames,
-            256,
-            WrappedManager::new(TwoQ::new(frames), WrapperConfig::default()),
-            Arc::new(SimDisk::instant()),
-        );
-        drive(&pool, &workload, threads, txns);
-        let snap = pool.manager().lock_snapshot();
-        outcomes.push(Outcome {
-            name: "pgBatPre  (2Q under BP-Wrapper)",
+            name,
             hit_ratio: pool.stats().hit_ratio(),
             acquisitions: snap.acquisitions,
             contentions: snap.contentions,

@@ -1,14 +1,15 @@
 //! The paper's TableScan scenario end-to-end through the buffer pool:
 //! concurrent threads each scanning whole tables, with the pool backed
-//! by a simulated disk. Compares the coarse-locked 2Q pool against the
-//! BP-wrapped 2Q pool on real lock counts.
+//! by a simulated disk. Compares 2Q behind BP-Wrapper with a queue of
+//! one (a lock per access, the paper's pgQ) against its batching
+//! default (pgBat) on real lock counts.
 //!
 //! Run with: `cargo run --release --example tablescan`
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use bpw_bufferpool::{BufferPool, CoarseManager, ReplacementManager, SimDisk, WrappedManager};
+use bpw_bufferpool::{BufferPool, ReplacementManager, SimDisk, WrappedManager};
 use bpw_core::WrapperConfig;
 use bpw_replacement::TwoQ;
 use bpw_workloads::{TableScan, TableScanConfig, Workload};
@@ -56,39 +57,23 @@ fn main() {
         scans
     );
 
-    for wrapped in [false, true] {
-        let label = if wrapped {
-            "BP-wrapped 2Q (pgBatPre)"
-        } else {
-            "coarse-locked 2Q (pgQ)"
-        };
-        let (hits, misses, snap) = if wrapped {
-            let pool = BufferPool::new(
-                frames,
-                512,
-                WrappedManager::new(TwoQ::new(frames), WrapperConfig::default()),
-                Arc::new(SimDisk::instant()),
-            );
-            drive(&pool, &workload, threads, scans);
-            (
-                pool.stats().hits.load(Ordering::Relaxed),
-                pool.stats().misses.load(Ordering::Relaxed),
-                pool.manager().lock_snapshot(),
-            )
-        } else {
-            let pool = BufferPool::new(
-                frames,
-                512,
-                CoarseManager::new(TwoQ::new(frames)),
-                Arc::new(SimDisk::instant()),
-            );
-            drive(&pool, &workload, threads, scans);
-            (
-                pool.stats().hits.load(Ordering::Relaxed),
-                pool.stats().misses.load(Ordering::Relaxed),
-                pool.manager().lock_snapshot(),
-            )
-        };
+    for (label, config) in [
+        (
+            "2Q, lock per access (pgQ)",
+            WrapperConfig::lock_per_access(),
+        ),
+        ("BP-wrapped 2Q (pgBat)", WrapperConfig::default()),
+    ] {
+        let pool = BufferPool::new(
+            frames,
+            512,
+            WrappedManager::new(TwoQ::new(frames), config),
+            Arc::new(SimDisk::instant()),
+        );
+        drive(&pool, &workload, threads, scans);
+        let hits = pool.stats().hits.load(Ordering::Relaxed);
+        let misses = pool.stats().misses.load(Ordering::Relaxed);
+        let snap = pool.manager().lock_snapshot();
         let total = hits + misses;
         println!("{label}");
         println!("  accesses          : {total} ({hits} hits, {misses} misses)");

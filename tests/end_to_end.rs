@@ -4,9 +4,7 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use bpw_bufferpool::{
-    BufferPool, ClockManager, CoarseManager, ReplacementManager, SimDisk, WrappedManager,
-};
+use bpw_bufferpool::{BufferPool, ClockManager, ReplacementManager, SimDisk, WrappedManager};
 use bpw_core::WrapperConfig;
 use bpw_replacement::{PolicyKind, ReplacementPolicy};
 use bpw_workloads::{Workload, WorkloadKind};
@@ -124,15 +122,19 @@ fn every_policy_survives_concurrent_pool_traffic() {
 
 #[test]
 fn three_manager_styles_agree_on_content() {
-    // Same workload through all three synchronization schemes: identical
-    // page content, sensible hit ratios.
+    // Same workload through all three synchronization schemes (pgQ is
+    // the wrapper at a queue of one): identical page content, sensible
+    // hit ratios.
     let workload = WorkloadKind::Dbt1.build();
     let frames = 2048;
 
     let coarse = BufferPool::new(
         frames,
         64,
-        CoarseManager::new(PolicyKind::TwoQ.build(frames)),
+        WrappedManager::new(
+            PolicyKind::TwoQ.build(frames),
+            WrapperConfig::lock_per_access(),
+        ),
         Arc::new(SimDisk::instant()),
     );
     let clock = BufferPool::new(
