@@ -25,12 +25,11 @@
 //!   evicts the (older) hot set. The latch is taken on every access;
 //! * **lock per access** — same scrambled order, one lock per access.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use bpw_bench::{fmt, Table};
-use bpw_core::{ArcAccessHandle, BpWrapper, InstrumentedLock, WrapperConfig};
-use bpw_replacement::{FrameId, MissOutcome, PageId, SeqLru};
+use bpw_core::{AccessHandle, ArcAccessHandle, BpWrapper, InstrumentedLock, WrapperConfig};
+use bpw_replacement::{CacheSim, FrameId, MissOutcome, PageId, Recorder, SeqLru};
 
 const FRAMES: usize = 2048;
 const STREAMS: u64 = 4;
@@ -38,12 +37,13 @@ const HOT_PAGES: u64 = 256; // point-query working set, shared
 const SCAN_LEN: u64 = 256; // per-stream table
 const CHURN: u64 = 1500; // cold pages forcing evictions afterwards
 
-/// Adapter so the three designs drive the same experiment.
-trait Recorder {
-    fn hit(&mut self, stream: usize, page: PageId, frame: FrameId);
-    fn miss(&mut self, page: PageId, free: Option<FrameId>) -> MissOutcome;
+/// What the experiment needs of a design beyond the accesses `CacheSim`
+/// replays into it.
+trait Design: Recorder {
+    /// The stream the next access comes from.
+    fn set_stream(&mut self, _stream: usize) {}
     fn flush(&mut self);
-    fn stats(&mut self) -> (u64, u64, u64); // (runs, policy acqs, latch acqs)
+    fn stats(&self) -> (u64, u64, u64); // (runs, policy acqs, latch acqs)
 }
 
 /// A SEQ-LRU of `FRAMES` frames behind a wrapper configured as `cfg`.
@@ -51,37 +51,57 @@ fn wrapped(cfg: WrapperConfig) -> Arc<BpWrapper<SeqLru>> {
     Arc::new(BpWrapper::new(SeqLru::new(FRAMES), cfg))
 }
 
+/// Detected runs and policy-lock acquisitions of `wrapper`.
+fn policy_stats(wrapper: &BpWrapper<SeqLru>) -> (u64, u64) {
+    let runs = wrapper.with_locked(|p| p.detected_runs());
+    (runs, wrapper.lock_stats().snapshot().acquisitions)
+}
+
 struct PrivateQueues {
     wrapper: Arc<BpWrapper<SeqLru>>,
     handles: Vec<ArcAccessHandle<SeqLru>>,
+    stream: usize,
 }
 
 impl PrivateQueues {
     fn new() -> Self {
         let wrapper = wrapped(WrapperConfig::default());
         let handles = (0..STREAMS).map(|_| wrapper.handle_arc()).collect();
-        PrivateQueues { wrapper, handles }
+        PrivateQueues {
+            wrapper,
+            handles,
+            stream: 0,
+        }
     }
 }
 
 impl Recorder for PrivateQueues {
-    fn hit(&mut self, stream: usize, page: PageId, frame: FrameId) {
-        self.handles[stream].record_hit(page, frame);
+    fn capacity(&self) -> usize {
+        FRAMES
+    }
+    fn hit(&mut self, page: PageId, frame: FrameId) {
+        self.handles[self.stream].record_hit(page, frame);
     }
     fn miss(&mut self, page: PageId, free: Option<FrameId>) -> MissOutcome {
-        // Misses may come from any stream; use its queue (stream 0's
-        // handle suffices deterministically: all are drained on a miss
-        // only for that handle — flush the rest first for fairness).
+        // Every stream's misses go through stream 0's handle, which
+        // commits only its own queue first: the other streams' hits
+        // commit at their thresholds, in their own order.
         self.handles[0].record_miss(page, free, &mut |_| true)
+    }
+}
+
+impl Design for PrivateQueues {
+    fn set_stream(&mut self, stream: usize) {
+        self.stream = stream;
     }
     fn flush(&mut self) {
         for h in &mut self.handles {
             h.flush();
         }
     }
-    fn stats(&mut self) -> (u64, u64, u64) {
-        let runs = self.wrapper.with_locked(|p| p.detected_runs());
-        (runs, self.wrapper.lock_stats().snapshot().acquisitions, 0)
+    fn stats(&self) -> (u64, u64, u64) {
+        let (runs, acqs) = policy_stats(&self.wrapper);
+        (runs, acqs, 0)
     }
 }
 
@@ -101,129 +121,81 @@ impl SharedQueue {
 }
 
 impl Recorder for SharedQueue {
-    fn hit(&mut self, _stream: usize, page: PageId, frame: FrameId) {
+    fn capacity(&self) -> usize {
+        FRAMES
+    }
+    fn hit(&mut self, page: PageId, frame: FrameId) {
         self.handle.lock().record_hit(page, frame);
     }
     fn miss(&mut self, page: PageId, free: Option<FrameId>) -> MissOutcome {
         self.handle.lock().record_miss(page, free, &mut |_| true)
     }
+}
+
+impl Design for SharedQueue {
     fn flush(&mut self) {
         self.handle.lock().flush();
     }
-    fn stats(&mut self) -> (u64, u64, u64) {
-        let runs = self.wrapper.with_locked(|p| p.detected_runs());
-        (
-            runs,
-            self.wrapper.lock_stats().snapshot().acquisitions,
-            self.handle.stats().snapshot().acquisitions,
-        )
+    fn stats(&self) -> (u64, u64, u64) {
+        let (runs, acqs) = policy_stats(&self.wrapper);
+        (runs, acqs, self.handle.stats().snapshot().acquisitions)
     }
 }
 
-struct LockPerAccess {
-    wrapper: Arc<BpWrapper<SeqLru>>,
-    handle: ArcAccessHandle<SeqLru>,
-}
-
-impl LockPerAccess {
-    fn new() -> Self {
-        let wrapper = wrapped(WrapperConfig::lock_per_access());
-        let handle = wrapper.handle_arc();
-        LockPerAccess { wrapper, handle }
-    }
-}
-
-impl Recorder for LockPerAccess {
-    fn hit(&mut self, _stream: usize, page: PageId, frame: FrameId) {
-        self.handle.record_hit(page, frame);
-    }
-    fn miss(&mut self, page: PageId, free: Option<FrameId>) -> MissOutcome {
-        self.handle.record_miss(page, free, &mut |_| true)
-    }
+/// Lock per access: one handle, every access in the scrambled order.
+impl Design for ArcAccessHandle<SeqLru> {
     fn flush(&mut self) {
-        self.handle.flush();
+        AccessHandle::flush(self);
     }
-    fn stats(&mut self) -> (u64, u64, u64) {
-        let runs = self.wrapper.with_locked(|p| p.detected_runs());
-        (runs, self.wrapper.lock_stats().snapshot().acquisitions, 0)
+    fn stats(&self) -> (u64, u64, u64) {
+        let (runs, acqs) = policy_stats(self.wrapper());
+        (runs, acqs, 0)
     }
 }
 
-struct Experiment {
-    map: HashMap<PageId, FrameId>,
-    free: Vec<FrameId>,
+/// Replay `page` as an access of `stream`; returns `true` on a hit.
+fn access<D: Design>(sim: &mut CacheSim<D>, stream: usize, page: PageId) -> bool {
+    sim.policy_mut().set_stream(stream);
+    sim.access(page)
 }
 
-impl Experiment {
-    fn new() -> Self {
-        Experiment {
-            map: HashMap::new(),
-            free: (0..FRAMES as FrameId).rev().collect(),
+/// Run the three-phase experiment; returns the hot-set survival hit
+/// ratio of the probe phase.
+fn run<D: Design>(sim: &mut CacheSim<D>) -> f64 {
+    let scan_base = |s: u64| 100_000 + s * 10_000;
+    // Phase 1 — warm the hot set (strided ids: never consecutive) and
+    // each stream's table.
+    for &p in &hot_ids() {
+        access(sim, 0, p);
+    }
+    for s in 0..STREAMS {
+        for p in scan_base(s)..scan_base(s) + SCAN_LEN {
+            access(sim, s as usize, p);
         }
     }
-
-    fn access(&mut self, rec: &mut dyn Recorder, stream: usize, page: PageId) -> bool {
-        if let Some(&frame) = self.map.get(&page) {
-            rec.hit(stream, page, frame);
-            return true;
-        }
-        let free = self.free.pop();
-        match rec.miss(page, free) {
-            MissOutcome::AdmittedFree(f) => {
-                self.map.insert(page, f);
+    // Phase 2 — warm re-scans, interleaved one access at a time: the
+    // order-sensitivity stress. Everything hits.
+    for round in 0..3 {
+        let mut cursors: Vec<u64> = (0..STREAMS).map(scan_base).collect();
+        for _ in 0..SCAN_LEN {
+            for (s, cursor) in cursors.iter_mut().enumerate() {
+                let p = *cursor;
+                *cursor += 1;
+                let hit = access(sim, s, p);
+                debug_assert!(hit, "round {round}: scan page should be warm");
             }
-            MissOutcome::Evicted { frame, victim } => {
-                self.map.remove(&victim);
-                self.map.insert(page, frame);
-            }
-            MissOutcome::NoEvictableFrame => unreachable!("filter is permissive"),
         }
-        false
     }
-
-    /// Run the three-phase experiment; returns the hot-set survival hit
-    /// ratio of the probe phase.
-    fn run(&mut self, rec: &mut dyn Recorder) -> f64 {
-        let scan_base = |s: u64| 100_000 + s * 10_000;
-        // Phase 1 — warm the hot set (strided ids: never consecutive) and
-        // each stream's table.
-        for &p in &hot_ids() {
-            self.access(rec, 0, p);
-        }
-        for s in 0..STREAMS {
-            for p in scan_base(s)..scan_base(s) + SCAN_LEN {
-                self.access(rec, s as usize, p);
-            }
-        }
-        // Phase 2 — warm re-scans, interleaved one access at a time: the
-        // order-sensitivity stress. Everything hits.
-        for round in 0..3 {
-            let mut cursors: Vec<u64> = (0..STREAMS).map(scan_base).collect();
-            for _ in 0..SCAN_LEN {
-                for (s, cursor) in cursors.iter_mut().enumerate() {
-                    let p = *cursor;
-                    *cursor += 1;
-                    let hit = self.access(rec, s, p);
-                    debug_assert!(hit, "round {round}: scan page should be warm");
-                }
-            }
-        }
-        rec.flush();
-        // Phase 3 — cold churn forces evictions: do the scans or the hot
-        // set pay? (Strided ids: the churn itself must not look like a
-        // scan, or it would mark and evict itself.)
-        for p in 0..CHURN {
-            self.access(rec, 0, 900_000 + p * 131);
-        }
-        // Probe — how much of the hot set survived?
-        let mut hits = 0;
-        for &p in &hot_ids() {
-            if self.map.contains_key(&p) {
-                hits += 1;
-            }
-        }
-        hits as f64 / HOT_PAGES as f64
+    sim.policy_mut().flush();
+    // Phase 3 — cold churn forces evictions: do the scans or the hot
+    // set pay? (Strided ids: the churn itself must not look like a
+    // scan, or it would mark and evict itself.)
+    for p in 0..CHURN {
+        access(sim, 0, 900_000 + p * 131);
     }
+    // Probe — how much of the hot set survived?
+    let hits = hot_ids().iter().filter(|&&p| sim.is_resident(p)).count();
+    hits as f64 / HOT_PAGES as f64
 }
 
 /// Hot pages with strided ids so they never look sequential.
@@ -240,28 +212,29 @@ struct Row {
     latch_acqs: u64,
 }
 
+/// Replay the experiment into `design` and read its row.
+fn measure<D: Design>(name: &'static str, design: D) -> Row {
+    let mut sim = CacheSim::new(design);
+    let survival = run(&mut sim);
+    let (runs, policy_acqs, latch_acqs) = sim.policy().stats();
+    Row {
+        design: name,
+        runs,
+        survival,
+        policy_acqs,
+        latch_acqs,
+    }
+}
+
 fn run_designs() -> Vec<Row> {
-    let recs: Vec<(&'static str, Box<dyn Recorder>)> = vec![
-        (
-            "private queues (BP-Wrapper)",
-            Box::new(PrivateQueues::new()),
+    vec![
+        measure("private queues (BP-Wrapper)", PrivateQueues::new()),
+        measure("shared queue", SharedQueue::new()),
+        measure(
+            "lock per access",
+            wrapped(WrapperConfig::lock_per_access()).handle_arc(),
         ),
-        ("shared queue", Box::new(SharedQueue::new())),
-        ("lock per access", Box::new(LockPerAccess::new())),
-    ];
-    recs.into_iter()
-        .map(|(design, mut rec)| {
-            let survival = Experiment::new().run(rec.as_mut());
-            let (runs, policy_acqs, latch_acqs) = rec.stats();
-            Row {
-                design,
-                runs,
-                survival,
-                policy_acqs,
-                latch_acqs,
-            }
-        })
-        .collect()
+    ]
 }
 
 fn main() {

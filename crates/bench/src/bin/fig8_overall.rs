@@ -14,8 +14,10 @@
 //! 2. **Throughput** comes from the multiprocessor simulator at 8 CPUs
 //!    with each system's measured miss ratio driving the I/O model.
 
+use std::sync::Arc;
+
 use bpw_bench::{fmt, Table};
-use bpw_core::{SystemKind, WrappedCache, WrapperConfig};
+use bpw_core::{BpWrapper, SystemKind, WrapperConfig};
 use bpw_replacement::{CacheSim, Clock, TwoQ};
 use bpw_sim::{simulate, HardwareProfile, SimParams, SystemSpec, WorkloadParams};
 use bpw_workloads::{Trace, WorkloadKind};
@@ -113,7 +115,8 @@ fn main() {
                 second_pass(Box::new(move |p| sim.access(p)))
             };
             let batpre_hr = {
-                let mut sim = WrappedCache::new(TwoQ::new(frames), WrapperConfig::default());
+                let wrapper = BpWrapper::new(TwoQ::new(frames), WrapperConfig::default());
+                let mut sim = CacheSim::new(Arc::new(wrapper).handle_arc());
                 second_pass(Box::new(move |p| sim.access(p)))
             };
 

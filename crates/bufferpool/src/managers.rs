@@ -2,18 +2,19 @@
 //! algorithm. Two synchronization styles cover the paper's tested
 //! systems:
 //!
-//! * [`ClockManager`] — CLOCK with PostgreSQL's lock-free hit path
-//!   (atomic reference bits); the lock is taken only on misses
-//!   (`pgClock`, the scalability gold standard).
+//! * [`ClockManager`] — [`Clock`] with PostgreSQL's lock-free hit path
+//!   (the clock's atomic reference bits, shared); the lock is taken only
+//!   on misses (`pgClock`, the scalability gold standard).
 //! * [`WrappedManager`] — any policy behind BP-Wrapper: `pgBat` by
 //!   default, and `pgQ` (one blocking lock per access) at
 //!   [`WrapperConfig::lock_per_access`], a queue of one.
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use bpw_core::{BpWrapper, InstrumentedLock, WrapperConfig};
 use bpw_metrics::LockSnapshot;
-use bpw_replacement::{FrameId, MissOutcome, PageId, ReplacementPolicy};
+use bpw_replacement::{Clock, FrameId, MissOutcome, PageId, ReplacementPolicy};
 
 /// How a pool thread reports accesses to the replacement algorithm.
 /// One handle per thread; handles hold whatever per-thread state the
@@ -114,36 +115,22 @@ impl<M: ReplacementManager + ?Sized> ReplacementManager for Box<M> {
 
 // --- Clock: lock-free hit path --------------------------------------------
 
-struct ClockCore {
-    page_of: Vec<PageId>,
-    present: Vec<bool>,
-    hand: usize,
-    resident: usize,
-}
-
-/// PostgreSQL-style CLOCK: hits set an atomic reference bit (no lock);
-/// the sweep on a miss runs under the lock.
+/// PostgreSQL-style CLOCK: [`Clock`] under the lock, which only a miss
+/// or an invalidation takes; a hit sets the frame's shared reference bit
+/// with no lock.
 pub struct ClockManager {
-    referenced: Vec<AtomicU8>,
-    lock: InstrumentedLock<ClockCore>,
+    referenced: Arc<[AtomicBool]>,
+    lock: InstrumentedLock<Clock>,
 }
 
 impl ClockManager {
     /// A clock over `frames` frames.
     pub fn new(frames: usize) -> Self {
+        let clock = Clock::new(frames);
         ClockManager {
-            referenced: (0..frames).map(|_| AtomicU8::new(0)).collect(),
-            lock: InstrumentedLock::new(ClockCore {
-                page_of: vec![0; frames],
-                present: vec![false; frames],
-                hand: 0,
-                resident: 0,
-            }),
+            referenced: clock.reference_bits(),
+            lock: InstrumentedLock::new(clock),
         }
-    }
-
-    fn frames(&self) -> usize {
-        self.referenced.len()
     }
 }
 
@@ -157,12 +144,7 @@ impl ReplacementManager for ClockManager {
     }
 
     fn invalidate(&self, frame: FrameId) {
-        let mut g = self.lock.lock();
-        if g.present[frame as usize] {
-            g.present[frame as usize] = false;
-            g.resident -= 1;
-        }
-        self.referenced[frame as usize].store(0, Ordering::Relaxed);
+        self.lock.lock().remove(frame);
     }
 
     fn lock_snapshot(&self) -> LockSnapshot {
@@ -170,11 +152,7 @@ impl ReplacementManager for ClockManager {
     }
 
     fn export_state(&self) -> Vec<(FrameId, PageId)> {
-        let g = self.lock.lock();
-        (0..self.frames())
-            .filter(|&f| g.present[f])
-            .map(|f| (f as FrameId, g.page_of[f]))
-            .collect()
+        self.lock.lock().resident_pages()
     }
 }
 
@@ -185,18 +163,13 @@ struct ClockHandle<'m> {
 impl<'m> ManagerHandle for ClockHandle<'m> {
     fn on_hit(&mut self, _page: PageId, frame: FrameId) {
         // The whole point of pgClock: no latch, one relaxed store.
-        self.mgr.referenced[frame as usize].store(1, Ordering::Relaxed);
+        self.mgr.referenced[frame as usize].store(true, Ordering::Relaxed);
     }
 
     fn on_admit(&mut self, page: PageId, frame: FrameId) {
-        let f = frame as usize;
         let mut g = self.mgr.lock.lock();
         g.cover_accesses(1);
-        debug_assert!(!g.present[f], "admission into occupied frame {frame}");
-        g.page_of[f] = page;
-        g.present[f] = true;
-        g.resident += 1;
-        self.mgr.referenced[f].store(1, Ordering::Relaxed);
+        g.record_miss(page, Some(frame), &mut |_| true);
     }
 
     fn on_evict(
@@ -205,31 +178,9 @@ impl<'m> ManagerHandle for ClockHandle<'m> {
         evictable: &mut dyn FnMut(FrameId) -> bool,
         _extra: &mut Vec<(FrameId, PageId)>,
     ) -> MissOutcome {
-        let n = self.mgr.frames();
         let mut g = self.mgr.lock.lock();
         g.cover_accesses(1);
-        let mut steps = 0;
-        while steps < 3 * n {
-            let f = g.hand;
-            g.hand = (g.hand + 1) % n;
-            steps += 1;
-            if !g.present[f] {
-                continue;
-            }
-            if self.mgr.referenced[f].swap(0, Ordering::Relaxed) != 0 {
-                continue; // second chance
-            }
-            if evictable(f as FrameId) {
-                let victim = g.page_of[f];
-                g.page_of[f] = page;
-                self.mgr.referenced[f].store(1, Ordering::Relaxed);
-                return MissOutcome::Evicted {
-                    frame: f as FrameId,
-                    victim,
-                };
-            }
-        }
-        MissOutcome::NoEvictableFrame
+        g.record_miss(page, None, evictable)
     }
 }
 

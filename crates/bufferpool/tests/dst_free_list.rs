@@ -36,7 +36,7 @@ fn run_churn(seed: u64, pct: bool, frames: usize, tasks: u64) -> (RunOutcome, Ar
                 if let Some(f) = fl.pop() {
                     held.push(f);
                 }
-                if rng % 2 == 0 {
+                if rng.is_multiple_of(2) {
                     if let Some(f) = fl.pop() {
                         held.push(f);
                     }

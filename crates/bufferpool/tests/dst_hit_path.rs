@@ -487,7 +487,7 @@ fn dst_fetch_resident_through_the_header_never_pins_an_evicted_page() {
 
 #[test]
 fn dst_hit_path_same_seed_same_history() {
-    for seed in [0x417_01u64, 0x417_02] {
+    for seed in [0x0004_1701_u64, 0x0004_1702] {
         let (a, pa) = run_hit_storm(seed, false);
         let (b, pb) = run_hit_storm(seed, false);
         assert_eq!(a.schedule, b.schedule, "schedule diverged for {seed:#x}");

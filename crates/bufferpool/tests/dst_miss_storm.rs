@@ -146,7 +146,7 @@ fn dst_miss_storm_invariants_hold_under_all_schedules() {
 
 #[test]
 fn dst_miss_storm_same_seed_same_history() {
-    for seed in [0x3157_01u64, 0x3157_02] {
+    for seed in [0x0031_5701_u64, 0x0031_5702] {
         let (a, pa) = run_storm(seed, false);
         let (b, pb) = run_storm(seed, false);
         assert_eq!(

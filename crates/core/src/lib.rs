@@ -53,14 +53,12 @@ pub mod config;
 pub mod lock;
 pub mod pad;
 pub mod queue;
-pub mod wrapped_cache;
 pub mod wrapper;
 
 pub use config::WrapperConfig;
 pub use lock::{InstrumentedLock, LockGuard};
 pub use pad::CachePadded;
 pub use queue::{AccessEntry, AccessQueue};
-pub use wrapped_cache::WrappedCache;
 pub use wrapper::{AccessHandle, ArcAccessHandle, BpWrapper, WrapperCounters};
 
 /// The five systems of the paper's Table I. `bpw-sim` models all five;

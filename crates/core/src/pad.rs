@@ -1,9 +1,10 @@
 //! Cache-line padding for hot shared structs.
 //!
-//! The wrapper's contended structures — publication slots, free-list
-//! heads, per-wrapper counters — are arrays of small atomics. Packed
-//! densely, eight of them share one 64-byte line and every CAS by one
-//! thread invalidates the line under seven others (false sharing).
+//! The buffer pool's per-frame and per-session structures — its buffer
+//! descriptors, its sessions' slot-pin lines, `SimDisk`'s storage
+//! stripes — are arrays of small atomics or locks. Packed densely,
+//! several share one 64-byte line and every write by one thread
+//! invalidates the line under the others (false sharing).
 //! [`CachePadded`] aligns and pads its contents to a cache line so each
 //! element owns its line.
 //!

@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use bpw_metrics::{HeldCounter, LockStats, StripedCounter};
-use bpw_replacement::{FrameId, MissOutcome, PageId, ReplacementPolicy};
+use bpw_replacement::{FrameId, MissOutcome, PageId, Recorder, ReplacementPolicy};
 
 use crate::config::WrapperConfig;
 use crate::lock::{InstrumentedLock, LockGuard};
@@ -384,6 +384,27 @@ impl<'w, P: ReplacementPolicy, W: Deref<Target = BpWrapper<P>>> AccessHandle<'w,
     }
 }
 
+/// A handle replays through [`CacheSim`](bpw_replacement::CacheSim) like
+/// a bare policy. For a single thread the committed operation sequence is
+/// *identical* to the bare policy's, because queued hits are applied, in
+/// order, before any miss decision: the paper's "our techniques do not
+/// hurt hit ratios" (§IV-F, Fig. 8), exactly.
+impl<'w, P: ReplacementPolicy, W: Deref<Target = BpWrapper<P>>> Recorder
+    for AccessHandle<'w, P, W>
+{
+    fn capacity(&self) -> usize {
+        self.wrapper.admit_gens.len()
+    }
+
+    fn hit(&mut self, page: PageId, frame: FrameId) {
+        self.record_hit(page, frame);
+    }
+
+    fn miss(&mut self, page: PageId, free: Option<FrameId>) -> MissOutcome {
+        self.record_miss(page, free, &mut |_| true)
+    }
+}
+
 impl<'w, P: ReplacementPolicy, W: Deref<Target = BpWrapper<P>>> Drop for AccessHandle<'w, P, W> {
     fn drop(&mut self) {
         // Never lose recorded history: commit leftovers on teardown.
@@ -394,7 +415,7 @@ impl<'w, P: ReplacementPolicy, W: Deref<Target = BpWrapper<P>>> Drop for AccessH
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bpw_replacement::Lru;
+    use bpw_replacement::{CacheSim, Lru, PolicyKind};
 
     /// Pre-warm a policy: pages 0..n bound to frames 0..n.
     fn warmed(n: usize, cfg: WrapperConfig) -> BpWrapper<Lru> {
@@ -689,5 +710,90 @@ mod tests {
             "every recorded access must be committed or skipped"
         );
         w.with_locked(|p| p.check_invariants());
+    }
+
+    /// A skewed synthetic trace mixing a hot set with cold churn.
+    fn mixed_trace(len: usize) -> Vec<PageId> {
+        (0..len as u64)
+            .map(|i| {
+                if i % 3 == 0 {
+                    1000 + (i * 7919) % 500 // cold-ish
+                } else {
+                    i % 24 // hot set
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn single_thread_equivalence_all_policies() {
+        // The headline correctness property: with one thread, a
+        // BP-wrapped policy makes byte-identical decisions to the bare
+        // policy — batching only changes *when* bookkeeping runs, never
+        // its order relative to miss decisions.
+        let trace = mixed_trace(4000);
+        for kind in PolicyKind::ALL {
+            let w = BpWrapper::new(kind.build(32), WrapperConfig::default());
+            let mut bare = CacheSim::new(kind.build(32));
+            let mut wrapped = CacheSim::new(w.handle());
+            for &p in &trace {
+                let a = bare.access(p);
+                let b = wrapped.access(p);
+                assert_eq!(a, b, "{kind}: hit/miss diverged on page {p}");
+            }
+            assert_eq!(bare.stats(), wrapped.stats(), "{kind}");
+        }
+    }
+
+    #[test]
+    fn equivalence_holds_for_every_queue_size() {
+        let trace = mixed_trace(2000);
+        for s in [1usize, 2, 3, 7, 16, 64, 128] {
+            let cfg = WrapperConfig {
+                queue_size: s,
+                batch_threshold: (s / 2).max(1),
+            };
+            let w = BpWrapper::new(PolicyKind::TwoQ.build(16), cfg);
+            let mut bare = CacheSim::new(PolicyKind::TwoQ.build(16));
+            let mut wrapped = CacheSim::new(w.handle());
+            let a = bare.run(trace.iter().copied());
+            let b = wrapped.run(trace.iter().copied());
+            assert_eq!(a, b, "queue size {s}");
+        }
+    }
+
+    #[test]
+    fn batching_reduces_lock_acquisitions() {
+        let trace: Vec<PageId> = (0..10_000u64).map(|i| i % 16).collect();
+        let w = BpWrapper::new(PolicyKind::Lirs.build(16), WrapperConfig::default());
+        let mut wrapped = CacheSim::new(w.handle());
+        wrapped.run(trace.iter().copied());
+        wrapped.policy_mut().flush();
+        let acq = w.lock_stats().snapshot().acquisitions;
+        // ~10k hit accesses in batches of >= 32: far fewer than 10k locks.
+        assert!(
+            acq < 500,
+            "expected batched commits, got {acq} acquisitions"
+        );
+        let w = BpWrapper::new(PolicyKind::Lirs.build(16), WrapperConfig::lock_per_access());
+        CacheSim::new(w.handle()).run(trace.iter().copied());
+        let acq2 = w.lock_stats().snapshot().acquisitions;
+        assert!(
+            acq2 >= 10_000,
+            "lock-per-access must lock every hit, got {acq2}"
+        );
+    }
+
+    #[test]
+    fn no_accesses_lost() {
+        let w = BpWrapper::new(PolicyKind::Mq.build(8), WrapperConfig::default());
+        let mut wrapped = CacheSim::new(w.handle());
+        let snap = wrapped.run((0..1000u64).map(|i| i % 12));
+        wrapped.policy_mut().flush();
+        let c = w.counters();
+        assert_eq!(c.accesses.get(), 1000);
+        // hits committed (none stale in single-thread use) + misses
+        assert_eq!(c.committed.get(), snap.hits);
+        assert_eq!(c.stale_skipped.get(), 0);
     }
 }

@@ -6,7 +6,7 @@
 //! Fig. 8, `compare_policies` and perfbench's `replacement.sim_hit_ratio`
 //! quote a `CacheSim` hit ratio for the wrapped pool.
 
-use bpw_core::{WrappedCache, WrapperConfig};
+use bpw_core::{BpWrapper, WrapperConfig};
 use bpw_replacement::{CacheSim, PolicyKind};
 use proptest::prelude::*;
 
@@ -33,8 +33,9 @@ proptest! {
             queue_size,
             batch_threshold: threshold,
         };
+        let w = BpWrapper::new(kind.build(frames), cfg);
         let mut shadow = CacheSim::new(kind.build(frames)).with_eviction_log();
-        let mut live = WrappedCache::new(kind.build(frames), cfg).with_eviction_log();
+        let mut live = CacheSim::new(w.handle()).with_eviction_log();
         for &p in &trace {
             let a = shadow.access(p);
             let b = live.access(p);
@@ -58,9 +59,9 @@ proptest! {
         hot in prop::collection::vec(0u64..8, 1..100),
         scan_len in 1u64..64,
     ) {
-        let cfg = WrapperConfig::default();
+        let w = BpWrapper::new(kind.build(frames), WrapperConfig::default());
         let mut shadow = CacheSim::new(kind.build(frames)).with_eviction_log();
-        let mut live = WrappedCache::new(kind.build(frames), cfg).with_eviction_log();
+        let mut live = CacheSim::new(w.handle()).with_eviction_log();
         // Phase 1: hot-set reuse. Phase 2: a scan. Phase 3: hot again.
         let trace: Vec<u64> = hot
             .iter()

@@ -5,7 +5,7 @@
 //! decision, so the composed system is **observationally identical** to
 //! the bare policy for any trace, any policy, and any (S, T) setting.
 
-use bpw_core::{WrappedCache, WrapperConfig};
+use bpw_core::{BpWrapper, WrapperConfig};
 use bpw_replacement::{CacheSim, PolicyKind};
 use proptest::prelude::*;
 
@@ -31,8 +31,9 @@ proptest! {
             queue_size,
             batch_threshold: threshold,
         };
+        let w = BpWrapper::new(kind.build(frames), cfg);
         let mut bare = CacheSim::new(kind.build(frames));
-        let mut wrapped = WrappedCache::new(kind.build(frames), cfg);
+        let mut wrapped = CacheSim::new(w.handle());
         for &p in &trace {
             let a = bare.access(p);
             let b = wrapped.access(p);
@@ -50,10 +51,11 @@ proptest! {
         frames in 2usize..16,
         trace in prop::collection::vec(0u64..32, 1..400),
     ) {
-        let mut wrapped = WrappedCache::new(kind.build(frames), WrapperConfig::default());
+        let w = BpWrapper::new(kind.build(frames), WrapperConfig::default());
+        let mut wrapped = CacheSim::new(w.handle());
         let stats = wrapped.run(trace.iter().copied());
-        wrapped.flush();
-        let c = wrapped.wrapper().counters();
+        wrapped.policy_mut().flush();
+        let c = w.counters();
         prop_assert_eq!(c.accesses.get(), trace.len() as u64);
         prop_assert_eq!(c.committed.get(), stats.hits);
         prop_assert_eq!(c.stale_skipped.get(), 0);
@@ -74,18 +76,19 @@ proptest! {
             batch_threshold: threshold,
         };
         let frames = 16;
-        let mut wrapped = WrappedCache::new(PolicyKind::Lru.build(frames), cfg);
+        let w = BpWrapper::new(PolicyKind::Lru.build(frames), cfg);
+        let mut wrapped = CacheSim::new(w.handle());
         // Warm up, then hit-only phase.
         for p in 0..frames as u64 {
             wrapped.access(p);
         }
-        let before = wrapped.wrapper().lock_stats().snapshot();
+        let before = w.lock_stats().snapshot();
         let hits = 10_000u64;
         for i in 0..hits {
             wrapped.access(i % frames as u64);
         }
-        wrapped.flush();
-        let after = wrapped.wrapper().lock_stats().snapshot();
+        wrapped.policy_mut().flush();
+        let after = w.lock_stats().snapshot();
         let delta = after.since(&before);
         let per_acq = delta.accesses_per_acquisition();
         prop_assert!(
@@ -101,7 +104,6 @@ proptest! {
 /// loses an access.
 #[test]
 fn concurrent_hits_conserve_accounting() {
-    use bpw_core::BpWrapper;
     for kind in PolicyKind::ALL {
         let frames = 128usize;
         let wrapper = BpWrapper::new(kind.build(frames), WrapperConfig::default());

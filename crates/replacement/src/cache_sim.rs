@@ -1,6 +1,10 @@
-//! Single-threaded cache simulator: drives any [`ReplacementPolicy`] with
-//! a page reference string and tracks hit/miss statistics. This is the
-//! harness behind hit-ratio experiments (paper Fig. 8) and most tests.
+//! Single-threaded cache simulator: the one replay loop of this repo.
+//! [`CacheSim`] keeps the page table (page → frame) and free-frame list a
+//! real buffer pool would, and replays a page reference string into a
+//! [`Recorder`]: a bare [`ReplacementPolicy`], or a BP-Wrapper access
+//! handle (`bpw-core` implements the trait for it), so the wrapped and the
+//! bare policy run the same loop. This is the harness behind hit-ratio
+//! experiments (paper Fig. 8) and most tests.
 
 use std::collections::HashMap;
 
@@ -31,25 +35,51 @@ impl SimStats {
     }
 }
 
-/// Drives a policy with page accesses, maintaining the page table
+/// What a [`CacheSim`] replays accesses into. Every policy is one (the
+/// blanket impl below); so is anything that forwards to a policy, such as
+/// a wrapper's access handle.
+pub trait Recorder {
+    /// Frames the recorder places pages in; a simulator starts with every
+    /// one of them free, so the recorder must track no page yet.
+    fn capacity(&self) -> usize;
+
+    /// `page`, resident in `frame`, was accessed.
+    fn hit(&mut self, page: PageId, frame: FrameId);
+
+    /// `page` missed; place it in `free` if given, else evict any frame
+    /// (see [`ReplacementPolicy::record_miss`]).
+    fn miss(&mut self, page: PageId, free: Option<FrameId>) -> MissOutcome;
+}
+
+impl<P: ReplacementPolicy> Recorder for P {
+    fn capacity(&self) -> usize {
+        self.frames()
+    }
+
+    fn hit(&mut self, _page: PageId, frame: FrameId) {
+        self.record_hit(frame);
+    }
+
+    fn miss(&mut self, page: PageId, free: Option<FrameId>) -> MissOutcome {
+        self.record_miss(page, free, &mut |_| true)
+    }
+}
+
+/// Drives a [`Recorder`] with page accesses, maintaining the page table
 /// (page → frame) and free-frame list that a real buffer pool would.
-pub struct CacheSim<P: ReplacementPolicy> {
-    policy: P,
+pub struct CacheSim<R: Recorder> {
+    policy: R,
     map: HashMap<PageId, FrameId>,
     free: Vec<FrameId>,
     stats: SimStats,
     evictions: Option<Vec<PageId>>,
 }
 
-impl<P: ReplacementPolicy> CacheSim<P> {
-    /// Wrap `policy` in a fresh simulator with all frames free.
-    pub fn new(policy: P) -> Self {
-        let frames = policy.frames();
-        assert_eq!(
-            policy.resident_count(),
-            0,
-            "CacheSim requires an empty policy"
-        );
+impl<R: Recorder> CacheSim<R> {
+    /// Replay into `policy` (a policy or a wrapper handle), with all
+    /// frames free.
+    pub fn new(policy: R) -> Self {
+        let frames = policy.capacity();
         CacheSim {
             policy,
             map: HashMap::with_capacity(frames),
@@ -75,13 +105,13 @@ impl<P: ReplacementPolicy> CacheSim<P> {
     /// Access `page`; returns `true` on a hit.
     pub fn access(&mut self, page: PageId) -> bool {
         if let Some(&frame) = self.map.get(&page) {
-            self.policy.record_hit(frame);
+            self.policy.hit(page, frame);
             self.stats.hits += 1;
             return true;
         }
         self.stats.misses += 1;
         let free = self.free.pop();
-        match self.policy.record_miss(page, free, &mut |_| true) {
+        match self.policy.miss(page, free) {
             MissOutcome::AdmittedFree(f) => {
                 self.map.insert(page, f);
             }
@@ -95,10 +125,7 @@ impl<P: ReplacementPolicy> CacheSim<P> {
             }
             MissOutcome::NoEvictableFrame => {
                 // All-evictable filter means this is a policy bug.
-                panic!(
-                    "policy {} failed to evict with a permissive filter",
-                    self.policy.name()
-                );
+                panic!("the policy failed to evict with a permissive filter");
             }
         }
         false
@@ -127,14 +154,14 @@ impl<P: ReplacementPolicy> CacheSim<P> {
         self.stats
     }
 
-    /// Immutable access to the wrapped policy.
-    pub fn policy(&self) -> &P {
+    /// The policy or handle accesses are replayed into.
+    pub fn policy(&self) -> &R {
         &self.policy
     }
 
-    /// Mutable access to the wrapped policy (tests only; bypasses the
-    /// simulator's page table, so only use for read-mostly probing).
-    pub fn policy_mut(&mut self) -> &mut P {
+    /// Mutable access to the policy or handle (bypasses the simulator's
+    /// page table, so only use it for probing, or to flush a handle).
+    pub fn policy_mut(&mut self) -> &mut R {
         &mut self.policy
     }
 
@@ -142,7 +169,9 @@ impl<P: ReplacementPolicy> CacheSim<P> {
     pub fn resident_count(&self) -> usize {
         self.map.len()
     }
+}
 
+impl<P: ReplacementPolicy> CacheSim<P> {
     /// Cross-check simulator and policy agree on the resident set.
     pub fn check_consistency(&self) {
         self.policy.check_invariants();

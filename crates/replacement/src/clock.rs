@@ -1,11 +1,16 @@
 //! CLOCK — the classic one-bit approximation of LRU (Corbató 1968), and
 //! the algorithm PostgreSQL 8.x adopted (the paper's `pgClock` system).
 //!
-//! This module provides the *locked* trait implementation used for
-//! hit-ratio studies and as a policy inside wrappers. The buffer-pool
-//! crate additionally provides `ClockManager`, which exploits CLOCK's
-//! defining property — hits only set a reference bit — to run the hit
-//! path with no lock at all (atomic bit set), exactly as PostgreSQL does.
+//! There is one CLOCK in this repo. Fig. 8's hit-ratio column replays it
+//! through [`CacheSim`](crate::CacheSim), and the buffer pool's
+//! `ClockManager` runs the same [`Clock`] under its lock. A hit only sets
+//! a reference bit, so the bits are atomics that [`Clock::reference_bits`]
+//! shares with the owner: the manager's hit path is one relaxed store
+//! with no lock, exactly as in PostgreSQL, and only the sweep on a miss
+//! needs the lock.
+
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use crate::frame_table::FrameTable;
 use crate::traits::{FrameId, MissOutcome, PageId, ReplacementPolicy};
@@ -14,7 +19,7 @@ use crate::traits::{FrameId, MissOutcome, PageId, ReplacementPolicy};
 /// sets the frame's reference bit; the hand clears bits until it finds an
 /// unreferenced, evictable frame.
 pub struct Clock {
-    referenced: Vec<bool>,
+    referenced: Arc<[AtomicBool]>,
     table: FrameTable,
     hand: usize,
 }
@@ -24,20 +29,18 @@ impl Clock {
     pub fn new(frames: usize) -> Self {
         assert!(frames > 0, "CLOCK needs at least one frame");
         Clock {
-            referenced: vec![false; frames],
+            referenced: (0..frames).map(|_| AtomicBool::new(false)).collect(),
             table: FrameTable::new(frames),
             hand: 0,
         }
     }
 
-    /// Current hand position (test aid).
-    pub fn hand(&self) -> usize {
-        self.hand
-    }
-
-    /// Reference bit of `frame` (test aid).
-    pub fn referenced(&self, frame: FrameId) -> bool {
-        self.referenced[frame as usize]
+    /// The reference bits, one per frame, shared with this clock. Storing
+    /// `true` into a resident frame's bit records a hit on it without
+    /// the clock: only the sweep clears a bit, and it runs under whatever
+    /// serializes the clock's `&mut` calls.
+    pub fn reference_bits(&self) -> Arc<[AtomicBool]> {
+        Arc::clone(&self.referenced)
     }
 
     fn advance(&mut self) {
@@ -60,7 +63,7 @@ impl ReplacementPolicy for Clock {
 
     fn record_hit(&mut self, frame: FrameId) {
         if self.table.is_present(frame) {
-            self.referenced[frame as usize] = true;
+            self.referenced[frame as usize].store(true, Ordering::Relaxed);
         }
     }
 
@@ -72,7 +75,7 @@ impl ReplacementPolicy for Clock {
     ) -> MissOutcome {
         if let Some(f) = free {
             self.table.bind(f, page);
-            self.referenced[f as usize] = true;
+            self.referenced[f as usize].store(true, Ordering::Relaxed);
             return MissOutcome::AdmittedFree(f);
         }
         // Two full sweeps suffice (first may clear every bit); a third
@@ -82,11 +85,14 @@ impl ReplacementPolicy for Clock {
         while steps < 3 * n {
             let f = self.hand as FrameId;
             if self.table.is_present(f) {
-                if self.referenced[self.hand] {
-                    self.referenced[self.hand] = false;
+                // Only the sweep clears a bit, so a hit stored between
+                // this load and the clear finds the bit set already.
+                let bit = &self.referenced[self.hand];
+                if bit.load(Ordering::Relaxed) {
+                    bit.store(false, Ordering::Relaxed);
                 } else if evictable(f) {
                     let victim = self.table.rebind(f, page);
-                    self.referenced[self.hand] = true;
+                    bit.store(true, Ordering::Relaxed);
                     self.advance();
                     return MissOutcome::Evicted { frame: f, victim };
                 }
@@ -101,7 +107,7 @@ impl ReplacementPolicy for Clock {
         if !self.table.is_present(frame) {
             return None;
         }
-        self.referenced[frame as usize] = false;
+        self.referenced[frame as usize].store(false, Ordering::Relaxed);
         Some(self.table.unbind(frame))
     }
 
@@ -113,7 +119,8 @@ impl ReplacementPolicy for Clock {
         assert!(self.hand < self.table.frames());
         for f in 0..self.table.frames() {
             if !self.table.is_present(f as FrameId) {
-                assert!(!self.referenced[f], "empty frame {f} has reference bit set");
+                let bit = self.referenced[f].load(Ordering::Relaxed);
+                assert!(!bit, "empty frame {f} has reference bit set");
             }
         }
     }
@@ -185,8 +192,8 @@ mod tests {
         let mut c = Clock::new(2);
         fill(&mut c, &[1, 2]);
         c.record_hit(1);
-        assert!(c.referenced(1));
+        assert!(c.referenced[1].load(Ordering::Relaxed));
         assert_eq!(c.remove(1), Some(2));
-        assert!(!c.referenced(1));
+        assert!(!c.referenced[1].load(Ordering::Relaxed));
     }
 }

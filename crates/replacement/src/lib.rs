@@ -45,7 +45,7 @@ pub mod traits;
 pub mod two_q;
 
 pub use arc::Arc;
-pub use cache_sim::{CacheSim, SimStats};
+pub use cache_sim::{CacheSim, Recorder, SimStats};
 pub use car::Car;
 pub use clock::Clock;
 pub use lfu::Lfu;

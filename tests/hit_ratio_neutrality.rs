@@ -2,12 +2,17 @@
 //! — verified end-to-end: on real workload traces, a BP-wrapped policy's
 //! hit ratio equals the bare policy's exactly (single stream), and the
 //! distributed-lock alternative from §V-A *does* hurt, which is why the
-//! paper rejects it.
+//! paper rejects it. Fig. 8 sets pgClock beside them: the live pool's
+//! CLOCK manager must hit exactly where the simulated CLOCK does.
+
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 use bpw_bench::{interleaved_trace, PartitionedCache};
-use bpw_core::{WrappedCache, WrapperConfig};
-use bpw_replacement::{CacheSim, PolicyKind};
-use bpw_workloads::WorkloadKind;
+use bpw_bufferpool::{BufferPool, ClockManager, SimDisk};
+use bpw_core::{BpWrapper, WrapperConfig};
+use bpw_replacement::{CacheSim, Clock, PolicyKind};
+use bpw_workloads::{WorkloadKind, ZipfWorkload};
 
 fn workload_trace(kind: WorkloadKind, txns: usize) -> Vec<u64> {
     interleaved_trace(&*kind.build(), 4, txns, 0xFEED)
@@ -31,8 +36,9 @@ fn wrapped_hit_ratio_is_identical_on_paper_workloads() {
             // a lock per access, or batches committed at the threshold.
             for (system, cfg) in commit_configs() {
                 let frames = 1024;
+                let w = BpWrapper::new(policy.build(frames), cfg);
                 let mut bare = CacheSim::new(policy.build(frames));
-                let mut wrapped = WrappedCache::new(policy.build(frames), cfg);
+                let mut wrapped = CacheSim::new(w.handle());
                 let a = bare.run(trace.iter().copied());
                 let b = wrapped.run(trace.iter().copied());
                 assert_eq!(
@@ -41,6 +47,33 @@ fn wrapped_hit_ratio_is_identical_on_paper_workloads() {
                 );
             }
         }
+    }
+}
+
+#[test]
+fn live_pg_clock_hits_exactly_where_cache_sim_clock_does() {
+    // One thread through a `BufferPool<ClockManager>` against Fig. 8's
+    // `CacheSim<Clock>` column, on 100 000-access Zipf traces: small,
+    // middling and large pools, each its own seed and page universe.
+    for (frames, pages, seed) in [(64, 1_000, 0xC10C), (256, 8_000, 7), (1_024, 20_000, 42)] {
+        let trace = interleaved_trace(&ZipfWorkload::new(pages, 0.9, 20), 4, 1_250, seed);
+        let pool = BufferPool::new(
+            frames,
+            64,
+            ClockManager::new(frames),
+            Arc::new(SimDisk::instant()),
+        );
+        let mut session = pool.session();
+        for &p in &trace {
+            drop(session.fetch(p).expect("storage I/O failed"));
+        }
+        let live = (
+            pool.stats().hits.load(Ordering::Relaxed),
+            pool.stats().misses.load(Ordering::Relaxed),
+        );
+        let sim = CacheSim::new(Clock::new(frames)).run(trace.iter().copied());
+        assert_eq!(live.0 + live.1, trace.len() as u64);
+        assert_eq!(live, (sim.hits, sim.misses), "{frames} frames");
     }
 }
 
@@ -81,13 +114,14 @@ fn order_preservation_across_batch_boundaries() {
     let trace = workload_trace(WorkloadKind::Dbt2, 60);
     let frames = 512;
     for (system, cfg) in commit_configs() {
+        let w = BpWrapper::new(PolicyKind::Lirs.build(frames), cfg);
         let mut bare = CacheSim::new(PolicyKind::Lirs.build(frames));
-        let mut wrapped = WrappedCache::new(PolicyKind::Lirs.build(frames), cfg);
+        let mut wrapped = CacheSim::new(w.handle());
         for &p in &trace {
             bare.access(p);
             wrapped.access(p);
         }
-        wrapped.flush();
+        wrapped.policy_mut().flush();
         // Identical resident sets page-for-page.
         for &p in &trace {
             assert_eq!(
