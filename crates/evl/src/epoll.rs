@@ -1,6 +1,5 @@
 //! Safe wrappers over the raw epoll surface: an [`Epoll`] instance with
-//! token-based registration, a level-triggered [`Interest`], and a
-//! [`WakeFd`] (eventfd) for cross-thread wakeups.
+//! token-based registration and a level-triggered [`Interest`].
 
 use std::io;
 use std::os::unix::io::{AsRawFd, RawFd};
@@ -8,8 +7,7 @@ use std::time::Duration;
 
 use crate::sys::{
     sys_close, sys_epoll_add, sys_epoll_create, sys_epoll_del, sys_epoll_mod, sys_epoll_wait,
-    sys_eventfd, sys_read, sys_write, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT,
-    EPOLLRDHUP,
+    EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
 };
 
 /// What a registration wants to hear about.
@@ -136,58 +134,11 @@ impl Drop for Epoll {
     }
 }
 
-/// A cross-thread wakeup channel: any thread [`notify`](Self::notify)s,
-/// the loop sees the fd readable and [`drain`](Self::drain)s it back to
-/// quiescent. Backed by a nonblocking eventfd, so notify never blocks
-/// and coalesces arbitrarily many signals into one wakeup.
-pub struct WakeFd {
-    fd: RawFd,
-}
-
-impl WakeFd {
-    /// Create the eventfd.
-    pub fn new() -> io::Result<WakeFd> {
-        Ok(WakeFd { fd: sys_eventfd()? })
-    }
-
-    /// Wake the loop (callable from any thread, lock-free).
-    pub fn notify(&self) {
-        // An eventfd write only blocks at u64::MAX - 1 pending signals;
-        // treat that (and any other failure) as "the loop is already
-        // very awake".
-        let _ = sys_write(self.fd, &1u64.to_ne_bytes());
-    }
-
-    /// Consume all pending notifications; returns how many were folded
-    /// together (0 when the wake was spurious).
-    pub fn drain(&self) -> u64 {
-        let mut buf = [0u8; 8];
-        match sys_read(self.fd, &mut buf) {
-            Ok(8) => u64::from_ne_bytes(buf),
-            _ => 0,
-        }
-    }
-}
-
-impl AsRawFd for WakeFd {
-    fn as_raw_fd(&self) -> RawFd {
-        self.fd
-    }
-}
-
-impl Drop for WakeFd {
-    fn drop(&mut self) {
-        sys_close(self.fd);
-    }
-}
-
-// Safety: WakeFd is just an fd; eventfd reads/writes are thread-safe.
-unsafe impl Send for WakeFd {}
-unsafe impl Sync for WakeFd {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{Read, Write};
+    use std::os::unix::net::UnixStream;
 
     fn ready_tokens(epoll: &mut Epoll, timeout: Duration) -> Vec<u64> {
         epoll
@@ -197,41 +148,47 @@ mod tests {
             .collect()
     }
 
+    /// A connected socket pair: `.1` turns readable when `.0` writes.
+    fn pair() -> (UnixStream, UnixStream) {
+        let (tx, rx) = UnixStream::pair().unwrap();
+        rx.set_nonblocking(true).unwrap();
+        (tx, rx)
+    }
+
     #[test]
     fn level_triggered_stays_ready_until_drained() {
         let mut epoll = Epoll::new(8).unwrap();
-        let wake = WakeFd::new().unwrap();
-        epoll.add(&wake, 42, Interest::READ).unwrap();
+        let (mut tx, mut rx) = pair();
+        epoll.add(&rx, 42, Interest::READ).unwrap();
 
-        wake.notify();
+        tx.write_all(b"!").unwrap();
         assert_eq!(ready_tokens(&mut epoll, Duration::from_secs(5)), vec![42]);
-        // Level-triggered: still ready until the eventfd is drained.
+        // Level-triggered: still ready until the byte is read.
         assert_eq!(ready_tokens(&mut epoll, Duration::from_secs(5)), vec![42]);
-        assert_eq!(wake.drain(), 1);
+        assert_eq!(rx.read(&mut [0u8; 8]).unwrap(), 1);
         assert!(ready_tokens(&mut epoll, Duration::from_millis(10)).is_empty());
     }
 
     #[test]
     fn interest_none_silences_a_ready_fd() {
         let mut epoll = Epoll::new(8).unwrap();
-        let wake = WakeFd::new().unwrap();
-        epoll.add(&wake, 1, Interest::READ).unwrap();
-        wake.notify();
+        let (mut tx, rx) = pair();
+        epoll.add(&rx, 1, Interest::READ).unwrap();
+        tx.write_all(b"!").unwrap();
         assert_eq!(ready_tokens(&mut epoll, Duration::from_secs(5)), vec![1]);
         // Park it: still registered, but no events delivered.
-        epoll.modify(&wake, 1, Interest::NONE).unwrap();
+        epoll.modify(&rx, 1, Interest::NONE).unwrap();
         assert!(ready_tokens(&mut epoll, Duration::from_millis(20)).is_empty());
         // Unpark: the level-triggered readiness resurfaces immediately.
-        epoll.modify(&wake, 1, Interest::READ).unwrap();
+        epoll.modify(&rx, 1, Interest::READ).unwrap();
         assert_eq!(ready_tokens(&mut epoll, Duration::from_secs(5)), vec![1]);
-        epoll.delete(&wake).unwrap();
-        wake.notify();
+        epoll.delete(&rx).unwrap();
+        tx.write_all(b"!").unwrap();
         assert!(ready_tokens(&mut epoll, Duration::from_millis(20)).is_empty());
     }
 
     #[test]
     fn tcp_sockets_report_read_write_and_hangup() {
-        use std::io::Write;
         use std::net::{TcpListener, TcpStream};
 
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();

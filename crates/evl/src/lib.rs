@@ -2,15 +2,14 @@
 //!
 //! The readiness event-loop core under the page service's `eventloop`
 //! frontend: a hand-rolled epoll binding ([`Epoll`], [`Interest`],
-//! [`Ready`]) over raw syscalls ([`sys`]), an eventfd-backed
-//! cross-thread wakeup ([`WakeFd`]), and a draining outbound buffer
+//! [`Ready`]) over raw syscalls ([`sys`]) and a draining outbound buffer
 //! ([`WriteBuf`]) for nonblocking sockets.
 //!
 //! The workspace builds offline, so this crate vendors nothing and
 //! depends on nothing: the few kernel entry points it needs are declared
 //! directly against the C library every Rust binary already links.
 //! Protocol knowledge stays out — `bpw-server` owns frames and request
-//! semantics; this crate owns readiness, wakeups, and byte shoveling,
+//! semantics; this crate owns readiness and byte shoveling,
 //! which is what makes it reusable for any future network-facing
 //! subsystem (replication, a metrics listener, a tenant-control plane).
 
@@ -19,4 +18,4 @@ mod epoll;
 pub mod sys;
 
 pub use buf::{FlushProgress, WriteBuf};
-pub use epoll::{Epoll, Interest, Ready, WakeFd};
+pub use epoll::{Epoll, Interest, Ready};

@@ -2,8 +2,8 @@
 //!
 //! The workspace builds offline with no crates.io registry, so there is
 //! no `libc` crate to lean on. Every binary already links the platform
-//! C library, though, so the epoll and eventfd entry points are declared
-//! here directly — exactly the symbols the loop needs and nothing more.
+//! C library, though, so the epoll entry points are declared here
+//! directly — exactly the symbols the loop needs and nothing more.
 //! All wrappers translate `-1` returns into [`io::Error::last_os_error`]
 //! so callers stay in ordinary `io::Result` land.
 
@@ -26,8 +26,6 @@ const EPOLL_CTL_DEL: i32 = 2;
 const EPOLL_CTL_MOD: i32 = 3;
 
 const EPOLL_CLOEXEC: i32 = 0o2000000;
-const EFD_CLOEXEC: i32 = 0o2000000;
-const EFD_NONBLOCK: i32 = 0o4000;
 
 /// The kernel's `struct epoll_event`. On x86-64 the kernel ABI packs it
 /// (no padding between `events` and `data`); elsewhere it has natural
@@ -51,10 +49,7 @@ extern "C" {
     fn epoll_create1(flags: i32) -> i32;
     fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
     fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout_ms: i32) -> i32;
-    fn eventfd(initval: u32, flags: i32) -> i32;
     fn close(fd: i32) -> i32;
-    fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
-    fn write(fd: i32, buf: *const u8, count: usize) -> isize;
 }
 
 fn cvt(ret: i32) -> io::Result<i32> {
@@ -104,36 +99,11 @@ pub fn sys_epoll_wait(epfd: RawFd, buf: &mut [EpollEvent], timeout_ms: i32) -> i
     Ok(n as usize)
 }
 
-/// A nonblocking `eventfd(0)`.
-pub fn sys_eventfd() -> io::Result<RawFd> {
-    cvt(unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) })
-}
-
 /// Best-effort close (fd tables are process-local; errors are ignored
 /// the way `std` ignores them in `Drop`).
 pub fn sys_close(fd: RawFd) {
     unsafe {
         close(fd);
-    }
-}
-
-/// Raw `read`; the caller owns nonblocking/EAGAIN handling.
-pub fn sys_read(fd: RawFd, buf: &mut [u8]) -> io::Result<usize> {
-    let n = unsafe { read(fd, buf.as_mut_ptr(), buf.len()) };
-    if n < 0 {
-        Err(io::Error::last_os_error())
-    } else {
-        Ok(n as usize)
-    }
-}
-
-/// Raw `write`; the caller owns nonblocking/EAGAIN handling.
-pub fn sys_write(fd: RawFd, buf: &[u8]) -> io::Result<usize> {
-    let n = unsafe { write(fd, buf.as_ptr(), buf.len()) };
-    if n < 0 {
-        Err(io::Error::last_os_error())
-    } else {
-        Ok(n as usize)
     }
 }
 
@@ -149,20 +119,5 @@ mod tests {
         } else {
             assert_eq!(std::mem::size_of::<EpollEvent>(), 16);
         }
-    }
-
-    #[test]
-    fn eventfd_round_trips_a_wake() {
-        let fd = sys_eventfd().unwrap();
-        // Nothing written yet: nonblocking read reports WouldBlock.
-        let mut buf = [0u8; 8];
-        assert_eq!(
-            sys_read(fd, &mut buf).unwrap_err().kind(),
-            io::ErrorKind::WouldBlock
-        );
-        assert_eq!(sys_write(fd, &1u64.to_ne_bytes()).unwrap(), 8);
-        assert_eq!(sys_read(fd, &mut buf).unwrap(), 8);
-        assert_eq!(u64::from_ne_bytes(buf), 1);
-        sys_close(fd);
     }
 }

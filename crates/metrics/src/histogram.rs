@@ -119,27 +119,6 @@ impl Histogram {
         }
         self.max()
     }
-
-    /// Merge another histogram's counts into this one.
-    pub fn merge(&self, other: &Histogram) {
-        for (a, b) in self.buckets.iter().zip(other.buckets.iter()) {
-            a.fetch_add(b.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        self.count.fetch_add(other.count(), Ordering::Relaxed);
-        self.sum
-            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max.fetch_max(other.max(), Ordering::Relaxed);
-    }
-
-    /// Reset all buckets to zero.
-    pub fn clear(&self) {
-        for b in self.buckets.iter() {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
@@ -183,21 +162,6 @@ mod tests {
         let p99 = h.quantile(0.99);
         assert_eq!(p99, 512); // 990 in [512, 1024)
         assert_eq!(h.quantile(0.0), 1); // rank clamps to 1 -> smallest sample's bucket
-    }
-
-    #[test]
-    fn merge_and_clear() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        a.record(5);
-        b.record(7);
-        b.record(100);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.max(), 100);
-        a.clear();
-        assert_eq!(a.count(), 0);
-        assert_eq!(a.mean(), 0.0);
     }
 
     #[test]
@@ -257,27 +221,5 @@ mod tests {
             h.count(),
             "bucket counts must total the sample count"
         );
-    }
-
-    #[test]
-    fn merged_histogram_preserves_buckets_and_quantiles() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        for v in 1..=500u64 {
-            a.record(v);
-        }
-        for v in 501..=1000u64 {
-            b.record(v);
-        }
-        a.merge(&b);
-        let whole = Histogram::new();
-        for v in 1..=1000u64 {
-            whole.record(v);
-        }
-        assert_eq!(a.buckets(), whole.buckets());
-        assert_eq!(a.sum(), whole.sum());
-        for q in [0.0, 0.25, 0.5, 0.99, 1.0] {
-            assert_eq!(a.quantile(q), whole.quantile(q));
-        }
     }
 }

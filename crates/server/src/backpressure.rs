@@ -1,8 +1,11 @@
-//! Admission control between connection threads and the worker pool.
+//! Admission control between the threaded frontend's connection threads
+//! and its worker pool.
 //!
 //! The server's request queue is where overload becomes visible, so the
 //! policy decision lives here rather than in the protocol or worker
-//! code. Three policies:
+//! code. The event loop has no queue — it runs each request itself, so
+//! only a deadline means anything there (see [`crate::eventloop`]).
+//! Three policies:
 //!
 //! * **Block** — producers wait for queue space; nothing is refused.
 //!   End-to-end latency absorbs the overload (the e2e tests rely on the
@@ -74,21 +77,6 @@ pub enum Admitted {
     Queued,
     /// Refused under [`AdmissionPolicy::Shed`].
     Shed,
-    /// All workers are gone; the server is shutting down.
-    Closed,
-}
-
-/// What a non-blocking [`AdmissionQueue::offer_at`] did with a request.
-#[derive(Debug)]
-pub enum Offered<T> {
-    /// Queued without blocking.
-    Queued,
-    /// Refused under [`AdmissionPolicy::Shed`] (reply `BUSY`).
-    Shed,
-    /// The queue is full under a blocking policy; the item comes back
-    /// so the caller can park it and retry when capacity frees up —
-    /// the event loop's version of "the producer waits".
-    Full(T),
     /// All workers are gone; the server is shutting down.
     Closed,
 }
@@ -187,30 +175,6 @@ impl<T> AdmissionQueue<T> {
         };
         self.depth.observe(depth as u64);
         Admitted::Queued
-    }
-
-    /// Submit without ever blocking the caller — the admission path for
-    /// the event-loop frontend, whose one thread owns every connection
-    /// and must not stall on any of them.
-    ///
-    /// `enqueued` backdates the entry: a request that sat parked in the
-    /// loop's stall buffer keeps its original arrival time, so
-    /// [`AdmissionPolicy::DeadlineDrop`] measures true end-to-end
-    /// staleness exactly as the blocking path does.
-    pub fn offer_at(&self, item: T, enqueued: Instant) -> Offered<T> {
-        match self.tx.try_send_len(Entry { item, enqueued }) {
-            Ok(depth) => {
-                self.depth.observe(depth as u64);
-                Offered::Queued
-            }
-            Err(TrySendError::Full(entry)) => match self.policy {
-                AdmissionPolicy::Shed => Offered::Shed,
-                AdmissionPolicy::Block | AdmissionPolicy::DeadlineDrop(_) => {
-                    Offered::Full(entry.item)
-                }
-            },
-            Err(TrySendError::Disconnected(_)) => Offered::Closed,
-        }
     }
 
     /// Shared handle to the depth gauge, so stats reporting can outlive
@@ -333,42 +297,6 @@ mod tests {
         match wq.pop(Duration::from_millis(10)) {
             Popped::Item(8) => {}
             other => panic!("expected Item(8), got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn offer_never_blocks_and_returns_the_item_when_full() {
-        let (aq, wq) = admission_queue::<u32>(1, AdmissionPolicy::Block);
-        assert!(matches!(aq.offer_at(1, Instant::now()), Offered::Queued));
-        // Full under Block: the item comes back for a later retry.
-        match aq.offer_at(2, Instant::now()) {
-            Offered::Full(2) => {}
-            other => panic!("expected Full(2), got {other:?}"),
-        }
-        match wq.pop(Duration::from_millis(50)) {
-            Popped::Item(1) => {}
-            other => panic!("expected Item(1), got {other:?}"),
-        }
-        assert!(matches!(aq.offer_at(2, Instant::now()), Offered::Queued));
-
-        // Full under Shed: refused outright, same as submit.
-        let (aq, _wq) = admission_queue::<u32>(1, AdmissionPolicy::Shed);
-        assert!(matches!(aq.offer_at(1, Instant::now()), Offered::Queued));
-        assert!(matches!(aq.offer_at(2, Instant::now()), Offered::Shed));
-    }
-
-    #[test]
-    fn offer_backdates_the_deadline_clock() {
-        // A request that waited in the loop's stall buffer keeps its
-        // original arrival time: offered "in the past", it must pop as
-        // Expired under a deadline shorter than that backdating.
-        let (aq, wq) =
-            admission_queue::<u32>(8, AdmissionPolicy::DeadlineDrop(Duration::from_millis(10)));
-        let long_ago = Instant::now() - Duration::from_millis(250);
-        assert!(matches!(aq.offer_at(5, long_ago), Offered::Queued));
-        match wq.pop(Duration::from_millis(50)) {
-            Popped::Expired(5) => {}
-            other => panic!("expected Expired(5), got {other:?}"),
         }
     }
 

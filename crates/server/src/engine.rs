@@ -2,28 +2,36 @@
 //! "frame complete" and "reply accounted", once, for both frontends.
 //!
 //! ```text
-//! frame ─▶ route ─┬─▶ Reply / Fatal ───────────────────────▶ write_reply
-//!                 ├─▶ Resident(pin, ticket) ──────────▶ Resident::reply
-//!                 └─▶ Work(req, ticket) ─▶ admission queue ─▶ worker_loop
-//!                                  execute ─▶ Job::finish ─▶ write_reply
-//!                                                  └▶ Ticket::complete
+//! frame ─▶ route ─┬─▶ Reply / Fatal ─────────────────────────────▶ write_reply
+//!                 ├─▶ Resident(pin, ticket) ──────────────────▶ Resident::reply
+//!                 └─▶ Work(req, ticket) ─┬─▶ serve: execute ─▶ Resident::reply
+//!                                        │    (event loop)   └▶ write_reply
+//!                                        └─▶ admission queue ─▶ worker_loop:
+//!                                             execute ─▶ reply channel ─▶ write_reply
+//!                                                 (threaded)
 //! ```
 //!
 //! A frontend (the threaded driver in [`crate::server`], the readiness
-//! loop in [`crate::eventloop`]) owns sockets and admission *blocking*
-//! strategy only: it hands complete frame bodies and its thread's pool
-//! session to [`route`], submits or offers the resulting [`Job`], and
-//! passes each response through [`write_reply`] (or
-//! [`Resident::reply`]) with the writer that is its transport.
-//! Decoding, control opcodes, stage attribution and per-status
-//! counters live here.
+//! loops in [`crate::eventloop`]) owns sockets only: it hands complete
+//! frame bodies and its thread's pool session to [`route`], and passes
+//! each reply through [`write_reply`] (or [`Resident::reply`]) with the
+//! writer that is its transport. Decoding, execution, control opcodes,
+//! stage attribution and per-status counters live here.
 //!
-//! BP-Wrapper's rule is that a hit touches nothing shared and only a
-//! miss pays for synchronisation. `route` applies it to the request
-//! path: a GET whose page is resident is pinned on the frontend thread
-//! and answered from the frame, and never sees the admission queue, a
-//! worker or the completion queue. Whatever is not resident — and every
-//! PUT and SCAN — queues for a worker.
+//! BP-Wrapper's rule is that the common path pays for no cross-processor
+//! synchronisation. `route` applies it to a GET whose page is resident:
+//! the frontend thread pins it and answers from the frame. The event loop
+//! applies it to everything else too: [`serve`] runs a miss, a PUT or a
+//! SCAN to completion on the loop thread that decoded it, with that
+//! loop's pool session, and writes the reply in request order. A miss
+//! holds its loop, and only its loop, for the miss's device time. The
+//! threaded frontend still submits that work to the admission queue,
+//! whose workers hand each reply back over a channel.
+//!
+//! Every stage boundary is one clock read, shared by the stage it ends
+//! and the one it starts ([`Ticket`]): `decode`, `queue_wait` (threaded
+//! only), `pin_hit`, `miss_io` and `reply_flush` sum exactly to the
+//! request's end-to-end sample.
 
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -34,16 +42,18 @@ use bpw_bufferpool::{PinnedPage, PoolSession, ReplacementManager};
 use crossbeam::channel::Sender;
 
 use crate::backpressure::{Popped, WorkQueue};
-use crate::eventloop::Completions;
 use crate::exposition;
 use crate::metrics::{OpKind, ServerMetrics, Stage};
 use crate::protocol::{self, page_checksum, ProtocolError, Request, Response};
 use crate::server::DynPool;
 
-/// A thread's session against the server's pool: workers execute
-/// queued requests through one, frontend threads pin resident pages
-/// through one.
+/// A thread's session against the server's pool: event loops and
+/// workers execute requests through one, threaded connections pin
+/// resident pages through one.
 pub(crate) type Session<'p> = PoolSession<'p, Box<dyn ReplacementManager>>;
+
+/// A page pinned through a [`Session`].
+type Pinned<'p> = PinnedPage<'p, Box<dyn ReplacementManager>>;
 
 /// Shared state every thread of the server sees. Deliberately does NOT
 /// hold the admission queue's sender side: workers carry this struct,
@@ -54,65 +64,32 @@ pub(crate) struct Shared {
     pub(crate) metrics: Arc<ServerMetrics>,
     pub(crate) stop: Arc<AtomicBool>,
     pub(crate) pages: u64,
-    /// Queue-depth high-water mark (mirrors the admission queue's gauge).
+    /// Queue-depth high-water mark (mirrors the admission queue's gauge;
+    /// stays 0 under the event loop, which has no queue).
     pub(crate) depth: Arc<bpw_metrics::MaxGauge>,
 }
 
 /// What a data request carries from [`route`] to its written reply:
-/// which histogram it lands in and when its clock started.
+/// which histogram it lands in, when its clock started, and where its
+/// current stage began.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Ticket {
-    pub(crate) kind: OpKind,
-    /// The instant the request's frame was complete — queue wait and
-    /// every later stage are measured against it.
-    pub(crate) admitted: Instant,
+    kind: OpKind,
+    /// The instant the request's frame was complete: its end-to-end
+    /// sample and any deadline are measured from here.
+    admitted: Instant,
+    /// The last stage boundary: the current stage started here.
+    mark: Instant,
 }
 
-/// One queued request: the decoded message, its ticket, and where the
-/// reply goes.
+/// One queued request (threaded frontend): the decoded message, its
+/// ticket, and the channel its connection thread awaits the reply on.
+/// The ticket travels back with the reply, so the connection thread
+/// starts `reply_flush` where the worker's execution ended.
 pub(crate) struct Job {
     pub(crate) req: Request,
     pub(crate) ticket: Ticket,
-    pub(crate) reply: ReplyTo,
-}
-
-/// Where a worker delivers a finished [`Response`]: a blocked
-/// connection thread (threaded frontend) or the event loop's completion
-/// queue, tagged with the connection token and pipeline sequence number
-/// so the loop can put it back in request order.
-pub(crate) enum ReplyTo {
-    Channel(Sender<Response>),
-    Loop {
-        completions: Arc<Completions>,
-        token: u64,
-        seq: u64,
-    },
-}
-
-impl Job {
-    /// Deliver `resp`. A reply to the event loop also hands back the PUT
-    /// body this job carried, and refills `spare` — the worker's buffer
-    /// for its next reply — if the reply took it.
-    fn finish(self, resp: Response, spare: &mut Vec<u8>) {
-        match self.reply {
-            ReplyTo::Channel(tx) => {
-                // The receiver may have given up (connection died); the
-                // work is simply discarded.
-                let _ = tx.send(resp);
-            }
-            ReplyTo::Loop {
-                completions,
-                token,
-                seq,
-            } => {
-                let body = match self.req {
-                    Request::Put { data, .. } => data,
-                    _ => Vec::new(),
-                };
-                completions.push(token, seq, resp, body, spare);
-            }
-        }
-    }
+    pub(crate) reply: Sender<(Ticket, Response)>,
 }
 
 /// What [`route`] made of one frame body.
@@ -124,7 +101,8 @@ pub(crate) enum Routed<'p> {
     /// The body does not decode: write this `ERR`, then close the
     /// connection (framing is suspect).
     Fatal(Response),
-    /// A data request for the admission queue.
+    /// A data request to execute: [`serve`] on an event loop, the
+    /// admission queue under the threaded frontend.
     Work(Request, Ticket),
     /// A GET whose page was resident: already pinned, to be answered by
     /// the calling thread before it does anything else.
@@ -132,11 +110,9 @@ pub(crate) enum Routed<'p> {
 }
 
 /// A pinned page and the ticket of the GET that asked for it. The pin
-/// must not be kept: [`reply`](Self::reply) when the reply is next on
-/// the connection, [`into_response`](Self::into_response) when it is
-/// not.
+/// must not be kept: [`reply`](Self::reply) at once.
 pub(crate) struct Resident<'p> {
-    page: PinnedPage<'p, Box<dyn ReplacementManager>>,
+    page: Pinned<'p>,
     ticket: Ticket,
 }
 
@@ -155,16 +131,13 @@ pub(crate) fn protocol_error(shared: &Shared, e: &ProtocolError) -> Response {
 /// request clock starts here, the moment the frame is whole — not at an
 /// epoll wakeup that may have delivered a whole pipeline burst.
 ///
-/// `session` is the calling thread's. `in_place` is the frontend's
-/// word that nothing this connection sent earlier is still queued — a
-/// GET answered here would otherwise overtake it (ordering is socket
-/// state, so the frontend knows it and the engine does not). A PUT's
-/// data is decoded into a buffer popped from `spares`, when it has one.
+/// `session` is the calling thread's: a GET of a resident page is pinned
+/// with it. A PUT's data is decoded into a buffer popped from `spares`,
+/// when it has one.
 pub(crate) fn route<'p>(
     shared: &Shared,
     session: &mut Session<'p>,
     body: &[u8],
-    in_place: bool,
     spares: &mut Vec<Vec<u8>>,
 ) -> Routed<'p> {
     let admitted = Instant::now();
@@ -172,51 +145,30 @@ pub(crate) fn route<'p>(
         Ok(req) => req,
         Err(e) => return Routed::Fatal(protocol_error(shared, &e)),
     };
-    let decode_ns = admitted.elapsed().as_nanos() as u64;
     let Some(kind) = OpKind::of(&req) else {
         return Routed::Reply(control(shared, &req));
     };
-    let ticket = Ticket { kind, admitted };
-    shared.metrics.record_stage(kind, Stage::Decode, decode_ns);
-    let resident = match req {
-        Request::Get { page } if page < shared.pages && in_place => {
-            pin_resident(shared, session, page, ticket)
-        }
-        _ => None,
+    let mut ticket = Ticket {
+        kind,
+        admitted,
+        mark: admitted,
     };
-    match resident {
-        Some(hit) => Routed::Resident(hit),
-        None => {
-            // The hits this thread answered are still in its BP-Wrapper
-            // queue. Commit them before a worker can run this request:
-            // the policy then picks victims knowing every access the
-            // connection made before it, in the order it made them.
-            session.flush();
-            Routed::Work(req, ticket)
-        }
+    let decode_ns = ticket.lap();
+    shared.metrics.record_stage(kind, Stage::Decode, decode_ns);
+    match req {
+        Request::Get { page } if page < shared.pages => match session.fetch_resident(page) {
+            Some(page) => {
+                let pin_ns = ticket.lap();
+                shared.metrics.record_stage(kind, Stage::PinHit, pin_ns);
+                shared.metrics.inline_hits.incr();
+                Routed::Resident(Resident { page, ticket })
+            }
+            // A page that is not there costs one lookup and leaves no
+            // sample: its execution accounts the whole access.
+            None => Routed::Work(req, ticket),
+        },
+        _ => Routed::Work(req, ticket),
     }
-}
-
-/// The hit half of [`worker_loop`]'s execute step, on the calling
-/// thread: pin `page` if it is resident and attribute the time. A page
-/// that is not there costs one lookup and leaves no sample — the worker
-/// that fetches it accounts the whole access.
-fn pin_resident<'p>(
-    shared: &Shared,
-    session: &mut Session<'p>,
-    page: u64,
-    ticket: Ticket,
-) -> Option<Resident<'p>> {
-    let pin_t0 = Instant::now();
-    let pinned = session.fetch_resident(page)?;
-    let pin_ns = pin_t0.elapsed().as_nanos() as u64;
-    let m = &shared.metrics;
-    m.record_stage(ticket.kind, Stage::PinHit, pin_ns);
-    m.inline_hits.incr();
-    Some(Resident {
-        page: pinned,
-        ticket,
-    })
 }
 
 impl Resident<'_> {
@@ -228,21 +180,30 @@ impl Resident<'_> {
     /// waiting.
     pub(crate) fn reply(self, shared: &Shared, w: &mut impl Write) -> io::Result<()> {
         let Resident { page, ticket } = self;
-        let flush_t0 = Instant::now();
         page.read(|data| protocol::write_response_unflushed(w, protocol::ST_OK, data))?;
         drop(page);
         w.flush()?;
-        let flush_ns = flush_t0.elapsed().as_nanos() as u64;
-        ticket.complete(&shared.metrics, protocol::ST_OK, flush_ns);
+        ticket.complete(&shared.metrics, protocol::ST_OK);
         Ok(())
     }
+}
 
-    /// Copy the page out into `buf` and release the pin, for a reply
-    /// that has to wait its turn behind earlier ones: [`write_reply`]
-    /// takes it from here.
-    pub(crate) fn into_response(self, buf: Vec<u8>) -> (Ticket, Response) {
-        let bytes = self.page.read(|data| protocol::refill(buf, data));
-        (self.ticket, Response::Ok(bytes))
+/// Run a data request to completion on the calling thread — an event
+/// loop, with its own session — and write its reply into `w`: a GET's
+/// from the frame under the pin, as [`Resident::reply`] does.
+pub(crate) fn serve(
+    shared: &Shared,
+    session: &mut Session<'_>,
+    req: &Request,
+    mut ticket: Ticket,
+    w: &mut impl Write,
+) -> io::Result<()> {
+    bpw_trace::stage::reset();
+    let done = execute(session, shared, req);
+    ticket.executed(&shared.metrics);
+    match done {
+        Executed::Page(page) => Resident { page, ticket }.reply(shared, w),
+        Executed::Reply(resp) => write_reply(shared, Some(ticket), &resp, w),
     }
 }
 
@@ -258,20 +219,49 @@ fn control(shared: &Shared, req: &Request) -> Response {
             Response::Ok(Vec::new())
         }
         Request::Get { .. } | Request::Put { .. } | Request::Scan { .. } => {
-            Response::Err("data requests are executed by workers".into())
+            Response::Err("data requests are not control opcodes".into())
         }
     }
 }
 
 impl Ticket {
-    /// Account one reply that has just been handed to the transport,
-    /// `flush_ns` after its serialization started.
-    pub(crate) fn complete(self, m: &ServerMetrics, status: u8, flush_ns: u64) {
-        let Ticket { kind, admitted } = self;
-        let total_ns = admitted.elapsed().as_nanos() as u64;
-        m.record_stage(kind, Stage::ReplyFlush, flush_ns);
+    /// End the current stage now and start the next: its length in
+    /// nanoseconds, for one clock read.
+    fn lap(&mut self) -> u64 {
+        let now = Instant::now();
+        let ns = now.duration_since(self.mark).as_nanos() as u64;
+        self.mark = now;
+        ns
+    }
+
+    /// Did the request's decode end more than `deadline` after its
+    /// frame was complete? On an event loop that is when its turn
+    /// comes, so no clock is read.
+    pub(crate) fn decoded_after(&self, deadline: Duration) -> bool {
+        self.mark.duration_since(self.admitted) > deadline
+    }
+
+    /// End the execution stage: its time less the miss I/O the pool
+    /// credited to this thread is `pin_hit`, the rest `miss_io`.
+    fn executed(&mut self, m: &ServerMetrics) {
+        let exec_ns = self.lap();
+        let miss_io_ns = bpw_trace::stage::take().miss_io_ns;
+        // Whatever execution spent beyond attributed miss I/O — batch
+        // commits included — is the hit path's own cost.
+        m.record_stage(self.kind, Stage::PinHit, exec_ns.saturating_sub(miss_io_ns));
+        if miss_io_ns > 0 {
+            m.record_stage(self.kind, Stage::MissIo, miss_io_ns);
+        }
+    }
+
+    /// Account one reply that has just been handed to the transport:
+    /// `reply_flush` ends now, and so does the request.
+    pub(crate) fn complete(mut self, m: &ServerMetrics, status: u8) {
+        let flush_ns = self.lap();
+        let total_ns = self.mark.duration_since(self.admitted).as_nanos() as u64;
+        m.record_stage(self.kind, Stage::ReplyFlush, flush_ns);
         match status {
-            protocol::ST_OK => m.record_ok(kind, total_ns),
+            protocol::ST_OK => m.record_ok(self.kind, total_ns),
             protocol::ST_BUSY => m.busy.incr(),
             protocol::ST_DROPPED => m.dropped.incr(),
             protocol::ST_ERR => m.errors.incr(),
@@ -291,37 +281,37 @@ pub(crate) fn write_reply(
     resp: &Response,
     w: &mut impl Write,
 ) -> io::Result<()> {
-    let flush_t0 = Instant::now();
     protocol::write_response_unflushed(w, resp.status(), resp.payload())?;
     w.flush()?;
     if let Some(ticket) = ticket {
-        let flush_ns = flush_t0.elapsed().as_nanos() as u64;
-        ticket.complete(&shared.metrics, resp.status(), flush_ns);
+        ticket.complete(&shared.metrics, resp.status());
     }
     Ok(())
 }
 
-/// A worker: pop jobs, execute them against a long-lived
-/// [`PoolSession`] — the per-thread state BP-Wrapper's batching needs
-/// to amortize the replacement lock — and deliver the responses.
+/// A worker of the threaded frontend: pop jobs, execute them against a
+/// long-lived [`PoolSession`] — the per-thread state BP-Wrapper's
+/// batching needs to amortize the replacement lock — and hand each
+/// reply back to its connection thread.
 pub(crate) fn worker_loop(shared: &Shared, work: &WorkQueue<Job>) {
     let mut session = shared.pool.session();
-    // The buffer the next GET reply is copied into; the event loop's
-    // completion queue hands emptied ones back.
-    let mut spare = Vec::new();
     loop {
         match work.pop(Duration::from_millis(50)) {
-            Popped::Item(job) => {
-                let Ticket { kind, admitted } = job.ticket;
-                let waited_ns = admitted.elapsed().as_nanos() as u64;
+            Popped::Item(Job {
+                req,
+                mut ticket,
+                reply,
+            }) => {
+                let waited_ns = ticket.lap();
                 shared.metrics.queue_wait_ns.record(waited_ns);
                 shared
                     .metrics
-                    .record_stage(kind, Stage::QueueWait, waited_ns);
-                // Fresh miss-I/O scratch for this request.
+                    .record_stage(ticket.kind, Stage::QueueWait, waited_ns);
                 bpw_trace::stage::reset();
-                let exec_t0 = Instant::now();
-                let resp = execute(&mut session, shared, &job.req, &mut spare);
+                let resp = match execute(&mut session, shared, &req) {
+                    Executed::Page(page) => Response::Ok(page.read(<[u8]>::to_vec)),
+                    Executed::Reply(resp) => resp,
+                };
                 if work.is_empty() {
                     // About to go idle: commit this thread's deferred
                     // hits before the reply lets the connection's next
@@ -331,18 +321,14 @@ pub(crate) fn worker_loop(shared: &Shared, work: &WorkQueue<Job>) {
                     // whichever thread happened to serve each.
                     session.flush();
                 }
-                let exec_ns = exec_t0.elapsed().as_nanos() as u64;
-                let miss_io_ns = bpw_trace::stage::take().miss_io_ns;
-                // Whatever execute() spent beyond attributed miss I/O —
-                // batch commits included — is the hit path's own cost.
-                let pin_hit = exec_ns.saturating_sub(miss_io_ns);
-                shared.metrics.record_stage(kind, Stage::PinHit, pin_hit);
-                if miss_io_ns > 0 {
-                    shared.metrics.record_stage(kind, Stage::MissIo, miss_io_ns);
-                }
-                job.finish(resp, &mut spare);
+                ticket.executed(&shared.metrics);
+                // The receiver may have given up (connection died); the
+                // work is simply discarded.
+                let _ = reply.send((ticket, resp));
             }
-            Popped::Expired(job) => job.finish(Response::Dropped, &mut spare),
+            Popped::Expired(job) => {
+                let _ = job.reply.send((job.ticket, Response::Dropped));
+            }
             Popped::Timeout => {
                 // Idle: commit any deferred BP-Wrapper bookkeeping so the
                 // replacement algorithm doesn't go stale between bursts.
@@ -353,67 +339,65 @@ pub(crate) fn worker_loop(shared: &Shared, work: &WorkQueue<Job>) {
     }
 }
 
-/// Run one data request against the pool. A GET's page is copied into
-/// `spare` (taken; a fresh buffer when it is empty).
-fn execute(
-    session: &mut Session<'_>,
-    shared: &Shared,
-    req: &Request,
-    spare: &mut Vec<u8>,
-) -> Response {
+/// What executing a data request produced.
+enum Executed<'p> {
+    /// A GET's page, pinned: its reply is written from the frame.
+    Page(Pinned<'p>),
+    /// Every other outcome: the reply itself.
+    Reply(Response),
+}
+
+/// Run one data request against the pool.
+fn execute<'p>(session: &mut Session<'p>, shared: &Shared, req: &Request) -> Executed<'p> {
     let page_size = shared.pool.page_size();
+    let out_of_range = |what: String| Executed::Reply(Response::Err(what));
     match req {
-        Request::Get { page } => {
-            if *page >= shared.pages {
-                return Response::Err(format!("page {page} outside 0..{}", shared.pages));
-            }
-            match session.fetch(*page) {
-                Ok(pinned) => {
-                    Response::Ok(pinned.read(|data| protocol::refill(std::mem::take(spare), data)))
-                }
-                Err(e) => Response::IoError(e.to_string()),
-            }
+        Request::Get { page } if *page >= shared.pages => {
+            out_of_range(format!("page {page} outside 0..{}", shared.pages))
         }
-        Request::Put { page, data } => {
-            if *page >= shared.pages {
-                return Response::Err(format!("page {page} outside 0..{}", shared.pages));
-            }
-            if data.len() > page_size {
-                return Response::Err(format!(
-                    "PUT of {} bytes exceeds the {page_size}-byte page",
-                    data.len()
-                ));
-            }
-            match session.fetch(*page) {
-                Ok(pinned) => {
-                    pinned.write(|dst| dst[..data.len()].copy_from_slice(data));
-                    Response::Ok(Vec::new())
-                }
-                Err(e) => Response::IoError(e.to_string()),
-            }
+        Request::Get { page } => match session.fetch(*page) {
+            Ok(pinned) => Executed::Page(pinned),
+            Err(e) => Executed::Reply(Response::IoError(e.to_string())),
+        },
+        Request::Put { page, .. } if *page >= shared.pages => {
+            out_of_range(format!("page {page} outside 0..{}", shared.pages))
         }
-        Request::Scan { start, len } => {
-            let end = match start.checked_add(*len as u64) {
-                Some(end) if end <= shared.pages => end,
-                _ => {
-                    return Response::Err(format!("SCAN {start}+{len} outside 0..{}", shared.pages))
-                }
-            };
-            let mut checksum = 0u64;
-            for page in *start..end {
-                match session.fetch(page) {
-                    Ok(pinned) => checksum = pinned.read(|data| page_checksum(checksum, data)),
-                    Err(e) => return Response::IoError(e.to_string()),
-                }
-            }
-            let mut payload = Vec::with_capacity(12);
-            payload.extend_from_slice(&len.to_le_bytes());
-            payload.extend_from_slice(&checksum.to_le_bytes());
-            Response::Ok(payload)
+        Request::Put { data, .. } if data.len() > page_size => {
+            Executed::Reply(Response::Err(format!(
+                "PUT of {} bytes exceeds the {page_size}-byte page",
+                data.len()
+            )))
         }
-        // `route` answers control opcodes inline; none reaches the queue.
-        _ => Response::Err("control requests are not executed by workers".into()),
+        Request::Put { page, data } => Executed::Reply(match session.fetch(*page) {
+            Ok(pinned) => {
+                pinned.write(|dst| dst[..data.len()].copy_from_slice(data));
+                Response::Ok(Vec::new())
+            }
+            Err(e) => Response::IoError(e.to_string()),
+        }),
+        Request::Scan { start, len } => Executed::Reply(scan(session, shared, *start, *len)),
+        // `route` answers control opcodes inline; none is executed.
+        _ => Executed::Reply(Response::Err("control requests are not executed".into())),
     }
+}
+
+/// A SCAN's reply: its length and the checksum of its pages, in order.
+fn scan(session: &mut Session<'_>, shared: &Shared, start: u64, len: u32) -> Response {
+    let end = match start.checked_add(len as u64) {
+        Some(end) if end <= shared.pages => end,
+        _ => return Response::Err(format!("SCAN {start}+{len} outside 0..{}", shared.pages)),
+    };
+    let mut checksum = 0u64;
+    for page in start..end {
+        match session.fetch(page) {
+            Ok(pinned) => checksum = pinned.read(|data| page_checksum(checksum, data)),
+            Err(e) => return Response::IoError(e.to_string()),
+        }
+    }
+    let mut payload = Vec::with_capacity(12);
+    payload.extend_from_slice(&len.to_le_bytes());
+    payload.extend_from_slice(&checksum.to_le_bytes());
+    Response::Ok(payload)
 }
 
 #[cfg(test)]
@@ -436,9 +420,32 @@ mod tests {
         }
     }
 
-    /// Route `req` as a frontend whose connection has nothing queued.
+    /// Route `req` as a frontend does.
     fn route_req<'p>(shared: &Shared, session: &mut Session<'p>, req: &Request) -> Routed<'p> {
-        route(shared, session, &req.encode(), true, &mut Vec::new())
+        route(shared, session, &req.encode(), &mut Vec::new())
+    }
+
+    /// Route `req`, answer it as an event loop does, and return its
+    /// reply frame.
+    fn answer(shared: &Shared, session: &mut Session<'_>, req: &Request) -> Vec<u8> {
+        let mut wire = Vec::new();
+        match route_req(shared, session, req) {
+            Routed::Work(req, ticket) => serve(shared, session, &req, ticket, &mut wire),
+            Routed::Resident(hit) => hit.reply(shared, &mut wire),
+            Routed::Reply(resp) | Routed::Fatal(resp) => {
+                write_reply(shared, None, &resp, &mut wire)
+            }
+        }
+        .expect("Vec cannot fail");
+        wire
+    }
+
+    /// What executing `req` replied, for a request that is not a GET.
+    fn executed(session: &mut Session<'_>, shared: &Shared, req: &Request) -> Response {
+        match execute(session, shared, req) {
+            Executed::Reply(resp) => resp,
+            Executed::Page(_) => panic!("{req:?} is not a GET"),
+        }
     }
 
     /// Route a GET of a page that is not resident and take its ticket.
@@ -486,10 +493,11 @@ mod tests {
         let get = Request::Get { page: 3 };
         // GET (a miss, executed as a worker would), STATS, GET (a hit,
         // answered in place), STATS: back to back, no pause between.
-        let Routed::Work(req, _) = route_req(&shared, session, &get) else {
-            panic!("page 3 is cold");
-        };
-        execute(session, &shared, &req, &mut Vec::new());
+        assert!(matches!(
+            route_req(&shared, session, &get),
+            Routed::Work(..)
+        ));
+        answer(&shared, session, &get);
         let first = scraped_counts(&shared, session);
         assert_eq!(first, pool_counts(&shared), "the first scrape is exact");
         let Routed::Resident(hit) = route_req(&shared, session, &get) else {
@@ -537,7 +545,7 @@ mod tests {
         let session = &mut shared.pool.session();
         for body in [&[0xFFu8][..], &[0x01, 1, 2], &[0x04, 9]] {
             let before = shared.metrics.errors.get();
-            match route(&shared, session, body, true, &mut Vec::new()) {
+            match route(&shared, session, body, &mut Vec::new()) {
                 Routed::Fatal(resp @ Response::Err(_)) => assert_eq!(resp.status(), 3),
                 _ => panic!("{body:?} must be answered ERR and close the connection"),
             }
@@ -562,8 +570,7 @@ mod tests {
             (Request::Scan { start: 0, len: 4 }, OpKind::Scan),
         ] {
             let body = req.encode();
-            let Routed::Work(routed, ticket) =
-                route(&shared, session, &body, true, &mut Vec::new())
+            let Routed::Work(routed, ticket) = route(&shared, session, &body, &mut Vec::new())
             else {
                 panic!("{req:?} must be routed to the workers");
             };
@@ -627,70 +634,53 @@ mod tests {
     }
 
     #[test]
-    fn a_resident_get_that_must_wait_its_turn_is_copied_out_unpinned() {
+    fn a_get_miss_is_served_from_its_frame_on_the_calling_thread() {
         let shared = shared();
-        let session = &mut shared.pool.session();
-        drop(session.fetch(4).expect("instant disk"));
-        let Routed::Resident(hit) = route_req(&shared, session, &Request::Get { page: 4 }) else {
-            panic!("page 4 is resident");
-        };
-        let page = session.fetch(4).expect("instant disk").read(|d| d.to_vec());
-        let recycled = vec![0xEE; 256];
-        let at = recycled.as_ptr();
-        let (ticket, resp) = hit.into_response(recycled);
-        assert!(
-            shared.pool.invalidate(4).is_invalidated(),
-            "no pin is held while the reply waits"
-        );
-        let mut wire = Vec::new();
-        write_reply(&shared, Some(ticket), &resp, &mut wire).expect("Vec cannot fail");
-        assert_eq!(wire, framed(&resp));
-        let Response::Ok(bytes) = resp else {
-            panic!("a resident GET is answered OK");
-        };
-        assert_eq!(
-            bytes, page,
-            "the frame's bytes, none of the buffer's old ones"
-        );
-        assert_eq!(bytes.as_ptr(), at, "copied into the recycled buffer");
         let m = &shared.metrics;
-        assert_eq!((m.ok.get(), m.total(), m.inline_hits.get()), (1, 1, 1));
+        let session = &mut shared.pool.session();
+        let wire = answer(&shared, session, &Request::Get { page: 6 });
+        assert_eq!(pool_counts(&shared), (0, 1), "one miss, no second lookup");
+        let page = session.fetch(6).expect("instant disk").read(|d| d.to_vec());
+        assert_eq!(wire, framed(&Response::Ok(page)), "the frame's bytes");
+        assert_eq!((m.ok.get(), m.total(), m.inline_hits.get()), (1, 1, 0));
+        assert_eq!(m.queue_wait_ns.count(), 0, "it never queued");
+        assert!(
+            shared.pool.invalidate(6).is_invalidated(),
+            "the pin is released once the reply is written"
+        );
+    }
+
+    /// Sum of the samples of every stage of `kind`.
+    fn stage_sum(m: &ServerMetrics, kind: OpKind) -> u64 {
+        Stage::ALL.iter().map(|&s| m.stage(kind, s).sum()).sum()
     }
 
     #[test]
-    fn a_get_miss_is_copied_into_the_workers_recycled_buffer() {
+    fn the_stages_of_one_request_sum_to_its_latency_sample() {
         let shared = shared();
+        let m = &shared.metrics;
         let session = &mut shared.pool.session();
-        let mut spare = vec![0xEE; 256];
-        let at = spare.as_ptr();
-        let resp = execute(session, &shared, &Request::Get { page: 6 }, &mut spare);
-        assert!(spare.is_empty(), "the reply took the spare");
-        let Response::Ok(bytes) = resp else {
-            panic!("GET answered {resp:?}");
-        };
-        assert_eq!(bytes.as_ptr(), at, "no fresh buffer");
-        let page = session.fetch(6).expect("instant disk").read(|d| d.to_vec());
-        assert_eq!(
-            bytes, page,
-            "the frame's bytes, none of the buffer's old ones"
-        );
-
-        // A PUT and a SCAN leave the spare alone.
-        let mut spare = Vec::with_capacity(64);
+        // A miss, with miss I/O inside its execution, then a hit.
+        for _ in 0..2 {
+            let before = (stage_sum(m, OpKind::Get), m.get_ns.sum());
+            answer(&shared, session, &Request::Get { page: 7 });
+            assert_eq!(
+                stage_sum(m, OpKind::Get) - before.0,
+                m.get_ns.sum() - before.1,
+                "decode + pin_hit + miss_io + reply_flush = get_ns"
+            );
+        }
+        assert_eq!(m.stage(OpKind::Get, Stage::MissIo).count(), 1, "the miss");
+        assert_eq!(m.inline_hits.get(), 1, "the hit");
+        // A PUT and a SCAN executed on the calling thread close too.
         let put = Request::Put {
-            page: 6,
-            data: vec![1; 8],
+            page: 8,
+            data: vec![2; 16],
         };
-        assert_eq!(
-            execute(session, &shared, &put, &mut spare),
-            Response::Ok(Vec::new())
-        );
-        let scan = Request::Scan { start: 0, len: 2 };
-        assert!(matches!(
-            execute(session, &shared, &scan, &mut spare),
-            Response::Ok(_)
-        ));
-        assert_eq!(spare.capacity(), 64);
+        answer(&shared, session, &put);
+        assert_eq!(stage_sum(m, OpKind::Put), m.put_ns.sum());
+        answer(&shared, session, &Request::Scan { start: 0, len: 4 });
+        assert_eq!(stage_sum(m, OpKind::Scan), m.scan_ns.sum());
     }
 
     #[test]
@@ -707,20 +697,20 @@ mod tests {
             0,
             "the worker accounts the whole access"
         );
-        let resp = execute(session, &shared, &Request::Get { page: 5 }, &mut Vec::new());
-        assert!(matches!(resp, Response::Ok(_)));
+        serve(
+            &shared,
+            session,
+            &Request::Get { page: 5 },
+            ticket,
+            &mut Vec::new(),
+        )
+        .expect("Vec cannot fail");
         assert_eq!(pool_counts(&shared), (0, 1));
-        write_reply(&shared, Some(ticket), &resp, &mut Vec::new()).expect("Vec cannot fail");
 
-        // Resident now, but the frontend says earlier requests of the
-        // connection are still queued: the pool is not even asked.
-        let get = Request::Get { page: 5 }.encode();
-        let behind = route(&shared, session, &get, false, &mut Vec::new());
-        assert!(matches!(behind, Routed::Work(Request::Get { page: 5 }, _)));
-        assert_eq!(pool_counts(&shared), (0, 1));
-        // Out of range: left to the worker's ERR, never looked up.
+        // Out of range: left to execution's ERR, never looked up.
         let beyond = route_req(&shared, session, &Request::Get { page: 64 });
         assert!(matches!(beyond, Routed::Work(..)));
+        assert_eq!(pool_counts(&shared), (0, 1));
         assert_eq!(shared.metrics.inline_hits.get(), 0);
     }
 
@@ -794,8 +784,7 @@ mod tests {
         let shared = shared();
         let session = &mut shared.pool.session();
         let range = Request::Scan { start: 8, len: 8 };
-        let scan = |session: &mut Session<'_>| match execute(session, &shared, &range, &mut vec![])
-        {
+        let scan = |session: &mut Session<'_>| match executed(session, &shared, &range) {
             Response::Ok(payload) => {
                 assert_eq!(payload.len(), 12);
                 u64::from_le_bytes(payload[4..].try_into().unwrap())
@@ -817,10 +806,7 @@ mod tests {
             page: 11,
             data: head,
         };
-        assert_eq!(
-            execute(session, &shared, &put, &mut Vec::new()),
-            Response::Ok(Vec::new())
-        );
+        assert_eq!(executed(session, &shared, &put), Response::Ok(Vec::new()));
         assert_ne!(
             scan(session),
             before,
@@ -841,14 +827,11 @@ mod tests {
             let Routed::Work(req, ticket) = route_req(&shared, session, &req) else {
                 panic!("a request for the queue expected");
             };
-            let (tx, rx) = crossbeam::channel::bounded(1);
-            let job = Job {
-                req,
-                ticket,
-                reply: ReplyTo::Channel(tx),
-            };
+            let (reply, rx) = crossbeam::channel::bounded(1);
+            let job = Job { req, ticket, reply };
             assert_eq!(admission.submit(job), Admitted::Queued);
-            rx.recv().expect("worker replies")
+            let (_, resp) = rx.recv().expect("worker replies");
+            resp
         };
         let mut data = vec![0xAB; 16];
         data[..8].copy_from_slice(&5u64.to_le_bytes());

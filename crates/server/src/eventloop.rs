@@ -1,96 +1,70 @@
-//! The readiness event-loop frontend: one thread multiplexing every
-//! client connection over epoll (via `bpw-evl`), with request
-//! pipelining and batched writes.
+//! The readiness event-loop frontend: loop threads, each multiplexing
+//! its share of the client connections over epoll (via `bpw-evl`), with
+//! request pipelining and batched writes.
 //!
 //! ## Why it exists
 //!
 //! The threaded frontend spends a thread per connection; tens of
 //! thousands of mostly-idle connections means tens of thousands of
 //! stacks and a scheduler meltdown long before BP-Wrapper's lock-free
-//! batching becomes the bottleneck. Here, socket I/O is owned by a
-//! single loop thread; complete frames go through the same
-//! [`crate::engine`] — `route`, admission queue, workers, `write_reply`
-//! — as the threaded frontend's, so overload policy and every
-//! replacement scheme behave identically in both modes. This file holds
-//! socket state only.
+//! batching becomes the bottleneck. Here a fixed number of loop threads
+//! (`ServerConfig::workers`) own every socket. Each registers a clone of
+//! the listener; a loop that loses an accept race sees `WouldBlock`, and
+//! a connection stays on the loop that accepted it. Complete frames go
+//! through the same [`crate::engine`] — `route`, `serve`, `write_reply`
+//! — as the threaded frontend's. This file holds socket state only.
 //!
-//! ## Resident GETs are answered here
+//! ## Every request runs to completion here
 //!
-//! The loop owns a pool session. `route` pins a GET's page with it when
-//! the page is resident, and the loop answers on the spot, under three
-//! rules. **The loop never blocks**: all it does for such a GET is the
-//! lookup-and-pin, one page copy under that pin, and
-//! BP-Wrapper's own bounded batch commit. **A pin never outlives the
-//! call that took it**: a reply that is next in sequence is written
-//! from the frame into the connection's write buffer; one that is not
-//! is copied out into the reorder buffer; either way the page is
-//! unpinned before the loop looks at the next frame, let alone returns
-//! to `epoll_wait`. **Nothing overtakes**: a GET is answered here only
-//! while its connection has nothing queued and nothing stalled; behind
-//! an unfinished request it queues like everything else. A pipelined
-//! PUT-then-GET therefore reads its own write exactly as it does through
-//! one worker, and one connection's requests reach the pool in the order
-//! it sent them whichever thread serves each.
+//! BP-Wrapper's rule is that the common path should not pay for
+//! cross-processor synchronisation, and on a loop no path pays for it: a
+//! request is executed by the loop thread that decoded it, through that
+//! loop's own pool session, before the next frame is looked at. A GET,
+//! hit or miss, is written from the frame into the connection's write
+//! buffer under its pin; a PUT is applied from a body buffer the loop
+//! reuses; a SCAN's checksum is computed here. No request crosses a
+//! thread, so there is no admission queue, no completion queue, no
+//! reorder buffer: replies are produced in request order, a pipelined
+//! PUT-then-GET reads its own write, and one connection's requests reach
+//! the pool in the order it sent them.
 //!
-//! ## Per-connection state machine
+//! The price is that a miss holds its loop for its device time. Against
+//! `SimDisk::instant` that is a page copy; against a slow device every
+//! connection of that loop waits behind it, while the other loops go on.
 //!
-//! Bytes arrive in arbitrary fragments and are fed to an incremental
-//! [`FrameDecoder`]; each complete frame gets the connection's next
-//! **sequence number**. Data requests are offered (never blockingly
-//! submitted) to the admission queue and executed by workers, which may
-//! finish out of order; control requests (`STATS`/`METRICS`/`SHUTDOWN`)
-//! are answered inline by the loop thread. Completed responses park in
-//! a per-connection reorder buffer (a [`Ring`] of slots indexed by
-//! sequence number) and are released strictly in sequence order — the
-//! pipelining contract is "responses in request order", byte-identical
-//! to what the threaded frontend produces.
+//! ## Overload
 //!
-//! ## Page buffers circulate
+//! Nothing queues, so `Shed` never sheds and `Block` never blocks.
+//! `DeadlineDrop(d)` is checked when a request's turn comes, which on a
+//! loop is the end of its decode: past `d`, the reply is `DROPPED` and
+//! the request is not executed.
 //!
-//! In steady state a queued GET or PUT allocates nothing, and a SCAN
-//! only its 12-byte reply. Frames are decoded from the decoder's buffer
-//! in place. A worker copies a GET's page into a buffer it was handed
-//! back; the loop decodes a PUT's body into one from its own stash.
-//! Buffers travel both ways under the completion queue's mutex, which
-//! every queued request takes anyway (see [`Completions`]).
+//! ## Flow control
 //!
-//! ## Flow control without blocking
+//! The loop must never wait on a socket. Two valves:
 //!
-//! The loop thread must never wait on anything. Four valves:
-//!
-//! * **Pipeline cap** — at most `max_pipeline` requests in flight per
-//!   connection; past that the connection's read interest is dropped
-//!   (level-triggered epoll makes re-arming free).
-//! * **Stall buffer** — under `Block`/`DeadlineDrop`, a full admission
-//!   queue hands the request back ([`Offered::Full`]); it parks in
-//!   arrival order and is re-offered when a completion signals that a
-//!   worker freed capacity. The request keeps its original admission
-//!   time, so deadlines measure true staleness.
-//! * **Write buffer** — responses coalesce into one [`WriteBuf`] per
+//! * **Write buffer** — replies coalesce into one [`WriteBuf`] per
 //!   connection, flushed once per wakeup; a short write registers write
 //!   interest instead of spinning.
 //! * **Unread replies** — a client that sends without reading fills its
 //!   write buffer. Past one pipeline's worth of replies
 //!   (`max_pipeline × (page_size + 5)` bytes) the loop stops reading the
-//!   socket, routing its buffered frames and re-offering its stalled
-//!   requests, until a flush brings the buffer back under the mark.
+//!   socket and answering its buffered frames, until a flush brings the
+//!   buffer back under the mark.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use bpw_evl::{Epoll, Interest, Ready, WakeFd, WriteBuf};
+use bpw_evl::{Epoll, Interest, Ready, WriteBuf};
 
-use crate::backpressure::{AdmissionQueue, Offered};
-use crate::engine::{self, Job, ReplyTo, Routed, Session, Shared, Ticket};
+use crate::engine::{self, Routed, Session, Shared};
 use crate::protocol::{FrameDecoder, Request, Response, RESPONSE_HEAD};
 
 const TOK_LISTENER: u64 = 0;
-const TOK_WAKE: u64 = 1;
-const FIRST_CONN_TOKEN: u64 = 2;
+const FIRST_CONN_TOKEN: u64 = 1;
 
 /// Socket-read budget per connection per wakeup: large enough to drain
 /// a deep pipeline burst in one pass, small enough that one firehose
@@ -98,113 +72,6 @@ const FIRST_CONN_TOKEN: u64 = 2;
 /// whatever is left).
 const READ_CHUNK: usize = 16 * 1024;
 const MAX_READS_PER_WAKEUP: usize = 8;
-
-/// Worker-to-loop completion channel: finished responses accumulate
-/// under a mutex (held for a push or a swap, never across I/O) and the
-/// eventfd wakes the loop — once per batch, not per response, because
-/// only the first push into an empty queue notifies.
-///
-/// The same mutex carries page buffers the other way, on acquisitions
-/// that happen anyway. A worker's push hands back the PUT body it has
-/// written and, only when its last reply took its buffer, takes a spare
-/// for the next. The loop's drain hands back the reply buffers it has
-/// copied into write buffers and takes the ones it will decode PUT
-/// bodies into. At most `queue_capacity + workers` spares are kept, and
-/// only buffers of `page_size..=2 × page_size` bytes of capacity: never
-/// a megabyte PUT body or a STATS reply. A buffer that is not kept is
-/// freed after the mutex is released.
-pub(crate) struct Completions {
-    queue: Mutex<Queue>,
-    wake: WakeFd,
-    page_size: usize,
-    /// Most spares kept.
-    bound: usize,
-}
-
-/// A worker's response for `(token, seq)`.
-type Completion = (u64, u64, Response);
-
-struct Queue {
-    done: Vec<Completion>,
-    /// Emptied page buffers.
-    spares: Vec<Vec<u8>>,
-}
-
-impl Completions {
-    pub(crate) fn new(page_size: usize, bound: usize) -> io::Result<Completions> {
-        Ok(Completions {
-            queue: Mutex::new(Queue {
-                done: Vec::new(),
-                spares: Vec::with_capacity(bound),
-            }),
-            wake: WakeFd::new()?,
-            page_size,
-            bound,
-        })
-    }
-
-    /// Deliver a worker's response for `(token, seq)`, hand back `spent`
-    /// (the job's PUT body, or an empty `Vec`), and refill `spare` if
-    /// it is empty.
-    pub(crate) fn push(
-        &self,
-        token: u64,
-        seq: u64,
-        resp: Response,
-        spent: Vec<u8>,
-        spare: &mut Vec<u8>,
-    ) {
-        let (was_empty, rejected) = {
-            let mut q = self.queue.lock().expect("completions lock");
-            let was_empty = q.done.is_empty();
-            q.done.push((token, seq, resp));
-            let rejected = if q.spares.len() < self.bound && self.reusable(&spent) {
-                q.spares.push(spent);
-                None
-            } else {
-                Some(spent)
-            };
-            if spare.capacity() == 0 {
-                if let Some(buf) = q.spares.pop() {
-                    *spare = buf;
-                }
-            }
-            (was_empty, rejected)
-        };
-        // A body the stack does not keep is freed outside the lock.
-        drop(rejected);
-        if was_empty {
-            self.wake.notify();
-        }
-    }
-
-    /// Swap the finished responses into `done`, which must be empty, and
-    /// bring the loop's `stash` (page buffers only) to `want` buffers:
-    /// hand back what it holds beyond that, take spares up to it.
-    fn drain(&self, done: &mut Vec<Completion>, stash: &mut Vec<Vec<u8>>, want: usize) {
-        debug_assert!(done.is_empty());
-        {
-            let mut q = self.queue.lock().expect("completions lock");
-            std::mem::swap(&mut q.done, done);
-            while stash.len() > want && q.spares.len() < self.bound {
-                let buf = stash.pop().expect("longer than want");
-                debug_assert!(self.reusable(&buf), "the stash holds page buffers");
-                q.spares.push(buf);
-            }
-            while stash.len() < want {
-                let Some(buf) = q.spares.pop() else { break };
-                stash.push(buf);
-            }
-        }
-        // The surplus the stack had no room for is freed outside the lock.
-        stash.truncate(want);
-    }
-
-    /// Is `buf` a page buffer, worth keeping for another page?
-    fn reusable(&self, buf: &Vec<u8>) -> bool {
-        (self.page_size..=2 * self.page_size).contains(&buf.capacity())
-    }
-}
 
 /// A connection's coalesced write buffer as the engine's transport: a
 /// write appends, and flushing is the loop's once-per-wakeup job, not
@@ -222,78 +89,16 @@ impl Write for Coalesced<'_> {
     }
 }
 
-/// A reply owed to the client: the ticket of a data request, redeemed
-/// when the reply is written, and the response once there is one.
-struct Slot {
-    ticket: Option<Ticket>,
-    resp: Option<Response>,
-}
-
-/// A connection's reorder buffer. Slot `i` holds the reply to sequence
-/// number `next_to_send + i`, so the next frame's number is
-/// `next_to_send + slots.len()`: filing a reply is an index, releasing
-/// one a pop, and neither hashes nor allocates once the ring has grown
-/// to the connection's pipeline depth.
-#[derive(Default)]
-struct Ring {
-    slots: VecDeque<Slot>,
-    /// Sequence number of the next response to put on the wire.
-    next_to_send: u64,
-}
-
-impl Ring {
-    /// Give the next frame its sequence number and a slot.
-    fn push(&mut self, ticket: Option<Ticket>, resp: Option<Response>) -> u64 {
-        self.slots.push_back(Slot { ticket, resp });
-        self.next_to_send + self.slots.len() as u64 - 1
-    }
-
-    /// The next frame is answered on the spot, as only a frame with
-    /// nothing owed before it may be.
-    fn skip(&mut self) {
-        debug_assert!(self.slots.is_empty());
-        self.next_to_send += 1;
-    }
-
-    /// File the response to `seq`.
-    fn fill(&mut self, seq: u64, resp: Response) {
-        let slot = &mut self.slots[(seq - self.next_to_send) as usize];
-        debug_assert!(slot.resp.is_none(), "one response per request");
-        slot.resp = Some(resp);
-    }
-
-    /// The next response in sequence — with its number and ticket — if
-    /// it has arrived.
-    fn pop(&mut self) -> Option<(u64, Option<Ticket>, Response)> {
-        let resp = self.slots.front_mut()?.resp.take()?;
-        let ticket = self.slots.pop_front().and_then(|slot| slot.ticket);
-        self.next_to_send += 1;
-        Some((self.next_to_send - 1, ticket, resp))
-    }
-
-    fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-}
-
 /// One multiplexed client connection.
 struct Conn {
     stream: TcpStream,
     decoder: FrameDecoder,
     wbuf: WriteBuf,
-    /// Every reply owed, in sequence order.
-    ring: Ring,
-    /// Data requests handed to workers and not yet completed.
-    inflight: usize,
-    /// Decoded data requests a full admission queue handed back. Each
-    /// keeps its original ticket across re-offers, so deadlines and
-    /// queue-wait attribution measure true staleness.
-    stalled: VecDeque<(u64, Request, Ticket)>,
     /// Peer closed its write half; serve what was received, then close.
     peer_eof: bool,
-    /// Fatal frame/decode error: the seq of the final (ERR) response.
-    /// Nothing past it is read or answered; close once it is written.
-    close_after: Option<u64>,
+    /// A frame did not decode and was answered `ERR`: nothing past it is
+    /// read or answered; close once the write buffer is empty.
+    poisoned: bool,
     /// Interest currently registered with epoll, to skip no-op MODs.
     registered: (bool, bool),
 }
@@ -304,19 +109,17 @@ impl Conn {
             stream,
             decoder: FrameDecoder::new(),
             wbuf: WriteBuf::new(),
-            ring: Ring::default(),
-            inflight: 0,
-            stalled: VecDeque::new(),
             peer_eof: false,
-            close_after: None,
+            poisoned: false,
             registered: (true, false),
         }
     }
 
-    /// All work this connection will ever produce has been written.
-    /// (A request in flight or stalled holds a slot in the ring.)
+    /// Every reply this connection is owed has been written: a frame
+    /// left in the decoder is answered before the loop moves on, unless
+    /// unread replies hold it back, and those are in the write buffer.
     fn drained(&self) -> bool {
-        self.ring.is_empty() && self.wbuf.is_empty()
+        self.wbuf.is_empty()
     }
 
     /// The client is not reading: more replies wait in the write buffer
@@ -326,80 +129,59 @@ impl Conn {
     }
 
     /// Should the loop keep reading from this socket?
-    fn wants_read(&self, max_pipeline: usize, high_water: usize) -> bool {
-        !self.peer_eof
-            && self.close_after.is_none()
-            && self.stalled.is_empty()
-            && self.inflight < max_pipeline
-            && !self.backlogged(high_water)
-    }
-
-    /// May a GET be answered on the spot? Only when nothing of this
-    /// connection is queued or stalled: what it sent earlier has then
-    /// taken effect, so it reads its own writes, and its requests reach
-    /// the pool in the order it sent them.
-    fn may_answer_in_place(&self) -> bool {
-        self.inflight == 0 && self.stalled.is_empty()
+    fn wants_read(&self, high_water: usize) -> bool {
+        !self.peer_eof && !self.poisoned && !self.backlogged(high_water)
     }
 }
 
-/// Everything the loop owns; lives on the loop thread's stack.
+/// Everything one loop owns; lives on the loop thread's stack.
 struct EventLoop<'a> {
     epoll: Epoll,
     listener: Option<TcpListener>,
     conns: HashMap<u64, Conn>,
     next_token: u64,
     shared: &'a Shared,
-    /// This thread's pool session: resident GETs are pinned through it.
+    /// This thread's pool session: every request of its connections is
+    /// executed through it.
     session: Session<'a>,
-    admission: AdmissionQueue<Job>,
-    completions: Arc<Completions>,
-    /// Page buffers for PUT bodies and for resident GETs that wait their
-    /// turn; written replies give theirs back. Each drain of the
-    /// completion queue brings it to `max_pipeline` buffers.
-    stash: Vec<Vec<u8>>,
-    max_pipeline: usize,
+    /// `DeadlineDrop`'s deadline, if that is the policy.
+    deadline: Option<Duration>,
+    /// At most one page buffer: a PUT's body is decoded into it and it
+    /// comes back once the PUT is applied.
+    spare: Vec<Vec<u8>>,
     /// Unread reply bytes past which a connection is backlogged.
     high_water: usize,
 }
 
-/// Run the loop until a stop is requested *and* every connection has
-/// gone away — the same lifetime the threaded frontend's acceptor plus
-/// connection threads have collectively.
+/// Run one loop until a stop is requested *and* every connection it
+/// accepted has gone away — the same lifetime the threaded frontend's
+/// acceptor plus connection threads have collectively.
 pub(crate) fn run(
     listener: TcpListener,
-    shared: Arc<Shared>,
-    admission: AdmissionQueue<Job>,
-    completions: Arc<Completions>,
+    shared: &Shared,
+    deadline: Option<Duration>,
     max_pipeline: usize,
 ) {
     let epoll = Epoll::new(512).expect("epoll_create");
     epoll
         .add(&listener, TOK_LISTENER, Interest::READ)
         .expect("register listener");
-    epoll
-        .add(&completions.wake, TOK_WAKE, Interest::READ)
-        .expect("register wake fd");
     let mut el = EventLoop {
         epoll,
         listener: Some(listener),
         conns: HashMap::new(),
         next_token: FIRST_CONN_TOKEN,
-        shared: &shared,
+        shared,
         session: shared.pool.session(),
-        admission,
-        completions,
-        stash: Vec::new(),
-        max_pipeline,
+        deadline,
+        spare: Vec::with_capacity(1),
         high_water: max_pipeline * (shared.pool.page_size() + RESPONSE_HEAD),
     };
 
     let mut ready_buf: Vec<Ready> = Vec::new();
     let mut scratch = vec![0u8; READ_CHUNK];
-    // Tokens with possible new output/stall/close work this wakeup.
+    // Connections with possible output or close work this wakeup.
     let mut dirty: Vec<u64> = Vec::new();
-    // Completions collected this wakeup; swapped with the queue's.
-    let mut done = Vec::new();
 
     loop {
         ready_buf.clear();
@@ -416,19 +198,15 @@ pub(crate) fn run(
         if stop {
             if let Some(l) = el.listener.take() {
                 let _ = el.epoll.delete(&l);
-                // Dropping closes the listening socket; racing connects
-                // get refused exactly as when the threaded acceptor dies.
+                // Dropping closes this loop's clone of the listening
+                // socket; once every loop has, racing connects get
+                // refused exactly as when the threaded acceptor dies.
             }
         }
 
         dirty.clear();
-        let mut woke_for_completions = false;
         for &ev in &ready_buf {
             match ev.token {
-                TOK_WAKE => {
-                    el.completions.wake.drain();
-                    woke_for_completions = true;
-                }
                 TOK_LISTENER => el.accept_ready(stop),
                 token => {
                     if el.conns.contains_key(&token) {
@@ -438,34 +216,6 @@ pub(crate) fn run(
                 }
             }
         }
-
-        // Route completed work to its reorder buffer. A completion also
-        // means a worker freed queue capacity, so every connection with
-        // stalled requests becomes eligible for a retry.
-        el.completions
-            .drain(&mut done, &mut el.stash, el.max_pipeline);
-        if !done.is_empty() || woke_for_completions {
-            for token in el
-                .conns
-                .iter()
-                .filter(|(_, c)| !c.stalled.is_empty())
-                .map(|(&t, _)| t)
-            {
-                dirty.push(token);
-            }
-        }
-        for (token, seq, resp) in done.drain(..) {
-            if let Some(conn) = el.conns.get_mut(&token) {
-                conn.inflight -= 1;
-                conn.ring.fill(seq, resp);
-                dirty.push(token);
-            }
-            // else: the connection died mid-request; the worker's
-            // effort is discarded, its frames already unpinned.
-        }
-
-        dirty.sort_unstable();
-        dirty.dedup();
         for &token in &dirty {
             el.service(token);
         }
@@ -495,9 +245,10 @@ pub(crate) fn run(
 }
 
 impl EventLoop<'_> {
-    /// Accept until the backlog is dry. During shutdown the listener is
-    /// gone, so `stop` here only covers the race where a connect landed
-    /// in the backlog just before the flag flipped: accept and drop.
+    /// Accept until the backlog is dry, or another loop took what was
+    /// there. During shutdown the listener is gone, so `stop` here only
+    /// covers the race where a connect landed in the backlog just before
+    /// the flag flipped: accept and drop.
     fn accept_ready(&mut self, stop: bool) {
         loop {
             let Some(listener) = self.listener.as_ref() else {
@@ -529,7 +280,7 @@ impl EventLoop<'_> {
     fn conn_event(&mut self, token: u64, ev: Ready, scratch: &mut [u8]) {
         if ev.hangup {
             // ERR/HUP: both directions are gone; nothing more can be
-            // read or written. In-flight completions get discarded.
+            // read or written.
             self.close(token);
             return;
         }
@@ -540,12 +291,12 @@ impl EventLoop<'_> {
         // for dirty connections); the event only needs to mark dirty.
     }
 
-    /// Pull bytes, feed the decoder, dispatch complete frames.
+    /// Pull bytes, feed the decoder, answer complete frames.
     fn read_ready(&mut self, token: u64, scratch: &mut [u8]) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        if !conn.wants_read(self.max_pipeline, self.high_water) {
+        if !conn.wants_read(self.high_water) {
             return;
         }
         for _ in 0..MAX_READS_PER_WAKEUP {
@@ -568,165 +319,68 @@ impl EventLoop<'_> {
                 }
             }
         }
-        self.dispatch_frames(token);
+        self.answer_frames(token);
     }
 
-    /// Route buffered frames until the decoder runs dry, a fatal frame
-    /// error poisons the stream, or the connection's unread replies
-    /// reach the high-water mark (the rest stay in the decoder until a
-    /// flush makes room).
-    fn dispatch_frames(&mut self, token: u64) {
-        loop {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            if conn.close_after.is_some() || conn.backlogged(self.high_water) {
-                return;
-            }
-            let in_place = conn.may_answer_in_place();
-            let routed = match conn.decoder.next_frame() {
-                Ok(None) => return,
-                Ok(Some(body)) => engine::route(
-                    self.shared,
-                    &mut self.session,
-                    body,
-                    in_place,
-                    &mut self.stash,
-                ),
-                Err(e) => Routed::Fatal(engine::protocol_error(self.shared, &e)),
-            };
-            match routed {
-                Routed::Reply(resp) => {
-                    conn.ring.push(None, Some(resp));
-                }
-                Routed::Fatal(resp) => {
-                    // Same contract as the threaded frontend: answer
-                    // ERR, then drop the connection — after every
-                    // earlier response has gone out in order.
-                    conn.close_after = Some(conn.ring.push(None, Some(resp)));
-                    return;
-                }
-                Routed::Resident(hit) if conn.ring.is_empty() => {
-                    // Next on the wire: frame to write buffer, one copy.
-                    conn.ring.skip();
-                    let written = hit.reply(self.shared, &mut Coalesced(&mut conn.wbuf));
-                    debug_assert!(written.is_ok(), "the write buffer cannot fail");
-                }
-                Routed::Resident(hit) => {
-                    // Earlier replies are still owed: copy out now, so
-                    // the pin is gone before the next frame is looked at.
-                    let (ticket, resp) = hit.into_response(self.stash.pop().unwrap_or_default());
-                    conn.ring.push(Some(ticket), Some(resp));
-                }
-                Routed::Work(req, ticket) => {
-                    let seq = conn.ring.push(Some(ticket), None);
-                    if conn.stalled.is_empty() {
-                        self.offer(token, seq, req, ticket);
-                    } else {
-                        // Order guarantee: nothing may overtake an
-                        // already-stalled request on its way into the
-                        // queue.
-                        conn.stalled.push_back((seq, req, ticket));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Offer a data request to the admission queue (non-blocking).
-    fn offer(&mut self, token: u64, seq: u64, req: Request, ticket: Ticket) {
-        let job = Job {
-            req,
-            ticket,
-            reply: ReplyTo::Loop {
-                completions: Arc::clone(&self.completions),
-                token,
-                seq,
-            },
-        };
+    /// Answer buffered frames, in order, until the decoder runs dry, a
+    /// frame that does not decode poisons the stream, or the
+    /// connection's unread replies reach the high-water mark (the rest
+    /// stay in the decoder until a flush makes room). Each reply is in
+    /// the write buffer before the next frame is decoded.
+    fn answer_frames(&mut self, token: u64) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        let refusal = match self.admission.offer_at(job, ticket.admitted) {
-            Offered::Queued => {
-                conn.inflight += 1;
-                self.shared
-                    .metrics
-                    .pipeline_depth
-                    .record(conn.inflight as u64);
-                return;
-            }
-            Offered::Full(job) => {
-                conn.stalled.push_back((seq, job.req, ticket));
-                return;
-            }
-            Offered::Shed => Response::Busy,
-            Offered::Closed => engine::shutting_down(),
-        };
-        // Refusals are accounted, by the slot's ticket, when their reply
-        // is written, exactly like a threaded connection counting its
-        // BUSY.
-        conn.ring.fill(seq, refusal);
-    }
-
-    /// Take in what the connection has waiting, oldest first: stalled
-    /// requests back to the admission queue, then frames still in the
-    /// decoder. Both stop at the unread-reply high-water mark.
-    fn admit(&mut self, token: u64) {
-        // Re-offer stalled requests in arrival order; stop at the first
-        // that still finds the queue full.
-        while let Some(conn) = self.conns.get_mut(&token) {
-            if conn.backlogged(self.high_water) {
-                return;
-            }
-            let Some((seq, req, ticket)) = conn.stalled.pop_front() else {
-                break;
+        let shared = self.shared;
+        let mut answered = 0;
+        while !conn.poisoned && !conn.backlogged(self.high_water) {
+            let routed = match conn.decoder.next_frame() {
+                Ok(None) => break,
+                Ok(Some(body)) => engine::route(shared, &mut self.session, body, &mut self.spare),
+                Err(e) => Routed::Fatal(engine::protocol_error(shared, &e)),
             };
-            let before = conn.stalled.len();
-            self.offer(token, seq, req, ticket);
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
+            let w = &mut Coalesced(&mut conn.wbuf);
+            let written = match routed {
+                Routed::Reply(resp) => engine::write_reply(shared, None, &resp, w),
+                Routed::Fatal(resp) => {
+                    // Same contract as the threaded frontend: answer
+                    // ERR, then drop the connection once it is written.
+                    conn.poisoned = true;
+                    engine::write_reply(shared, None, &resp, w)
+                }
+                Routed::Resident(hit) => hit.reply(shared, w),
+                Routed::Work(req, ticket) => {
+                    let written = match self.deadline {
+                        Some(d) if ticket.decoded_after(d) => {
+                            engine::write_reply(shared, Some(ticket), &Response::Dropped, w)
+                        }
+                        _ => engine::serve(shared, &mut self.session, &req, ticket, w),
+                    };
+                    if let Request::Put { data, .. } = req {
+                        // Only a page-sized body is worth keeping for
+                        // the next PUT: never a megabyte one.
+                        if data.capacity() <= 2 * shared.pool.page_size() {
+                            self.spare.push(data);
+                        }
+                    }
+                    written
+                }
             };
-            if conn.stalled.len() > before {
-                // `offer` pushed it back: queue still full. Preserve
-                // order — it must go back to the *front*.
-                let stuck = conn.stalled.pop_back().expect("just pushed");
-                conn.stalled.push_front(stuck);
-                break;
-            }
+            debug_assert!(written.is_ok(), "the write buffer cannot fail");
+            answered += 1;
         }
-        self.dispatch_frames(token);
+        if answered > 0 {
+            shared.metrics.pipeline_depth.record(answered);
+        }
     }
 
-    /// Post-event work for one connection: retry stalled offers, move
-    /// in-order responses to the write buffer, flush, re-arm interest,
-    /// and close if finished.
+    /// Post-event work for one connection: flush, answer frames a full
+    /// write buffer held back, re-arm interest, and close if finished.
     fn service(&mut self, token: u64) {
         loop {
-            self.admit(token);
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
             };
-            // Release the reorder buffer strictly in sequence order.
-            // The transport is the coalesced write buffer; the socket
-            // write itself is shared by every reply in the flush below
-            // and can't be attributed per request (the threaded
-            // frontend measures the actual write).
-            while let Some((seq, ticket, resp)) = conn.ring.pop() {
-                let written =
-                    engine::write_reply(self.shared, ticket, &resp, &mut Coalesced(&mut conn.wbuf));
-                debug_assert!(written.is_ok(), "the write buffer cannot fail");
-                // Its bytes are in the write buffer: the page buffer can
-                // carry another.
-                if let Response::Ok(buf) = resp {
-                    if self.completions.reusable(&buf) {
-                        self.stash.push(buf);
-                    }
-                }
-                if conn.close_after == Some(seq) {
-                    break;
-                }
-            }
             // One coalesced flush per pass.
             let was_backlogged = conn.backlogged(self.high_water);
             match conn.wbuf.flush(&mut conn.stream) {
@@ -738,33 +392,27 @@ impl EventLoop<'_> {
                     return;
                 }
             }
-            // Requests held back behind a full write buffer have no
-            // event of their own: if this flush made room, admit them
-            // now or nothing ever will.
+            // Frames held back behind a full write buffer have no event
+            // of their own: if this flush made room, answer them now or
+            // nothing ever will.
             if !was_backlogged || conn.backlogged(self.high_water) {
                 break;
             }
+            self.answer_frames(token);
         }
 
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        let err_done = conn
-            .close_after
-            .is_some_and(|s| conn.ring.next_to_send > s && conn.wbuf.is_empty());
         // After EOF a torn trailing frame can never complete (every
-        // whole frame was routed by `dispatch_frames` above), so only
-        // unanswered work keeps the connection open.
-        let eof_done = conn.peer_eof && conn.drained();
-        if err_done || eof_done {
+        // whole frame was answered above), so only unwritten replies
+        // keep the connection open.
+        if (conn.poisoned || conn.peer_eof) && conn.drained() {
             self.close(token);
             return;
         }
         // Re-arm epoll interest to match what this connection needs.
-        let want = (
-            conn.wants_read(self.max_pipeline, self.high_water),
-            !conn.wbuf.is_empty(),
-        );
+        let want = (conn.wants_read(self.high_water), !conn.wbuf.is_empty());
         if want != conn.registered {
             let interest = match want {
                 (true, true) => Interest::READ_WRITE,
@@ -784,112 +432,5 @@ impl EventLoop<'_> {
             let _ = self.epoll.delete(&conn.stream);
             self.shared.metrics.connections_open.decr();
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::metrics::OpKind;
-    use std::time::Instant;
-
-    const PAGE: usize = 4096;
-
-    fn spares(c: &Completions) -> usize {
-        c.queue.lock().expect("completions lock").spares.len()
-    }
-
-    #[test]
-    fn the_spare_stack_never_exceeds_its_bound() {
-        let c = Completions::new(PAGE, 3).expect("eventfd");
-        let mut done = Vec::new();
-        let mut stash: Vec<Vec<u8>> = (0..10).map(|_| Vec::with_capacity(PAGE)).collect();
-        c.drain(&mut done, &mut stash, 2);
-        assert_eq!(
-            (stash.len(), spares(&c)),
-            (2, 3),
-            "the loop's surplus past 3 is dropped"
-        );
-
-        // Workers whose own buffer is full hand back PUT bodies only.
-        let mut spare = Vec::with_capacity(PAGE);
-        for seq in 0..5 {
-            c.push(1, seq, Response::Busy, Vec::with_capacity(PAGE), &mut spare);
-            assert_eq!(spares(&c), 3);
-        }
-        // A drain takes what there is, and all the completions.
-        c.drain(&mut done, &mut stash, 8);
-        assert_eq!((stash.len(), spares(&c), done.len()), (5, 0, 5));
-    }
-
-    #[test]
-    fn only_page_sized_buffers_are_kept_and_a_worker_takes_one_only_when_empty() {
-        let c = Completions::new(PAGE, 8).expect("eventfd");
-        let mut spare = Vec::new();
-        // A PUT body over 2 × page_size, one under a page, none at all.
-        let bodies = [
-            Vec::with_capacity(2 * PAGE + 1),
-            Vec::with_capacity(PAGE - 1),
-            Vec::new(),
-        ];
-        for (seq, body) in (0..).zip(bodies) {
-            c.push(1, seq, Response::Ok(Vec::new()), body, &mut spare);
-        }
-        assert_eq!((spares(&c), spare.capacity()), (0, 0), "none kept");
-
-        // The worker's buffer is empty: it takes the body it handed back.
-        c.push(
-            1,
-            3,
-            Response::Busy,
-            Vec::with_capacity(2 * PAGE),
-            &mut spare,
-        );
-        assert_eq!((spares(&c), spare.capacity()), (0, 2 * PAGE));
-        // Full: the next body stays on the stack.
-        c.push(1, 4, Response::Busy, Vec::with_capacity(PAGE), &mut spare);
-        assert_eq!((spares(&c), spare.capacity()), (1, 2 * PAGE));
-
-        // A STATS-sized reply the loop has written is not reusable.
-        assert!(!c.reusable(&vec![b'{'; 3 * PAGE]));
-        assert!(c.reusable(&vec![0; PAGE]));
-    }
-
-    /// A ticket tagged with `seq`: admitted `seq` ns after `base`.
-    fn ticket(base: Instant, seq: u64) -> Ticket {
-        Ticket {
-            kind: OpKind::Get,
-            admitted: base + Duration::from_nanos(seq),
-        }
-    }
-
-    #[test]
-    fn the_ring_releases_out_of_order_completions_strictly_in_sequence() {
-        let base = Instant::now();
-        let mut ring = Ring::default();
-        ring.skip(); // seq 0, answered on the spot
-        let seqs: Vec<u64> = (1..=5)
-            .map(|seq| ring.push(Some(ticket(base, seq)), None))
-            .collect();
-        assert_eq!(seqs, [1, 2, 3, 4, 5]);
-        assert_eq!(ring.push(None, Some(Response::Busy)), 6, "ready at once");
-        for seq in [4, 2, 5, 3] {
-            ring.fill(seq, Response::Ok(vec![seq as u8]));
-            assert!(ring.pop().is_none(), "1 is still owed");
-        }
-        ring.fill(1, Response::Ok(vec![1]));
-        let released: Vec<_> = std::iter::from_fn(|| ring.pop())
-            .map(|(seq, ticket, resp)| {
-                let tag = ticket.map(|t| (t.admitted - base).as_nanos() as u64);
-                (seq, tag, resp)
-            })
-            .collect();
-        let mut want: Vec<_> = (1..=5u64)
-            .map(|seq| (seq, Some(seq), Response::Ok(vec![seq as u8])))
-            .collect();
-        want.push((6, None, Response::Busy));
-        assert_eq!(released, want);
-        assert!(ring.is_empty());
-        assert_eq!(ring.push(None, None), 7);
     }
 }

@@ -188,12 +188,12 @@ pub(crate) fn walk<'a>(shared: &'a Shared, scrape: &'a Scrape, visit: &mut dyn F
     row(&["dropped"],          "bpw_requests_total",          &[("status", "dropped")],  REQUESTS, Counter(m.dropped.get()));
     row(&["errors"],           "bpw_requests_total",          &[("status", "error")],    REQUESTS, Counter(m.errors.get()));
     row(&["io_errors"],        "bpw_requests_total",          &[("status", "io_error")], REQUESTS, Counter(m.io_errors.get()));
-    row(&["inline_hits"],      "bpw_inline_hits_total",       &[], "Requests answered on a frontend thread (GETs of resident pages).",   Counter(m.inline_hits.get()));
+    row(&["inline_hits"],      "bpw_inline_hits_total",       &[], "GETs that found their page resident, answered from the frame.",     Counter(m.inline_hits.get()));
     row(&["connections_open"], "bpw_connections_open",        &[], "Client connections currently open.",                                  Gauge(m.connections_open.get()));
     row(&["connections_peak"], "bpw_connections_peak",        &[], "Open-connection high-water mark.",                                    Gauge(m.connections_open.peak()));
     row(&["epoll_wakeups"],    "bpw_epoll_wakeups_total",     &[], "Event-loop wakeups (epoll_wait returns with work).",                  Counter(m.epoll_wakeups.get()));
     row(&["short_writes"],     "bpw_short_writes_total",      &[], "Nonblocking writes that accepted only part of the buffer.",           Counter(m.short_writes.get()));
-    row(&["pipeline_depth"],   "bpw_pipeline_depth",          &[], "In-flight pipelined requests per connection, observed at admission.", Hist(&m.pipeline_depth));
+    row(&["pipeline_depth"],   "bpw_pipeline_depth",          &[], "Requests an event loop answered per pass over a connection's frames.", Hist(&m.pipeline_depth));
     row(&["ready_per_wakeup"], "bpw_ready_events_per_wakeup", &[], "Ready fds delivered per epoll wakeup.",                               Hist(&m.ready_per_wakeup));
     row(&["peak_queue_depth"], "bpw_queue_depth_peak",        &[], "Admission-queue depth high-water mark.",                              Gauge(pool.peak_queue_depth));
     row(&["get_ns"],           "bpw_get_latency_ns",          &[], "End-to-end GET latency.",                                             Hist(&m.get_ns));

@@ -2,9 +2,10 @@
 //!
 //! A concurrent page-service frontend over the BP-Wrapper buffer pool:
 //! a length-prefixed TCP protocol ([`protocol`]), two socket frontends
-//! ([`server`]'s thread-per-connection driver and a readiness event
-//! loop) over one request engine and a fixed worker pool fed through an
-//! admission-controlled queue ([`backpressure`]), a blocking
+//! over one request engine — [`server`]'s thread-per-connection driver,
+//! with a fixed worker pool fed through an admission-controlled queue
+//! ([`backpressure`]), and readiness event loops that run every request
+//! on the thread that read it — a blocking
 //! [`client`], a workload-driven load generator ([`loadgen`]), and
 //! end-to-end latency observability ([`metrics`]) exported through one
 //! metric table as `STATS` JSON and `METRICS` text.

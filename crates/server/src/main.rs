@@ -19,6 +19,13 @@
 //! A flag the subcommand does not read is an error (exit 2), so a
 //! misspelled flag never starts a server silently on defaults.
 //!
+//! `serve --mode threaded` (the default) runs a thread per connection
+//! and `--workers N` workers behind an admission queue of `--queue N`
+//! requests. `--mode eventloop` runs `--workers N` event loops, each
+//! executing its connections' requests itself: no queue, so `--queue` is
+//! unused, `--policy drop:MS` drops a request whose decode ended past its
+//! deadline, and `block` and `shed` never act.
+//!
 //! `smoke` is the CI self-test: it starts an in-process server, checks
 //! STATS and METRICS payloads, and drives a workload through it. With
 //! `--faulty true` the server runs over a fault-injecting disk and the
@@ -37,7 +44,7 @@ use std::net::SocketAddr;
 use std::time::Duration;
 
 use bpw_metrics::JsonObject;
-use bpw_server::{loadgen, FaultPlan, LoadConfig, LoadMode, Server, ServerConfig};
+use bpw_server::{loadgen, FaultPlan, FrontendMode, LoadConfig, LoadMode, Server, ServerConfig};
 use bpw_workloads::{Workload, WorkloadKind, ZipfWorkload};
 
 type Flags = HashMap<String, String>;
@@ -196,15 +203,20 @@ fn server_config(flags: &Flags) -> Result<ServerConfig, String> {
 fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let config = server_config(flags)?;
     let server = Server::start(config.clone()).map_err(|e| e.to_string())?;
+    let threads = match config.mode {
+        FrontendMode::Threaded => format!(
+            "{} workers, queue {}",
+            config.workers, config.queue_capacity
+        ),
+        FrontendMode::EventLoop => format!("{} loops", config.workers),
+    };
     println!(
-        "bpw-server listening on {} — {} frontend, manager {} ({}), {} workers, policy {}, queue {}",
+        "bpw-server listening on {} — {} frontend, manager {} ({}), {threads}, policy {}",
         server.addr(),
         config.mode,
         config.manager,
         server.pool().manager().name(),
-        config.workers,
         config.policy,
-        config.queue_capacity
     );
     server.wait_stop_requested();
     println!("shutdown requested; final stats:\n{}", server.stats_json());

@@ -1,10 +1,12 @@
 //! End-to-end latency observability for the page service.
 //!
-//! One [`ServerMetrics`] is shared by every connection thread and
-//! worker. Latency is measured from *admission* (the connection thread
-//! read the full request) to *reply written*, so queueing delay — the
-//! thing backpressure policies trade against loss — shows up in the
-//! histograms rather than being hidden inside the worker.
+//! One [`ServerMetrics`] is shared by every thread of the server.
+//! Latency is measured from *admission* (the frontend thread has the
+//! full request frame) to *reply written*, so queueing delay — the thing
+//! backpressure policies trade against loss — shows up in the
+//! histograms rather than being hidden inside a worker. The stages of a
+//! request share their boundaries, one clock read each, so they sum
+//! exactly to its end-to-end sample.
 
 use std::sync::Arc;
 
@@ -62,7 +64,8 @@ impl OpKind {
 pub enum Stage {
     /// Parsing the request body out of a complete frame.
     Decode,
-    /// Sitting in the admission queue before a worker picked it up.
+    /// Sitting in the admission queue before a worker picked it up
+    /// (threaded frontend only: an event loop queues nothing).
     QueueWait,
     /// Executing against the buffer pool, *minus* the miss-I/O time
     /// attributed below — a hit's latch-and-go cost, with the batch
@@ -75,9 +78,10 @@ pub enum Stage {
     /// its time stays inside `PinHit`. The empty row is kept because
     /// `perfbench` reads `stages.<op>.batch_commit` from STATS.
     BatchCommit,
-    /// Writing the reply frame back toward the client (the socket write
-    /// under the threaded frontend; frame serialization into the
-    /// coalesced write buffer under the event loop).
+    /// Writing the reply frame back toward the client (the reply's
+    /// hand-back from the worker and the socket write under the threaded
+    /// frontend; frame serialization into the coalesced write buffer
+    /// under the event loop).
     ReplyFlush,
 }
 
@@ -117,20 +121,21 @@ pub struct ServerMetrics {
     pub put_ns: Histogram,
     /// End-to-end SCAN latency, nanoseconds.
     pub scan_ns: Histogram,
-    /// Time spent queued before a worker picked the request up, ns.
+    /// Time spent queued before a worker picked the request up, ns
+    /// (threaded frontend only).
     pub queue_wait_ns: Histogram,
     /// Requests answered `OK`.
     pub ok: Counter,
     /// Requests refused with `BUSY` (shed at admission).
     pub busy: Counter,
-    /// Requests answered `DROPPED` (deadline passed in queue).
+    /// Requests answered `DROPPED` (deadline passed before their turn).
     pub dropped: Counter,
     /// Requests answered `ERR`.
     pub errors: Counter,
     /// Requests answered `ERR_IO` (storage failed after retries).
     pub io_errors: Counter,
-    /// Requests answered on the frontend thread that decoded them —
-    /// GETs of resident pages, which never enter the admission queue.
+    /// GETs that found their page resident: pinned by the frontend
+    /// thread that decoded them and answered from the frame.
     pub inline_hits: Counter,
     /// Client connections currently open (both frontends track this;
     /// the peak is the fan-in high-water mark).
@@ -141,8 +146,9 @@ pub struct ServerMetrics {
     /// Ready fds delivered per wakeup — how much work each syscall
     /// amortizes. Zero-sample under the threaded frontend.
     pub ready_per_wakeup: Histogram,
-    /// In-flight pipelined requests on a connection, observed at each
-    /// admission. Depth 1 is strict request/reply.
+    /// Requests an event loop answered in one pass over a connection's
+    /// buffered frames. Depth 1 is strict request/reply. Zero-sample
+    /// under the threaded frontend.
     pub pipeline_depth: Histogram,
     /// Nonblocking writes that accepted only part of the buffer — each
     /// one is a stall a blocking connection thread would have eaten.

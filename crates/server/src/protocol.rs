@@ -23,7 +23,7 @@
 //!                    STATS: UTF-8 JSON;
 //!                    METRICS: UTF-8 Prometheus-style text exposition
 //!   BUSY     (0x01)  shed by admission control (queue full)
-//!   DROPPED  (0x02)  deadline exceeded while queued
+//!   DROPPED  (0x02)  deadline exceeded before the request's turn came
 //!   ERR      (0x03)  UTF-8 message
 //!   ERR_IO   (0x04)  UTF-8 message: storage failed after retries; the
 //!                    pool repaired itself and the request may simply be
@@ -76,8 +76,8 @@ pub enum Response {
     Ok(Vec<u8>),
     /// Shed by admission control before queueing.
     Busy,
-    /// Dropped after queueing: its deadline passed before a worker
-    /// picked it up.
+    /// Dropped unexecuted: its deadline passed before its turn came
+    /// (a worker picked it up, or its event loop finished decoding it).
     Dropped,
     /// Malformed request or execution failure.
     Err(String),

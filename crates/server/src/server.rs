@@ -1,13 +1,14 @@
-//! The page service: configuration, start-up and shutdown of a worker
-//! pool over one shared [`BufferPool`], and the threaded frontend.
+//! The page service: configuration, start-up and shutdown of the
+//! threads serving one shared [`BufferPool`], and the threaded frontend.
 //!
 //! Everything a request goes through between "frame complete" and
 //! "reply accounted" is [`crate::engine`]'s; a frontend only moves
 //! bytes. The threaded driver here is an acceptor plus one blocking
 //! thread per connection (read a frame, submit, await the reply, write
-//! it); the readiness loop in [`crate::eventloop`] is the other. Between
-//! frontends and workers sits the admission queue (see
-//! [`crate::backpressure`]), where overload policy is applied.
+//! it), with a worker pool behind the admission queue (see
+//! [`crate::backpressure`]), where overload policy is applied. The
+//! readiness loops in [`crate::eventloop`] are the other frontend: they
+//! run every request themselves, with no queue and no workers.
 
 use std::io::{self, BufReader, BufWriter};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -21,28 +22,33 @@ use bpw_bufferpool::{
     WrappedManager,
 };
 use bpw_core::WrapperConfig;
+use bpw_metrics::MaxGauge;
 use bpw_replacement::PolicyKind;
 use crossbeam::channel;
 
 use crate::backpressure::{admission_queue, AdmissionPolicy, AdmissionQueue, Admitted};
-use crate::engine::{self, Job, ReplyTo, Routed, Shared};
-use crate::eventloop::{self, Completions};
+use crate::engine::{self, Job, Routed, Shared};
+use crate::eventloop;
 use crate::exposition;
 use crate::metrics::ServerMetrics;
 use crate::protocol::{self, Response};
 
 /// Which concurrency model serves client sockets.
 ///
-/// Both frontends speak the same protocol over the same worker pool and
-/// admission queue; only the socket-handling strategy differs, so the
-/// choice is a deployment knob rather than a behaviour change.
+/// Both frontends speak the same protocol over the same pool, with the
+/// same replies in the same order, so the choice is a deployment knob
+/// rather than a behaviour change. They differ in which thread runs a
+/// request: a worker behind the admission queue, or the event loop that
+/// decoded it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FrontendMode {
-    /// One thread per connection, blocking I/O, strict request/reply.
+    /// One thread per connection, blocking I/O, strict request/reply;
+    /// workers execute what a connection thread cannot answer itself.
     #[default]
     Threaded,
-    /// One readiness event loop (epoll) multiplexing every connection,
-    /// with request pipelining and batched writes.
+    /// Readiness event loops (epoll), each multiplexing its share of the
+    /// connections with request pipelining and batched writes, and
+    /// running every request to completion itself.
     EventLoop,
 }
 
@@ -77,11 +83,16 @@ pub type DynPool = BufferPool<Box<dyn ReplacementManager>>;
 pub struct ServerConfig {
     /// Bind address; use port 0 for an ephemeral port.
     pub addr: String,
-    /// Worker threads executing page requests.
+    /// Threads executing page requests: workers behind the admission
+    /// queue (threaded), or event loops, each with its own pool session
+    /// (event loop). At least one either way.
     pub workers: usize,
-    /// Admission queue capacity (requests).
+    /// Threaded only: admission queue capacity (requests). The event
+    /// loop has no queue.
     pub queue_capacity: usize,
-    /// Overload policy.
+    /// Overload policy. Under the event loop nothing queues: `Block`
+    /// never blocks, `Shed` never sheds, and `DeadlineDrop` drops a
+    /// request whose decode ended past its deadline.
     pub policy: AdmissionPolicy,
     /// Buffer pool frames.
     pub frames: usize,
@@ -97,8 +108,10 @@ pub struct ServerConfig {
     pub fault_plan: Option<FaultPlan>,
     /// How client sockets are served (`--mode threaded|eventloop`).
     pub mode: FrontendMode,
-    /// Event-loop mode only: requests a single connection may have in
-    /// flight before the loop stops reading from it.
+    /// Event-loop mode only: a connection may leave this many page
+    /// replies unread in its write buffer before its loop stops reading
+    /// and answering its requests. The threaded frontend answers one
+    /// request at a time.
     pub max_pipeline: usize,
 }
 
@@ -157,11 +170,13 @@ pub struct Server {
     /// Present when the config asked for fault injection; tests and the
     /// chaos driver use it to steer faults mid-run.
     faulty: Option<Arc<FaultyDisk>>,
-    /// The server's own sender handle; dropped during [`join`](Self::join)
-    /// so the workers see the channel disconnect once every connection
-    /// thread's clone is gone too.
+    /// Threaded only: the server's own sender handle; dropped during
+    /// [`join`](Self::join) so the workers see the channel disconnect
+    /// once every connection thread's clone is gone too.
     admission: Option<AdmissionQueue<Job>>,
-    acceptor: Option<JoinHandle<()>>,
+    /// The acceptor (threaded) or the event loops.
+    frontend: Vec<JoinHandle<()>>,
+    /// Threaded only: the workers.
     workers: Vec<JoinHandle<()>>,
     /// Threaded frontend only: live connection threads, each with a
     /// clone of its socket so [`join`](Self::join) can end its reads.
@@ -169,7 +184,7 @@ pub struct Server {
 }
 
 impl Server {
-    /// Bind, spawn the worker pool and acceptor, and return.
+    /// Bind, spawn the frontend's threads, and return.
     pub fn start(config: ServerConfig) -> io::Result<Server> {
         let manager = build_manager(&config.manager, config.frames)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
@@ -188,55 +203,65 @@ impl Server {
             manager,
             storage,
         ));
-        let (admission, work) = admission_queue(config.queue_capacity, config.policy);
+        let queue = (config.mode == FrontendMode::Threaded)
+            .then(|| admission_queue(config.queue_capacity, config.policy));
         let shared = Arc::new(Shared {
             pool,
             metrics: ServerMetrics::shared(),
             stop: Arc::new(AtomicBool::new(false)),
             pages: config.pages,
-            depth: admission.depth_gauge(),
+            depth: queue
+                .as_ref()
+                .map_or_else(|| Arc::new(MaxGauge::new()), |(a, _)| a.depth_gauge()),
         });
-
-        let worker_count = config.workers.max(1);
-        let workers = (0..worker_count)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                let work = work.clone();
-                thread::Builder::new()
-                    .name(format!("bpw-worker-{i}"))
-                    .spawn(move || engine::worker_loop(&shared, &work))
-                    .expect("spawn worker")
-            })
-            .collect();
-        drop(work);
 
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
+        let threads = config.workers.max(1);
         let conns: Arc<Mutex<Vec<Conn>>> = Arc::new(Mutex::new(Vec::new()));
-        let acceptor = match config.mode {
-            FrontendMode::Threaded => {
+        let mut workers = Vec::new();
+        let mut admission = None;
+        let frontend = match queue {
+            Some((queue, work)) => {
+                workers = (0..threads)
+                    .map(|i| {
+                        let shared = Arc::clone(&shared);
+                        let work = work.clone();
+                        thread::Builder::new()
+                            .name(format!("bpw-worker-{i}"))
+                            .spawn(move || engine::worker_loop(&shared, &work))
+                            .expect("spawn worker")
+                    })
+                    .collect();
                 let shared = Arc::clone(&shared);
                 let conns = Arc::clone(&conns);
-                let admission = admission.clone();
-                thread::Builder::new()
+                let acceptor_queue = queue.clone();
+                admission = Some(queue);
+                let acceptor = thread::Builder::new()
                     .name("bpw-acceptor".into())
-                    .spawn(move || accept_loop(&listener, &shared, &admission, &conns))
-                    .expect("spawn acceptor")
+                    .spawn(move || accept_loop(&listener, &shared, &acceptor_queue, &conns))
+                    .expect("spawn acceptor");
+                vec![acceptor]
             }
-            FrontendMode::EventLoop => {
+            None => {
                 listener.set_nonblocking(true)?;
-                // Spare page buffers: one per queue slot and per worker.
-                let spares = config.queue_capacity + worker_count;
-                let completions = Arc::new(Completions::new(config.page_size, spares)?);
-                let shared = Arc::clone(&shared);
-                let admission = admission.clone();
+                let deadline = match config.policy {
+                    AdmissionPolicy::DeadlineDrop(d) => Some(d),
+                    AdmissionPolicy::Block | AdmissionPolicy::Shed => None,
+                };
                 let max_pipeline = config.max_pipeline.max(1);
-                thread::Builder::new()
-                    .name("bpw-evl-loop".into())
-                    .spawn(move || {
-                        eventloop::run(listener, shared, admission, completions, max_pipeline)
+                (0..threads)
+                    .map(|i| {
+                        let listener = listener.try_clone()?;
+                        let shared = Arc::clone(&shared);
+                        Ok(thread::Builder::new()
+                            .name(format!("bpw-evl-loop-{i}"))
+                            .spawn(move || {
+                                eventloop::run(listener, &shared, deadline, max_pipeline)
+                            })
+                            .expect("spawn event loop"))
                     })
-                    .expect("spawn event loop")
+                    .collect::<io::Result<_>>()?
             }
         };
 
@@ -244,8 +269,8 @@ impl Server {
             addr,
             shared,
             faulty,
-            admission: Some(admission),
-            acceptor: Some(acceptor),
+            admission,
+            frontend,
             workers,
             conns,
         })
@@ -301,7 +326,8 @@ impl Server {
 
     /// Ask the server to stop accepting new connections: flag the stop
     /// and poke the (possibly blocked) acceptor awake with a throwaway
-    /// connection.
+    /// connection. Event loops see the flag within one `epoll_wait`
+    /// timeout.
     pub fn stop(&self) {
         self.shared.stop.store(true, Ordering::SeqCst);
         if let Ok(s) = TcpStream::connect_timeout(&self.addr, Duration::from_millis(200)) {
@@ -312,11 +338,11 @@ impl Server {
     /// Stop accepting, answer everything already received, close the
     /// connections, drain the queue, and join every thread. An idle
     /// client does not hold this up: both frontends end their reads once
-    /// a stop is requested (the event loop does so itself).
+    /// a stop is requested (the event loops do so themselves).
     pub fn join(mut self) {
         self.stop();
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
+        for t in std::mem::take(&mut self.frontend) {
+            let _ = t.join();
         }
         // Ending a socket's read half turns a blocked `read_frame` into
         // EOF, while bytes the kernel already queued are still read and
@@ -401,8 +427,8 @@ fn serve_connection(
         // Strict request/reply: nothing of this connection is queued
         // while a frame is being routed, so any resident GET may be
         // answered in place. No buffers are recycled here: a PUT's data
-        // is decoded into a fresh one.
-        let routed = engine::route(shared, &mut session, &buf, true, &mut Vec::new());
+        // is decoded into a fresh one, which its worker frees.
+        let routed = engine::route(shared, &mut session, &buf, &mut Vec::new());
         let (ticket, resp, fatal) = match routed {
             Routed::Resident(hit) => {
                 hit.reply(shared, &mut writer)?;
@@ -411,17 +437,22 @@ fn serve_connection(
             Routed::Reply(resp) => (None, resp, false),
             Routed::Fatal(resp) => (None, resp, true),
             Routed::Work(req, ticket) => {
-                let (reply_tx, reply_rx) = channel::bounded(1);
-                let resp = match admission.submit(Job {
-                    req,
-                    ticket,
-                    reply: ReplyTo::Channel(reply_tx),
-                }) {
+                // The hits this thread answered are still in its
+                // BP-Wrapper queue. Commit them before a worker can run
+                // this request: the policy then picks victims knowing
+                // every access the connection made before it, in the
+                // order it made them.
+                session.flush();
+                let (reply, reply_rx) = channel::bounded(1);
+                let (ticket, resp) = match admission.submit(Job { req, ticket, reply }) {
                     Admitted::Queued => reply_rx.recv().unwrap_or_else(|_| {
-                        Response::Err("server shut down before replying".into())
+                        (
+                            ticket,
+                            Response::Err("server shut down before replying".into()),
+                        )
                     }),
-                    Admitted::Shed => Response::Busy,
-                    Admitted::Closed => engine::shutting_down(),
+                    Admitted::Shed => (ticket, Response::Busy),
+                    Admitted::Closed => (ticket, engine::shutting_down()),
                 };
                 (Some(ticket), resp, false)
             }

@@ -36,7 +36,9 @@ fn chaos_server(mode: FrontendMode) -> Server {
             // A steady drizzle of transient faults: 5% of reads, 2% of
             // writes, plus occasional latency spikes. High enough that a
             // run of a few thousand requests injects hundreds of faults,
-            // low enough that retries usually succeed.
+            // low enough that retries usually succeed. Under the event
+            // loop a spike holds every connection of its loop, since a
+            // miss runs on the loop; these tests check correctness only.
             read_fail_ppm: 50_000,
             write_fail_ppm: 20_000,
             spike_ppm: 10_000,
@@ -49,7 +51,8 @@ fn chaos_server(mode: FrontendMode) -> Server {
 
 /// The invariant at the heart of frame repair: no frame may be lost to
 /// a failed I/O. Either it went back to the free list, waits in a
-/// worker's stash of frames evicted ahead, or holds a resident page.
+/// session's stash of frames evicted ahead (a worker's or an event
+/// loop's), or holds a resident page.
 fn assert_no_stuck_frames(server: &Server) {
     let free = server.pool().free_frames();
     let stashed = server.pool().stashed_frames();

@@ -17,9 +17,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use bpw_metrics::JsonValue;
+use bpw_server::metrics::Stage;
 use bpw_server::{
-    loadgen, AdmissionPolicy, Client, FrontendMode, LoadConfig, LoadMode, Request, Response,
-    Server, ServerConfig,
+    loadgen, AdmissionPolicy, Client, FrontendMode, LoadConfig, LoadMode, OpKind, Request,
+    Response, Server, ServerConfig,
 };
 use bpw_workloads::{zipf::splitmix64, PageStream, Workload, ZipfWorkload};
 
@@ -150,8 +151,10 @@ fn block_policy_100k_zipf_requests_zero_loss_and_correct_contents(mode: Frontend
     server.join();
 }
 
-/// A zero-millisecond deadline drops every data request at dequeue —
-/// and the reply is DROPPED, not a hang or a connection error.
+/// A zero-millisecond deadline drops every data request when its turn
+/// comes — at dequeue under the threaded frontend, at the end of its
+/// decode on an event loop — and the reply is DROPPED, not a hang or a
+/// connection error.
 fn zero_deadline_drops_every_request(mode: FrontendMode) {
     let server = test_server(
         AdmissionPolicy::DeadlineDrop(Duration::ZERO),
@@ -429,7 +432,13 @@ fn metrics_exposition_and_enriched_stats(mode: FrontendMode) {
         .get("stages")
         .and_then(|s| s.get("get"))
         .expect("per-op stage sub-object");
-    for stage in ["decode", "queue_wait", "pin_hit", "reply_flush"] {
+    // Only the threaded frontend queues: the event loop runs every
+    // request where it was decoded, and its queue_wait stays empty.
+    let queued = match mode {
+        FrontendMode::Threaded => &["queue_wait"][..],
+        FrontendMode::EventLoop => &[],
+    };
+    for &stage in ["decode", "pin_hit", "reply_flush"].iter().chain(queued) {
         assert!(
             get_stages
                 .get(stage)
@@ -446,6 +455,16 @@ fn metrics_exposition_and_enriched_stats(mode: FrontendMode) {
             .is_some(),
         "stage summaries carry p999: {stats}"
     );
+    if mode == FrontendMode::EventLoop {
+        assert_eq!(
+            get_stages
+                .get("queue_wait")
+                .and_then(|h| h.get("count"))
+                .and_then(JsonValue::as_u64),
+            Some(0),
+            "no GET waits in a queue: {stats}"
+        );
+    }
     // 64 cold fetches must attribute some miss I/O.
     assert!(
         get_stages
@@ -474,7 +493,7 @@ fn metrics_exposition_and_enriched_stats(mode: FrontendMode) {
                 .and_then(|h| h.get("count"))
                 .and_then(JsonValue::as_u64)
                 .is_some_and(|c| c > 0),
-            "every admitted request observes pipeline depth: {stats}"
+            "every pass over a connection's frames observes its depth: {stats}"
         );
     }
 
@@ -482,10 +501,11 @@ fn metrics_exposition_and_enriched_stats(mode: FrontendMode) {
     server.join();
 }
 
-/// A cold GET queues for a worker; a warm one is answered on the
-/// frontend thread: 32 cold GETs leave `inline_hits` at 0 and one queue
-/// wait each, and a GET of a page they made resident counts one inline
-/// hit and no queue wait.
+/// A cold GET queues for a worker under the threaded frontend and is
+/// run by the event loop that decoded it; a warm one is answered on the
+/// frontend thread either way: 32 cold GETs leave `inline_hits` at 0
+/// and one queue wait each (none on a loop), and a GET of a page they
+/// made resident counts one inline hit and no queue wait.
 fn cold_gets_queue_and_a_warm_get_is_answered_inline(mode: FrontendMode) {
     let server = test_server(AdmissionPolicy::Block, "wrapped-2q", 64, mode);
     let mut client = Client::connect(server.addr()).expect("connect");
@@ -493,13 +513,17 @@ fn cold_gets_queue_and_a_warm_get_is_answered_inline(mode: FrontendMode) {
         assert!(matches!(client.get(page).unwrap(), Response::Ok(_)));
     }
     let m = server.metrics();
+    let queued = match mode {
+        FrontendMode::Threaded => 32,
+        FrontendMode::EventLoop => 0,
+    };
     assert_eq!(m.inline_hits.get(), 0);
-    assert_eq!(m.queue_wait_ns.count(), 32);
+    assert_eq!(m.queue_wait_ns.count(), queued);
 
     // Page 0 is resident now: its GET never sees the queue.
     assert!(matches!(client.get(0).unwrap(), Response::Ok(_)));
     assert_eq!(m.inline_hits.get(), 1);
-    assert_eq!(m.queue_wait_ns.count(), 32);
+    assert_eq!(m.queue_wait_ns.count(), queued);
     drop(client);
     server.join();
 }
@@ -906,11 +930,11 @@ fn eventloop_bounds_a_connections_unread_replies() {
 }
 
 /// Pipelined read-your-writes on one connection: with page `x` resident,
-/// the loop could answer `GET x` from the frame at once — so it must not
-/// while a `PUT x` sent before it has yet to take effect. Two ways the
-/// PUT can be pending: queued behind this connection's own cold, slow
-/// `GET y` (every storage access takes 30 ms here), or stalled outside a
-/// queue that another connection has filled.
+/// `GET x` could be answered from the frame at once — so it must not
+/// before a `PUT x` sent before it has taken effect. Every storage access
+/// takes 60 ms here. Two ways the PUT can be held up: behind this
+/// connection's own cold `GET y`, or behind another connection's cold
+/// GET that holds the one loop both connections share.
 #[test]
 fn eventloop_get_never_overtakes_a_put_sent_before_it() {
     const X: u64 = 3;
@@ -919,11 +943,9 @@ fn eventloop_get_never_overtakes_a_put_sent_before_it() {
         data[..8].copy_from_slice(&X.to_le_bytes());
         data
     };
-    for stalled_behind_another_connection in [false, true] {
+    for behind_another_connection in [false, true] {
         let server = Server::start(ServerConfig {
             workers: 1,
-            queue_capacity: 1,
-            policy: AdmissionPolicy::Block,
             frames: 16,
             page_size: PAGE_SIZE,
             pages: 64,
@@ -952,23 +974,16 @@ fn eventloop_get_never_overtakes_a_put_sent_before_it() {
             },
             Request::Get { page: X },
         ];
-        let replies = if stalled_behind_another_connection {
-            // One cold GET keeps the worker busy for 60 ms, a second
-            // fills the one queue slot meanwhile.
-            let mut other = raw_stream(&server);
-            let popped = metrics.queue_wait_ns.count();
+        let mut other = raw_stream(&server);
+        let replies = if behind_another_connection {
+            // The other connection's cold GET holds the loop for 60 ms
+            // while this one's PUT and GET arrive.
+            let decoded = metrics.stage(OpKind::Get, Stage::Decode).count();
             other
                 .write_all(&frame(&Request::Get { page: 40 }))
                 .expect("cold GET");
-            bpw_server::wait_for(Duration::from_secs(5), "the worker took it", || {
-                metrics.queue_wait_ns.count() > popped
-            });
-            let admitted = metrics.pipeline_depth.count();
-            other
-                .write_all(&frame(&Request::Get { page: 41 }))
-                .expect("cold GET");
-            bpw_server::wait_for(Duration::from_secs(5), "the queue is full", || {
-                metrics.pipeline_depth.count() > admitted
+            bpw_server::wait_for(Duration::from_secs(5), "the loop took it", || {
+                metrics.stage(OpKind::Get, Stage::Decode).count() > decoded
             });
             client.call_pipelined(&put_then_get)
         } else {
@@ -981,11 +996,114 @@ fn eventloop_get_never_overtakes_a_put_sent_before_it() {
             replies.last(),
             Some(&Response::Ok(page_of(0xB2))),
             "GET x overtook the PUT x sent before it \
-             (stalled behind another connection: {stalled_behind_another_connection})"
+             (behind another connection: {behind_another_connection})"
         );
+        if behind_another_connection {
+            let mut reader = std::io::BufReader::new(other);
+            let mut buf = Vec::new();
+            assert!(bpw_server::protocol::read_frame(&mut reader, &mut buf).expect("reply"));
+            match Response::decode(&buf).expect("decode") {
+                Response::Ok(bytes) => assert_eq!(bytes[..8], 40u64.to_le_bytes()),
+                other => panic!("cold GET answered {other:?}"),
+            }
+        }
         drop(client);
         server.join();
     }
+}
+
+/// Several loops: two event loops serve four connections at once, each
+/// sending pipelined mixes of GET, PUT and SCAN over pages it owns. Every
+/// reply is checked against the connection's own writes, and `join`
+/// returns promptly once the clients have closed.
+#[test]
+fn eventloop_with_several_loops_serves_concurrent_pipelined_mixes() {
+    const CONNS: u64 = 4;
+    const OWNED: u64 = PAGES / CONNS;
+    const BATCHES: u64 = 50;
+    const BATCH: usize = 8;
+    let server = Server::start(ServerConfig {
+        workers: 2,
+        frames: 64,
+        page_size: PAGE_SIZE,
+        pages: PAGES,
+        mode: FrontendMode::EventLoop,
+        ..ServerConfig::default()
+    })
+    .expect("server start");
+    let addr = server.addr();
+    let put = |page: u64, fill: u8| {
+        let mut data = vec![fill; PAGE_SIZE];
+        data[..8].copy_from_slice(&page.to_le_bytes());
+        data
+    };
+    std::thread::scope(|sc| {
+        for c in 0..CONNS {
+            sc.spawn(move || {
+                let mut client = Client::connect(addr).expect("connect");
+                // Connection c owns the pages ≡ c (mod CONNS) and writes
+                // each once before the mix: what it reads back is its own
+                // latest write.
+                let owned = |i: u64| i % OWNED * CONNS + c;
+                let mut fills = vec![c as u8; OWNED as usize];
+                let first: Vec<Request> = (0..OWNED)
+                    .map(|i| Request::Put {
+                        page: owned(i),
+                        data: put(owned(i), c as u8),
+                    })
+                    .collect();
+                for reply in client.call_pipelined(&first).expect("first writes") {
+                    assert_eq!(reply, Response::Ok(Vec::new()), "conn {c}");
+                }
+                let mut rng = c;
+                for _ in 0..BATCHES {
+                    let mut batch = Vec::with_capacity(BATCH);
+                    // The reply each request must get; `None` for a SCAN,
+                    // whose range spans other connections' pages and of
+                    // which only the length is checked.
+                    let mut expect = Vec::with_capacity(BATCH);
+                    for _ in 0..BATCH {
+                        rng = splitmix64(rng);
+                        let i = rng % OWNED;
+                        let page = owned(i);
+                        match (rng >> 32) % 10 {
+                            0..=2 => {
+                                let fill = (rng >> 40) as u8;
+                                fills[i as usize] = fill;
+                                batch.push(Request::Put {
+                                    page,
+                                    data: put(page, fill),
+                                });
+                                expect.push(Some(Response::Ok(Vec::new())));
+                            }
+                            3 => {
+                                let start = page.min(PAGES - 8);
+                                batch.push(Request::Scan { start, len: 8 });
+                                expect.push(None);
+                            }
+                            _ => {
+                                batch.push(Request::Get { page });
+                                expect.push(Some(Response::Ok(put(page, fills[i as usize]))));
+                            }
+                        }
+                    }
+                    let replies = client.call_pipelined(&batch).expect("pipelined batch");
+                    assert_eq!(replies.len(), BATCH);
+                    for ((req, want), got) in batch.iter().zip(&expect).zip(&replies) {
+                        match (want, got) {
+                            (Some(want), got) => assert_eq!(got, want, "conn {c}: {req:?}"),
+                            (None, Response::Ok(p)) => assert_eq!(p[..4], 8u32.to_le_bytes()),
+                            (None, got) => panic!("conn {c}: {req:?} answered {got:?}"),
+                        }
+                    }
+                }
+            });
+        }
+    });
+    let m = server.metrics().clone();
+    assert_eq!(m.total(), m.ok.get(), "every reply OK");
+    assert_eq!(m.queue_wait_ns.count(), 0, "nothing waited in a queue");
+    join_within_deadline(server, "four clients had closed");
 }
 
 /// Dimension check promised by the workload contract: every generated
