@@ -775,8 +775,11 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
         }
         self.stash_evicted();
         // Miss I/O is timed on every miss: the stage scratch is how the
-        // server attributes a request's latency to disk time, and two
-        // clock reads are noise next to a storage round trip.
+        // server attributes a request's latency to disk time. Against a
+        // real device two clock reads are noise; against `SimDisk::instant`
+        // they are not: on a 2-vCPU x86-64 guest `Instant::now` took about
+        // 40 ns and a random 4 KiB copy out of 64 MiB about 0.6 µs, so the
+        // pair costs about an eighth of the copy it times.
         let io_t0 = std::time::Instant::now();
         // SAFETY: `IO` is set and the pin is this call's own, so every
         // other pin fails (`try_pin` and `check_slot_pin` reject `IO`)

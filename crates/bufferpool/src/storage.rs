@@ -10,16 +10,24 @@
 //! fail-next-N, persistent per-page error sets, probabilistic transient
 //! faults, latency spikes) so every error path in the pool can be
 //! exercised repeatably.
+//!
+//! [`SimDisk`] finds a stored page the way vmcache finds a cached one:
+//! by arithmetic over one virtual-memory reservation, not through a hash
+//! table. A block address is an offset, so an instant device's read or
+//! write costs its stripe lock and one copy.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::Duration;
 
 use bpw_core::CachePadded;
 use bpw_metrics::StripedCounter;
 use bpw_replacement::PageId;
 use parking_lot::{Mutex, RwLock};
+
+use crate::frame_bytes::Mapping;
 
 /// A page-granular storage device.
 pub trait Storage: Send + Sync {
@@ -38,28 +46,127 @@ pub trait Storage: Send + Sync {
     fn writes(&self) -> u64;
 }
 
-/// `log2` of the number of [`SimDisk`] page-map stripes.
+/// `log2` of the number of [`SimDisk`] stripe locks.
 const STRIPE_BITS: u32 = 6;
 
-/// One stripe of [`SimDisk`]'s written pages, on its own cache line.
-type Stripe = CachePadded<RwLock<HashMap<PageId, Box<[u8]>>>>;
+/// One of [`SimDisk`]'s stripe locks, on its own cache line.
+type Stripe = CachePadded<RwLock<()>>;
+
+/// Bytes of address space a [`SimDisk`] reserves for its written pages:
+/// `CAPACITY / P` pages of `P` bytes. Only what is written is ever
+/// backed by memory.
+const CAPACITY: usize = 64 << 30;
 
 /// Deterministic simulated disk: unwritten pages read back as a pure
 /// function of the page id (verifiable), written pages are retained and
 /// read back exactly (write-back durability), and each access spins for
 /// a configurable latency to model device time.
 ///
-/// Written pages live in `1 << STRIPE_BITS` stripes chosen by a hash of
-/// the page id, and the access counts are per-thread cells, so misses
-/// on different threads share no lock and no counter line. Reads copy
-/// under their stripe's shared lock, so they run concurrently; a write
-/// holds it exclusively for its copy, so no read sees a torn page.
+/// The device's first write fixes its page size `P`. Page `p` is stored
+/// at byte `p × P` of one mapping that reserves 64 GiB and is advised
+/// for huge pages, as a pool's frames are, so finding a page is
+/// arithmetic: no hash probe, no box per page, no allocation on a page's
+/// first write. A write longer than `P`, or of a page past the capacity,
+/// is refused with [`io::ErrorKind::InvalidInput`]; a read of a page
+/// never written, at any id, synthesizes its content.
+///
+/// `1 << STRIPE_BITS` stripe locks, chosen by a hash of the page id, are
+/// the only exclusion, and the access counts are per-thread cells, so
+/// misses on different threads share no lock and no counter line. Reads
+/// copy under their stripe's shared lock, so they run concurrently; a
+/// write holds it exclusively for its copy, so no read sees a torn page.
 pub struct SimDisk {
     read_latency: Duration,
     write_latency: Duration,
     stripes: [Stripe; 1 << STRIPE_BITS],
+    store: OnceLock<Store>,
+    written: StripedCounter,
     reads: StripedCounter,
     writes: StripedCounter,
+}
+
+/// [`SimDisk`]'s written pages, mapped at its first write.
+struct Store {
+    /// `P`: the length of the device's first write.
+    page_size: usize,
+    /// The capacity in pages, `CAPACITY / P`.
+    pages: u64,
+    /// Page `p`'s bytes at `p × P`.
+    bytes: Mapping,
+    /// Page `p`'s word at `p`: 0 if it was never written, its stored
+    /// length plus one if it was.
+    words: Mapping,
+}
+
+impl Store {
+    fn new(page_size: usize) -> io::Result<Self> {
+        let pages = CAPACITY / page_size;
+        let bytes = Mapping::reserve(pages * page_size)?;
+        bytes.advise_huge_pages();
+        let words = Mapping::reserve(pages * size_of::<u64>())?;
+        Ok(Store {
+            page_size,
+            pages: pages as u64,
+            bytes,
+            words,
+        })
+    }
+
+    /// `page`'s word: inside `words` if `page < pages`.
+    fn word(&self, page: PageId) -> *mut u64 {
+        self.words
+            .as_ptr()
+            .cast::<u64>()
+            .wrapping_add(page as usize)
+    }
+
+    /// `page`'s first byte: its `P` bytes are inside `bytes` if
+    /// `page < pages`.
+    fn bytes(&self, page: PageId) -> *mut u8 {
+        self.bytes
+            .as_ptr()
+            .wrapping_add((page as usize).wrapping_mul(self.page_size))
+    }
+
+    /// `page`'s stored copy, or `None` if it was never written (a page
+    /// past the capacity never is).
+    ///
+    /// # Safety
+    /// The caller holds `page`'s stripe lock, in either mode, for as long
+    /// as it uses the slice.
+    unsafe fn stored(&self, page: PageId) -> Option<&[u8]> {
+        if page >= self.pages {
+            return None;
+        }
+        // SAFETY: `page < pages`, so its word and bytes are in the
+        // mappings; a word other than 0 is a stored length plus one, at
+        // most `P`; and the caller's stripe lock excludes `put`.
+        match unsafe { *self.word(page) } {
+            0 => None,
+            word => {
+                Some(unsafe { std::slice::from_raw_parts(self.bytes(page), word as usize - 1) })
+            }
+        }
+    }
+
+    /// Store `buf` as `page`'s copy, in place; `true` if it is the page's
+    /// first write.
+    ///
+    /// # Safety
+    /// `page < pages` and `buf.len() <= page_size`, and the caller holds
+    /// `page`'s stripe lock exclusively.
+    unsafe fn put(&self, page: PageId, buf: &[u8]) -> bool {
+        let word = self.word(page);
+        // SAFETY: `page < pages` and `buf` fits in its `P` bytes, by the
+        // caller's promise; its exclusive stripe lock excludes every
+        // other `stored` and `put` of the page.
+        unsafe {
+            let first = *word == 0;
+            std::ptr::copy_nonoverlapping(buf.as_ptr(), self.bytes(page), buf.len());
+            *word = buf.len() as u64 + 1;
+            first
+        }
+    }
 }
 
 impl SimDisk {
@@ -68,7 +175,9 @@ impl SimDisk {
         SimDisk {
             read_latency,
             write_latency,
-            stripes: std::array::from_fn(|_| CachePadded::new(RwLock::new(HashMap::new()))),
+            stripes: std::array::from_fn(|_| CachePadded::new(RwLock::new(()))),
+            store: OnceLock::new(),
+            written: StripedCounter::default(),
             reads: StripedCounter::default(),
             writes: StripedCounter::default(),
         }
@@ -76,13 +185,24 @@ impl SimDisk {
 
     /// Number of distinct pages that have been written.
     pub fn written_pages(&self) -> usize {
-        self.stripes.iter().map(|s| s.read().len()).sum()
+        self.written.get() as usize
     }
 
-    /// The stripe holding `page` (Fibonacci hashing: the multiply's top
+    /// The stripe lock of `page` (Fibonacci hashing: the multiply's top
     /// bits, so consecutive ids spread over every stripe).
     fn stripe(&self, page: PageId) -> &Stripe {
         &self.stripes[(page.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - STRIPE_BITS)) as usize]
+    }
+
+    /// The store, mapped with page size `page_size` if this is the
+    /// device's first write. Two racing first writes both map one; the
+    /// loser's is unmapped.
+    fn store(&self, page_size: usize) -> io::Result<&Store> {
+        if let Some(store) = self.store.get() {
+            return Ok(store);
+        }
+        let fresh = Store::new(page_size.max(1))?;
+        Ok(self.store.get_or_init(|| fresh))
     }
 
     /// A latency-free disk (pure function of page id), for tests and
@@ -116,16 +236,25 @@ impl SimDisk {
 impl Storage for SimDisk {
     fn read_page(&self, page: PageId, buf: &mut [u8]) -> io::Result<()> {
         Self::spin_for(self.read_latency);
-        if let Some(stored) = self.stripe(page).read().get(&page) {
-            let n = stored.len().min(buf.len());
-            buf[..n].copy_from_slice(&stored[..n]);
-            // A stored page shorter than the frame must not leave the
-            // tail holding the evicted victim's stale bytes.
-            buf[n..].fill(0);
-        } else {
-            buf.fill(Self::fill_byte(page));
-            if buf.len() >= 8 {
-                buf[..8].copy_from_slice(&page.to_le_bytes());
+        let store = self.store.get();
+        // (The `dst_mutation = "simdisk_unguarded_read"` mutant copies
+        // without the lock, which the torn-read race test must catch.)
+        #[cfg(not(dst_mutation = "simdisk_unguarded_read"))]
+        let _shared = self.stripe(page).read();
+        // SAFETY: this holds `page`'s stripe lock until it returns.
+        match store.and_then(|s| unsafe { s.stored(page) }) {
+            Some(stored) => {
+                let n = stored.len().min(buf.len());
+                buf[..n].copy_from_slice(&stored[..n]);
+                // A stored page shorter than the frame must not leave the
+                // tail holding the evicted victim's stale bytes.
+                buf[n..].fill(0);
+            }
+            None => {
+                buf.fill(Self::fill_byte(page));
+                if buf.len() >= 8 {
+                    buf[..8].copy_from_slice(&page.to_le_bytes());
+                }
             }
         }
         self.reads.incr();
@@ -134,13 +263,23 @@ impl Storage for SimDisk {
 
     fn write_page(&self, page: PageId, buf: &[u8]) -> io::Result<()> {
         Self::spin_for(self.write_latency);
-        let mut written = self.stripe(page).write();
-        match written.get_mut(&page) {
-            // A write-back of a page stored before: no allocation, no free.
-            Some(stored) if stored.len() == buf.len() => stored.copy_from_slice(buf),
-            _ => {
-                written.insert(page, buf.into());
-            }
+        let store = self.store(buf.len())?;
+        if buf.len() > store.page_size || page >= store.pages {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "{} bytes at page {page}: the device holds {} pages of {} bytes",
+                    buf.len(),
+                    store.pages,
+                    store.page_size
+                ),
+            ));
+        }
+        let _exclusive = self.stripe(page).write();
+        // SAFETY: the page and its length fit, checked above, and this
+        // holds its stripe lock exclusively.
+        if unsafe { store.put(page, buf) } {
+            self.written.incr();
         }
         self.writes.incr();
         Ok(())
@@ -427,44 +566,37 @@ mod tests {
         let mut buf = vec![0xA5u8; 64];
         d.read_page(9, &mut buf).unwrap();
         assert_eq!(buf, [0x22; 64]);
-        // Shorter, then longer than the frame: the stored copy is
-        // replaced, not patched.
+        // A shorter page is stored in place and read back zero-filled.
         d.write_page(9, &[0x33; 16]).unwrap();
         d.read_page(9, &mut buf).unwrap();
         assert_eq!(buf[..16], [0x33; 16]);
         assert!(buf[16..].iter().all(|&b| b == 0), "stale tail: {buf:?}");
-        d.write_page(9, &[0x44; 96]).unwrap();
+        // Longer than the device page (the first write's 64 bytes): refused.
+        let refused = d.write_page(9, &[0x44; 96]).unwrap_err();
+        assert_eq!(refused.kind(), io::ErrorKind::InvalidInput);
         d.read_page(9, &mut buf).unwrap();
-        assert_eq!(buf, [0x44; 64]);
-        assert_eq!(d.written_pages(), 1);
+        assert_eq!(buf[..16], [0x33; 16], "the refused write left no trace");
+        assert_eq!((d.written_pages(), d.writes()), (1, 3));
     }
 
     #[test]
-    fn readers_racing_an_overwriting_writer_never_see_a_torn_page() {
-        // The in-place overwrite happens under the write lock: a read is
-        // all of one fill or all of the other.
+    fn a_write_past_the_capacity_is_refused_and_a_read_there_synthesizes() {
         let d = SimDisk::instant();
-        d.write_page(5, &[0xAA; 4096]).unwrap();
-        let done = std::sync::atomic::AtomicBool::new(false);
-        std::thread::scope(|sc| {
-            for _ in 0..2 {
-                sc.spawn(|| {
-                    let mut buf = vec![0u8; 4096];
-                    while !done.load(Ordering::Acquire) {
-                        d.read_page(5, &mut buf).unwrap();
-                        let fill = buf[0];
-                        assert!(fill == 0xAA || fill == 0x55, "unknown fill {fill:#x}");
-                        assert!(buf.iter().all(|&b| b == fill), "torn page");
-                    }
-                });
-            }
-            for i in 0..4000u32 {
-                let fill = if i % 2 == 0 { 0x55 } else { 0xAA };
-                d.write_page(5, &[fill; 4096]).unwrap();
-            }
-            done.store(true, Ordering::Release);
-        });
-        assert_eq!(d.written_pages(), 1);
+        d.write_page(0, &[0x11; 64]).unwrap();
+        let past = (CAPACITY / 64) as PageId;
+        d.write_page(past - 1, &[0x22; 64]).unwrap();
+        for page in [past, u64::MAX] {
+            let refused = d.write_page(page, &[0x33; 64]).unwrap_err();
+            assert_eq!(refused.kind(), io::ErrorKind::InvalidInput);
+            let mut buf = [0u8; 64];
+            d.read_page(page, &mut buf).unwrap();
+            assert_eq!(u64::from_le_bytes(buf[..8].try_into().unwrap()), page);
+            assert!(buf[8..].iter().all(|&b| b == SimDisk::fill_byte(page)));
+        }
+        let mut buf = [0u8; 64];
+        d.read_page(past - 1, &mut buf).unwrap();
+        assert_eq!(buf, [0x22; 64], "the last page in range is stored");
+        assert_eq!((d.written_pages(), d.writes()), (2, 2));
     }
 
     #[test]

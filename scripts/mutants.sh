@@ -46,6 +46,8 @@ cd "$(git rev-parse --show-toplevel)"
 #   evict_ignores_slots       an eviction skips its slot scan and evicts a
 #                             page a hit is reading (two suites must see it)
 #   invalidate_ignores_slots  invalidate frees a page a hit is reading
+#   simdisk_unguarded_read    a SimDisk read copies without its stripe's
+#                             read lock and sees half an overwrite
 #
 # mutant | package (built with its `dst` feature) | test | filter
 rows='
@@ -65,6 +67,7 @@ write_ignores_slots       | bpw-bufferpool | dst_hit_path        | dst_a_read_ne
 evict_ignores_slots       | bpw-bufferpool | dst_hit_path        |
 evict_ignores_slots       | bpw-bufferpool | dst_miss_storm      |
 invalidate_ignores_slots  | bpw-bufferpool | dst_invalidate      | dst_invalidate_never_frees_a_page_a_hit_reads
+simdisk_unguarded_read    | bpw-bufferpool | simdisk_torn_read   |
 '
 
 only=" $* "
