@@ -1,40 +1,36 @@
-//! Admission control between the threaded frontend's connection threads
-//! and its worker pool.
+//! The overload policy, and a bounded request queue that applies it.
 //!
-//! The server's request queue is where overload becomes visible, so the
-//! policy decision lives here rather than in the protocol or worker
-//! code. The event loop has no queue — it runs each request itself, so
-//! only a deadline means anything there (see [`crate::eventloop`]).
-//! Three policies:
+//! [`AdmissionPolicy`] is the server's `--policy`. No frontend queues a
+//! request — each runs it on the thread that read it — so `Block` never
+//! blocks, and `DeadlineDrop` is judged when a request's turn comes
+//! (`engine::answer`).
+//!
+//! The queue below is what a worker pool would sit behind. No server
+//! path uses it: its only caller is the benchmark's probe of a
+//! submit-to-pop hand-off (`perfbench/src/probes.rs`), which builds it
+//! under `Block` only, and it goes once that probe does. Its expiry at
+//! dequeue ([`Popped::Expired`]) is exercised by this file's own test
+//! alone and goes with it. Under it the policies mean:
 //!
 //! * **Block** — producers wait for queue space; nothing is refused.
-//!   End-to-end latency absorbs the overload (the e2e tests rely on the
-//!   zero-loss guarantee).
-//! * **Shed** — a full queue refuses immediately; the connection thread
-//!   replies `BUSY` without the request ever queueing.
 //! * **DeadlineDrop** — requests always queue, but carry a deadline; a
-//!   worker that dequeues an expired request replies `DROPPED` without
-//!   executing it. Expiry is checked at *dequeue*, where staleness is
-//!   actually known, not at enqueue.
+//!   consumer that dequeues an expired request gets it as
+//!   [`Popped::Expired`]. Expiry is checked at *dequeue*, where
+//!   staleness is actually known, not at enqueue.
 
 use std::str::FromStr;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TrySendError};
+use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
 
-use bpw_metrics::MaxGauge;
-use std::sync::Arc;
-
-/// How the request queue behaves at (and past) capacity.
+/// What the server does with a request it is late to answer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AdmissionPolicy {
-    /// Block producers until a slot frees up; never refuse work.
+    /// Never refuse work.
     #[default]
     Block,
-    /// Refuse immediately when the queue is full (`BUSY` reply).
-    Shed,
-    /// Queue everything but discard requests older than this once a
-    /// worker picks them up (`DROPPED` reply).
+    /// Answer `DROPPED`, unexecuted, to a request whose turn came more
+    /// than this long after the socket read that completed its frame.
     DeadlineDrop(Duration),
 }
 
@@ -42,7 +38,6 @@ impl std::fmt::Display for AdmissionPolicy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             AdmissionPolicy::Block => f.write_str("block"),
-            AdmissionPolicy::Shed => f.write_str("shed"),
             AdmissionPolicy::DeadlineDrop(d) => write!(f, "drop:{}", d.as_millis()),
         }
     }
@@ -51,19 +46,18 @@ impl std::fmt::Display for AdmissionPolicy {
 impl FromStr for AdmissionPolicy {
     type Err = String;
 
-    /// `"block"`, `"shed"`, or `"drop:MILLIS"`.
+    /// `"block"` or `"drop:MILLIS"`.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let s = s.trim().to_ascii_lowercase();
         match s.as_str() {
             "block" => Ok(AdmissionPolicy::Block),
-            "shed" => Ok(AdmissionPolicy::Shed),
             other => match other.strip_prefix("drop:") {
                 Some(ms) => ms
                     .parse::<u64>()
                     .map(|ms| AdmissionPolicy::DeadlineDrop(Duration::from_millis(ms)))
                     .map_err(|e| format!("bad deadline {ms:?}: {e}")),
                 None => Err(format!(
-                    "unknown admission policy {other:?} (want block, shed, or drop:MS)"
+                    "unknown admission policy {other:?} (want block or drop:MS)"
                 )),
             },
         }
@@ -75,19 +69,17 @@ impl FromStr for AdmissionPolicy {
 pub enum Admitted {
     /// Queued (possibly after blocking).
     Queued,
-    /// Refused under [`AdmissionPolicy::Shed`].
-    Shed,
-    /// All workers are gone; the server is shutting down.
+    /// Every consumer is gone.
     Closed,
 }
 
-/// What a worker got from `pop`.
+/// What a consumer got from `pop`.
 #[derive(Debug)]
 pub enum Popped<T> {
     /// A live request.
     Item(T),
     /// A request whose deadline passed while it sat in the queue. The
-    /// worker must still reply `DROPPED` to it.
+    /// consumer must still answer it `DROPPED`.
     Expired(T),
     /// Nothing arrived within the timeout; re-check shutdown and loop.
     Timeout,
@@ -102,22 +94,16 @@ struct Entry<T> {
 
 /// A bounded MPMC request queue with policy-aware admission.
 ///
-/// Cloneable on both ends: every connection thread holds an
-/// [`AdmissionQueue`] (producer side), every worker holds a
-/// [`WorkQueue`] (consumer side). Queue depth is tracked with a
-/// [`MaxGauge`] so STATS can report the high-water mark.
+/// Cloneable on both ends: producers hold an [`AdmissionQueue`],
+/// consumers a [`WorkQueue`].
 pub struct AdmissionQueue<T> {
     tx: Sender<Entry<T>>,
-    policy: AdmissionPolicy,
-    depth: Arc<MaxGauge>,
 }
 
 impl<T> Clone for AdmissionQueue<T> {
     fn clone(&self) -> Self {
         AdmissionQueue {
             tx: self.tx.clone(),
-            policy: self.policy,
-            depth: Arc::clone(&self.depth),
         }
     }
 }
@@ -137,69 +123,28 @@ impl<T> Clone for WorkQueue<T> {
     }
 }
 
-/// Build a queue holding at most `capacity` requests.
-pub fn admission_queue<T>(
-    capacity: usize,
-    policy: AdmissionPolicy,
-) -> (AdmissionQueue<T>, WorkQueue<T>) {
-    let (tx, rx) = channel::bounded(capacity);
-    (
-        AdmissionQueue {
-            tx,
-            policy,
-            depth: Arc::new(MaxGauge::new()),
-        },
-        WorkQueue { rx, policy },
-    )
+/// Build a queue holding at most `n` requests: its producer and
+/// consumer sides.
+pub fn admission_queue<T>(n: usize, policy: AdmissionPolicy) -> (AdmissionQueue<T>, WorkQueue<T>) {
+    let (tx, rx) = channel::bounded(n);
+    (AdmissionQueue { tx }, WorkQueue { rx, policy })
 }
 
 impl<T> AdmissionQueue<T> {
-    /// Submit a request under the queue's policy.
+    /// Submit a request, waiting for space while the queue is full.
     pub fn submit(&self, item: T) -> Admitted {
         let entry = Entry {
             item,
             enqueued: Instant::now(),
         };
-        let depth = match self.policy {
-            AdmissionPolicy::Shed => match self.tx.try_send_len(entry) {
-                Ok(depth) => depth,
-                Err(TrySendError::Full(_)) => return Admitted::Shed,
-                Err(TrySendError::Disconnected(_)) => return Admitted::Closed,
-            },
-            AdmissionPolicy::Block | AdmissionPolicy::DeadlineDrop(_) => {
-                match self.tx.send_len(entry) {
-                    Ok(depth) => depth,
-                    Err(_) => return Admitted::Closed,
-                }
-            }
-        };
-        self.depth.observe(depth as u64);
-        Admitted::Queued
-    }
-
-    /// Shared handle to the depth gauge, so stats reporting can outlive
-    /// (and live apart from) the queue's sender side.
-    pub fn depth_gauge(&self) -> Arc<MaxGauge> {
-        Arc::clone(&self.depth)
-    }
-
-    /// Requests queued right now.
-    pub fn depth(&self) -> usize {
-        self.tx.len()
-    }
-
-    /// Policy this queue was built with.
-    pub fn policy(&self) -> AdmissionPolicy {
-        self.policy
+        match self.tx.send(entry) {
+            Ok(()) => Admitted::Queued,
+            Err(_) => Admitted::Closed,
+        }
     }
 }
 
 impl<T> WorkQueue<T> {
-    /// Is nothing queued right now?
-    pub fn is_empty(&self) -> bool {
-        self.rx.is_empty()
-    }
-
     /// Wait up to `timeout` for a request, classifying it against the
     /// deadline policy.
     pub fn pop(&self, timeout: Duration) -> Popped<T> {
@@ -225,27 +170,15 @@ mod tests {
 
     #[test]
     fn policy_parsing_round_trips() {
-        for s in ["block", "shed", "drop:25"] {
+        for s in ["block", "drop:25"] {
             let p: AdmissionPolicy = s.parse().unwrap();
             assert_eq!(p.to_string(), s);
         }
         assert!("drop:".parse::<AdmissionPolicy>().is_err());
         assert!("drop:abc".parse::<AdmissionPolicy>().is_err());
         assert!("lru".parse::<AdmissionPolicy>().is_err());
-    }
-
-    #[test]
-    fn shed_refuses_when_full() {
-        let (aq, wq) = admission_queue::<u32>(2, AdmissionPolicy::Shed);
-        assert_eq!(aq.submit(1), Admitted::Queued);
-        assert_eq!(aq.submit(2), Admitted::Queued);
-        assert_eq!(aq.submit(3), Admitted::Shed);
-        match wq.pop(Duration::from_millis(10)) {
-            Popped::Item(1) => {}
-            other => panic!("expected Item(1), got {other:?}"),
-        }
-        assert_eq!(aq.submit(3), Admitted::Queued);
-        assert!(aq.depth_gauge().get() >= 2);
+        let err = "shed".parse::<AdmissionPolicy>().unwrap_err();
+        assert!(err.contains("want block or drop:MS"), "{err}");
     }
 
     #[test]

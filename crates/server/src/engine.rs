@@ -2,71 +2,60 @@
 //! "frame complete" and "reply accounted", once, for both frontends.
 //!
 //! ```text
-//! frame ─▶ route ─┬─▶ Reply / Fatal ─────────────────────────────▶ write_reply
-//!                 ├─▶ Resident(pin, ticket) ──────────────────▶ Resident::reply
-//!                 └─▶ Work(req, ticket) ─┬─▶ serve: execute ─▶ Resident::reply
-//!                                        │    (event loop)   └▶ write_reply
-//!                                        └─▶ admission queue ─▶ worker_loop:
-//!                                             execute ─▶ reply channel ─▶ write_reply
-//!                                                 (threaded)
+//! frame ─▶ route ─┬─▶ Reply / Fatal ───────────────────────────▶ write_reply
+//!                 ├─▶ Resident(pin, ticket) ────────────────▶ Resident::reply
+//!                 └─▶ Work(req, ticket) ─▶ answer ─┬─▶ past due: DROPPED ─▶ write_reply
+//!                                                  └─▶ serve: execute ─▶ Resident::reply
+//!                                                                      └▶ write_reply
 //! ```
 //!
 //! A frontend (the threaded driver in [`crate::server`], the readiness
 //! loops in [`crate::eventloop`]) owns sockets only: it hands complete
 //! frame bodies and its thread's pool session to [`route`], and passes
-//! each reply through [`write_reply`] (or [`Resident::reply`]) with the
-//! writer that is its transport. Decoding, execution, control opcodes,
-//! stage attribution and per-status counters live here.
+//! each reply through [`answer`], [`write_reply`] or [`Resident::reply`]
+//! with the writer that is its transport. Decoding, execution, the
+//! deadline, control opcodes, stage attribution and per-status counters
+//! live here.
 //!
 //! BP-Wrapper's rule is that the common path pays for no cross-processor
-//! synchronisation. `route` applies it to a GET whose page is resident:
-//! the frontend thread pins it and answers from the frame. The event loop
-//! applies it to everything else too: [`serve`] runs a miss, a PUT or a
-//! SCAN to completion on the loop thread that decoded it, with that
-//! loop's pool session, and writes the reply in request order. A miss
-//! holds its loop, and only its loop, for the miss's device time. The
-//! threaded frontend still submits that work to the admission queue,
-//! whose workers hand each reply back over a channel.
+//! synchronisation, and under both frontends no path pays for it: the
+//! thread that decoded a request runs it. `route` pins a GET whose page
+//! is resident and the frontend answers from the frame; [`answer`] runs a
+//! miss, a PUT or a SCAN to completion with the same thread's pool
+//! session and writes the reply in request order. A miss holds its
+//! thread — a connection's, or a loop's — and only that thread, for the
+//! miss's device time.
 //!
 //! Every stage boundary is one clock read, shared by the stage it ends
-//! and the one it starts ([`Ticket`]): `decode`, `queue_wait` (threaded
-//! only), `pin_hit`, `miss_io` and `reply_flush` sum exactly to the
-//! request's end-to-end sample.
+//! and the one it starts ([`Ticket`]): `decode`, `pin_hit`, `miss_io`
+//! and `reply_flush` sum exactly to the request's end-to-end sample.
+//! `queue_wait` is never recorded, because nothing queues.
 
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use bpw_bufferpool::{PinnedPage, PoolSession, ReplacementManager};
-use crossbeam::channel::Sender;
 
-use crate::backpressure::{Popped, WorkQueue};
 use crate::exposition;
 use crate::metrics::{OpKind, ServerMetrics, Stage};
 use crate::protocol::{self, page_checksum, ProtocolError, Request, Response};
 use crate::server::DynPool;
 
-/// A thread's session against the server's pool: event loops and
-/// workers execute requests through one, threaded connections pin
-/// resident pages through one.
+/// A thread's session against the server's pool: every event loop and
+/// every threaded connection thread runs its requests through one.
 pub(crate) type Session<'p> = PoolSession<'p, Box<dyn ReplacementManager>>;
 
 /// A page pinned through a [`Session`].
 type Pinned<'p> = PinnedPage<'p, Box<dyn ReplacementManager>>;
 
-/// Shared state every thread of the server sees. Deliberately does NOT
-/// hold the admission queue's sender side: workers carry this struct,
-/// and a worker owning a sender to its own queue would keep the channel
-/// connected forever and deadlock shutdown.
+/// Shared state every thread of the server sees.
 pub(crate) struct Shared {
     pub(crate) pool: Arc<DynPool>,
     pub(crate) metrics: Arc<ServerMetrics>,
     pub(crate) stop: Arc<AtomicBool>,
     pub(crate) pages: u64,
-    /// Queue-depth high-water mark (mirrors the admission queue's gauge;
-    /// stays 0 under the event loop, which has no queue).
-    pub(crate) depth: Arc<bpw_metrics::MaxGauge>,
 }
 
 /// What a data request carries from [`route`] to its written reply:
@@ -75,34 +64,23 @@ pub(crate) struct Shared {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Ticket {
     kind: OpKind,
-    /// The instant the request's frame was complete: its end-to-end
-    /// sample and any deadline are measured from here.
+    /// The instant the request's decode began: its end-to-end sample is
+    /// measured from here.
     admitted: Instant,
     /// The last stage boundary: the current stage started here.
     mark: Instant,
 }
 
-/// One queued request (threaded frontend): the decoded message, its
-/// ticket, and the channel its connection thread awaits the reply on.
-/// The ticket travels back with the reply, so the connection thread
-/// starts `reply_flush` where the worker's execution ended.
-pub(crate) struct Job {
-    pub(crate) req: Request,
-    pub(crate) ticket: Ticket,
-    pub(crate) reply: Sender<(Ticket, Response)>,
-}
-
 /// What [`route`] made of one frame body.
 pub(crate) enum Routed<'p> {
     /// A control opcode, answered inline: write this reply (in order)
-    /// and carry on. Control requests bypass the queue — observability
+    /// and carry on. Control requests are never dropped — observability
     /// and shutdown must keep working when the data path is saturated.
     Reply(Response),
     /// The body does not decode: write this `ERR`, then close the
     /// connection (framing is suspect).
     Fatal(Response),
-    /// A data request to execute: [`serve`] on an event loop, the
-    /// admission queue under the threaded frontend.
+    /// A data request to execute: [`answer`] it on the calling thread.
     Work(Request, Ticket),
     /// A GET whose page was resident: already pinned, to be answered by
     /// the calling thread before it does anything else.
@@ -116,11 +94,6 @@ pub(crate) struct Resident<'p> {
     ticket: Ticket,
 }
 
-/// The reply to a data request that found the admission queue closed.
-pub(crate) fn shutting_down() -> Response {
-    Response::Err("server is shutting down".into())
-}
-
 /// Count a protocol violation and build its `ERR` reply.
 pub(crate) fn protocol_error(shared: &Shared, e: &ProtocolError) -> Response {
     shared.metrics.errors.incr();
@@ -128,7 +101,7 @@ pub(crate) fn protocol_error(shared: &Shared, e: &ProtocolError) -> Response {
 }
 
 /// Decode one complete frame body and decide where it goes. The
-/// request clock starts here, the moment the frame is whole — not at an
+/// request clock starts here, when the frame's turn comes — not at an
 /// epoll wakeup that may have delivered a whole pipeline burst.
 ///
 /// `session` is the calling thread's: a GET of a resident page is pinned
@@ -173,25 +146,55 @@ pub(crate) fn route<'p>(
 
 impl Resident<'_> {
     /// Write `[ST_OK] + frame bytes` straight from the frame into `w`,
-    /// release the pin, flush, and account the reply like any other.
-    /// The pin, which is the page's read latch, is held for the copy
-    /// only: `w` must buffer a whole reply frame without touching its
-    /// socket, so that a slow reader never keeps a write of the page
-    /// waiting.
+    /// release the pin, and account the reply like any other. The pin,
+    /// which is the page's read latch, is held for the copy only: `w` is
+    /// a buffer, never the socket, so that a slow reader never keeps a
+    /// write of the page waiting.
     pub(crate) fn reply(self, shared: &Shared, w: &mut impl Write) -> io::Result<()> {
         let Resident { page, ticket } = self;
         page.read(|data| protocol::write_response_unflushed(w, protocol::ST_OK, data))?;
         drop(page);
-        w.flush()?;
         ticket.complete(&shared.metrics, protocol::ST_OK);
         Ok(())
     }
 }
 
-/// Run a data request to completion on the calling thread — an event
-/// loop, with its own session — and write its reply into `w`: a GET's
-/// from the frame under the pin, as [`Resident::reply`] does.
-pub(crate) fn serve(
+/// Answer a data request on the calling thread — the frontend thread
+/// that decoded it, with its own session — and write the reply into `w`.
+/// `due` is when the request's deadline runs out, counted from the
+/// socket read that completed its frame (`None`: no deadline). If its
+/// turn came later, the reply is `DROPPED` and nothing is executed;
+/// otherwise it runs to completion here. A PUT's data buffer goes back
+/// to `spares` for the next PUT to decode into.
+pub(crate) fn answer(
+    shared: &Shared,
+    session: &mut Session<'_>,
+    req: Request,
+    ticket: Ticket,
+    due: Option<Instant>,
+    spares: &mut Vec<Vec<u8>>,
+    w: &mut impl Write,
+) -> io::Result<()> {
+    let written = match due {
+        // The ticket's mark is the end of its decode: the request's
+        // turn, read off a clock read that was taken anyway.
+        Some(due) if ticket.mark > due => write_reply(shared, Some(ticket), &Response::Dropped, w),
+        _ => serve(shared, session, &req, ticket, w),
+    };
+    if let Request::Put { data, .. } = req {
+        // Only a page-sized body is worth keeping for the next PUT:
+        // never a megabyte one.
+        if data.capacity() <= 2 * shared.pool.page_size() {
+            spares.push(data);
+        }
+    }
+    written
+}
+
+/// Run a data request to completion on the calling thread and write
+/// its reply into `w`: a GET's from the frame under the pin, as
+/// [`Resident::reply`] does.
+fn serve(
     shared: &Shared,
     session: &mut Session<'_>,
     req: &Request,
@@ -234,13 +237,6 @@ impl Ticket {
         ns
     }
 
-    /// Did the request's decode end more than `deadline` after its
-    /// frame was complete? On an event loop that is when its turn
-    /// comes, so no clock is read.
-    pub(crate) fn decoded_after(&self, deadline: Duration) -> bool {
-        self.mark.duration_since(self.admitted) > deadline
-    }
-
     /// End the execution stage: its time less the miss I/O the pool
     /// credited to this thread is `pin_hit`, the rest `miss_io`.
     fn executed(&mut self, m: &ServerMetrics) {
@@ -271,9 +267,8 @@ impl Ticket {
     }
 }
 
-/// Write `resp` as one frame into the frontend's transport `w` and
-/// flush it, then — for data requests, which carry a ticket — account
-/// the reply. A write error leaves the request unaccounted: nothing was
+/// Write `resp` as one frame into the frontend's reply buffer `w`, then
+/// — for data requests, which carry a ticket — account the reply. A write error leaves the request unaccounted: nothing was
 /// answered.
 pub(crate) fn write_reply(
     shared: &Shared,
@@ -282,61 +277,10 @@ pub(crate) fn write_reply(
     w: &mut impl Write,
 ) -> io::Result<()> {
     protocol::write_response_unflushed(w, resp.status(), resp.payload())?;
-    w.flush()?;
     if let Some(ticket) = ticket {
         ticket.complete(&shared.metrics, resp.status());
     }
     Ok(())
-}
-
-/// A worker of the threaded frontend: pop jobs, execute them against a
-/// long-lived [`PoolSession`] — the per-thread state BP-Wrapper's
-/// batching needs to amortize the replacement lock — and hand each
-/// reply back to its connection thread.
-pub(crate) fn worker_loop(shared: &Shared, work: &WorkQueue<Job>) {
-    let mut session = shared.pool.session();
-    loop {
-        match work.pop(Duration::from_millis(50)) {
-            Popped::Item(Job {
-                req,
-                mut ticket,
-                reply,
-            }) => {
-                let waited_ns = ticket.lap();
-                shared.metrics.queue_wait_ns.record(waited_ns);
-                shared
-                    .metrics
-                    .record_stage(ticket.kind, Stage::QueueWait, waited_ns);
-                bpw_trace::stage::reset();
-                let resp = match execute(&mut session, shared, &req) {
-                    Executed::Page(page) => Response::Ok(page.read(<[u8]>::to_vec)),
-                    Executed::Reply(resp) => resp,
-                };
-                if work.is_empty() {
-                    // About to go idle: commit this thread's deferred
-                    // hits before the reply lets the connection's next
-                    // GET be answered by its frontend thread. Between
-                    // them the two threads then show the policy one
-                    // connection's accesses in the order it made them,
-                    // whichever thread happened to serve each.
-                    session.flush();
-                }
-                ticket.executed(&shared.metrics);
-                // The receiver may have given up (connection died); the
-                // work is simply discarded.
-                let _ = reply.send((ticket, resp));
-            }
-            Popped::Expired(job) => {
-                let _ = job.reply.send((job.ticket, Response::Dropped));
-            }
-            Popped::Timeout => {
-                // Idle: commit any deferred BP-Wrapper bookkeeping so the
-                // replacement algorithm doesn't go stale between bursts.
-                session.flush();
-            }
-            Popped::Disconnected => break,
-        }
-    }
 }
 
 /// What executing a data request produced.
@@ -403,9 +347,9 @@ fn scan(session: &mut Session<'_>, shared: &Shared, start: u64, len: u32) -> Res
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backpressure::{admission_queue, AdmissionPolicy, Admitted};
     use bpw_bufferpool::{BufferPool, SimDisk};
     use bpw_metrics::JsonValue;
+    use std::time::Duration;
 
     /// A `Shared` over a small pool — no listener, no threads.
     fn shared() -> Shared {
@@ -416,7 +360,6 @@ mod tests {
             metrics: ServerMetrics::shared(),
             stop: Arc::new(AtomicBool::new(false)),
             pages: 64,
-            depth: Arc::new(bpw_metrics::MaxGauge::new()),
         }
     }
 
@@ -425,12 +368,20 @@ mod tests {
         route(shared, session, &req.encode(), &mut Vec::new())
     }
 
-    /// Route `req`, answer it as an event loop does, and return its
-    /// reply frame.
-    fn answer(shared: &Shared, session: &mut Session<'_>, req: &Request) -> Vec<u8> {
+    /// Route `req`, answer it as a frontend does, and return its reply
+    /// frame.
+    fn reply_to(shared: &Shared, session: &mut Session<'_>, req: &Request) -> Vec<u8> {
         let mut wire = Vec::new();
         match route_req(shared, session, req) {
-            Routed::Work(req, ticket) => serve(shared, session, &req, ticket, &mut wire),
+            Routed::Work(req, ticket) => answer(
+                shared,
+                session,
+                req,
+                ticket,
+                None,
+                &mut Vec::new(),
+                &mut wire,
+            ),
             Routed::Resident(hit) => hit.reply(shared, &mut wire),
             Routed::Reply(resp) | Routed::Fatal(resp) => {
                 write_reply(shared, None, &resp, &mut wire)
@@ -452,7 +403,7 @@ mod tests {
     fn cold_get_ticket(shared: &Shared, session: &mut Session<'_>, page: u64) -> Ticket {
         match route_req(shared, session, &Request::Get { page }) {
             Routed::Work(Request::Get { .. }, ticket) => ticket,
-            _ => panic!("a cold GET is work for the queue"),
+            _ => panic!("a cold GET is work to execute"),
         }
     }
 
@@ -491,13 +442,13 @@ mod tests {
         let shared = shared();
         let session = &mut shared.pool.session();
         let get = Request::Get { page: 3 };
-        // GET (a miss, executed as a worker would), STATS, GET (a hit,
+        // GET (a miss, executed on this thread), STATS, GET (a hit,
         // answered in place), STATS: back to back, no pause between.
         assert!(matches!(
             route_req(&shared, session, &get),
             Routed::Work(..)
         ));
-        answer(&shared, session, &get);
+        reply_to(&shared, session, &get);
         let first = scraped_counts(&shared, session);
         assert_eq!(first, pool_counts(&shared), "the first scrape is exact");
         let Routed::Resident(hit) = route_req(&shared, session, &get) else {
@@ -572,7 +523,7 @@ mod tests {
             let body = req.encode();
             let Routed::Work(routed, ticket) = route(&shared, session, &body, &mut Vec::new())
             else {
-                panic!("{req:?} must be routed to the workers");
+                panic!("{req:?} must be routed to execution");
             };
             assert_eq!(routed, req);
             assert_eq!(ticket.kind, kind);
@@ -638,7 +589,7 @@ mod tests {
         let shared = shared();
         let m = &shared.metrics;
         let session = &mut shared.pool.session();
-        let wire = answer(&shared, session, &Request::Get { page: 6 });
+        let wire = reply_to(&shared, session, &Request::Get { page: 6 });
         assert_eq!(pool_counts(&shared), (0, 1), "one miss, no second lookup");
         let page = session.fetch(6).expect("instant disk").read(|d| d.to_vec());
         assert_eq!(wire, framed(&Response::Ok(page)), "the frame's bytes");
@@ -663,7 +614,7 @@ mod tests {
         // A miss, with miss I/O inside its execution, then a hit.
         for _ in 0..2 {
             let before = (stage_sum(m, OpKind::Get), m.get_ns.sum());
-            answer(&shared, session, &Request::Get { page: 7 });
+            reply_to(&shared, session, &Request::Get { page: 7 });
             assert_eq!(
                 stage_sum(m, OpKind::Get) - before.0,
                 m.get_ns.sum() - before.1,
@@ -677,9 +628,9 @@ mod tests {
             page: 8,
             data: vec![2; 16],
         };
-        answer(&shared, session, &put);
+        reply_to(&shared, session, &put);
         assert_eq!(stage_sum(m, OpKind::Put), m.put_ns.sum());
-        answer(&shared, session, &Request::Scan { start: 0, len: 4 });
+        reply_to(&shared, session, &Request::Scan { start: 0, len: 4 });
         assert_eq!(stage_sum(m, OpKind::Scan), m.scan_ns.sum());
     }
 
@@ -687,7 +638,7 @@ mod tests {
     fn a_get_that_is_not_resident_or_not_allowed_is_work_and_touches_no_counter() {
         let shared = shared();
         let session = &mut shared.pool.session();
-        // Cold: the lookup fails and counts nothing — the worker's
+        // Cold: the lookup fails and counts nothing — execution's
         // fetch is the one miss, not a miss and a failed hit.
         let ticket = cold_get_ticket(&shared, session, 5);
         assert_eq!(pool_counts(&shared), (0, 0));
@@ -695,7 +646,7 @@ mod tests {
         assert_eq!(
             shared.metrics.stage(OpKind::Get, Stage::PinHit).count(),
             0,
-            "the worker accounts the whole access"
+            "execution accounts the whole access"
         );
         serve(
             &shared,
@@ -815,53 +766,38 @@ mod tests {
     }
 
     #[test]
-    fn a_worker_executes_routed_jobs_without_a_socket() {
-        let shared = Arc::new(shared());
-        let (admission, work) = admission_queue(4, AdmissionPolicy::Block);
-        let worker = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || worker_loop(&shared, &work))
-        };
+    fn a_request_whose_turn_came_past_due_is_dropped_unexecuted() {
+        let shared = shared();
+        let m = &shared.metrics;
         let session = &mut shared.pool.session();
-        let mut call = |req: Request| {
-            let Routed::Work(req, ticket) = route_req(&shared, session, &req) else {
-                panic!("a request for the queue expected");
-            };
-            let (reply, rx) = crossbeam::channel::bounded(1);
-            let job = Job { req, ticket, reply };
-            assert_eq!(admission.submit(job), Admitted::Queued);
-            let (_, resp) = rx.recv().expect("worker replies");
-            resp
+        let spares = &mut Vec::new();
+        let put = Request::Put {
+            page: 2,
+            data: vec![7; 16],
         };
-        let mut data = vec![0xAB; 16];
-        data[..8].copy_from_slice(&5u64.to_le_bytes());
-        assert_eq!(
-            call(Request::Put {
-                page: 5,
-                data: data.clone()
-            }),
-            Response::Ok(Vec::new())
-        );
-        assert!(
-            matches!(call(Request::Scan { start: 0, len: 8 }), Response::Ok(p) if p.len() == 12)
-        );
-        match call(Request::Get { page: 20 }) {
-            Response::Ok(bytes) => assert_eq!(bytes[..8], 20u64.to_le_bytes()),
-            other => panic!("GET answered {other:?}"),
-        }
-        assert!(matches!(call(Request::Get { page: 64 }), Response::Err(_)));
-        assert_eq!(
-            shared.metrics.stage(OpKind::Get, Stage::QueueWait).count(),
-            2
-        );
-        // What the worker wrote and loaded is resident for the frontend.
-        let Routed::Resident(hit) = route_req(&shared, session, &Request::Get { page: 5 }) else {
-            panic!("the PUT left page 5 resident");
+        let Routed::Work(req, ticket) = route_req(&shared, session, &put) else {
+            panic!("a PUT is work to execute");
         };
+        // Due a nanosecond before its turn: DROPPED, and the pool never
+        // sees it.
+        let due = ticket.mark.checked_sub(Duration::from_nanos(1));
         let mut wire = Vec::new();
-        hit.reply(&shared, &mut wire).expect("Vec cannot fail");
-        assert_eq!(wire[5..21], data[..]);
-        drop(admission);
-        worker.join().expect("worker exits when the queue closes");
+        answer(&shared, session, req, ticket, due, spares, &mut wire).expect("Vec cannot fail");
+        assert_eq!(wire, framed(&Response::Dropped));
+        assert_eq!((m.dropped.get(), m.total()), (1, 1));
+        assert_eq!(pool_counts(&shared), (0, 0), "nothing was executed");
+        assert_eq!(spares.len(), 1, "its body is kept for the next PUT");
+
+        // Due a minute after: executed, into the kept buffer.
+        let Routed::Work(req, ticket) = route(&shared, session, &put.encode(), spares) else {
+            panic!("a PUT is work to execute");
+        };
+        assert!(spares.is_empty(), "decoded into the kept buffer");
+        let due = Some(Instant::now() + Duration::from_secs(60));
+        let mut wire = Vec::new();
+        answer(&shared, session, req, ticket, due, spares, &mut wire).expect("Vec cannot fail");
+        assert_eq!(wire, framed(&Response::Ok(Vec::new())));
+        assert_eq!((m.ok.get(), m.total()), (1, 2));
+        assert_eq!(pool_counts(&shared), (0, 1), "one miss");
     }
 }

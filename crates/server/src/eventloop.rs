@@ -8,11 +8,12 @@
 //! thousands of mostly-idle connections means tens of thousands of
 //! stacks and a scheduler meltdown long before BP-Wrapper's lock-free
 //! batching becomes the bottleneck. Here a fixed number of loop threads
-//! (`ServerConfig::workers`) own every socket. Each registers a clone of
-//! the listener; a loop that loses an accept race sees `WouldBlock`, and
-//! a connection stays on the loop that accepted it. Complete frames go
-//! through the same [`crate::engine`] — `route`, `serve`, `write_reply`
-//! — as the threaded frontend's. This file holds socket state only.
+//! (`ServerConfig::workers`) own every socket, and a client may pipeline.
+//! Each loop registers a clone of the listener; a loop that loses an
+//! accept race sees `WouldBlock`, and a connection stays on the loop
+//! that accepted it. Complete frames go through the same
+//! [`crate::engine`] — `route`, `answer`, `write_reply` — as the
+//! threaded frontend's. This file holds socket state only.
 //!
 //! ## Every request runs to completion here
 //!
@@ -23,10 +24,11 @@
 //! hit or miss, is written from the frame into the connection's write
 //! buffer under its pin; a PUT is applied from a body buffer the loop
 //! reuses; a SCAN's checksum is computed here. No request crosses a
-//! thread, so there is no admission queue, no completion queue, no
-//! reorder buffer: replies are produced in request order, a pipelined
-//! PUT-then-GET reads its own write, and one connection's requests reach
-//! the pool in the order it sent them.
+//! thread — a threaded connection runs its requests the same way — so
+//! there is no request queue, no completion queue, no reorder buffer:
+//! replies are produced in request order, a pipelined PUT-then-GET reads
+//! its own write, and one connection's requests reach the pool in the
+//! order it sent them.
 //!
 //! The price is that a miss holds its loop for its device time. Against
 //! `SimDisk::instant` that is a page copy; against a slow device every
@@ -34,10 +36,11 @@
 //!
 //! ## Overload
 //!
-//! Nothing queues, so `Shed` never sheds and `Block` never blocks.
-//! `DeadlineDrop(d)` is checked when a request's turn comes, which on a
-//! loop is the end of its decode: past `d`, the reply is `DROPPED` and
-//! the request is not executed.
+//! Nothing queues, so `Block` never blocks. Under `DeadlineDrop(d)` a
+//! read pass reads the clock once, and a frame that pass completed is
+//! due `d` later: if its turn — the end of its decode — comes after
+//! that, for instance behind a pipelined miss that held the loop, the
+//! reply is `DROPPED` and the request is not executed.
 //!
 //! ## Flow control
 //!
@@ -56,12 +59,12 @@ use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bpw_evl::{Epoll, Interest, Ready, WriteBuf};
 
 use crate::engine::{self, Routed, Session, Shared};
-use crate::protocol::{FrameDecoder, Request, Response, RESPONSE_HEAD};
+use crate::protocol::{FrameDecoder, RESPONSE_HEAD};
 
 const TOK_LISTENER: u64 = 0;
 const FIRST_CONN_TOKEN: u64 = 1;
@@ -101,6 +104,9 @@ struct Conn {
     poisoned: bool,
     /// Interest currently registered with epoll, to skip no-op MODs.
     registered: (bool, bool),
+    /// When the deadline of the frames the last read pass completed runs
+    /// out (`DeadlineDrop` only).
+    due: Option<Instant>,
 }
 
 impl Conn {
@@ -112,6 +118,7 @@ impl Conn {
             peer_eof: false,
             poisoned: false,
             registered: (true, false),
+            due: None,
         }
     }
 
@@ -190,8 +197,7 @@ pub(crate) fn run(
             Err(e) => panic!("epoll_wait failed: {e}"),
         }
         if ready_buf.is_empty() {
-            // Idle: commit deferred BP-Wrapper bookkeeping, as a worker
-            // does when its pop times out.
+            // Idle: commit deferred BP-Wrapper bookkeeping.
             el.session.flush();
         }
         let stop = el.shared.stop.load(Ordering::SeqCst);
@@ -299,6 +305,7 @@ impl EventLoop<'_> {
         if !conn.wants_read(self.high_water) {
             return;
         }
+        let mut got = false;
         for _ in 0..MAX_READS_PER_WAKEUP {
             match conn.stream.read(scratch) {
                 Ok(0) => {
@@ -307,6 +314,7 @@ impl EventLoop<'_> {
                 }
                 Ok(n) => {
                     conn.decoder.push(&scratch[..n]);
+                    got = true;
                     if n < scratch.len() {
                         break;
                     }
@@ -318,6 +326,11 @@ impl EventLoop<'_> {
                     return;
                 }
             }
+        }
+        // Frames held back behind unread replies stop this socket's
+        // reads, so every frame in the decoder was completed by this pass.
+        if let Some(d) = self.deadline.filter(|_| got) {
+            conn.due = Some(Instant::now() + d);
         }
         self.answer_frames(token);
     }
@@ -350,20 +363,8 @@ impl EventLoop<'_> {
                 }
                 Routed::Resident(hit) => hit.reply(shared, w),
                 Routed::Work(req, ticket) => {
-                    let written = match self.deadline {
-                        Some(d) if ticket.decoded_after(d) => {
-                            engine::write_reply(shared, Some(ticket), &Response::Dropped, w)
-                        }
-                        _ => engine::serve(shared, &mut self.session, &req, ticket, w),
-                    };
-                    if let Request::Put { data, .. } = req {
-                        // Only a page-sized body is worth keeping for
-                        // the next PUT: never a megabyte one.
-                        if data.capacity() <= 2 * shared.pool.page_size() {
-                            self.spare.push(data);
-                        }
-                    }
-                    written
+                    let session = &mut self.session;
+                    engine::answer(shared, session, req, ticket, conn.due, &mut self.spare, w)
                 }
             };
             debug_assert!(written.is_ok(), "the write buffer cannot fail");

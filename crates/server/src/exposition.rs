@@ -122,8 +122,6 @@ struct PoolSide {
     stashed_frames: u64,
     /// Queued admissions dropped because their frame was invalidated.
     stale_admissions: u64,
-    /// Admission-queue depth high-water mark.
-    peak_queue_depth: u64,
 }
 
 impl PoolSide {
@@ -138,7 +136,6 @@ impl PoolSide {
             miss_locks: pool.miss_lock_summary(),
             stashed_frames: pool.stashed_frames() as u64,
             stale_admissions: pool.manager().stale_admissions(),
-            peak_queue_depth: shared.depth.get(),
         }
     }
 }
@@ -195,11 +192,11 @@ pub(crate) fn walk<'a>(shared: &'a Shared, scrape: &'a Scrape, visit: &mut dyn F
     row(&["short_writes"],     "bpw_short_writes_total",      &[], "Nonblocking writes that accepted only part of the buffer.",           Counter(m.short_writes.get()));
     row(&["pipeline_depth"],   "bpw_pipeline_depth",          &[], "Requests an event loop answered per pass over a connection's frames.", Hist(&m.pipeline_depth));
     row(&["ready_per_wakeup"], "bpw_ready_events_per_wakeup", &[], "Ready fds delivered per epoll wakeup.",                               Hist(&m.ready_per_wakeup));
-    row(&["peak_queue_depth"], "bpw_queue_depth_peak",        &[], "Admission-queue depth high-water mark.",                              Gauge(pool.peak_queue_depth));
+    row(&["peak_queue_depth"], "bpw_queue_depth_peak",        &[], "Request-queue depth high-water mark: always 0, nothing queues.",     Gauge(0));
     row(&["get_ns"],           "bpw_get_latency_ns",          &[], "End-to-end GET latency.",                                             Hist(&m.get_ns));
     row(&["put_ns"],           "bpw_put_latency_ns",          &[], "End-to-end PUT latency.",                                             Hist(&m.put_ns));
     row(&["scan_ns"],          "bpw_scan_latency_ns",         &[], "End-to-end SCAN latency.",                                            Hist(&m.scan_ns));
-    row(&["queue_wait_ns"],    "bpw_queue_wait_ns",           &[], "Time queued before a worker picked the request up.",                  Hist(&m.queue_wait_ns));
+    row(&["queue_wait_ns"],    "bpw_queue_wait_ns",           &[], "Time queued before execution: never sampled, nothing queues.",       Hist(&m.queue_wait_ns));
     for (&(key, name, help, _), value) in POOL_COUNTERS.iter().zip(pool.counters) {
         row(&[key], name, &[], help, Counter(value));
     }

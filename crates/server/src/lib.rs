@@ -2,13 +2,12 @@
 //!
 //! A concurrent page-service frontend over the BP-Wrapper buffer pool:
 //! a length-prefixed TCP protocol ([`protocol`]), two socket frontends
-//! over one request engine — [`server`]'s thread-per-connection driver,
-//! with a fixed worker pool fed through an admission-controlled queue
-//! ([`backpressure`]), and readiness event loops that run every request
-//! on the thread that read it — a blocking
-//! [`client`], a workload-driven load generator ([`loadgen`]), and
-//! end-to-end latency observability ([`metrics`]) exported through one
-//! metric table as `STATS` JSON and `METRICS` text.
+//! over one request engine — [`server`]'s thread-per-connection driver
+//! and readiness event loops, both running every request on the thread
+//! that read it — a blocking [`client`], a workload-driven load
+//! generator ([`loadgen`]), and end-to-end latency observability
+//! ([`metrics`]) exported through one metric table as `STATS` JSON and
+//! `METRICS` text.
 //!
 //! The paper's claim is about lock contention *inside* the buffer
 //! manager; this crate puts a realistic service in front of it so the
@@ -42,7 +41,7 @@ pub mod poll;
 pub mod protocol;
 pub mod server;
 
-pub use backpressure::{AdmissionPolicy, AdmissionQueue, Admitted, Popped, WorkQueue};
+pub use backpressure::AdmissionPolicy;
 pub use bpw_bufferpool::{FaultPlan, FaultyDisk};
 pub use client::Client;
 pub use loadgen::{LoadConfig, LoadMode, LoadReport};

@@ -86,7 +86,7 @@ pub struct LoadReport {
     pub sent: u64,
     /// `OK` replies.
     pub ok: u64,
-    /// `BUSY` replies (shed).
+    /// `BUSY` replies (overload; no server sends them).
     pub busy: u64,
     /// `DROPPED` replies (deadline).
     pub dropped: u64,

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! bpw-server serve   [--addr H:P] [--mode threaded|eventloop] [--workers N]
-//!                    [--queue N] [--policy P] [--max-pipeline N]
+//!                    [--policy block|drop:MS] [--max-pipeline N]
 //!                    [--frames N] [--page-size B] [--pages N] [--manager SPEC]
 //!                    [--faulty true] [--fault-seed S] [--fail-reads-ppm N]
 //!                    [--fail-writes-ppm N] [--spike-ppm N] [--spike-us U]
@@ -19,18 +19,20 @@
 //! A flag the subcommand does not read is an error (exit 2), so a
 //! misspelled flag never starts a server silently on defaults.
 //!
-//! `serve --mode threaded` (the default) runs a thread per connection
-//! and `--workers N` workers behind an admission queue of `--queue N`
-//! requests. `--mode eventloop` runs `--workers N` event loops, each
-//! executing its connections' requests itself: no queue, so `--queue` is
-//! unused, `--policy drop:MS` drops a request whose decode ended past its
-//! deadline, and `block` and `shed` never act.
+//! `serve --mode threaded` (the default) runs a thread per connection;
+//! `--mode eventloop` runs `--workers N` event loops, each multiplexing
+//! its share of the connections. Under both, the thread that read a
+//! request runs it to completion: nothing queues, so `--policy block`
+//! never blocks, and `--policy drop:MS` answers `DROPPED` to a request
+//! whose turn came more than MS after the socket read that completed it.
 //!
 //! `smoke` is the CI self-test: it starts an in-process server, checks
-//! STATS and METRICS payloads, and drives a workload through it. With
-//! `--faulty true` the server runs over a fault-injecting disk and the
-//! run additionally proves degraded-mode behaviour (ERR_IO surfaces, no
-//! frame is wedged).
+//! STATS and METRICS payloads, drives a workload through it, and checks
+//! that once the load's connections are gone every frame is free or
+//! resident and the replacement manager tracks exactly the resident
+//! pages. With `--faulty true` the server runs over a fault-injecting
+//! disk and the run additionally proves degraded-mode behaviour (ERR_IO
+//! surfaces, and every page is readable once the faults clear).
 //!
 //! `chaos` is the degraded-mode experiment: the same load at increasing
 //! storage fault rates, recording throughput, error mix, and the pool's
@@ -66,7 +68,6 @@ const FAULT_FLAGS: &[&str] = &[
 const SERVE_FLAGS: &[&str] = &[
     "addr",
     "workers",
-    "queue",
     "policy",
     "frames",
     "page-size",
@@ -188,7 +189,6 @@ fn server_config(flags: &Flags) -> Result<ServerConfig, String> {
     Ok(ServerConfig {
         addr: flags.get("addr").cloned().unwrap_or(d.addr),
         workers: get(flags, "workers", d.workers)?,
-        queue_capacity: get(flags, "queue", d.queue_capacity)?,
         policy: get(flags, "policy", d.policy)?,
         frames: get(flags, "frames", d.frames)?,
         page_size: get(flags, "page-size", d.page_size)?,
@@ -204,10 +204,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let config = server_config(flags)?;
     let server = Server::start(config.clone()).map_err(|e| e.to_string())?;
     let threads = match config.mode {
-        FrontendMode::Threaded => format!(
-            "{} workers, queue {}",
-            config.workers, config.queue_capacity
-        ),
+        FrontendMode::Threaded => "a thread per connection".to_string(),
         FrontendMode::EventLoop => format!("{} loops", config.workers),
     };
     println!(
@@ -377,17 +374,20 @@ fn cmd_chaos(flags: &Flags) -> Result<(), String> {
 }
 
 /// CI self-test: exercise STATS, METRICS and a workload end-to-end
-/// against a live server, failing loudly on any malformed payload.
+/// against a live server, failing loudly on any malformed payload or
+/// frame that no one accounts for.
 fn cmd_smoke(flags: &Flags) -> Result<(), String> {
     use bpw_metrics::JsonValue;
 
+    const FRAMES: usize = 256;
+    const PAGES: u64 = 4096;
     let plan = fault_plan(flags)?;
     let faulty = plan.is_some();
     let server = Server::start(ServerConfig {
         workers: 2,
-        frames: 256,
+        frames: FRAMES,
         page_size: 256,
-        pages: 4096,
+        pages: PAGES,
         fault_plan: plan,
         ..ServerConfig::default()
     })
@@ -418,7 +418,7 @@ fn cmd_smoke(flags: &Flags) -> Result<(), String> {
     }
 
     // 3. A workload of GETs and PUTs completes requests.
-    let workload = ZipfWorkload::new(4096, 0.86, 8);
+    let workload = ZipfWorkload::new(PAGES, 0.86, 8);
     let report = loadgen::run(
         server.addr(),
         &workload,
@@ -433,22 +433,15 @@ fn cmd_smoke(flags: &Flags) -> Result<(), String> {
         return Err("workload completed no requests".into());
     }
 
-    // 4. Degraded mode (--faulty): the run survived a flaky disk —
-    //    transient faults were retried, nothing wedged a frame, and once
-    //    the faults clear every page is reachable again.
+    // 4. Degraded mode (--faulty): the run survived a flaky disk,
+    //    transient faults were retried, and once the faults clear the
+    //    pages the load touched most are reachable again.
+    let pool = server.pool();
+    let ord = std::sync::atomic::Ordering::Relaxed;
     if faulty {
-        let stats = server.pool().stats();
-        let retries = stats.io_retries.load(std::sync::atomic::Ordering::Relaxed);
+        let retries = pool.stats().io_retries.load(ord);
         if retries == 0 {
             return Err("faulty smoke injected no retried faults".into());
-        }
-        let frames = server.pool().frames();
-        let pool = server.pool();
-        let accounted = pool.free_frames() + pool.stashed_frames() + pool.resident_count();
-        if accounted != frames {
-            return Err(format!(
-                "frame accounting broken after faults: {accounted} of {frames}"
-            ));
         }
         let disk = server.faulty_disk().expect("faulty config has a disk");
         disk.clear_faults();
@@ -459,10 +452,42 @@ fn cmd_smoke(flags: &Flags) -> Result<(), String> {
             }
         }
         println!(
-            "degraded mode ok: {retries} retries, {} hard errors, frames intact",
-            stats.io_errors.load(std::sync::atomic::Ordering::Relaxed)
+            "degraded mode ok: {retries} retries, {} hard errors",
+            pool.stats().io_errors.load(ord)
         );
     }
+
+    // 5. This client reads a pool's worth of cold pages, each one OK,
+    //    and then idles. Its connection thread hands its session back
+    //    before it writes the last reply and waits for the next frame:
+    //    a session that kept what its misses took would show below.
+    for page in PAGES - FRAMES as u64..PAGES {
+        match client.get(page).map_err(|e| e.to_string())? {
+            bpw_server::Response::Ok(_) => {}
+            other => return Err(format!("GET {page}: {other:?}")),
+        }
+    }
+
+    // 6. The load's connections have closed and this one idles: no
+    //    session keeps a frame. Every frame is free, stashed or holds a
+    //    page; none is stashed; and the replacement manager tracks
+    //    exactly the resident pages (this panics naming the first one it
+    //    does not).
+    let open = &server.metrics().connections_open;
+    if !bpw_server::poll_until(Duration::from_secs(5), || open.get() == 1) {
+        return Err(format!("{} connections open after the load", open.get()));
+    }
+    let stashed = pool.stashed_frames();
+    let accounted = pool.free_frames() + stashed + pool.resident_count();
+    if accounted != FRAMES {
+        return Err(format!("frame accounting broken: {accounted} of {FRAMES}"));
+    }
+    if stashed != 0 {
+        return Err(format!(
+            "{stashed} frames stashed with every connection idle or closed"
+        ));
+    }
+    pool.check_mapping_invariants();
 
     client.shutdown().map_err(|e| e.to_string())?;
     drop(client); // join() waits for live connections to close

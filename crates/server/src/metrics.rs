@@ -1,11 +1,9 @@
 //! End-to-end latency observability for the page service.
 //!
 //! One [`ServerMetrics`] is shared by every thread of the server.
-//! Latency is measured from *admission* (the frontend thread has the
-//! full request frame) to *reply written*, so queueing delay — the thing
-//! backpressure policies trade against loss — shows up in the
-//! histograms rather than being hidden inside a worker. The stages of a
-//! request share their boundaries, one clock read each, so they sum
+//! Latency is measured from the request's turn (the frontend thread
+//! starts decoding its complete frame) to *reply written*. The stages of
+//! a request share their boundaries, one clock read each, so they sum
 //! exactly to its end-to-end sample.
 
 use std::sync::Arc;
@@ -30,7 +28,7 @@ impl OpKind {
     pub const ALL: [OpKind; 3] = [OpKind::Get, OpKind::Put, OpKind::Scan];
 
     /// The latency bucket a request belongs to (`None` for control
-    /// requests, which never reach the queue).
+    /// requests, which are answered without a ticket).
     pub fn of(req: &Request) -> Option<OpKind> {
         match req {
             Request::Get { .. } => Some(OpKind::Get),
@@ -64,8 +62,9 @@ impl OpKind {
 pub enum Stage {
     /// Parsing the request body out of a complete frame.
     Decode,
-    /// Sitting in the admission queue before a worker picked it up
-    /// (threaded frontend only: an event loop queues nothing).
+    /// Sitting in a queue before execution. Never recorded: every
+    /// request runs on the thread that decoded it. The row is kept
+    /// because `perfbench` reads `stages.<op>.queue_wait` from STATS.
     QueueWait,
     /// Executing against the buffer pool, *minus* the miss-I/O time
     /// attributed below — a hit's latch-and-go cost, with the batch
@@ -78,10 +77,9 @@ pub enum Stage {
     /// its time stays inside `PinHit`. The empty row is kept because
     /// `perfbench` reads `stages.<op>.batch_commit` from STATS.
     BatchCommit,
-    /// Writing the reply frame back toward the client (the reply's
-    /// hand-back from the worker and the socket write under the threaded
-    /// frontend; frame serialization into the coalesced write buffer
-    /// under the event loop).
+    /// Writing the reply frame back toward the client (the socket write
+    /// under the threaded frontend; frame serialization into the
+    /// coalesced write buffer under the event loop).
     ReplyFlush,
 }
 
@@ -121,12 +119,13 @@ pub struct ServerMetrics {
     pub put_ns: Histogram,
     /// End-to-end SCAN latency, nanoseconds.
     pub scan_ns: Histogram,
-    /// Time spent queued before a worker picked the request up, ns
-    /// (threaded frontend only).
+    /// Time spent queued before execution, ns. Never sampled: nothing
+    /// queues (kept because `perfbench` reads it).
     pub queue_wait_ns: Histogram,
     /// Requests answered `OK`.
     pub ok: Counter,
-    /// Requests refused with `BUSY` (shed at admission).
+    /// Requests answered `BUSY`. No server sends it; the status stays
+    /// on the wire because clients count it.
     pub busy: Counter,
     /// Requests answered `DROPPED` (deadline passed before their turn).
     pub dropped: Counter,

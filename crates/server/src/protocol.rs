@@ -22,7 +22,7 @@
 //!                    high half zero; see `page_checksum`);
 //!                    STATS: UTF-8 JSON;
 //!                    METRICS: UTF-8 Prometheus-style text exposition
-//!   BUSY     (0x01)  shed by admission control (queue full)
+//!   BUSY     (0x01)  refused for overload (no server sends it)
 //!   DROPPED  (0x02)  deadline exceeded before the request's turn came
 //!   ERR      (0x03)  UTF-8 message
 //!   ERR_IO   (0x04)  UTF-8 message: storage failed after retries; the
@@ -74,10 +74,11 @@ pub enum Request {
 pub enum Response {
     /// Success; payload depends on the request.
     Ok(Vec<u8>),
-    /// Shed by admission control before queueing.
+    /// Refused for overload. No server sends it; it stays on the wire
+    /// because clients count it.
     Busy,
-    /// Dropped unexecuted: its deadline passed before its turn came
-    /// (a worker picked it up, or its event loop finished decoding it).
+    /// Dropped unexecuted: its turn came more than the server's deadline
+    /// after the socket read that completed its frame.
     Dropped,
     /// Malformed request or execution failure.
     Err(String),
@@ -309,6 +310,15 @@ pub(crate) fn write_response_unflushed(
     head[4] = status;
     w.write_all(&head)?;
     w.write_all(payload)
+}
+
+/// Does `bytes` begin with one whole frame, its length prefix and body?
+/// A blocking reader asks before a read that could wait on its peer.
+pub(crate) fn holds_frame(bytes: &[u8]) -> bool {
+    match bytes.get(..4) {
+        Some(head) => bytes.len() - 4 >= u32::from_le_bytes(head.try_into().unwrap()) as usize,
+        None => false,
+    }
 }
 
 /// Read one frame body into `buf`. Returns `Ok(false)` on clean EOF at
@@ -556,6 +566,16 @@ mod tests {
         assert!(read_frame(&mut r, &mut buf).unwrap());
         assert_eq!(Request::decode(&buf).unwrap(), Request::Stats);
         assert!(!read_frame(&mut r, &mut buf).unwrap(), "clean EOF");
+    }
+
+    #[test]
+    fn holds_frame_needs_the_whole_body() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &Request::Get { page: 3 }.encode()).unwrap();
+        assert!((0..wire.len()).all(|cut| !holds_frame(&wire[..cut])));
+        assert!(holds_frame(&wire));
+        wire.push(0);
+        assert!(holds_frame(&wire), "a torn next frame after it");
     }
 
     #[test]

@@ -4,46 +4,42 @@
 //! Everything a request goes through between "frame complete" and
 //! "reply accounted" is [`crate::engine`]'s; a frontend only moves
 //! bytes. The threaded driver here is an acceptor plus one blocking
-//! thread per connection (read a frame, submit, await the reply, write
-//! it), with a worker pool behind the admission queue (see
-//! [`crate::backpressure`]), where overload policy is applied. The
-//! readiness loops in [`crate::eventloop`] are the other frontend: they
-//! run every request themselves, with no queue and no workers.
+//! thread per connection: read a frame, run the request to completion
+//! with the thread's own pool session, buffer the reply, and write the
+//! buffered replies before a read that could wait on the client.
+//! The readiness loops in [`crate::eventloop`] are the other frontend,
+//! and run their requests the same way. Neither has a queue or workers.
 
-use std::io::{self, BufReader, BufWriter};
+use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bpw_bufferpool::{
     BufferPool, ClockManager, FaultPlan, FaultyDisk, ReplacementManager, SimDisk, Storage,
     WrappedManager,
 };
 use bpw_core::WrapperConfig;
-use bpw_metrics::MaxGauge;
 use bpw_replacement::PolicyKind;
-use crossbeam::channel;
 
-use crate::backpressure::{admission_queue, AdmissionPolicy, AdmissionQueue, Admitted};
-use crate::engine::{self, Job, Routed, Shared};
+use crate::backpressure::AdmissionPolicy;
+use crate::engine::{self, Routed, Shared};
 use crate::eventloop;
 use crate::exposition;
 use crate::metrics::ServerMetrics;
-use crate::protocol::{self, Response};
+use crate::protocol;
 
 /// Which concurrency model serves client sockets.
 ///
 /// Both frontends speak the same protocol over the same pool, with the
 /// same replies in the same order, so the choice is a deployment knob
-/// rather than a behaviour change. They differ in which thread runs a
-/// request: a worker behind the admission queue, or the event loop that
-/// decoded it.
+/// rather than a behaviour change. Under both, the thread that decoded a
+/// request runs it; they differ in how threads map to sockets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FrontendMode {
-    /// One thread per connection, blocking I/O, strict request/reply;
-    /// workers execute what a connection thread cannot answer itself.
+    /// One thread per connection, blocking I/O, strict request/reply.
     #[default]
     Threaded,
     /// Readiness event loops (epoll), each multiplexing its share of the
@@ -83,16 +79,13 @@ pub type DynPool = BufferPool<Box<dyn ReplacementManager>>;
 pub struct ServerConfig {
     /// Bind address; use port 0 for an ephemeral port.
     pub addr: String,
-    /// Threads executing page requests: workers behind the admission
-    /// queue (threaded), or event loops, each with its own pool session
-    /// (event loop). At least one either way.
+    /// Event loops, each with its own pool session (at least one). The
+    /// threaded frontend runs a thread per connection and ignores it.
     pub workers: usize,
-    /// Threaded only: admission queue capacity (requests). The event
-    /// loop has no queue.
-    pub queue_capacity: usize,
-    /// Overload policy. Under the event loop nothing queues: `Block`
-    /// never blocks, `Shed` never sheds, and `DeadlineDrop` drops a
-    /// request whose decode ended past its deadline.
+    /// Overload policy, under either frontend. Nothing queues, so
+    /// `Block` never blocks; `DeadlineDrop(d)` answers `DROPPED`,
+    /// unexecuted, to a request whose turn came more than `d` after the
+    /// socket read that completed its frame.
     pub policy: AdmissionPolicy,
     /// Buffer pool frames.
     pub frames: usize,
@@ -120,7 +113,6 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".into(),
             workers: 4,
-            queue_capacity: 256,
             policy: AdmissionPolicy::Block,
             frames: 1024,
             page_size: 4096,
@@ -170,14 +162,8 @@ pub struct Server {
     /// Present when the config asked for fault injection; tests and the
     /// chaos driver use it to steer faults mid-run.
     faulty: Option<Arc<FaultyDisk>>,
-    /// Threaded only: the server's own sender handle; dropped during
-    /// [`join`](Self::join) so the workers see the channel disconnect
-    /// once every connection thread's clone is gone too.
-    admission: Option<AdmissionQueue<Job>>,
     /// The acceptor (threaded) or the event loops.
     frontend: Vec<JoinHandle<()>>,
-    /// Threaded only: the workers.
-    workers: Vec<JoinHandle<()>>,
     /// Threaded frontend only: live connection threads, each with a
     /// clone of its socket so [`join`](Self::join) can end its reads.
     conns: Arc<Mutex<Vec<Conn>>>,
@@ -203,54 +189,34 @@ impl Server {
             manager,
             storage,
         ));
-        let queue = (config.mode == FrontendMode::Threaded)
-            .then(|| admission_queue(config.queue_capacity, config.policy));
         let shared = Arc::new(Shared {
             pool,
             metrics: ServerMetrics::shared(),
             stop: Arc::new(AtomicBool::new(false)),
             pages: config.pages,
-            depth: queue
-                .as_ref()
-                .map_or_else(|| Arc::new(MaxGauge::new()), |(a, _)| a.depth_gauge()),
         });
+        let deadline = match config.policy {
+            AdmissionPolicy::DeadlineDrop(d) => Some(d),
+            AdmissionPolicy::Block => None,
+        };
 
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let threads = config.workers.max(1);
         let conns: Arc<Mutex<Vec<Conn>>> = Arc::new(Mutex::new(Vec::new()));
-        let mut workers = Vec::new();
-        let mut admission = None;
-        let frontend = match queue {
-            Some((queue, work)) => {
-                workers = (0..threads)
-                    .map(|i| {
-                        let shared = Arc::clone(&shared);
-                        let work = work.clone();
-                        thread::Builder::new()
-                            .name(format!("bpw-worker-{i}"))
-                            .spawn(move || engine::worker_loop(&shared, &work))
-                            .expect("spawn worker")
-                    })
-                    .collect();
+        let frontend = match config.mode {
+            FrontendMode::Threaded => {
                 let shared = Arc::clone(&shared);
                 let conns = Arc::clone(&conns);
-                let acceptor_queue = queue.clone();
-                admission = Some(queue);
                 let acceptor = thread::Builder::new()
                     .name("bpw-acceptor".into())
-                    .spawn(move || accept_loop(&listener, &shared, &acceptor_queue, &conns))
+                    .spawn(move || accept_loop(&listener, &shared, deadline, &conns))
                     .expect("spawn acceptor");
                 vec![acceptor]
             }
-            None => {
+            FrontendMode::EventLoop => {
                 listener.set_nonblocking(true)?;
-                let deadline = match config.policy {
-                    AdmissionPolicy::DeadlineDrop(d) => Some(d),
-                    AdmissionPolicy::Block | AdmissionPolicy::Shed => None,
-                };
                 let max_pipeline = config.max_pipeline.max(1);
-                (0..threads)
+                (0..config.workers.max(1))
                     .map(|i| {
                         let listener = listener.try_clone()?;
                         let shared = Arc::clone(&shared);
@@ -269,9 +235,7 @@ impl Server {
             addr,
             shared,
             faulty,
-            admission,
             frontend,
-            workers,
             conns,
         })
     }
@@ -336,9 +300,9 @@ impl Server {
     }
 
     /// Stop accepting, answer everything already received, close the
-    /// connections, drain the queue, and join every thread. An idle
-    /// client does not hold this up: both frontends end their reads once
-    /// a stop is requested (the event loops do so themselves).
+    /// connections, and join every thread. An idle client does not hold
+    /// this up: both frontends end their reads once a stop is requested
+    /// (the event loops do so themselves).
     pub fn join(mut self) {
         self.stop();
         for t in std::mem::take(&mut self.frontend) {
@@ -346,20 +310,13 @@ impl Server {
         }
         // Ending a socket's read half turns a blocked `read_frame` into
         // EOF, while bytes the kernel already queued are still read and
-        // answered first. Each connection thread drops its
-        // admission-queue clone on the way out.
+        // answered first.
         let conns = std::mem::take(&mut *self.conns.lock().expect("conns lock"));
         for conn in &conns {
             let _ = conn.stream.shutdown(Shutdown::Read);
         }
         for conn in conns {
             let _ = conn.thread.join();
-        }
-        // Dropping the last sender disconnects the channel; workers
-        // drain whatever is queued and exit.
-        drop(self.admission.take());
-        for w in std::mem::take(&mut self.workers) {
-            let _ = w.join();
         }
     }
 }
@@ -373,7 +330,7 @@ struct Conn {
 fn accept_loop(
     listener: &TcpListener,
     shared: &Arc<Shared>,
-    admission: &AdmissionQueue<Job>,
+    deadline: Option<Duration>,
     conns: &Mutex<Vec<Conn>>,
 ) {
     for stream in listener.incoming() {
@@ -385,12 +342,11 @@ fn accept_loop(
             continue;
         };
         let shared = Arc::clone(shared);
-        let admission = admission.clone();
         let thread = thread::Builder::new()
             .name("bpw-conn".into())
             .spawn(move || {
                 shared.metrics.connections_open.incr();
-                let _ = serve_connection(&stream, &shared, &admission);
+                let _ = serve_connection(&stream, &shared, deadline);
                 // The acceptor's clone keeps the fd alive until it is
                 // reaped; the peer must see the close now.
                 let _ = stream.shutdown(Shutdown::Both);
@@ -408,61 +364,77 @@ fn accept_loop(
     }
 }
 
-/// One client connection: strict request/reply in order.
+/// Replies a threaded connection keeps for a pipelining client before it
+/// writes them to the socket: 16 of 4 KiB pages.
+const REPLY_BATCH: usize = 64 << 10;
+
+/// One client connection, strict request/reply in order: this thread
+/// decodes each request, runs it to completion with its own pool
+/// session, and has its reply in `out` before it decodes the next —
+/// what an event loop does for each of its connections. `deadline` is
+/// `DeadlineDrop`'s.
+///
+/// Replies go into `out`, never straight to the socket. Before a socket
+/// call that can wait on the client — a read when the next frame is not
+/// all buffered, a write of `out` — a session that has executed a request
+/// is dropped and a fresh one opened: the drop commits its queued
+/// admissions and frees its stash. A connection that only hits keeps
+/// its session, so its hits keep batching.
 fn serve_connection(
-    stream: &TcpStream,
+    mut stream: &TcpStream,
     shared: &Shared,
-    admission: &AdmissionQueue<Job>,
+    deadline: Option<Duration>,
 ) -> io::Result<()> {
     stream.set_nodelay(true).ok();
-    // This thread's pool session: resident GETs are answered right here.
     let mut session = shared.pool.session();
+    // Has `session` run a data request since it was opened?
+    let mut served = false;
+    // When the deadline of the last frame read from the socket runs out.
+    let mut due = None;
+    let mut spares = Vec::with_capacity(1);
     let mut reader = BufReader::new(stream);
-    // Room for one whole page reply, so that copying a resident page out
-    // of its frame never reaches the socket while the frame is pinned.
-    let reply_frame = shared.pool.page_size() + protocol::RESPONSE_HEAD;
-    let mut writer = BufWriter::with_capacity(reply_frame.max(8 << 10), stream);
+    let mut out = Vec::with_capacity(shared.pool.page_size() + protocol::RESPONSE_HEAD);
     let mut buf = Vec::new();
-    while protocol::read_frame(&mut reader, &mut buf)? {
-        // Strict request/reply: nothing of this connection is queued
-        // while a frame is being routed, so any resident GET may be
-        // answered in place. No buffers are recycled here: a PUT's data
-        // is decoded into a fresh one, which its worker frees.
-        let routed = engine::route(shared, &mut session, &buf, &mut Vec::new());
-        let (ticket, resp, fatal) = match routed {
-            Routed::Resident(hit) => {
-                hit.reply(shared, &mut writer)?;
-                continue;
+    loop {
+        let buffered = protocol::holds_frame(reader.buffer());
+        if !buffered || out.len() >= REPLY_BATCH {
+            if served {
+                session = shared.pool.session();
+                served = false;
             }
-            Routed::Reply(resp) => (None, resp, false),
-            Routed::Fatal(resp) => (None, resp, true),
-            Routed::Work(req, ticket) => {
-                // The hits this thread answered are still in its
-                // BP-Wrapper queue. Commit them before a worker can run
-                // this request: the policy then picks victims knowing
-                // every access the connection made before it, in the
-                // order it made them.
-                session.flush();
-                let (reply, reply_rx) = channel::bounded(1);
-                let (ticket, resp) = match admission.submit(Job { req, ticket, reply }) {
-                    Admitted::Queued => reply_rx.recv().unwrap_or_else(|_| {
-                        (
-                            ticket,
-                            Response::Err("server shut down before replying".into()),
-                        )
-                    }),
-                    Admitted::Shed => (ticket, Response::Busy),
-                    Admitted::Closed => (ticket, engine::shutting_down()),
-                };
-                (Some(ticket), resp, false)
-            }
-        };
-        engine::write_reply(shared, ticket, &resp, &mut writer)?;
-        if fatal {
+            stream.write_all(&out)?;
+            out.clear();
+        }
+        if !protocol::read_frame(&mut reader, &mut buf)? {
             break;
         }
+        if !buffered {
+            // The frame's last bytes came off the socket in this read, so
+            // its deadline counts from here. No clock is read without one.
+            due = deadline.map(|d| Instant::now() + d);
+        }
+        match engine::route(shared, &mut session, &buf, &mut spares) {
+            Routed::Resident(hit) => hit.reply(shared, &mut out)?,
+            Routed::Reply(resp) => engine::write_reply(shared, None, &resp, &mut out)?,
+            Routed::Fatal(resp) => {
+                engine::write_reply(shared, None, &resp, &mut out)?;
+                break;
+            }
+            Routed::Work(req, ticket) => {
+                engine::answer(
+                    shared,
+                    &mut session,
+                    req,
+                    ticket,
+                    due,
+                    &mut spares,
+                    &mut out,
+                )?;
+                served = true;
+            }
+        }
     }
-    Ok(())
+    stream.write_all(&out)
 }
 
 #[cfg(test)]

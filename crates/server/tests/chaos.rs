@@ -51,8 +51,8 @@ fn chaos_server(mode: FrontendMode) -> Server {
 
 /// The invariant at the heart of frame repair: no frame may be lost to
 /// a failed I/O. Either it went back to the free list, waits in a
-/// session's stash of frames evicted ahead (a worker's or an event
-/// loop's), or holds a resident page.
+/// session's stash of frames evicted ahead (a connection thread's or
+/// an event loop's), or holds a resident page.
 fn assert_no_stuck_frames(server: &Server) {
     let free = server.pool().free_frames();
     let stashed = server.pool().stashed_frames();

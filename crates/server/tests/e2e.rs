@@ -29,10 +29,9 @@ const REQUESTS_PER_CLIENT: u64 = 12_500; // x8 clients = 100k total
 const PAGES: u64 = 1024;
 const PAGE_SIZE: usize = 64;
 
-fn test_server(policy: AdmissionPolicy, manager: &str, queue: usize, mode: FrontendMode) -> Server {
+fn test_server(policy: AdmissionPolicy, manager: &str, mode: FrontendMode) -> Server {
     Server::start(ServerConfig {
         workers: 4,
-        queue_capacity: queue,
         policy,
         frames: 256,
         page_size: PAGE_SIZE,
@@ -51,7 +50,7 @@ fn test_server(policy: AdmissionPolicy, manager: &str, queue: usize, mode: Front
 /// last-write-wins is deterministic), and the final STATS must parse
 /// with a non-zero p99.
 fn block_policy_100k_zipf_requests_zero_loss_and_correct_contents(mode: FrontendMode) {
-    let server = test_server(AdmissionPolicy::Block, "wrapped-2q", 128, mode);
+    let server = test_server(AdmissionPolicy::Block, "wrapped-2q", mode);
     let addr = server.addr();
     let workload = ZipfWorkload::new(PAGES, 0.86, 8);
     let ok_replies = AtomicU64::new(0);
@@ -152,14 +151,12 @@ fn block_policy_100k_zipf_requests_zero_loss_and_correct_contents(mode: Frontend
 }
 
 /// A zero-millisecond deadline drops every data request when its turn
-/// comes — at dequeue under the threaded frontend, at the end of its
-/// decode on an event loop — and the reply is DROPPED, not a hang or a
-/// connection error.
+/// comes — the end of its decode — and the reply is DROPPED, not a hang
+/// or a connection error.
 fn zero_deadline_drops_every_request(mode: FrontendMode) {
     let server = test_server(
         AdmissionPolicy::DeadlineDrop(Duration::ZERO),
         "coarse-lru",
-        64,
         mode,
     );
     let mut client = Client::connect(server.addr()).expect("connect");
@@ -167,7 +164,7 @@ fn zero_deadline_drops_every_request(mode: FrontendMode) {
     for page in 0..50u64 {
         match client.get(page).expect("get io") {
             Response::Dropped => dropped += 1,
-            Response::Ok(_) => {} // a worker can win the race at 0ns elapsed
+            Response::Ok(_) => {} // a turn can come within the clock's resolution
             other => panic!("unexpected reply {other:?}"),
         }
     }
@@ -179,40 +176,48 @@ fn zero_deadline_drops_every_request(mode: FrontendMode) {
     server.join();
 }
 
-/// Under shed, every request is answered either OK or BUSY — nothing is
-/// lost silently, and BUSY replies arrive promptly instead of blocking.
-fn shed_policy_answers_ok_or_busy(mode: FrontendMode) {
-    let server = test_server(AdmissionPolicy::Shed, "wrapped-lirs", 2, mode);
-    let addr = server.addr();
-    let ok = AtomicU64::new(0);
-    let busy = AtomicU64::new(0);
-    let per_client = 500u64;
-    std::thread::scope(|sc| {
-        for t in 0..6u64 {
-            let (ok, busy) = (&ok, &busy);
-            sc.spawn(move || {
-                let mut client = Client::connect(addr).expect("connect");
-                for i in 0..per_client {
-                    match client.get((t * per_client + i) % PAGES).expect("get io") {
-                        Response::Ok(_) => ok.fetch_add(1, Ordering::Relaxed),
-                        Response::Busy => busy.fetch_add(1, Ordering::Relaxed),
-                        other => panic!("unexpected reply {other:?}"),
-                    };
-                }
-            });
-        }
-    });
-    assert_eq!(
-        ok.load(Ordering::Relaxed) + busy.load(Ordering::Relaxed),
-        6 * per_client
+/// A deadline counts from the socket read that delivered a request, not
+/// from its decode. Every storage access takes 60 ms here, so in a
+/// pipelined `[GET 40, GET 41, GET 42]` of cold pages GET 41's turn comes
+/// 60 ms after the batch arrived and GET 42's later still, both past a
+/// 20 ms deadline: the first is served, the two that waited behind it
+/// are DROPPED and never reach the pool.
+fn a_deadline_counts_the_wait_behind_earlier_requests(mode: FrontendMode) {
+    let server = Server::start(ServerConfig {
+        workers: 1,
+        policy: AdmissionPolicy::DeadlineDrop(Duration::from_millis(20)),
+        frames: 16,
+        page_size: PAGE_SIZE,
+        pages: 64,
+        mode,
+        fault_plan: Some(bpw_server::FaultPlan {
+            spike_ppm: 1_000_000,
+            spike: Duration::from_millis(60),
+            ..Default::default()
+        }),
+        ..ServerConfig::default()
+    })
+    .expect("server start");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let batch: Vec<Request> = (40..43).map(|page| Request::Get { page }).collect();
+    let replies = client.call_pipelined(&batch).expect("pipelined batch");
+    assert!(
+        matches!(replies[0], Response::Ok(_)),
+        "GET 40 answered {:?}",
+        replies[0]
     );
+    assert_eq!(replies[1..], [Response::Dropped, Response::Dropped]);
+    let misses = server.pool().stats().misses.load(Ordering::Relaxed);
+    assert_eq!(misses, 1, "a dropped GET is not executed");
+    assert_eq!(server.metrics().dropped.get(), 2);
+    drop(client);
     server.join();
 }
 
 /// SCAN's checksum equals the `page_checksum` (CRC-32C) chain over the
 /// same pages fetched one GET at a time.
 fn scan_checksum_matches_individual_gets(mode: FrontendMode) {
-    let server = test_server(AdmissionPolicy::Block, "clock", 64, mode);
+    let server = test_server(AdmissionPolicy::Block, "clock", mode);
     let mut client = Client::connect(server.addr()).expect("connect");
     // Dirty a page in the range so the checksum covers written data too.
     let mut body = vec![0xA5u8; 32];
@@ -243,7 +248,7 @@ fn scan_checksum_matches_individual_gets(mode: FrontendMode) {
 /// Requests outside the configured page universe get ERR, and the
 /// connection stays usable afterwards.
 fn out_of_range_requests_error_cleanly(mode: FrontendMode) {
-    let server = test_server(AdmissionPolicy::Block, "wrapped-2q", 64, mode);
+    let server = test_server(AdmissionPolicy::Block, "wrapped-2q", mode);
     let mut client = Client::connect(server.addr()).expect("connect");
     assert!(matches!(client.get(PAGES).unwrap(), Response::Err(_)));
     assert!(matches!(
@@ -266,7 +271,7 @@ fn out_of_range_requests_error_cleanly(mode: FrontendMode) {
 /// A body that does not decode is answered `ERR` and the server closes
 /// that connection (framing is suspect) — promptly, and only that one.
 fn malformed_body_gets_err_then_close(mode: FrontendMode) {
-    let server = test_server(AdmissionPolicy::Block, "wrapped-2q", 64, mode);
+    let server = test_server(AdmissionPolicy::Block, "wrapped-2q", mode);
     let mut bystander = Client::connect(server.addr()).expect("connect");
     let mut stream = raw_stream(&server);
     // A valid GET, then an unknown opcode, then a GET that must never
@@ -303,7 +308,7 @@ fn malformed_body_gets_err_then_close(mode: FrontendMode) {
 /// The load generator against a live server: closed-loop requests are
 /// all answered under block, and the report's accounting adds up.
 fn loadgen_closed_loop_round_trips(mode: FrontendMode) {
-    let server = test_server(AdmissionPolicy::Block, "wrapped-2q", 128, mode);
+    let server = test_server(AdmissionPolicy::Block, "wrapped-2q", mode);
     let workload = ZipfWorkload::new(PAGES, 0.86, 8);
     let cfg = LoadConfig {
         connections: 4,
@@ -332,7 +337,7 @@ fn loadgen_closed_loop_round_trips(mode: FrontendMode) {
 /// higher than the server can absorb, and measures from intended
 /// arrival (latency >= actual service time).
 fn loadgen_open_loop_sends_full_schedule(mode: FrontendMode) {
-    let server = test_server(AdmissionPolicy::Block, "coarse-2q", 64, mode);
+    let server = test_server(AdmissionPolicy::Block, "coarse-2q", mode);
     let workload = ZipfWorkload::new(PAGES, 0.86, 8);
     let cfg = LoadConfig {
         connections: 2,
@@ -352,7 +357,7 @@ fn loadgen_open_loop_sends_full_schedule(mode: FrontendMode) {
 /// A client SHUTDOWN request stops the acceptor: the running server
 /// answers OK, then refuses (or never accepts) new connections.
 fn client_shutdown_request_stops_accepting(mode: FrontendMode) {
-    let server = test_server(AdmissionPolicy::Block, "wrapped-2q", 64, mode);
+    let server = test_server(AdmissionPolicy::Block, "wrapped-2q", mode);
     let addr = server.addr();
     let mut client = Client::connect(addr).expect("connect");
     assert!(matches!(client.shutdown().unwrap(), Response::Ok(_)));
@@ -374,7 +379,7 @@ fn client_shutdown_request_stops_accepting(mode: FrontendMode) {
 /// request counters, both instrumented locks and the event-loop series;
 /// STATS carries the matching JSON sub-objects.
 fn metrics_exposition_and_enriched_stats(mode: FrontendMode) {
-    let server = test_server(AdmissionPolicy::Block, "wrapped-2q", 64, mode);
+    let server = test_server(AdmissionPolicy::Block, "wrapped-2q", mode);
     let mut client = Client::connect(server.addr()).expect("connect");
     for page in 0..64u64 {
         assert!(matches!(client.get(page).unwrap(), Response::Ok(_)));
@@ -432,13 +437,7 @@ fn metrics_exposition_and_enriched_stats(mode: FrontendMode) {
         .get("stages")
         .and_then(|s| s.get("get"))
         .expect("per-op stage sub-object");
-    // Only the threaded frontend queues: the event loop runs every
-    // request where it was decoded, and its queue_wait stays empty.
-    let queued = match mode {
-        FrontendMode::Threaded => &["queue_wait"][..],
-        FrontendMode::EventLoop => &[],
-    };
-    for &stage in ["decode", "pin_hit", "reply_flush"].iter().chain(queued) {
+    for stage in ["decode", "pin_hit", "reply_flush"] {
         assert!(
             get_stages
                 .get(stage)
@@ -455,16 +454,15 @@ fn metrics_exposition_and_enriched_stats(mode: FrontendMode) {
             .is_some(),
         "stage summaries carry p999: {stats}"
     );
-    if mode == FrontendMode::EventLoop {
-        assert_eq!(
-            get_stages
-                .get("queue_wait")
-                .and_then(|h| h.get("count"))
-                .and_then(JsonValue::as_u64),
-            Some(0),
-            "no GET waits in a queue: {stats}"
-        );
-    }
+    // Every request runs where it was decoded: queue_wait stays empty.
+    assert_eq!(
+        get_stages
+            .get("queue_wait")
+            .and_then(|h| h.get("count"))
+            .and_then(JsonValue::as_u64),
+        Some(0),
+        "no GET waits in a queue: {stats}"
+    );
     // 64 cold fetches must attribute some miss I/O.
     assert!(
         get_stages
@@ -501,29 +499,25 @@ fn metrics_exposition_and_enriched_stats(mode: FrontendMode) {
     server.join();
 }
 
-/// A cold GET queues for a worker under the threaded frontend and is
-/// run by the event loop that decoded it; a warm one is answered on the
-/// frontend thread either way: 32 cold GETs leave `inline_hits` at 0
-/// and one queue wait each (none on a loop), and a GET of a page they
-/// made resident counts one inline hit and no queue wait.
+/// A cold GET is run by the frontend thread that decoded it, and a warm
+/// one is answered there from the frame: 32 cold GETs leave
+/// `inline_hits` at 0 and no queue wait, and a GET of a page they made
+/// resident counts one inline hit. Nothing queues, under either
+/// frontend.
 fn cold_gets_queue_and_a_warm_get_is_answered_inline(mode: FrontendMode) {
-    let server = test_server(AdmissionPolicy::Block, "wrapped-2q", 64, mode);
+    let server = test_server(AdmissionPolicy::Block, "wrapped-2q", mode);
     let mut client = Client::connect(server.addr()).expect("connect");
     for page in 0..32u64 {
         assert!(matches!(client.get(page).unwrap(), Response::Ok(_)));
     }
     let m = server.metrics();
-    let queued = match mode {
-        FrontendMode::Threaded => 32,
-        FrontendMode::EventLoop => 0,
-    };
     assert_eq!(m.inline_hits.get(), 0);
-    assert_eq!(m.queue_wait_ns.count(), queued);
+    assert_eq!(m.queue_wait_ns.count(), 0);
 
-    // Page 0 is resident now: its GET never sees the queue.
+    // Page 0 is resident now: its GET is answered from the frame.
     assert!(matches!(client.get(0).unwrap(), Response::Ok(_)));
     assert_eq!(m.inline_hits.get(), 1);
-    assert_eq!(m.queue_wait_ns.count(), queued);
+    assert_eq!(m.queue_wait_ns.count(), 0);
     drop(client);
     server.join();
 }
@@ -532,7 +526,7 @@ fn cold_gets_queue_and_a_warm_get_is_answered_inline(mode: FrontendMode) {
 /// strictly in request order, with contents matching request-by-request
 /// expectations — even when the batch mixes PUT, GET, SCAN, and STATS.
 fn pipelined_responses_arrive_in_request_order(mode: FrontendMode) {
-    let server = test_server(AdmissionPolicy::Block, "wrapped-2q", 128, mode);
+    let server = test_server(AdmissionPolicy::Block, "wrapped-2q", mode);
     let mut client = Client::connect(server.addr()).expect("connect");
 
     // Batch 1: tag 16 pages with distinct fills.
@@ -606,7 +600,7 @@ fn pipelined_responses_arrive_in_request_order(mode: FrontendMode) {
 /// must (a) eventually get the right answer and (b) never stall other
 /// clients — the whole point of readiness-based multiplexing.
 fn slowloris_client_cannot_stall_others(mode: FrontendMode) {
-    let server = test_server(AdmissionPolicy::Block, "wrapped-2q", 64, mode);
+    let server = test_server(AdmissionPolicy::Block, "wrapped-2q", mode);
     let addr = server.addr();
 
     let slow = std::thread::spawn(move || {
@@ -652,12 +646,12 @@ fn slowloris_client_cannot_stall_others(mode: FrontendMode) {
     server.join();
 }
 
-/// A client that sends requests and vanishes mid-flight: the worker
-/// pool must finish (or discard) the orphaned work without leaking, the
+/// A client that sends requests and vanishes mid-flight: the server
+/// must finish (or discard) the orphaned work without leaking, the
 /// pool's frame accounting must return to exact, and new clients must
 /// be served as if nothing happened.
 fn mid_request_disconnect_leaks_nothing(mode: FrontendMode) {
-    let server = test_server(AdmissionPolicy::Block, "wrapped-2q", 128, mode);
+    let server = test_server(AdmissionPolicy::Block, "wrapped-2q", mode);
     let addr = server.addr();
 
     for round in 0..8u64 {
@@ -731,7 +725,7 @@ fn join_within_deadline(server: Server, why: &str) {
 fn join_does_not_wait_for_an_idle_client(mode: FrontendMode) {
     use std::io::Read as _;
 
-    let server = test_server(AdmissionPolicy::Block, "wrapped-2q", 64, mode);
+    let server = test_server(AdmissionPolicy::Block, "wrapped-2q", mode);
     let mut idle = raw_stream(&server);
     let metrics = server.metrics().clone();
     bpw_server::wait_for(Duration::from_secs(5), "idle client accepted", || {
@@ -746,7 +740,7 @@ fn join_does_not_wait_for_an_idle_client(mode: FrontendMode) {
 /// written before `join()` gets all its replies, in order, then EOF.
 fn join_answers_a_pipelined_burst_first(mode: FrontendMode) {
     const BURST: u64 = 64;
-    let server = test_server(AdmissionPolicy::Block, "wrapped-2q", 128, mode);
+    let server = test_server(AdmissionPolicy::Block, "wrapped-2q", mode);
     let mut stream = raw_stream(&server);
     let metrics = server.metrics().clone();
     bpw_server::wait_for(Duration::from_secs(5), "client accepted", || {
@@ -1106,6 +1100,125 @@ fn eventloop_with_several_loops_serves_concurrent_pipelined_mixes() {
     join_within_deadline(server, "four clients had closed");
 }
 
+/// What each idle client of [`idle_connections_give_their_frames_back`]
+/// leaves its connection with once its misses are answered.
+#[derive(Clone, Copy, PartialEq)]
+enum Idle {
+    /// Nothing: the connection waits to read a next frame.
+    Quiet,
+    /// Half of a next frame, sent with its last miss.
+    MidFrame,
+    /// Misses it never reads replies to: the connection waits to write.
+    UnreadReplies,
+}
+
+/// Idle threaded connections give back what their misses took. Each
+/// client GETs cold pages of a full 64-frame pool and then stalls as
+/// `idle` says, with its connection open. A miss can evict frames ahead
+/// of need into its session's stash and queue its admission uncommitted.
+/// A connection thread about to wait on its client, to read or to write,
+/// drops that session, which commits the one and frees the other, so
+/// neither stays out of the pool while the client stalls.
+fn idle_connections_give_their_frames_back(idle: Idle, clients: u64) {
+    use bpw_server::protocol::read_frame;
+
+    const FRAMES: u64 = 64;
+    const PAGES: u64 = 2_048;
+    let server = Server::start(ServerConfig {
+        frames: FRAMES as usize,
+        page_size: 4_096,
+        pages: PAGES,
+        mode: FrontendMode::Threaded,
+        ..ServerConfig::default()
+    })
+    .expect("server start");
+    let pool = server.pool().clone();
+    let mut warm = Client::connect(server.addr()).expect("connect");
+    for page in 0..FRAMES {
+        assert!(matches!(warm.get(page).unwrap(), Response::Ok(_)));
+    }
+    drop(warm);
+
+    let get = |page: u64| frame(&Request::Get { page });
+    let stalled: Vec<std::net::TcpStream> = (0..clients)
+        .map(|c| {
+            let mut stream = raw_stream(&server);
+            let first = FRAMES + 3 * c;
+            let mut wire: Vec<u8> = (first..first + 3).flat_map(get).collect();
+            if idle == Idle::MidFrame {
+                let next = get(first);
+                wire.extend_from_slice(&next[..next.len() / 2]);
+            }
+            stream.write_all(&wire).expect("misses");
+            let mut buf = Vec::new();
+            for page in first..first + 3 {
+                assert!(read_frame(&mut &stream, &mut buf).expect("reply"));
+                let reply = Response::decode(&buf);
+                assert!(
+                    matches!(reply, Ok(Response::Ok(_))),
+                    "GET {page}: {reply:?}"
+                );
+            }
+            if idle == Idle::UnreadReplies {
+                // Cold GETs until the server has read none for 60 ms: it
+                // is then waiting to write replies this client never reads.
+                stream.set_nonblocking(true).expect("nonblocking");
+                let burst: Vec<u8> = (0..4_096)
+                    .flat_map(|i| get(FRAMES + (c * 577 + i) % (PAGES - FRAMES)))
+                    .collect();
+                let mut at = 0;
+                let mut refused = 0;
+                while refused < 3 {
+                    match stream.write(&burst[at..]) {
+                        Ok(n) => (at, refused) = ((at + n) % burst.len(), 0),
+                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                            refused += 1;
+                            std::thread::sleep(Duration::from_millis(20));
+                        }
+                        Err(e) => panic!("pipelining GETs: {e}"),
+                    }
+                }
+            }
+            stream
+        })
+        .collect();
+    bpw_server::wait_for(Duration::from_secs(1), "no frame stashed", || {
+        pool.stashed_frames() == 0
+    });
+    pool.check_mapping_invariants();
+    assert_eq!(
+        pool.free_frames() + pool.resident_count(),
+        pool.frames(),
+        "every frame free or resident"
+    );
+
+    let mut cold = Client::connect(server.addr()).expect("connect");
+    for page in 1_000..1_500 {
+        assert!(
+            matches!(cold.get(page).unwrap(), Response::Ok(_)),
+            "GET {page}"
+        );
+    }
+    drop((stalled, cold));
+    server.join();
+}
+
+#[test]
+fn threaded_idle_connections_give_their_frames_back() {
+    idle_connections_give_their_frames_back(Idle::Quiet, 32);
+}
+
+#[test]
+fn threaded_connections_idle_mid_frame_give_their_frames_back() {
+    idle_connections_give_their_frames_back(Idle::MidFrame, 32);
+}
+
+/// Fewer clients: each fills its socket buffers with replies.
+#[test]
+fn threaded_connections_not_reading_replies_give_their_frames_back() {
+    idle_connections_give_their_frames_back(Idle::UnreadReplies, 8);
+}
+
 /// Dimension check promised by the workload contract: every generated
 /// page id stays inside the universe the server was configured with.
 #[test]
@@ -1140,7 +1253,7 @@ macro_rules! both_frontends {
 both_frontends!(
     block_policy_100k_zipf_requests_zero_loss_and_correct_contents,
     zero_deadline_drops_every_request,
-    shed_policy_answers_ok_or_busy,
+    a_deadline_counts_the_wait_behind_earlier_requests,
     scan_checksum_matches_individual_gets,
     out_of_range_requests_error_cleanly,
     malformed_body_gets_err_then_close,
