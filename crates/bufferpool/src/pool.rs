@@ -955,22 +955,22 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
 
     /// Commit any deferred replacement bookkeeping (BP-Wrapper queue,
     /// queued admissions included). The frames this session evicted
-    /// ahead stay stashed for its next misses — a server worker flushes
-    /// each time it goes idle — and return to the free list when the
-    /// session is dropped.
+    /// ahead stay stashed for its next misses — an event loop flushes
+    /// each time it goes idle — and return to the free list at
+    /// [`hand_back`](Self::hand_back) or when the session is dropped.
     pub fn flush(&mut self) {
         self.handle.flush();
     }
-}
 
-impl<'p, M: ReplacementManager> Drop for PoolSession<'p, M> {
-    fn drop(&mut self) {
+    /// Give back what this session took for its next misses and keep
+    /// what it is made of: commit its deferred bookkeeping, as
+    /// [`flush`](Self::flush) does, and return the frames it evicted
+    /// ahead to the free list. A thread about to wait on something other
+    /// than the pool (a client's socket) calls it, so that nothing stays
+    /// out of the pool meanwhile; the session stays open, allocating
+    /// nothing anew.
+    pub fn hand_back(&mut self) {
         self.handle.flush();
-        // Guards that outlive the session still clear their own slots;
-        // the line's next owner uses only the zero ones.
-        if let Some((line, _)) = self.slots {
-            self.pool.slots.release(line);
-        }
         // The `dst_mutation = "stash_leak"` mutant forgets the stash here:
         // its frames then belong to nobody, which the dst miss storm's
         // frame accounting must catch.
@@ -980,6 +980,17 @@ impl<'p, M: ReplacementManager> Drop for PoolSession<'p, M> {
         self.pool.stashed.sub(self.stash.len() as u64);
         for frame in self.stash.drain(..) {
             self.pool.free.push(frame);
+        }
+    }
+}
+
+impl<'p, M: ReplacementManager> Drop for PoolSession<'p, M> {
+    fn drop(&mut self) {
+        self.hand_back();
+        // Guards that outlive the session still clear their own slots;
+        // the line's next owner uses only the zero ones.
+        if let Some((line, _)) = self.slots {
+            self.pool.slots.release(line);
         }
     }
 }

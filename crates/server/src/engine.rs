@@ -1,28 +1,29 @@
-//! The request engine: everything that happens to a request between
-//! "frame complete" and "reply accounted", once, for both frontends.
+//! The request engine: everything that happens to a connection's bytes
+//! between "read from the socket" and "reply waiting to be written",
+//! once, for both frontends.
 //!
 //! ```text
-//! frame ─▶ route ─┬─▶ Reply / Fatal ───────────────────────────▶ write_reply
-//!                 ├─▶ Resident(pin, ticket) ────────────────▶ Resident::reply
-//!                 └─▶ Work(req, ticket) ─▶ answer ─┬─▶ past due: DROPPED ─▶ write_reply
-//!                                                  └─▶ serve: execute ─▶ Resident::reply
-//!                                                                      └▶ write_reply
+//! read ─▶ decoder ─▶ route ─┬─▶ Reply / Fatal ──────────────────────────▶ write_reply ─┐
+//!                           ├─▶ Resident(pin, ticket) ───────────────▶ Resident::reply ─┤
+//!                           └─▶ Work(req, ticket) ─▶ answer ─┬─▶ past due: DROPPED ─────┤
+//!                                                            └─▶ serve: execute ────────┤
+//!                                                              write ◀── out ◀──────────┘
 //! ```
 //!
 //! A frontend (the threaded driver in [`crate::server`], the readiness
-//! loops in [`crate::eventloop`]) owns sockets only: it hands complete
-//! frame bodies and its thread's pool session to [`route`], and passes
-//! each reply through [`answer`], [`write_reply`] or [`Resident::reply`]
-//! with the writer that is its transport. Decoding, execution, the
-//! deadline, control opcodes, stage attribution and per-status counters
-//! live here.
+//! loops in [`crate::eventloop`]) owns sockets only. It reads into a
+//! [`Connection`]'s decoder, calls [`Connection::answer_frames`] with its
+//! thread's pool session, and writes the connection's `out` buffer.
+//! Framing, decoding, execution, the deadline, control opcodes, stage
+//! attribution, per-status counters and the unread-reply bound live
+//! here, and a reply is appended to `out`, which cannot fail.
 //!
 //! BP-Wrapper's rule is that the common path pays for no cross-processor
 //! synchronisation, and under both frontends no path pays for it: the
 //! thread that decoded a request runs it. `route` pins a GET whose page
-//! is resident and the frontend answers from the frame; [`answer`] runs a
+//! is resident and the reply is copied from the frame; [`answer`] runs a
 //! miss, a PUT or a SCAN to completion with the same thread's pool
-//! session and writes the reply in request order. A miss holds its
+//! session. Replies are produced in request order. A miss holds its
 //! thread — a connection's, or a loop's — and only that thread, for the
 //! miss's device time.
 //!
@@ -31,16 +32,18 @@
 //! and `reply_flush` sum exactly to the request's end-to-end sample.
 //! `queue_wait` is never recorded, because nothing queues.
 
-use std::io::{self, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use bpw_bufferpool::{PinnedPage, PoolSession, ReplacementManager};
+use bpw_evl::WriteBuf;
 
 use crate::exposition;
 use crate::metrics::{OpKind, ServerMetrics, Stage};
-use crate::protocol::{self, page_checksum, ProtocolError, Request, Response};
+use crate::protocol::{
+    self, page_checksum, FrameDecoder, ProtocolError, Request, Response, RESPONSE_HEAD,
+};
 use crate::server::DynPool;
 
 /// A thread's session against the server's pool: every event loop and
@@ -56,13 +59,85 @@ pub(crate) struct Shared {
     pub(crate) metrics: Arc<ServerMetrics>,
     pub(crate) stop: Arc<AtomicBool>,
     pub(crate) pages: u64,
+    /// `DeadlineDrop`'s deadline, if that is the policy.
+    pub(crate) deadline: Option<Duration>,
+    /// Unread reply bytes past which a connection's frames wait: one
+    /// pipeline's worth, `max_pipeline × (page_size + 5)`.
+    pub(crate) high_water: usize,
+}
+
+/// One client connection's protocol state, under either frontend: the
+/// bytes read and not yet answered, and the replies not yet written.
+#[derive(Default)]
+pub(crate) struct Connection {
+    pub(crate) decoder: FrameDecoder,
+    pub(crate) out: WriteBuf,
+    /// When the deadline of the frames the last read completed runs out.
+    due: Option<Instant>,
+    /// A frame did not decode and was answered `ERR`: nothing past it is
+    /// answered, and the connection closes once `out` is written.
+    pub(crate) poisoned: bool,
+}
+
+impl Connection {
+    /// The frames in the decoder were completed by a read that ended
+    /// now. No clock is read without a deadline.
+    pub(crate) fn start_deadline(&mut self, shared: &Shared) {
+        self.due = shared.deadline.map(|d| Instant::now() + d);
+    }
+
+    /// The client is not reading: more replies wait in `out` than one
+    /// full pipeline produces.
+    pub(crate) fn backlogged(&self, shared: &Shared) -> bool {
+        self.out.pending() > shared.high_water
+    }
+
+    /// Answer buffered frames in order, each reply in `out` before the
+    /// next frame is decoded, until the decoder runs dry, a bad frame
+    /// poisons the connection, or the connection is backlogged (the rest
+    /// wait until a write makes room). Returns whether a data request
+    /// was executed through `session`.
+    pub(crate) fn answer_frames(
+        &mut self,
+        shared: &Shared,
+        session: &mut Session<'_>,
+        spares: &mut Vec<Vec<u8>>,
+    ) -> bool {
+        let mut answered = 0;
+        let mut executed = false;
+        while !self.poisoned && !self.backlogged(shared) {
+            let routed = match self.decoder.next_frame() {
+                Ok(None) => break,
+                Ok(Some(body)) => route(shared, session, body, spares),
+                Err(e) => Routed::Fatal(protocol_error(shared, &e)),
+            };
+            let out = &mut self.out;
+            match routed {
+                Routed::Reply(resp) => write_reply(shared, None, &resp, out),
+                Routed::Fatal(resp) => {
+                    self.poisoned = true;
+                    write_reply(shared, None, &resp, out);
+                }
+                Routed::Resident(hit) => hit.reply(shared, out),
+                Routed::Work(req, ticket) => {
+                    executed = true;
+                    answer(shared, session, req, ticket, self.due, spares, out);
+                }
+            }
+            answered += 1;
+        }
+        if answered > 0 {
+            shared.metrics.pipeline_depth.record(answered);
+        }
+        executed
+    }
 }
 
 /// What a data request carries from [`route`] to its written reply:
 /// which histogram it lands in, when its clock started, and where its
 /// current stage began.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Ticket {
+struct Ticket {
     kind: OpKind,
     /// The instant the request's decode began: its end-to-end sample is
     /// measured from here.
@@ -72,12 +147,12 @@ pub(crate) struct Ticket {
 }
 
 /// What [`route`] made of one frame body.
-pub(crate) enum Routed<'p> {
+enum Routed<'p> {
     /// A control opcode, answered inline: write this reply (in order)
     /// and carry on. Control requests are never dropped — observability
     /// and shutdown must keep working when the data path is saturated.
     Reply(Response),
-    /// The body does not decode: write this `ERR`, then close the
+    /// The frame does not decode: write this `ERR`, then close the
     /// connection (framing is suspect).
     Fatal(Response),
     /// A data request to execute: [`answer`] it on the calling thread.
@@ -89,25 +164,25 @@ pub(crate) enum Routed<'p> {
 
 /// A pinned page and the ticket of the GET that asked for it. The pin
 /// must not be kept: [`reply`](Self::reply) at once.
-pub(crate) struct Resident<'p> {
+struct Resident<'p> {
     page: Pinned<'p>,
     ticket: Ticket,
 }
 
 /// Count a protocol violation and build its `ERR` reply.
-pub(crate) fn protocol_error(shared: &Shared, e: &ProtocolError) -> Response {
+fn protocol_error(shared: &Shared, e: &ProtocolError) -> Response {
     shared.metrics.errors.incr();
     Response::Err(e.to_string())
 }
 
 /// Decode one complete frame body and decide where it goes. The
-/// request clock starts here, when the frame's turn comes — not at an
-/// epoll wakeup that may have delivered a whole pipeline burst.
+/// request clock starts here, when the frame's turn comes — not at the
+/// socket read that may have delivered a whole pipeline burst.
 ///
 /// `session` is the calling thread's: a GET of a resident page is pinned
 /// with it. A PUT's data is decoded into a buffer popped from `spares`,
 /// when it has one.
-pub(crate) fn route<'p>(
+fn route<'p>(
     shared: &Shared,
     session: &mut Session<'p>,
     body: &[u8],
@@ -145,42 +220,43 @@ pub(crate) fn route<'p>(
 }
 
 impl Resident<'_> {
-    /// Write `[ST_OK] + frame bytes` straight from the frame into `w`,
+    /// Append `[ST_OK] + frame bytes` straight from the frame to `out`,
     /// release the pin, and account the reply like any other. The pin,
-    /// which is the page's read latch, is held for the copy only: `w` is
-    /// a buffer, never the socket, so that a slow reader never keeps a
-    /// write of the page waiting.
-    pub(crate) fn reply(self, shared: &Shared, w: &mut impl Write) -> io::Result<()> {
+    /// which is the page's read latch, is held for the copy only: `out`
+    /// is a buffer, never the socket, so that a slow reader never keeps
+    /// a write of the page waiting.
+    fn reply(self, shared: &Shared, out: &mut WriteBuf) {
         let Resident { page, ticket } = self;
-        page.read(|data| protocol::write_response_unflushed(w, protocol::ST_OK, data))?;
+        page.read(|data| push_response(out, protocol::ST_OK, data));
         drop(page);
         ticket.complete(&shared.metrics, protocol::ST_OK);
-        Ok(())
     }
 }
 
 /// Answer a data request on the calling thread — the frontend thread
-/// that decoded it, with its own session — and write the reply into `w`.
-/// `due` is when the request's deadline runs out, counted from the
-/// socket read that completed its frame (`None`: no deadline). If its
-/// turn came later, the reply is `DROPPED` and nothing is executed;
+/// that decoded it, with its own session — and append the reply to
+/// `out`. `due` is when the request's deadline runs out, counted from
+/// the socket read that completed its frame (`None`: no deadline). If
+/// its turn came later, the reply is `DROPPED` and nothing is executed;
 /// otherwise it runs to completion here. A PUT's data buffer goes back
 /// to `spares` for the next PUT to decode into.
-pub(crate) fn answer(
+fn answer(
     shared: &Shared,
     session: &mut Session<'_>,
     req: Request,
     ticket: Ticket,
     due: Option<Instant>,
     spares: &mut Vec<Vec<u8>>,
-    w: &mut impl Write,
-) -> io::Result<()> {
-    let written = match due {
+    out: &mut WriteBuf,
+) {
+    match due {
         // The ticket's mark is the end of its decode: the request's
         // turn, read off a clock read that was taken anyway.
-        Some(due) if ticket.mark > due => write_reply(shared, Some(ticket), &Response::Dropped, w),
-        _ => serve(shared, session, &req, ticket, w),
-    };
+        Some(due) if ticket.mark > due => {
+            write_reply(shared, Some(ticket), &Response::Dropped, out)
+        }
+        _ => serve(shared, session, &req, ticket, out),
+    }
     if let Request::Put { data, .. } = req {
         // Only a page-sized body is worth keeping for the next PUT:
         // never a megabyte one.
@@ -188,25 +264,24 @@ pub(crate) fn answer(
             spares.push(data);
         }
     }
-    written
 }
 
-/// Run a data request to completion on the calling thread and write
-/// its reply into `w`: a GET's from the frame under the pin, as
+/// Run a data request to completion on the calling thread and append
+/// its reply to `out`: a GET's from the frame under the pin, as
 /// [`Resident::reply`] does.
 fn serve(
     shared: &Shared,
     session: &mut Session<'_>,
     req: &Request,
     mut ticket: Ticket,
-    w: &mut impl Write,
-) -> io::Result<()> {
+    out: &mut WriteBuf,
+) {
     bpw_trace::stage::reset();
     let done = execute(session, shared, req);
     ticket.executed(&shared.metrics);
     match done {
-        Executed::Page(page) => Resident { page, ticket }.reply(shared, w),
-        Executed::Reply(resp) => write_reply(shared, Some(ticket), &resp, w),
+        Executed::Page(page) => Resident { page, ticket }.reply(shared, out),
+        Executed::Reply(resp) => write_reply(shared, Some(ticket), &resp, out),
     }
 }
 
@@ -250,9 +325,10 @@ impl Ticket {
         }
     }
 
-    /// Account one reply that has just been handed to the transport:
-    /// `reply_flush` ends now, and so does the request.
-    pub(crate) fn complete(mut self, m: &ServerMetrics, status: u8) {
+    /// Account one reply that has just been appended to its
+    /// connection's write buffer: `reply_flush` ends now, and so does
+    /// the request.
+    fn complete(mut self, m: &ServerMetrics, status: u8) {
         let flush_ns = self.lap();
         let total_ns = self.mark.duration_since(self.admitted).as_nanos() as u64;
         m.record_stage(self.kind, Stage::ReplyFlush, flush_ns);
@@ -267,20 +343,25 @@ impl Ticket {
     }
 }
 
-/// Write `resp` as one frame into the frontend's reply buffer `w`, then
-/// — for data requests, which carry a ticket — account the reply. A write error leaves the request unaccounted: nothing was
-/// answered.
-pub(crate) fn write_reply(
-    shared: &Shared,
-    ticket: Option<Ticket>,
-    resp: &Response,
-    w: &mut impl Write,
-) -> io::Result<()> {
-    protocol::write_response_unflushed(w, resp.status(), resp.payload())?;
+/// Append `resp` as one frame to `out`, then — for data requests, which
+/// carry a ticket — account the reply.
+fn write_reply(shared: &Shared, ticket: Option<Ticket>, resp: &Response, out: &mut WriteBuf) {
+    push_response(out, resp.status(), resp.payload());
     if let Some(ticket) = ticket {
         ticket.complete(&shared.metrics, resp.status());
     }
-    Ok(())
+}
+
+/// Append one response frame from its parts — header, status byte,
+/// payload — without assembling the body first: a reply goes from where
+/// its payload lives (a `Response`, a pinned frame) to `out` in one copy.
+fn push_response(out: &mut WriteBuf, status: u8, payload: &[u8]) {
+    debug_assert!(payload.len() < protocol::MAX_FRAME);
+    let mut head = [0u8; RESPONSE_HEAD];
+    head[..4].copy_from_slice(&(1 + payload.len() as u32).to_le_bytes());
+    head[4] = status;
+    out.push(&head);
+    out.push(payload);
 }
 
 /// What executing a data request produced.
@@ -349,7 +430,6 @@ mod tests {
     use super::*;
     use bpw_bufferpool::{BufferPool, SimDisk};
     use bpw_metrics::JsonValue;
-    use std::time::Duration;
 
     /// A `Shared` over a small pool — no listener, no threads.
     fn shared() -> Shared {
@@ -360,6 +440,8 @@ mod tests {
             metrics: ServerMetrics::shared(),
             stop: Arc::new(AtomicBool::new(false)),
             pages: 64,
+            deadline: None,
+            high_water: 64 * (64 + RESPONSE_HEAD),
         }
     }
 
@@ -368,27 +450,28 @@ mod tests {
         route(shared, session, &req.encode(), &mut Vec::new())
     }
 
-    /// Route `req`, answer it as a frontend does, and return its reply
-    /// frame.
-    fn reply_to(shared: &Shared, session: &mut Session<'_>, req: &Request) -> Vec<u8> {
+    /// The bytes `out` holds, taken out of it.
+    fn written(out: &mut WriteBuf) -> Vec<u8> {
         let mut wire = Vec::new();
-        match route_req(shared, session, req) {
-            Routed::Work(req, ticket) => answer(
-                shared,
-                session,
-                req,
-                ticket,
-                None,
-                &mut Vec::new(),
-                &mut wire,
-            ),
-            Routed::Resident(hit) => hit.reply(shared, &mut wire),
-            Routed::Reply(resp) | Routed::Fatal(resp) => {
-                write_reply(shared, None, &resp, &mut wire)
-            }
-        }
-        .expect("Vec cannot fail");
+        out.flush(&mut wire).expect("Vec cannot fail");
         wire
+    }
+
+    /// A connection that has received the frames of `reqs`.
+    fn connection(reqs: &[Request]) -> Connection {
+        let mut conn = Connection::default();
+        for req in reqs {
+            conn.decoder.push(&framed(&req.encode()));
+        }
+        conn
+    }
+
+    /// Answer `req` on a connection, as a frontend does, and return its
+    /// reply frame.
+    fn reply_to(shared: &Shared, session: &mut Session<'_>, req: &Request) -> Vec<u8> {
+        let mut conn = connection(std::slice::from_ref(req));
+        conn.answer_frames(shared, session, &mut Vec::new());
+        written(&mut conn.out)
     }
 
     /// What executing `req` replied, for a request that is not a GET.
@@ -415,10 +498,10 @@ mod tests {
         )
     }
 
-    /// The frame `resp` travels in.
-    fn framed(resp: &Response) -> Vec<u8> {
+    /// The frame `body` travels in.
+    fn framed(body: &[u8]) -> Vec<u8> {
         let mut wire = Vec::new();
-        protocol::write_frame_unflushed(&mut wire, &resp.encode()).expect("Vec cannot fail");
+        protocol::write_frame_unflushed(&mut wire, body).expect("Vec cannot fail");
         wire
     }
 
@@ -454,8 +537,7 @@ mod tests {
         let Routed::Resident(hit) = route_req(&shared, session, &get) else {
             panic!("page 3 is resident");
         };
-        hit.reply(&shared, &mut Vec::new())
-            .expect("Vec cannot fail");
+        hit.reply(&shared, &mut WriteBuf::new());
         let second = scraped_counts(&shared, session);
         assert_eq!(second, pool_counts(&shared), "the second scrape is exact");
         assert_eq!(
@@ -506,6 +588,27 @@ mod tests {
     }
 
     #[test]
+    fn frames_past_the_high_water_mark_wait_for_a_write() {
+        let shared = shared();
+        let session = &mut shared.pool.session();
+        drop(session.fetch(1).expect("instant disk"));
+        // 100 resident GETs: their 69-byte replies pass the mark of
+        // 64 × 69 bytes at the 65th.
+        let mut conn = connection(&vec![Request::Get { page: 1 }; 100]);
+        conn.answer_frames(&shared, session, &mut Vec::new());
+        assert!(conn.backlogged(&shared));
+        assert_eq!(shared.metrics.ok.get(), 65);
+        assert_eq!(written(&mut conn.out).len(), 65 * 69);
+        conn.answer_frames(&shared, session, &mut Vec::new());
+        assert_eq!(
+            written(&mut conn.out).len(),
+            35 * 69,
+            "the rest, once written"
+        );
+        assert_eq!(shared.metrics.pipeline_depth.count(), 2, "two passes");
+    }
+
+    #[test]
     fn data_requests_get_a_ticket_and_a_decode_sample() {
         let shared = shared();
         let session = &mut shared.pool.session();
@@ -553,10 +656,14 @@ mod tests {
             panic!("a GET of a resident page is pinned by the routing thread");
         };
         assert_eq!(m.total(), 0, "nothing is counted before its reply");
-        let mut wire = Vec::new();
-        hit.reply(&shared, &mut wire).expect("Vec cannot fail");
+        let mut out = WriteBuf::new();
+        hit.reply(&shared, &mut out);
 
-        assert_eq!(wire, framed(&Response::Ok(stamp)), "frame bytes, as is");
+        assert_eq!(
+            written(&mut out),
+            framed(&Response::Ok(stamp).encode()),
+            "frame bytes, as is"
+        );
         assert_eq!(
             (m.ok.get(), m.total()),
             (1, 1),
@@ -592,7 +699,11 @@ mod tests {
         let wire = reply_to(&shared, session, &Request::Get { page: 6 });
         assert_eq!(pool_counts(&shared), (0, 1), "one miss, no second lookup");
         let page = session.fetch(6).expect("instant disk").read(|d| d.to_vec());
-        assert_eq!(wire, framed(&Response::Ok(page)), "the frame's bytes");
+        assert_eq!(
+            wire,
+            framed(&Response::Ok(page).encode()),
+            "the frame's bytes"
+        );
         assert_eq!((m.ok.get(), m.total(), m.inline_hits.get()), (1, 1, 0));
         assert_eq!(m.queue_wait_ns.count(), 0, "it never queued");
         assert!(
@@ -653,9 +764,8 @@ mod tests {
             session,
             &Request::Get { page: 5 },
             ticket,
-            &mut Vec::new(),
-        )
-        .expect("Vec cannot fail");
+            &mut WriteBuf::new(),
+        );
         assert_eq!(pool_counts(&shared), (0, 1));
 
         // Out of range: left to execution's ERR, never looked up.
@@ -683,9 +793,13 @@ mod tests {
             assert_eq!(resp.status() as usize, i, "status bytes index the counters");
             let ticket = cold_get_ticket(&shared, session, 0);
             let before: Vec<u64> = counters.iter().map(|c| c.get()).collect();
-            let mut wire = Vec::new();
-            write_reply(&shared, Some(ticket), resp, &mut wire).expect("Vec cannot fail");
-            assert_eq!(wire, framed(resp), "the transport sees the encoded frame");
+            let mut out = WriteBuf::new();
+            write_reply(&shared, Some(ticket), resp, &mut out);
+            assert_eq!(
+                written(&mut out),
+                framed(&resp.encode()),
+                "the socket sees the encoded frame"
+            );
             for (j, c) in counters.iter().enumerate() {
                 assert_eq!(
                     c.get() - before[j],
@@ -696,38 +810,6 @@ mod tests {
         }
         assert_eq!(m.get_ns.count(), 1, "only OK replies record latency");
         assert_eq!(m.stage(OpKind::Get, Stage::ReplyFlush).count(), 5);
-    }
-
-    /// A transport whose peer is gone.
-    struct Broken;
-
-    impl Write for Broken {
-        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
-            Err(io::Error::new(io::ErrorKind::BrokenPipe, "peer gone"))
-        }
-
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn a_failed_sink_leaves_the_request_unaccounted() {
-        let shared = shared();
-        let session = &mut shared.pool.session();
-        let ticket = cold_get_ticket(&shared, session, 0);
-        assert!(write_reply(&shared, Some(ticket), &Response::Busy, &mut Broken).is_err());
-
-        drop(session.fetch(1).expect("instant disk"));
-        let Routed::Resident(hit) = route_req(&shared, session, &Request::Get { page: 1 }) else {
-            panic!("page 1 is resident");
-        };
-        assert!(hit.reply(&shared, &mut Broken).is_err());
-        assert_eq!(shared.metrics.total(), 0);
-        assert!(
-            shared.pool.invalidate(1).is_invalidated(),
-            "a reply that could not be written still releases its pin"
-        );
     }
 
     #[test]
@@ -781,9 +863,9 @@ mod tests {
         // Due a nanosecond before its turn: DROPPED, and the pool never
         // sees it.
         let due = ticket.mark.checked_sub(Duration::from_nanos(1));
-        let mut wire = Vec::new();
-        answer(&shared, session, req, ticket, due, spares, &mut wire).expect("Vec cannot fail");
-        assert_eq!(wire, framed(&Response::Dropped));
+        let mut out = WriteBuf::new();
+        answer(&shared, session, req, ticket, due, spares, &mut out);
+        assert_eq!(written(&mut out), framed(&Response::Dropped.encode()));
         assert_eq!((m.dropped.get(), m.total()), (1, 1));
         assert_eq!(pool_counts(&shared), (0, 0), "nothing was executed");
         assert_eq!(spares.len(), 1, "its body is kept for the next PUT");
@@ -794,9 +876,11 @@ mod tests {
         };
         assert!(spares.is_empty(), "decoded into the kept buffer");
         let due = Some(Instant::now() + Duration::from_secs(60));
-        let mut wire = Vec::new();
-        answer(&shared, session, req, ticket, due, spares, &mut wire).expect("Vec cannot fail");
-        assert_eq!(wire, framed(&Response::Ok(Vec::new())));
+        answer(&shared, session, req, ticket, due, spares, &mut out);
+        assert_eq!(
+            written(&mut out),
+            framed(&Response::Ok(Vec::new()).encode())
+        );
         assert_eq!((m.ok.get(), m.total()), (1, 2));
         assert_eq!(pool_counts(&shared), (0, 1), "one miss");
     }

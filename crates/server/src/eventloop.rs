@@ -11,28 +11,20 @@
 //! (`ServerConfig::workers`) own every socket, and a client may pipeline.
 //! Each loop registers a clone of the listener; a loop that loses an
 //! accept race sees `WouldBlock`, and a connection stays on the loop
-//! that accepted it. Complete frames go through the same
-//! [`crate::engine`] — `route`, `answer`, `write_reply` — as the
-//! threaded frontend's. This file holds socket state only.
+//! that accepted it. A connection's frames and replies are a
+//! [`Connection`], answered by [`Connection::answer_frames`] exactly as
+//! a threaded connection's are: this file holds epoll, accept,
+//! nonblocking reads and flushes only.
 //!
 //! ## Every request runs to completion here
 //!
-//! BP-Wrapper's rule is that the common path should not pay for
-//! cross-processor synchronisation, and on a loop no path pays for it: a
-//! request is executed by the loop thread that decoded it, through that
-//! loop's own pool session, before the next frame is looked at. A GET,
-//! hit or miss, is written from the frame into the connection's write
-//! buffer under its pin; a PUT is applied from a body buffer the loop
-//! reuses; a SCAN's checksum is computed here. No request crosses a
-//! thread — a threaded connection runs its requests the same way — so
-//! there is no request queue, no completion queue, no reorder buffer:
-//! replies are produced in request order, a pipelined PUT-then-GET reads
-//! its own write, and one connection's requests reach the pool in the
-//! order it sent them.
-//!
-//! The price is that a miss holds its loop for its device time. Against
-//! `SimDisk::instant` that is a page copy; against a slow device every
-//! connection of that loop waits behind it, while the other loops go on.
+//! A request is executed by the loop thread that read it, through the
+//! loop's own pool session, before the next frame is looked at
+//! ([`crate::engine`]): there is no request queue, no completion queue
+//! and no reorder buffer. The price is that a miss holds its loop for
+//! its device time: against `SimDisk::instant` a page copy; against a
+//! slow device every connection of that loop waits behind it, while the
+//! other loops go on.
 //!
 //! ## Overload
 //!
@@ -46,25 +38,24 @@
 //!
 //! The loop must never wait on a socket. Two valves:
 //!
-//! * **Write buffer** — replies coalesce into one [`WriteBuf`] per
-//!   connection, flushed once per wakeup; a short write registers write
-//!   interest instead of spinning.
+//! * **Write buffer** — replies coalesce into the connection's one
+//!   write buffer, flushed once per wakeup; a short write registers
+//!   write interest instead of spinning.
 //! * **Unread replies** — a client that sends without reading fills its
 //!   write buffer. Past one pipeline's worth of replies
-//!   (`max_pipeline × (page_size + 5)` bytes) the loop stops reading the
-//!   socket and answering its buffered frames, until a flush brings the
-//!   buffer back under the mark.
+//!   (`max_pipeline × (page_size + 5)` bytes) the engine stops answering
+//!   its buffered frames and the loop stops reading its socket, until a
+//!   flush brings the buffer back under the mark.
 
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use bpw_evl::{Epoll, Interest, Ready, WriteBuf};
+use bpw_evl::{Epoll, Interest, Ready};
 
-use crate::engine::{self, Routed, Session, Shared};
-use crate::protocol::{FrameDecoder, RESPONSE_HEAD};
+use crate::engine::{Connection, Session, Shared};
 
 const TOK_LISTENER: u64 = 0;
 const FIRST_CONN_TOKEN: u64 = 1;
@@ -76,68 +67,30 @@ const FIRST_CONN_TOKEN: u64 = 1;
 const READ_CHUNK: usize = 16 * 1024;
 const MAX_READS_PER_WAKEUP: usize = 8;
 
-/// A connection's coalesced write buffer as the engine's transport: a
-/// write appends, and flushing is the loop's once-per-wakeup job, not
-/// a reply's.
-struct Coalesced<'a>(&'a mut WriteBuf);
-
-impl Write for Coalesced<'_> {
-    fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
-        self.0.push(bytes);
-        Ok(bytes.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
 /// One multiplexed client connection.
 struct Conn {
     stream: TcpStream,
-    decoder: FrameDecoder,
-    wbuf: WriteBuf,
+    /// Its frames and replies.
+    state: Connection,
     /// Peer closed its write half; serve what was received, then close.
     peer_eof: bool,
-    /// A frame did not decode and was answered `ERR`: nothing past it is
-    /// read or answered; close once the write buffer is empty.
-    poisoned: bool,
     /// Interest currently registered with epoll, to skip no-op MODs.
     registered: (bool, bool),
-    /// When the deadline of the frames the last read pass completed runs
-    /// out (`DeadlineDrop` only).
-    due: Option<Instant>,
 }
 
 impl Conn {
     fn new(stream: TcpStream) -> Conn {
         Conn {
             stream,
-            decoder: FrameDecoder::new(),
-            wbuf: WriteBuf::new(),
+            state: Connection::default(),
             peer_eof: false,
-            poisoned: false,
             registered: (true, false),
-            due: None,
         }
     }
 
-    /// Every reply this connection is owed has been written: a frame
-    /// left in the decoder is answered before the loop moves on, unless
-    /// unread replies hold it back, and those are in the write buffer.
-    fn drained(&self) -> bool {
-        self.wbuf.is_empty()
-    }
-
-    /// The client is not reading: more replies wait in the write buffer
-    /// than one full pipeline produces.
-    fn backlogged(&self, high_water: usize) -> bool {
-        self.wbuf.pending() > high_water
-    }
-
     /// Should the loop keep reading from this socket?
-    fn wants_read(&self, high_water: usize) -> bool {
-        !self.peer_eof && !self.poisoned && !self.backlogged(high_water)
+    fn wants_read(&self, shared: &Shared) -> bool {
+        !self.peer_eof && !self.state.poisoned && !self.state.backlogged(shared)
     }
 }
 
@@ -151,24 +104,15 @@ struct EventLoop<'a> {
     /// This thread's pool session: every request of its connections is
     /// executed through it.
     session: Session<'a>,
-    /// `DeadlineDrop`'s deadline, if that is the policy.
-    deadline: Option<Duration>,
     /// At most one page buffer: a PUT's body is decoded into it and it
     /// comes back once the PUT is applied.
     spare: Vec<Vec<u8>>,
-    /// Unread reply bytes past which a connection is backlogged.
-    high_water: usize,
 }
 
 /// Run one loop until a stop is requested *and* every connection it
 /// accepted has gone away — the same lifetime the threaded frontend's
 /// acceptor plus connection threads have collectively.
-pub(crate) fn run(
-    listener: TcpListener,
-    shared: &Shared,
-    deadline: Option<Duration>,
-    max_pipeline: usize,
-) {
+pub(crate) fn run(listener: TcpListener, shared: &Shared) {
     let epoll = Epoll::new(512).expect("epoll_create");
     epoll
         .add(&listener, TOK_LISTENER, Interest::READ)
@@ -180,9 +124,7 @@ pub(crate) fn run(
         next_token: FIRST_CONN_TOKEN,
         shared,
         session: shared.pool.session(),
-        deadline,
         spare: Vec::with_capacity(1),
-        high_water: max_pipeline * (shared.pool.page_size() + RESPONSE_HEAD),
     };
 
     let mut ready_buf: Vec<Ready> = Vec::new();
@@ -240,7 +182,7 @@ pub(crate) fn run(
             // read drains whatever the kernel had already queued (those
             // requests are still served) and then reports EOF, which
             // closes the connection through the usual path.
-            for conn in el.conns.values().filter(|c| c.drained()) {
+            for conn in el.conns.values().filter(|c| c.state.out.is_empty()) {
                 let _ = conn.stream.shutdown(Shutdown::Read);
             }
             if el.listener.is_none() && el.conns.is_empty() {
@@ -302,7 +244,7 @@ impl EventLoop<'_> {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        if !conn.wants_read(self.high_water) {
+        if !conn.wants_read(self.shared) {
             return;
         }
         let mut got = false;
@@ -313,7 +255,7 @@ impl EventLoop<'_> {
                     break;
                 }
                 Ok(n) => {
-                    conn.decoder.push(&scratch[..n]);
+                    conn.state.decoder.push(&scratch[..n]);
                     got = true;
                     if n < scratch.len() {
                         break;
@@ -329,50 +271,11 @@ impl EventLoop<'_> {
         }
         // Frames held back behind unread replies stop this socket's
         // reads, so every frame in the decoder was completed by this pass.
-        if let Some(d) = self.deadline.filter(|_| got) {
-            conn.due = Some(Instant::now() + d);
+        if got {
+            conn.state.start_deadline(self.shared);
         }
-        self.answer_frames(token);
-    }
-
-    /// Answer buffered frames, in order, until the decoder runs dry, a
-    /// frame that does not decode poisons the stream, or the
-    /// connection's unread replies reach the high-water mark (the rest
-    /// stay in the decoder until a flush makes room). Each reply is in
-    /// the write buffer before the next frame is decoded.
-    fn answer_frames(&mut self, token: u64) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        let shared = self.shared;
-        let mut answered = 0;
-        while !conn.poisoned && !conn.backlogged(self.high_water) {
-            let routed = match conn.decoder.next_frame() {
-                Ok(None) => break,
-                Ok(Some(body)) => engine::route(shared, &mut self.session, body, &mut self.spare),
-                Err(e) => Routed::Fatal(engine::protocol_error(shared, &e)),
-            };
-            let w = &mut Coalesced(&mut conn.wbuf);
-            let written = match routed {
-                Routed::Reply(resp) => engine::write_reply(shared, None, &resp, w),
-                Routed::Fatal(resp) => {
-                    // Same contract as the threaded frontend: answer
-                    // ERR, then drop the connection once it is written.
-                    conn.poisoned = true;
-                    engine::write_reply(shared, None, &resp, w)
-                }
-                Routed::Resident(hit) => hit.reply(shared, w),
-                Routed::Work(req, ticket) => {
-                    let session = &mut self.session;
-                    engine::answer(shared, session, req, ticket, conn.due, &mut self.spare, w)
-                }
-            };
-            debug_assert!(written.is_ok(), "the write buffer cannot fail");
-            answered += 1;
-        }
-        if answered > 0 {
-            shared.metrics.pipeline_depth.record(answered);
-        }
+        conn.state
+            .answer_frames(self.shared, &mut self.session, &mut self.spare);
     }
 
     /// Post-event work for one connection: flush, answer frames a full
@@ -383,8 +286,8 @@ impl EventLoop<'_> {
                 return;
             };
             // One coalesced flush per pass.
-            let was_backlogged = conn.backlogged(self.high_water);
-            match conn.wbuf.flush(&mut conn.stream) {
+            let was_backlogged = conn.state.backlogged(self.shared);
+            match conn.state.out.flush(&mut conn.stream) {
                 Ok(progress) => {
                     self.shared.metrics.short_writes.add(progress.short_writes);
                 }
@@ -396,10 +299,11 @@ impl EventLoop<'_> {
             // Frames held back behind a full write buffer have no event
             // of their own: if this flush made room, answer them now or
             // nothing ever will.
-            if !was_backlogged || conn.backlogged(self.high_water) {
+            if !was_backlogged || conn.state.backlogged(self.shared) {
                 break;
             }
-            self.answer_frames(token);
+            conn.state
+                .answer_frames(self.shared, &mut self.session, &mut self.spare);
         }
 
         let Some(conn) = self.conns.get_mut(&token) else {
@@ -408,12 +312,12 @@ impl EventLoop<'_> {
         // After EOF a torn trailing frame can never complete (every
         // whole frame was answered above), so only unwritten replies
         // keep the connection open.
-        if (conn.poisoned || conn.peer_eof) && conn.drained() {
+        if (conn.state.poisoned || conn.peer_eof) && conn.state.out.is_empty() {
             self.close(token);
             return;
         }
         // Re-arm epoll interest to match what this connection needs.
-        let want = (conn.wants_read(self.high_water), !conn.wbuf.is_empty());
+        let want = (conn.wants_read(self.shared), !conn.state.out.is_empty());
         if want != conn.registered {
             let interest = match want {
                 (true, true) => Interest::READ_WRITE,

@@ -190,7 +190,7 @@ pub(crate) fn walk<'a>(shared: &'a Shared, scrape: &'a Scrape, visit: &mut dyn F
     row(&["connections_peak"], "bpw_connections_peak",        &[], "Open-connection high-water mark.",                                    Gauge(m.connections_open.peak()));
     row(&["epoll_wakeups"],    "bpw_epoll_wakeups_total",     &[], "Event-loop wakeups (epoll_wait returns with work).",                  Counter(m.epoll_wakeups.get()));
     row(&["short_writes"],     "bpw_short_writes_total",      &[], "Nonblocking writes that accepted only part of the buffer.",           Counter(m.short_writes.get()));
-    row(&["pipeline_depth"],   "bpw_pipeline_depth",          &[], "Requests an event loop answered per pass over a connection's frames.", Hist(&m.pipeline_depth));
+    row(&["pipeline_depth"],   "bpw_pipeline_depth",          &[], "Requests answered per pass over a connection's frames.", Hist(&m.pipeline_depth));
     row(&["ready_per_wakeup"], "bpw_ready_events_per_wakeup", &[], "Ready fds delivered per epoll wakeup.",                               Hist(&m.ready_per_wakeup));
     row(&["peak_queue_depth"], "bpw_queue_depth_peak",        &[], "Request-queue depth high-water mark: always 0, nothing queues.",     Gauge(0));
     row(&["get_ns"],           "bpw_get_latency_ns",          &[], "End-to-end GET latency.",                                             Hist(&m.get_ns));

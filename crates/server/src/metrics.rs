@@ -77,9 +77,9 @@ pub enum Stage {
     /// its time stays inside `PinHit`. The empty row is kept because
     /// `perfbench` reads `stages.<op>.batch_commit` from STATS.
     BatchCommit,
-    /// Writing the reply frame back toward the client (the socket write
-    /// under the threaded frontend; frame serialization into the
-    /// coalesced write buffer under the event loop).
+    /// Appending the reply frame to its connection's write buffer,
+    /// under either frontend. The socket write that follows is shared by
+    /// every reply in the buffer and attributed to none.
     ReplyFlush,
 }
 
@@ -145,9 +145,8 @@ pub struct ServerMetrics {
     /// Ready fds delivered per wakeup — how much work each syscall
     /// amortizes. Zero-sample under the threaded frontend.
     pub ready_per_wakeup: Histogram,
-    /// Requests an event loop answered in one pass over a connection's
-    /// buffered frames. Depth 1 is strict request/reply. Zero-sample
-    /// under the threaded frontend.
+    /// Requests answered in one pass over a connection's buffered
+    /// frames, under either frontend. Depth 1 is strict request/reply.
     pub pipeline_depth: Histogram,
     /// Nonblocking writes that accepted only part of the buffer — each
     /// one is a stall a blocking connection thread would have eaten.

@@ -295,32 +295,6 @@ pub fn write_frame_unflushed(w: &mut impl Write, body: &[u8]) -> io::Result<()> 
 /// prefix and the status byte.
 pub(crate) const RESPONSE_HEAD: usize = 5;
 
-/// Write one response frame from its parts — header, status byte,
-/// payload — without assembling the body first and without flushing:
-/// the server's replies go from where the payload lives (a `Response`,
-/// a pinned frame) to the transport's buffer in one copy.
-pub(crate) fn write_response_unflushed(
-    w: &mut impl Write,
-    status: u8,
-    payload: &[u8],
-) -> io::Result<()> {
-    debug_assert!(payload.len() < MAX_FRAME);
-    let mut head = [0u8; RESPONSE_HEAD];
-    head[..4].copy_from_slice(&(1 + payload.len() as u32).to_le_bytes());
-    head[4] = status;
-    w.write_all(&head)?;
-    w.write_all(payload)
-}
-
-/// Does `bytes` begin with one whole frame, its length prefix and body?
-/// A blocking reader asks before a read that could wait on its peer.
-pub(crate) fn holds_frame(bytes: &[u8]) -> bool {
-    match bytes.get(..4) {
-        Some(head) => bytes.len() - 4 >= u32::from_le_bytes(head.try_into().unwrap()) as usize,
-        None => false,
-    }
-}
-
 /// Read one frame body into `buf`. Returns `Ok(false)` on clean EOF at
 /// a frame boundary (peer closed), `Err` on truncation, zero-length, or
 /// oversize.
@@ -347,9 +321,10 @@ pub fn read_frame(r: &mut impl Read, buf: &mut Vec<u8>) -> io::Result<bool> {
     Ok(true)
 }
 
-/// Incremental frame decoder for nonblocking transports.
+/// Incremental frame decoder: every server connection, under either
+/// frontend, reads into one.
 ///
-/// A readiness loop gets bytes in whatever fragments the kernel
+/// A socket read returns bytes in whatever fragments the kernel
 /// delivers — half a header, three frames and a torn fourth, one byte
 /// at a time from a slowloris. [`push`](Self::push) accepts any
 /// fragment; [`next_frame`](Self::next_frame) yields complete bodies in
@@ -566,16 +541,6 @@ mod tests {
         assert!(read_frame(&mut r, &mut buf).unwrap());
         assert_eq!(Request::decode(&buf).unwrap(), Request::Stats);
         assert!(!read_frame(&mut r, &mut buf).unwrap(), "clean EOF");
-    }
-
-    #[test]
-    fn holds_frame_needs_the_whole_body() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &Request::Get { page: 3 }.encode()).unwrap();
-        assert!((0..wire.len()).all(|cut| !holds_frame(&wire[..cut])));
-        assert!(holds_frame(&wire));
-        wire.push(0);
-        assert!(holds_frame(&wire), "a torn next frame after it");
     }
 
     #[test]

@@ -1,21 +1,21 @@
 //! The page service: configuration, start-up and shutdown of the
 //! threads serving one shared [`BufferPool`], and the threaded frontend.
 //!
-//! Everything a request goes through between "frame complete" and
-//! "reply accounted" is [`crate::engine`]'s; a frontend only moves
-//! bytes. The threaded driver here is an acceptor plus one blocking
-//! thread per connection: read a frame, run the request to completion
-//! with the thread's own pool session, buffer the reply, and write the
-//! buffered replies before a read that could wait on the client.
-//! The readiness loops in [`crate::eventloop`] are the other frontend,
-//! and run their requests the same way. Neither has a queue or workers.
+//! Everything a connection's bytes go through between the socket read
+//! and the reply waiting to be written is [`crate::engine`]'s
+//! [`Connection`]; a frontend only moves bytes. The threaded driver here
+//! is an acceptor plus one blocking thread per connection that loops:
+//! answer the buffered frames with the thread's own pool session, write
+//! the replies, read once more. The readiness loops in
+//! [`crate::eventloop`] are the other frontend and answer frames the
+//! same way. Neither has a queue or workers.
 
-use std::io::{self, BufReader, Write};
+use std::io::{self, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bpw_bufferpool::{
     BufferPool, ClockManager, FaultPlan, FaultyDisk, ReplacementManager, SimDisk, Storage,
@@ -25,11 +25,11 @@ use bpw_core::WrapperConfig;
 use bpw_replacement::PolicyKind;
 
 use crate::backpressure::AdmissionPolicy;
-use crate::engine::{self, Routed, Shared};
+use crate::engine::{Connection, Shared};
 use crate::eventloop;
 use crate::exposition;
 use crate::metrics::ServerMetrics;
-use crate::protocol;
+use crate::protocol::RESPONSE_HEAD;
 
 /// Which concurrency model serves client sockets.
 ///
@@ -39,7 +39,8 @@ use crate::protocol;
 /// request runs it; they differ in how threads map to sockets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FrontendMode {
-    /// One thread per connection, blocking I/O, strict request/reply.
+    /// One thread per connection, blocking I/O: it answers the frames
+    /// a read delivered, writes their replies, and reads again.
     #[default]
     Threaded,
     /// Readiness event loops (epoll), each multiplexing its share of the
@@ -101,10 +102,9 @@ pub struct ServerConfig {
     pub fault_plan: Option<FaultPlan>,
     /// How client sockets are served (`--mode threaded|eventloop`).
     pub mode: FrontendMode,
-    /// Event-loop mode only: a connection may leave this many page
-    /// replies unread in its write buffer before its loop stops reading
-    /// and answering its requests. The threaded frontend answers one
-    /// request at a time.
+    /// A connection may leave this many page replies unread in its write
+    /// buffer before the server stops answering its requests (and, under
+    /// the event loop, stops reading its socket) until it reads.
     pub max_pipeline: usize,
 }
 
@@ -194,11 +194,12 @@ impl Server {
             metrics: ServerMetrics::shared(),
             stop: Arc::new(AtomicBool::new(false)),
             pages: config.pages,
+            deadline: match config.policy {
+                AdmissionPolicy::DeadlineDrop(d) => Some(d),
+                AdmissionPolicy::Block => None,
+            },
+            high_water: config.max_pipeline.max(1) * (config.page_size + RESPONSE_HEAD),
         });
-        let deadline = match config.policy {
-            AdmissionPolicy::DeadlineDrop(d) => Some(d),
-            AdmissionPolicy::Block => None,
-        };
 
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
@@ -209,22 +210,19 @@ impl Server {
                 let conns = Arc::clone(&conns);
                 let acceptor = thread::Builder::new()
                     .name("bpw-acceptor".into())
-                    .spawn(move || accept_loop(&listener, &shared, deadline, &conns))
+                    .spawn(move || accept_loop(&listener, &shared, &conns))
                     .expect("spawn acceptor");
                 vec![acceptor]
             }
             FrontendMode::EventLoop => {
                 listener.set_nonblocking(true)?;
-                let max_pipeline = config.max_pipeline.max(1);
                 (0..config.workers.max(1))
                     .map(|i| {
                         let listener = listener.try_clone()?;
                         let shared = Arc::clone(&shared);
                         Ok(thread::Builder::new()
                             .name(format!("bpw-evl-loop-{i}"))
-                            .spawn(move || {
-                                eventloop::run(listener, &shared, deadline, max_pipeline)
-                            })
+                            .spawn(move || eventloop::run(listener, &shared))
                             .expect("spawn event loop"))
                     })
                     .collect::<io::Result<_>>()?
@@ -308,8 +306,8 @@ impl Server {
         for t in std::mem::take(&mut self.frontend) {
             let _ = t.join();
         }
-        // Ending a socket's read half turns a blocked `read_frame` into
-        // EOF, while bytes the kernel already queued are still read and
+        // Ending a socket's read half turns a blocked read into EOF,
+        // while bytes the kernel already queued are still read and
         // answered first.
         let conns = std::mem::take(&mut *self.conns.lock().expect("conns lock"));
         for conn in &conns {
@@ -327,12 +325,7 @@ struct Conn {
     thread: JoinHandle<()>,
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    shared: &Arc<Shared>,
-    deadline: Option<Duration>,
-    conns: &Mutex<Vec<Conn>>,
-) {
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, conns: &Mutex<Vec<Conn>>) {
     for stream in listener.incoming() {
         if shared.stop.load(Ordering::SeqCst) {
             break;
@@ -346,7 +339,7 @@ fn accept_loop(
             .name("bpw-conn".into())
             .spawn(move || {
                 shared.metrics.connections_open.incr();
-                let _ = serve_connection(&stream, &shared, deadline);
+                serve_connection(&stream, &shared);
                 // The acceptor's clone keeps the fd alive until it is
                 // reaped; the peer must see the close now.
                 let _ = stream.shutdown(Shutdown::Both);
@@ -364,77 +357,48 @@ fn accept_loop(
     }
 }
 
-/// Replies a threaded connection keeps for a pipelining client before it
-/// writes them to the socket: 16 of 4 KiB pages.
-const REPLY_BATCH: usize = 64 << 10;
+/// Bytes one blocking read may take from a connection's socket.
+const READ_CHUNK: usize = 16 * 1024;
 
-/// One client connection, strict request/reply in order: this thread
-/// decodes each request, runs it to completion with its own pool
-/// session, and has its reply in `out` before it decodes the next —
-/// what an event loop does for each of its connections. `deadline` is
-/// `DeadlineDrop`'s.
+/// One client connection: this thread answers every complete frame its
+/// client sent, running each request to completion with its own pool
+/// session, then writes the replies, then reads once more — what an
+/// event loop does for each of its connections, with blocking calls.
 ///
-/// Replies go into `out`, never straight to the socket. Before a socket
-/// call that can wait on the client — a read when the next frame is not
-/// all buffered, a write of `out` — a session that has executed a request
-/// is dropped and a fresh one opened: the drop commits its queued
-/// admissions and frees its stash. A connection that only hits keeps
-/// its session, so its hits keep batching.
-fn serve_connection(
-    mut stream: &TcpStream,
-    shared: &Shared,
-    deadline: Option<Duration>,
-) -> io::Result<()> {
+/// Before a socket call that can wait on the client, a session that has
+/// executed a request hands back what its misses took: its queued
+/// admissions are committed and its stash freed. A connection that only
+/// hits does not, so its hits keep batching.
+fn serve_connection(mut stream: &TcpStream, shared: &Shared) {
     stream.set_nodelay(true).ok();
     let mut session = shared.pool.session();
-    // Has `session` run a data request since it was opened?
-    let mut served = false;
-    // When the deadline of the last frame read from the socket runs out.
-    let mut due = None;
     let mut spares = Vec::with_capacity(1);
-    let mut reader = BufReader::new(stream);
-    let mut out = Vec::with_capacity(shared.pool.page_size() + protocol::RESPONSE_HEAD);
-    let mut buf = Vec::new();
+    let mut conn = Connection::default();
+    let mut chunk = vec![0u8; READ_CHUNK];
     loop {
-        let buffered = protocol::holds_frame(reader.buffer());
-        if !buffered || out.len() >= REPLY_BATCH {
-            if served {
-                session = shared.pool.session();
-                served = false;
-            }
-            stream.write_all(&out)?;
-            out.clear();
+        if conn.answer_frames(shared, &mut session, &mut spares) {
+            session.hand_back();
         }
-        if !protocol::read_frame(&mut reader, &mut buf)? {
-            break;
+        // Frames past the high-water mark wait in the decoder: answer
+        // them once the write has made room, before reading more.
+        let held_back = conn.backlogged(shared);
+        if conn.out.flush(&mut stream).is_err() || conn.poisoned {
+            return;
         }
-        if !buffered {
-            // The frame's last bytes came off the socket in this read, so
-            // its deadline counts from here. No clock is read without one.
-            due = deadline.map(|d| Instant::now() + d);
+        if held_back {
+            continue;
         }
-        match engine::route(shared, &mut session, &buf, &mut spares) {
-            Routed::Resident(hit) => hit.reply(shared, &mut out)?,
-            Routed::Reply(resp) => engine::write_reply(shared, None, &resp, &mut out)?,
-            Routed::Fatal(resp) => {
-                engine::write_reply(shared, None, &resp, &mut out)?;
-                break;
+        match stream.read(&mut chunk) {
+            // After EOF a torn trailing frame can never complete.
+            Ok(0) => return,
+            Ok(n) => {
+                conn.decoder.push(&chunk[..n]);
+                conn.start_deadline(shared);
             }
-            Routed::Work(req, ticket) => {
-                engine::answer(
-                    shared,
-                    &mut session,
-                    req,
-                    ticket,
-                    due,
-                    &mut spares,
-                    &mut out,
-                )?;
-                served = true;
-            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(_) => return,
         }
     }
-    stream.write_all(&out)
 }
 
 #[cfg(test)]

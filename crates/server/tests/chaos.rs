@@ -181,19 +181,15 @@ fn chaos_run_returns_correct_bytes_or_err_io_and_recovers(mode: FrontendMode) {
 
 fn chaos_loadgen_accounting_stays_exact_under_faults(mode: FrontendMode) {
     // The load generator's books must balance even when some replies are
-    // ERR_IO: every request lands in exactly one tally bucket. Under the
-    // event loop the clients also pipeline, so ERR_IO replies interleave
-    // with OKs inside a batch and must still sequence correctly.
+    // ERR_IO: every request lands in exactly one tally bucket. The
+    // clients pipeline, so ERR_IO replies interleave with OKs inside a
+    // batch and must still sequence correctly.
     let server = chaos_server(mode);
     let cfg = bpw_server::LoadConfig {
         connections: 4,
         requests_per_conn: 1000,
         write_fraction: 0.2,
-        pipeline: if mode == FrontendMode::EventLoop {
-            8
-        } else {
-            1
-        },
+        pipeline: 8,
         ..bpw_server::LoadConfig::default()
     };
     let workload = ZipfWorkload::new(PAGES, 0.86, 8);

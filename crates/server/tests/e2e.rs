@@ -5,11 +5,9 @@
 //!
 //! Every scenario runs against BOTH frontends (`mod threaded`,
 //! `mod eventloop_mode`): the concurrency model is a deployment knob,
-//! so the observable protocol behaviour must be identical. The
-//! event-loop-specific scenarios (pipelining order, slowloris,
-//! mid-request disconnect) also run under both, because the threaded
-//! frontend must tolerate pipelined clients even though it never
-//! admits more than one request at a time.
+//! so the observable protocol behaviour must be identical. Pipelining
+//! order, slowloris clients and mid-request disconnects run under both:
+//! both answer a connection's frames through the one engine call.
 
 use std::collections::HashMap;
 use std::io::Write as _;
@@ -268,41 +266,50 @@ fn out_of_range_requests_error_cleanly(mode: FrontendMode) {
     server.join();
 }
 
-/// A body that does not decode is answered `ERR` and the server closes
-/// that connection (framing is suspect) — promptly, and only that one.
-fn malformed_body_gets_err_then_close(mode: FrontendMode) {
+/// Send `GET 1`, then `bad`, then `GET 2` on one raw connection: the
+/// first GET is answered, then `ERR`, then the connection closes, and
+/// only that one: a connection opened before it is still served.
+fn err_then_close(mode: FrontendMode, bad: &[u8]) {
+    use bpw_server::protocol::read_frame;
+
     let server = test_server(AdmissionPolicy::Block, "wrapped-2q", mode);
+    let metrics = server.metrics().clone();
     let mut bystander = Client::connect(server.addr()).expect("connect");
     let mut stream = raw_stream(&server);
-    // A valid GET, then an unknown opcode, then a GET that must never
-    // be answered.
-    let mut wire = Vec::new();
-    for body in [
-        Request::Get { page: 1 }.encode(),
-        vec![0xFF],
-        Request::Get { page: 2 }.encode(),
-    ] {
-        bpw_server::protocol::write_frame(&mut wire, &body).unwrap();
-    }
+    let mut wire = frame(&Request::Get { page: 1 });
+    wire.extend_from_slice(bad);
+    wire.extend(frame(&Request::Get { page: 2 }));
     stream.write_all(&wire).expect("send");
-    let mut reader = std::io::BufReader::new(stream);
     let mut buf = Vec::new();
-    assert!(bpw_server::protocol::read_frame(&mut reader, &mut buf).unwrap());
+    assert!(read_frame(&mut &stream, &mut buf).expect("reply"), "no OK");
     assert!(matches!(Response::decode(&buf).unwrap(), Response::Ok(_)));
-    assert!(bpw_server::protocol::read_frame(&mut reader, &mut buf).unwrap());
+    assert!(read_frame(&mut &stream, &mut buf).expect("reply"), "no ERR");
     assert!(matches!(Response::decode(&buf).unwrap(), Response::Err(_)));
     assert!(
-        !bpw_server::protocol::read_frame(&mut reader, &mut buf).expect("EOF, not a timeout"),
+        !read_frame(&mut &stream, &mut buf).expect("EOF, not a timeout"),
         "the connection must be closed after the ERR"
     );
+    // Replies are accounted before they are written.
+    assert_eq!((metrics.ok.get(), metrics.errors.get()), (1, 1));
     assert!(matches!(bystander.get(3).unwrap(), Response::Ok(_)));
-    assert_eq!(server.metrics().errors.get(), 1);
     drop(bystander);
-    let metrics = server.metrics().clone();
     server.join();
-    // Replies are accounted after they are written, so count once the
-    // server has quiesced: the two GETs, not the one behind the ERR.
-    assert_eq!(metrics.ok.get(), 2);
+}
+
+/// A body that does not decode is answered `ERR` and the server closes
+/// that connection (framing is suspect).
+fn malformed_body_gets_err_then_close(mode: FrontendMode) {
+    let mut bad = Vec::new();
+    bpw_server::protocol::write_frame(&mut bad, &[0xFF]).unwrap();
+    err_then_close(mode, &bad);
+}
+
+/// A length prefix no frame may have, zero or past `MAX_FRAME`, is
+/// answered `ERR` after the replies before it.
+fn bad_frame_header_gets_err_after_the_replies_before_it(mode: FrontendMode) {
+    for bad in [0, bpw_server::protocol::MAX_FRAME as u32 + 1] {
+        err_then_close(mode, &bad.to_le_bytes());
+    }
 }
 
 /// The load generator against a live server: closed-loop requests are
@@ -395,8 +402,9 @@ fn metrics_exposition_and_enriched_stats(mode: FrontendMode) {
     assert!(text.contains("bpw_miss_shard_acquisitions_total{shard=\"0\"}"));
     assert!(text.contains("bpw_miss_lock_shards"));
     assert!(text.contains("bpw_pool_io_retries_total"));
-    // Event-loop observability is always exposed (zero-valued under the
-    // threaded frontend) so dashboards don't need mode-aware queries.
+    // Event-loop observability is always exposed (the epoll series are
+    // zero-valued under the threaded frontend) so dashboards don't need
+    // mode-aware queries.
     assert!(text.contains("bpw_connections_open"));
     assert!(text.contains("bpw_epoll_wakeups_total"));
     assert!(text.contains("bpw_short_writes_total"));
@@ -479,19 +487,19 @@ fn metrics_exposition_and_enriched_stats(mode: FrontendMode) {
             .is_some_and(|c| c >= 1),
         "the asking client must be counted open: {stats}"
     );
+    assert!(
+        v.get("pipeline_depth")
+            .and_then(|h| h.get("count"))
+            .and_then(JsonValue::as_u64)
+            .is_some_and(|c| c > 0),
+        "every pass over a connection's frames observes its depth: {stats}"
+    );
     if mode == FrontendMode::EventLoop {
         assert!(
             v.get("epoll_wakeups")
                 .and_then(JsonValue::as_u64)
                 .is_some_and(|w| w > 0),
             "the loop must have woken for this traffic: {stats}"
-        );
-        assert!(
-            v.get("pipeline_depth")
-                .and_then(|h| h.get("count"))
-                .and_then(JsonValue::as_u64)
-                .is_some_and(|c| c > 0),
-            "every pass over a connection's frames observes its depth: {stats}"
         );
     }
 
@@ -1257,6 +1265,7 @@ both_frontends!(
     scan_checksum_matches_individual_gets,
     out_of_range_requests_error_cleanly,
     malformed_body_gets_err_then_close,
+    bad_frame_header_gets_err_after_the_replies_before_it,
     loadgen_closed_loop_round_trips,
     loadgen_open_loop_sends_full_schedule,
     client_shutdown_request_stops_accepting,
